@@ -21,14 +21,15 @@ from typing import Optional, Sequence
 
 from . import instance as inst_mod
 from .charging import (
+    ChargingError,
     charge_six,
     charge_three,
     charge_two_eps,
     ledger_to_json,
     verify_ratios,
 )
-from .dp_solver import dp_solve
-from .geom_core import Rect, Segment
+from .dp_solver import DpError, dp_solve
+from .geom_core import GeometryError, Rect, Segment
 from .instance import (
     Instance,
     InstanceError,
@@ -41,10 +42,32 @@ from .instance import (
     solution_to_json,
     write_json,
 )
-from .partition import recursive_partition, run_to_json, validate_partition
-from .structure import classify_nesting, classify_nice, maximal_extension
+from .partition import (
+    ConstructionError,
+    recursive_partition,
+    run_to_json,
+    validate_partition,
+)
+from .structure import (
+    StructureError,
+    classify_nesting,
+    classify_nice,
+    maximal_extension,
+)
 
 ALGOS = ("exact", "dp", "six", "three", "two_eps")
+
+# Failures a command reports as one line and exit status 2, never as a
+# traceback: bad input, I/O, and the library's own named failures.
+CLI_ERRORS = (
+    InstanceError,
+    OSError,
+    DpError,
+    ConstructionError,
+    ChargingError,
+    StructureError,
+    GeometryError,
+)
 
 
 def instance_digest(inst: Instance) -> str:
@@ -504,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, OSError) as exc:
+    except CLI_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,9 +69,6 @@ class Segment:
             return p.x == self.a.x and lo.y <= p.y <= hi.y
         return p.y == self.a.y and lo.x <= p.x <= hi.x
 
-    def interior_contains(self, p: Point) -> bool:
-        return self.contains_point(p) and p != self.a and p != self.b
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -93,25 +90,6 @@ class Rect:
             "BL": Point(self.xl, self.yb),
             "BR": Point(self.xr, self.yb),
         }[name]
-
-    @property
-    def top_edge(self) -> Segment:
-        return Segment(Point(self.xl, self.yt), Point(self.xr, self.yt))
-
-    @property
-    def bottom_edge(self) -> Segment:
-        return Segment(Point(self.xl, self.yb), Point(self.xr, self.yb))
-
-    @property
-    def left_edge(self) -> Segment:
-        return Segment(Point(self.xl, self.yb), Point(self.xl, self.yt))
-
-    @property
-    def right_edge(self) -> Segment:
-        return Segment(Point(self.xr, self.yb), Point(self.xr, self.yt))
-
-    def contains_open(self, p: Point) -> bool:
-        return self.xl < p.x < self.xr and self.yb < p.y < self.yt
 
     def area(self) -> int:
         return (self.xr - self.xl) * (self.yt - self.yb)

@@ -851,11 +851,12 @@ def general_partition_cut(
     tau: int,
     ell0: Optional[Chord] = None,
     _depth: int = 0,
+    memo: Optional[dict] = None,
 ) -> CutResult:
     """Cut a simple polygon with at most 30 tau + 18 edges into exactly two
     simple components with at most 2 tau + 1 segments, such that only one
     vertical segment meets rectangles and no tau-protected rectangle is
-    met."""
+    met.  memo is the caller's fence-engine memo (see tau_engine)."""
     if len(rects) < 2:
         raise ConstructionError("general_partition_cut needs at least two rects")
     if not poly.is_simple:
@@ -869,7 +870,7 @@ def general_partition_cut(
     if k <= 15 * budget - 1:
         return _case0_cut(poly, rects, tau)
 
-    eng = tau_engine(poly, rects, tau)
+    eng = tau_engine(poly, rects, tau, memo)
     if ell0 is None:
         _seg, chord = vertical_spanning_segment(poly)
     else:
@@ -913,10 +914,6 @@ def general_partition_cut(
         t = tables[name]
         return t is not None and eng.covers(t, p)
 
-    def covered_interior(name: str, p: Point) -> bool:
-        t = tables[name]
-        return t is not None and eng.covers_interior(t, p)
-
     ys = range(chord.ylo, chord.yhi + 1)
     pts = [Point(chord.x, y) for y in ys]
     plist = [p for p in pts if any(covered(g, p) for g in tables)]
@@ -940,16 +937,14 @@ def general_partition_cut(
             mpoly = poly.transform(mirror)
             mrects = [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects]
             mchord = _make_chord(mpoly, -chord.x, chord.ylo, chord.yhi)
-            mres = general_partition_cut(mpoly, mrects, tau, mchord, _depth + 1)
+            mres = general_partition_cut(
+                mpoly, mrects, tau, mchord, _depth + 1, memo
+            )
             return _mirror_cutresult(mres, mirror)
         res = _general_case2(
             poly, rects, tau, eng, tables, group_edges, chord, plist
         )
     return res
-
-
-def _protected_check_tau(poly, rects, tau):
-    return lambda r: is_tau_protected(r, poly, rects, tau)
 
 
 def _case0_cut(poly: RectPolygon, rects: RectsIn, tau: int) -> CutResult:
@@ -1008,7 +1003,7 @@ def _general_case1(poly, rects, tau, eng: FenceEngine, tables, plist) -> CutResu
             return _finalize(
                 poly, segs, rects, 2 * tau + 1, 30 * tau + 18, (2, 2),
                 "general-1a",
-                protected_check=_protected_check_tau(poly, rects, tau),
+                protected_check=eng.protects,
             )
     for a, b in zip(plist, plist[1:]):
         if b_cover(a) and t_cover(b):
@@ -1021,7 +1016,7 @@ def _general_case1(poly, rects, tau, eng: FenceEngine, tables, plist) -> CutResu
             return _finalize(
                 poly, segs, rects, 2 * tau + 1, 30 * tau + 18, (2, 2),
                 "general-1b",
-                protected_check=_protected_check_tau(poly, rects, tau),
+                protected_check=eng.protects,
             )
     raise ConstructionError("case 1: no bottom-to-top transition on the chord")
 
@@ -1039,9 +1034,8 @@ def _general_case2(
     best = None
     for ix in range(eng.nx):
         for iy in range(eng.ny):
-            d = min(min(row) for row in t_lm["dist"][ix][iy])
-            if d <= tau:
-                cand = Point(ix + eng.x0, iy + eng.y0)
+            cand = Point(ix + eng.x0, iy + eng.y0)
+            if eng.covers(t_lm, cand):
                 key = (-cand.x, cand.y)
                 if best is None or key < best[0]:
                     best = (key, cand)
@@ -1092,7 +1086,7 @@ def _general_case2(
         cap,
         (2, 2),
         case,
-        protected_check=_protected_check_tau(poly, rects, tau),
+        protected_check=eng.protects,
     )
 
     for name in right:
@@ -1340,8 +1334,14 @@ def recursive_partition(
         cutter = lambda poly, rin: line_partition_cut(poly, rin)
         prot = lambda r, poly, rin: is_protected(r, poly, rin)
     else:
-        cutter = lambda poly, rin: general_partition_cut(poly, rin, the_tau)
-        prot = lambda r, poly, rin: is_tau_protected(r, poly, rin, the_tau)
+        # One fence engine per (polygon, rects) for this run: a node's
+        # protection checks, its cut and its parent's persistence check
+        # all ask the same engine.
+        memo: dict = {}
+        cutter = lambda poly, rin: general_partition_cut(
+            poly, rin, the_tau, memo=memo
+        )
+        prot = lambda r, poly, rin: is_tau_protected(r, poly, rin, the_tau, memo)
 
     root_poly = RectPolygon.from_rect(Rect(0, 0, side, side))
     nodes = [PartitionNode(0, root_poly, None)]

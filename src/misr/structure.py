@@ -16,10 +16,10 @@ grid without increasing their segment count.
 
 from __future__ import annotations
 
-import threading
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .geom_core import (
     Point,
@@ -478,7 +478,41 @@ _VU = 1  # vertical, moving up
 _VD = 2  # vertical, moving down
 _START = 3
 
-_DIRS = ((1, 0, _H), (-1, 0, _H), (0, 1, _VU), (0, -1, _VD))
+# Unit steps out of a grid point, in search order: (move bit, orientation
+# after the step, committed horizontal direction after it or None to keep).
+_RIGHT, _LEFT, _UP, _DOWN = 1, 2, 4, 8
+_STEPS = ((_RIGHT, _H, 1), (_LEFT, _H, 2), (_UP, _VU, None), (_DOWN, _VD, None))
+
+
+def _free_steps(
+    sections: list[tuple[int, int]], blocked: list[tuple[int, int]], lo0: int, n: int
+) -> bytearray:
+    """free[i]: the unit step from lo0+i to lo0+i+1 lies in one of the
+    sections and in none of the blocked intervals."""
+    free = bytearray(n)
+    for lo, hi in sections:
+        free[lo - lo0 : hi - lo0] = b"\x01" * (hi - lo)
+    for lo, hi in blocked:
+        lo, hi = max(lo - lo0, 0), min(hi - lo0, n)
+        if lo < hi:
+            free[lo:hi] = bytes(hi - lo)
+    return free
+
+
+def _filled(value: int, size: int):
+    """A flat table of size entries equal to value, in the narrowest array
+    type that holds value."""
+    for code in "Bhiq":
+        try:
+            return array(code, [value]) * size
+        except OverflowError:
+            pass
+    return [value] * size
+
+
+class _Table(NamedTuple):
+    dist: Sequence[int]
+    parent: Optional[array]
 
 
 class FenceEngine:
@@ -488,6 +522,15 @@ class FenceEngine:
     The search graph is the integer grid of the polygon's bounding box; a
     chain state is (grid point, current orientation, committed horizontal
     direction).  Turning costs one segment, continuing straight nothing.
+
+    A search result (a table) is private to the engine: only its methods
+    read it.  Its distances live in one flat array indexed
+    ((ix*ny + iy)*4 + o)*3 + h for grid offset (ix, iy), orientation o and
+    horizontal direction h; unreached states hold tau + 1, and the element
+    type is the narrowest array type that holds tau + 1 (bytes up to
+    tau = 254).  Tables from reach() also keep each state's predecessor
+    state in a flat array (-1 for none), for chain_to; the tables of
+    reach_run() are only asked covers() and keep none.
     """
 
     def __init__(
@@ -500,105 +543,100 @@ class FenceEngine:
         self.x0, self.y0 = x0, y0
         self.nx = x1 - x0 + 1
         self.ny = y1 - y0 + 1
-        self._hstep: Optional[list[list[bool]]] = None
-        self._vstep: Optional[list[list[bool]]] = None
+        self._moves: Optional[bytearray] = None
         self._cache: dict = {}
-        self._lock = threading.Lock()
+        # _trans[o*3 + h]: the (move bit, state offset, cost) of every step
+        # a chain in orientation o and horizontal direction h may take.
+        shift = {_RIGHT: 12 * self.ny, _LEFT: -12 * self.ny, _UP: 12, _DOWN: -12}
+        self._trans = []
+        for o in range(4):
+            for h in range(3):
+                steps = []
+                for bit, no, nh in _STEPS:
+                    if nh is None:
+                        nh = h
+                        if (o, no) in ((_VU, _VD), (_VD, _VU)):
+                            continue  # no doubling back
+                    elif h != 0 and h != nh:
+                        continue  # one horizontal direction per chain
+                    offset = shift[bit] + (no * 3 + nh) - (o * 3 + h)
+                    steps.append((bit, offset, int(no != o)))
+                self._trans.append(tuple(steps))
 
-    def _steps(self) -> tuple[list[list[bool]], list[list[bool]]]:
-        """hstep[i][j]: the unit step (x0+i,y0+j)->(x0+i+1,y0+j) stays in
-        the closed polygon and crosses no rect interior; vstep likewise."""
-        if self._hstep is None:
+    def _steps(self) -> bytearray:
+        """moves[ix*ny + iy]: the move bits of the unit steps from grid
+        point (x0+ix, y0+iy) that stay in the closed polygon and cross no
+        rect interior."""
+        if self._moves is None:
             poly, rects = self.poly, self.rects
-            x0, y0 = self.x0, self.y0
-            hstep = [[False] * self.ny for _ in range(max(self.nx - 1, 1))]
-            for j in range(self.ny):
+            x0, y0, nx, ny = self.x0, self.y0, self.nx, self.ny
+            moves = bytearray(nx * ny)
+            for j in range(ny):
                 y = y0 + j
                 blocked = [(r.xl, r.xr) for r in rects if r.yb < y < r.yt]
-                for lo, hi in poly.horizontal_section(y):
-                    for x in range(lo, hi):
-                        if any(bl <= x and x + 1 <= bh for bl, bh in blocked):
-                            continue
-                        hstep[x - x0][j] = True
-            vstep = [[False] * max(self.ny - 1, 1) for _ in range(self.nx)]
-            for i in range(self.nx):
+                free = _free_steps(poly.horizontal_section(y), blocked, x0, nx)
+                for i, ok in enumerate(free):
+                    if ok:
+                        moves[i * ny + j] |= _RIGHT
+                        moves[(i + 1) * ny + j] |= _LEFT
+            for i in range(nx):
                 x = x0 + i
                 blocked = [(r.yb, r.yt) for r in rects if r.xl < x < r.xr]
-                for lo, hi in poly.vertical_section(x):
-                    for y in range(lo, hi):
-                        if any(bl <= y and y + 1 <= bh for bl, bh in blocked):
-                            continue
-                        vstep[i][y - y0] = True
-            self._hstep, self._vstep = hstep, vstep
-        return self._hstep, self._vstep
+                free = _free_steps(poly.vertical_section(x), blocked, y0, ny)
+                for j, ok in enumerate(free):
+                    if ok:
+                        moves[i * ny + j] |= _UP
+                        moves[i * ny + j + 1] |= _DOWN
+            self._moves = moves
+        return self._moves
 
-    def _bfs(self, seeds: list[tuple[int, int, int, int, int]]) -> dict:
+    def _bfs(
+        self, seeds: list[tuple[int, int, int, int, int]], with_parent: bool
+    ) -> _Table:
         """0/1-BFS over chain states from (dist, ix, iy, orient, hdir)
         seeds; hdir 0 uncommitted, 1 rightward, 2 leftward."""
-        hstep, vstep = self._steps()
-        INF = self.tau + 1
-        dist = [
-            [[[INF] * 3 for _ in range(4)] for _ in range(self.ny)]
-            for _ in range(self.nx)
-        ]
-        parent: dict[tuple, tuple] = {}
+        moves, trans, tau = self._steps(), self._trans, self.tau
+        size = self.nx * self.ny * 12
+        dist = _filled(tau + 1, size)
+        parent = array("q", [-1]) * size if with_parent else None
         dq: deque = deque()
         for d, ix, iy, o, h in seeds:
             if not (0 <= ix < self.nx and 0 <= iy < self.ny):
                 continue
-            if d <= self.tau and d < dist[ix][iy][o][h]:
-                dist[ix][iy][o][h] = d
-                dq.append((d, ix, iy, o, h))
+            s = (ix * self.ny + iy) * 12 + o * 3 + h
+            if d <= tau and d < dist[s]:
+                dist[s] = d
+                dq.append((d, s))
         while dq:
-            d, ix, iy, o, h = dq.popleft()
-            if d > dist[ix][iy][o][h]:
+            d, s = dq.popleft()
+            if d > dist[s]:
                 continue
-            for dx, dy, no in _DIRS:
-                nix, niy = ix + dx, iy + dy
-                if not (0 <= nix < self.nx and 0 <= niy < self.ny):
+            m = moves[s // 12]
+            for bit, offset, cost in trans[s % 12]:
+                if not m & bit:
                     continue
-                if dx == 1 and not hstep[ix][iy]:
+                nd = d + cost
+                ns = s + offset
+                if nd > tau or nd >= dist[ns]:
                     continue
-                if dx == -1 and not hstep[ix - 1][iy]:
-                    continue
-                if dy == 1 and not vstep[ix][iy]:
-                    continue
-                if dy == -1 and not vstep[ix][iy - 1]:
-                    continue
-                if no == _H:
-                    nh = 1 if dx == 1 else 2
-                    if h != 0 and h != nh:
-                        continue  # one horizontal direction per chain
+                dist[ns] = nd
+                if parent is not None:
+                    parent[ns] = s
+                if cost:
+                    dq.append((nd, ns))
                 else:
-                    nh = h
-                    if (o == _VU and no == _VD) or (o == _VD and no == _VU):
-                        continue  # no doubling back
-                nd = d if no == o else d + 1
-                if nd > self.tau:
-                    continue
-                if nd < dist[nix][niy][no][nh]:
-                    dist[nix][niy][no][nh] = nd
-                    parent[(nix, niy, no, nh)] = (ix, iy, o, h)
-                    if nd == d:
-                        dq.appendleft((nd, nix, niy, no, nh))
-                    else:
-                        dq.append((nd, nix, niy, no, nh))
-        return {"dist": dist, "parent": parent}
+                    dq.appendleft((nd, ns))
+        return _Table(dist, parent)
 
-    def reach(self, sources: Iterable[Point]) -> dict:
+    def reach(self, sources: Iterable[Point]) -> _Table:
         """Chains emanating from any of the given anchor points."""
         key = ("pts", tuple(sorted(set(sources))))
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        seeds = [(0, p.x - self.x0, p.y - self.y0, _START, 0) for p in key[1]]
-        result = self._bfs(seeds)
-        result["sources"] = key[1]
-        with self._lock:
-            self._cache[key] = result
-        return result
+        if key not in self._cache:
+            seeds = [(0, p.x - self.x0, p.y - self.y0, _START, 0) for p in key[1]]
+            self._cache[key] = self._bfs(seeds, with_parent=True)
+        return self._cache[key]
 
-    def reach_run(self, y: int, x1: int, x2: int, rightward: bool) -> Optional[dict]:
+    def reach_run(self, y: int, x1: int, x2: int, rightward: bool) -> Optional[_Table]:
         """Reversed reachability for chains whose final segment traverses
         the run [x1,x2]x{y} (rightward: left-to-right in chain order).
 
@@ -609,28 +647,24 @@ class FenceEngine:
         if x1 > x2:
             x1, x2 = x2, x1
         key = ("run", y, x1, x2, rightward)
-        with self._lock:
-            if key in self._cache:
-                cached = self._cache[key]
-                return None if cached == "none" else cached
-        hstep, _ = self._steps()
+        if key not in self._cache:
+            self._cache[key] = self._bfs_run(y, x1, x2, rightward)
+        return self._cache[key]
+
+    def _bfs_run(self, y: int, x1: int, x2: int, rightward: bool) -> Optional[_Table]:
+        moves, ny = self._steps(), self.ny
         iy = y - self.y0
-        ok = 0 <= iy < self.ny and all(
-            0 <= i < len(hstep) and hstep[i][iy]
+        ok = 0 <= iy < ny and all(
+            0 <= i < self.nx and moves[i * ny + iy] & _RIGHT
             for i in range(x1 - self.x0, x2 - self.x0)
         )
         if not ok:
-            with self._lock:
-                self._cache[key] = "none"
             return None
         if rightward:
             seeds = [(1, x1 - self.x0, iy, _H, 2)]  # reversed walk goes left
         else:
             seeds = [(1, x2 - self.x0, iy, _H, 1)]
-        result = self._bfs(seeds)
-        with self._lock:
-            self._cache[key] = result
-        return result
+        return self._bfs(seeds, with_parent=False)
 
     # queries ----------------------------------------------------------------
 
@@ -638,113 +672,106 @@ class FenceEngine:
         y1, y2 = sorted((edge.a.y, edge.b.y))
         return [Point(edge.a.x, y) for y in range(y1, y2 + 1)]
 
-    def best_dist(self, table: dict, p: Point) -> int:
+    def _cell(self, p: Point) -> Optional[int]:
+        """Index of p's first state in a table, or None off the grid."""
         ix, iy = p.x - self.x0, p.y - self.y0
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            return self.tau + 1
-        return min(min(row) for row in table["dist"][ix][iy])
+            return None
+        return (ix * self.ny + iy) * 12
 
-    def covers(self, table: dict, p: Point) -> bool:
+    def best_dist(self, table: _Table, p: Point) -> int:
+        base = self._cell(p)
+        if base is None:
+            return self.tau + 1
+        return min(table.dist[base : base + 12])
+
+    def covers(self, table: _Table, p: Point) -> bool:
         return self.best_dist(table, p) <= self.tau
 
-    def covers_interior(self, table: dict, p: Point) -> bool:
+    def covers_interior(self, table: _Table, p: Point) -> bool:
         """Some chain passes strictly through p: it arrives at p and can be
         extended by one more unit step within budget."""
-        ix, iy = p.x - self.x0, p.y - self.y0
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
+        base = self._cell(p)
+        if base is None:
             return False
-        hstep, vstep = self._steps()
-        dist = table["dist"][ix][iy]
-        for o in range(4):
-            if o == _START:
-                continue  # arrival as a bare source is an endpoint
-            for h in range(3):
-                d = dist[o][h]
-                if d > self.tau:
-                    continue
-                for dx, dy, no in _DIRS:
-                    if dx == 1 and not (ix < self.nx - 1 and hstep[ix][iy]):
-                        continue
-                    if dx == -1 and not (ix > 0 and hstep[ix - 1][iy]):
-                        continue
-                    if dy == 1 and not (iy < self.ny - 1 and vstep[ix][iy]):
-                        continue
-                    if dy == -1 and not (iy > 0 and vstep[ix][iy - 1]):
-                        continue
-                    if no == _H:
-                        nh = 1 if dx == 1 else 2
-                        if h != 0 and h != nh:
-                            continue
-                    if (o == _VU and no == _VD) or (o == _VD and no == _VU):
-                        continue
-                    if (d if no == o else d + 1) <= self.tau:
-                        return True
+        m = self._steps()[base // 12]
+        for oh in range(_START * 3):  # arrival as a bare source is an endpoint
+            d = table.dist[base + oh]
+            for bit, _offset, cost in self._trans[oh]:
+                if m & bit and d + cost <= self.tau:
+                    return True
         return False
 
-    def chain_to(self, table: dict, p: Point) -> list[Point]:
+    def chain_to(self, table: _Table, p: Point) -> list[Point]:
         """One optimal chain from a seed to p, as a point walk."""
-        ix, iy = p.x - self.x0, p.y - self.y0
-        best = None
-        for o in range(4):
-            for h in range(3):
-                d = table["dist"][ix][iy][o][h]
-                if best is None or d < best[0]:
-                    best = (d, o, h)
-        if best is None or best[0] > self.tau:
+        base = self._cell(p)
+        if base is None or self.best_dist(table, p) > self.tau:
             raise StructureError(f"no chain reaches {p}")
-        state = (ix, iy, best[1], best[2])
-        walk = [Point(ix + self.x0, iy + self.y0)]
-        while state in table["parent"]:
-            state = table["parent"][state]
-            walk.append(Point(state[0] + self.x0, state[1] + self.y0))
+        cell = table.dist[base : base + 12]
+        s = base + cell.index(min(cell))
+        walk = []
+        while s >= 0:
+            ix, iy = divmod(s // 12, self.ny)
+            walk.append(Point(ix + self.x0, iy + self.y0))
+            s = table.parent[s]
         return list(reversed(walk))
 
+    def protects(self, r: Rect) -> bool:
+        """tau-protection: one vertical polygon edge anchors two chains of
+        at most tau segments containing r's top and bottom edges
+        respectively."""
+        top = self._edges_reaching_run(r.yt, r.xl, r.xr)
+        if not top:
+            return False
+        return bool(top & self._edges_reaching_run(r.yb, r.xl, r.xr))
 
-_ENGINE_CACHE: dict = {}
-_ENGINE_LOCK = threading.Lock()
+    def _edges_reaching_run(self, y: int, x1: int, x2: int) -> set[int]:
+        """Vertical edges of the polygon anchoring some chain that contains
+        the horizontal run [x1,x2]x{y}."""
+        tables = [self.reach_run(y, x1, x2, rightward=True),
+                  self.reach_run(y, x1, x2, rightward=False)]
+        tables = [t for t in tables if t is not None]
+        edges = self.poly.edges()
+        return {
+            idx
+            for idx in self.poly.vertical_edge_sides()
+            if any(self._covers_edge(t, edges[idx]) for t in tables)
+        }
+
+    def _covers_edge(self, table: _Table, edge: Segment) -> bool:
+        """Some point of the vertical polygon edge is covered: the states
+        of its points form one slice of the table."""
+        y1, y2 = sorted((edge.a.y, edge.b.y))
+        lo = ((edge.a.x - self.x0) * self.ny + y1 - self.y0) * 12
+        return min(table.dist[lo : lo + (y2 - y1 + 1) * 12]) <= self.tau
 
 
 def tau_engine(
-    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], tau: int
+    poly: RectPolygon,
+    rects_in: Sequence[tuple[int, Rect]],
+    tau: int,
+    memo: Optional[dict] = None,
 ) -> FenceEngine:
+    """The fence engine of (poly, rects_in, tau).  With a memo, one engine
+    and its search tables serve every request with the same key; a
+    partition run owns its memo, so everything in it is freed with the run.
+    Without one, a fresh engine."""
+    if memo is None:
+        return FenceEngine(poly, rects_in, tau)
     key = (poly, tuple(sorted(rects_in)), tau)
-    with _ENGINE_LOCK:
-        eng = _ENGINE_CACHE.get(key)
-        if eng is None:
-            eng = FenceEngine(poly, rects_in, tau)
-            _ENGINE_CACHE[key] = eng
-            if len(_ENGINE_CACHE) > 256:
-                _ENGINE_CACHE.clear()
-                _ENGINE_CACHE[key] = eng
-        return eng
-
-
-def _edges_reaching_run(
-    eng: FenceEngine, y: int, x1: int, x2: int
-) -> set[int]:
-    """Vertical edges of the polygon anchoring some chain that contains the
-    horizontal run [x1,x2]x{y}."""
-    tables = [eng.reach_run(y, x1, x2, rightward=True),
-              eng.reach_run(y, x1, x2, rightward=False)]
-    sides = eng.poly.vertical_edge_sides()
-    edges = eng.poly.edges()
-    out: set[int] = set()
-    for idx in sides:
-        for p in eng.edge_points(edges[idx]):
-            if any(t is not None and eng.covers(t, p) for t in tables):
-                out.add(idx)
-                break
-    return out
+    eng = memo.get(key)
+    if eng is None:
+        eng = memo[key] = FenceEngine(poly, rects_in, tau)
+    return eng
 
 
 def is_tau_protected(
-    r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], tau: int
+    r: Rect,
+    poly: RectPolygon,
+    rects_in: Sequence[tuple[int, Rect]],
+    tau: int,
+    memo: Optional[dict] = None,
 ) -> bool:
     """tau-protection: one vertical polygon edge anchors two chains of at
     most tau segments containing r's top and bottom edges respectively."""
-    eng = tau_engine(poly, rects_in, tau)
-    top = _edges_reaching_run(eng, r.yt, r.xl, r.xr)
-    if not top:
-        return False
-    bottom = _edges_reaching_run(eng, r.yb, r.xl, r.xr)
-    return bool(top & bottom)
+    return tau_engine(poly, rects_in, tau, memo).protects(r)

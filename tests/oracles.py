@@ -8,12 +8,15 @@ builders used to cross-check the constructive machinery.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 from misr.geom_core import (
     Point,
     Rect,
     RectPolygon,
+    Segment,
     rects_intersect,
 )
 from misr.instance import Instance
@@ -224,6 +227,54 @@ def fill_with_maximal_rects(
     return rects
 
 
+def line_units(rng: random.Random, count: int):
+    """count (k, polygon, rects) units for line cuts: horizontally convex
+    notched polygons with k edges and 2-5 maximal rects inside."""
+    done = 0
+    while done < count:
+        k = rng.choice((8, 12, 16, 20, 24, 26))
+        try:
+            poly = notched_polygon(
+                rng, k, width=rng.randrange(10, 20),
+                height=rng.randrange(8, 16), h_convex_only=True,
+            )
+        except ValueError:
+            continue
+        rects = list(enumerate(fill_with_maximal_rects(rng, poly, rng.randrange(2, 6))))
+        if len(rects) < 2:
+            continue
+        yield k, poly, rects
+        done += 1
+
+
+# (tau, edge counts, width, height, units) of the general-cut units
+GENERAL_PLAN = (
+    (1, (12, 20, 32, 44), 14, 10, 120), (1, (46, 48), 26, 20, 30),
+    (3, (12, 24, 40), 16, 12, 40), (3, (106,), 60, 40, 6),
+    (7, (16, 28), 16, 12, 16), (7, (226,), 120, 60, 2),
+)
+
+
+def general_units(rng: random.Random):
+    """(tau, k, polygon, rects) units for general cuts, GENERAL_PLAN's
+    counts of each: notched polygons with k edges and 2-5 maximal rects."""
+    for tau, ks, w, h, count in GENERAL_PLAN:
+        done = 0
+        while done < count:
+            k = rng.choice(ks)
+            try:
+                poly = notched_polygon(rng, k, width=w, height=h)
+            except ValueError:
+                continue
+            rects = list(
+                enumerate(fill_with_maximal_rects(rng, poly, rng.randrange(2, 6)))
+            )
+            if len(rects) < 2:
+                continue
+            yield tau, k, poly, rects
+            done += 1
+
+
 def _grow_in_polygon(poly: RectPolygon, others: list[Rect], r: Rect) -> Rect:
     changed = True
     while changed:
@@ -296,3 +347,252 @@ def naive_dp_value(inst: Instance, k: int, budget: int) -> int:
         return best
 
     return solve(root)
+
+
+# -- reference fence engine (nested tables) ----------------------------------------
+#
+# The fence engine and the protection checks as first written: BFS
+# distances in nested per-point lists, predecessors in a dict keyed by
+# state tuple.  The library's engine must agree with these on every
+# verdict, every covered point and every chain walk.
+
+_H, _VU, _VD, _START = 0, 1, 2, 3
+_DIRS = ((1, 0, _H), (-1, 0, _H), (0, 1, _VU), (0, -1, _VD))
+
+
+class NestedFenceEngine:
+    """x-monotone chains of at most tau segments inside a polygon, avoiding
+    rect interiors; state (grid point, orientation, horizontal direction)."""
+
+    def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], tau: int):
+        self.poly = poly
+        self.rects = [r for _rid, r in rects_in]
+        self.tau = tau
+        x0, y0, x1, y1 = poly.bbox()
+        self.x0, self.y0 = x0, y0
+        self.nx = x1 - x0 + 1
+        self.ny = y1 - y0 + 1
+        self._hstep: Optional[list[list[bool]]] = None
+        self._vstep: Optional[list[list[bool]]] = None
+        self._cache: dict = {}
+
+    def _steps(self):
+        if self._hstep is None:
+            poly, rects = self.poly, self.rects
+            x0, y0 = self.x0, self.y0
+            hstep = [[False] * self.ny for _ in range(max(self.nx - 1, 1))]
+            for j in range(self.ny):
+                y = y0 + j
+                blocked = [(r.xl, r.xr) for r in rects if r.yb < y < r.yt]
+                for lo, hi in poly.horizontal_section(y):
+                    for x in range(lo, hi):
+                        if any(bl <= x and x + 1 <= bh for bl, bh in blocked):
+                            continue
+                        hstep[x - x0][j] = True
+            vstep = [[False] * max(self.ny - 1, 1) for _ in range(self.nx)]
+            for i in range(self.nx):
+                x = x0 + i
+                blocked = [(r.yb, r.yt) for r in rects if r.xl < x < r.xr]
+                for lo, hi in poly.vertical_section(x):
+                    for y in range(lo, hi):
+                        if any(bl <= y and y + 1 <= bh for bl, bh in blocked):
+                            continue
+                        vstep[i][y - y0] = True
+            self._hstep, self._vstep = hstep, vstep
+        return self._hstep, self._vstep
+
+    def _bfs(self, seeds: list[tuple[int, int, int, int, int]]) -> dict:
+        hstep, vstep = self._steps()
+        INF = self.tau + 1
+        dist = [
+            [[[INF] * 3 for _ in range(4)] for _ in range(self.ny)]
+            for _ in range(self.nx)
+        ]
+        parent: dict[tuple, tuple] = {}
+        dq: deque = deque()
+        for d, ix, iy, o, h in seeds:
+            if not (0 <= ix < self.nx and 0 <= iy < self.ny):
+                continue
+            if d <= self.tau and d < dist[ix][iy][o][h]:
+                dist[ix][iy][o][h] = d
+                dq.append((d, ix, iy, o, h))
+        while dq:
+            d, ix, iy, o, h = dq.popleft()
+            if d > dist[ix][iy][o][h]:
+                continue
+            for dx, dy, no in _DIRS:
+                nix, niy = ix + dx, iy + dy
+                if not (0 <= nix < self.nx and 0 <= niy < self.ny):
+                    continue
+                if dx == 1 and not hstep[ix][iy]:
+                    continue
+                if dx == -1 and not hstep[ix - 1][iy]:
+                    continue
+                if dy == 1 and not vstep[ix][iy]:
+                    continue
+                if dy == -1 and not vstep[ix][iy - 1]:
+                    continue
+                if no == _H:
+                    nh = 1 if dx == 1 else 2
+                    if h != 0 and h != nh:
+                        continue
+                else:
+                    nh = h
+                    if (o == _VU and no == _VD) or (o == _VD and no == _VU):
+                        continue
+                nd = d if no == o else d + 1
+                if nd > self.tau:
+                    continue
+                if nd < dist[nix][niy][no][nh]:
+                    dist[nix][niy][no][nh] = nd
+                    parent[(nix, niy, no, nh)] = (ix, iy, o, h)
+                    if nd == d:
+                        dq.appendleft((nd, nix, niy, no, nh))
+                    else:
+                        dq.append((nd, nix, niy, no, nh))
+        return {"dist": dist, "parent": parent}
+
+    def reach(self, sources: Iterable[Point]) -> dict:
+        key = ("pts", tuple(sorted(set(sources))))
+        if key not in self._cache:
+            seeds = [(0, p.x - self.x0, p.y - self.y0, _START, 0) for p in key[1]]
+            self._cache[key] = self._bfs(seeds)
+        return self._cache[key]
+
+    def reach_run(self, y: int, x1: int, x2: int, rightward: bool) -> Optional[dict]:
+        if x1 > x2:
+            x1, x2 = x2, x1
+        key = ("run", y, x1, x2, rightward)
+        if key in self._cache:
+            return self._cache[key]
+        hstep, _ = self._steps()
+        iy = y - self.y0
+        ok = 0 <= iy < self.ny and all(
+            0 <= i < len(hstep) and hstep[i][iy]
+            for i in range(x1 - self.x0, x2 - self.x0)
+        )
+        result = None
+        if ok:
+            if rightward:
+                seeds = [(1, x1 - self.x0, iy, _H, 2)]
+            else:
+                seeds = [(1, x2 - self.x0, iy, _H, 1)]
+            result = self._bfs(seeds)
+        self._cache[key] = result
+        return result
+
+    def edge_points(self, edge: Segment) -> list[Point]:
+        y1, y2 = sorted((edge.a.y, edge.b.y))
+        return [Point(edge.a.x, y) for y in range(y1, y2 + 1)]
+
+    def best_dist(self, table: dict, p: Point) -> int:
+        ix, iy = p.x - self.x0, p.y - self.y0
+        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
+            return self.tau + 1
+        return min(min(row) for row in table["dist"][ix][iy])
+
+    def covers(self, table: dict, p: Point) -> bool:
+        return self.best_dist(table, p) <= self.tau
+
+    def covers_interior(self, table: dict, p: Point) -> bool:
+        ix, iy = p.x - self.x0, p.y - self.y0
+        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
+            return False
+        hstep, vstep = self._steps()
+        dist = table["dist"][ix][iy]
+        for o in range(4):
+            if o == _START:
+                continue
+            for h in range(3):
+                d = dist[o][h]
+                if d > self.tau:
+                    continue
+                for dx, dy, no in _DIRS:
+                    if dx == 1 and not (ix < self.nx - 1 and hstep[ix][iy]):
+                        continue
+                    if dx == -1 and not (ix > 0 and hstep[ix - 1][iy]):
+                        continue
+                    if dy == 1 and not (iy < self.ny - 1 and vstep[ix][iy]):
+                        continue
+                    if dy == -1 and not (iy > 0 and vstep[ix][iy - 1]):
+                        continue
+                    if no == _H:
+                        nh = 1 if dx == 1 else 2
+                        if h != 0 and h != nh:
+                            continue
+                    if (o == _VU and no == _VD) or (o == _VD and no == _VU):
+                        continue
+                    if (d if no == o else d + 1) <= self.tau:
+                        return True
+        return False
+
+    def chain_to(self, table: dict, p: Point) -> list[Point]:
+        ix, iy = p.x - self.x0, p.y - self.y0
+        best = None
+        for o in range(4):
+            for h in range(3):
+                d = table["dist"][ix][iy][o][h]
+                if best is None or d < best[0]:
+                    best = (d, o, h)
+        if best is None or best[0] > self.tau:
+            raise ValueError(f"no chain reaches {p}")
+        state = (ix, iy, best[1], best[2])
+        walk = [Point(ix + self.x0, iy + self.y0)]
+        while state in table["parent"]:
+            state = table["parent"][state]
+            walk.append(Point(state[0] + self.x0, state[1] + self.y0))
+        return list(reversed(walk))
+
+
+def _nested_edges_reaching_run(eng: NestedFenceEngine, y: int, x1: int, x2: int) -> set[int]:
+    tables = [eng.reach_run(y, x1, x2, rightward=True),
+              eng.reach_run(y, x1, x2, rightward=False)]
+    edges = eng.poly.edges()
+    out: set[int] = set()
+    for idx in eng.poly.vertical_edge_sides():
+        for p in eng.edge_points(edges[idx]):
+            if any(t is not None and eng.covers(t, p) for t in tables):
+                out.add(idx)
+                break
+    return out
+
+
+def nested_is_tau_protected(
+    r: Rect,
+    poly: RectPolygon,
+    rects_in: Sequence[tuple[int, Rect]],
+    tau: int,
+    eng: Optional[NestedFenceEngine] = None,
+) -> bool:
+    """tau-protection by the reference engine; pass eng to reuse its
+    tables across the rects of one polygon."""
+    eng = eng or NestedFenceEngine(poly, rects_in, tau)
+    top = _nested_edges_reaching_run(eng, r.yt, r.xl, r.xr)
+    if not top:
+        return False
+    return bool(top & _nested_edges_reaching_run(eng, r.yb, r.xl, r.xr))
+
+
+def line_protected(r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]) -> bool:
+    """Line-fence protection as first written: a horizontal segment from a
+    facing vertical polygon edge to r's far corner, inside the polygon and
+    clear of rect interiors, along r's top or bottom edge."""
+    sides = poly.vertical_edge_sides()
+    edges = poly.edges()
+    for y in (r.yt, r.yb):
+        for idx, side in sides.items():
+            e = edges[idx]
+            ey1, ey2 = sorted((e.a.y, e.b.y))
+            if not ey1 <= y <= ey2:
+                continue
+            xe = e.a.x
+            if (side == "left" and xe > r.xl) or (side == "right" and xe < r.xr):
+                continue
+            target_x = r.xr if side == "left" else r.xl
+            x1, x2 = sorted((xe, target_x))
+            if not poly.contains_segment(Segment(Point(xe, y), Point(target_x, y))):
+                continue
+            if any(o.yb < y < o.yt and x1 < o.xr and x2 > o.xl for _rid, o in rects_in):
+                continue
+            return True
+    return False

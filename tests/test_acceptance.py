@@ -43,7 +43,7 @@ from misr.structure import (
     is_tau_protected,
     maximal_extension,
 )
-from oracles import fill_with_maximal_rects, notched_polygon, blob_polygon
+from oracles import blob_polygon, general_units, line_units
 
 FAMILIES = ("uniform_random", "nested_grid", "windmill")
 
@@ -187,18 +187,7 @@ def test_criterion_6_partitioning_units():
     rng = random.Random(2024)
     checked_line = 0
     fails = []
-    while checked_line < 200:
-        k = rng.choice((8, 12, 16, 20, 24, 26))
-        try:
-            poly = notched_polygon(
-                rng, k, width=rng.randrange(10, 20),
-                height=rng.randrange(8, 16), h_convex_only=True,
-            )
-        except ValueError:
-            continue
-        rects = list(enumerate(fill_with_maximal_rects(rng, poly, rng.randrange(2, 6))))
-        if len(rects) < 2:
-            continue
+    for k, poly, rects in line_units(rng, 200):
         try:
             res = line_partition_cut(poly, rects)
             assert len(res.cut.segments) <= 8
@@ -213,34 +202,18 @@ def test_criterion_6_partitioning_units():
         checked_line += 1
 
     checked_general = 0
-    plan = [(1, (12, 20, 32, 44), 14, 10, 120), (1, (46, 48), 26, 20, 30),
-            (3, (12, 24, 40), 16, 12, 40), (3, (106,), 60, 40, 6),
-            (7, (16, 28), 16, 12, 16), (7, (226,), 120, 60, 2)]
-    for tau, ks, w, h, count in plan:
-        done = 0
-        while done < count:
-            k = rng.choice(ks)
-            try:
-                poly = notched_polygon(rng, k, width=w, height=h)
-            except ValueError:
-                continue
-            rects = list(
-                enumerate(fill_with_maximal_rects(rng, poly, rng.randrange(2, 6)))
-            )
-            if len(rects) < 2:
-                continue
-            try:
-                res = general_partition_cut(poly, rects, tau)
-                assert len(res.cut.segments) <= 2 * tau + 1
-                assert len(res.components) == 2
-                for comp in res.components:
-                    assert comp.is_simple and comp.num_edges <= 30 * tau + 18
-                for rid in res.intersected:
-                    assert not is_tau_protected(dict(rects)[rid], poly, rects, tau)
-            except Exception as exc:
-                fails.append((tau, k, str(exc)[:60]))
-            done += 1
-            checked_general += 1
+    for tau, k, poly, rects in general_units(rng):
+        try:
+            res = general_partition_cut(poly, rects, tau)
+            assert len(res.cut.segments) <= 2 * tau + 1
+            assert len(res.components) == 2
+            for comp in res.components:
+                assert comp.is_simple and comp.num_edges <= 30 * tau + 18
+            for rid in res.intersected:
+                assert not is_tau_protected(dict(rects)[rid], poly, rects, tau)
+        except Exception as exc:
+            fails.append((tau, k, str(exc)[:60]))
+        checked_general += 1
     _result(
         "6 partitioning units",
         not fails,

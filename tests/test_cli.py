@@ -69,6 +69,15 @@ class TestSolveAndCertify:
         bad.write_text("{not json")
         assert run_cli(["solve", str(bad), "--algo", "exact"]) == 2
 
+    def test_dp_cell_cap_clean_error(self, windmill_file, capsys):
+        code = run_cli(
+            ["solve", windmill_file, "--algo", "dp", "--cell-cap", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cell" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_report_deterministic_modulo_timing(self, windmill_file, capsys):
         docs = []
         for _ in range(2):

@@ -1,0 +1,128 @@
+"""The fence engine against the nested-table reference engine in
+oracles.py: protection verdicts, covered points, interior coverage and
+chain walks must agree exactly, on partition nodes, on the notched units
+of acceptance criterion 6 and at budgets beyond a byte."""
+
+import random
+from fractions import Fraction
+
+from misr.geom_core import Point, Rect, RectPolygon
+from misr.instance import exact_mis, generate
+from misr.partition import recursive_partition
+from misr.structure import FenceEngine, is_protected, is_tau_protected, maximal_extension
+from oracles import (
+    NestedFenceEngine,
+    general_units,
+    line_protected,
+    line_units,
+    nested_is_tau_protected,
+)
+
+TAUS = (1, 3, 7, 11)
+
+
+def partition_cells(family, n, seed, tau, regime="three", eps=None):
+    """(polygon, rects inside) of every node of the regime's partition
+    that holds a rect."""
+    inst = generate(family, n, seed)
+    m = maximal_extension(exact_mis(inst), inst)
+    run = recursive_partition(m, regime, eps=eps, tau=tau if eps is None else None)
+    assert run.tau == tau
+    for node in run.nodes:
+        rin = [
+            (i, r) for i, r in enumerate(run.work_rects)
+            if node.polygon.contains_rect(r)
+        ]
+        if rin:
+            yield node.polygon, rin
+
+
+def assert_engines_agree(poly, rin, tau):
+    """Every tau-protection verdict, and for the chains from the left and
+    from the right vertical edges every grid point's distance, interior
+    coverage and chain walk, agree with the reference engine."""
+    ref = NestedFenceEngine(poly, rin, tau)
+    for _rid, r in rin:
+        assert is_tau_protected(r, poly, rin, tau) == nested_is_tau_protected(
+            r, poly, rin, tau, ref
+        ), (poly, rin, tau, r)
+    eng = FenceEngine(poly, rin, tau)
+    sides = poly.vertical_edge_sides()
+    edges = poly.edges()
+    for side in ("left", "right"):
+        sources = [
+            p for idx, s in sides.items() if s == side
+            for p in eng.edge_points(edges[idx])
+        ]
+        table, ref_table = eng.reach(sources), ref.reach(sources)
+        x0, y0, x1, y1 = poly.bbox()
+        for x in range(x0 - 1, x1 + 2):
+            for y in range(y0 - 1, y1 + 2):
+                p = Point(x, y)
+                d = eng.best_dist(table, p)
+                assert d == ref.best_dist(ref_table, p)
+                assert eng.covers_interior(table, p) == ref.covers_interior(ref_table, p)
+                if d <= tau:
+                    assert eng.chain_to(table, p) == ref.chain_to(ref_table, p)
+
+
+def test_partition_nodes_match_reference():
+    cells = 0
+    for family in ("windmill", "uniform_random", "nested_grid"):
+        for n in range(3, 11):
+            for seed in ((0,) if family == "windmill" else (0, 1)):
+                for tau in TAUS:
+                    for poly, rin in partition_cells(family, n, seed, tau):
+                        assert_engines_agree(poly, rin, tau)
+                        cells += 1
+    assert cells > 500
+
+
+def test_line_protection_matches_reference():
+    rng = random.Random(2024)
+    checked = 0
+    for _k, poly, rects in line_units(rng, 200):
+        for _rid, r in rects:
+            assert is_protected(r, poly, rects) == line_protected(r, poly, rects)
+            checked += 1
+    for family in ("windmill", "uniform_random", "nested_grid"):
+        for n in range(3, 11):
+            for poly, rin in partition_cells(family, n, 0, 7):
+                for _rid, r in rin:
+                    assert is_protected(r, poly, rin) == line_protected(r, poly, rin)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_criterion_6_units_match_reference():
+    # the same units as acceptance criterion 6: its line units come first
+    rng = random.Random(2024)
+    for _unit in line_units(rng, 200):
+        pass
+    units = 0
+    for tau, _k, poly, rects in general_units(rng):
+        assert_engines_agree(poly, rects, tau)
+        units += 1
+    assert units == 214
+
+
+def test_tau_beyond_a_byte_on_walls():
+    poly = RectPolygon.from_rect(Rect(0, 0, 20, 20))
+    mid = Rect(8, 8, 12, 11)
+    rects = [(0, mid), (1, Rect(2, 6, 5, 13)), (2, Rect(15, 6, 18, 13))]
+    for _rid, r in rects:
+        assert is_tau_protected(r, poly, rects, 300) == nested_is_tau_protected(
+            r, poly, rects, 300
+        )
+    assert is_tau_protected(mid, poly, rects, 300)
+    assert_engines_agree(poly, rects, 300)
+
+
+def test_two_eps_at_eps_one_64th():
+    # tau = 4 * 64 + 3 = 259: unreached states hold 260
+    cells = list(
+        partition_cells("uniform_random", 5, 0, 259, "two_eps", Fraction(1, 64))
+    )
+    assert len(cells) > 1
+    for poly, rin in cells:
+        assert_engines_agree(poly, rin, 259)
