@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geom_core import Point, Rect, Segment, segment_intersects_rect
+from .instance import InstanceError
 from .structure import (
     MaximalSet,
     NestingLabel,
@@ -525,15 +526,47 @@ def ledger_to_json(ledger: ChargeLedger) -> dict:
     }
 
 
+_ENTRY_TYPES = {
+    "payer": int,
+    "payee": int,
+    "corner": str,
+    "amount": str,
+    "kind": str,
+    "node": int,
+    "side": str,
+    "seen": bool,
+}
+
+
 def ledger_from_json(doc: dict) -> ChargeLedger:
+    """Rebuild a ledger from ledger_to_json's document; anything malformed
+    raises InstanceError."""
+    if (
+        not isinstance(doc, dict)
+        or not isinstance(doc.get("regime"), str)
+        or not isinstance(doc.get("entries"), list)
+    ):
+        raise InstanceError("ledger document needs a 'regime' and an 'entries' list")
+    flags = doc.get("flags", [])
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise InstanceError("ledger 'flags' must be a list of strings")
     entries = []
     for e in doc["entries"]:
-        num, den = e["amount"].split("/")
+        fields = {"side": "", "seen": False, **e} if isinstance(e, dict) else {}
+        if not fields or any(
+            not isinstance(fields.get(k), t) or (t is int and isinstance(fields[k], bool))
+            for k, t in _ENTRY_TYPES.items()
+        ):
+            raise InstanceError(f"malformed ledger entry: {e!r}")
+        num, _, den = fields["amount"].partition("/")
+        try:
+            amount = Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            raise InstanceError(f"malformed ledger amount: {fields['amount']!r}") from None
         entries.append(
             ChargeEntry(
-                e["payer"], e["payee"], e["corner"],
-                Fraction(int(num), int(den)), e["kind"], e["node"],
-                e.get("side", ""), e.get("seen", False),
+                fields["payer"], fields["payee"], fields["corner"], amount,
+                fields["kind"], fields["node"], fields["side"], fields["seen"],
             )
         )
-    return ChargeLedger(doc["regime"], entries, list(doc.get("flags", [])))
+    return ChargeLedger(doc["regime"], entries, list(flags))

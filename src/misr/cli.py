@@ -174,7 +174,6 @@ def run_pipeline(
             ledger, forest = charge_two_eps(run, eps)
         checks.extend(validate_partition(run))
         checks.extend(verify_ratios(run, ledger, opt, forest))
-        flags.extend(run.flags)
         flags.extend(ledger.flags)
         chosen = run.saved_original_indices()
         sol = Solution(tuple(sorted(chosen)))
@@ -253,7 +252,7 @@ def render_svg(artifacts: dict) -> str:
     produced by the same run (digests must match)."""
     try:
         return _render_svg(artifacts)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, InstanceError):
             raise
         raise InstanceError(f"corrupted artifacts: {exc}") from None
@@ -297,9 +296,7 @@ def _render_svg(artifacts: dict) -> str:
             if node["cut"] is None:
                 continue
             for segv in node["cut"]["segments"]:
-                seg = Segment.__new__(Segment)
-                object.__setattr__(seg, "a", _pt(segv[0]))
-                object.__setattr__(seg, "b", _pt(segv[1]))
+                seg = Segment(_pt(segv[0]), _pt(segv[1]))
                 out.append(_svg_seg(seg, side, "#e8c520", 4))
         for node in part["nodes"]:
             if node["ell"] is None:
@@ -389,7 +386,7 @@ def cmd_certify(args) -> int:
 
 def cmd_render(args) -> int:
     artifacts = read_json(args.input)
-    if "instance" not in artifacts:
+    if not isinstance(artifacts, dict) or "instance" not in artifacts:
         artifacts = {"instance": artifacts}
     svg = render_svg(artifacts)
     with open(args.out, "w") as fh:

@@ -157,17 +157,6 @@ def surgery(loop: Loop, walk: Sequence[tuple[int, int]]) -> tuple[Loop, Loop]:
     return l1, l2
 
 
-def split_by_path(poly: RectPolygon, walk: Sequence[Point]) -> list[RectPolygon]:
-    """Polygon-level wrapper around surgery (used by tests and tools)."""
-    l1, l2 = surgery(
-        tuple((p.x, p.y) for p in poly.vertices), [(p.x, p.y) for p in walk]
-    )
-    return [
-        RectPolygon([Point(x, y) for x, y in l1]),
-        RectPolygon([Point(x, y) for x, y in l2]),
-    ]
-
-
 # -- per-cell geometry ------------------------------------------------------------
 
 
@@ -462,18 +451,3 @@ def _tree_cuts(cfg, geom, gxs, gys, walk, parts, consider, stats) -> bool:
                 if consider((other,) + subparts):
                     return True
     return False
-
-
-def dp_dominates_partition(
-    inst: Instance,
-    tracked_count: int,
-    k: int,
-    cut_budget: int,
-    shapes: tuple[str, ...] = ("path", "tree"),
-    cell_cap: int = 2_000_000,
-) -> bool:
-    """Executable dominance check: the DP must match or beat the tracked
-    set of any valid recursive partition expressible in its cut
-    language."""
-    sol = dp_solve(inst, k, cut_budget, shapes, cell_cap)
-    return sol.size >= tracked_count

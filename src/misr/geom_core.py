@@ -161,9 +161,25 @@ class RectPolygon:
     Non-simple vertex loops (pinched components produced by degenerate
     cuts) are representable but flagged via ``is_simple``; only simple
     polygons may be used as partition/DP cells.
+
+    Edge tables, built once in ``__init__`` and read only inside this
+    module: ``_vtab`` holds ``(2x, 2ylo, 2yhi)`` for each vertical edge and
+    ``_htab`` holds ``(2y, 2xlo, 2xhi)`` for each horizontal edge, both in
+    edge order.  Coordinates are doubled so that the point predicates take
+    half-unit probes without leaving the integers.
     """
 
-    __slots__ = ("vertices", "is_simple", "_hash", "_grid", "_vclass", "_rows")
+    __slots__ = (
+        "vertices",
+        "is_simple",
+        "_hash",
+        "_grid",
+        "_vclass",
+        "_rows",
+        "_edges",
+        "_vtab",
+        "_htab",
+    )
 
     def __init__(self, vertices: Iterable[Point]):
         vs = _merge_collinear(list(vertices))
@@ -179,11 +195,22 @@ class RectPolygon:
         start = min(range(len(vs)), key=lambda i: (vs[i].x, vs[i].y))
         vs = vs[start:] + vs[:start]
         self.vertices: tuple[Point, ...] = tuple(vs)
+        vtab, htab = [], []
+        for p, q in zip(vs, vs[1:] + vs[:1]):
+            if p.x == q.x:
+                lo, hi = (p.y, q.y) if p.y < q.y else (q.y, p.y)
+                vtab.append((2 * p.x, 2 * lo, 2 * hi))
+            else:
+                lo, hi = (p.x, q.x) if p.x < q.x else (q.x, p.x)
+                htab.append((2 * p.y, 2 * lo, 2 * hi))
+        self._vtab = tuple(vtab)
+        self._htab = tuple(htab)
         self.is_simple = self._check_simple()
         self._hash = hash(self.vertices)
         self._grid = None
         self._vclass = None
         self._rows = None
+        self._edges = None
 
     # -- identity ---------------------------------------------------------
 
@@ -204,9 +231,13 @@ class RectPolygon:
             [Point(r.xl, r.yb), Point(r.xl, r.yt), Point(r.xr, r.yt), Point(r.xr, r.yb)]
         )
 
-    def edges(self) -> list[Segment]:
-        vs = self.vertices
-        return [Segment(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+    def edges(self) -> tuple[Segment, ...]:
+        if self._edges is None:
+            vs = self.vertices
+            self._edges = tuple(
+                Segment(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))
+            )
+        return self._edges
 
     @property
     def num_edges(self) -> int:
@@ -221,15 +252,25 @@ class RectPolygon:
         return min(xs), min(ys), max(xs), max(ys)
 
     def _check_simple(self) -> bool:
+        """No vertex repeats and no vertical edge touches a horizontal edge
+        other than its two neighbours.
+
+        This is the rule "edges touch only where adjacent edges share a
+        vertex" for a loop whose edges alternate between vertical and
+        horizontal, as merged loops do.  Collinear edges need no test of
+        their own: sharing an end repeats a vertex, and overlapping puts an
+        end of one strictly inside the other, where the perpendicular edge
+        at that end touches it.
+        """
         vs = self.vertices
-        if len(set(vs)) != len(vs):
+        n = len(vs)
+        if len(set(vs)) != n:
             return False
-        segs = self.edges()
-        n = len(segs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                if _segments_touch(segs[i], segs[j], allow_shared_endpoint=adjacent):
+        vidx = [i for i in range(n) if vs[i].x == vs[(i + 1) % n].x]
+        hidx = [i for i in range(n) if vs[i].x != vs[(i + 1) % n].x]
+        for (x, ylo, yhi), i in zip(self._vtab, vidx):
+            for (y, xlo, xhi), j in zip(self._htab, hidx):
+                if xlo <= x <= xhi and ylo <= y <= yhi and (i - j) % n not in (1, n - 1):
                     return False
         return True
 
@@ -237,31 +278,25 @@ class RectPolygon:
 
     def contains_doubled(self, X: int, Y: int) -> bool:
         """Closed membership for a point given in doubled coordinates."""
-        if self.on_boundary_doubled(X, Y):
-            return True
-        parity = 0
-        vs = self.vertices
-        for i in range(len(vs)):
-            p, q = vs[i], vs[(i + 1) % len(vs)]
-            if p.x != q.x:
-                continue
-            y1, y2 = sorted((2 * p.y, 2 * q.y))
-            if y1 <= Y < y2 and 2 * p.x > X:
-                parity ^= 1
-        return parity == 1
+        inside = False
+        for c, lo, hi in self._vtab:
+            if lo <= Y <= hi:
+                if c == X:
+                    return True
+                if c > X and Y < hi:
+                    inside = not inside
+        for c, lo, hi in self._htab:
+            if c == Y and lo <= X <= hi:
+                return True
+        return inside
 
     def on_boundary_doubled(self, X: int, Y: int) -> bool:
-        vs = self.vertices
-        for i in range(len(vs)):
-            p, q = vs[i], vs[(i + 1) % len(vs)]
-            if p.x == q.x:
-                y1, y2 = sorted((2 * p.y, 2 * q.y))
-                if X == 2 * p.x and y1 <= Y <= y2:
-                    return True
-            else:
-                x1, x2 = sorted((2 * p.x, 2 * q.x))
-                if Y == 2 * p.y and x1 <= X <= x2:
-                    return True
+        for c, lo, hi in self._vtab:
+            if c == X and lo <= Y <= hi:
+                return True
+        for c, lo, hi in self._htab:
+            if c == Y and lo <= X <= hi:
+                return True
         return False
 
     def contains_point(self, p: Point) -> bool:
@@ -293,7 +328,15 @@ class RectPolygon:
         """True iff the open rectangle lies inside the closed polygon."""
         if not self.contains_doubled(r.xl + r.xr, r.yb + r.yt):
             return False
-        return not any(_edge_crosses_rect(e, r) for e in self.edges())
+        # No edge may reach into the open rectangle.
+        xl, xr, yb, yt = 2 * r.xl, 2 * r.xr, 2 * r.yb, 2 * r.yt
+        for c, lo, hi in self._vtab:
+            if xl < c < xr and lo < yt and hi > yb:
+                return False
+        for c, lo, hi in self._htab:
+            if yb < c < yt and lo < xr and hi > xl:
+                return False
+        return True
 
     # -- refined grid ------------------------------------------------------
 
@@ -348,10 +391,9 @@ class RectPolygon:
                 ivals += rows[j - 1]
             if j < len(rows):
                 ivals += rows[j]
-            for e in self.edges():
-                if e.horizontal and e.a.y == y:
-                    x1, x2 = sorted((e.a.x, e.b.x))
-                    ivals.append((x1, x2))
+            for c, lo, hi in self._htab:
+                if c == 2 * y:
+                    ivals.append((lo >> 1, hi >> 1))
         else:
             if 0 < j < len(ys):
                 ivals += rows[j - 1]
@@ -368,10 +410,9 @@ class RectPolygon:
                     for j in range(len(ys) - 1):
                         if self.grid()[2][col][j]:
                             cols.append((ys[j], ys[j + 1]))
-            for e in self.edges():
-                if e.vertical and e.a.x == x:
-                    y1, y2 = sorted((e.a.y, e.b.y))
-                    cols.append((y1, y2))
+            for c, lo, hi in self._vtab:
+                if c == 2 * x:
+                    cols.append((lo >> 1, hi >> 1))
         else:
             if 0 < i < len(xs):
                 col = i - 1
@@ -432,13 +473,6 @@ class RectPolygon:
         return RectPolygon([f(p) for p in self.vertices])
 
 
-def classify_vertical_edges(p: RectPolygon) -> dict[Segment, str]:
-    """Per-edge left/right classification keyed by canonical segment."""
-    sides = p.vertical_edge_sides()
-    es = p.edges()
-    return {es[i].canonical(): side for i, side in sides.items()}
-
-
 def _merge_intervals(ivals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     if not ivals:
         return []
@@ -450,42 +484,6 @@ def _merge_intervals(ivals: list[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             out.append((lo, hi))
     return out
-
-
-def _edge_crosses_rect(e: Segment, r: Rect) -> bool:
-    return segment_intersects_rect(e, r)
-
-
-def _segments_touch(s: Segment, t: Segment, allow_shared_endpoint: bool) -> bool:
-    """True if two boundary edges touch in a way that violates simplicity."""
-    sl, sh = sorted((s.a, s.b))
-    tl, th = sorted((t.a, t.b))
-    sv, tv = s.a.x == s.b.x, t.a.x == t.b.x
-    if sv == tv:
-        if sv:
-            if sl.x != tl.x:
-                return False
-            lo, hi = max(sl.y, tl.y), min(sh.y, th.y)
-        else:
-            if sl.y != tl.y:
-                return False
-            lo, hi = max(sl.x, tl.x), min(sh.x, th.x)
-        if lo > hi:
-            return False
-        if lo == hi and allow_shared_endpoint:
-            return False
-        return True
-    if tv:
-        s, t = t, s
-        sl, sh = sorted((s.a, s.b))
-        tl, th = sorted((t.a, t.b))
-    # s vertical, t horizontal
-    if not (tl.x <= sl.x <= th.x and sl.y <= tl.y <= sh.y):
-        return False
-    crossing = Point(sl.x, tl.y)
-    if allow_shared_endpoint and crossing in (s.a, s.b) and crossing in (t.a, t.b):
-        return False
-    return True
 
 
 def is_horizontally_convex(p: RectPolygon) -> bool:
@@ -503,10 +501,6 @@ def is_horizontally_convex(p: RectPolygon) -> bool:
         if len(p.horizontal_section(y)) > 1:
             return False
     return True
-
-
-def is_vertically_convex(p: RectPolygon) -> bool:
-    return is_horizontally_convex(p.transform(lambda q: Point(q.y, q.x)))
 
 
 @dataclass(frozen=True)
@@ -591,6 +585,18 @@ class _Splitter:
             ys.update((s.a.y, s.b.y))
         self.xs = sorted(xs)
         self.ys = sorted(ys)
+        # (vertical, coordinate) -> spans of cut segments and polygon edges
+        # on that line.
+        walls: dict[tuple[bool, int], list[tuple[int, int]]] = {}
+        for s in self.segments:
+            if s.vertical:
+                walls.setdefault((True, s.a.x), []).append((s.a.y, s.b.y))
+            elif s.horizontal:
+                walls.setdefault((False, s.a.y), []).append((s.a.x, s.b.x))
+        for vertical, tab in ((True, poly._vtab), (False, poly._htab)):
+            for c, lo, hi in tab:
+                walls.setdefault((vertical, c >> 1), []).append((lo >> 1, hi >> 1))
+        self._walls = walls
 
     def _check_no_proper_crossing(self) -> None:
         segs = [s for s in self.segments if not s.degenerate]
@@ -615,24 +621,9 @@ class _Splitter:
     def _blocked(self, vertical: bool, c: int, lo: int, hi: int) -> bool:
         """Is the unit grid wall (a full cell side) covered by a cut segment
         or by the polygon boundary?"""
-        for s in self.segments:
-            if vertical and s.vertical and s.a.x == c:
-                y1, y2 = sorted((s.a.y, s.b.y))
-                if y1 <= lo and hi <= y2:
-                    return True
-            if not vertical and s.horizontal and s.a.y == c:
-                x1, x2 = sorted((s.a.x, s.b.x))
-                if x1 <= lo and hi <= x2:
-                    return True
-        for e in self.poly.edges():
-            if vertical and e.vertical and e.a.x == c:
-                y1, y2 = sorted((e.a.y, e.b.y))
-                if y1 <= lo and hi <= y2:
-                    return True
-            if not vertical and e.horizontal and e.a.y == c:
-                x1, x2 = sorted((e.a.x, e.b.x))
-                if x1 <= lo and hi <= x2:
-                    return True
+        for a, b in self._walls.get((vertical, c), ()):
+            if a <= lo and hi <= b:
+                return True
         return False
 
     def components(self) -> list[dict]:

@@ -81,14 +81,6 @@ def preprocess(rects: list[Rect]) -> Instance:
     return Instance(out, side=2 * n - 1)
 
 
-def intersection_matrix(rects: tuple[Rect, ...]) -> list[list[bool]]:
-    n = len(rects)
-    return [
-        [i != j and rects_intersect(rects[i], rects[j]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _oracle_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
@@ -229,8 +221,8 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(doc: dict) -> Instance:
-    if not isinstance(doc, dict) or "rects" not in doc:
-        raise InstanceError("instance document missing 'rects'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("rects"), list):
+        raise InstanceError("instance document needs a 'rects' list")
     rects = []
     for entry in doc["rects"]:
         if not isinstance(entry, dict) or any(f not in entry for f in _RECT_FIELDS):
@@ -285,5 +277,5 @@ def read_json(path: str) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON syntax or bytes that are not UTF-8
             raise InstanceError(f"malformed JSON: {exc}") from None

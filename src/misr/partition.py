@@ -1255,8 +1255,6 @@ class PartitionRun:
     nodes: list[PartitionNode]
     trace: list[TraceEntry]
     tracked: frozenset[int]
-    flags: list[str] = field(default_factory=list)
-
     @property
     def k_budget(self) -> int:
         if self.regime == "six":
@@ -1347,7 +1345,6 @@ def recursive_partition(
     nodes = [PartitionNode(0, root_poly, None)]
     trace: list[TraceEntry] = []
     tracked: set[int] = set()
-    flags: list[str] = []
     stack = [0]
     while stack:
         v = stack.pop()
@@ -1412,7 +1409,6 @@ def recursive_partition(
         nodes,
         trace,
         frozenset(tracked),
-        flags,
     )
 
 

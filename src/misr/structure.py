@@ -367,6 +367,35 @@ def _fence_features_rightward(
     return feats
 
 
+def _fence_frame(
+    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], side: str
+) -> tuple[RectPolygon, Sequence[tuple[int, Rect]], int, str]:
+    """(polygon, rects, sign, tag) in which the line fences from a
+    `side`-vertical edge run rightward: the cell itself for left edges,
+    its reflection in the line x = 0 for right edges.  sign maps an x of
+    the frame back to the cell."""
+    if side == "left":
+        return poly, rects_in, 1, "from_left_edge"
+    mirrored = [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects_in]
+    return poly.transform(lambda q: Point(-q.x, q.y)), mirrored, -1, "from_right_edge"
+
+
+def _fences_rightward(frame, p: Point) -> list[Fence]:
+    """Line fences from the anchor p of the cell, nearest feature first,
+    found running rightward in the frame."""
+    fpoly, frects, sign, tag = frame
+    q = Point(sign * p.x, p.y)
+    _lo, hi = fpoly.horizontal_reach(q)
+    out = []
+    for x, kind, _rid in _fence_features_rightward(frects, q.y, q.x, hi):
+        if x < q.x:
+            continue
+        out.append(Fence(p, (Segment(p, Point(sign * x, p.y)),), tag))
+        if kind == "block":
+            break
+    return out
+
+
 def line_fences_from_point(
     poly: RectPolygon,
     rects_in: Sequence[tuple[int, Rect]],
@@ -374,44 +403,24 @@ def line_fences_from_point(
     side: str,
 ) -> list[Fence]:
     """Line fences emerging from one anchor point, nearest feature first."""
-    if side == "left":
-        lo, hi = poly.horizontal_reach(p)
-        feats = _fence_features_rightward(rects_in, p.y, p.x, hi)
-        out = []
-        for x, kind, _rid in feats:
-            if x < p.x:
-                continue
-            out.append(Fence(p, (Segment(p, Point(x, p.y)),), "from_left_edge"))
-            if kind == "block":
-                break
-        return out
-    mirrored = [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects_in]
-    mpoly = poly.transform(lambda q: Point(-q.x, q.y))
-    mp = Point(-p.x, p.y)
-    out = []
-    for f in line_fences_from_point(mpoly, mirrored, mp, "left"):
-        end = f.endpoint
-        out.append(
-            Fence(p, (Segment(p, Point(-end.x, end.y)),), "from_right_edge")
-        )
-    return out
+    return _fences_rightward(_fence_frame(poly, rects_in, side), p)
 
 
 def enumerate_line_fences(
     poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
 ) -> list[Fence]:
     """All line fences, one per (integral anchor point, reachable feature)
-    pair over every vertical edge; degenerate point fences included."""
+    pair over every vertical edge; degenerate point fences included.  Each
+    side's frame, the mirrored cell for right edges, is built once."""
     fences: list[Fence] = []
     sides = poly.vertical_edge_sides()
     edges = poly.edges()
+    frames = {side: _fence_frame(poly, rects_in, side) for side in ("left", "right")}
     for idx in sorted(sides):
         e = edges[idx]
         y1, y2 = sorted((e.a.y, e.b.y))
         for y in range(y1, y2 + 1):
-            fences.extend(
-                line_fences_from_point(poly, rects_in, Point(e.a.x, y), sides[idx])
-            )
+            fences.extend(_fences_rightward(frames[sides[idx]], Point(e.a.x, y)))
     return fences
 
 

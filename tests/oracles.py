@@ -12,14 +12,18 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from misr.dp_solver import dp_solve, surgery
 from misr.geom_core import (
     Point,
     Rect,
     RectPolygon,
     Segment,
+    is_horizontally_convex,
     rects_intersect,
+    segment_intersects_rect,
 )
 from misr.instance import Instance
+from misr.structure import Fence, _fence_features_rightward
 
 
 # -- brute force MIS -------------------------------------------------------------
@@ -596,3 +600,200 @@ def line_protected(r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rec
                 continue
             return True
     return False
+
+
+# -- test-only helpers -------------------------------------------------------------
+
+
+def classify_vertical_edges(p: RectPolygon) -> dict[Segment, str]:
+    """Per-edge left/right classification keyed by canonical segment."""
+    sides = p.vertical_edge_sides()
+    es = p.edges()
+    return {es[i].canonical(): side for i, side in sides.items()}
+
+
+def is_vertically_convex(p: RectPolygon) -> bool:
+    return is_horizontally_convex(p.transform(lambda q: Point(q.y, q.x)))
+
+
+def intersection_matrix(rects: tuple[Rect, ...]) -> list[list[bool]]:
+    n = len(rects)
+    return [
+        [i != j and rects_intersect(rects[i], rects[j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def split_by_path(poly: RectPolygon, walk: Sequence[Point]) -> list[RectPolygon]:
+    """Polygon-level wrapper around the DP's loop surgery."""
+    l1, l2 = surgery(
+        tuple((p.x, p.y) for p in poly.vertices), [(p.x, p.y) for p in walk]
+    )
+    return [
+        RectPolygon([Point(x, y) for x, y in l1]),
+        RectPolygon([Point(x, y) for x, y in l2]),
+    ]
+
+
+def dp_dominates_partition(
+    inst: Instance,
+    tracked_count: int,
+    k: int,
+    cut_budget: int,
+    shapes: tuple[str, ...] = ("path", "tree"),
+    cell_cap: int = 2_000_000,
+) -> bool:
+    """Executable dominance check: the DP must match or beat the tracked
+    set of any valid recursive partition expressible in its cut
+    language."""
+    sol = dp_solve(inst, k, cut_budget, shapes, cell_cap)
+    return sol.size >= tracked_count
+
+
+# -- per-call polygon predicates (reference for the edge tables) -------------------
+#
+# The polygon predicates as first written: every call walks the vertex
+# loop, building segments and sorting endpoints.  test_polygon_kernel.py
+# requires RectPolygon and _Splitter to agree with them exactly.
+
+
+def _loop_edges(poly: RectPolygon) -> list[Segment]:
+    vs = poly.vertices
+    return [Segment(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def ref_on_boundary_doubled(poly: RectPolygon, X: int, Y: int) -> bool:
+    vs = poly.vertices
+    for i in range(len(vs)):
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        if p.x == q.x:
+            y1, y2 = sorted((2 * p.y, 2 * q.y))
+            if X == 2 * p.x and y1 <= Y <= y2:
+                return True
+        else:
+            x1, x2 = sorted((2 * p.x, 2 * q.x))
+            if Y == 2 * p.y and x1 <= X <= x2:
+                return True
+    return False
+
+
+def ref_contains_doubled(poly: RectPolygon, X: int, Y: int) -> bool:
+    if ref_on_boundary_doubled(poly, X, Y):
+        return True
+    parity = 0
+    vs = poly.vertices
+    for i in range(len(vs)):
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        if p.x != q.x:
+            continue
+        y1, y2 = sorted((2 * p.y, 2 * q.y))
+        if y1 <= Y < y2 and 2 * p.x > X:
+            parity ^= 1
+    return parity == 1
+
+
+def ref_contains_rect(poly: RectPolygon, r: Rect) -> bool:
+    if not ref_contains_doubled(poly, r.xl + r.xr, r.yb + r.yt):
+        return False
+    return not any(segment_intersects_rect(e, r) for e in _loop_edges(poly))
+
+
+def _segments_touch(s: Segment, t: Segment, allow_shared_endpoint: bool) -> bool:
+    """True if two boundary edges touch in a way that violates simplicity."""
+    sl, sh = sorted((s.a, s.b))
+    tl, th = sorted((t.a, t.b))
+    sv, tv = s.a.x == s.b.x, t.a.x == t.b.x
+    if sv == tv:
+        if sv:
+            if sl.x != tl.x:
+                return False
+            lo, hi = max(sl.y, tl.y), min(sh.y, th.y)
+        else:
+            if sl.y != tl.y:
+                return False
+            lo, hi = max(sl.x, tl.x), min(sh.x, th.x)
+        if lo > hi:
+            return False
+        if lo == hi and allow_shared_endpoint:
+            return False
+        return True
+    if tv:
+        s, t = t, s
+        sl, sh = sorted((s.a, s.b))
+        tl, th = sorted((t.a, t.b))
+    # s vertical, t horizontal
+    if not (tl.x <= sl.x <= th.x and sl.y <= tl.y <= sh.y):
+        return False
+    crossing = Point(sl.x, tl.y)
+    if allow_shared_endpoint and crossing in (s.a, s.b) and crossing in (t.a, t.b):
+        return False
+    return True
+
+
+def ref_is_simple(poly: RectPolygon) -> bool:
+    vs = poly.vertices
+    if len(set(vs)) != len(vs):
+        return False
+    segs = _loop_edges(poly)
+    n = len(segs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            if _segments_touch(segs[i], segs[j], allow_shared_endpoint=adjacent):
+                return False
+    return True
+
+
+def ref_blocked(splitter, vertical: bool, c: int, lo: int, hi: int) -> bool:
+    """Is the grid wall covered by one of the splitter's cut segments or by
+    one edge of its polygon?"""
+    for s in list(splitter.segments) + _loop_edges(splitter.poly):
+        if vertical and s.vertical and s.a.x == c:
+            y1, y2 = sorted((s.a.y, s.b.y))
+            if y1 <= lo and hi <= y2:
+                return True
+        if not vertical and s.horizontal and s.a.y == c:
+            x1, x2 = sorted((s.a.x, s.b.x))
+            if x1 <= lo and hi <= x2:
+                return True
+    return False
+
+
+def ref_line_fences_from_point(
+    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], p: Point, side: str
+) -> list[Fence]:
+    """Line fences from one anchor; a right anchor mirrors the polygon and
+    its rects anew on every call."""
+    if side == "left":
+        lo, hi = poly.horizontal_reach(p)
+        out = []
+        for x, kind, _rid in _fence_features_rightward(rects_in, p.y, p.x, hi):
+            if x < p.x:
+                continue
+            out.append(Fence(p, (Segment(p, Point(x, p.y)),), "from_left_edge"))
+            if kind == "block":
+                break
+        return out
+    mirrored = [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects_in]
+    mpoly = poly.transform(lambda q: Point(-q.x, q.y))
+    out = []
+    for f in ref_line_fences_from_point(mpoly, mirrored, Point(-p.x, p.y), "left"):
+        end = f.endpoint
+        out.append(Fence(p, (Segment(p, Point(-end.x, end.y)),), "from_right_edge"))
+    return out
+
+
+def ref_enumerate_line_fences(
+    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
+) -> list[Fence]:
+    fences: list[Fence] = []
+    sides = poly.vertical_edge_sides()
+    edges = _loop_edges(poly)
+    for idx in sorted(sides):
+        e = edges[idx]
+        y1, y2 = sorted((e.a.y, e.b.y))
+        for y in range(y1, y2 + 1):
+            fences.extend(
+                ref_line_fences_from_point(poly, rects_in, Point(e.a.x, y), sides[idx])
+            )
+    return fences

@@ -16,7 +16,7 @@ from misr.charging import (
     verify_ratios,
 )
 from misr.cli import render_svg, run_pipeline
-from misr.dp_solver import dp_dominates_partition, dp_solve
+from misr.dp_solver import dp_solve
 from misr.geom_core import Rect, is_horizontally_convex
 from misr.instance import (
     exact_mis,
@@ -43,7 +43,7 @@ from misr.structure import (
     is_tau_protected,
     maximal_extension,
 )
-from oracles import blob_polygon, general_units, line_units
+from oracles import blob_polygon, dp_dominates_partition, general_units, line_units
 
 FAMILIES = ("uniform_random", "nested_grid", "windmill")
 

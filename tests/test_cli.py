@@ -177,6 +177,27 @@ class TestCorruptionAndEnv:
         out = tmp_path / "x.svg"
         assert run_cli(["render", str(art_file), "--out", str(out)]) == 2
 
+    def test_undecodable_file_clean_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"rects": []}')
+        assert run_cli(["render", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+        assert "error: malformed JSON" in capsys.readouterr().err
+
+    def test_diagonal_cut_segment_rejected(self, tmp_path, capsys):
+        inst_file = tmp_path / "w.json"
+        run_cli(["generate", "windmill", "5", "--out", str(inst_file)])
+        art_file = tmp_path / "art.json"
+        run_cli(["certify", str(inst_file), "--regime", "six", "--out", str(art_file)])
+        doc = json.loads(art_file.read_text())
+        node = next(v for v in doc["partition"]["nodes"] if v["cut"] is not None)
+        node["cut"]["segments"][0] = [[0, 0], [3, 5]]
+        art_file.write_text(json.dumps(doc))
+        out = tmp_path / "x.svg"
+        capsys.readouterr()
+        assert run_cli(["render", str(art_file), "--out", str(out)]) == 2
+        assert "error: corrupted artifacts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_cap_env(self, monkeypatch):
         from misr.instance import OracleCapError, exact_mis, generate
 

@@ -8,13 +8,11 @@ from misr.dp_solver import (
     DpError,
     canon_loop,
     containment_prune,
-    dp_dominates_partition,
     dp_solve,
-    split_by_path,
     surgery,
 )
 from misr.instance import exact_mis, generate, preprocess
-from oracles import naive_dp_value
+from oracles import dp_dominates_partition, naive_dp_value, split_by_path
 from test_instance import random_instance
 
 

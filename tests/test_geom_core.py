@@ -11,16 +11,19 @@ from misr.geom_core import (
     Rect,
     RectPolygon,
     Segment,
-    classify_vertical_edges,
     edge_distance,
     is_horizontally_convex,
-    is_vertically_convex,
     rects_intersect,
     segment_intersects_rect,
     split_components,
     split_polygon,
 )
-from oracles import blob_polygon, brute_force_hconvex
+from oracles import (
+    blob_polygon,
+    brute_force_hconvex,
+    classify_vertical_edges,
+    is_vertically_convex,
+)
 
 SQUARE = RectPolygon.from_rect(Rect(0, 0, 4, 4))
 L_SHAPE = RectPolygon(

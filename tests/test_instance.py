@@ -14,12 +14,11 @@ from misr.instance import (
     generate,
     instance_from_json,
     instance_to_json,
-    intersection_matrix,
     preprocess,
     solution_from_json,
     solution_to_json,
 )
-from oracles import brute_force_mis
+from oracles import brute_force_mis, intersection_matrix
 
 
 def random_instance(rng: random.Random, n: int, span: int | None = None) -> Instance:

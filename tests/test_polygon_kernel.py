@@ -1,0 +1,233 @@
+"""RectPolygon's edge tables against the per-call predicates in
+oracles.py: point membership, boundary, rect containment, simplicity,
+splitter walls and line-fence enumeration must agree exactly, on blob
+polygons, on partition nodes, on every split component (pinched loops
+included) and on random self-touching vertex loops."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from misr.geom_core import (
+    Cut,
+    GeometryError,
+    Point,
+    Rect,
+    RectPolygon,
+    Segment,
+    split_components,
+)
+from misr.instance import exact_mis, generate
+from misr.partition import recursive_partition
+from misr.structure import enumerate_line_fences, line_fences_from_point, maximal_extension
+from oracles import (
+    blob_polygon,
+    ref_blocked,
+    ref_contains_doubled,
+    ref_contains_rect,
+    ref_enumerate_line_fences,
+    ref_is_simple,
+    ref_line_fences_from_point,
+    ref_on_boundary_doubled,
+)
+
+FAMILIES = ("windmill", "uniform_random", "nested_grid")
+
+
+@pytest.fixture(scope="module")
+def node_cells():
+    """(polygon, rects inside) of every partition node, all regimes, on
+    windmill/uniform_random/nested_grid at n=3..10."""
+    cells = {}
+    for family in FAMILIES:
+        for n in range(3, 11):
+            inst = generate(family, n, 0)
+            m = maximal_extension(exact_mis(inst), inst)
+            for regime, eps in (("six", None), ("three", None), ("two_eps", Fraction(1, 2))):
+                run = recursive_partition(m, regime, eps=eps)
+                for node in run.nodes:
+                    rin = tuple(
+                        (i, r) for i, r in enumerate(run.work_rects)
+                        if node.polygon.contains_rect(r)
+                    )
+                    cells[(node.polygon, rin)] = None
+    return list(cells)
+
+
+def blobs(count=60):
+    rng = random.Random(4)
+    out = []
+    while len(out) < count:
+        grid = rng.randint(3, 9)
+        try:
+            out.append(blob_polygon(rng, grid, rng.randint(2, min(30, grid * grid))))
+        except ValueError:  # a pinched cell set traces into two loops
+            continue
+    return out
+
+
+def test_point_predicates_agree(node_cells):
+    polys = {p for p, _ in node_cells} | set(blobs())
+    for poly in polys:
+        x0, y0, x1, y1 = poly.bbox()
+        for X in range(2 * x0 - 2, 2 * x1 + 3):
+            for Y in range(2 * y0 - 2, 2 * y1 + 3):
+                assert poly.on_boundary_doubled(X, Y) == ref_on_boundary_doubled(
+                    poly, X, Y
+                ), (poly, X, Y)
+                assert poly.contains_doubled(X, Y) == ref_contains_doubled(
+                    poly, X, Y
+                ), (poly, X, Y)
+
+
+def test_sections_and_rect_containment_agree(node_cells):
+    """Sections against the doubled-grid membership scan; contains_rect
+    against the per-call version on every rect of the bbox."""
+    for poly in {p for p, _ in node_cells} | set(blobs(30)):
+        x0, y0, x1, y1 = poly.bbox()
+        for y in range(y0 - 1, y1 + 2):
+            row = [X for X in range(2 * x0, 2 * x1 + 1) if ref_contains_doubled(poly, X, 2 * y)]
+            assert poly.horizontal_section(y) == _runs(row), (poly, y)
+        for x in range(x0 - 1, x1 + 2):
+            col = [Y for Y in range(2 * y0, 2 * y1 + 1) if ref_contains_doubled(poly, 2 * x, Y)]
+            assert poly.vertical_section(x) == _runs(col), (poly, x)
+        if (x1 - x0) * (y1 - y0) > 40:
+            continue
+        for xl in range(x0 - 1, x1 + 1):
+            for xr in range(xl + 1, x1 + 2):
+                for yb in range(y0 - 1, y1 + 1):
+                    for yt in range(yb + 1, y1 + 2):
+                        r = Rect(xl, yb, xr, yt)
+                        assert poly.contains_rect(r) == ref_contains_rect(poly, r), (poly, r)
+
+
+def _runs(doubled: list[int]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive doubled coordinates, halved."""
+    out: list[tuple[int, int]] = []
+    for X in doubled:
+        if out and out[-1][1] + 1 == X:
+            out[-1] = (out[-1][0], X)
+        else:
+            out.append((X, X))
+    return [(a // 2, b // 2) for a, b in out]
+
+
+def random_cuts(rng: random.Random, poly: RectPolygon, count: int):
+    """Cuts of one to three chords and boundary slits."""
+    xs = sorted({p.x for p in poly.vertices})
+    ys = sorted({p.y for p in poly.vertices})
+    for _ in range(count):
+        segs = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                y = rng.randint(ys[0], ys[-1])
+                ivals = poly.horizontal_section(y)
+                if not ivals:
+                    continue
+                lo, hi = rng.choice(ivals)
+                a, b = sorted((rng.randint(lo, hi), rng.choice((lo, hi))))
+                if a < b:
+                    segs.append(Segment(Point(a, y), Point(b, y)))
+            else:
+                x = rng.randint(xs[0], xs[-1])
+                ivals = poly.vertical_section(x)
+                if not ivals:
+                    continue
+                lo, hi = rng.choice(ivals)
+                a, b = sorted((rng.randint(lo, hi), rng.choice((lo, hi))))
+                if a < b:
+                    segs.append(Segment(Point(x, a), Point(x, b)))
+        if segs:
+            yield Cut(tuple(segs))
+
+
+def reflex_cycle_cuts(poly: RectPolygon):
+    """At each reflex vertex, square cycles of side 1 and 2 in the quadrant
+    opposite the exterior one.  Where a cycle touches the boundary only at
+    the vertex, the component around it is pinched there."""
+    for p in poly.vertices:
+        outside = [
+            (dx, dy) for dx in (-1, 1) for dy in (-1, 1)
+            if not poly.contains_doubled(2 * p.x + dx, 2 * p.y + dy)
+        ]
+        if len(outside) != 1:
+            continue
+        dx, dy = outside[0]
+        for s in (1, 2):
+            q = Point(p.x - s * dx, p.y - s * dy)
+            corners = [p, Point(q.x, p.y), q, Point(p.x, q.y)]
+            yield Cut(tuple(Segment(corners[i], corners[(i + 1) % 4]) for i in range(4)))
+
+
+def test_split_components_simplicity_and_walls_agree(node_cells):
+    rng = random.Random(11)
+    polys = [p for p, _ in node_cells] + blobs(40)
+    seen_pinched = 0
+    for poly in polys:
+        for cut in [*random_cuts(rng, poly, 6), *reflex_cycle_cuts(poly)]:
+            try:
+                comps = split_components(poly, cut)
+            except GeometryError:
+                continue
+            splitter = comps[0]["splitter"]
+            xs, ys = splitter.xs, splitter.ys
+            for c in xs:
+                for j in range(len(ys) - 1):
+                    assert splitter._blocked(True, c, ys[j], ys[j + 1]) == ref_blocked(
+                        splitter, True, c, ys[j], ys[j + 1]
+                    ), (poly, cut, c, ys[j])
+            for c in ys:
+                for i in range(len(xs) - 1):
+                    assert splitter._blocked(False, c, xs[i], xs[i + 1]) == ref_blocked(
+                        splitter, False, c, xs[i], xs[i + 1]
+                    ), (poly, cut, c, xs[i])
+            for comp in comps:
+                q = comp["polygon"]
+                assert q.is_simple == ref_is_simple(q), q
+                seen_pinched += not q.is_simple
+    assert seen_pinched > 0
+
+
+def random_loop(rng: random.Random, span: int) -> list[Point]:
+    """A closed alternating vertical/horizontal vertex loop on a small
+    grid, so edges often overlap, cross or share endpoints."""
+    half = rng.randint(2, 6)
+    xs = [rng.randint(0, span) for _ in range(half)]
+    ys = [rng.randint(0, span) for _ in range(half)]
+    out = []
+    for i in range(half):
+        out.append(Point(xs[i], ys[i]))
+        out.append(Point(xs[i], ys[(i + 1) % half]))
+    return out
+
+
+def test_is_simple_agrees_on_random_loops():
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    distinct_nonsimple = 0
+    for _ in range(4000):
+        try:
+            poly = RectPolygon(random_loop(rng, rng.randint(2, 6)))
+        except GeometryError:
+            continue
+        assert poly.is_simple == ref_is_simple(poly), poly
+        verdicts[poly.is_simple] += 1
+        if not poly.is_simple and len(set(poly.vertices)) == len(poly.vertices):
+            distinct_nonsimple += 1
+    assert verdicts[True] > 100 and distinct_nonsimple > 100, verdicts
+
+
+def test_line_fences_agree(node_cells):
+    for poly, rin in node_cells:
+        if not rin:
+            continue
+        assert enumerate_line_fences(poly, rin) == ref_enumerate_line_fences(poly, rin)
+        sides = poly.vertical_edge_sides()
+        edges = poly.edges()
+        for idx, side in sides.items():
+            e = edges[idx]
+            for p in (e.a, e.b):
+                assert line_fences_from_point(poly, rin, p, side) == (
+                    ref_line_fences_from_point(poly, rin, p, side)
+                )
