@@ -9,7 +9,17 @@ enabled; parts must stay inside P(k).
 Parts are produced by boundary surgery (splicing the path into the
 vertex loop), which keeps a candidate evaluation at O(k); cells are
 memoized by canonical vertex tuple.  A cell stops enumerating as soon as
-its candidate value reaches the number of rects it contains.
+its candidate value reaches the number of rects it contains.  Walks that
+cross themselves (possible from four segments on) are rejected, so every
+part is again a simple polygon.
+
+The loop geometry is geom_core's integer loop kernel, shared with
+RectPolygon: ``canon_loop`` is its ``merge_loop`` and ``orient_loop``
+plus the rejection of pinched loops, and returns the canonical loop with
+its doubled area; ``surgery`` checks on every cut that the parts' areas
+add up to the cell's.  A cell's rects and walk corridors are tested on
+the cell's ``edge_tables``, and a cell looks for rects only among its
+parent's.
 
 For k = 4 every cell is a rectangle and any subdivision of a rectangle
 into at most three rectangles is realizable by straight chords applied
@@ -19,10 +29,20 @@ stops there.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .geom_core import Point, Rect, RectPolygon
+from .geom_core import (
+    EdgeTable,
+    IntLoop as Loop,
+    Rect,
+    edge_tables,
+    loop_contains_doubled,
+    loop_contains_rect_doubled,
+    merge_loop,
+    orient_loop,
+)
 from .instance import Instance, Solution, validate_solution
 
 
@@ -76,72 +96,66 @@ def containment_prune(rects: Sequence[Rect]) -> list[int]:
     return keep
 
 
-# -- integer vertex-loop helpers ------------------------------------------------
-
-Loop = tuple[tuple[int, int], ...]
+# -- vertex loops ----------------------------------------------------------------
 
 
-def canon_loop(pts: Sequence[tuple[int, int]]) -> Loop:
-    """Canonical form of a rectilinear vertex loop: duplicates and
-    collinear runs merged, clockwise, rotated to the smallest vertex."""
-    out = list(pts)
-    changed = True
-    while changed:
-        changed = False
-        n = len(out)
-        if n < 3:
-            break
-        i = 0
-        while i < len(out) and len(out) > 2:
-            n = len(out)
-            p, q, r = out[i - 1], out[i], out[(i + 1) % n]
-            if p == q or (p[0] == q[0] == r[0]) or (p[1] == q[1] == r[1]):
-                del out[i]
-                changed = True
-            else:
-                i += 1
+def canon_loop(pts: Sequence[tuple[int, int]]) -> tuple[Loop, int]:
+    """Canonical form of a rectilinear vertex loop (duplicates and
+    collinear runs merged, clockwise, rotated to the smallest vertex) and
+    its doubled area.  Pinched loops are rejected: cells must stay simple
+    polygons."""
+    out = merge_loop(pts)
     if len(out) < 4:
         raise DpError("degenerate loop")
     if len(set(out)) != len(out):
-        raise DpError("pinched loop")  # cells must stay simple polygons
-    area2 = 0
-    n = len(out)
-    for i in range(n):
-        p, q = out[i], out[(i + 1) % n]
-        area2 += p[0] * q[1] - q[0] * p[1]
+        raise DpError("pinched loop")
+    loop, area2 = orient_loop(out)
     if area2 == 0:
         raise DpError("zero-area loop")
-    if area2 > 0:
-        out.reverse()
-    start = min(range(len(out)), key=lambda i: out[i])
-    return tuple(out[start:] + out[:start])
-
-
-def loop_area2(loop: Loop) -> int:
-    total = 0
-    n = len(loop)
-    for i in range(n):
-        p, q = loop[i], loop[(i + 1) % n]
-        total += p[0] * q[1] - q[0] * p[1]
-    return abs(total)
+    return loop, area2
 
 
 def _loop_insert(loop: list[tuple[int, int]], p: tuple[int, int]) -> list[tuple[int, int]]:
     if p in loop:
         return loop
+    x, y = p
     n = len(loop)
     for i in range(n):
         q, r = loop[i], loop[(i + 1) % n]
-        if q[0] == r[0] == p[0] and min(q[1], r[1]) <= p[1] <= max(q[1], r[1]):
-            return loop[: i + 1] + [p] + loop[i + 1 :]
-        if q[1] == r[1] == p[1] and min(q[0], r[0]) <= p[0] <= max(q[0], r[0]):
+        if q[0] == r[0] == x:
+            if q[1] <= y <= r[1] or r[1] <= y <= q[1]:
+                return loop[: i + 1] + [p] + loop[i + 1 :]
+        elif q[1] == r[1] == y and (q[0] <= x <= r[0] or r[0] <= x <= q[0]):
             return loop[: i + 1] + [p] + loop[i + 1 :]
     raise DpError(f"{p} not on the boundary loop")
 
 
-def surgery(loop: Loop, walk: Sequence[tuple[int, int]]) -> tuple[Loop, Loop]:
-    """Split a simple vertex loop along an interior-clean path whose
-    endpoints are on the boundary; returns the two canonical part loops."""
+def _crosses_itself(walk: Sequence[tuple[int, int]]) -> bool:
+    """Do two non-adjacent segments of the walk share a point?  Adjacent
+    segments are perpendicular, so segments i and i + 2 lie on distinct
+    parallel lines and cannot meet; only walks of four or more segments
+    can cross."""
+    segs = [
+        (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
+        for p, q in zip(walk, walk[1:])
+    ]
+    for i in range(len(segs) - 3):
+        xlo, xhi, ylo, yhi = segs[i]
+        for j in range(i + 3, len(segs)):
+            x0, x1, y0, y1 = segs[j]
+            if x0 <= xhi and xlo <= x1 and y0 <= yhi and ylo <= y1:
+                return True
+    return False
+
+
+def surgery(
+    loop: Loop, walk: Sequence[tuple[int, int]], area2: int
+) -> tuple[tuple[Loop, int], tuple[Loop, int]]:
+    """Split a simple vertex loop of doubled area ``area2`` along an
+    interior-clean path whose endpoints are on the boundary; returns the
+    two canonical part loops, each with its doubled area."""
+    if len(walk) > 4 and _crosses_itself(walk):
+        raise DpError("walk crosses itself")
     a, b = walk[0], walk[-1]
     lst = _loop_insert(list(loop), a)
     lst = _loop_insert(lst, b)
@@ -149,84 +163,61 @@ def surgery(loop: Loop, walk: Sequence[tuple[int, int]]) -> tuple[Loop, Loop]:
     lst = lst[ia:] + lst[:ia]
     ib = lst.index(b)
     inner = list(walk[1:-1])
-    part1 = lst[: ib + 1] + inner[::-1]
-    part2 = lst[ib:] + [a] + inner
-    l1, l2 = canon_loop(part1), canon_loop(part2)
-    if loop_area2(l1) + loop_area2(l2) != loop_area2(loop):
+    part1 = canon_loop(lst[: ib + 1] + inner[::-1])
+    part2 = canon_loop(lst[ib:] + [a] + inner)
+    if part1[1] + part2[1] != area2:
         raise DpError("path split lost area")
-    return l1, l2
+    return part1, part2
 
 
 # -- per-cell geometry ------------------------------------------------------------
 
 
 class _CellGeometry:
-    """Boundary-touch tables for walk enumeration on one cell."""
+    """Boundary-touch tables for walk enumeration on one cell, read off the
+    cell's kernel edge tables (``geom_core.edge_tables``).
 
-    def __init__(self, loop: Loop, xs: list[int], ys: list[int]):
-        self.loop = loop
+    For every grid line through the cell, the sorted, disjoint closed
+    intervals where the line touches the boundary, kept as the list of
+    their low ends and the list of their high ends."""
+
+    def __init__(
+        self,
+        loop: Loop,
+        xs: list[int],
+        ys: list[int],
+        tables: Optional[tuple[EdgeTable, EdgeTable]] = None,
+    ):
         self.xs = xs
         self.ys = ys
-        n = len(loop)
-        vedges = []  # (x, ylo, yhi)
-        hedges = []  # (y, xlo, xhi)
-        for i in range(n):
-            p, q = loop[i], loop[(i + 1) % n]
-            if p[0] == q[0]:
-                vedges.append((p[0], min(p[1], q[1]), max(p[1], q[1])))
-            else:
-                hedges.append((p[1], min(p[0], q[0]), max(p[0], q[0])))
-        self.vedges = vedges
-        self.hedges = hedges
-        self.vtouch = {x: self._touch(x, True) for x in xs}
-        self.htouch = {y: self._touch(y, False) for y in ys}
+        self.vtab, self.htab = tables if tables is not None else edge_tables(loop)
+        self.vtouch = {x: self._touch(2 * x, self.vtab, self.htab) for x in xs}
+        self.htouch = {y: self._touch(2 * y, self.htab, self.vtab) for y in ys}
 
-    def _touch(self, c: int, vertical: bool) -> list[tuple[int, int]]:
-        out = []
-        if vertical:
-            for x, ylo, yhi in self.vedges:
-                if x == c:
-                    out.append((ylo, yhi))
-            for y, xlo, xhi in self.hedges:
-                if xlo <= c <= xhi:
-                    out.append((y, y))
-        else:
-            for y, xlo, xhi in self.hedges:
-                if y == c:
-                    out.append((xlo, xhi))
-            for x, ylo, yhi in self.vedges:
-                if ylo <= c <= yhi:
-                    out.append((x, x))
+    @staticmethod
+    def _touch(
+        c: int, along: EdgeTable, across: EdgeTable
+    ) -> tuple[list[int], list[int]]:
+        """Touch intervals of the line at doubled coordinate c: the edges
+        ``along`` lie on such lines, the edges ``across`` cross them."""
+        out = [(lo, hi) for e, lo, hi in along if e == c]
+        out += [(e, e) for e, lo, hi in across if lo <= c <= hi]
         out.sort()
-        merged: list[tuple[int, int]] = []
+        los: list[int] = []
+        his: list[int] = []
         for lo, hi in out:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            if his and lo <= his[-1]:
+                if hi > his[-1]:
+                    his[-1] = hi
             else:
-                merged.append((lo, hi))
-        return merged
+                los.append(lo)
+                his.append(hi)
+        return [lo >> 1 for lo in los], [hi >> 1 for hi in his]
 
     def on_boundary(self, p: tuple[int, int]) -> bool:
-        for lo, hi in self.vtouch.get(p[0], ()):
-            if lo <= p[1] <= hi:
-                return True
-        return False
-
-    def contains_mid(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        """Is the midpoint of ab inside the closed polygon (doubled)?"""
-        X, Y = a[0] + b[0], a[1] + b[1]
-        # on-boundary first
-        for x, ylo, yhi in self.vedges:
-            if X == 2 * x and 2 * ylo <= Y <= 2 * yhi:
-                return True
-        for y, xlo, xhi in self.hedges:
-            if Y == 2 * y and 2 * xlo <= X <= 2 * xhi:
-                return True
-        parity = 0
-        for x, ylo, yhi in self.vedges:
-            if 2 * ylo <= Y < 2 * yhi and 2 * x > X:
-                parity ^= 1
-        return parity == 1
+        los, his = self.vtouch[p[0]]
+        j = bisect_left(his, p[1])
+        return j < len(his) and los[j] <= p[1]
 
     def corridor(
         self, p: tuple[int, int], dx: int, dy: int
@@ -234,32 +225,33 @@ class _CellGeometry:
         """First boundary-touch coordinate from p along (dx,dy), plus the
         interior grid coordinates strictly before it."""
         if dx != 0:
-            touches = self.htouch[p[1]]
+            los, his = self.htouch[p[1]]
             coords = self.xs
             pos = p[0]
             step = dx
         else:
-            touches = self.vtouch[p[0]]
+            los, his = self.vtouch[p[0]]
             coords = self.ys
             pos = p[1]
             step = dy
         if step > 0:
-            cand = [lo if lo > pos else hi for lo, hi in touches if hi > pos]
-            cand = [c for c in cand if c > pos]
-            if not cand:
+            j = bisect_right(his, pos)
+            if j == len(his):
                 return None, []
-            t = min(cand)
-            mids = [c for c in coords if pos < c < t]
+            t = los[j] if los[j] > pos else his[j]
+            mids = coords[bisect_right(coords, pos) : bisect_left(coords, t)]
         else:
-            cand = [hi if hi < pos else lo for lo, hi in touches if lo < pos]
-            cand = [c for c in cand if c < pos]
-            if not cand:
+            j = bisect_left(los, pos) - 1
+            if j < 0:
                 return None, []
-            t = max(cand)
-            mids = [c for c in coords if t < c < pos]
+            t = his[j] if his[j] < pos else los[j]
+            mids = coords[bisect_right(coords, t) : bisect_left(coords, pos)]
             mids.reverse()
-        end = (t, p[1]) if dx else (p[0], t)
-        if not self.contains_mid(p, end):
+        if dx:
+            X, Y = pos + t, 2 * p[1]
+        else:
+            X, Y = 2 * p[0], pos + t
+        if not loop_contains_doubled(self.vtab, self.htab, X, Y):
             return None, []
         return t, mids
 
@@ -327,9 +319,11 @@ def dp_solve(
     index set."""
     cfg = DpConfig(k, cut_budget, tuple(shapes), cell_cap)
     pruned = containment_prune(inst.rects)
-    rects = [(i, inst.rects[i]) for i in pruned]
-    gxs = sorted({c for _i, r in rects for c in (r.xl, r.xr)} | {0, inst.side})
-    gys = sorted({c for _i, r in rects for c in (r.yb, r.yt)} | {0, inst.side})
+    kept = [inst.rects[i] for i in pruned]
+    # (index, doubled corners) of each rect, as the kernel's rect test takes them
+    rects = [(i, 2 * r.xl, 2 * r.yb, 2 * r.xr, 2 * r.yt) for i, r in zip(pruned, kept)]
+    gxs = sorted({c for r in kept for c in (r.xl, r.xr)} | {0, inst.side})
+    gys = sorted({c for r in kept for c in (r.yb, r.yt)} | {0, inst.side})
     memo: dict[Loop, tuple[int, tuple[int, ...]]] = {}
     root = canon_loop(
         [(0, 0), (0, inst.side), (inst.side, inst.side), (inst.side, 0)]
@@ -337,39 +331,42 @@ def dp_solve(
     use_tree = "tree" in cfg.shapes and cfg.k > 4
     use_path = "path" in cfg.shapes
 
-    def rect_inside(loop_poly: RectPolygon, r: Rect) -> bool:
-        return loop_poly.contains_rect(r)
-
-    def solve(loop: Loop) -> tuple[int, tuple[int, ...]]:
+    def solve(cell: tuple[Loop, int], cands) -> tuple[int, tuple[int, ...]]:
+        """Best (size, chosen) in the cell (loop, doubled area); ``cands``
+        holds every rect that can lie in it (the parent's inside rects)."""
+        loop, area2 = cell
         hit = memo.get(loop)
         if hit is not None:
             return hit
         if len(memo) >= cfg.cell_cap:
             raise DpCellCapError(f"memo exceeded {cfg.cell_cap} cells")
-        poly = RectPolygon([Point(x, y) for x, y in loop])
-        inside = [(i, r) for i, r in rects if rect_inside(poly, r)]
+        tables = edge_tables(loop)
+        vtab, htab = tables
+        inside = [
+            c for c in cands if loop_contains_rect_doubled(vtab, htab, c[1], c[2], c[3], c[4])
+        ]
         if len(inside) <= 1:
-            result = (len(inside), tuple(i for i, _r in inside))
+            result = (len(inside), tuple(c[0] for c in inside))
             memo[loop] = result
             return result
         xs0 = min(p[0] for p in loop)
         xs1 = max(p[0] for p in loop)
         ys0 = min(p[1] for p in loop)
         ys1 = max(p[1] for p in loop)
-        xs = [x for x in gxs if xs0 <= x <= xs1]
-        ys = [y for y in gys if ys0 <= y <= ys1]
-        geom = _CellGeometry(loop, xs, ys)
+        xs = gxs[bisect_left(gxs, xs0) : bisect_right(gxs, xs1)]
+        ys = gys[bisect_left(gys, ys0) : bisect_right(gys, ys1)]
+        geom = _CellGeometry(loop, xs, ys, tables)
         budget = 1 if cfg.k == 4 else cfg.cut_budget
         bound = len(inside)
-        best: tuple[int, tuple[int, ...]] = (1, (min(i for i, _r in inside),))
+        best: tuple[int, tuple[int, ...]] = (1, (inside[0][0],))
 
-        def consider(parts: Sequence[Loop]) -> bool:
+        def consider(parts: Sequence[tuple[Loop, int]]) -> bool:
             """Returns True when the cell's upper bound is reached."""
             nonlocal best
             size = 0
             chosen: list[int] = []
             for part in parts:
-                s, ch = solve(part)
+                s, ch = solve(part, inside)
                 size += s
                 chosen.extend(ch)
             cand = (size, tuple(sorted(chosen)))
@@ -378,15 +375,15 @@ def dp_solve(
             return best[0] >= bound
 
         done = False
-        tree_seeds: list[tuple[list[tuple[int, int]], tuple[Loop, Loop]]] = []
+        tree_seeds: list[tuple[list[tuple[int, int]], tuple]] = []
         for walk in _enumerate_walks(geom, budget):
             if stats is not None:
                 stats.cuts_tried += 1
             try:
-                parts = surgery(loop, walk)
+                parts = surgery(loop, walk, area2)
             except DpError:
                 continue
-            fits = all(len(p) <= cfg.k for p in parts)
+            fits = len(parts[0][0]) <= cfg.k and len(parts[1][0]) <= cfg.k
             if fits and (use_path or len(walk) == 2):
                 if consider(parts):
                     done = True
@@ -395,12 +392,12 @@ def dp_solve(
                 tree_seeds.append((walk, parts))
         if not done and use_tree:
             for walk, parts in tree_seeds:
-                if _tree_cuts(cfg, geom, gxs, gys, walk, parts, consider, stats):
+                if _tree_cuts(cfg, gxs, gys, walk, parts, consider, stats):
                     break
         memo[loop] = best
         return best
 
-    size, chosen = solve(root)
+    size, chosen = solve(root, rects)
     if stats is not None:
         stats.cells = len(memo)
     sol = Solution(tuple(sorted(chosen)))
@@ -410,7 +407,7 @@ def dp_solve(
     return sol
 
 
-def _tree_cuts(cfg, geom, gxs, gys, walk, parts, consider, stats) -> bool:
+def _tree_cuts(cfg, gxs, gys, walk, parts, consider, stats) -> bool:
     """Branch the path at a grid point of its interior into one of the two
     parts, giving three-part subdivisions (two paths sharing a prefix)."""
     branch_points: list[tuple[int, int]] = []
@@ -422,7 +419,7 @@ def _tree_cuts(cfg, geom, gxs, gys, walk, parts, consider, stats) -> bool:
             lo, hi = sorted((a[0], b[0]))
             branch_points.extend((x, a[1]) for x in gxs if lo < x < hi)
     for m in set(branch_points) | set(walk[1:-1]):
-        for pi, part in enumerate(parts):
+        for pi, (part, part_area2) in enumerate(parts):
             if len(part) > cfg.k + cfg.cut_budget * 2:
                 continue
             xs = sorted({p[0] for p in part} | {m[0]})
@@ -431,7 +428,7 @@ def _tree_cuts(cfg, geom, gxs, gys, walk, parts, consider, stats) -> bool:
             if not sub.on_boundary(m):
                 continue
             other = parts[1 - pi]
-            if len(other) > cfg.k:
+            if len(other[0]) > cfg.k:
                 continue
             for dx, dy in _DIRS:
                 t, _mids = sub.corridor(m, dx, dy)
@@ -443,10 +440,10 @@ def _tree_cuts(cfg, geom, gxs, gys, walk, parts, consider, stats) -> bool:
                 if stats is not None:
                     stats.cuts_tried += 1
                 try:
-                    subparts = surgery(part, [m, end])
+                    subparts = surgery(part, [m, end], part_area2)
                 except DpError:
                     continue
-                if any(len(p) > cfg.k for p in subparts):
+                if any(len(p) > cfg.k for p, _a in subparts):
                     continue
                 if consider((other,) + subparts):
                     return True

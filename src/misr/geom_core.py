@@ -129,28 +129,123 @@ def edge_distance(k: int, i: int, j: int) -> int:
     return min(j - i, k - j + i)
 
 
-def _signed_area2(vertices: Sequence[Point]) -> int:
-    total = 0
-    n = len(vertices)
-    for idx in range(n):
-        p, q = vertices[idx], vertices[(idx + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return total
+# -- integer vertex-loop kernel ---------------------------------------------------
+#
+# A loop is a sequence of integer (x, y) tuples, one per vertex, closing from
+# the last vertex back to the first.  RectPolygon and the polygon DP
+# (dp_solver) both canonicalize loops and query them through these
+# functions: ``merge_loop`` then ``orient_loop`` give the canonical vertex
+# order and the doubled area, ``edge_tables`` gives the doubled edge tables,
+# and the point and rect predicates read those tables.
+
+IntLoop = tuple[tuple[int, int], ...]
+EdgeTable = tuple[tuple[int, int, int], ...]
 
 
-def _merge_collinear(vertices: list[Point]) -> list[Point]:
-    out = list(vertices)
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        n = len(out)
-        for idx in range(n):
-            p, q, r = out[(idx - 1) % n], out[idx], out[(idx + 1) % n]
-            if (p.x == q.x == r.x) or (p.y == q.y == r.y) or p == q:
-                del out[idx]
-                changed = True
+def merge_loop(pts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Drop repeated points and the middle points of axis-collinear runs
+    (zero-width spikes included) from a closed vertex loop, in one pass.
+
+    Each point first pops the top of a stack while the top is the middle of
+    an axis-collinear triple, then goes onto it unless it repeats the new
+    top; a wrap-around pass then trims the two ends of the stack against
+    each other."""
+    out: list[tuple[int, int]] = []
+    for p in pts:
+        while len(out) > 1:
+            o, q = out[-2], out[-1]
+            if o[0] == q[0] == p[0] or o[1] == q[1] == p[1]:
+                out.pop()
+            else:
                 break
-    return out
+        if not out or out[-1] != p:
+            out.append(p)
+    i = 0
+    while len(out) - i > 2:
+        o, p, q, r = out[-2], out[-1], out[i], out[i + 1]
+        if p == q or o[0] == p[0] == q[0] or o[1] == p[1] == q[1]:
+            out.pop()
+        elif p[0] == q[0] == r[0] or p[1] == q[1] == r[1]:
+            i += 1
+        else:
+            break
+    return out[i:] if i else out
+
+
+def orient_loop(pts: Sequence[tuple[int, int]]) -> tuple[IntLoop, int]:
+    """The loop clockwise (in y-up coordinates), rotated to start at its
+    smallest vertex, and its doubled area.  A loop of zero signed area comes
+    back with area 0 and its order unchanged; callers reject it."""
+    area2 = 0
+    px, py = pts[-1]
+    for qx, qy in pts:
+        area2 += px * qy - qx * py
+        px, py = qx, qy
+    if area2 > 0:  # counter-clockwise
+        pts = pts[::-1]
+    else:
+        area2 = -area2
+    start = pts.index(min(pts))
+    return tuple(pts[start:] + pts[:start]), area2
+
+
+def edge_tables(loop: Sequence[tuple[int, int]]) -> tuple[EdgeTable, EdgeTable]:
+    """``(2x, 2ylo, 2yhi)`` for each vertical edge and ``(2y, 2xlo, 2xhi)``
+    for each horizontal edge, both in edge order (edge i runs from vertex i
+    to vertex i + 1).  Coordinates are doubled so that the predicates below
+    take half-unit probes without leaving the integers."""
+    vtab, htab = [], []
+    px, py = loop[0]
+    for qx, qy in loop[1:] + loop[:1]:
+        if px == qx:
+            vtab.append((2 * px, 2 * py, 2 * qy) if py < qy else (2 * px, 2 * qy, 2 * py))
+        else:
+            htab.append((2 * py, 2 * px, 2 * qx) if px < qx else (2 * py, 2 * qx, 2 * px))
+        px, py = qx, qy
+    return tuple(vtab), tuple(htab)
+
+
+def loop_contains_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> bool:
+    """Closed membership of the doubled point (X, Y): on the boundary, or
+    inside by the parity of the vertical edges to its right."""
+    inside = False
+    for c, lo, hi in vtab:
+        if lo <= Y <= hi:
+            if c == X:
+                return True
+            if c > X and Y < hi:
+                inside = not inside
+    for c, lo, hi in htab:
+        if c == Y and lo <= X <= hi:
+            return True
+    return inside
+
+
+def loop_on_boundary_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> bool:
+    for c, lo, hi in vtab:
+        if c == X and lo <= Y <= hi:
+            return True
+    for c, lo, hi in htab:
+        if c == Y and lo <= X <= hi:
+            return True
+    return False
+
+
+def loop_contains_rect_doubled(
+    vtab: EdgeTable, htab: EdgeTable, xl: int, yb: int, xr: int, yt: int
+) -> bool:
+    """Does the open rectangle with doubled corners (xl, yb), (xr, yt) lie
+    inside the closed loop?  Its centre must be inside, and no edge may
+    reach into it."""
+    if not loop_contains_doubled(vtab, htab, (xl + xr) >> 1, (yb + yt) >> 1):
+        return False
+    for c, lo, hi in vtab:
+        if xl < c < xr and lo < yt and hi > yb:
+            return False
+    for c, lo, hi in htab:
+        if yb < c < yt and lo < xr and hi > xl:
+            return False
+    return True
 
 
 class RectPolygon:
@@ -162,17 +257,19 @@ class RectPolygon:
     cuts) are representable but flagged via ``is_simple``; only simple
     polygons may be used as partition/DP cells.
 
-    Edge tables, built once in ``__init__`` and read only inside this
-    module: ``_vtab`` holds ``(2x, 2ylo, 2yhi)`` for each vertical edge and
-    ``_htab`` holds ``(2y, 2xlo, 2xhi)`` for each horizontal edge, both in
-    edge order.  Coordinates are doubled so that the point predicates take
-    half-unit probes without leaving the integers.
+    A view over the integer loop kernel above: ``__init__`` canonicalizes
+    with ``merge_loop`` and ``orient_loop``, which also give the doubled
+    area, and builds the ``edge_tables`` once, as ``_vtab`` (vertical
+    edges) and ``_htab`` (horizontal edges), read only inside this module.
+    The point and rect predicates are the kernel's, on those tables.
     """
 
     __slots__ = (
         "vertices",
         "is_simple",
+        "_area2",
         "_hash",
+        "_coords",
         "_grid",
         "_vclass",
         "_rows",
@@ -182,31 +279,28 @@ class RectPolygon:
     )
 
     def __init__(self, vertices: Iterable[Point]):
-        vs = _merge_collinear(list(vertices))
+        given: dict[tuple[int, int], Point] = {}
+        pts = []
+        for p in vertices:
+            t = (p.x, p.y)
+            given[t] = p
+            pts.append(t)
+        vs = merge_loop(pts)
         if len(vs) < 4:
             raise GeometryError(f"too few vertices for a rectilinear polygon: {vs}")
         for p, q in zip(vs, vs[1:] + vs[:1]):
-            if p.x != q.x and p.y != q.y:
-                raise GeometryError(f"edge {p}-{q} not axis-parallel")
-        if _signed_area2(vs) == 0:
+            if p[0] != q[0] and p[1] != q[1]:
+                raise GeometryError(f"edge {given[p]}-{given[q]} not axis-parallel")
+        loop, area2 = orient_loop(vs)
+        if area2 == 0:
             raise GeometryError("zero-area vertex loop")
-        if _signed_area2(vs) > 0:  # counter-clockwise in y-up coordinates
-            vs.reverse()
-        start = min(range(len(vs)), key=lambda i: (vs[i].x, vs[i].y))
-        vs = vs[start:] + vs[:start]
-        self.vertices: tuple[Point, ...] = tuple(vs)
-        vtab, htab = [], []
-        for p, q in zip(vs, vs[1:] + vs[:1]):
-            if p.x == q.x:
-                lo, hi = (p.y, q.y) if p.y < q.y else (q.y, p.y)
-                vtab.append((2 * p.x, 2 * lo, 2 * hi))
-            else:
-                lo, hi = (p.x, q.x) if p.x < q.x else (q.x, p.x)
-                htab.append((2 * p.y, 2 * lo, 2 * hi))
-        self._vtab = tuple(vtab)
-        self._htab = tuple(htab)
+        self.vertices: tuple[Point, ...] = tuple(given[t] for t in loop)
+        self._area2 = area2
+        self._vtab, self._htab = edge_tables(loop)
         self.is_simple = self._check_simple()
-        self._hash = hash(self.vertices)
+        # A Point hashes as its (x, y) tuple, so this is hash(self.vertices).
+        self._hash = hash(loop)
+        self._coords = None
         self._grid = None
         self._vclass = None
         self._rows = None
@@ -244,7 +338,7 @@ class RectPolygon:
         return len(self.vertices)
 
     def area2(self) -> int:
-        return abs(_signed_area2(self.vertices))
+        return self._area2
 
     def bbox(self) -> tuple[int, int, int, int]:
         xs = [p.x for p in self.vertices]
@@ -278,26 +372,10 @@ class RectPolygon:
 
     def contains_doubled(self, X: int, Y: int) -> bool:
         """Closed membership for a point given in doubled coordinates."""
-        inside = False
-        for c, lo, hi in self._vtab:
-            if lo <= Y <= hi:
-                if c == X:
-                    return True
-                if c > X and Y < hi:
-                    inside = not inside
-        for c, lo, hi in self._htab:
-            if c == Y and lo <= X <= hi:
-                return True
-        return inside
+        return loop_contains_doubled(self._vtab, self._htab, X, Y)
 
     def on_boundary_doubled(self, X: int, Y: int) -> bool:
-        for c, lo, hi in self._vtab:
-            if c == X and lo <= Y <= hi:
-                return True
-        for c, lo, hi in self._htab:
-            if c == Y and lo <= X <= hi:
-                return True
-        return False
+        return loop_on_boundary_doubled(self._vtab, self._htab, X, Y)
 
     def contains_point(self, p: Point) -> bool:
         return self.contains_doubled(2 * p.x, 2 * p.y)
@@ -308,37 +386,40 @@ class RectPolygon:
             return False
         # Membership can only change where the segment crosses a grid line
         # of the polygon, so checking midpoints of the induced pieces is exact.
+        xs, ys = self.coords()
+        vtab, htab = self._vtab, self._htab
         if s.a.x == s.b.x:
-            coords = sorted({v.y for v in self.vertices})
             lo, hi = sorted((s.a.y, s.b.y))
-            cuts = [lo] + [c for c in coords if lo < c < hi] + [hi]
+            cuts = [lo, *ys[bisect_right(ys, lo) : bisect_left(ys, hi)], hi]
+            X = 2 * s.a.x
             return all(
-                self.contains_doubled(2 * s.a.x, cuts[i] + cuts[i + 1])
+                loop_contains_doubled(vtab, htab, X, cuts[i] + cuts[i + 1])
                 for i in range(len(cuts) - 1)
             )
-        coords = sorted({v.x for v in self.vertices})
         lo, hi = sorted((s.a.x, s.b.x))
-        cuts = [lo] + [c for c in coords if lo < c < hi] + [hi]
+        cuts = [lo, *xs[bisect_right(xs, lo) : bisect_left(xs, hi)], hi]
+        Y = 2 * s.a.y
         return all(
-            self.contains_doubled(cuts[i] + cuts[i + 1], 2 * s.a.y)
+            loop_contains_doubled(vtab, htab, cuts[i] + cuts[i + 1], Y)
             for i in range(len(cuts) - 1)
         )
 
     def contains_rect(self, r: Rect) -> bool:
         """True iff the open rectangle lies inside the closed polygon."""
-        if not self.contains_doubled(r.xl + r.xr, r.yb + r.yt):
-            return False
-        # No edge may reach into the open rectangle.
-        xl, xr, yb, yt = 2 * r.xl, 2 * r.xr, 2 * r.yb, 2 * r.yt
-        for c, lo, hi in self._vtab:
-            if xl < c < xr and lo < yt and hi > yb:
-                return False
-        for c, lo, hi in self._htab:
-            if yb < c < yt and lo < xr and hi > xl:
-                return False
-        return True
+        return loop_contains_rect_doubled(
+            self._vtab, self._htab, 2 * r.xl, 2 * r.yb, 2 * r.xr, 2 * r.yt
+        )
 
     # -- refined grid ------------------------------------------------------
+
+    def coords(self) -> tuple[list[int], list[int]]:
+        """The sorted distinct vertex x and y coordinates."""
+        if self._coords is None:
+            self._coords = (
+                sorted({p.x for p in self.vertices}),
+                sorted({p.y for p in self.vertices}),
+            )
+        return self._coords
 
     def grid(self) -> tuple[list[int], list[int], list[list[bool]]]:
         """Refined grid (vertex coordinates) and per-cell inside flags.
@@ -346,8 +427,7 @@ class RectPolygon:
         inside[i][j] is the cell [xs[i],xs[i+1]] x [ys[j],ys[j+1]].
         """
         if self._grid is None:
-            xs = sorted({p.x for p in self.vertices})
-            ys = sorted({p.y for p in self.vertices})
+            xs, ys = self.coords()
             inside = [
                 [
                     self.contains_doubled(xs[i] + xs[i + 1], ys[j] + ys[j + 1])

@@ -12,8 +12,9 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from misr.dp_solver import dp_solve, surgery
+from misr.dp_solver import DpError, dp_solve, surgery
 from misr.geom_core import (
+    GeometryError,
     Point,
     Rect,
     RectPolygon,
@@ -309,39 +310,32 @@ def _grow_in_polygon(poly: RectPolygon, others: list[Rect], r: Rect) -> Rect:
 def naive_dp_value(inst: Instance, k: int, budget: int) -> int:
     """Value-only recursion over the same declared cut language, without
     the solver's tie-breaking, pruning, or early exits; cross-checks that
-    those optimizations never change the computed value."""
-    from misr.dp_solver import (
-        _CellGeometry,
-        _enumerate_walks,
-        canon_loop,
-        containment_prune,
-        surgery,
-    )
-    from misr.geom_core import Point as P
+    those optimizations never change the computed value.  It runs on the
+    DP's loop kernel as first written (below), not on the library's."""
+    from misr.dp_solver import containment_prune
 
     pruned = containment_prune(inst.rects)
     rects = [(i, inst.rects[i]) for i in pruned]
     gxs = sorted({c for _i, r in rects for c in (r.xl, r.xr)} | {0, inst.side})
     gys = sorted({c for _i, r in rects for c in (r.yb, r.yt)} | {0, inst.side})
-    root = canon_loop([(0, 0), (0, inst.side), (inst.side, inst.side), (inst.side, 0)])
+    root = ref_canon_loop([(0, 0), (0, inst.side), (inst.side, inst.side), (inst.side, 0)])
     memo: dict = {}
 
     def solve(loop) -> int:
         if loop in memo:
             return memo[loop]
-        poly = RectPolygon([P(x, y) for x, y in loop])
-        inside = [i for i, r in rects if poly.contains_rect(r)]
+        inside = [i for i, r in rects if ref_loop_contains_rect(loop, r)]
         if len(inside) <= 1:
             memo[loop] = len(inside)
             return len(inside)
         xs = [x for x in gxs if min(p[0] for p in loop) <= x <= max(p[0] for p in loop)]
         ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
-        geom = _CellGeometry(loop, xs, ys)
+        geom = RefCellGeometry(loop, xs, ys)
         best = 1
         b = 1 if k == 4 else budget
-        for walk in _enumerate_walks(geom, b):
+        for walk in ref_enumerate_walks(geom, b):
             try:
-                parts = surgery(loop, walk)
+                parts = ref_surgery(loop, walk)
             except Exception:
                 continue
             if any(len(p) > k for p in parts):
@@ -351,6 +345,394 @@ def naive_dp_value(inst: Instance, k: int, budget: int) -> int:
         return best
 
     return solve(root)
+
+
+# -- the DP's loop kernel as first written -----------------------------------------
+#
+# Canonicalization by repeated deletion, the per-cut area re-check and the
+# per-call cell geometry of the polygon DP, and RectPolygon's own
+# canonicalization, as they were before both moved onto the integer loop
+# kernel in geom_core.  test_dp_kernel.py requires the library to agree
+# with them exactly; naive_dp_value runs on them alone.
+
+
+def ref_canon_loop(pts: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Canonical form of a rectilinear vertex loop: duplicates and
+    collinear runs merged, clockwise, rotated to the smallest vertex."""
+    out = list(pts)
+    changed = True
+    while changed:
+        changed = False
+        n = len(out)
+        if n < 3:
+            break
+        i = 0
+        while i < len(out) and len(out) > 2:
+            n = len(out)
+            p, q, r = out[i - 1], out[i], out[(i + 1) % n]
+            if p == q or (p[0] == q[0] == r[0]) or (p[1] == q[1] == r[1]):
+                del out[i]
+                changed = True
+            else:
+                i += 1
+    if len(out) < 4:
+        raise DpError("degenerate loop")
+    if len(set(out)) != len(out):
+        raise DpError("pinched loop")
+    area2 = 0
+    n = len(out)
+    for i in range(n):
+        p, q = out[i], out[(i + 1) % n]
+        area2 += p[0] * q[1] - q[0] * p[1]
+    if area2 == 0:
+        raise DpError("zero-area loop")
+    if area2 > 0:
+        out.reverse()
+    start = min(range(len(out)), key=lambda i: out[i])
+    return tuple(out[start:] + out[:start])
+
+
+def ref_loop_area2(loop: Sequence[tuple[int, int]]) -> int:
+    total = 0
+    n = len(loop)
+    for i in range(n):
+        p, q = loop[i], loop[(i + 1) % n]
+        total += p[0] * q[1] - q[0] * p[1]
+    return abs(total)
+
+
+def ref_merge_collinear(vertices: list[Point]) -> list[Point]:
+    out = list(vertices)
+    changed = True
+    while changed and len(out) > 2:
+        changed = False
+        n = len(out)
+        for idx in range(n):
+            p, q, r = out[(idx - 1) % n], out[idx], out[(idx + 1) % n]
+            if (p.x == q.x == r.x) or (p.y == q.y == r.y) or p == q:
+                del out[idx]
+                changed = True
+                break
+    return out
+
+
+def ref_polygon_vertices(vertices: Sequence[Point]) -> tuple[Point, ...]:
+    """RectPolygon's canonical vertex tuple; raises GeometryError where
+    RectPolygon must."""
+    vs = ref_merge_collinear(list(vertices))
+    if len(vs) < 4:
+        raise GeometryError(f"too few vertices for a rectilinear polygon: {vs}")
+    for p, q in zip(vs, vs[1:] + vs[:1]):
+        if p.x != q.x and p.y != q.y:
+            raise GeometryError(f"edge {p}-{q} not axis-parallel")
+    signed = sum(p.x * q.y - q.x * p.y for p, q in zip(vs, vs[1:] + vs[:1]))
+    if signed == 0:
+        raise GeometryError("zero-area vertex loop")
+    if signed > 0:  # counter-clockwise in y-up coordinates
+        vs.reverse()
+    start = min(range(len(vs)), key=lambda i: (vs[i].x, vs[i].y))
+    return tuple(vs[start:] + vs[:start])
+
+
+def _ref_loop_insert(loop: list[tuple[int, int]], p: tuple[int, int]) -> list[tuple[int, int]]:
+    if p in loop:
+        return loop
+    n = len(loop)
+    for i in range(n):
+        q, r = loop[i], loop[(i + 1) % n]
+        if q[0] == r[0] == p[0] and min(q[1], r[1]) <= p[1] <= max(q[1], r[1]):
+            return loop[: i + 1] + [p] + loop[i + 1 :]
+        if q[1] == r[1] == p[1] and min(q[0], r[0]) <= p[0] <= max(q[0], r[0]):
+            return loop[: i + 1] + [p] + loop[i + 1 :]
+    raise DpError(f"{p} not on the boundary loop")
+
+
+def ref_surgery(loop, walk):
+    """Split a simple vertex loop along an interior-clean path whose
+    endpoints are on the boundary; returns the two canonical part loops.
+    Self-crossing walks are not rejected here."""
+    a, b = walk[0], walk[-1]
+    lst = _ref_loop_insert(list(loop), a)
+    lst = _ref_loop_insert(lst, b)
+    ia = lst.index(a)
+    lst = lst[ia:] + lst[:ia]
+    ib = lst.index(b)
+    inner = list(walk[1:-1])
+    part1 = lst[: ib + 1] + inner[::-1]
+    part2 = lst[ib:] + [a] + inner
+    l1, l2 = ref_canon_loop(part1), ref_canon_loop(part2)
+    if ref_loop_area2(l1) + ref_loop_area2(l2) != ref_loop_area2(loop):
+        raise DpError("path split lost area")
+    return l1, l2
+
+
+class RefCellGeometry:
+    """Boundary-touch tables for walk enumeration on one cell."""
+
+    def __init__(self, loop, xs: list[int], ys: list[int]):
+        self.loop = loop
+        self.xs = xs
+        self.ys = ys
+        n = len(loop)
+        vedges = []  # (x, ylo, yhi)
+        hedges = []  # (y, xlo, xhi)
+        for i in range(n):
+            p, q = loop[i], loop[(i + 1) % n]
+            if p[0] == q[0]:
+                vedges.append((p[0], min(p[1], q[1]), max(p[1], q[1])))
+            else:
+                hedges.append((p[1], min(p[0], q[0]), max(p[0], q[0])))
+        self.vedges = vedges
+        self.hedges = hedges
+        self.vtouch = {x: self._touch(x, True) for x in xs}
+        self.htouch = {y: self._touch(y, False) for y in ys}
+
+    def _touch(self, c: int, vertical: bool) -> list[tuple[int, int]]:
+        out = []
+        if vertical:
+            for x, ylo, yhi in self.vedges:
+                if x == c:
+                    out.append((ylo, yhi))
+            for y, xlo, xhi in self.hedges:
+                if xlo <= c <= xhi:
+                    out.append((y, y))
+        else:
+            for y, xlo, xhi in self.hedges:
+                if y == c:
+                    out.append((xlo, xhi))
+            for x, ylo, yhi in self.vedges:
+                if ylo <= c <= yhi:
+                    out.append((x, x))
+        out.sort()
+        merged: list[tuple[int, int]] = []
+        for lo, hi in out:
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        return merged
+
+    def on_boundary(self, p: tuple[int, int]) -> bool:
+        for lo, hi in self.vtouch.get(p[0], ()):
+            if lo <= p[1] <= hi:
+                return True
+        return False
+
+    def contains_mid(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
+        """Is the midpoint of ab inside the closed polygon (doubled)?"""
+        X, Y = a[0] + b[0], a[1] + b[1]
+        for x, ylo, yhi in self.vedges:
+            if X == 2 * x and 2 * ylo <= Y <= 2 * yhi:
+                return True
+        for y, xlo, xhi in self.hedges:
+            if Y == 2 * y and 2 * xlo <= X <= 2 * xhi:
+                return True
+        parity = 0
+        for x, ylo, yhi in self.vedges:
+            if 2 * ylo <= Y < 2 * yhi and 2 * x > X:
+                parity ^= 1
+        return parity == 1
+
+    def corridor(
+        self, p: tuple[int, int], dx: int, dy: int
+    ) -> tuple[Optional[int], list[int]]:
+        """First boundary-touch coordinate from p along (dx,dy), plus the
+        interior grid coordinates strictly before it."""
+        if dx != 0:
+            touches = self.htouch[p[1]]
+            coords = self.xs
+            pos = p[0]
+            step = dx
+        else:
+            touches = self.vtouch[p[0]]
+            coords = self.ys
+            pos = p[1]
+            step = dy
+        if step > 0:
+            cand = [lo if lo > pos else hi for lo, hi in touches if hi > pos]
+            cand = [c for c in cand if c > pos]
+            if not cand:
+                return None, []
+            t = min(cand)
+            mids = [c for c in coords if pos < c < t]
+        else:
+            cand = [hi if hi < pos else lo for lo, hi in touches if lo < pos]
+            cand = [c for c in cand if c < pos]
+            if not cand:
+                return None, []
+            t = max(cand)
+            mids = [c for c in coords if t < c < pos]
+            mids.reverse()
+        end = (t, p[1]) if dx else (p[0], t)
+        if not self.contains_mid(p, end):
+            return None, []
+        return t, mids
+
+
+def ref_loop_contains_rect(loop, r: Rect) -> bool:
+    """Open rect inside the closed loop: its centre inside, no edge into it."""
+    if not RefCellGeometry(loop, [], []).contains_mid((r.xl, r.yb), (r.xr, r.yt)):
+        return False
+    return not any(
+        segment_intersects_rect(Segment(Point(*p), Point(*q)), r)
+        for p, q in zip(loop, loop[1:] + loop[:1])
+    )
+
+
+_WALK_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def ref_enumerate_walks(geom, budget: int):
+    """Interior-clean boundary-to-boundary polylines with at most `budget`
+    maximal segments, bending only on grid coordinates, each once."""
+    starts = [(x, y) for x in geom.xs for y in geom.ys if geom.on_boundary((x, y))]
+    seen: set = set()
+
+    def emit(walk):
+        key = frozenset((a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:]))
+        if key not in seen:
+            seen.add(key)
+            yield walk
+
+    def extend(walk, rem, dx, dy):
+        cur = walk[-1]
+        for ndx, ndy in _WALK_DIRS:
+            if (ndx, ndy) == (dx, dy) or (ndx, ndy) == (-dx, -dy):
+                continue
+            t, mids = geom.corridor(cur, ndx, ndy)
+            if t is None:
+                continue
+            end = (t, cur[1]) if ndx else (cur[0], t)
+            if end != walk[0]:
+                yield from emit(walk + [end])
+            if rem > 1:
+                for m in mids:
+                    mid = (m, cur[1]) if ndx else (cur[0], m)
+                    yield from extend(walk + [mid], rem - 1, ndx, ndy)
+
+    for a in starts:
+        for dx, dy in _WALK_DIRS:
+            t, mids = geom.corridor(a, dx, dy)
+            if t is None:
+                continue
+            end = (t, a[1]) if dx else (a[0], t)
+            if end != a:
+                yield from emit([a, end])
+            if budget > 1:
+                for m in mids:
+                    mid = (m, a[1]) if dx else (a[0], m)
+                    yield from extend([a, mid], budget - 1, dx, dy)
+
+
+def ref_dp_solve(
+    inst: Instance, k: int, cut_budget: int, shapes: tuple[str, ...]
+) -> tuple[int, tuple[int, ...], int, int]:
+    """The DP's memoized recursion as first written, on the kernel above:
+    (size, chosen, cells, cuts tried), to compare with dp_solve and its
+    DpStats.  Self-crossing walks are tried like any other walk."""
+    from misr.dp_solver import containment_prune
+
+    pruned = containment_prune(inst.rects)
+    rects = [(i, inst.rects[i]) for i in pruned]
+    gxs = sorted({c for _i, r in rects for c in (r.xl, r.xr)} | {0, inst.side})
+    gys = sorted({c for _i, r in rects for c in (r.yb, r.yt)} | {0, inst.side})
+    memo: dict = {}
+    cuts = 0
+    root = ref_canon_loop([(0, 0), (0, inst.side), (inst.side, inst.side), (inst.side, 0)])
+    use_tree = "tree" in shapes and k > 4
+    use_path = "path" in shapes
+
+    def solve(loop):
+        nonlocal cuts
+        hit = memo.get(loop)
+        if hit is not None:
+            return hit
+        inside = [(i, r) for i, r in rects if ref_loop_contains_rect(loop, r)]
+        if len(inside) <= 1:
+            memo[loop] = (len(inside), tuple(i for i, _r in inside))
+            return memo[loop]
+        xs = [x for x in gxs if min(p[0] for p in loop) <= x <= max(p[0] for p in loop)]
+        ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
+        geom = RefCellGeometry(loop, xs, ys)
+        bound = len(inside)
+        best = (1, (min(i for i, _r in inside),))
+
+        def consider(parts) -> bool:
+            nonlocal best
+            size, chosen = 0, []
+            for part in parts:
+                s, ch = solve(part)
+                size += s
+                chosen.extend(ch)
+            cand = (size, tuple(sorted(chosen)))
+            if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
+            return best[0] >= bound
+
+        done = False
+        tree_seeds = []
+        for walk in ref_enumerate_walks(geom, 1 if k == 4 else cut_budget):
+            cuts += 1
+            try:
+                parts = ref_surgery(loop, walk)
+            except DpError:
+                continue
+            fits = all(len(p) <= k for p in parts)
+            if fits and (use_path or len(walk) == 2):
+                if consider(parts):
+                    done = True
+                    break
+            if use_tree:
+                tree_seeds.append((walk, parts))
+        if not done and use_tree:
+            for walk, parts in tree_seeds:
+                if ref_tree_cuts(k, cut_budget, gxs, gys, walk, parts, consider):
+                    break
+        memo[loop] = best
+        return best
+
+    def ref_tree_cuts(k, cut_budget, gxs, gys, walk, parts, consider) -> bool:
+        nonlocal cuts
+        branch_points = []
+        for a, b in zip(walk, walk[1:]):
+            if a[0] == b[0]:
+                lo, hi = sorted((a[1], b[1]))
+                branch_points.extend((a[0], y) for y in gys if lo < y < hi)
+            else:
+                lo, hi = sorted((a[0], b[0]))
+                branch_points.extend((x, a[1]) for x in gxs if lo < x < hi)
+        for m in set(branch_points) | set(walk[1:-1]):
+            for pi, part in enumerate(parts):
+                if len(part) > k + cut_budget * 2:
+                    continue
+                xs = sorted({p[0] for p in part} | {m[0]})
+                ys = sorted({p[1] for p in part} | {m[1]})
+                sub = RefCellGeometry(part, xs, ys)
+                if not sub.on_boundary(m):
+                    continue
+                other = parts[1 - pi]
+                if len(other) > k:
+                    continue
+                for dx, dy in _WALK_DIRS:
+                    t, _mids = sub.corridor(m, dx, dy)
+                    if t is None:
+                        continue
+                    end = (t, m[1]) if dx else (m[0], t)
+                    if end == m:
+                        continue
+                    cuts += 1
+                    try:
+                        subparts = ref_surgery(part, [m, end])
+                    except DpError:
+                        continue
+                    if any(len(p) > k for p in subparts):
+                        continue
+                    if consider((other,) + subparts):
+                        return True
+        return False
+
+    size, chosen = solve(root)
+    return size, tuple(sorted(chosen)), len(memo), cuts
 
 
 # -- reference fence engine (nested tables) ----------------------------------------
@@ -626,8 +1008,8 @@ def intersection_matrix(rects: tuple[Rect, ...]) -> list[list[bool]]:
 
 def split_by_path(poly: RectPolygon, walk: Sequence[Point]) -> list[RectPolygon]:
     """Polygon-level wrapper around the DP's loop surgery."""
-    l1, l2 = surgery(
-        tuple((p.x, p.y) for p in poly.vertices), [(p.x, p.y) for p in walk]
+    (l1, _), (l2, _) = surgery(
+        tuple((p.x, p.y) for p in poly.vertices), [(p.x, p.y) for p in walk], poly.area2()
     )
     return [
         RectPolygon([Point(x, y) for x, y in l1]),

@@ -1,0 +1,255 @@
+"""The polygon DP and RectPolygon on the integer loop kernel in geom_core,
+against the DP's loop kernel as first written (oracles.py): canonical
+forms of random loops with spikes, repeated points and collinear runs,
+corridors at every grid point of the DP's cells, the enumerated walks,
+surgery on every walk, and dp_solve's value, choice and counts."""
+
+import random
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+
+from misr import dp_solver
+from misr.dp_solver import (
+    DpError,
+    DpStats,
+    _CellGeometry,
+    _enumerate_walks,
+    canon_loop,
+    containment_prune,
+    dp_solve,
+    surgery,
+)
+from misr.geom_core import GeometryError, Point, Rect, RectPolygon, merge_loop
+from misr.instance import generate, preprocess
+from oracles import (
+    RefCellGeometry,
+    ref_canon_loop,
+    ref_dp_solve,
+    ref_enumerate_walks,
+    ref_loop_area2,
+    ref_polygon_vertices,
+    ref_surgery,
+)
+
+T_SHAPE = preprocess([Rect(0, 0, 2, 4), Rect(2, 0, 4, 2), Rect(2, 2, 4, 4)])
+
+# (instance, k, cut_budget, shapes)
+RUNS = [
+    (generate("uniform_random", 6, 0), 4, 1, ("path", "tree")),
+    (generate("nested_grid", 6, 1), 4, 1, ("path", "tree")),
+    (generate("windmill", 5, 0), 4, 3, ("path", "tree")),
+    (generate("uniform_random", 5, 2), 4, 3, ("path", "tree")),
+    (generate("nested_grid", 3, 0), 6, 2, ("path",)),
+    (generate("nested_grid", 3, 1), 6, 2, ("path",)),
+    (T_SHAPE, 6, 2, ("path", "tree")),
+    (generate("uniform_random", 3, 2), 6, 2, ("path", "tree")),
+]
+# Runs whose cells are checked one by one; the second nested_grid run at
+# k=6 alone would treble the time of that check.
+CELL_RUNS = RUNS[:5] + RUNS[6:]
+
+
+def random_loop(rng: random.Random) -> list[tuple[int, int]]:
+    """A closed rectilinear vertex loop on a small grid, full of zero-length
+    steps, straight continuations and reversals (spikes)."""
+    x, y = rng.randrange(5), rng.randrange(5)
+    pts = [(x, y)]
+    for _ in range(rng.randrange(1, 12)):
+        if rng.random() < 0.5:
+            x = rng.randrange(5)
+        else:
+            y = rng.randrange(5)
+        pts.append((x, y))
+    pts.append((pts[0][0], y))  # close with a horizontal then a vertical step
+    if rng.random() < 0.3:
+        k = rng.randrange(len(pts))
+        pts.insert(k, pts[k])
+    return pts
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DpError, GeometryError) as e:
+        return type(e)
+
+
+def test_canonical_forms_match_repeated_deletion():
+    rng = random.Random(11)
+    kept = 0
+    for _ in range(20000):
+        pts = random_loop(rng)
+        got = outcome(canon_loop, pts)
+        want = outcome(ref_canon_loop, pts)
+        if isinstance(want, tuple):
+            assert got == (want, ref_loop_area2(want)), pts
+            kept += 1
+        else:
+            assert got is DpError, pts
+        verts = [Point(x, y) for x, y in pts]
+        want = outcome(ref_polygon_vertices, verts)
+        if isinstance(want, tuple):
+            poly = RectPolygon(verts)
+            assert poly.vertices == want, pts
+            assert poly.area2() == ref_loop_area2([(p.x, p.y) for p in want])
+            assert hash(poly) == hash(want)
+        else:
+            assert outcome(RectPolygon, verts) is GeometryError, pts
+    assert kept > 2000
+
+
+def test_merge_handles_diagonals_and_wraparound():
+    # a diagonal edge survives the merge, and RectPolygon rejects it
+    assert merge_loop([(0, 0), (0, 2), (1, 3), (2, 3), (2, 0)]) == [
+        (0, 0), (0, 2), (1, 3), (2, 3), (2, 0)
+    ]
+    with pytest.raises(GeometryError):
+        RectPolygon([Point(0, 0), Point(0, 2), Point(1, 3), Point(2, 3), Point(2, 0)])
+    # collinear runs and a spike across the wrap-around point
+    loop = [(0, 1), (0, 2), (2, 2), (2, 0), (0, 0), (0, -1), (0, 0)]
+    assert merge_loop(loop) == [(0, 2), (2, 2), (2, 0), (0, 0)]
+
+
+@contextmanager
+def recorded_cells():
+    """Every cell a dp_solve run splits, and every part it gets back."""
+    cells = {}
+    real = dp_solver.surgery
+
+    def wrapper(loop, walk, area2):
+        cells[loop] = area2
+        parts = real(loop, walk, area2)
+        cells.update(parts)
+        return parts
+
+    with mock.patch.object(dp_solver, "surgery", wrapper):
+        yield cells
+
+
+@pytest.fixture(scope="module")
+def dp_cells():
+    """(loop, doubled area, xs, ys, walk budget) of the DP's cells on
+    CELL_RUNS."""
+    out = {}
+    for inst, k, b, shapes in CELL_RUNS:
+        with recorded_cells() as cells:
+            dp_solve(inst, k, b, shapes)
+        kept = [inst.rects[i] for i in containment_prune(inst.rects)]
+        gxs = sorted({c for r in kept for c in (r.xl, r.xr)} | {0, inst.side})
+        gys = sorted({c for r in kept for c in (r.yb, r.yt)} | {0, inst.side})
+        for loop, area2 in cells.items():
+            xs = [x for x in gxs if min(p[0] for p in loop) <= x <= max(p[0] for p in loop)]
+            ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
+            out[loop] = (area2, xs, ys, 1 if k == 4 else b)
+    assert len(out) > 1000
+    return out
+
+
+def test_corridor_at_every_grid_point(dp_cells):
+    calls = 0
+    for loop, (area2, xs, ys, _b) in dp_cells.items():
+        assert area2 == ref_loop_area2(loop)
+        geom = _CellGeometry(loop, xs, ys)
+        ref = RefCellGeometry(loop, xs, ys)
+        for x in xs:
+            for y in ys:
+                assert geom.on_boundary((x, y)) == ref.on_boundary((x, y))
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    assert geom.corridor((x, y), dx, dy) == ref.corridor((x, y), dx, dy)
+                    calls += 1
+    assert calls > 100000
+
+
+def test_surgery_on_every_enumerated_walk(dp_cells):
+    splits = rejected = 0
+    for loop, (area2, xs, ys, b) in dp_cells.items():
+        walks = list(_enumerate_walks(_CellGeometry(loop, xs, ys), b))
+        assert walks == list(ref_enumerate_walks(RefCellGeometry(loop, xs, ys), b))
+        for walk in walks:
+            got = outcome(surgery, loop, walk, area2)
+            want = outcome(ref_surgery, loop, walk)
+            if isinstance(want, tuple):
+                assert got == tuple((p, ref_loop_area2(p)) for p in want), (loop, walk)
+                splits += 1
+            else:
+                assert got is DpError, (loop, walk)
+                rejected += 1
+    assert splits > 10000 and rejected > 1000
+
+
+@pytest.mark.parametrize("run", range(len(RUNS)))
+def test_dp_solve_matches_first_written(run):
+    inst, k, b, shapes = RUNS[run]
+    stats = DpStats()
+    sol = dp_solve(inst, k, b, shapes, stats=stats)
+    assert (sol.size, sol.chosen, stats.cells, stats.cuts_tried) == ref_dp_solve(
+        inst, k, b, shapes
+    )
+
+
+def lattice_simple(walk) -> bool:
+    """No lattice point is visited twice, stepping one unit at a time."""
+    seen = {walk[0]}
+    for a, b in zip(walk, walk[1:]):
+        dx = (b[0] > a[0]) - (b[0] < a[0])
+        dy = (b[1] > a[1]) - (b[1] < a[1])
+        p = a
+        while p != b:
+            p = (p[0] + dx, p[1] + dy)
+            if p in seen:
+                return False
+            seen.add(p)
+    return True
+
+
+def test_self_crossing_walks_rejected():
+    """With four or more segments a walk can cross itself, and the parts
+    it would cut are not simple; surgery rejects exactly those walks, so
+    every cell the DP memoizes is a simple polygon."""
+    inst = generate("nested_grid", 3, 0)
+    with recorded_cells() as cells:
+        dp_solve(inst, 8, 4, ("path",))
+    assert cells and all(RectPolygon([Point(*p) for p in loop]).is_simple for loop in cells)
+
+    loop, area2 = canon_loop([(0, 1), (0, 5), (3, 5), (3, 1)])
+    crossing = [(0, 3), (2, 3), (2, 2), (1, 2), (1, 5)]
+    assert not lattice_simple(crossing)
+    with pytest.raises(DpError, match="crosses itself"):
+        surgery(loop, crossing, area2)
+    # the first-written surgery accepts it, with a part that is not simple
+    parts = ref_surgery(loop, crossing)
+    assert not all(RectPolygon([Point(*p) for p in part]).is_simple for part in parts)
+
+    # six segments, of which only the first and the last cross
+    square, square_area2 = canon_loop([(0, 0), (0, 6), (6, 6), (6, 0)])
+    spiral = [(0, 3), (4, 3), (4, 1), (2, 1), (2, 2), (1, 2), (1, 6)]
+    assert not lattice_simple(spiral)
+    with pytest.raises(DpError, match="crosses itself"):
+        surgery(square, spiral, square_area2)
+
+    crossed = 0
+    geom = _CellGeometry(loop, [0, 1, 2, 3], [1, 2, 3, 4, 5])
+    for walk in _enumerate_walks(geom, 5):
+        try:
+            surgery(loop, walk, area2)
+            rejected = False
+        except DpError as e:
+            rejected = "crosses itself" in str(e)
+        assert rejected == (not lattice_simple(walk)), walk
+        crossed += rejected
+    assert crossed > 0
+
+
+def test_area_check_catches_a_walk_outside_the_cell():
+    """A walk through the notch of an L-shaped cell cuts a part outside the
+    cell; both parts are simple loops, and only the area check sees it."""
+    loop, area2 = canon_loop([(0, 0), (0, 4), (2, 4), (2, 2), (4, 2), (4, 0)])
+    walk = [(2, 3), (3, 3), (3, 2)]
+    with pytest.raises(DpError, match="lost area"):
+        surgery(loop, walk, area2)
+    with pytest.raises(DpError, match="lost area"):
+        ref_surgery(loop, walk)
+    parts = surgery(loop, [(2, 3), (0, 3)], area2)
+    assert sorted(a for _p, a in parts) == [4, 20]

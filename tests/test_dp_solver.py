@@ -18,9 +18,10 @@ from test_instance import random_instance
 
 class TestSurgery:
     def test_chord_split(self):
-        loop = canon_loop([(0, 0), (0, 4), (6, 4), (6, 0)])
-        a, b = surgery(loop, [(2, 0), (2, 4)])
+        loop, area2 = canon_loop([(0, 0), (0, 4), (6, 4), (6, 0)])
+        (a, a_area2), (b, b_area2) = surgery(loop, [(2, 0), (2, 4)], area2)
         assert sorted(len(p) for p in (a, b)) == [4, 4]
+        assert a_area2 + b_area2 == area2 == 48
 
     def test_z_path_split(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 6, 4))

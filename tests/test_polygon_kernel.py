@@ -102,6 +102,26 @@ def test_sections_and_rect_containment_agree(node_cells):
                         assert poly.contains_rect(r) == ref_contains_rect(poly, r), (poly, r)
 
 
+def test_contains_segment_agrees(node_cells):
+    """contains_segment against membership of every doubled lattice point
+    along the segment, on random horizontal and vertical segments."""
+    rng = random.Random(6)
+    for poly in {p for p, _ in node_cells} | set(blobs(30)):
+        x0, y0, x1, y1 = poly.bbox()
+        for _ in range(60):
+            xa, xb = sorted((rng.randint(x0 - 1, x1 + 1), rng.randint(x0 - 1, x1 + 1)))
+            ya, yb = sorted((rng.randint(y0 - 1, y1 + 1), rng.randint(y0 - 1, y1 + 1)))
+            xc, yc = rng.randint(x0 - 1, x1 + 1), rng.randint(y0 - 1, y1 + 1)
+            horizontal = [(X, 2 * yc) for X in range(2 * xa, 2 * xb + 1)]
+            vertical = [(2 * xc, Y) for Y in range(2 * ya, 2 * yb + 1)]
+            for s, probes in (
+                (Segment(Point(xa, yc), Point(xb, yc)), horizontal),
+                (Segment(Point(xc, ya), Point(xc, yb)), vertical),
+            ):
+                want = all(ref_contains_doubled(poly, X, Y) for X, Y in probes)
+                assert poly.contains_segment(s) == want, (poly, s)
+
+
 def _runs(doubled: list[int]) -> list[tuple[int, int]]:
     """Maximal runs of consecutive doubled coordinates, halved."""
     out: list[tuple[int, int]] = []
