@@ -28,7 +28,7 @@ from .charging import (
     ledger_to_json,
     verify_ratios,
 )
-from .dp_solver import DpError, dp_solve
+from .dp_solver import DpError, DpStats, dp_solve
 from .geom_core import GeometryError, Rect, Segment
 from .instance import (
     Instance,
@@ -76,7 +76,10 @@ def instance_digest(inst: Instance) -> str:
 
 
 def parse_eps(text: str) -> Fraction:
-    eps = Fraction(text)
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceError(f"eps is not a fraction: {text}") from None
     if eps <= 0 or (1 / eps).denominator != 1:
         raise InstanceError(f"eps must be positive with integral 1/eps: {text}")
     return eps
@@ -406,10 +409,12 @@ def cmd_bench(args) -> int:
                 opt = exact_mis(inst).size
                 for algo in algos:
                     eps = parse_eps(args.eps) if args.eps else Fraction(1)
+                    stats = DpStats() if algo == "dp" else None
                     t0 = time.perf_counter()
                     if algo == "dp":
                         val = dp_solve(
-                            inst, args.k, args.cut_budget, _shapes(args.shapes)
+                            inst, args.k, args.cut_budget, _shapes(args.shapes),
+                            stats=stats,
                         ).size
                     elif algo == "exact":
                         val = opt
@@ -435,13 +440,19 @@ def cmd_bench(args) -> int:
                             "opt": opt,
                             "ratio": ratio,
                             "ms": f"{ms:.3f}",
+                            "cells": stats.cells if stats is not None else "",
+                            "cuts": stats.cuts_tried if stats is not None else "",
                         }
                     )
     rows.sort(key=lambda r: (r["family"], r["n"], r["seed"], r["algo"]))
     out = sys.stdout if not args.out else open(args.out, "w", newline="")
     try:
         writer = csv.DictWriter(
-            out, fieldnames=["family", "n", "seed", "algo", "value", "opt", "ratio", "ms"]
+            out,
+            fieldnames=[
+                "family", "n", "seed", "algo", "value", "opt", "ratio", "ms",
+                "cells", "cuts",
+            ],
         )
         writer.writeheader()
         writer.writerows(rows)

@@ -6,6 +6,13 @@ clean boundary-to-boundary cut paths with a bounded segment count, plus
 tree cuts (a path with one branch, i.e. two paths sharing a prefix) when
 enabled; parts must stay inside P(k).
 
+A corridor never runs along the cell boundary: every segment of a walk
+leaves its start into the interior.  A walk whose first segment ran
+along the boundary would be degenerate or cut the same two parts as the
+walk starting at its first bend, which has one segment fewer.  So the
+reverse of every walk is a walk too, and each walk is emitted once, from
+its smaller end.
+
 Parts are produced by boundary surgery (splicing the path into the
 vertex loop), which keeps a candidate evaluation at O(k); cells are
 memoized by canonical vertex tuple.  A cell stops enumerating as soon as
@@ -177,9 +184,10 @@ class _CellGeometry:
     """Boundary-touch tables for walk enumeration on one cell, read off the
     cell's kernel edge tables (``geom_core.edge_tables``).
 
-    For every grid line through the cell, the sorted, disjoint closed
-    intervals where the line touches the boundary, kept as the list of
-    their low ends and the list of their high ends."""
+    For every line x in ``xs`` and y in ``ys`` (the grid lines through the
+    cell, or in a tree cut the lines through the branch points), the
+    sorted, disjoint closed intervals where the line touches the boundary,
+    kept as the list of their low ends and the list of their high ends."""
 
     def __init__(
         self,
@@ -223,7 +231,10 @@ class _CellGeometry:
         self, p: tuple[int, int], dx: int, dy: int
     ) -> tuple[Optional[int], list[int]]:
         """First boundary-touch coordinate from p along (dx,dy), plus the
-        interior grid coordinates strictly before it."""
+        interior grid coordinates strictly before it.  A segment that
+        would run along the boundary from p (p lies in a touch interval
+        that goes on in that direction) gives ``(None, [])``: corridors
+        never run along the boundary."""
         if dx != 0:
             los, his = self.htouch[p[1]]
             coords = self.xs
@@ -236,15 +247,15 @@ class _CellGeometry:
             step = dy
         if step > 0:
             j = bisect_right(his, pos)
-            if j == len(his):
+            if j == len(his) or los[j] <= pos:
                 return None, []
-            t = los[j] if los[j] > pos else his[j]
+            t = los[j]
             mids = coords[bisect_right(coords, pos) : bisect_left(coords, t)]
         else:
             j = bisect_left(los, pos) - 1
-            if j < 0:
+            if j < 0 or his[j] >= pos:
                 return None, []
-            t = his[j] if his[j] < pos else los[j]
+            t = his[j]
             mids = coords[bisect_right(coords, t) : bisect_left(coords, pos)]
             mids.reverse()
         if dx:
@@ -261,19 +272,19 @@ _DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 def _enumerate_walks(geom: _CellGeometry, budget: int) -> Iterator[list[tuple[int, int]]]:
     """Interior-clean boundary-to-boundary polylines with at most `budget`
-    maximal segments, bending only on grid coordinates."""
-    starts = [
-        (x, y) for x in geom.xs for y in geom.ys if geom.on_boundary((x, y))
-    ]
-    seen: set = set()
+    maximal segments, bending only on grid coordinates.
 
-    def emit(walk: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
-        key = frozenset(
-            (a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])
-        )
-        if key not in seen:
-            seen.add(key)
-            yield walk
+    Starts are the grid points in the cell's vertical touch intervals.  No
+    corridor runs along the boundary, so every segment leaves its start
+    into the interior, and the reverse of every walk is enumerated too;
+    each walk is emitted once, from its smaller end."""
+    ys = geom.ys
+    starts = [
+        (x, y)
+        for x in geom.xs
+        for lo, hi in zip(*geom.vtouch[x])
+        for y in ys[bisect_left(ys, lo) : bisect_right(ys, hi)]
+    ]
 
     def extend(walk, rem, dx, dy):
         cur = walk[-1]
@@ -284,21 +295,24 @@ def _enumerate_walks(geom: _CellGeometry, budget: int) -> Iterator[list[tuple[in
             if t is None:
                 continue
             end = (t, cur[1]) if ndx else (cur[0], t)
-            if end != walk[0]:
-                yield from emit(walk + [end])
+            if walk[0] < end:
+                yield walk + [end]
             if rem > 1:
                 for m in mids:
                     mid = (m, cur[1]) if ndx else (cur[0], m)
                     yield from extend(walk + [mid], rem - 1, ndx, ndy)
 
+    # a single segment is emitted only from its smaller end, where it runs
+    # in a positive direction
+    dirs = _DIRS if budget > 1 else _DIRS[::2]
     for a in starts:
-        for dx, dy in _DIRS:
+        for dx, dy in dirs:
             t, mids = geom.corridor(a, dx, dy)
             if t is None:
                 continue
             end = (t, a[1]) if dx else (a[0], t)
-            if end != a:
-                yield from emit([a, end])
+            if a < end:
+                yield [a, end]
             if budget > 1:
                 for m in mids:
                     mid = (m, a[1]) if dx else (a[0], m)
@@ -409,7 +423,11 @@ def dp_solve(
 
 def _tree_cuts(cfg, gxs, gys, walk, parts, consider, stats) -> bool:
     """Branch the path at a grid point of its interior into one of the two
-    parts, giving three-part subdivisions (two paths sharing a prefix)."""
+    parts, giving three-part subdivisions (two paths sharing a prefix).
+
+    Each part gets one geometry, with touch lists only for the lines
+    through the branch points: a branch is one corridor, whose interior
+    grid coordinates are not read."""
     branch_points: list[tuple[int, int]] = []
     for a, b in zip(walk, walk[1:]):
         if a[0] == b[0]:
@@ -418,25 +436,23 @@ def _tree_cuts(cfg, gxs, gys, walk, parts, consider, stats) -> bool:
         else:
             lo, hi = sorted((a[0], b[0]))
             branch_points.extend((x, a[1]) for x in gxs if lo < x < hi)
-    for m in set(branch_points) | set(walk[1:-1]):
-        for pi, (part, part_area2) in enumerate(parts):
-            if len(part) > cfg.k + cfg.cut_budget * 2:
+    points = set(branch_points) | set(walk[1:-1])
+    xs = sorted({m[0] for m in points})
+    ys = sorted({m[1] for m in points})
+    geoms: list[Optional[_CellGeometry]] = []
+    for pi, (part, _a) in enumerate(parts):
+        fits = len(part) <= cfg.k + cfg.cut_budget * 2 and len(parts[1 - pi][0]) <= cfg.k
+        geoms.append(_CellGeometry(part, xs, ys) if fits else None)
+    for m in points:
+        for pi, sub in enumerate(geoms):
+            if sub is None or not sub.on_boundary(m):
                 continue
-            xs = sorted({p[0] for p in part} | {m[0]})
-            ys = sorted({p[1] for p in part} | {m[1]})
-            sub = _CellGeometry(part, xs, ys)
-            if not sub.on_boundary(m):
-                continue
-            other = parts[1 - pi]
-            if len(other[0]) > cfg.k:
-                continue
+            part, part_area2 = parts[pi]
             for dx, dy in _DIRS:
                 t, _mids = sub.corridor(m, dx, dy)
                 if t is None:
                     continue
                 end = (t, m[1]) if dx else (m[0], t)
-                if end == m:
-                    continue
                 if stats is not None:
                     stats.cuts_tried += 1
                 try:
@@ -445,6 +461,6 @@ def _tree_cuts(cfg, gxs, gys, walk, parts, consider, stats) -> bool:
                     continue
                 if any(len(p) > cfg.k for p, _a in subparts):
                     continue
-                if consider((other,) + subparts):
+                if consider((parts[1 - pi],) + subparts):
                     return True
     return False

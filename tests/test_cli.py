@@ -57,6 +57,14 @@ class TestSolveAndCertify:
             ["certify", windmill_file, "--regime", "two_eps", "--eps", "2/3"]
         ) == 2
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0"])
+    def test_certify_eps_not_a_fraction(self, windmill_file, eps, capsys):
+        assert run_cli(
+            ["certify", windmill_file, "--regime", "two_eps", "--eps", eps]
+        ) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
     def test_certify_eps_one_bound(self, windmill_file, capsys):
         assert run_cli(
             ["certify", windmill_file, "--regime", "two_eps", "--eps", "1"]
@@ -144,11 +152,15 @@ class TestBench:
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "family,n,seed,algo,value,opt,ratio,ms"
+        assert lines[0] == "family,n,seed,algo,value,opt,ratio,ms,cells,cuts"
         assert len(lines) == 1 + 3 * 2 * 2
         for line in lines[1:]:
-            family, n, seed, algo, value, opt, ratio, ms = line.split(",")
+            family, n, seed, algo, value, opt, ratio, ms, cells, cuts = line.split(",")
             assert ratio == "1/1"
+            if algo == "dp":
+                assert int(cells) >= 1 and int(cuts) >= 0
+            else:
+                assert cells == cuts == ""
 
     def test_header_only_when_no_seeds(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -157,7 +169,7 @@ class TestBench:
              "--n-max", "4", "--seeds", "0", "--out", str(out)]
         )
         lines = out.read_text().strip().splitlines()
-        assert lines == ["family,n,seed,algo,value,opt,ratio,ms"]
+        assert lines == ["family,n,seed,algo,value,opt,ratio,ms,cells,cuts"]
 
     def test_slope_fit(self):
         pts = [(2, 4.0), (4, 16.0), (8, 64.0)]

@@ -2,7 +2,12 @@
 against the DP's loop kernel as first written (oracles.py): canonical
 forms of random loops with spikes, repeated points and collinear runs,
 corridors at every grid point of the DP's cells, the enumerated walks,
-surgery on every walk, and dp_solve's value, choice and counts."""
+surgery on every walk, and dp_solve's value and choice.
+
+The first-written enumeration also tries walks whose first segment runs
+along the cell boundary, and emits every walk from both ends.  The
+library drops those walks and emits each walk once; the tests check that
+every dropped walk is degenerate or cuts the parts of a kept one."""
 
 import random
 from contextlib import contextmanager
@@ -29,6 +34,7 @@ from oracles import (
     ref_dp_solve,
     ref_enumerate_walks,
     ref_loop_area2,
+    ref_on_boundary_doubled,
     ref_polygon_vertices,
     ref_surgery,
 )
@@ -46,6 +52,26 @@ RUNS = [
     (T_SHAPE, 6, 2, ("path", "tree")),
     (generate("uniform_random", 3, 2), 6, 2, ("path", "tree")),
 ]
+# dp_solve's (cells, cuts tried) on each of RUNS.  The first-written DP
+# tries (205, 1358), (1006, 7758), (236, 1572), (111, 571), (418, 5004),
+# (1088, 9523), (7, 7) and (206, 12575): its enumeration order differs,
+# so with the early exit at a cell's bound the cell count moves too.
+RUN_COUNTS = [
+    (205, 248),
+    (1006, 1594),
+    (236, 301),
+    (111, 104),
+    (400, 1592),
+    (1098, 4017),
+    (26, 18),
+    (205, 1753),
+]
+# On the T shape the first-written order meets the optimum with its second
+# walk at the root, the chord x = 1 entered along the bottom edge from the
+# corner (0, 0).  The library starts at (0, 1) and meets it only with its
+# sixth walk at the root, the chord y = 2, after the parts of the five
+# walks before it, so it tries more cuts.
+MORE_CUTS_THAN_FIRST_WRITTEN = {6}
 # Runs whose cells are checked one by one; the second nested_grid run at
 # k=6 alone would treble the time of that check.
 CELL_RUNS = RUNS[:5] + RUNS[6:]
@@ -148,26 +174,52 @@ def dp_cells():
 
 
 def test_corridor_at_every_grid_point(dp_cells):
-    calls = 0
+    """The first-written corridor, except that a segment running along the
+    boundary from p (its midpoint is on the boundary) is no corridor."""
+    calls = along = 0
     for loop, (area2, xs, ys, _b) in dp_cells.items():
         assert area2 == ref_loop_area2(loop)
+        poly = RectPolygon([Point(*p) for p in loop])
         geom = _CellGeometry(loop, xs, ys)
         ref = RefCellGeometry(loop, xs, ys)
         for x in xs:
             for y in ys:
                 assert geom.on_boundary((x, y)) == ref.on_boundary((x, y))
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    assert geom.corridor((x, y), dx, dy) == ref.corridor((x, y), dx, dy)
+                    got = geom.corridor((x, y), dx, dy)
+                    want = ref.corridor((x, y), dx, dy)
+                    t = want[0]
+                    if t is not None and ref_on_boundary_doubled(
+                        poly, *((x + t, 2 * y) if dx else (2 * x, y + t))
+                    ):
+                        assert got == (None, []), (loop, (x, y), dx, dy)
+                        along += 1
+                    else:
+                        assert got == want, (loop, (x, y), dx, dy)
                     calls += 1
-    assert calls > 100000
+    assert calls > 100000 and along > 10000
+
+
+def segments(walk) -> frozenset:
+    """A walk as its set of undirected segments."""
+    return frozenset((a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:]))
 
 
 def test_surgery_on_every_enumerated_walk(dp_cells):
-    splits = rejected = 0
+    """The walks are first-written walks, each emitted once from its
+    smaller end; surgery agrees with the first-written one on every
+    first-written walk; and each such walk left out is degenerate or cuts
+    the same two parts as a kept walk."""
+    splits = rejected = dropped = 0
     for loop, (area2, xs, ys, b) in dp_cells.items():
         walks = list(_enumerate_walks(_CellGeometry(loop, xs, ys), b))
-        assert walks == list(ref_enumerate_walks(RefCellGeometry(loop, xs, ys), b))
-        for walk in walks:
+        kept = {segments(w) for w in walks}
+        assert len(kept) == len(walks) and all(w[0] < w[-1] for w in walks)
+        ref_walks = list(ref_enumerate_walks(RefCellGeometry(loop, xs, ys), b))
+        assert kept <= {segments(w) for w in ref_walks}
+        kept_parts = set()
+        dropped_parts = []
+        for walk in ref_walks:
             got = outcome(surgery, loop, walk, area2)
             want = outcome(ref_surgery, loop, walk)
             if isinstance(want, tuple):
@@ -176,7 +228,16 @@ def test_surgery_on_every_enumerated_walk(dp_cells):
             else:
                 assert got is DpError, (loop, walk)
                 rejected += 1
-    assert splits > 10000 and rejected > 1000
+            if segments(walk) in kept:
+                assert isinstance(want, tuple), (loop, walk)
+                kept_parts.add(frozenset(want))
+            else:
+                dropped += 1
+                if isinstance(want, tuple):
+                    dropped_parts.append((walk, frozenset(want)))
+        for walk, parts in dropped_parts:
+            assert parts in kept_parts, (loop, walk)
+    assert splits > 10000 and rejected > 1000 and dropped > 50000
 
 
 @pytest.mark.parametrize("run", range(len(RUNS)))
@@ -184,9 +245,10 @@ def test_dp_solve_matches_first_written(run):
     inst, k, b, shapes = RUNS[run]
     stats = DpStats()
     sol = dp_solve(inst, k, b, shapes, stats=stats)
-    assert (sol.size, sol.chosen, stats.cells, stats.cuts_tried) == ref_dp_solve(
-        inst, k, b, shapes
-    )
+    size, chosen, _cells, ref_cuts = ref_dp_solve(inst, k, b, shapes)
+    assert (sol.size, sol.chosen) == (size, chosen)
+    assert (stats.cells, stats.cuts_tried) == RUN_COUNTS[run]
+    assert (stats.cuts_tried < ref_cuts) == (run not in MORE_CUTS_THAN_FIRST_WRITTEN)
 
 
 def lattice_simple(walk) -> bool:
