@@ -17,6 +17,8 @@ from .structure import (
     MaximalSet,
     NestingLabel,
     NiceLabel,
+    _mirror_x,
+    _mirror_y,
     classify_nesting,
     classify_nice,
     seen_corners_on_side,
@@ -108,14 +110,6 @@ def charge_six(run: PartitionRun, labels: Optional[NestingLabel] = None) -> Char
 # -- factor 3 (four quarter tokens) --------------------------------------------
 
 
-def _mirror_x_rects(rects: Sequence[Rect]) -> list[Rect]:
-    return [Rect(-r.xr, r.yb, -r.xl, r.yt) for r in rects]
-
-
-def _mirror_y_rects(rects: Sequence[Rect]) -> list[Rect]:
-    return [Rect(r.xl, -r.yt, r.xr, -r.yb) for r in rects]
-
-
 _MIRROR_X_CORNER = {"TL": "TR", "TR": "TL", "BL": "BR", "BR": "BL"}
 _MIRROR_Y_CORNER = {"TL": "BL", "BL": "TL", "TR": "BR", "BR": "TR"}
 
@@ -149,7 +143,7 @@ def _tokens_right(
         raise ChargingError(
             f"single seen corner BL of {j0} without the aligned-bottom shape"
         )
-    mwork = _mirror_y_rects(work)
+    mwork = _mirror_y(work)
     toks = _second_token_top(mwork, ids, rid, j0, h_nested)
     return [(j0, cname, "direct", True)] + [
         (j, _MIRROR_Y_CORNER[c], kind, seen) for j, c, kind, seen in toks
@@ -207,7 +201,7 @@ def charge_three(run: PartitionRun, labels: Optional[NestingLabel] = None) -> Ch
     h_nested = labels.horizontally_nested
     work = run.work_rects
     ledger = ChargeLedger("three")
-    mwork = _mirror_x_rects(work)
+    mwork = _mirror_x(work)
     for t in run.trace:
         for rid in t.intersected:
             if rid in h_nested:

@@ -21,11 +21,13 @@ cross themselves (possible from four segments on) are rejected, so every
 part is again a simple polygon.
 
 The loop geometry is geom_core's integer loop kernel, shared with
-RectPolygon: ``canon_loop`` is its ``merge_loop`` and ``orient_loop``
-plus the rejection of pinched loops, and returns the canonical loop with
-its doubled area; ``surgery`` checks on every cut that the parts' areas
-add up to the cell's.  A cell's rects and walk corridors are tested on
-the cell's ``edge_tables``, and a cell looks for rects only among its
+RectPolygon and the partitions' ``split_components``: ``canon_loop`` is
+its ``merge_loop`` and ``orient_loop`` plus the rejection of pinched
+loops, and returns the canonical loop with its doubled area; ``surgery``
+is its ``splice_loop``, the one polygon split, followed by a check on
+every cut that the parts' areas add up to the cell's.  A cell's rects
+are tested on the cell's ``edge_tables``, its walk corridors on the
+kernel's ``touch_intervals``, and a cell looks for rects only among its
 parent's.
 
 For k = 4 every cell is a rectangle and any subdivision of a rectangle
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .geom_core import (
+    CutError,
     EdgeTable,
     IntLoop as Loop,
     Rect,
@@ -49,6 +52,8 @@ from .geom_core import (
     loop_contains_rect_doubled,
     merge_loop,
     orient_loop,
+    splice_loop,
+    touch_intervals,
 )
 from .instance import Instance, Solution, validate_solution
 
@@ -122,56 +127,18 @@ def canon_loop(pts: Sequence[tuple[int, int]]) -> tuple[Loop, int]:
     return loop, area2
 
 
-def _loop_insert(loop: list[tuple[int, int]], p: tuple[int, int]) -> list[tuple[int, int]]:
-    if p in loop:
-        return loop
-    x, y = p
-    n = len(loop)
-    for i in range(n):
-        q, r = loop[i], loop[(i + 1) % n]
-        if q[0] == r[0] == x:
-            if q[1] <= y <= r[1] or r[1] <= y <= q[1]:
-                return loop[: i + 1] + [p] + loop[i + 1 :]
-        elif q[1] == r[1] == y and (q[0] <= x <= r[0] or r[0] <= x <= q[0]):
-            return loop[: i + 1] + [p] + loop[i + 1 :]
-    raise DpError(f"{p} not on the boundary loop")
-
-
-def _crosses_itself(walk: Sequence[tuple[int, int]]) -> bool:
-    """Do two non-adjacent segments of the walk share a point?  Adjacent
-    segments are perpendicular, so segments i and i + 2 lie on distinct
-    parallel lines and cannot meet; only walks of four or more segments
-    can cross."""
-    segs = [
-        (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
-        for p, q in zip(walk, walk[1:])
-    ]
-    for i in range(len(segs) - 3):
-        xlo, xhi, ylo, yhi = segs[i]
-        for j in range(i + 3, len(segs)):
-            x0, x1, y0, y1 = segs[j]
-            if x0 <= xhi and xlo <= x1 and y0 <= yhi and ylo <= y1:
-                return True
-    return False
-
-
 def surgery(
     loop: Loop, walk: Sequence[tuple[int, int]], area2: int
 ) -> tuple[tuple[Loop, int], tuple[Loop, int]]:
     """Split a simple vertex loop of doubled area ``area2`` along an
     interior-clean path whose endpoints are on the boundary; returns the
     two canonical part loops, each with its doubled area."""
-    if len(walk) > 4 and _crosses_itself(walk):
-        raise DpError("walk crosses itself")
-    a, b = walk[0], walk[-1]
-    lst = _loop_insert(list(loop), a)
-    lst = _loop_insert(lst, b)
-    ia = lst.index(a)
-    lst = lst[ia:] + lst[:ia]
-    ib = lst.index(b)
-    inner = list(walk[1:-1])
-    part1 = canon_loop(lst[: ib + 1] + inner[::-1])
-    part2 = canon_loop(lst[ib:] + [a] + inner)
+    try:
+        loop1, loop2 = splice_loop(loop, walk)
+    except CutError as e:
+        raise DpError(str(e)) from None
+    part1 = canon_loop(loop1)
+    part2 = canon_loop(loop2)
     if part1[1] + part2[1] != area2:
         raise DpError("path split lost area")
     return part1, part2
@@ -199,28 +166,8 @@ class _CellGeometry:
         self.xs = xs
         self.ys = ys
         self.vtab, self.htab = tables if tables is not None else edge_tables(loop)
-        self.vtouch = {x: self._touch(2 * x, self.vtab, self.htab) for x in xs}
-        self.htouch = {y: self._touch(2 * y, self.htab, self.vtab) for y in ys}
-
-    @staticmethod
-    def _touch(
-        c: int, along: EdgeTable, across: EdgeTable
-    ) -> tuple[list[int], list[int]]:
-        """Touch intervals of the line at doubled coordinate c: the edges
-        ``along`` lie on such lines, the edges ``across`` cross them."""
-        out = [(lo, hi) for e, lo, hi in along if e == c]
-        out += [(e, e) for e, lo, hi in across if lo <= c <= hi]
-        out.sort()
-        los: list[int] = []
-        his: list[int] = []
-        for lo, hi in out:
-            if his and lo <= his[-1]:
-                if hi > his[-1]:
-                    his[-1] = hi
-            else:
-                los.append(lo)
-                his.append(hi)
-        return [lo >> 1 for lo in los], [hi >> 1 for hi in his]
+        self.vtouch = {x: touch_intervals(2 * x, self.vtab, self.htab) for x in xs}
+        self.htouch = {y: touch_intervals(2 * y, self.htab, self.vtab) for y in ys}
 
     def on_boundary(self, p: tuple[int, int]) -> bool:
         los, his = self.vtouch[p[0]]

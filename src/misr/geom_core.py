@@ -1,17 +1,22 @@
 """Exact integer axis-parallel geometry: points, segments, open rectangles,
-simple rectilinear polygons, and the predicates the rest of the toolkit
-relies on.
+simple rectilinear polygons, the predicates the rest of the toolkit
+relies on, and the split of a polygon along a cut.
 
 All arithmetic is integral.  Where a midpoint or half-unit probe is needed
 (edge-side classification, point-in-polygon for cell centers) coordinates
 are doubled internally so every test stays in the integers.
+
+Polygons are split by loop surgery only: ``split_components`` breaks a cut
+into boundary-to-boundary walks and splices each into the vertex loop of
+the part it runs through (``splice_loop``), as the DP does for its cuts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 
 class GeometryError(ValueError):
@@ -19,7 +24,8 @@ class GeometryError(ValueError):
 
 
 class CutError(GeometryError):
-    """A cut that leaves the polygon, crosses itself, or fails to separate."""
+    """A cut that leaves the polygon, crosses itself, holds a cycle, or
+    fails to separate."""
 
 
 @dataclass(frozen=True, order=True)
@@ -136,7 +142,10 @@ def edge_distance(k: int, i: int, j: int) -> int:
 # (dp_solver) both canonicalize loops and query them through these
 # functions: ``merge_loop`` then ``orient_loop`` give the canonical vertex
 # order and the doubled area, ``edge_tables`` gives the doubled edge tables,
-# and the point and rect predicates read those tables.
+# and the point, rect and touch-interval queries read those tables.
+# ``splice_loop`` cuts a loop along a boundary-to-boundary walk; it is the
+# one polygon split, used by the DP's ``surgery`` and by
+# ``split_components`` below.
 
 IntLoop = tuple[tuple[int, int], ...]
 EdgeTable = tuple[tuple[int, int, int], ...]
@@ -248,14 +257,87 @@ def loop_contains_rect_doubled(
     return True
 
 
+def touch_intervals(
+    c: int, along: EdgeTable, across: EdgeTable
+) -> tuple[list[int], list[int]]:
+    """Where the line at doubled coordinate c touches the loop: the edges
+    ``along`` lie on such lines, the edges ``across`` cross them.  The
+    sorted, disjoint closed intervals, halved, as the list of their low
+    ends and the list of their high ends."""
+    out = [(lo, hi) for e, lo, hi in along if e == c]
+    out += [(e, e) for e, lo, hi in across if lo <= c <= hi]
+    out.sort()
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in out:
+        if his and lo <= his[-1]:
+            if hi > his[-1]:
+                his[-1] = hi
+        else:
+            los.append(lo)
+            his.append(hi)
+    return [lo >> 1 for lo in los], [hi >> 1 for hi in his]
+
+
+def _loop_insert(loop: list[tuple[int, int]], p: tuple[int, int]) -> list[tuple[int, int]]:
+    if p in loop:
+        return loop
+    x, y = p
+    n = len(loop)
+    for i in range(n):
+        q, r = loop[i], loop[(i + 1) % n]
+        if q[0] == r[0] == x:
+            if q[1] <= y <= r[1] or r[1] <= y <= q[1]:
+                return loop[: i + 1] + [p] + loop[i + 1 :]
+        elif q[1] == r[1] == y and (q[0] <= x <= r[0] or r[0] <= x <= q[0]):
+            return loop[: i + 1] + [p] + loop[i + 1 :]
+    raise CutError(f"{p} not on the boundary loop")
+
+
+def crosses_itself(walk: Sequence[tuple[int, int]]) -> bool:
+    """Do two non-adjacent segments of the walk share a point?  Adjacent
+    segments are perpendicular, so segments i and i + 2 lie on distinct
+    parallel lines and cannot meet; only walks of four or more segments
+    can cross."""
+    segs = [
+        (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
+        for p, q in zip(walk, walk[1:])
+    ]
+    for i in range(len(segs) - 3):
+        xlo, xhi, ylo, yhi = segs[i]
+        for j in range(i + 3, len(segs)):
+            x0, x1, y0, y1 = segs[j]
+            if x0 <= xhi and xlo <= x1 and y0 <= yhi and ylo <= y1:
+                return True
+    return False
+
+
+def splice_loop(
+    loop: Sequence[tuple[int, int]], walk: Sequence[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The two vertex loops that a walk between two boundary points cuts a
+    simple loop into, not yet canonical.  Raises CutError when the walk
+    crosses itself or an end is not on the loop."""
+    if len(walk) > 4 and crosses_itself(walk):
+        raise CutError("walk crosses itself")
+    a, b = walk[0], walk[-1]
+    lst = _loop_insert(list(loop), a)
+    lst = _loop_insert(lst, b)
+    ia = lst.index(a)
+    lst = lst[ia:] + lst[:ia]
+    ib = lst.index(b)
+    inner = list(walk[1:-1])
+    return lst[: ib + 1] + inner[::-1], lst[ib:] + [a] + inner
+
+
 class RectPolygon:
     """Simple rectilinear polygon, canonicalized: clockwise vertex order
     starting at the lexicographically smallest vertex, collinear edges
     merged.
 
-    Non-simple vertex loops (pinched components produced by degenerate
-    cuts) are representable but flagged via ``is_simple``; only simple
-    polygons may be used as partition/DP cells.
+    Non-simple vertex loops (pinched or self-touching) are representable
+    but flagged via ``is_simple``; only simple polygons may be used as
+    partition/DP cells.
 
     A view over the integer loop kernel above: ``__init__`` canonicalizes
     with ``merge_loop`` and ``orient_loop``, which also give the doubled
@@ -409,6 +491,11 @@ class RectPolygon:
         return loop_contains_rect_doubled(
             self._vtab, self._htab, 2 * r.xl, 2 * r.yb, 2 * r.xr, 2 * r.yt
         )
+
+    def vertical_touches(self, x: int) -> list[tuple[int, int]]:
+        """The sorted, disjoint closed y-intervals (possibly single points)
+        where the vertical line at x touches the boundary."""
+        return list(zip(*touch_intervals(2 * x, self._vtab, self._htab)))
 
     # -- refined grid ------------------------------------------------------
 
@@ -589,6 +676,8 @@ class Cut:
 
     shape is 'path' for a boundary-to-boundary chain, 'tree' for two chains
     sharing a prefix (the two-armed cuts of the line-partitioning step).
+    A cut whose segments close a cycle is neither; splitting along it
+    raises CutError.
     """
 
     segments: tuple[Segment, ...]
@@ -647,207 +736,120 @@ def splice_simple(points: Sequence[Point]) -> list[Point]:
     return out
 
 
-class _Splitter:
-    """Refined-grid flood fill computing the connected components of a
-    polygon minus a set of cut segments."""
+def _check_no_proper_crossing(segs: Sequence[Segment]) -> None:
+    """Raise CutError when two canonical segments cross at a point
+    interior to both."""
+    for s, t in combinations(segs, 2):
+        if s.vertical != t.vertical:
+            v, h = (s, t) if s.vertical else (t, s)
+            if h.a.x < v.a.x < h.b.x and v.a.y < h.a.y < v.b.y:
+                raise CutError(f"cut segments cross: {s} x {t}")
 
-    def __init__(self, poly: RectPolygon, segments: Sequence[Segment]):
-        self.poly = poly
-        self.segments = [s.canonical() for s in segments]
-        for s in self.segments:
-            if not poly.contains_segment(s):
-                raise CutError(f"cut segment {s} leaves the polygon")
-        self._check_no_proper_crossing()
-        xs = {p.x for p in poly.vertices}
-        ys = {p.y for p in poly.vertices}
-        for s in self.segments:
-            xs.update((s.a.x, s.b.x))
-            ys.update((s.a.y, s.b.y))
-        self.xs = sorted(xs)
-        self.ys = sorted(ys)
-        # (vertical, coordinate) -> spans of cut segments and polygon edges
-        # on that line.
-        walls: dict[tuple[bool, int], list[tuple[int, int]]] = {}
-        for s in self.segments:
-            if s.vertical:
-                walls.setdefault((True, s.a.x), []).append((s.a.y, s.b.y))
-            elif s.horizontal:
-                walls.setdefault((False, s.a.y), []).append((s.a.x, s.b.x))
-        for vertical, tab in ((True, poly._vtab), (False, poly._htab)):
-            for c, lo, hi in tab:
-                walls.setdefault((vertical, c >> 1), []).append((lo >> 1, hi >> 1))
-        self._walls = walls
 
-    def _check_no_proper_crossing(self) -> None:
-        segs = [s for s in self.segments if not s.degenerate]
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                s, t = segs[i], segs[j]
-                if s.vertical == t.vertical:
-                    continue
-                v, h = (s, t) if s.vertical else (t, s)
-                x1, x2 = sorted((h.a.x, h.b.x))
-                y1, y2 = sorted((v.a.y, v.b.y))
-                if x1 < v.a.x < x2 and y1 < h.a.y < y2:
-                    raise CutError(f"cut segments cross: {s} x {t}")
-
-    def _inside_cell(self, i: int, j: int) -> bool:
-        return self.poly.contains_doubled(
-            self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
-        ) and not self.poly.on_boundary_doubled(
-            self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
+def cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[Segment]]:
+    """Each segment cut at the polygon's vertices and boundary crossings
+    and at the other segments' endpoints: per segment, its pieces in
+    order of increasing coordinate, leaving out those on the boundary."""
+    ends = {(p.x, p.y) for s in segments for p in (s.a, s.b)}
+    out = []
+    for s in segments:
+        # c is the segment's line, [a, b] its span along it; a point q lies
+        # on the line when q[1 - v] == c, at coordinate q[v]
+        v = s.vertical
+        c = s.a.x if v else s.a.y
+        a, b = sorted((s.a.y, s.b.y) if v else (s.a.x, s.b.x))
+        ts = {a, b} | {q[v] for q in ends if q[1 - v] == c and a < q[v] < b}
+        ts.update(
+            e >> 1 for e, lo, hi in (poly._htab if v else poly._vtab)
+            if lo <= 2 * c <= hi and 2 * a <= e <= 2 * b
         )
+        ts = sorted(ts)
+        pairs = [((c, t), (c, u)) if v else ((t, c), (u, c)) for t, u in zip(ts, ts[1:])]
+        out.append([
+            Segment(Point(*p), Point(*q)) for p, q in pairs
+            if not poly.on_boundary_doubled(p[0] + q[0], p[1] + q[1])
+        ])
+    return out
 
-    def _blocked(self, vertical: bool, c: int, lo: int, hi: int) -> bool:
-        """Is the unit grid wall (a full cell side) covered by a cut segment
-        or by the polygon boundary?"""
-        for a, b in self._walls.get((vertical, c), ()):
-            if a <= lo and hi <= b:
-                return True
-        return False
 
-    def components(self) -> list[dict]:
-        xs, ys = self.xs, self.ys
-        ni, nj = len(xs) - 1, len(ys) - 1
-        inside = [[self._inside_cell(i, j) for j in range(nj)] for i in range(ni)]
-        comp = [[-1] * nj for _ in range(ni)]
-        comps: list[list[tuple[int, int]]] = []
-        for i0 in range(ni):
-            for j0 in range(nj):
-                if not inside[i0][j0] or comp[i0][j0] != -1:
-                    continue
-                cid = len(comps)
-                stack = [(i0, j0)]
-                comp[i0][j0] = cid
-                cells = []
-                while stack:
-                    i, j = stack.pop()
-                    cells.append((i, j))
-                    if i + 1 < ni and inside[i + 1][j] and comp[i + 1][j] == -1:
-                        if not self._blocked(True, xs[i + 1], ys[j], ys[j + 1]):
-                            comp[i + 1][j] = cid
-                            stack.append((i + 1, j))
-                    if i > 0 and inside[i - 1][j] and comp[i - 1][j] == -1:
-                        if not self._blocked(True, xs[i], ys[j], ys[j + 1]):
-                            comp[i - 1][j] = cid
-                            stack.append((i - 1, j))
-                    if j + 1 < nj and inside[i][j + 1] and comp[i][j + 1] == -1:
-                        if not self._blocked(False, ys[j + 1], xs[i], xs[i + 1]):
-                            comp[i][j + 1] = cid
-                            stack.append((i, j + 1))
-                    if j > 0 and inside[i][j - 1] and comp[i][j - 1] == -1:
-                        if not self._blocked(False, ys[j], xs[i], xs[i + 1]):
-                            comp[i][j - 1] = cid
-                            stack.append((i, j - 1))
-                comps.append(cells)
-        return [
-            {"cells": cells, "polygon": self._trace(cells)} for cells in comps
+def _prune(adj: dict[tuple[int, int], set], keep: set) -> None:
+    """Remove, until none is left, every node outside ``keep`` with at
+    most one neighbour, and then the nodes left without neighbours."""
+    tips = [q for q, nb in adj.items() if len(nb) <= 1 and q not in keep]
+    while tips:
+        q = tips.pop()
+        for r in adj.pop(q):
+            adj[r].discard(q)
+            if len(adj[r]) == 1 and r not in keep:
+                tips.append(r)
+    for q in [q for q, nb in adj.items() if not nb]:
+        del adj[q]
+
+
+def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
+    """The parts of p cut along c, sorted by smallest vertex; just p when
+    the cut separates nothing.
+
+    The cut's pieces (``cut_pieces``) form a graph on their endpoints.
+    Slits that end inside the polygon are pruned; what is left is a
+    forest whose leaves lie on the boundary.  It is split off one
+    boundary-to-boundary walk at a time, each spliced into the part that
+    holds its first piece.  Raises CutError when a segment leaves the
+    polygon, two segments cross, or the cut holds a cycle.
+    """
+    segs = [s.canonical() for s in c.nondegenerate()]
+    for s in segs:
+        if not p.contains_segment(s):
+            raise CutError(f"cut segment {s} leaves the polygon")
+    _check_no_proper_crossing(segs)
+    adj: dict[tuple[int, int], set] = {}
+    for pieces in cut_pieces(p, segs):
+        for s in pieces:
+            a, b = (s.a.x, s.a.y), (s.b.x, s.b.y)
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    # nodes on the boundary of some part: first the polygon's, then also
+    # every walk already split along
+    fixed = {q for q in adj if p.on_boundary_doubled(2 * q[0], 2 * q[1])}
+    _prune(adj, fixed)
+    forest = {q: set(nb) for q, nb in adj.items()}
+    _prune(forest, set())  # only a cycle survives pruning every leaf
+    if forest:
+        raise CutError("cut contains a cycle")
+    parts = [p]
+    while adj:
+        walk = [min(q for q in adj if q in fixed)]
+        while len(walk) == 1 or walk[-1] not in fixed:
+            q = walk[-1]
+            r = min(adj[q])
+            for u, v in ((q, r), (r, q)):
+                adj[u].discard(v)
+                if not adj[u]:
+                    del adj[u]
+            walk.append(r)
+        fixed.update(walk)
+        X, Y = walk[0][0] + walk[1][0], walk[0][1] + walk[1][1]
+        i = next(
+            i for i, q in enumerate(parts)
+            if q.contains_doubled(X, Y) and not q.on_boundary_doubled(X, Y)
+        )
+        whole = parts[i]
+        halves = [
+            RectPolygon([Point(*t) for t in loop])
+            for loop in splice_loop([(v.x, v.y) for v in whole.vertices], walk)
         ]
-
-    def _trace(self, cells: list[tuple[int, int]]) -> RectPolygon:
-        """Trace the boundary loop of a cell set (interior kept on the right,
-        giving clockwise order); pinched components come out non-simple."""
-        xs, ys = self.xs, self.ys
-        cellset = set(cells)
-        # Directed unit boundary edges, keyed by start vertex.
-        outgoing: dict[Point, list[Point]] = {}
-
-        def add(a: Point, b: Point) -> None:
-            outgoing.setdefault(a, []).append(b)
-
-        for (i, j) in cells:
-            x1, x2, y1, y2 = xs[i], xs[i + 1], ys[j], ys[j + 1]
-            if (i - 1, j) not in cellset or self._blocked(True, x1, y1, y2):
-                add(Point(x1, y1), Point(x1, y2))
-            if (i + 1, j) not in cellset or self._blocked(True, x2, y1, y2):
-                add(Point(x2, y2), Point(x2, y1))
-            if (i, j - 1) not in cellset or self._blocked(False, y1, x1, x2):
-                add(Point(x2, y1), Point(x1, y1))
-            if (i, j + 1) not in cellset or self._blocked(False, y2, x1, x2):
-                add(Point(x1, y2), Point(x2, y2))
-
-        start = min(outgoing)
-        loop = [start]
-        prev_dir: Optional[tuple[int, int]] = None
-        cur = start
-        # Rightmost-turn-first keeps the traced face consistent at pinches;
-        # reversal last so slit tips (non-separating cut ends) can U-turn.
-        turn_order = {
-            (0, 1): [(1, 0), (0, 1), (-1, 0), (0, -1)],
-            (1, 0): [(0, -1), (1, 0), (0, 1), (-1, 0)],
-            (0, -1): [(-1, 0), (0, -1), (1, 0), (0, 1)],
-            (-1, 0): [(0, 1), (-1, 0), (0, -1), (1, 0)],
-        }
-        total = sum(len(v) for v in outgoing.values())
-        steps = 0
-        while True:
-            cands = outgoing.get(cur, [])
-            if not cands:
-                raise GeometryError("boundary trace dead end")
-            if prev_dir is None or len(cands) == 1:
-                nxt = sorted(cands)[0]
-            else:
-                nxt = None
-                for d in turn_order[prev_dir]:
-                    for c in sorted(cands):
-                        dx = (c.x > cur.x) - (c.x < cur.x)
-                        dy = (c.y > cur.y) - (c.y < cur.y)
-                        if (dx, dy) == d:
-                            nxt = c
-                            break
-                    if nxt is not None:
-                        break
-                if nxt is None:
-                    nxt = sorted(cands)[0]
-            cands.remove(nxt)
-            if not cands:
-                del outgoing[cur]
-            prev_dir = ((nxt.x > cur.x) - (nxt.x < cur.x), (nxt.y > cur.y) - (nxt.y < cur.y))
-            cur = nxt
-            steps += 1
-            if cur == start:
-                break
-            loop.append(cur)
-            if steps > total + 1:
-                raise GeometryError("boundary trace failed to close")
-        if outgoing:
-            # Leftover edges mean a second loop: a hole, impossible for
-            # acyclic cuts of a simple polygon.
-            raise GeometryError("component boundary is not a single loop")
-        return RectPolygon(loop)
+        if halves[0].area2() + halves[1].area2() != whole.area2():
+            raise CutError("split lost area")
+        parts[i : i + 1] = halves
+    return sorted(parts, key=lambda q: q.vertices[0])
 
 
 def split_polygon(p: RectPolygon, c: Cut) -> list[RectPolygon]:
-    """Connected components of p minus the cut, canonicalized.
+    """The parts of p cut along c, as ``split_components`` gives them.
 
-    Raises CutError when the cut does not separate (single component).
-    Components with pinch points are returned with is_simple == False.
+    Raises CutError when the cut does not separate (single part).
     """
-    comps = split_components(p, c)
-    if len(comps) < 2:
+    parts = split_components(p, c)
+    if len(parts) < 2:
         raise CutError("cut does not separate the polygon")
-    return [comp["polygon"] for comp in comps]
-
-
-def split_components(p: RectPolygon, c: Cut) -> list[dict]:
-    """Like split_polygon but non-raising and with cell data per component."""
-    segs = c.nondegenerate()
-    splitter = _Splitter(p, segs)
-    comps = splitter.components()
-    for comp in comps:
-        comp["splitter"] = splitter
-    return comps
-
-
-def component_contains_rect(comp: dict, r: Rect) -> bool:
-    """Does a split component hold this rectangle?
-
-    Valid only when no cut segment intersects the rectangle's interior:
-    then every grid cell overlapping the interior lies in one component,
-    so membership of the cell at the rect's bottom-left corner decides.
-    """
-    splitter: _Splitter = comp["splitter"]
-    xs, ys = splitter.xs, splitter.ys
-    i = bisect_right(xs, r.xl) - 1
-    j = bisect_right(ys, r.yb) - 1
-    return (i, j) in set(comp["cells"])
+    return parts

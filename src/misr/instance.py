@@ -149,7 +149,7 @@ def exact_mis(inst: Instance, cap: Optional[int] = None) -> Solution:
     return sol
 
 
-GENERATOR_KINDS = ("uniform_random", "nested_grid", "windmill", "stacked_strips")
+GENERATOR_KINDS = ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed")
 
 # Interlocking pinwheel: four pairwise-disjoint arms, every axis-parallel
 # chord of the bounding square cuts one of them, plus a center rectangle
@@ -202,6 +202,20 @@ def generate(kind: str, n: int, seed: int) -> Instance:
         return preprocess(rects[:n])
     if kind == "stacked_strips":
         rects = [Rect(0, 2 * i, 2 * n, 2 * i + 1) for i in range(n)]
+        return preprocess(rects)
+    if kind == "packed":  # dense and pairwise disjoint; may hold fewer than n
+        rng = random.Random(("packed", n, seed).__repr__())
+        span = 4 * n
+        top = -(-span // 3)  # sides are drawn from [1, 4n/3)
+        rects = []
+        for _ in range(5000):
+            if len(rects) == n:
+                break
+            w, h = rng.randrange(1, top), rng.randrange(1, top)
+            x, y = rng.randrange(0, span - w + 1), rng.randrange(0, span - h + 1)
+            r = Rect(x, y, x + w, y + h)
+            if not any(rects_intersect(r, o) for o in rects):
+                rects.append(r)
         return preprocess(rects)
     raise InstanceError(f"unknown generator kind {kind!r}")
 

@@ -26,7 +26,7 @@ from .geom_core import (
     Rect,
     RectPolygon,
     Segment,
-    component_contains_rect,
+    cut_pieces,
     edge_distance,
     is_horizontally_convex,
     polyline_to_segments,
@@ -125,19 +125,18 @@ def _finalize(
     """Split by the cut, repair degenerate outcomes, and assert the
     partitioning postconditions."""
     merged = _merge_segments(segments)
-    comps = split_components(poly, Cut(tuple(merged)))
+    polys = split_components(poly, Cut(tuple(merged)))
     lo, hi = expect_components if expect_components else (2, 2)
-    bad = len(comps) < 2 or len(comps) > hi or any(
-        not c["polygon"].is_simple for c in comps
-    ) or any(c["polygon"].num_edges > max_edges for c in comps)
+    bad = len(polys) < 2 or len(polys) > hi or any(
+        not c.is_simple for c in polys
+    ) or any(c.num_edges > max_edges for c in polys)
     if bad:
         merged = repair_nonsimple(poly, merged, max_edges)
-        comps = split_components(poly, Cut(tuple(merged)))
+        polys = split_components(poly, Cut(tuple(merged)))
         case = case + "+repair"
-    polys = [c["polygon"] for c in comps]
-    if not (lo <= len(comps) <= hi):
+    if not (lo <= len(polys) <= hi):
         raise ConstructionError(
-            f"{case}: expected {lo}..{hi} components, got {len(comps)}"
+            f"{case}: expected {lo}..{hi} components, got {len(polys)}"
         )
     if any(not p.is_simple for p in polys):
         raise ConstructionError(f"{case}: non-simple component survived repair")
@@ -172,13 +171,13 @@ def _finalize(
     for rid, r in rects:
         if rid in hits:
             continue
-        homes = [i for i, c in enumerate(comps) if component_contains_rect(c, r)]
+        homes = [i for i, c in enumerate(polys) if c.contains_rect(r)]
         if len(homes) != 1:
             raise ConstructionError(
                 f"{case}: rect {rid} lies in {len(homes)} components"
             )
         assignment[rid] = homes[0]
-    shape = "tree" if len(comps) == 3 else "path"
+    shape = "tree" if len(polys) == 3 else "path"
     return CutResult(
         Cut(tuple(merged), shape), ell, intersected, polys, assignment, case
     )
@@ -201,51 +200,12 @@ def repair_nonsimple(
     edges = poly.edges()
     k = len(edges)
 
-    # Refine cut segments at boundary contacts and mutual endpoints.
-    def refine(s: Segment) -> list[Segment]:
-        pts = {s.a, s.b}
-        lo, hi = sorted((s.a, s.b))
-        for e in edges:
-            if s.vertical == e.vertical and not s.degenerate and not e.degenerate:
-                if s.vertical and e.vertical and e.a.x == s.a.x:
-                    y1, y2 = sorted((e.a.y, e.b.y))
-                    for y in (y1, y2):
-                        if lo.y <= y <= hi.y:
-                            pts.add(Point(s.a.x, y))
-                elif s.horizontal and e.horizontal and e.a.y == s.a.y:
-                    x1, x2 = sorted((e.a.x, e.b.x))
-                    for x in (x1, x2):
-                        if lo.x <= x <= hi.x:
-                            pts.add(Point(x, s.a.y))
-            else:
-                cross = _cross_point(s, e)
-                if cross is not None:
-                    pts.add(cross)
-        for t in segments:
-            if t is s:
-                continue
-            for p in (t.a, t.b):
-                if s.contains_point(p):
-                    pts.add(p)
-        if s.vertical:
-            ordered = sorted(pts, key=lambda p: p.y)
-        else:
-            ordered = sorted(pts, key=lambda p: p.x)
-        return [
-            Segment(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1)
-        ]
-
-    def on_boundary(s: Segment) -> bool:
-        mx, my = s.a.x + s.b.x, s.a.y + s.b.y
-        return poly.on_boundary_doubled(mx, my)
-
+    # Cut segments refined at boundary contacts and mutual endpoints.
     pieces: list[Segment] = []
     piece_owner: list[int] = []
-    for si, s in enumerate(segments):
-        for piece in refine(s):
-            if not on_boundary(piece):
-                pieces.append(piece)
-                piece_owner.append(si)
+    for si, refined in enumerate(cut_pieces(poly, segments)):
+        pieces += refined
+        piece_owner += [si] * len(refined)
 
     # Graph on piece endpoints.
     adj: dict[Point, list[int]] = {}
@@ -309,8 +269,8 @@ def repair_nonsimple(
             continue
         ok = (
             len(comps) == 2
-            and all(c["polygon"].is_simple for c in comps)
-            and all(c["polygon"].num_edges <= max_edges for c in comps)
+            and all(c.is_simple for c in comps)
+            and all(c.num_edges <= max_edges for c in comps)
         )
         if not ok:
             continue
@@ -366,20 +326,6 @@ def _covered_by(s: Segment, pieces: list[Segment]) -> bool:
     return cur >= want_hi
 
 
-def _cross_point(v: Segment, h: Segment) -> Optional[Point]:
-    if v.degenerate or h.degenerate or v.vertical == h.vertical:
-        return None
-    if h.vertical:
-        v, h = h, v
-    x = v.a.x
-    y = h.a.y
-    y1, y2 = sorted((v.a.y, v.b.y))
-    x1, x2 = sorted((h.a.x, h.b.x))
-    if x1 <= x <= x2 and y1 <= y <= y2:
-        return Point(x, y)
-    return None
-
-
 # -- k/3 vertical chord --------------------------------------------------------
 
 
@@ -428,7 +374,7 @@ def all_chords(poly: RectPolygon) -> list[Chord]:
     x0, _, x1, _ = poly.bbox()
     out = []
     for x in range(x0, x1 + 1):
-        touches = _boundary_touches_vertical(poly, x)
+        touches = poly.vertical_touches(x)
         for lo, hi in poly.vertical_section(x):
             ys = sorted(
                 {y for t1, t2 in touches for y in (t1, t2) if lo <= y <= hi}
@@ -437,28 +383,6 @@ def all_chords(poly: RectPolygon) -> list[Chord]:
                 for b in range(a + 1, len(ys)):
                     out.append(_make_chord(poly, x, ys[a], ys[b]))
     return out
-
-
-def _boundary_touches_vertical(poly: RectPolygon, x: int) -> list[tuple[int, int]]:
-    """Maximal y-intervals (possibly degenerate) of boundary points on the
-    vertical line at x."""
-    touches = []
-    for e in poly.edges():
-        if e.vertical and e.a.x == x:
-            y1, y2 = sorted((e.a.y, e.b.y))
-            touches.append((y1, y2))
-        elif e.horizontal:
-            ex1, ex2 = sorted((e.a.x, e.b.x))
-            if ex1 <= x <= ex2:
-                touches.append((e.a.y, e.a.y))
-    touches.sort()
-    merged = []
-    for lo, hi in touches:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 def vertical_spanning_segment(poly: RectPolygon) -> tuple[Segment, Chord]:
@@ -595,17 +519,11 @@ def _improve_case1(
         return _make_chord(poly, chord.x, p_b.y, q.y)
     # right endpoint: jump to the next boundary touch above (the touch
     # interval containing p_t may itself continue upward along an edge).
-    touches = _boundary_touches_vertical(poly, chord.x)
-    qy = None
-    for lo, hi in touches:
-        if lo <= p_t.y <= hi and hi > p_t.y:
-            qy = hi
-            break
-    if qy is None:
-        cand = sorted(lo for lo, _hi in touches if lo > p_t.y)
-        if not cand:
-            raise ConstructionError("case 1b: no boundary point above p_t")
-        qy = cand[0]
+    above = [(lo, hi) for lo, hi in poly.vertical_touches(chord.x) if hi > p_t.y]
+    if not above:
+        raise ConstructionError("case 1b: no boundary point above p_t")
+    lo, hi = above[0]
+    qy = hi if lo <= p_t.y else lo
     if not poly.contains_segment(Segment(p_t, Point(chord.x, qy))):
         raise ConstructionError("case 1b: segment above p_t leaves polygon")
     q = Point(chord.x, qy)

@@ -14,6 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from misr.dp_solver import DpError, dp_solve, surgery
 from misr.geom_core import (
+    Cut,
+    CutError,
     GeometryError,
     Point,
     Rect,
@@ -1036,7 +1038,7 @@ def dp_dominates_partition(
 #
 # The polygon predicates as first written: every call walks the vertex
 # loop, building segments and sorting endpoints.  test_polygon_kernel.py
-# requires RectPolygon and _Splitter to agree with them exactly.
+# requires RectPolygon's edge tables to agree with them exactly.
 
 
 def _loop_edges(poly: RectPolygon) -> list[Segment]:
@@ -1126,19 +1128,190 @@ def ref_is_simple(poly: RectPolygon) -> bool:
     return True
 
 
-def ref_blocked(splitter, vertical: bool, c: int, lo: int, hi: int) -> bool:
-    """Is the grid wall covered by one of the splitter's cut segments or by
-    one edge of its polygon?"""
-    for s in list(splitter.segments) + _loop_edges(splitter.poly):
-        if vertical and s.vertical and s.a.x == c:
-            y1, y2 = sorted((s.a.y, s.b.y))
-            if y1 <= lo and hi <= y2:
+# -- refined-grid polygon split (reference for split_components) -------------------
+#
+# The first-written split: a flood fill over the grid refined by the
+# polygon's and the cut's coordinates, then a trace of each component's
+# unit boundary edges.  test_polygon_kernel.py requires split_components
+# to agree with it on every split the constructions make and on random
+# cuts.
+
+
+def ref_split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
+    """The components of p minus the cut, in flood-fill order; pinched
+    components come back with is_simple == False."""
+    return [comp["polygon"] for comp in _Splitter(p, c.nondegenerate()).components()]
+
+
+class _Splitter:
+    """Refined-grid flood fill computing the connected components of a
+    polygon minus a set of cut segments."""
+
+    def __init__(self, poly: RectPolygon, segments: Sequence[Segment]):
+        self.poly = poly
+        self.segments = [s.canonical() for s in segments]
+        for s in self.segments:
+            if not poly.contains_segment(s):
+                raise CutError(f"cut segment {s} leaves the polygon")
+        self._check_no_proper_crossing()
+        xs = {p.x for p in poly.vertices}
+        ys = {p.y for p in poly.vertices}
+        for s in self.segments:
+            xs.update((s.a.x, s.b.x))
+            ys.update((s.a.y, s.b.y))
+        self.xs = sorted(xs)
+        self.ys = sorted(ys)
+        # (vertical, coordinate) -> spans of cut segments and polygon edges
+        # on that line.
+        walls: dict[tuple[bool, int], list[tuple[int, int]]] = {}
+        for s in self.segments:
+            if s.vertical:
+                walls.setdefault((True, s.a.x), []).append((s.a.y, s.b.y))
+            elif s.horizontal:
+                walls.setdefault((False, s.a.y), []).append((s.a.x, s.b.x))
+        for vertical, tab in ((True, poly._vtab), (False, poly._htab)):
+            for c, lo, hi in tab:
+                walls.setdefault((vertical, c >> 1), []).append((lo >> 1, hi >> 1))
+        self._walls = walls
+
+    def _check_no_proper_crossing(self) -> None:
+        segs = [s for s in self.segments if not s.degenerate]
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                s, t = segs[i], segs[j]
+                if s.vertical == t.vertical:
+                    continue
+                v, h = (s, t) if s.vertical else (t, s)
+                x1, x2 = sorted((h.a.x, h.b.x))
+                y1, y2 = sorted((v.a.y, v.b.y))
+                if x1 < v.a.x < x2 and y1 < h.a.y < y2:
+                    raise CutError(f"cut segments cross: {s} x {t}")
+
+    def _inside_cell(self, i: int, j: int) -> bool:
+        return self.poly.contains_doubled(
+            self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
+        ) and not self.poly.on_boundary_doubled(
+            self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
+        )
+
+    def _blocked(self, vertical: bool, c: int, lo: int, hi: int) -> bool:
+        """Is the unit grid wall (a full cell side) covered by a cut segment
+        or by the polygon boundary?"""
+        for a, b in self._walls.get((vertical, c), ()):
+            if a <= lo and hi <= b:
                 return True
-        if not vertical and s.horizontal and s.a.y == c:
-            x1, x2 = sorted((s.a.x, s.b.x))
-            if x1 <= lo and hi <= x2:
-                return True
-    return False
+        return False
+
+    def components(self) -> list[dict]:
+        xs, ys = self.xs, self.ys
+        ni, nj = len(xs) - 1, len(ys) - 1
+        inside = [[self._inside_cell(i, j) for j in range(nj)] for i in range(ni)]
+        comp = [[-1] * nj for _ in range(ni)]
+        comps: list[list[tuple[int, int]]] = []
+        for i0 in range(ni):
+            for j0 in range(nj):
+                if not inside[i0][j0] or comp[i0][j0] != -1:
+                    continue
+                cid = len(comps)
+                stack = [(i0, j0)]
+                comp[i0][j0] = cid
+                cells = []
+                while stack:
+                    i, j = stack.pop()
+                    cells.append((i, j))
+                    if i + 1 < ni and inside[i + 1][j] and comp[i + 1][j] == -1:
+                        if not self._blocked(True, xs[i + 1], ys[j], ys[j + 1]):
+                            comp[i + 1][j] = cid
+                            stack.append((i + 1, j))
+                    if i > 0 and inside[i - 1][j] and comp[i - 1][j] == -1:
+                        if not self._blocked(True, xs[i], ys[j], ys[j + 1]):
+                            comp[i - 1][j] = cid
+                            stack.append((i - 1, j))
+                    if j + 1 < nj and inside[i][j + 1] and comp[i][j + 1] == -1:
+                        if not self._blocked(False, ys[j + 1], xs[i], xs[i + 1]):
+                            comp[i][j + 1] = cid
+                            stack.append((i, j + 1))
+                    if j > 0 and inside[i][j - 1] and comp[i][j - 1] == -1:
+                        if not self._blocked(False, ys[j], xs[i], xs[i + 1]):
+                            comp[i][j - 1] = cid
+                            stack.append((i, j - 1))
+                comps.append(cells)
+        return [
+            {"cells": cells, "polygon": self._trace(cells)} for cells in comps
+        ]
+
+    def _trace(self, cells: list[tuple[int, int]]) -> RectPolygon:
+        """Trace the boundary loop of a cell set (interior kept on the right,
+        giving clockwise order); pinched components come out non-simple."""
+        xs, ys = self.xs, self.ys
+        cellset = set(cells)
+        # Directed unit boundary edges, keyed by start vertex.
+        outgoing: dict[Point, list[Point]] = {}
+
+        def add(a: Point, b: Point) -> None:
+            outgoing.setdefault(a, []).append(b)
+
+        for (i, j) in cells:
+            x1, x2, y1, y2 = xs[i], xs[i + 1], ys[j], ys[j + 1]
+            if (i - 1, j) not in cellset or self._blocked(True, x1, y1, y2):
+                add(Point(x1, y1), Point(x1, y2))
+            if (i + 1, j) not in cellset or self._blocked(True, x2, y1, y2):
+                add(Point(x2, y2), Point(x2, y1))
+            if (i, j - 1) not in cellset or self._blocked(False, y1, x1, x2):
+                add(Point(x2, y1), Point(x1, y1))
+            if (i, j + 1) not in cellset or self._blocked(False, y2, x1, x2):
+                add(Point(x1, y2), Point(x2, y2))
+
+        start = min(outgoing)
+        loop = [start]
+        prev_dir: Optional[tuple[int, int]] = None
+        cur = start
+        # Rightmost-turn-first keeps the traced face consistent at pinches;
+        # reversal last so slit tips (non-separating cut ends) can U-turn.
+        turn_order = {
+            (0, 1): [(1, 0), (0, 1), (-1, 0), (0, -1)],
+            (1, 0): [(0, -1), (1, 0), (0, 1), (-1, 0)],
+            (0, -1): [(-1, 0), (0, -1), (1, 0), (0, 1)],
+            (-1, 0): [(0, 1), (-1, 0), (0, -1), (1, 0)],
+        }
+        total = sum(len(v) for v in outgoing.values())
+        steps = 0
+        while True:
+            cands = outgoing.get(cur, [])
+            if not cands:
+                raise GeometryError("boundary trace dead end")
+            if prev_dir is None or len(cands) == 1:
+                nxt = sorted(cands)[0]
+            else:
+                nxt = None
+                for d in turn_order[prev_dir]:
+                    for c in sorted(cands):
+                        dx = (c.x > cur.x) - (c.x < cur.x)
+                        dy = (c.y > cur.y) - (c.y < cur.y)
+                        if (dx, dy) == d:
+                            nxt = c
+                            break
+                    if nxt is not None:
+                        break
+                if nxt is None:
+                    nxt = sorted(cands)[0]
+            cands.remove(nxt)
+            if not cands:
+                del outgoing[cur]
+            prev_dir = ((nxt.x > cur.x) - (nxt.x < cur.x), (nxt.y > cur.y) - (nxt.y < cur.y))
+            cur = nxt
+            steps += 1
+            if cur == start:
+                break
+            loop.append(cur)
+            if steps > total + 1:
+                raise GeometryError("boundary trace failed to close")
+        if outgoing:
+            # Leftover edges mean a second loop: a hole, impossible for
+            # acyclic cuts of a simple polygon.
+            raise GeometryError("component boundary is not a single loop")
+        return RectPolygon(loop)
+
 
 
 def ref_line_fences_from_point(

@@ -238,7 +238,7 @@ class TestSplitPolygon:
         )
         comps = split_components(poly, cut)
         assert len(comps) == 3
-        assert all(c["polygon"].is_simple for c in comps)
+        assert all(c.is_simple for c in comps)
 
     def test_pocket_cut_u_frame(self):
         poly = RectPolygon([Point(0, 0), Point(0, 3), Point(4, 3), Point(4, 0)])
@@ -250,9 +250,9 @@ class TestSplitPolygon:
             )
         )
         comps = split_components(poly, cut)
-        shapes = sorted(c["polygon"].num_edges for c in comps)
+        shapes = sorted(c.num_edges for c in comps)
         assert shapes == [4, 8]
-        assert all(c["polygon"].is_simple for c in comps)
+        assert all(c.is_simple for c in comps)
 
     def test_dangling_slit_normalizes_away(self):
         # a cut ending in the interior separates nothing

@@ -136,7 +136,7 @@ class TestGenerators:
             assert any(segment_intersects_rect(seg, inst.rects[i]) for i in opt)
 
     def test_determinism(self):
-        for kind in ("uniform_random", "nested_grid", "windmill", "stacked_strips"):
+        for kind in ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed"):
             a = generate(kind, 6, 42)
             b = generate(kind, 6, 42)
             assert a == b
@@ -145,12 +145,24 @@ class TestGenerators:
         inst = generate("stacked_strips", 9, 5)
         assert exact_mis(inst, cap=9).size == 9
 
+    def test_packed_dense_and_disjoint(self):
+        """packed fills its square with n pairwise-disjoint rects at these
+        sizes, and stops drawing when the square is too full."""
+        for n in (3, 12, 24, 32):
+            for seed in range(5):
+                inst = generate("packed", n, seed)
+                assert inst.n == n
+                assert not any(
+                    rects_intersect(a, b) for i, a in enumerate(inst.rects) for b in inst.rects[i + 1 :]
+                )
+        assert generate("packed", 100, 7).n == 91
+
     def test_unknown_kind(self):
         with pytest.raises(InstanceError):
             generate("mystery", 3, 0)
 
     def test_emits_preprocessed(self):
-        for kind in ("uniform_random", "nested_grid", "windmill", "stacked_strips"):
+        for kind in ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed"):
             inst = generate(kind, 7, 1)
             assert preprocess(list(inst.rects)).rects == inst.rects
 

@@ -1,16 +1,20 @@
 """RectPolygon's edge tables against the per-call predicates in
-oracles.py: point membership, boundary, rect containment, simplicity,
-splitter walls and line-fence enumeration must agree exactly, on blob
-polygons, on partition nodes, on every split component (pinched loops
-included) and on random self-touching vertex loops."""
+oracles.py: point membership, boundary, rect containment, simplicity
+and line-fence enumeration must agree exactly, on blob polygons, on
+partition nodes and on random self-touching vertex loops.  The loop
+surgery split must agree with the refined-grid split in oracles.py on
+every split the constructions make and on random cuts."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from misr import partition
 from misr.geom_core import (
     Cut,
+    CutError,
     GeometryError,
     Point,
     Rect,
@@ -19,17 +23,17 @@ from misr.geom_core import (
     split_components,
 )
 from misr.instance import exact_mis, generate
-from misr.partition import recursive_partition
+from misr.partition import ConstructionError, recursive_partition
 from misr.structure import enumerate_line_fences, line_fences_from_point, maximal_extension
 from oracles import (
     blob_polygon,
-    ref_blocked,
     ref_contains_doubled,
     ref_contains_rect,
     ref_enumerate_line_fences,
     ref_is_simple,
     ref_line_fences_from_point,
     ref_on_boundary_doubled,
+    ref_split_components,
 )
 
 FAMILIES = ("windmill", "uniform_random", "nested_grid")
@@ -180,33 +184,90 @@ def reflex_cycle_cuts(poly: RectPolygon):
             yield Cut(tuple(Segment(corners[i], corners[(i + 1) % 4]) for i in range(4)))
 
 
-def test_split_components_simplicity_and_walls_agree(node_cells):
+@pytest.fixture(scope="module")
+def construction_splits():
+    """Every (polygon, cut) that the constructions split, all three
+    regimes, on the acceptance-sweep families at n=3..12 and on packed
+    at n=12, 16 and 24."""
+    specs = [(f, n, s) for f in ("uniform_random", "nested_grid") for n in range(3, 13) for s in range(4)]
+    specs += [("windmill", n, 0) for n in range(3, 13)]
+    specs += [("packed", n, s) for n in (12, 16, 24) for s in range(5)]
+    splits = {}
+    real = partition.split_components
+
+    def record(poly, cut):
+        splits[(poly, cut)] = None
+        return real(poly, cut)
+
+    with mock.patch.object(partition, "split_components", record):
+        for family, n, seed in specs:
+            inst = generate(family, n, seed)
+            m = maximal_extension(exact_mis(inst, cap=inst.n), inst)
+            for regime, eps in (("six", None), ("three", None), ("two_eps", Fraction(1, 2))):
+                try:
+                    recursive_partition(m, regime, eps=eps)
+                except ConstructionError:
+                    # six fails on some packed inputs (ROADMAP item 1); the
+                    # splits made before the failure still count
+                    assert family == "packed" and regime == "six"
+    return list(splits)
+
+
+def _split_outcome(split, poly, cut):
+    try:
+        return split(poly, cut)
+    except GeometryError as e:
+        return type(e)
+
+
+def test_split_components_agrees_with_reference(construction_splits, node_cells):
+    """The loop-surgery split against the refined-grid flood fill: the
+    same parts, in the same order, or the same exception, on every
+    construction split and on random cuts; every cut holding a cycle
+    raises CutError."""
+    sizes = set()
+    for poly, cut in construction_splits:
+        got = _split_outcome(split_components, poly, cut)
+        assert got == _split_outcome(ref_split_components, poly, cut), (poly, cut)
+        sizes.add(len(got))
+    assert len(construction_splits) > 1000 and {1, 2, 3} <= sizes, sizes
+
     rng = random.Random(11)
     polys = [p for p, _ in node_cells] + blobs(40)
-    seen_pinched = 0
+    outcomes = {"parts": 0, "error": 0, "cycle": 0}
     for poly in polys:
-        for cut in [*random_cuts(rng, poly, 6), *reflex_cycle_cuts(poly)]:
-            try:
-                comps = split_components(poly, cut)
-            except GeometryError:
+        for cut in random_cuts(rng, poly, 6):
+            got = _split_outcome(split_components, poly, cut)
+            assert got == _split_outcome(ref_split_components, poly, cut), (poly, cut)
+            if isinstance(got, list):
+                assert all(q.is_simple for q in got), (poly, cut)
+                outcomes["parts"] += 1
+            else:
+                outcomes["error"] += 1
+        for cut in reflex_cycle_cuts(poly):
+            want = _split_outcome(ref_split_components, poly, cut)
+            if not _closes_a_cycle(poly, cut):
+                assert _split_outcome(split_components, poly, cut) == want, (poly, cut)
                 continue
-            splitter = comps[0]["splitter"]
-            xs, ys = splitter.xs, splitter.ys
-            for c in xs:
-                for j in range(len(ys) - 1):
-                    assert splitter._blocked(True, c, ys[j], ys[j + 1]) == ref_blocked(
-                        splitter, True, c, ys[j], ys[j + 1]
-                    ), (poly, cut, c, ys[j])
-            for c in ys:
-                for i in range(len(xs) - 1):
-                    assert splitter._blocked(False, c, xs[i], xs[i + 1]) == ref_blocked(
-                        splitter, False, c, xs[i], xs[i + 1]
-                    ), (poly, cut, c, xs[i])
-            for comp in comps:
-                q = comp["polygon"]
-                assert q.is_simple == ref_is_simple(q), q
-                seen_pinched += not q.is_simple
-    assert seen_pinched > 0
+            with pytest.raises(CutError):
+                split_components(poly, cut)
+            outcomes["cycle"] += isinstance(want, list)
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def _closes_a_cycle(poly: RectPolygon, cut: Cut) -> bool:
+    """Does no unit step of the cut run along the boundary?  For the
+    squares of reflex_cycle_cuts this means the cut's pieces close a
+    cycle; otherwise a side on the boundary leaves a path."""
+    for s in cut.segments:
+        lo, hi = sorted((s.a, s.b))
+        if s.vertical:
+            probes = [(2 * lo.x, 2 * y + 1) for y in range(lo.y, hi.y)]
+        else:
+            probes = [(2 * x + 1, 2 * lo.y) for x in range(lo.x, hi.x)]
+        if any(ref_on_boundary_doubled(poly, X, Y) for X, Y in probes):
+            return False
+    return True
 
 
 def random_loop(rng: random.Random, span: int) -> list[Point]:
