@@ -1246,9 +1246,22 @@ def recursive_partition(
         h_nested = classify_nesting(wm).horizontally_nested
 
     the_tau = regime_tau(regime, eps, tau)
+    # Line-protection verdicts of this run by (rect, polygon, rects): a
+    # node's visibility check asks the questions that, under six, its
+    # protection checks ask again, and a parent's persistence check asks
+    # its children's.
+    line_memo: dict = {}
+
+    def line_prot(r: Rect, poly: RectPolygon, rin: RectsIn) -> bool:
+        key = (r, poly, tuple(sorted(rin)))
+        verdict = line_memo.get(key)
+        if verdict is None:
+            verdict = line_memo[key] = is_protected(r, poly, rin)
+        return verdict
+
     if regime == "six":
         cutter = lambda poly, rin: line_partition_cut(poly, rin)
-        prot = lambda r, poly, rin: is_protected(r, poly, rin)
+        prot = line_prot
     else:
         # One fence engine per (polygon, rects) for this run: a node's
         # protection checks, its cut and its parent's persistence check
@@ -1276,7 +1289,7 @@ def recursive_partition(
             continue
         rects_in = [(i, work[i]) for i in ids]
         if check:
-            _check_visibility_guarantee(work, poly, rects_in, h_nested)
+            _check_visibility_guarantee(work, poly, rects_in, h_nested, line_prot)
         protected_before = (
             {i: prot(work[i], poly, rects_in) for i in ids} if check else {}
         )
@@ -1335,12 +1348,14 @@ def _check_visibility_guarantee(
     poly: RectPolygon,
     rects_in: RectsIn,
     h_nested: frozenset[int],
+    protected: Callable[[Rect, RectPolygon, RectsIn], bool],
 ) -> None:
-    """Every rect that is neither line-fence-protected nor horizontally
-    nested must see a corner of another contained rect on each side."""
+    """Every rect that is neither line-fence-protected (as the given
+    is_protected answers it) nor horizontally nested must see a corner of
+    another contained rect on each side."""
     ids = [rid for rid, _ in rects_in]
     for rid, r in rects_in:
-        if rid in h_nested or is_protected(r, poly, rects_in):
+        if rid in h_nested or protected(r, poly, rects_in):
             continue
         for side_name in ("left", "right"):
             if not seen_corners_on_side(work, rid, side_name, ids):

@@ -216,16 +216,43 @@ def _anti_transpose(rects: Sequence[Rect]) -> list[Rect]:
     return [Rect(-r.yt, -r.xr, -r.yb, -r.xl) for r in rects]
 
 
-_SEE_DISPATCH: dict[tuple[str, str], tuple[Optional[Callable], str]] = {
-    ("right", "TL"): (None, "TL"),
-    ("right", "BL"): (None, "BL"),
-    ("left", "TR"): (_mirror_x, "TL"),
-    ("left", "BR"): (_mirror_x, "BL"),
-    ("bottom", "TR"): (_anti_transpose, "BL"),
-    ("bottom", "TL"): (_anti_transpose, "TL"),
-    ("top", "BR"): (lambda rs: _anti_transpose(_mirror_x(_mirror_y(rs))), "BL"),
-    ("top", "BL"): (lambda rs: _anti_transpose(_mirror_x(_mirror_y(rs))), "TL"),
+# The frame in which each side's corridors run rightward, and the corner
+# of the base case (right, TL or BL) that each (side, corner) pair becomes
+# there: the seven non-base combinations are reflections of right/TL.
+_SEE_FRAMES: dict[str, Optional[Callable]] = {
+    "right": None,
+    "left": _mirror_x,
+    "bottom": _anti_transpose,
+    "top": lambda rs: _anti_transpose(_mirror_x(_mirror_y(rs))),
 }
+_SEE_BASE_CORNER: dict[tuple[str, str], str] = {
+    ("right", "TL"): "TL",
+    ("right", "BL"): "BL",
+    ("left", "TR"): "TL",
+    ("left", "BR"): "BL",
+    ("bottom", "TR"): "BL",
+    ("bottom", "TL"): "TL",
+    ("top", "BR"): "BL",
+    ("top", "BL"): "TL",
+}
+
+
+def _see_frame(rects: Sequence[Rect], side: str) -> Sequence[Rect]:
+    """The rects in the frame where corridors on the given side run
+    rightward; one frame serves every query on that side.  An unknown
+    side is left for _sees_in_frame to reject."""
+    transform = _SEE_FRAMES.get(side)
+    return rects if transform is None else transform(rects)
+
+
+def _sees_in_frame(
+    frame: Sequence[Rect], i: int, j: int, corner: str, side: str
+) -> bool:
+    """sees() on rects already put in the side's frame by _see_frame."""
+    key = (side, corner)
+    if key not in _SEE_BASE_CORNER:
+        raise StructureError(f"invalid corner/side combination {key}")
+    return _sees_right_base(frame, i, j, _SEE_BASE_CORNER[key])
 
 
 def sees(rects: Sequence[Rect], i: int, j: int, corner: str, side: str) -> bool:
@@ -233,14 +260,10 @@ def sees(rects: Sequence[Rect], i: int, j: int, corner: str, side: str) -> bool:
 
     Valid (side, corner) pairs: TL/BL on the right, TR/BR on the left,
     TR/TL below, BR/BL above; the seven non-base combinations are the
-    reflections of the right/TL case.
+    reflections of the right/TL case.  Callers asking many questions on
+    one side build its frame once and ask _sees_in_frame.
     """
-    key = (side, corner)
-    if key not in _SEE_DISPATCH:
-        raise StructureError(f"invalid corner/side combination {key}")
-    transform, base_corner = _SEE_DISPATCH[key]
-    rs = list(rects) if transform is None else transform(rects)
-    return _sees_right_base(rs, i, j, base_corner)
+    return _sees_in_frame(_see_frame(rects, side), i, j, corner, side)
 
 
 def seen_corners_on_side(
@@ -255,12 +278,13 @@ def seen_corners_on_side(
         corners = ("TR", "BR")
     else:
         raise StructureError("seen_corners_on_side handles left/right only")
+    frame = _see_frame(rects, side)
     out = []
     for j in candidates:
         if j == i:
             continue
         for c in corners:
-            if sees(rects, i, j, c, side):
+            if _sees_in_frame(frame, i, j, c, side):
                 out.append((rects[j].corner(c), j, c))
     out.sort(key=lambda t: (-t[0].y, t[0].x, t[1]))
     return out
@@ -281,13 +305,14 @@ def classify_nice(m: MaximalSet) -> NiceLabel:
     edge on the boundary of S.  Every rect must earn at least one flag."""
     hset, vset = set(), set()
     n = len(m.rects)
+    right, below = _see_frame(m.rects, "right"), _see_frame(m.rects, "bottom")
     for i, r in enumerate(m.rects):
         if r.yb == 0 or any(
-            j != i and sees(m.rects, i, j, "BL", "right") for j in range(n)
+            j != i and _sees_in_frame(right, i, j, "BL", "right") for j in range(n)
         ):
             hset.add(i)
         if r.xr == m.side or any(
-            j != i and sees(m.rects, i, j, "TR", "bottom") for j in range(n)
+            j != i and _sees_in_frame(below, i, j, "TR", "bottom") for j in range(n)
         ):
             vset.add(i)
         if i not in hset and i not in vset:
@@ -492,6 +517,13 @@ _START = 3
 _RIGHT, _LEFT, _UP, _DOWN = 1, 2, 4, 8
 _STEPS = ((_RIGHT, _H, 1), (_LEFT, _H, 2), (_UP, _VU, None), (_DOWN, _VD, None))
 
+# The states o*3 + h in which a chain at the first point of a horizontal
+# run may go on along it, rightward or leftward: (the horizontal state of
+# that direction, which goes straight on; the vertical and bare-anchor
+# states not committed to the other direction, which turn).
+_ONTO_RIGHT = (_H * 3 + 1, tuple(o * 3 + h for o in (_VU, _VD, _START) for h in (0, 1)))
+_ONTO_LEFT = (_H * 3 + 2, tuple(o * 3 + h for o in (_VU, _VD, _START) for h in (0, 2)))
+
 
 def _free_steps(
     sections: list[tuple[int, int]], blocked: list[tuple[int, int]], lo0: int, n: int
@@ -537,9 +569,11 @@ class FenceEngine:
     ((ix*ny + iy)*4 + o)*3 + h for grid offset (ix, iy), orientation o and
     horizontal direction h; unreached states hold tau + 1, and the element
     type is the narrowest array type that holds tau + 1 (bytes up to
-    tau = 254).  Tables from reach() also keep each state's predecessor
-    state in a flat array (-1 for none), for chain_to; the tables of
-    reach_run() are only asked covers() and keep none.
+    tau = 254).  There are two kinds of table, both cached in the engine:
+    reach() tables, seeded at given anchor points, also keep each state's
+    predecessor state in a flat array (-1 for none), for chain_to;
+    protection tables, one per vertical polygon edge and seeded at every
+    point of it, keep none and are read only at the ends of a run.
     """
 
     def __init__(
@@ -645,36 +679,6 @@ class FenceEngine:
             self._cache[key] = self._bfs(seeds, with_parent=True)
         return self._cache[key]
 
-    def reach_run(self, y: int, x1: int, x2: int, rightward: bool) -> Optional[_Table]:
-        """Reversed reachability for chains whose final segment traverses
-        the run [x1,x2]x{y} (rightward: left-to-right in chain order).
-
-        A chain containing the run can be truncated so the run is its
-        suffix, so seeding the reversed walk just past the run is complete.
-        Returns None when the run itself is not walkable.
-        """
-        if x1 > x2:
-            x1, x2 = x2, x1
-        key = ("run", y, x1, x2, rightward)
-        if key not in self._cache:
-            self._cache[key] = self._bfs_run(y, x1, x2, rightward)
-        return self._cache[key]
-
-    def _bfs_run(self, y: int, x1: int, x2: int, rightward: bool) -> Optional[_Table]:
-        moves, ny = self._steps(), self.ny
-        iy = y - self.y0
-        ok = 0 <= iy < ny and all(
-            0 <= i < self.nx and moves[i * ny + iy] & _RIGHT
-            for i in range(x1 - self.x0, x2 - self.x0)
-        )
-        if not ok:
-            return None
-        if rightward:
-            seeds = [(1, x1 - self.x0, iy, _H, 2)]  # reversed walk goes left
-        else:
-            seeds = [(1, x2 - self.x0, iy, _H, 1)]
-        return self._bfs(seeds, with_parent=False)
-
     # queries ----------------------------------------------------------------
 
     def edge_points(self, edge: Segment) -> list[Point]:
@@ -728,31 +732,70 @@ class FenceEngine:
     def protects(self, r: Rect) -> bool:
         """tau-protection: one vertical polygon edge anchors two chains of
         at most tau segments containing r's top and bottom edges
-        respectively."""
-        top = self._edges_reaching_run(r.yt, r.xl, r.xr)
-        if not top:
-            return False
-        return bool(top & self._edges_reaching_run(r.yb, r.xl, r.xr))
+        respectively.
 
-    def _edges_reaching_run(self, y: int, x1: int, x2: int) -> set[int]:
-        """Vertical edges of the polygon anchoring some chain that contains
-        the horizontal run [x1,x2]x{y}."""
-        tables = [self.reach_run(y, x1, x2, rightward=True),
-                  self.reach_run(y, x1, x2, rightward=False)]
-        tables = [t for t in tables if t is not None]
-        edges = self.poly.edges()
-        return {
-            idx
+        Every edge e has one forward table: the search seeded at each
+        point of e in state _START.  A chain from e contains the run
+        [x1,x2]x{y} traversed rightward when the run is walkable and, at
+        (x1, y), either the state (_H, h=1) is within tau (the chain
+        already runs right) or a state of orientation _VU, _VD or _START
+        with h in {0, 1} is within tau - 1 (one more segment turns onto
+        the run).  Leftward is the mirror image: the states at (x2, y)
+        with h in {0, 2}.  A chain that contains the run can be cut off
+        where the run ends, so nothing past the run matters; and reversing
+        a chain gives a chain with the same number of segments and the
+        opposite horizontal direction, so this forward lookup answers the
+        same question as a reversed search seeded at the run.
+
+        The edges are tried in turn and the first that anchors both runs
+        decides; an edge's table is built on first use.
+        """
+        top, bottom = (r.yt, r.xl, r.xr), (r.yb, r.xl, r.xr)
+        if not (self._walkable(*top) and self._walkable(*bottom)):
+            return False
+        return any(
+            self._anchors(idx, *top) and self._anchors(idx, *bottom)
             for idx in self.poly.vertical_edge_sides()
-            if any(self._covers_edge(t, edges[idx]) for t in tables)
+        )
+
+    def anchoring_edges(self, y: int, x1: int, x2: int) -> set[int]:
+        """Vertical edges of the polygon anchoring some chain that contains
+        the horizontal run [x1,x2]x{y}, x1 <= x2."""
+        if not self._walkable(y, x1, x2):
+            return set()
+        return {
+            idx for idx in self.poly.vertical_edge_sides()
+            if self._anchors(idx, y, x1, x2)
         }
 
-    def _covers_edge(self, table: _Table, edge: Segment) -> bool:
-        """Some point of the vertical polygon edge is covered: the states
-        of its points form one slice of the table."""
-        y1, y2 = sorted((edge.a.y, edge.b.y))
-        lo = ((edge.a.x - self.x0) * self.ny + y1 - self.y0) * 12
-        return min(table.dist[lo : lo + (y2 - y1 + 1) * 12]) <= self.tau
+    def _walkable(self, y: int, x1: int, x2: int) -> bool:
+        """The run [x1,x2]x{y} lies on the grid and each of its unit steps
+        is free (a free step may be taken either way)."""
+        moves, ny = self._steps(), self.ny
+        ix1, ix2, iy = x1 - self.x0, x2 - self.x0, y - self.y0
+        return (
+            0 <= iy < ny
+            and 0 <= ix1 <= ix2 < self.nx
+            and all(moves[i * ny + iy] & _RIGHT for i in range(ix1, ix2))
+        )
+
+    def _anchors(self, idx: int, y: int, x1: int, x2: int) -> bool:
+        """The lookup of protects() for vertical edge idx and a walkable
+        run."""
+        key = ("edge", idx)
+        table = self._cache.get(key)
+        if table is None:
+            e = self.poly.edges()[idx]
+            ix = e.a.x - self.x0
+            y1, y2 = sorted((e.a.y - self.y0, e.b.y - self.y0))
+            seeds = [(0, ix, iy, _START, 0) for iy in range(y1, y2 + 1)]
+            table = self._cache[key] = self._bfs(seeds, with_parent=False)
+        dist, tau = table.dist, self.tau
+        for x, (straight, turns) in ((x1, _ONTO_RIGHT), (x2, _ONTO_LEFT)):
+            base = ((x - self.x0) * self.ny + y - self.y0) * 12
+            if dist[base + straight] <= tau or min(dist[base + s] for s in turns) + 1 <= tau:
+                return True
+        return False
 
 
 def tau_engine(

@@ -26,7 +26,7 @@ from misr.geom_core import (
     segment_intersects_rect,
 )
 from misr.instance import Instance
-from misr.structure import Fence, _fence_features_rightward
+from misr.structure import Fence, _fence_features_rightward, _sees_right_base
 
 
 # -- brute force MIS -------------------------------------------------------------
@@ -959,6 +959,51 @@ def nested_is_tau_protected(
     if not top:
         return False
     return bool(top & _nested_edges_reaching_run(eng, r.yb, r.xl, r.xr))
+
+
+# -- corridor visibility, one reflection per query ---------------------------------
+
+
+def _ref_mirror_x(rects: Sequence[Rect]) -> list[Rect]:
+    return [Rect(-r.xr, r.yb, -r.xl, r.yt) for r in rects]
+
+
+def _ref_mirror_y(rects: Sequence[Rect]) -> list[Rect]:
+    return [Rect(r.xl, -r.yt, r.xr, -r.yb) for r in rects]
+
+
+def _ref_anti_transpose(rects: Sequence[Rect]) -> list[Rect]:
+    return [Rect(-r.yt, -r.xr, -r.yb, -r.xl) for r in rects]
+
+
+_REF_SEE = {
+    ("right", "TL"): (list, "TL"),
+    ("right", "BL"): (list, "BL"),
+    ("left", "TR"): (_ref_mirror_x, "TL"),
+    ("left", "BR"): (_ref_mirror_x, "BL"),
+    ("bottom", "TR"): (_ref_anti_transpose, "BL"),
+    ("bottom", "TL"): (_ref_anti_transpose, "TL"),
+    ("top", "BR"): (lambda rs: _ref_anti_transpose(_ref_mirror_x(_ref_mirror_y(rs))), "BL"),
+    ("top", "BL"): (lambda rs: _ref_anti_transpose(_ref_mirror_x(_ref_mirror_y(rs))), "TL"),
+}
+
+
+def ref_sees(rects: Sequence[Rect], i: int, j: int, corner: str, side: str) -> bool:
+    """sees() as first written: reflect the whole rect list into the
+    right/TL frame for every query."""
+    transform, base = _REF_SEE[(side, corner)]
+    return _sees_right_base(transform(rects), i, j, base)
+
+
+def ref_seen_corners_on_side(rects: Sequence[Rect], i: int, side: str, candidates) -> list:
+    corners = ("TL", "BL") if side == "right" else ("TR", "BR")
+    out = [
+        (rects[j].corner(c), j, c)
+        for j in candidates if j != i
+        for c in corners if ref_sees(rects, i, j, c, side)
+    ]
+    out.sort(key=lambda t: (-t[0].y, t[0].x, t[1]))
+    return out
 
 
 def line_protected(r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]) -> bool:

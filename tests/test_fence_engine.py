@@ -1,9 +1,11 @@
 """The fence engine against the nested-table reference engine in
-oracles.py: protection verdicts, covered points, interior coverage and
-chain walks must agree exactly, on partition nodes, on the notched units
-of acceptance criterion 6 and at budgets beyond a byte."""
+oracles.py: protection verdicts, the edges anchoring each run, covered
+points, interior coverage and chain walks must agree exactly, on
+partition nodes (packed ones included), on the notched units of
+acceptance criterion 6 and at budgets beyond a byte."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from misr.geom_core import Point, Rect, RectPolygon
@@ -12,6 +14,7 @@ from misr.partition import recursive_partition
 from misr.structure import FenceEngine, is_protected, is_tau_protected, maximal_extension
 from oracles import (
     NestedFenceEngine,
+    _nested_edges_reaching_run,
     general_units,
     line_protected,
     line_units,
@@ -37,16 +40,40 @@ def partition_cells(family, n, seed, tau, regime="three", eps=None):
             yield node.polygon, rin
 
 
-def assert_engines_agree(poly, rin, tau):
-    """Every tau-protection verdict, and for the chains from the left and
-    from the right vertical edges every grid point's distance, interior
-    coverage and chain walk, agree with the reference engine."""
+def assert_anchors_agree(eng, ref, runs, seen=None):
+    """The edges anchoring each run (y, x1, x2) agree with the reference's
+    reversed searches; seen, if given, counts the runs by whether they are
+    walkable and whether some edge anchors them."""
+    for y, x1, x2 in runs:
+        got = eng.anchoring_edges(y, x1, x2)
+        assert got == _nested_edges_reaching_run(ref, y, x1, x2), (
+            eng.poly, eng.rects, eng.tau, (y, x1, x2)
+        )
+        if seen is not None:
+            walkable = ref.reach_run(y, x1, x2, rightward=True) is not None
+            seen["walkable" if walkable else "blocked"] += 1
+            seen["anchored" if got else "unanchored"] += 1
+
+
+def assert_engines_agree(poly, rin, tau, verdicts=None):
+    """Every tau-protection verdict and the edges anchoring the top and
+    bottom runs of every rect, and for the chains from the left and from
+    the right vertical edges every grid point's distance, interior
+    coverage and chain walk, agree with the reference engine.  verdicts,
+    if given, counts the verdicts."""
     ref = NestedFenceEngine(poly, rin, tau)
-    for _rid, r in rin:
-        assert is_tau_protected(r, poly, rin, tau) == nested_is_tau_protected(
-            r, poly, rin, tau, ref
-        ), (poly, rin, tau, r)
     eng = FenceEngine(poly, rin, tau)
+    memo: dict = {}
+    for _rid, r in rin:
+        verdict = is_tau_protected(r, poly, rin, tau, memo)
+        assert verdict == nested_is_tau_protected(r, poly, rin, tau, ref), (
+            poly, rin, tau, r
+        )
+        if verdicts is not None:
+            verdicts[verdict] += 1
+    assert_anchors_agree(
+        eng, ref, [(y, r.xl, r.xr) for _rid, r in rin for y in (r.yt, r.yb)]
+    )
     sides = poly.vertical_edge_sides()
     edges = poly.edges()
     for side in ("left", "right"):
@@ -68,14 +95,56 @@ def assert_engines_agree(poly, rin, tau):
 
 def test_partition_nodes_match_reference():
     cells = 0
+    verdicts = Counter()
     for family in ("windmill", "uniform_random", "nested_grid"):
         for n in range(3, 11):
             for seed in ((0,) if family == "windmill" else (0, 1)):
                 for tau in TAUS:
                     for poly, rin in partition_cells(family, n, seed, tau):
-                        assert_engines_agree(poly, rin, tau)
+                        assert_engines_agree(poly, rin, tau, verdicts)
                         cells += 1
     assert cells > 500
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_packed_nodes_match_reference():
+    # the dense nodes: many rects per polygon, under three and two_eps
+    verdicts = Counter()
+    cells = 0
+    for n in (12, 16):
+        for seed in range(3):
+            for tau, regime, eps in ((7, "three", None), (11, "two_eps", Fraction(1, 2))):
+                for poly, rin in partition_cells("packed", n, seed, tau, regime, eps):
+                    assert_engines_agree(poly, rin, tau, verdicts)
+                    cells += 1
+    assert cells > 300 and verdicts[True], (cells, verdicts)
+
+
+def grid_runs(poly, longest=3):
+    """Every run [x, x+length]x{y} of length at most longest on every
+    grid row of the polygon's bounding box."""
+    x0, y0, x1, y1 = poly.bbox()
+    return [
+        (y, x, x + length)
+        for y in range(y0, y1 + 1)
+        for x in range(x0, x1 + 1)
+        for length in range(longest + 1)
+        if x + length <= x1
+    ]
+
+
+def test_anchor_sets_of_short_runs_match_reference():
+    # Protection verdicts are mostly True, so their anchor sets are rarely
+    # empty; the short runs of every grid row are often blocked or out of
+    # reach.  Small cells at every budget keep the reference affordable.
+    seen = Counter()
+    for tau in TAUS:
+        for family, n in (("windmill", 4), ("uniform_random", 5), ("nested_grid", 5)):
+            for poly, rin in partition_cells(family, n, 0, tau):
+                eng = FenceEngine(poly, rin, tau)
+                ref = NestedFenceEngine(poly, rin, tau)
+                assert_anchors_agree(eng, ref, grid_runs(poly), seen)
+    assert all(seen[k] for k in ("walkable", "blocked", "anchored", "unanchored")), seen
 
 
 def test_line_protection_matches_reference():

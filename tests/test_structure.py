@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,8 +17,15 @@ from misr.structure import (
     is_tau_protected,
     maximal_extension,
     sees,
+    seen_corners_on_side,
 )
-from oracles import fill_with_maximal_rects, notched_polygon
+from misr.partition import recursive_partition
+from oracles import (
+    fill_with_maximal_rects,
+    notched_polygon,
+    ref_sees,
+    ref_seen_corners_on_side,
+)
 from test_instance import random_instance
 
 
@@ -166,6 +174,47 @@ class TestSees:
     def test_invalid_combo(self):
         with pytest.raises(StructureError):
             sees(BASE, 0, 1, "TL", "left")
+
+    def test_frames_match_per_query_reflection(self):
+        # the rect lists the visibility guarantee scans: every node of a
+        # partition, asked on one frame per side
+        combos = (
+            ("right", "TL"), ("right", "BL"), ("left", "TR"), ("left", "BR"),
+            ("bottom", "TR"), ("bottom", "TL"), ("top", "BR"), ("top", "BL"),
+        )
+        seen = 0
+        for family, n, regime in (
+            ("uniform_random", 8, "three"), ("nested_grid", 8, "six"),
+            ("windmill", 6, "two_eps"), ("packed", 12, "three"),
+        ):
+            inst = generate(family, n, 1)
+            m = maximal_extension(exact_mis(inst), inst)
+            nice = classify_nice(m)
+            for i in range(len(m.rects)):
+                right = any(ref_sees(m.rects, i, j, "BL", "right")
+                            for j in range(len(m.rects)) if j != i)
+                below = any(ref_sees(m.rects, i, j, "TR", "bottom")
+                            for j in range(len(m.rects)) if j != i)
+                assert (i in nice.horizontally_nice) == (right or m.rects[i].yb == 0)
+                assert (i in nice.vertically_nice) == (below or m.rects[i].xr == m.side)
+            run = recursive_partition(
+                m, regime, eps=Fraction(1, 2) if regime == "two_eps" else None
+            )
+            work = run.work_rects
+            for node in run.nodes:
+                ids = [i for i, r in enumerate(work) if node.polygon.contains_rect(r)]
+                for i in ids:
+                    for side in ("left", "right"):
+                        got = seen_corners_on_side(work, i, side, ids)
+                        assert got == ref_seen_corners_on_side(work, i, side, ids)
+                        seen += len(got)
+                    for j in ids:
+                        if j != i:
+                            for side, corner in combos:
+                                assert sees(work, i, j, corner, side) == ref_sees(
+                                    work, i, j, corner, side
+                                ), (family, i, j, corner, side)
+        assert seen > 100
 
 
 class TestNice:
