@@ -1,10 +1,14 @@
 """Exact integer axis-parallel geometry: points, segments, open rectangles,
 simple rectilinear polygons, the predicates the rest of the toolkit
-relies on, and the split of a polygon along a cut.
+relies on, line sections, and the split of a polygon along a cut.
 
 All arithmetic is integral.  Where a midpoint or half-unit probe is needed
-(edge-side classification, point-in-polygon for cell centers) coordinates
-are doubled internally so every test stays in the integers.
+(point-in-polygon for cell centers, a line between two vertex rows)
+coordinates are doubled internally so every test stays in the integers.
+
+Where a line meets a polygon or its boundary is read off the edge tables
+(``section_intervals``, ``touch_intervals``); which side of an edge is
+inside follows from the clockwise canonical loop.
 
 Polygons are split by loop surgery only: ``split_components`` breaks a cut
 into boundary-to-boundary walks and splices each into the vertex loop of
@@ -13,7 +17,7 @@ the part it runs through (``splice_loop``), as the DP does for its cuts.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -142,7 +146,7 @@ def edge_distance(k: int, i: int, j: int) -> int:
 # (dp_solver) both canonicalize loops and query them through these
 # functions: ``merge_loop`` then ``orient_loop`` give the canonical vertex
 # order and the doubled area, ``edge_tables`` gives the doubled edge tables,
-# and the point, rect and touch-interval queries read those tables.
+# and the point, rect, section and touch-interval queries read those tables.
 # ``splice_loop`` cuts a loop along a boundary-to-boundary walk; it is the
 # one polygon split, used by the DP's ``surgery`` and by
 # ``split_components`` below.
@@ -279,6 +283,18 @@ def touch_intervals(
     return [lo >> 1 for lo in los], [hi >> 1 for hi in his]
 
 
+def section_intervals(c: int, along: EdgeTable, across: EdgeTable) -> list[tuple[int, int]]:
+    """The closed loop's section by the line at doubled coordinate c: the
+    sorted, disjoint closed intervals, halved.  The edges ``across`` with
+    lo <= c < hi pair up, in order along the line, into the inside runs
+    (the half-open rule of ``loop_contains_doubled``, so their number is
+    even); ``touch_intervals`` merges them, as edges along the line, with
+    the boundary on it."""
+    xs = sorted(e for e, lo, hi in across if lo <= c < hi)
+    runs = tuple((c, lo, hi) for lo, hi in zip(xs[::2], xs[1::2]))
+    return list(zip(*touch_intervals(c, along + runs, across)))
+
+
 def _loop_insert(loop: list[tuple[int, int]], p: tuple[int, int]) -> list[tuple[int, int]]:
     if p in loop:
         return loop
@@ -343,7 +359,9 @@ class RectPolygon:
     with ``merge_loop`` and ``orient_loop``, which also give the doubled
     area, and builds the ``edge_tables`` once, as ``_vtab`` (vertical
     edges) and ``_htab`` (horizontal edges), read only inside this module.
-    The point and rect predicates are the kernel's, on those tables.
+    The point and rect predicates and the line sections
+    (``section_intervals``) are the kernel's, on those tables.  Filled on
+    first use: ``_coords``, ``_sections`` (see ``_section``), ``_vclass``.
     """
 
     __slots__ = (
@@ -352,9 +370,8 @@ class RectPolygon:
         "_area2",
         "_hash",
         "_coords",
-        "_grid",
+        "_sections",
         "_vclass",
-        "_rows",
         "_edges",
         "_vtab",
         "_htab",
@@ -383,9 +400,8 @@ class RectPolygon:
         # A Point hashes as its (x, y) tuple, so this is hash(self.vertices).
         self._hash = hash(loop)
         self._coords = None
-        self._grid = None
+        self._sections: dict[int, list[tuple[int, int]]] = {}
         self._vclass = None
-        self._rows = None
         self._edges = None
 
     # -- identity ---------------------------------------------------------
@@ -463,28 +479,15 @@ class RectPolygon:
         return self.contains_doubled(2 * p.x, 2 * p.y)
 
     def contains_segment(self, s: Segment) -> bool:
-        """Closed containment of an axis-parallel segment with integer ends."""
-        if not self.contains_point(s.a) or not self.contains_point(s.b):
-            return False
-        # Membership can only change where the segment crosses a grid line
-        # of the polygon, so checking midpoints of the induced pieces is exact.
-        xs, ys = self.coords()
-        vtab, htab = self._vtab, self._htab
+        """Closed containment of an axis-parallel segment with integer ends:
+        it lies in one interval of its line's section."""
         if s.a.x == s.b.x:
             lo, hi = sorted((s.a.y, s.b.y))
-            cuts = [lo, *ys[bisect_right(ys, lo) : bisect_left(ys, hi)], hi]
-            X = 2 * s.a.x
-            return all(
-                loop_contains_doubled(vtab, htab, X, cuts[i] + cuts[i + 1])
-                for i in range(len(cuts) - 1)
-            )
-        lo, hi = sorted((s.a.x, s.b.x))
-        cuts = [lo, *xs[bisect_right(xs, lo) : bisect_left(xs, hi)], hi]
-        Y = 2 * s.a.y
-        return all(
-            loop_contains_doubled(vtab, htab, cuts[i] + cuts[i + 1], Y)
-            for i in range(len(cuts) - 1)
-        )
+            sec = self.vertical_section(s.a.x)
+        else:
+            lo, hi = sorted((s.a.x, s.b.x))
+            sec = self.horizontal_section(s.a.y)
+        return any(a <= lo and hi <= b for a, b in sec)
 
     def contains_rect(self, r: Rect) -> bool:
         """True iff the open rectangle lies inside the closed polygon."""
@@ -497,7 +500,7 @@ class RectPolygon:
         where the vertical line at x touches the boundary."""
         return list(zip(*touch_intervals(2 * x, self._vtab, self._htab)))
 
-    # -- refined grid ------------------------------------------------------
+    # -- line sections ----------------------------------------------------
 
     def coords(self) -> tuple[list[int], list[int]]:
         """The sorted distinct vertex x and y coordinates."""
@@ -508,85 +511,30 @@ class RectPolygon:
             )
         return self._coords
 
-    def grid(self) -> tuple[list[int], list[int], list[list[bool]]]:
-        """Refined grid (vertex coordinates) and per-cell inside flags.
-
-        inside[i][j] is the cell [xs[i],xs[i+1]] x [ys[j],ys[j+1]].
-        """
-        if self._grid is None:
-            xs, ys = self.coords()
-            inside = [
-                [
-                    self.contains_doubled(xs[i] + xs[i + 1], ys[j] + ys[j + 1])
-                    and not self.on_boundary_doubled(xs[i] + xs[i + 1], ys[j] + ys[j + 1])
-                    for j in range(len(ys) - 1)
-                ]
-                for i in range(len(xs) - 1)
-            ]
-            self._grid = (xs, ys, inside)
-        return self._grid
-
-    def row_intervals(self) -> list[list[tuple[int, int]]]:
-        """Maximal inside x-intervals per grid row, as (xlo, xhi) pairs."""
-        if self._rows is not None:
-            return self._rows
-        xs, ys, inside = self.grid()
-        rows = []
-        for j in range(len(ys) - 1):
-            ivals: list[tuple[int, int]] = []
-            i = 0
-            while i < len(xs) - 1:
-                if inside[i][j]:
-                    i0 = i
-                    while i < len(xs) - 1 and inside[i][j]:
-                        i += 1
-                    ivals.append((xs[i0], xs[i]))
-                else:
-                    i += 1
-            rows.append(ivals)
-        self._rows = rows
-        return rows
+    def _section(self, c: int, horizontal: bool) -> list[tuple[int, int]]:
+        """``section_intervals`` of the line y = c/2 (horizontal) or
+        x = c/2, c doubled.  Memoized per vertex line and per open band
+        between two neighbouring vertex lines: all lines of a band meet the
+        polygon alike.  Callers share the memoized list and leave it as is."""
+        vals = self.coords()[horizontal]
+        j = bisect_left(vals, (c + 1) >> 1)  # vertex lines below the line
+        key = 4 * j + 2 * (j < len(vals) and 2 * vals[j] == c) + horizontal
+        sec = self._sections.get(key)
+        if sec is None:
+            if horizontal:
+                sec = section_intervals(c, self._htab, self._vtab)
+            else:
+                sec = section_intervals(c, self._vtab, self._htab)
+            self._sections[key] = sec
+        return sec
 
     def horizontal_section(self, y: int) -> list[tuple[int, int]]:
         """Maximal x-intervals of the closed polygon on the line {y}."""
-        xs, ys, _ = self.grid()
-        rows = self.row_intervals()
-        ivals: list[tuple[int, int]] = []
-        j = bisect_left(ys, y)
-        if j < len(ys) and ys[j] == y:
-            if j > 0:
-                ivals += rows[j - 1]
-            if j < len(rows):
-                ivals += rows[j]
-            for c, lo, hi in self._htab:
-                if c == 2 * y:
-                    ivals.append((lo >> 1, hi >> 1))
-        else:
-            if 0 < j < len(ys):
-                ivals += rows[j - 1]
-        return _merge_intervals(ivals)
+        return self._section(2 * y, True)
 
     def vertical_section(self, x: int) -> list[tuple[int, int]]:
-        xs, ys, _ = self.grid()
-        rows = self.row_intervals()
-        cols: list[tuple[int, int]] = []
-        i = bisect_left(xs, x)
-        if i < len(xs) and xs[i] == x:
-            for col in (i - 1, i):
-                if 0 <= col < len(xs) - 1:
-                    for j in range(len(ys) - 1):
-                        if self.grid()[2][col][j]:
-                            cols.append((ys[j], ys[j + 1]))
-            for c, lo, hi in self._vtab:
-                if c == 2 * x:
-                    cols.append((lo >> 1, hi >> 1))
-        else:
-            if 0 < i < len(xs):
-                col = i - 1
-                for j in range(len(ys) - 1):
-                    if self.grid()[2][col][j]:
-                        cols.append((ys[j], ys[j + 1]))
-        return _merge_intervals(cols)
+        """Maximal y-intervals of the closed polygon on the line {x}."""
+        return self._section(2 * x, False)
 
     def horizontal_reach(self, p: Point) -> tuple[int, int]:
         """The maximal x-interval containing p on p's horizontal line."""
@@ -604,70 +552,47 @@ class RectPolygon:
     # -- edge classification ----------------------------------------------
 
     def vertical_edge_sides(self) -> dict[int, str]:
-        """Map edge index -> 'left' | 'right' for every vertical edge.
+        """Map edge index -> 'left' | 'right' for every vertical edge.  A
+        left edge has the polygon immediately to its right.
 
-        An edge is left-vertical iff the polygon lies immediately to its
-        right: a half-unit probe right of the edge interior is inside.
+        The canonical loop runs clockwise, so the inside lies right of each
+        edge's direction: an edge running up is left.  This holds for
+        simple polygons, the only ones it is asked on.
         """
         if self._vclass is None:
-            out = {}
             vs = self.vertices
-            for i in range(len(vs)):
-                p, q = vs[i], vs[(i + 1) % len(vs)]
-                if p.x != q.x:
-                    continue
-                ymid2 = p.y + q.y  # doubled midpoint height
-                inside_right = self.contains_doubled(2 * p.x + 1, ymid2)
-                out[i] = "left" if inside_right else "right"
-            self._vclass = out
+            self._vclass = {
+                i: "left" if p.y < q.y else "right"
+                for i, (p, q) in enumerate(zip(vs, vs[1:] + vs[:1]))
+                if p.x == q.x
+            }
         return self._vclass
 
     def horizontal_edge_sides(self) -> dict[int, str]:
         """Map edge index -> 'bottom' | 'top'.  A bottom edge has the polygon
-        above it, a top edge below it."""
-        out = {}
+        above it, a top edge below it: on the clockwise loop of a simple
+        polygon, an edge running left is bottom."""
         vs = self.vertices
-        for i in range(len(vs)):
-            p, q = vs[i], vs[(i + 1) % len(vs)]
-            if p.y != q.y:
-                continue
-            xmid2 = p.x + q.x
-            inside_above = self.contains_doubled(xmid2, 2 * p.y + 1)
-            out[i] = "bottom" if inside_above else "top"
-        return out
+        return {
+            i: "bottom" if p.x > q.x else "top"
+            for i, (p, q) in enumerate(zip(vs, vs[1:] + vs[:1]))
+            if p.y == q.y
+        }
 
     def transform(self, f) -> "RectPolygon":
         return RectPolygon([f(p) for p in self.vertices])
 
 
-def _merge_intervals(ivals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    if not ivals:
-        return []
-    ivals = sorted(ivals)
-    out = [ivals[0]]
-    for lo, hi in ivals[1:]:
-        if lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def is_horizontally_convex(p: RectPolygon) -> bool:
     """Every horizontal chord between two polygon points stays inside.
 
-    Decided exactly on the refined grid: each open row must hold one inside
-    interval, and on each grid line the closed section must be connected.
+    Sections change only at vertex rows, so it is enough that each vertex
+    row, and one line inside each open row between two vertex rows, meets
+    the polygon in at most one interval.
     """
-    rows = p.row_intervals()
-    for ivals in rows:
-        if len(ivals) > 1:
-            return False
-    _, ys, _ = p.grid()
-    for y in ys:
-        if len(p.horizontal_section(y)) > 1:
-            return False
-    return True
+    _, ys = p.coords()
+    lines = [2 * y for y in ys] + [y + z for y, z in zip(ys, ys[1:])]
+    return all(len(p._section(c, True)) <= 1 for c in lines)
 
 
 @dataclass(frozen=True)
@@ -842,14 +767,3 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
             raise CutError("split lost area")
         parts[i : i + 1] = halves
     return sorted(parts, key=lambda q: q.vertices[0])
-
-
-def split_polygon(p: RectPolygon, c: Cut) -> list[RectPolygon]:
-    """The parts of p cut along c, as ``split_components`` gives them.
-
-    Raises CutError when the cut does not separate (single part).
-    """
-    parts = split_components(p, c)
-    if len(parts) < 2:
-        raise CutError("cut does not separate the polygon")
-    return parts

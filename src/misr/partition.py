@@ -36,6 +36,8 @@ from .geom_core import (
 )
 from .structure import (
     FenceEngine,
+    _mirror_x_point,
+    _mirror_x_tagged,
     MaximalSet,
     classify_nesting,
     classify_nice,
@@ -368,23 +370,6 @@ def _make_chord(poly: RectPolygon, x: int, ylo: int, yhi: int) -> Chord:
     )
 
 
-def all_chords(poly: RectPolygon) -> list[Chord]:
-    """Every vertical segment between two boundary touch points on the same
-    section, at integral x (the exhaustive oracle for the k/3 bound)."""
-    x0, _, x1, _ = poly.bbox()
-    out = []
-    for x in range(x0, x1 + 1):
-        touches = poly.vertical_touches(x)
-        for lo, hi in poly.vertical_section(x):
-            ys = sorted(
-                {y for t1, t2 in touches for y in (t1, t2) if lo <= y <= hi}
-            )
-            for a in range(len(ys)):
-                for b in range(a + 1, len(ys)):
-                    out.append(_make_chord(poly, x, ys[a], ys[b]))
-    return out
-
-
 def vertical_spanning_segment(poly: RectPolygon) -> tuple[Segment, Chord]:
     """A vertical segment inside the polygon whose endpoint edges are at
     cyclic edge distance at least k/3, found by iterative improvement
@@ -426,7 +411,7 @@ def _improve_chord(poly: RectPolygon, chord: Chord, depth: int = 0) -> Chord:
     L = _chain_between(k, chord.e_bottom, chord.e_top)
     R = _chain_between(k, chord.e_top, chord.e_bottom)
     if len(R) < len(L):
-        mp = poly.transform(lambda q: Point(-q.x, q.y))
+        mp = poly.transform(_mirror_x_point)
         mc = _make_chord(mp, -chord.x, chord.ylo, chord.yhi)
         res = _improve_chord(mp, mc, depth + 1)
         return _make_chord(poly, -res.x, res.ylo, res.yhi)
@@ -553,15 +538,16 @@ def _improve_case2(poly: RectPolygon, chord: Chord, p_b: Point, p_t: Point) -> C
 # -- the line-partitioning cut (factor-6 regime) -------------------------------
 
 
-def _mirror_cutresult(res: CutResult, mx: Callable[[Point], Point]) -> CutResult:
+def _mirror_cutresult(res: CutResult) -> CutResult:
+    """A cut of the x-mirrored polygon, mapped back."""
     def mseg(s: Segment) -> Segment:
-        return Segment(mx(s.a), mx(s.b)).canonical()
+        return Segment(_mirror_x_point(s.a), _mirror_x_point(s.b)).canonical()
 
     return CutResult(
         Cut(tuple(mseg(s) for s in res.cut.segments), res.cut.shape),
         mseg(res.ell) if res.ell else None,
         res.intersected,
-        [p.transform(mx) for p in res.components],
+        [p.transform(_mirror_x_point) for p in res.components],
         dict(res.assignment),
         res.case + "+mirrored",
     )
@@ -581,12 +567,8 @@ def line_partition_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
     left_idx = [i for i, s in sides.items() if s == "left"]
     right_idx = [i for i, s in sides.items() if s == "right"]
     if len(left_idx) < len(right_idx):
-        mirror = lambda q: Point(-q.x, q.y)
-        mres = line_partition_cut(
-            poly.transform(mirror),
-            [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects],
-        )
-        return _mirror_cutresult(mres, mirror)
+        mres = line_partition_cut(poly.transform(_mirror_x_point), _mirror_x_tagged(rects))
+        return _mirror_cutresult(mres)
 
     edges = poly.edges()
     lefts = sorted(left_idx, key=lambda i: -max(edges[i].a.y, edges[i].b.y))
@@ -851,14 +833,13 @@ def general_partition_cut(
         if not lm_hit:
             if _depth >= 2:
                 raise ConstructionError("mirror recursion diverged")
-            mirror = lambda q: Point(-q.x, q.y)
-            mpoly = poly.transform(mirror)
-            mrects = [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects]
+            mpoly = poly.transform(_mirror_x_point)
+            mrects = _mirror_x_tagged(rects)
             mchord = _make_chord(mpoly, -chord.x, chord.ylo, chord.yhi)
             mres = general_partition_cut(
                 mpoly, mrects, tau, mchord, _depth + 1, memo
             )
-            return _mirror_cutresult(mres, mirror)
+            return _mirror_cutresult(mres)
         res = _general_case2(
             poly, rects, tau, eng, tables, group_edges, chord, plist
         )

@@ -207,6 +207,16 @@ def _mirror_x(rects: Sequence[Rect]) -> list[Rect]:
     return [Rect(-r.xr, r.yb, -r.xl, r.yt) for r in rects]
 
 
+def _mirror_x_tagged(rects_in: Sequence[tuple[int, Rect]]) -> list[tuple[int, Rect]]:
+    """``_mirror_x`` of (rect id, rect) pairs, ids kept."""
+    return [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects_in]
+
+
+def _mirror_x_point(q: Point) -> Point:
+    """The reflection in the line x = 0 that ``_mirror_x`` applies."""
+    return Point(-q.x, q.y)
+
+
 def _mirror_y(rects: Sequence[Rect]) -> list[Rect]:
     return [Rect(r.xl, -r.yt, r.xr, -r.yb) for r in rects]
 
@@ -322,37 +332,6 @@ def classify_nice(m: MaximalSet) -> NiceLabel:
     return NiceLabel(frozenset(hset), frozenset(vset))
 
 
-def check_niceness_observation(m: MaximalSet) -> None:
-    """The rightward ray from each top-right corner either reveals a first
-    blocking rect satisfying the seeing / coordinate alternative, or the
-    rect's right edge lies on the boundary of S."""
-    for i, r in enumerate(m.rects):
-        y = r.yt
-        best = None
-        for j, o in enumerate(m.rects):
-            if j == i:
-                continue
-            hit = (o.yb < y < o.yt and o.xr > r.xr) or (o.yt == y and o.xl >= r.xr)
-            if not hit:
-                continue
-            key = max(o.xl, r.xr)
-            if best is None or (key, j) < best:
-                best = (key, j)
-        if best is None:
-            if r.xr != m.side:
-                raise StructureError(
-                    f"rect {i}: clear rightward ray but right edge not on S"
-                )
-            continue
-        j = best[1]
-        o = m.rects[j]
-        ok = sees(m.rects, i, j, "BL", "right") or (
-            r.yt <= o.yt and o.yb < r.yb and r.xr == o.xl
-        )
-        if not ok:
-            raise StructureError(f"rect {i}: niceness observation fails at rect {j}")
-
-
 # -- line fences (single horizontal segments) --------------------------------
 
 
@@ -401,8 +380,7 @@ def _fence_frame(
     the frame back to the cell."""
     if side == "left":
         return poly, rects_in, 1, "from_left_edge"
-    mirrored = [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects_in]
-    return poly.transform(lambda q: Point(-q.x, q.y)), mirrored, -1, "from_right_edge"
+    return poly.transform(_mirror_x_point), _mirror_x_tagged(rects_in), -1, "from_right_edge"
 
 
 def _fences_rightward(frame, p: Point) -> list[Fence]:

@@ -24,9 +24,18 @@ from misr.geom_core import (
     is_horizontally_convex,
     rects_intersect,
     segment_intersects_rect,
+    split_components,
 )
 from misr.instance import Instance
-from misr.structure import Fence, _fence_features_rightward, _sees_right_base
+from misr.partition import Chord, _make_chord
+from misr.structure import (
+    Fence,
+    MaximalSet,
+    StructureError,
+    _fence_features_rightward,
+    _sees_right_base,
+    sees,
+)
 
 
 # -- brute force MIS -------------------------------------------------------------
@@ -790,23 +799,22 @@ class NestedFenceEngine:
         return self._hstep, self._vstep
 
     def _bfs(self, seeds: list[tuple[int, int, int, int, int]]) -> dict:
+        """dist maps each reached state (ix, iy, o, h) to its distance, keyed
+        like parent; a state missing from it is at tau + 1."""
         hstep, vstep = self._steps()
         INF = self.tau + 1
-        dist = [
-            [[[INF] * 3 for _ in range(4)] for _ in range(self.ny)]
-            for _ in range(self.nx)
-        ]
+        dist: dict[tuple, int] = {}
         parent: dict[tuple, tuple] = {}
         dq: deque = deque()
         for d, ix, iy, o, h in seeds:
             if not (0 <= ix < self.nx and 0 <= iy < self.ny):
                 continue
-            if d <= self.tau and d < dist[ix][iy][o][h]:
-                dist[ix][iy][o][h] = d
+            if d <= self.tau and d < dist.get((ix, iy, o, h), INF):
+                dist[(ix, iy, o, h)] = d
                 dq.append((d, ix, iy, o, h))
         while dq:
             d, ix, iy, o, h = dq.popleft()
-            if d > dist[ix][iy][o][h]:
+            if d > dist[(ix, iy, o, h)]:
                 continue
             for dx, dy, no in _DIRS:
                 nix, niy = ix + dx, iy + dy
@@ -831,8 +839,8 @@ class NestedFenceEngine:
                 nd = d if no == o else d + 1
                 if nd > self.tau:
                     continue
-                if nd < dist[nix][niy][no][nh]:
-                    dist[nix][niy][no][nh] = nd
+                if nd < dist.get((nix, niy, no, nh), INF):
+                    dist[(nix, niy, no, nh)] = nd
                     parent[(nix, niy, no, nh)] = (ix, iy, o, h)
                     if nd == d:
                         dq.appendleft((nd, nix, niy, no, nh))
@@ -875,9 +883,8 @@ class NestedFenceEngine:
 
     def best_dist(self, table: dict, p: Point) -> int:
         ix, iy = p.x - self.x0, p.y - self.y0
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            return self.tau + 1
-        return min(min(row) for row in table["dist"][ix][iy])
+        dist, INF = table["dist"], self.tau + 1
+        return min(dist.get((ix, iy, o, h), INF) for o in range(4) for h in range(3))
 
     def covers(self, table: dict, p: Point) -> bool:
         return self.best_dist(table, p) <= self.tau
@@ -887,12 +894,12 @@ class NestedFenceEngine:
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
             return False
         hstep, vstep = self._steps()
-        dist = table["dist"][ix][iy]
+        dist = table["dist"]
         for o in range(4):
             if o == _START:
                 continue
             for h in range(3):
-                d = dist[o][h]
+                d = dist.get((ix, iy, o, h), self.tau + 1)
                 if d > self.tau:
                     continue
                 for dx, dy, no in _DIRS:
@@ -919,7 +926,7 @@ class NestedFenceEngine:
         best = None
         for o in range(4):
             for h in range(3):
-                d = table["dist"][ix][iy][o][h]
+                d = table["dist"].get((ix, iy, o, h), self.tau + 1)
                 if best is None or d < best[0]:
                     best = (d, o, h)
         if best is None or best[0] > self.tau:
@@ -1045,6 +1052,65 @@ def is_vertically_convex(p: RectPolygon) -> bool:
     return is_horizontally_convex(p.transform(lambda q: Point(q.y, q.x)))
 
 
+def split_polygon(p: RectPolygon, c: Cut) -> list[RectPolygon]:
+    """The parts of p cut along c, as ``split_components`` gives them.
+
+    Raises CutError when the cut does not separate (single part).
+    """
+    parts = split_components(p, c)
+    if len(parts) < 2:
+        raise CutError("cut does not separate the polygon")
+    return parts
+
+
+def all_chords(poly: RectPolygon) -> list[Chord]:
+    """Every vertical segment between two boundary touch points on the same
+    section, at integral x (the exhaustive oracle for the k/3 bound)."""
+    x0, _, x1, _ = poly.bbox()
+    out = []
+    for x in range(x0, x1 + 1):
+        touches = poly.vertical_touches(x)
+        for lo, hi in poly.vertical_section(x):
+            ys = sorted(
+                {y for t1, t2 in touches for y in (t1, t2) if lo <= y <= hi}
+            )
+            for a in range(len(ys)):
+                for b in range(a + 1, len(ys)):
+                    out.append(_make_chord(poly, x, ys[a], ys[b]))
+    return out
+
+
+def check_niceness_observation(m: MaximalSet) -> None:
+    """The rightward ray from each top-right corner either reveals a first
+    blocking rect satisfying the seeing / coordinate alternative, or the
+    rect's right edge lies on the boundary of S."""
+    for i, r in enumerate(m.rects):
+        y = r.yt
+        best = None
+        for j, o in enumerate(m.rects):
+            if j == i:
+                continue
+            hit = (o.yb < y < o.yt and o.xr > r.xr) or (o.yt == y and o.xl >= r.xr)
+            if not hit:
+                continue
+            key = max(o.xl, r.xr)
+            if best is None or (key, j) < best:
+                best = (key, j)
+        if best is None:
+            if r.xr != m.side:
+                raise StructureError(
+                    f"rect {i}: clear rightward ray but right edge not on S"
+                )
+            continue
+        j = best[1]
+        o = m.rects[j]
+        ok = sees(m.rects, i, j, "BL", "right") or (
+            r.yt <= o.yt and o.yb < r.yb and r.xr == o.xl
+        )
+        if not ok:
+            raise StructureError(f"rect {i}: niceness observation fails at rect {j}")
+
+
 def intersection_matrix(rects: tuple[Rect, ...]) -> list[list[bool]]:
     n = len(rects)
     return [
@@ -1125,6 +1191,23 @@ def ref_contains_rect(poly: RectPolygon, r: Rect) -> bool:
     if not ref_contains_doubled(poly, r.xl + r.xr, r.yb + r.yt):
         return False
     return not any(segment_intersects_rect(e, r) for e in _loop_edges(poly))
+
+
+def ref_edge_sides(poly: RectPolygon) -> tuple[dict[int, str], dict[int, str]]:
+    """vertical_edge_sides and horizontal_edge_sides by a half-unit probe
+    beside each edge's midpoint: a left edge has the inside on its right,
+    a bottom edge has it above."""
+    vsides, hsides = {}, {}
+    vs = poly.vertices
+    for i in range(len(vs)):
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        if p.x == q.x:
+            inside = ref_contains_doubled(poly, 2 * p.x + 1, p.y + q.y)
+            vsides[i] = "left" if inside else "right"
+        else:
+            inside = ref_contains_doubled(poly, p.x + q.x, 2 * p.y + 1)
+            hsides[i] = "bottom" if inside else "top"
+    return vsides, hsides
 
 
 def _segments_touch(s: Segment, t: Segment, allow_shared_endpoint: bool) -> bool:

@@ -28,7 +28,6 @@ from misr.instance import (
     solution_to_json,
 )
 from misr.partition import (
-    all_chords,
     chord_distance,
     general_partition_cut,
     line_partition_cut,
@@ -43,7 +42,13 @@ from misr.structure import (
     is_tau_protected,
     maximal_extension,
 )
-from oracles import blob_polygon, dp_dominates_partition, general_units, line_units
+from oracles import (
+    all_chords,
+    blob_polygon,
+    dp_dominates_partition,
+    general_units,
+    line_units,
+)
 
 FAMILIES = ("uniform_random", "nested_grid", "windmill")
 

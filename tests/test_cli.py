@@ -23,6 +23,32 @@ class TestGenerate:
         assert instance_to_json(inst) == doc
 
 
+# Two dense inputs on which the six regime fails (ROADMAP item 1).
+SIX_REPRODUCERS = [
+    pytest.param(
+        [[6, 8, 10, 12], [2, 9, 4, 13], [17, 3, 18, 7], [14, 0, 16, 2], [0, 2, 5, 4],
+         [11, 11, 12, 15], [15, 10, 19, 16], [5, 13, 7, 17], [10, 5, 13, 11],
+         [1, 14, 3, 16], [8, 1, 9, 6]],
+        id="edges-miss-rects",
+        marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="exits 1: check horizontal_edges_miss_rects fails",
+        ),
+    ),
+    pytest.param(
+        [[14, 20, 16, 22], [20, 7, 21, 11], [7, 8, 11, 14], [12, 8, 19, 12],
+         [10, 16, 12, 19], [18, 1, 22, 6], [8, 0, 13, 4], [0, 13, 2, 21], [16, 2, 18, 8],
+         [1, 3, 6, 4], [3, 9, 7, 10], [3, 15, 4, 22], [5, 14, 9, 18], [14, 2, 15, 5],
+         [17, 15, 19, 17]],
+        id="no-repairable-subpath",
+        marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="exits 2: error: no repairable subpath found",
+        ),
+    ),
+]
+
+
 class TestSolveAndCertify:
     @pytest.fixture()
     def windmill_file(self, tmp_path):
@@ -85,6 +111,17 @@ class TestSolveAndCertify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cell" in err
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rects", SIX_REPRODUCERS)
+    def test_certify_six_dense_reproducer(self, rects, tmp_path, capsys):
+        """Pairwise-disjoint rects, so OPT takes all of them; six must
+        certify them at the default oracle cap."""
+        inst_file = tmp_path / "inst.json"
+        doc = {"rects": [dict(zip(("xl", "yb", "xr", "yt"), r)) for r in rects]}
+        inst_file.write_text(json.dumps(doc))
+        assert run_cli(["certify", str(inst_file), "--regime", "six"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(c["ok"] for c in report["checks"])
 
     def test_report_deterministic_modulo_timing(self, windmill_file, capsys):
         docs = []

@@ -16,13 +16,13 @@ from misr.geom_core import (
     rects_intersect,
     segment_intersects_rect,
     split_components,
-    split_polygon,
 )
 from oracles import (
     blob_polygon,
     brute_force_hconvex,
     classify_vertical_edges,
     is_vertically_convex,
+    split_polygon,
 )
 
 SQUARE = RectPolygon.from_rect(Rect(0, 0, 4, 4))

@@ -7,7 +7,6 @@ from misr.geom_core import Point, Rect, RectPolygon, Segment, segment_intersects
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import (
     ConstructionError,
-    all_chords,
     chord_distance,
     general_partition_cut,
     line_partition_cut,
@@ -18,6 +17,7 @@ from misr.partition import (
 )
 from misr.structure import is_protected, is_tau_protected, maximal_extension
 from oracles import (
+    all_chords,
     blob_polygon,
     cells_to_polygon,
     fill_with_maximal_rects,

@@ -1,9 +1,10 @@
 """RectPolygon's edge tables against the per-call predicates in
-oracles.py: point membership, boundary, rect containment, simplicity
-and line-fence enumeration must agree exactly, on blob polygons, on
-partition nodes and on random self-touching vertex loops.  The loop
-surgery split must agree with the refined-grid split in oracles.py on
-every split the constructions make and on random cuts."""
+oracles.py: point membership, boundary, rect containment, line
+sections, segment containment, horizontal convexity, edge sides,
+simplicity and line-fence enumeration must agree exactly, on blob
+polygons, on partition nodes and on random self-touching vertex loops.
+The loop surgery split must agree with the refined-grid split in
+oracles.py on every split the constructions make and on random cuts."""
 
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from misr.geom_core import (
     Rect,
     RectPolygon,
     Segment,
+    is_horizontally_convex,
     split_components,
 )
 from misr.instance import exact_mis, generate
@@ -27,8 +29,10 @@ from misr.partition import ConstructionError, recursive_partition
 from misr.structure import enumerate_line_fences, line_fences_from_point, maximal_extension
 from oracles import (
     blob_polygon,
+    brute_force_hconvex,
     ref_contains_doubled,
     ref_contains_rect,
+    ref_edge_sides,
     ref_enumerate_line_fences,
     ref_is_simple,
     ref_line_fences_from_point,
@@ -124,6 +128,30 @@ def test_contains_segment_agrees(node_cells):
             ):
                 want = all(ref_contains_doubled(poly, X, Y) for X, Y in probes)
                 assert poly.contains_segment(s) == want, (poly, s)
+
+
+def test_edge_sides_agree(node_cells):
+    """Sides read off the clockwise loop against the half-unit probe, on
+    every simple polygon."""
+    labels = set()
+    for poly in {p for p, _ in node_cells} | set(blobs()):
+        if not poly.is_simple:
+            continue
+        vsides, hsides = ref_edge_sides(poly)
+        assert poly.vertical_edge_sides() == vsides, poly
+        assert poly.horizontal_edge_sides() == hsides, poly
+        labels.update(vsides.values(), hsides.values())
+    assert labels == {"left", "right", "bottom", "top"}, labels
+
+
+def test_horizontal_convexity_agrees(node_cells):
+    """is_horizontally_convex against the doubled-grid chord scan."""
+    verdicts = {True: 0, False: 0}
+    for poly in {p for p, _ in node_cells} | set(blobs()):
+        got = is_horizontally_convex(poly)
+        assert got == brute_force_hconvex(poly), poly
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 10, verdicts
 
 
 def _runs(doubled: list[int]) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ from misr.structure import (
     MaximalSet,
     StructureError,
     assert_maximal,
-    check_niceness_observation,
     classify_nesting,
     classify_nice,
     enumerate_line_fences,
@@ -21,6 +20,7 @@ from misr.structure import (
 )
 from misr.partition import recursive_partition
 from oracles import (
+    check_niceness_observation,
     fill_with_maximal_rects,
     notched_polygon,
     ref_sees,
