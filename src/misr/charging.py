@@ -13,18 +13,8 @@ from typing import Optional, Sequence
 
 from .geom_core import Point, Rect, Segment, segment_intersects_rect
 from .instance import InstanceError
-from .structure import (
-    MaximalSet,
-    NestingLabel,
-    NiceLabel,
-    _mirror_x,
-    _mirror_y,
-    classify_nesting,
-    classify_nice,
-    seen_corners_on_side,
-    sees,
-)
-from .partition import PartitionRun
+from .structure import _mirror_x, _mirror_y, seen_corners_on_side, sees
+from .partition import PartitionRun, _check
 
 
 class ChargingError(RuntimeError):
@@ -71,37 +61,30 @@ class SeeForest:
         return deg
 
 
-def _work_labels(run: PartitionRun) -> NestingLabel:
-    return classify_nesting(MaximalSet(run.work_rects, run.origin, run.side))
-
-
-def _work_nice(run: PartitionRun) -> NiceLabel:
-    return classify_nice(MaximalSet(run.work_rects, run.origin, run.side))
-
-
 # -- factor 6 -----------------------------------------------------------------
 
 
-def charge_six(run: PartitionRun, labels: Optional[NestingLabel] = None) -> ChargeLedger:
+def charge_six(run: PartitionRun) -> ChargeLedger:
     """Half a unit to one seen corner on each side of every intersected
     rect that is not horizontally nested; first corner in scan order."""
-    labels = labels or _work_labels(run)
+    h_nested = run.nesting.horizontally_nested
     work = run.work_rects
     ledger = ChargeLedger("six")
-    for t in run.trace:
-        for rid in t.intersected:
-            if rid in labels.horizontally_nested:
+    for v in run.trace:
+        node = run.nodes[v]
+        for rid in node.intersected:
+            if rid in h_nested:
                 continue
             for side in ("left", "right"):
-                cands = seen_corners_on_side(work, rid, side, t.rect_ids)
+                cands = seen_corners_on_side(work, rid, side, node.rects)
                 if not cands:
                     raise ChargingError(
-                        f"node {t.node}: rect {rid} sees no corner on {side}"
+                        f"node {v}: rect {rid} sees no corner on {side}"
                     )
                 _pt, j, cname = cands[0]
                 ledger.entries.append(
                     ChargeEntry(
-                        rid, j, cname, Fraction(1, 2), "direct", t.node, side, True
+                        rid, j, cname, Fraction(1, 2), "direct", v, side, True
                     )
                 )
     return ledger
@@ -194,27 +177,27 @@ def _second_token_top(
     return [(jb, "BL", "indirect_b", seen)]
 
 
-def charge_three(run: PartitionRun, labels: Optional[NestingLabel] = None) -> ChargeLedger:
+def charge_three(run: PartitionRun) -> ChargeLedger:
     """Four quarter-tokens per intersected non-horizontally-nested rect:
     two to the right, two to the left (mirrored)."""
-    labels = labels or _work_labels(run)
-    h_nested = labels.horizontally_nested
+    h_nested = run.nesting.horizontally_nested
     work = run.work_rects
     ledger = ChargeLedger("three")
     mwork = _mirror_x(work)
-    for t in run.trace:
-        for rid in t.intersected:
+    for v in run.trace:
+        node = run.nodes[v]
+        for rid in node.intersected:
             if rid in h_nested:
                 continue
-            for j, cname, kind, seen in _tokens_right(work, t.rect_ids, rid, h_nested):
+            for j, cname, kind, seen in _tokens_right(work, node.rects, rid, h_nested):
                 ledger.entries.append(
-                    ChargeEntry(rid, j, cname, Fraction(1, 4), kind, t.node, "right", seen)
+                    ChargeEntry(rid, j, cname, Fraction(1, 4), kind, v, "right", seen)
                 )
-            for j, cname, kind, seen in _tokens_right(mwork, t.rect_ids, rid, h_nested):
+            for j, cname, kind, seen in _tokens_right(mwork, node.rects, rid, h_nested):
                 ledger.entries.append(
                     ChargeEntry(
                         rid, j, _MIRROR_X_CORNER[cname], Fraction(1, 4), kind,
-                        t.node, "left", seen,
+                        v, "left", seen,
                     )
                 )
     return ledger
@@ -266,9 +249,7 @@ def _distance_fence_chain(work: Sequence[Rect], path: list[int]) -> list[Segment
     return segs
 
 
-def charge_two_eps(
-    run: PartitionRun, eps: Fraction, nice: Optional[NiceLabel] = None
-) -> tuple[ChargeLedger, SeeForest]:
+def charge_two_eps(run: PartitionRun, eps: Fraction) -> tuple[ChargeLedger, SeeForest]:
     """Follow the chosen maximal see-forest path inside the cut polygon
     from every intersected horizontally nice rect: epsilon/2 to each of the
     first 2/eps rects, or a unit to a terminal that is not horizontally
@@ -283,14 +264,15 @@ def charge_two_eps(
     if (1 / eps).denominator != 1:
         raise ChargingError("two_eps requires 1/eps integral")
     quota = int(2 / eps)
-    nice = nice or _work_nice(run)
+    blue = run.nice.horizontally_nice
     work = run.work_rects
     forest = build_see_forest(work)
     ledger = ChargeLedger("two_eps")
-    for t in run.trace:
-        contained = set(t.rect_ids)
-        for rid in t.intersected:
-            if rid not in nice.horizontally_nice:
+    for v in run.trace:
+        node = run.nodes[v]
+        contained = set(node.rects)
+        for rid in node.intersected:
+            if rid not in blue:
                 continue  # lost red rects distribute nothing
             path = [rid]
             cur = rid
@@ -302,7 +284,7 @@ def charge_two_eps(
                     break
                 if nxt not in contained:
                     raise ChargingError(
-                        f"node {t.node}: path from {rid} leaves the polygon "
+                        f"node {v}: path from {rid} leaves the polygon "
                         f"(case 2(b) must not happen)"
                     )
                 path.append(nxt)
@@ -312,33 +294,29 @@ def charge_two_eps(
                 # long path: epsilon/2 to each of the first 2/eps rects
                 for payee in path[1:]:
                     ledger.entries.append(
-                        ChargeEntry(rid, payee, "BL", eps / 2, "path_unit", t.node)
+                        ChargeEntry(rid, payee, "BL", eps / 2, "path_unit", v)
                     )
-            elif terminal not in nice.horizontally_nice:
+            elif terminal not in blue:
                 # short path ending on a rect that is not horizontally
                 # nice: the terminal takes the whole unit
                 ledger.entries.append(
-                    ChargeEntry(rid, terminal, "BL", Fraction(1), "leaf_full", t.node)
+                    ChargeEntry(rid, terminal, "BL", Fraction(1), "leaf_full", v)
                 )
             else:
                 # short path ending on a boundary-nice rect: undefined
                 # corner of the scheme; distribute over the short path
                 ledger.flags.append(
-                    f"node {t.node}: path from {rid} ends on boundary-nice "
+                    f"node {v}: path from {rid} ends on boundary-nice "
                     f"rect {terminal} after {len(path) - 1} hops"
                 )
                 for payee in path[1:]:
                     ledger.entries.append(
-                        ChargeEntry(rid, payee, "BL", eps / 2, "path_unit", t.node)
+                        ChargeEntry(rid, payee, "BL", eps / 2, "path_unit", v)
                     )
     return ledger, forest
 
 
 # -- verification ----------------------------------------------------------------
-
-
-def _check(report: list[dict], name: str, ok: bool, detail: str = "") -> None:
-    report.append({"name": name, "ok": bool(ok), "detail": detail})
 
 
 def verify_ratios(
@@ -362,8 +340,8 @@ def verify_ratios(
     )
 
     lost = frozenset(range(n)) - saved
+    h = run.nesting.horizontally_nested
     if ledger.regime == "six":
-        labels = _work_labels(run)
         per_corner: dict[tuple[int, str], int] = {}
         for e in ledger.entries:
             per_corner[(e.payee, e.corner)] = per_corner.get((e.payee, e.corner), 0) + 1
@@ -379,7 +357,7 @@ def verify_ratios(
             all(ledger.total_on(i) <= 2 for i in saved),
             "",
         )
-        lost_plain = [i for i in lost if i not in labels.horizontally_nested]
+        lost_plain = [i for i in lost if i not in h]
         _check(
             report,
             "lost_nonnested_at_most_2_saved",
@@ -394,8 +372,6 @@ def verify_ratios(
             f"|R'|={len(saved)} |OPT|={opt_size}",
         )
     elif ledger.regime == "three":
-        labels = _work_labels(run)
-        h = labels.horizontally_nested
         per_corner: dict[tuple[int, str], list[ChargeEntry]] = {}
         for e in ledger.entries:
             per_corner.setdefault((e.payee, e.corner), []).append(e)
@@ -458,8 +434,7 @@ def verify_ratios(
         )
     elif ledger.regime == "two_eps":
         eps = run.eps
-        nice = _work_nice(run)
-        blue = nice.horizontally_nice
+        blue = run.nice.horizontally_nice
         if forest is not None:
             _check(
                 report,

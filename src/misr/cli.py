@@ -29,7 +29,7 @@ from .charging import (
     verify_ratios,
 )
 from .dp_solver import DpError, DpStats, dp_solve
-from .geom_core import GeometryError, Rect, Segment
+from .geom_core import GeometryError, Point, Rect, Segment
 from .instance import (
     Instance,
     InstanceError,
@@ -44,11 +44,13 @@ from .instance import (
 )
 from .partition import (
     ConstructionError,
+    _check,
     recursive_partition,
     run_to_json,
     validate_partition,
 )
 from .structure import (
+    MaximalSet,
     StructureError,
     classify_nesting,
     classify_nice,
@@ -151,12 +153,8 @@ def run_pipeline(
         opt = None
         if inst.n <= inst_mod.DEFAULT_ORACLE_CAP:
             opt = exact_mis(inst, cap=oracle_cap).size
-            checks.append(
-                {
-                    "name": "dp_not_above_optimum",
-                    "ok": achieved <= opt,
-                    "detail": f"dp={achieved} opt={opt}",
-                }
+            _check(
+                checks, "dp_not_above_optimum", achieved <= opt, f"dp={achieved} opt={opt}"
             )
     elif algo in ("six", "three", "two_eps"):
         opt_sol = exact_mis(inst, cap=oracle_cap)
@@ -283,8 +281,6 @@ def _render_svg(artifacts: dict) -> str:
         work_rects = [Rect(*vals) for vals in part["work_rects"]]
         labels = None
         try:
-            from .structure import MaximalSet
-
             labels = classify_nesting(
                 MaximalSet(tuple(work_rects), tuple(part["origin"]), side)
             )
@@ -322,9 +318,7 @@ def _render_svg(artifacts: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def _pt(v) :
-    from .geom_core import Point
-
+def _pt(v) -> Point:
     return Point(v[0], v[1])
 
 

@@ -101,9 +101,6 @@ class Rect:
             "BR": Point(self.xr, self.yb),
         }[name]
 
-    def area(self) -> int:
-        return (self.xr - self.xl) * (self.yt - self.yb)
-
 
 def rects_intersect(a: Rect, b: Rect) -> bool:
     """True iff the open interiors share a point (boundary contact is not

@@ -35,9 +35,6 @@ class Instance:
     def n(self) -> int:
         return len(self.rects)
 
-    def bounding(self) -> Rect:
-        return Rect(0, 0, self.side, self.side)
-
 
 @dataclass(frozen=True)
 class Solution:

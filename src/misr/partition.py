@@ -9,14 +9,18 @@ Three regimes share the driver:
 
 Every guaranteed postcondition is asserted at run time; a violation
 raises ConstructionError, which always indicates a bug rather than an
-input condition.
+input condition.  The cuts assert their own shape (segment and edge
+budgets, components, the one rect-meeting vertical segment); the driver
+asserts, after every cut, that no rect protected at the node was
+intersected, and under check=True that protection persists into the
+child.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geom_core import (
     Cut,
@@ -39,11 +43,12 @@ from .structure import (
     _mirror_x_point,
     _mirror_x_tagged,
     MaximalSet,
+    NestingLabel,
+    NiceLabel,
     classify_nesting,
     classify_nice,
     is_protected,
     is_tau_protected,
-    line_fences_from_point,
     enumerate_line_fences,
     protecting_fences,
     seen_corners_on_side,
@@ -122,7 +127,6 @@ def _finalize(
     expect_components: Optional[tuple[int, int]],
     case: str,
     require_hconvex: bool = False,
-    protected_check: Optional[Callable[[Rect], bool]] = None,
 ) -> CutResult:
     """Split by the cut, repair degenerate outcomes, and assert the
     partitioning postconditions."""
@@ -163,12 +167,6 @@ def _finalize(
             )
         ell = next(iter(hit_segs))
     intersected = tuple(sorted(hits))
-    if protected_check is not None:
-        for rid, r in rects:
-            if rid in hits and protected_check(r):
-                raise ConstructionError(
-                    f"{case}: protected rectangle {rid} intersected"
-                )
     assignment: dict[int, int] = {}
     for rid, r in rects:
         if rid in hits:
@@ -553,11 +551,14 @@ def _mirror_cutresult(res: CutResult) -> CutResult:
     )
 
 
-def line_partition_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
+def line_partition_cut(
+    poly: RectPolygon, rects: RectsIn, memo: Optional[dict] = None
+) -> CutResult:
     """Cut a horizontally convex polygon (at most 26 edges, at least two
     rects) with at most 8 segments so that 2-3 horizontally convex
     components remain, only one vertical segment meets any rectangle, and
-    no line-fence-protected rectangle is met.
+    no line-fence-protected rectangle is met.  memo is the caller's
+    protection memo (see protecting_fences).
     """
     if len(rects) < 2:
         raise ConstructionError("line_partition_cut needs at least two rects")
@@ -567,7 +568,9 @@ def line_partition_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
     left_idx = [i for i, s in sides.items() if s == "left"]
     right_idx = [i for i, s in sides.items() if s == "right"]
     if len(left_idx) < len(right_idx):
-        mres = line_partition_cut(poly.transform(_mirror_x_point), _mirror_x_tagged(rects))
+        mres = line_partition_cut(
+            poly.transform(_mirror_x_point), _mirror_x_tagged(rects), memo
+        )
         return _mirror_cutresult(mres)
 
     edges = poly.edges()
@@ -575,26 +578,24 @@ def line_partition_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
     s = len(lefts)
     em = lefts[s // 3 : (2 * s + 2) // 3]  # middle third, 1-based floor/ceil
 
+    fences = enumerate_line_fences(poly, rects)
+    # the furthest feature from each left anchor: its fences come nearest
+    # first, so the last one wins
+    furthest = {f.anchor: f for f in fences if f.side == "from_left_edge"}
     candidates = []
     for i in em:
         e = edges[i]
         y1, y2 = sorted((e.a.y, e.b.y))
         for y in range(y1, y2 + 1):
             p = Point(e.a.x, y)
-            fs = line_fences_from_point(poly, rects, p, "left")
-            if fs:
-                f = fs[-1]  # furthest feature: rightmost endpoint from p
-                candidates.append((f.endpoint, p))
+            if p in furthest:
+                candidates.append((furthest[p].endpoint, p))
     if not candidates:
         return _guillotine_cut(poly, rects)
     candidates.sort(key=lambda t: (-t[0].x, t[1].y, t[1].x))
     p_prime, p_anchor = candidates[0]
 
-    fences = enumerate_line_fences(poly, rects)
-    protected = {
-        rid: protecting_fences(poly, rects, r) for rid, r in rects
-    }
-    prot_ids = {rid for rid, fs in protected.items() if fs}
+    prot_ids = {rid for rid, r in rects if protecting_fences(poly, rects, r, memo)}
 
     def ray_stop(start: Point, down: bool) -> tuple[Point, list[Point]]:
         """First stopping event of the vertical ray from start; returns the
@@ -632,7 +633,7 @@ def line_partition_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
             f = data[1]
             return qp, [f.anchor]
         _kind, rid, r = data
-        pf = protected[rid][0]
+        pf = protecting_fences(poly, rects, r, memo)[0]
         covered_y = pf.chain[0].a.y
         if covered_y == (r.yt if down else r.yb):
             # the protecting fence runs along the very edge the ray hit
@@ -671,7 +672,6 @@ def line_partition_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
         expect_components=(2, 3),
         case="line",
         require_hconvex=True,
-        protected_check=lambda r: bool(protecting_fences(poly, rects, r)),
     )
 
 
@@ -871,7 +871,6 @@ def _case0_cut(poly: RectPolygon, rects: RectsIn, tau: int) -> CutResult:
         max_edges=30 * tau + 18,
         expect_components=(2, 2),
         case="general-0",
-        protected_check=None,
     )
 
 
@@ -902,7 +901,6 @@ def _general_case1(poly, rects, tau, eng: FenceEngine, tables, plist) -> CutResu
             return _finalize(
                 poly, segs, rects, 2 * tau + 1, 30 * tau + 18, (2, 2),
                 "general-1a",
-                protected_check=eng.protects,
             )
     for a, b in zip(plist, plist[1:]):
         if b_cover(a) and t_cover(b):
@@ -915,7 +913,6 @@ def _general_case1(poly, rects, tau, eng: FenceEngine, tables, plist) -> CutResu
             return _finalize(
                 poly, segs, rects, 2 * tau + 1, 30 * tau + 18, (2, 2),
                 "general-1b",
-                protected_check=eng.protects,
             )
     raise ConstructionError("case 1: no bottom-to-top transition on the chord")
 
@@ -985,7 +982,6 @@ def _general_case2(
         cap,
         (2, 2),
         case,
-        protected_check=eng.protects,
     )
 
     for name in right:
@@ -1122,9 +1118,17 @@ def anti_transpose_rect(r: Rect, side: int) -> Rect:
 
 @dataclass
 class PartitionNode:
+    """One polygon of the partition tree.  rects are the ids of the work
+    rects inside it, ascending: all of them at the root, and at a child the
+    parent's rects that its cut did not intersect and assigned to this
+    child's component.  A cut node records its cut, ell (the one segment
+    meeting rects), the rects it intersected and its construction case; a
+    leaf holding one rect records it as assigned."""
+
     id: int
     polygon: RectPolygon
     parent: Optional[int]
+    rects: tuple[int, ...] = ()
     children: list[int] = field(default_factory=list)
     cut: Optional[Cut] = None
     ell: Optional[Segment] = None
@@ -1134,16 +1138,16 @@ class PartitionNode:
 
 
 @dataclass
-class TraceEntry:
-    node: int
-    polygon: RectPolygon
-    rect_ids: tuple[int, ...]
-    ell: Optional[Segment]
-    intersected: tuple[int, ...]
-
-
-@dataclass
 class PartitionRun:
+    """The record of one recursive partition, in the normalized frame.
+
+    trace holds the ids of the cut nodes in the order they were cut,
+    which is the order the charging ledgers pay in.  nesting holds the
+    work rects' nesting labels, and nice their niceness labels under
+    two_eps (None otherwise); the charging schemes and verify_ratios read
+    them from here.
+    """
+
     regime: str
     tau: Optional[int]
     eps: Optional[Fraction]
@@ -1152,8 +1156,11 @@ class PartitionRun:
     work_rects: tuple[Rect, ...]
     origin: tuple[int, ...]
     nodes: list[PartitionNode]
-    trace: list[TraceEntry]
+    trace: list[int]
     tracked: frozenset[int]
+    nesting: NestingLabel
+    nice: Optional[NiceLabel] = None
+
     @property
     def k_budget(self) -> int:
         if self.regime == "six":
@@ -1215,53 +1222,38 @@ def recursive_partition(
         anti_transpose_rect(r, side) if transposed else r for r in m.rects
     )
     wm = MaximalSet(work, m.origin, side)
-    if regime in ("six", "three"):
-        labels = classify_nesting(wm)
-        if 2 * len(labels.horizontally_nested) > n:
-            raise ConstructionError("normalization failed: too many nested")
-        h_nested = labels.horizontally_nested
-    else:
+    nice = None
+    if regime == "two_eps":
         nice = classify_nice(wm)
         if 2 * len(nice.horizontally_nice) < n:
             raise ConstructionError("normalization failed: too few nice")
-        h_nested = classify_nesting(wm).horizontally_nested
+    nesting = classify_nesting(wm)
+    if regime != "two_eps" and 2 * len(nesting.horizontally_nested) > n:
+        raise ConstructionError("normalization failed: too many nested")
 
     the_tau = regime_tau(regime, eps, tau)
-    # Line-protection verdicts of this run by (rect, polygon, rects): a
-    # node's visibility check asks the questions that, under six, its
-    # protection checks ask again, and a parent's persistence check asks
-    # its children's.
-    line_memo: dict = {}
-
-    def line_prot(r: Rect, poly: RectPolygon, rin: RectsIn) -> bool:
-        key = (r, poly, tuple(sorted(rin)))
-        verdict = line_memo.get(key)
-        if verdict is None:
-            verdict = line_memo[key] = is_protected(r, poly, rin)
-        return verdict
-
+    # The run's protection memo: one fence engine per (polygon, rects) and
+    # one line-fence list per (rect, polygon, rects).  A node's visibility
+    # check, its protection checks, its cut and its parent's persistence
+    # check all ask the same questions.
+    memo: dict = {}
     if regime == "six":
-        cutter = lambda poly, rin: line_partition_cut(poly, rin)
-        prot = line_prot
+        cutter = lambda poly, rin: line_partition_cut(poly, rin, memo)
+        prot = lambda r, poly, rin: is_protected(r, poly, rin, memo)
     else:
-        # One fence engine per (polygon, rects) for this run: a node's
-        # protection checks, its cut and its parent's persistence check
-        # all ask the same engine.
-        memo: dict = {}
         cutter = lambda poly, rin: general_partition_cut(
             poly, rin, the_tau, memo=memo
         )
         prot = lambda r, poly, rin: is_tau_protected(r, poly, rin, the_tau, memo)
 
     root_poly = RectPolygon.from_rect(Rect(0, 0, side, side))
-    nodes = [PartitionNode(0, root_poly, None)]
-    trace: list[TraceEntry] = []
+    nodes = [PartitionNode(0, root_poly, None, tuple(range(n)))]
+    trace: list[int] = []
     tracked: set[int] = set()
     stack = [0]
     while stack:
         v = stack.pop()
-        poly = nodes[v].polygon
-        ids = [i for i in range(n) if poly.contains_rect(work[i])]
+        poly, ids = nodes[v].polygon, nodes[v].rects
         if not ids:
             continue
         if len(ids) == 1:
@@ -1270,44 +1262,42 @@ def recursive_partition(
             continue
         rects_in = [(i, work[i]) for i in ids]
         if check:
-            _check_visibility_guarantee(work, poly, rects_in, h_nested, line_prot)
+            _check_visibility_guarantee(
+                work, poly, rects_in, nesting.horizontally_nested, memo
+            )
         protected_before = (
             {i: prot(work[i], poly, rects_in) for i in ids} if check else {}
         )
         res = cutter(poly, rects_in)
-        trace.append(TraceEntry(v, poly, tuple(ids), res.ell, res.intersected))
+        for i in res.intersected:
+            if (protected_before[i] if check else prot(work[i], poly, rects_in)):
+                raise ConstructionError(
+                    f"{res.case}: protected rectangle {i} intersected"
+                )
+        trace.append(v)
         nodes[v].cut = res.cut
         nodes[v].ell = res.ell
         nodes[v].intersected = res.intersected
         nodes[v].case = res.case
         order = sorted(range(len(res.components)), key=lambda c: res.components[c].vertices)
-        comp_to_child = {}
         for c in order:
-            child = PartitionNode(len(nodes), res.components[c], v)
+            child_ids = tuple(i for i in ids if res.assignment.get(i) == c)
+            child = PartitionNode(len(nodes), res.components[c], v, child_ids)
             if child.polygon.area2() >= poly.area2():
                 raise ConstructionError("child polygon did not shrink")
             nodes[v].children.append(child.id)
-            comp_to_child[c] = child.id
             nodes.append(child)
             stack.append(child.id)
-        if check:
-            for i in ids:
-                if i in res.intersected or not protected_before[i]:
-                    continue
-                child_poly = res.components[res.assignment[i]]
-                child_rects = [
-                    (j, work[j])
-                    for j in ids
-                    if j not in res.intersected
-                    and res.assignment[j] == res.assignment[i]
-                ]
-                if not prot(work[i], child_poly, child_rects):
-                    raise ConstructionError(
-                        f"protection of rect {i} not persistent in child"
-                    )
+            if check:
+                child_rects = [(j, work[j]) for j in child_ids]
+                for i in child_ids:
+                    if protected_before[i] and not prot(work[i], child.polygon, child_rects):
+                        raise ConstructionError(
+                            f"protection of rect {i} not persistent in child"
+                        )
     leftover = set(range(n)) - tracked
-    for t in trace:
-        leftover -= set(t.intersected)
+    for v in trace:
+        leftover -= set(nodes[v].intersected)
     if leftover:
         raise ConstructionError(f"rects neither tracked nor intersected: {leftover}")
     return PartitionRun(
@@ -1321,6 +1311,8 @@ def recursive_partition(
         nodes,
         trace,
         frozenset(tracked),
+        nesting,
+        nice,
     )
 
 
@@ -1329,14 +1321,14 @@ def _check_visibility_guarantee(
     poly: RectPolygon,
     rects_in: RectsIn,
     h_nested: frozenset[int],
-    protected: Callable[[Rect, RectPolygon, RectsIn], bool],
+    memo: dict,
 ) -> None:
-    """Every rect that is neither line-fence-protected (as the given
-    is_protected answers it) nor horizontally nested must see a corner of
-    another contained rect on each side."""
+    """Every rect that is neither line-fence-protected (asked through the
+    run's memo) nor horizontally nested must see a corner of another
+    contained rect on each side."""
     ids = [rid for rid, _ in rects_in]
     for rid, r in rects_in:
-        if rid in h_nested or protected(r, poly, rects_in):
+        if rid in h_nested or is_protected(r, poly, rects_in, memo):
             continue
         for side_name in ("left", "right"):
             if not seen_corners_on_side(work, rid, side_name, ids):
@@ -1362,6 +1354,11 @@ def polygon_meets_rect_interior(poly: RectPolygon, r: Rect) -> bool:
     return False
 
 
+def _check(report: list[dict], name: str, ok: bool, detail: str = "") -> None:
+    """Append one named check to a report."""
+    report.append({"name": name, "ok": bool(ok), "detail": detail})
+
+
 def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]:
     """Check every defining clause of a k-recursive partition plus the
     regime extras; returns a report of named checks."""
@@ -1370,14 +1367,12 @@ def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]
     nodes = run.nodes
 
     ok = all(p.polygon.is_simple and p.polygon.num_edges <= k for p in nodes)
-    report.append(
-        {"name": "polygons_in_class", "ok": ok, "detail": f"k={k}"}
-    )
+    _check(report, "polygons_in_class", ok, f"k={k}")
 
     root_ok = nodes[0].polygon == RectPolygon.from_rect(
         Rect(0, 0, run.side, run.side)
     )
-    report.append({"name": "root_is_square", "ok": root_ok, "detail": ""})
+    _check(report, "root_is_square", root_ok)
 
     tile_ok, tile_detail = True, ""
     for node in nodes:
@@ -1411,7 +1406,7 @@ def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]
                 break
         if not tile_ok:
             break
-    report.append({"name": "children_tile_parent", "ok": tile_ok, "detail": tile_detail})
+    _check(report, "children_tile_parent", tile_ok, tile_detail)
 
     leaves = [node for node in nodes if not node.children]
     leaf_ok = True
@@ -1425,7 +1420,7 @@ def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]
         if len(inside) > 1:
             leaf_ok, leaf_detail = False, f"leaf {node.id} holds {inside}"
             break
-    report.append({"name": "leaf_holds_at_most_one", "ok": leaf_ok, "detail": leaf_detail})
+    _check(report, "leaf_holds_at_most_one", leaf_ok, leaf_detail)
 
     unique_ok, unique_detail = True, ""
     for i in run.tracked:
@@ -1440,7 +1435,7 @@ def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]
             unique_ok = False
             unique_detail = f"rect {i}: homes={homes} meets={meets}"
             break
-    report.append({"name": "tracked_in_unique_leaf", "ok": unique_ok, "detail": unique_detail})
+    _check(report, "tracked_in_unique_leaf", unique_ok, unique_detail)
 
     horiz_ok, horiz_detail = True, ""
     for node in nodes:
@@ -1456,17 +1451,13 @@ def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]
                 break
         if not horiz_ok:
             break
-    report.append(
-        {"name": "horizontal_edges_miss_rects", "ok": horiz_ok, "detail": horiz_detail}
-    )
+    _check(report, "horizontal_edges_miss_rects", horiz_ok, horiz_detail)
 
     budget = 8 if run.regime == "six" else 2 * run.tau + 1
     cut_ok = all(
         node.cut is None or len(node.cut.segments) <= budget for node in nodes
     )
-    report.append(
-        {"name": "cut_segment_budget", "ok": cut_ok, "detail": f"budget={budget}"}
-    )
+    _check(report, "cut_segment_budget", cut_ok, f"budget={budget}")
     return report
 
 

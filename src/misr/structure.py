@@ -12,6 +12,11 @@ Fence conventions (all exact, all integral):
 Anchors and bends are restricted to integral points; every obstacle has
 integral coordinates, so chains can always be deformed onto the integer
 grid without increasing their segment count.
+
+Both kinds of protection are memoized per partition run, in one dict the
+run owns: tau_engine keeps one engine per (polygon, rects, tau), and
+protecting_fences one fence list per (rect, polygon, rects).  A memo is a
+cache only; every answer is the same without it.
 """
 
 from __future__ import annotations
@@ -45,9 +50,6 @@ class MaximalSet:
     rects: tuple[Rect, ...]
     origin: tuple[int, ...]
     side: int
-
-    def bounding(self) -> Rect:
-        return Rect(0, 0, self.side, self.side)
 
 
 def _y_overlap(a: Rect, b: Rect) -> bool:
@@ -348,12 +350,6 @@ class Fence:
     def endpoint(self) -> Point:
         return self.chain[-1].b if self.chain else self.anchor
 
-    def points(self) -> list[Point]:
-        pts = [self.anchor]
-        for s in self.chain:
-            pts.append(s.b)
-        return pts
-
 
 def _fence_features_rightward(
     rects_in: Sequence[tuple[int, Rect]], y: int, x_from: int, x_to: int
@@ -399,16 +395,6 @@ def _fences_rightward(frame, p: Point) -> list[Fence]:
     return out
 
 
-def line_fences_from_point(
-    poly: RectPolygon,
-    rects_in: Sequence[tuple[int, Rect]],
-    p: Point,
-    side: str,
-) -> list[Fence]:
-    """Line fences emerging from one anchor point, nearest feature first."""
-    return _fences_rightward(_fence_frame(poly, rects_in, side), p)
-
-
 def enumerate_line_fences(
     poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
 ) -> list[Fence]:
@@ -436,14 +422,23 @@ def _ray_clear_of_rects(
 
 
 def protecting_fences(
-    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], r: Rect
+    poly: RectPolygon,
+    rects_in: Sequence[tuple[int, Rect]],
+    r: Rect,
+    memo: Optional[dict] = None,
 ) -> list[Fence]:
     """Line fences containing the top or bottom edge of r.
 
     Only the fence ending at the covered edge's far corner needs testing:
     if any covering fence exists, that one does.  Deterministic order:
     top before bottom, left anchors before right, then anchor position.
+    With a memo (a partition run's, as for tau_engine), each (r, poly,
+    rects_in) is answered once; the answer is the same without one.
     """
+    if memo is not None:
+        key = ("line", r, poly, tuple(sorted(rects_in)))
+        if key in memo:
+            return memo[key]
     out: list[Fence] = []
     sides = poly.vertical_edge_sides()
     edges = poly.edges()
@@ -473,14 +468,19 @@ def protecting_fences(
                 found.append(Fence(p, (seg,), f"from_{side_name}_edge"))
             found.sort(key=lambda f: (f.anchor.y, f.anchor.x))
             out.extend(found)
+    if memo is not None:
+        memo[key] = out
     return out
 
 
 def is_protected(
-    r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
+    r: Rect,
+    poly: RectPolygon,
+    rects_in: Sequence[tuple[int, Rect]],
+    memo: Optional[dict] = None,
 ) -> bool:
     """Line-fence protection: some fence contains r's top or bottom edge."""
-    return bool(protecting_fences(poly, rects_in, r))
+    return bool(protecting_fences(poly, rects_in, r, memo))
 
 
 # -- tau-fences: budgeted x-monotone chain search -----------------------------

@@ -772,6 +772,7 @@ class NestedFenceEngine:
         self._hstep: Optional[list[list[bool]]] = None
         self._vstep: Optional[list[list[bool]]] = None
         self._cache: dict = {}
+        self._points: Optional[list[Point]] = None
 
     def _steps(self):
         if self._hstep is None:
@@ -800,10 +801,12 @@ class NestedFenceEngine:
 
     def _bfs(self, seeds: list[tuple[int, int, int, int, int]]) -> dict:
         """dist maps each reached state (ix, iy, o, h) to its distance, keyed
-        like parent; a state missing from it is at tau + 1."""
+        like parent; a state missing from it is at tau + 1.  best maps each
+        reached grid offset (ix, iy) to the least distance of its states."""
         hstep, vstep = self._steps()
         INF = self.tau + 1
         dist: dict[tuple, int] = {}
+        best: dict[tuple, int] = {}
         parent: dict[tuple, tuple] = {}
         dq: deque = deque()
         for d, ix, iy, o, h in seeds:
@@ -811,6 +814,7 @@ class NestedFenceEngine:
                 continue
             if d <= self.tau and d < dist.get((ix, iy, o, h), INF):
                 dist[(ix, iy, o, h)] = d
+                best[(ix, iy)] = min(d, best.get((ix, iy), INF))
                 dq.append((d, ix, iy, o, h))
         while dq:
             d, ix, iy, o, h = dq.popleft()
@@ -841,12 +845,14 @@ class NestedFenceEngine:
                     continue
                 if nd < dist.get((nix, niy, no, nh), INF):
                     dist[(nix, niy, no, nh)] = nd
+                    if nd < best.get((nix, niy), INF):
+                        best[(nix, niy)] = nd
                     parent[(nix, niy, no, nh)] = (ix, iy, o, h)
                     if nd == d:
                         dq.appendleft((nd, nix, niy, no, nh))
                     else:
                         dq.append((nd, nix, niy, no, nh))
-        return {"dist": dist, "parent": parent}
+        return {"dist": dist, "best": best, "parent": parent}
 
     def reach(self, sources: Iterable[Point]) -> dict:
         key = ("pts", tuple(sorted(set(sources))))
@@ -882,9 +888,7 @@ class NestedFenceEngine:
         return [Point(edge.a.x, y) for y in range(y1, y2 + 1)]
 
     def best_dist(self, table: dict, p: Point) -> int:
-        ix, iy = p.x - self.x0, p.y - self.y0
-        dist, INF = table["dist"], self.tau + 1
-        return min(dist.get((ix, iy, o, h), INF) for o in range(4) for h in range(3))
+        return table["best"].get((p.x - self.x0, p.y - self.y0), self.tau + 1)
 
     def covers(self, table: dict, p: Point) -> bool:
         return self.best_dist(table, p) <= self.tau
@@ -923,20 +927,25 @@ class NestedFenceEngine:
 
     def chain_to(self, table: dict, p: Point) -> list[Point]:
         ix, iy = p.x - self.x0, p.y - self.y0
-        best = None
-        for o in range(4):
-            for h in range(3):
-                d = table["dist"].get((ix, iy, o, h), self.tau + 1)
-                if best is None or d < best[0]:
-                    best = (d, o, h)
-        if best is None or best[0] > self.tau:
+        dist, parent = table["dist"], table["parent"]
+        d = self.best_dist(table, p)
+        if d > self.tau:
             raise ValueError(f"no chain reaches {p}")
-        state = (ix, iy, best[1], best[2])
-        walk = [Point(ix + self.x0, iy + self.y0)]
-        while state in table["parent"]:
-            state = table["parent"][state]
-            walk.append(Point(state[0] + self.x0, state[1] + self.y0))
-        return list(reversed(walk))
+        # the first of the point's states in (o, h) order at the least distance
+        state = next(
+            (ix, iy, o, h) for o in range(4) for h in range(3)
+            if dist.get((ix, iy, o, h)) == d
+        )
+        if self._points is None:  # the grid's points, at ix * ny + iy
+            self._points = [
+                Point(self.x0 + i, self.y0 + j)
+                for i in range(self.nx) for j in range(self.ny)
+            ]
+        walk = []
+        while state is not None:
+            walk.append(self._points[state[0] * self.ny + state[1]])
+            state = parent.get(state)
+        return walk[::-1]
 
 
 def _nested_edges_reaching_run(eng: NestedFenceEngine, y: int, x1: int, x2: int) -> set[int]:

@@ -28,6 +28,7 @@ from misr.instance import (
     solution_to_json,
 )
 from misr.partition import (
+    ConstructionError,
     chord_distance,
     general_partition_cut,
     line_partition_cut,
@@ -36,6 +37,7 @@ from misr.partition import (
     vertical_spanning_segment,
 )
 from misr.structure import (
+    MaximalSet,
     classify_nesting,
     classify_nice,
     is_protected,
@@ -186,6 +188,47 @@ def test_criterion_5_structural_propositions(sweep):
         classify_nice(rec["m"])
         count += 1
     _result("5 structural propositions", True, f"{count} maximal sets checked")
+
+
+def assert_run_record(run) -> int:
+    """A run's node rect sets are what a scan of every work rect against
+    the node polygon finds, no child holds a rect its parent's cut
+    intersected, and the run's labels are those of its work rects.
+    Returns the number of intersected rects."""
+    work = run.work_rects
+    intersected = 0
+    for node in run.nodes:
+        scan = tuple(i for i in range(len(work)) if node.polygon.contains_rect(work[i]))
+        assert node.rects == scan, (node.id, node.rects, scan)
+        for c in node.children:
+            assert not set(node.intersected) & set(run.nodes[c].rects)
+        intersected += len(node.intersected)
+    wm = MaximalSet(work, run.origin, run.side)
+    assert run.nesting == classify_nesting(wm)
+    assert run.nice == (classify_nice(wm) if run.regime == "two_eps" else None)
+    return intersected
+
+
+def test_run_records_rects_and_labels(sweep):
+    runs = 0
+    for rec in sweep:
+        for run, _led, _report, _forest in rec["regimes"].values():
+            assert_run_record(run)
+            runs += 1
+    # packed inputs are where six intersects rects
+    intersected = 0
+    for n in (16, 24, 32):
+        for seed in range(15):
+            inst = generate("packed", n, seed)
+            m = maximal_extension(exact_mis(inst, cap=n), inst)
+            try:
+                run = recursive_partition(m, "six")
+            except ConstructionError as exc:
+                assert "no repairable subpath found" in str(exc)
+                continue
+            intersected += assert_run_record(run)
+            runs += 1
+    assert runs > 2000 and intersected > 0, (runs, intersected)
 
 
 def test_criterion_6_partitioning_units():

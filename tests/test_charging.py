@@ -15,8 +15,14 @@ from misr.charging import (
     ledger_to_json,
     verify_ratios,
 )
-from misr.partition import PartitionNode, PartitionRun, TraceEntry, recursive_partition
-from misr.structure import MaximalSet, assert_maximal, maximal_extension
+from misr.partition import PartitionNode, PartitionRun, recursive_partition
+from misr.structure import (
+    MaximalSet,
+    assert_maximal,
+    classify_nesting,
+    classify_nice,
+    maximal_extension,
+)
 from test_instance import random_instance
 
 
@@ -32,15 +38,15 @@ def synthetic_run(
     tau=None,
 ) -> PartitionRun:
     """A one-cut partition run declared by hand: the charging schemes only
-    consume the trace, the work rects, and the tracked set."""
+    consume the trace, its nodes' rects and intersected ids, the work
+    rects, their labels, and the tracked set."""
     m = MaximalSet(tuple(rects), tuple(range(len(rects))), side)
     assert_maximal(m)
     poly = polygon or RectPolygon.from_rect(Rect(0, 0, side, side))
     ids = rect_ids if rect_ids is not None else tuple(range(len(rects)))
-    root = PartitionNode(0, poly, None)
+    root = PartitionNode(0, poly, None, ids)
     root.ell = ell
     root.intersected = intersected
-    trace = [TraceEntry(0, poly, ids, ell, intersected)]
     tracked = frozenset(range(len(rects))) - set(intersected)
     return PartitionRun(
         regime,
@@ -51,8 +57,10 @@ def synthetic_run(
         tuple(rects),
         tuple(range(len(rects))),
         [root],
-        trace,
+        [0],
         tracked,
+        classify_nesting(m),
+        classify_nice(m) if regime == "two_eps" else None,
     )
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from misr.geom_core import Point, Rect, RectPolygon, Segment, segment_intersects_rect
+from misr import partition
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import (
     ConstructionError,
@@ -253,7 +256,33 @@ class TestRecursivePartition:
         for regime, kw in (("six", {}), ("three", {}), ("two_eps", {"eps": Fraction(1)})):
             run = recursive_partition(m, regime, **kw)
             assert run.tracked == frozenset(range(6))
-            assert all(t.intersected == () for t in run.trace)
+            assert all(run.nodes[v].intersected == () for v in run.trace)
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("regime", ["six", "three"])
+    def test_driver_rejects_intersected_protected_rect(self, regime, check):
+        # a cut that reports a rect protected at its node as intersected
+        if regime == "six":
+            cutter = "line_partition_cut"
+            protected = is_protected
+        else:
+            cutter = "general_partition_cut"
+            protected = lambda r, poly, rin: is_tau_protected(r, poly, rin, 7)
+        real = getattr(partition, cutter)
+
+        def faulty(poly, rects, *args, **kwargs):
+            res = real(poly, rects, *args, **kwargs)
+            for rid, r in rects:
+                if rid not in res.intersected and protected(r, poly, rects):
+                    extra = tuple(sorted(res.intersected + (rid,)))
+                    return dataclasses.replace(res, intersected=extra)
+            return res
+
+        inst = generate("uniform_random", 8, 0)
+        m = maximal_extension(exact_mis(inst), inst)
+        with mock.patch.object(partition, cutter, faulty):
+            with pytest.raises(ConstructionError, match="protected rectangle"):
+                recursive_partition(m, regime, check=check)
 
     def test_windmill_bounds(self):
         inst = generate("windmill", 5, 0)

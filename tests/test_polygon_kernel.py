@@ -26,7 +26,7 @@ from misr.geom_core import (
 )
 from misr.instance import exact_mis, generate
 from misr.partition import ConstructionError, recursive_partition
-from misr.structure import enumerate_line_fences, line_fences_from_point, maximal_extension
+from misr.structure import enumerate_line_fences, maximal_extension
 from oracles import (
     blob_polygon,
     brute_force_hconvex,
@@ -35,7 +35,6 @@ from oracles import (
     ref_edge_sides,
     ref_enumerate_line_fences,
     ref_is_simple,
-    ref_line_fences_from_point,
     ref_on_boundary_doubled,
     ref_split_components,
 )
@@ -332,11 +331,3 @@ def test_line_fences_agree(node_cells):
         if not rin:
             continue
         assert enumerate_line_fences(poly, rin) == ref_enumerate_line_fences(poly, rin)
-        sides = poly.vertical_edge_sides()
-        edges = poly.edges()
-        for idx, side in sides.items():
-            e = edges[idx]
-            for p in (e.a, e.b):
-                assert line_fences_from_point(poly, rin, p, side) == (
-                    ref_line_fences_from_point(poly, rin, p, side)
-                )
