@@ -160,10 +160,10 @@ def run_pipeline(
         opt_sol = exact_mis(inst, cap=oracle_cap)
         opt = opt_sol.size
         m = maximal_extension(opt_sol, inst)
-        classify_nesting(m)  # raises if the never-both-nested invariant fails
+        nesting = classify_nesting(m)  # raises if the never-both-nested invariant fails
         classify_nice(m)  # raises if some rect has no nice flag
         params = {"tau": tau, "eps": str(eps) if eps is not None else None}
-        run = recursive_partition(m, algo, eps=eps, tau=tau)
+        run = recursive_partition(m, algo, eps=eps, tau=tau, nesting=nesting)
         transposed = run.transposed
         if algo == "six":
             ledger = charge_six(run)

@@ -14,21 +14,32 @@ reverse of every walk is a walk too, and each walk is emitted once, from
 its smaller end.
 
 Parts are produced by boundary surgery (splicing the path into the
-vertex loop), which keeps a candidate evaluation at O(k); cells are
-memoized by canonical vertex tuple.  A cell stops enumerating as soon as
-its candidate value reaches the number of rects it contains.  Walks that
-cross themselves (possible from four segments on) are rejected, so every
-part is again a simple polygon.
+vertex loop); cells are memoized by canonical vertex tuple.  A cell
+stops enumerating as soon as its candidate value reaches the number of
+rects it contains.  Walks that cross themselves (possible from four
+segments on) are rejected, so every part is again a simple polygon.
 
 The loop geometry is geom_core's integer loop kernel, shared with
-RectPolygon and the partitions' ``split_components``: ``canon_loop`` is
+RectPolygon and the partitions' ``split_components``.  ``canon_loop`` is
 its ``merge_loop`` and ``orient_loop`` plus the rejection of pinched
-loops, and returns the canonical loop with its doubled area; ``surgery``
-is its ``splice_loop``, the one polygon split, followed by a check on
-every cut that the parts' areas add up to the cell's.  A cell's rects
-are tested on the cell's ``edge_tables``, its walk corridors on the
-kernel's ``touch_intervals``, and a cell looks for rects only among its
-parent's.
+loops, and returns the canonical loop with its doubled area.  A cut is
+spliced locally on the canonical cell loop: ``splice_plan`` locates each
+walk end once, as a vertex or the inside of an edge, and counts the
+vertices each part keeps; ``surgery`` builds both parts from slices of
+the loop with ``splice_loop``, the one polygon split, which merges them
+only at the two splice points (the walk's inner points are corners and
+the rest of the loop is canonical already), and then takes each part's
+orientation and doubled area from one signed-area pass and rotates it
+to its smallest vertex.  Every surgery checks that the parts' areas add
+up to the cell's.  The counted sizes decide whether a cut can be used
+before any part is built: both parts within k for a path cut, or one
+within k and the other within k + 2 * cut_budget for a tree cut's seed;
+a walk with no such use is counted as tried and skipped.
+
+A cell's rects are tested on the cell's ``edge_tables``, its walk
+corridors on the boundary-touch tables that ``touch_tables`` builds in
+one sweep over the same tables, and a cell looks for rects only among
+its parent's.
 
 For k = 4 every cell is a rectangle and any subdivision of a rectangle
 into at most three rectangles is realizable by straight chords applied
@@ -53,7 +64,8 @@ from .geom_core import (
     merge_loop,
     orient_loop,
     splice_loop,
-    touch_intervals,
+    splice_plan,
+    touch_tables,
 )
 from .instance import Instance, Solution, validate_solution
 
@@ -116,7 +128,11 @@ def canon_loop(pts: Sequence[tuple[int, int]]) -> tuple[Loop, int]:
     collinear runs merged, clockwise, rotated to the smallest vertex) and
     its doubled area.  Pinched loops are rejected: cells must stay simple
     polygons."""
-    out = merge_loop(pts)
+    return _oriented(merge_loop(pts))
+
+
+def _oriented(out: list[tuple[int, int]]) -> tuple[Loop, int]:
+    """``canon_loop`` of a loop already merged."""
     if len(out) < 4:
         raise DpError("degenerate loop")
     if len(set(out)) != len(out):
@@ -128,17 +144,25 @@ def canon_loop(pts: Sequence[tuple[int, int]]) -> tuple[Loop, int]:
 
 
 def surgery(
-    loop: Loop, walk: Sequence[tuple[int, int]], area2: int
+    loop: Loop,
+    walk: Sequence[tuple[int, int]],
+    area2: int,
+    plan: Optional[tuple[int, int, int, int, int, int]] = None,
 ) -> tuple[tuple[Loop, int], tuple[Loop, int]]:
-    """Split a simple vertex loop of doubled area ``area2`` along an
-    interior-clean path whose endpoints are on the boundary; returns the
-    two canonical part loops, each with its doubled area."""
+    """Split a canonical cell loop of doubled area ``area2`` along an
+    interior-clean path whose endpoints are on the boundary, at the
+    ``splice_plan`` given or found; returns the two canonical part loops,
+    each with its doubled area.
+
+    ``splice_loop`` merges the parts at the splice points, the only places
+    where they can hold a point that is no corner, so each part only needs
+    its orientation and area (one pass) and a rotation."""
     try:
-        loop1, loop2 = splice_loop(loop, walk)
+        half1, half2 = splice_loop(loop, walk, plan)
     except CutError as e:
         raise DpError(str(e)) from None
-    part1 = canon_loop(loop1)
-    part2 = canon_loop(loop2)
+    part1 = _oriented(half1)
+    part2 = _oriented(half2)
     if part1[1] + part2[1] != area2:
         raise DpError("path split lost area")
     return part1, part2
@@ -154,7 +178,9 @@ class _CellGeometry:
     For every line x in ``xs`` and y in ``ys`` (the grid lines through the
     cell, or in a tree cut the lines through the branch points), the
     sorted, disjoint closed intervals where the line touches the boundary,
-    kept as the list of their low ends and the list of their high ends."""
+    kept as the list of their low ends and the list of their high ends:
+    ``geom_core.touch_intervals`` of each line, built for all lines in one
+    sweep over the edges (``geom_core.touch_tables``)."""
 
     def __init__(
         self,
@@ -166,8 +192,7 @@ class _CellGeometry:
         self.xs = xs
         self.ys = ys
         self.vtab, self.htab = tables if tables is not None else edge_tables(loop)
-        self.vtouch = {x: touch_intervals(2 * x, self.vtab, self.htab) for x in xs}
-        self.htouch = {y: touch_intervals(2 * y, self.htab, self.vtab) for y in ys}
+        self.vtouch, self.htouch = touch_tables(xs, ys, self.vtab, self.htab)
 
     def on_boundary(self, p: tuple[int, int]) -> bool:
         los, his = self.vtouch[p[0]]
@@ -291,6 +316,8 @@ def dp_solve(
     )
     use_tree = "tree" in cfg.shapes and cfg.k > 4
     use_path = "path" in cfg.shapes
+    # a part a tree cut branches into may exceed k by two edges per segment
+    tree_k = cfg.k + 2 * cfg.cut_budget
 
     def solve(cell: tuple[Loop, int], cands) -> tuple[int, tuple[int, ...]]:
         """Best (size, chosen) in the cell (loop, doubled area); ``cands``
@@ -341,10 +368,17 @@ def dp_solve(
             if stats is not None:
                 stats.cuts_tried += 1
             try:
-                parts = surgery(loop, walk, area2)
+                plan = splice_plan(loop, walk)
+            except CutError:
+                continue
+            n1, n2 = plan[4:]
+            fits = n1 <= cfg.k and n2 <= cfg.k
+            if not fits and not (use_tree and min(n1, n2) <= cfg.k and max(n1, n2) <= tree_k):
+                continue  # no use of the parts fits: skip the surgery
+            try:
+                parts = surgery(loop, walk, area2, plan)
             except DpError:
                 continue
-            fits = len(parts[0][0]) <= cfg.k and len(parts[1][0]) <= cfg.k
             if fits and (use_path or len(walk) == 2):
                 if consider(parts):
                     done = True
@@ -402,11 +436,16 @@ def _tree_cuts(cfg, gxs, gys, walk, parts, consider, stats) -> bool:
                 end = (t, m[1]) if dx else (m[0], t)
                 if stats is not None:
                     stats.cuts_tried += 1
+                cut = [m, end]
                 try:
-                    subparts = surgery(part, [m, end], part_area2)
-                except DpError:
+                    plan = splice_plan(part, cut)
+                except CutError:
                     continue
-                if any(len(p) > cfg.k for p, _a in subparts):
+                if max(plan[4:]) > cfg.k:
+                    continue
+                try:
+                    subparts = surgery(part, cut, part_area2, plan)
+                except DpError:
                     continue
                 if consider((parts[1 - pi],) + subparts):
                     return True

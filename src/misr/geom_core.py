@@ -7,8 +7,8 @@ All arithmetic is integral.  Where a midpoint or half-unit probe is needed
 coordinates are doubled internally so every test stays in the integers.
 
 Where a line meets a polygon or its boundary is read off the edge tables
-(``section_intervals``, ``touch_intervals``); which side of an edge is
-inside follows from the clockwise canonical loop.
+(``section_intervals``, ``touch_intervals``, ``touch_tables``); which side
+of an edge is inside follows from the clockwise canonical loop.
 
 Polygons are split by loop surgery only: ``split_components`` breaks a cut
 into boundary-to-boundary walks and splices each into the vertex loop of
@@ -17,10 +17,10 @@ the part it runs through (``splice_loop``), as the DP does for its cuts.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GeometryError(ValueError):
@@ -143,10 +143,19 @@ def edge_distance(k: int, i: int, j: int) -> int:
 # (dp_solver) both canonicalize loops and query them through these
 # functions: ``merge_loop`` then ``orient_loop`` give the canonical vertex
 # order and the doubled area, ``edge_tables`` gives the doubled edge tables,
-# and the point, rect, section and touch-interval queries read those tables.
-# ``splice_loop`` cuts a loop along a boundary-to-boundary walk; it is the
-# one polygon split, used by the DP's ``surgery`` and by
-# ``split_components`` below.
+# and the point, rect, section and touch-interval queries read those tables
+# (``touch_tables`` answers the touch-interval query for many lines at once,
+# in one sweep over the edges).
+#
+# ``splice_loop`` cuts a canonical loop along a boundary-to-boundary walk;
+# it is the one polygon split, used by the DP's ``surgery`` and by
+# ``split_components`` below.  It works locally: ``splice_plan`` locates
+# each walk end once (``_loop_locate``), as vertex i or the inside of edge
+# i, which fixes the slices of the loop that each part keeps and, from
+# the ends' neighbours, how many vertices each part has; the parts are
+# then built from those slices and the walk, and merged only around the
+# two splice points (``_merge_at``), the one place where a canonical
+# loop spliced with a walk of corners can hold a point that is no corner.
 
 IntLoop = tuple[tuple[int, int], ...]
 EdgeTable = tuple[tuple[int, int, int], ...]
@@ -265,8 +274,14 @@ def touch_intervals(
     ``along`` lie on such lines, the edges ``across`` cross them.  The
     sorted, disjoint closed intervals, halved, as the list of their low
     ends and the list of their high ends."""
-    out = [(lo, hi) for e, lo, hi in along if e == c]
-    out += [(e, e) for e, lo, hi in across if lo <= c <= hi]
+    out = [(lo >> 1, hi >> 1) for e, lo, hi in along if e == c]
+    out += [(e >> 1, e >> 1) for e, lo, hi in across if lo <= c <= hi]
+    return _merge_touches(out)
+
+
+def _merge_touches(out: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Closed intervals sorted and merged where they meet, as the list of
+    their low ends and the list of their high ends."""
     out.sort()
     los: list[int] = []
     his: list[int] = []
@@ -277,7 +292,29 @@ def touch_intervals(
         else:
             los.append(lo)
             his.append(hi)
-    return [lo >> 1 for lo in los], [hi >> 1 for hi in his]
+    return los, his
+
+
+def touch_tables(
+    xs: Sequence[int], ys: Sequence[int], vtab: EdgeTable, htab: EdgeTable
+) -> tuple[dict, dict]:
+    """``touch_intervals`` of every vertical line x in xs and every
+    horizontal line y in ys (both sorted, not doubled), in one sweep over
+    the edge tables: each edge goes to the line it lies on and to the
+    lines across it, found by bisection."""
+    vt: dict[int, list[tuple[int, int]]] = {x: [] for x in xs}
+    ht: dict[int, list[tuple[int, int]]] = {y: [] for y in ys}
+    for tab, on, lines, crossed in ((vtab, vt, ys, ht), (htab, ht, xs, vt)):
+        for c, lo, hi in tab:
+            c, lo, hi = c >> 1, lo >> 1, hi >> 1
+            if c in on:
+                on[c].append((lo, hi))
+            for line in lines[bisect_left(lines, lo) : bisect_right(lines, hi)]:
+                crossed[line].append((c, c))
+    return (
+        {x: _merge_touches(out) for x, out in vt.items()},
+        {y: _merge_touches(out) for y, out in ht.items()},
+    )
 
 
 def section_intervals(c: int, along: EdgeTable, across: EdgeTable) -> list[tuple[int, int]]:
@@ -292,19 +329,46 @@ def section_intervals(c: int, along: EdgeTable, across: EdgeTable) -> list[tuple
     return list(zip(*touch_intervals(c, along + runs, across)))
 
 
-def _loop_insert(loop: list[tuple[int, int]], p: tuple[int, int]) -> list[tuple[int, int]]:
+def _loop_locate(loop: Sequence[tuple[int, int]], p: tuple[int, int], start: int) -> int:
+    """Where p sits on the loop, as a doubled index: 2i when p is vertex i,
+    its first occurrence from index ``start`` on, cyclically; 2i + 1 when p
+    lies inside edge i (from vertex i to vertex i + 1), the first such
+    edge."""
     if p in loop:
-        return loop
+        i = loop.index(p)
+        if i < start and p in loop[start:]:
+            i = loop.index(p, start)
+        return 2 * i
     x, y = p
-    n = len(loop)
-    for i in range(n):
-        q, r = loop[i], loop[(i + 1) % n]
-        if q[0] == r[0] == x:
-            if q[1] <= y <= r[1] or r[1] <= y <= q[1]:
-                return loop[: i + 1] + [p] + loop[i + 1 :]
-        elif q[1] == r[1] == y and (q[0] <= x <= r[0] or r[0] <= x <= q[0]):
-            return loop[: i + 1] + [p] + loop[i + 1 :]
+    qx, qy = loop[0]
+    for i, (rx, ry) in enumerate(loop[1:] + loop[:1]):
+        if qx == x == rx:
+            if qy <= y <= ry or ry <= y <= qy:
+                return 2 * i + 1
+        elif qy == y == ry and (qx <= x <= rx or rx <= x <= qx):
+            return 2 * i + 1
+        qx, qy = rx, ry
     raise CutError(f"{p} not on the boundary loop")
+
+
+def _straight(o: tuple[int, int], p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Is p, between o and q on a loop, no corner: a repeat of q or the
+    middle of an axis-collinear triple?"""
+    return p == q or o[0] == p[0] == q[0] or o[1] == p[1] == q[1]
+
+
+def _merge_at(pts: list[tuple[int, int]], todo: list[int]) -> None:
+    """Merge the closed loop pts, in place, around the indices in todo:
+    drop each point that is no corner, and then look at its two neighbours
+    again.  When every point not in todo is a corner, this gives
+    ``merge_loop``'s loop, up to rotation."""
+    while todo and len(pts) > 2:
+        i = todo.pop()
+        if _straight(pts[i - 1], pts[i], pts[i + 1 - len(pts)]):
+            del pts[i]
+            n = len(pts)
+            todo = [j - (j > i) for j in todo if j != i]
+            todo += ((i - 1) % n, i % n)
 
 
 def crosses_itself(walk: Sequence[tuple[int, int]]) -> bool:
@@ -325,22 +389,74 @@ def crosses_itself(walk: Sequence[tuple[int, int]]) -> bool:
     return False
 
 
-def splice_loop(
+def splice_plan(
     loop: Sequence[tuple[int, int]], walk: Sequence[tuple[int, int]]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The two vertex loops that a walk between two boundary points cuts a
-    simple loop into, not yet canonical.  Raises CutError when the walk
-    crosses itself or an end is not on the loop."""
+) -> tuple[int, int, int, int, int, int]:
+    """Where a walk between two boundary points cuts a loop, and how many
+    vertices each part keeps.
+
+    Each end is located once, as a vertex or the inside of an edge.  Part
+    1 runs along the loop from the first end a to the last end b and back
+    along the walk; part 2 from b to a and along the walk again.  Returns
+    ``(sa, na, sb, nb, size1, size2)``: part 1 keeps the ``na`` loop
+    vertices from index ``sa`` on (indices taken cyclically, over
+    ``loop + loop``), part 2 the ``nb`` from index ``sb`` on.  The sizes
+    count both parts' vertices with the ends dropped where they are no
+    corner; they are the merged parts' sizes whenever the walk's inner
+    points are corners off the loop, as the DP's walks are.  Raises
+    CutError when the walk crosses itself or an end is not on the loop."""
     if len(walk) > 4 and crosses_itself(walk):
         raise CutError("walk crosses itself")
     a, b = walk[0], walk[-1]
-    lst = _loop_insert(list(loop), a)
-    lst = _loop_insert(lst, b)
-    ia = lst.index(a)
-    lst = lst[ia:] + lst[:ia]
-    ib = lst.index(b)
+    if a == b:
+        raise CutError("walk closes a cycle")
+    n = len(loop)
+    pa = _loop_locate(loop, a, 0)
+    sa = (pa >> 1) + 1  # the first loop vertex after a
+    pb = _loop_locate(loop, b, sa % n)
+    sb = (pb >> 1) + 1
+    na = (((pb + 1) >> 1) - sa) % n
+    if pa == pb:  # both inside one edge: is b before a along it?
+        q = loop[pa >> 1]
+        if abs(b[0] - q[0]) + abs(b[1] - q[1]) < abs(a[0] - q[0]) + abs(a[1] - q[1]):
+            na = n
+    nb = n - na - (1 - (pa & 1)) - (1 - (pb & 1))
+    # neighbours of each end in each part: the walk on one side, the loop
+    # (or the other end) on the other
+    w1, wl = walk[1], walk[-2]
+    a_next = loop[sa % n] if na else b
+    b_prev = loop[(sa + na - 1) % n] if na else a
+    b_next = loop[sb % n] if nb else a
+    a_prev = loop[(sb + nb - 1) % n] if nb else b
+    inner = len(walk) - 2
+    size1 = 2 + na + inner - _straight(w1, a, a_next) - _straight(b_prev, b, wl)
+    size2 = 2 + nb + inner - _straight(wl, b, b_next) - _straight(a_prev, a, w1)
+    return sa, na, sb, nb, size1, size2
+
+
+def splice_loop(
+    loop: Sequence[tuple[int, int]],
+    walk: Sequence[tuple[int, int]],
+    plan: Optional[tuple[int, int, int, int, int, int]] = None,
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The two vertex loops that a walk between two boundary points cuts a
+    canonical loop into, as ``splice_plan`` (or the given plan) places
+    them: built from slices of the loop and merged at the two splice
+    points, not yet oriented or rotated.  Points inside the walk are kept
+    as given.  Raises CutError when the walk crosses itself or an end is
+    not on the loop."""
+    sa, na, sb, nb, size1, size2 = plan or splice_plan(loop, walk)
+    twice = tuple(loop) * 2
+    a, b = walk[0], walk[-1]
     inner = list(walk[1:-1])
-    return lst[: ib + 1] + inner[::-1], lst[ib:] + [a] + inner
+    part1 = [a, *twice[sa : sa + na], b, *inner[::-1]]
+    part2 = [b, *twice[sb : sb + nb], a, *inner]
+    # an end that is a corner of its part needs no merge
+    if len(part1) != size1:
+        _merge_at(part1, [0, na + 1])
+    if len(part2) != size2:
+        _merge_at(part2, [0, nb + 1])
+    return part1, part2
 
 
 class RectPolygon:

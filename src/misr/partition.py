@@ -195,7 +195,9 @@ def repair_nonsimple(
 
     The candidate rule (contained original segments <= d(e,e')-1) follows
     the counting argument that guarantees such a subpath exists; every
-    candidate is verified concretely before being accepted.
+    candidate is verified concretely before being accepted.  When no
+    candidate both splits cleanly and satisfies the rule, the guarantee
+    failed: ConstructionError.
     """
     edges = poly.edges()
     k = len(edges)
@@ -260,7 +262,6 @@ def repair_nonsimple(
                 count += 1
         return count
 
-    verified_fallback: Optional[list[Segment]] = None
     for path in candidates:
         segs = _merge_segments([pieces[pi] for pi in path])
         try:
@@ -284,10 +285,6 @@ def repair_nonsimple(
             rule_ok = contained_original_count(path) <= best_d - 1
         if rule_ok:
             return segs
-        if verified_fallback is None:
-            verified_fallback = segs
-    if verified_fallback is not None:
-        return verified_fallback
     raise ConstructionError("no repairable subpath found")
 
 
@@ -1197,21 +1194,26 @@ def recursive_partition(
     eps: Optional[Fraction] = None,
     tau: Optional[int] = None,
     check: bool = True,
+    nesting: Optional[NestingLabel] = None,
 ) -> PartitionRun:
     """Run the regime's recursive partitioning over the maximal set.
 
     Orientation is normalized first by an anti-diagonal transpose of the
     whole configuration (at most half horizontally nested for six/three,
     at least half horizontally nice for two_eps); all further work happens
-    in the normalized frame.
+    in the normalized frame.  ``nesting`` is ``classify_nesting(m)`` where
+    the caller has it already; it is reused for the normalized frame when
+    nothing is transposed.
     """
     if regime not in REGIMES:
         raise ConstructionError(f"unknown regime {regime!r}")
     n = len(m.rects)
     side = m.side
     transposed = False
+    lab = nesting
     if regime in ("six", "three"):
-        lab = classify_nesting(m)
+        if lab is None:
+            lab = classify_nesting(m)
         if 2 * len(lab.horizontally_nested) > n:
             transposed = True
     else:
@@ -1227,7 +1229,7 @@ def recursive_partition(
         nice = classify_nice(wm)
         if 2 * len(nice.horizontally_nice) < n:
             raise ConstructionError("normalization failed: too few nice")
-    nesting = classify_nesting(wm)
+    nesting = lab if lab is not None and not transposed else classify_nesting(wm)
     if regime != "two_eps" and 2 * len(nesting.horizontally_nested) > n:
         raise ConstructionError("normalization failed: too many nested")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -289,6 +290,16 @@ def general_units(rng: random.Random):
                 continue
             yield tau, k, poly, rects
             done += 1
+
+
+@lru_cache(maxsize=None)
+def criterion_6_units() -> tuple[tuple, tuple]:
+    """Acceptance criterion 6's units, built once per session: the 200
+    line units of ``line_units``, then the units of ``general_units``, both
+    drawn from one ``Random(2024)`` stream.  Callers only read them."""
+    rng = random.Random(2024)
+    line = tuple(line_units(rng, 200))
+    return line, tuple(general_units(rng))
 
 
 def _grow_in_polygon(poly: RectPolygon, others: list[Rect], r: Rect) -> Rect:

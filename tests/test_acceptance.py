@@ -47,9 +47,8 @@ from misr.structure import (
 from oracles import (
     all_chords,
     blob_polygon,
+    criterion_6_units,
     dp_dominates_partition,
-    general_units,
-    line_units,
 )
 
 FAMILIES = ("uniform_random", "nested_grid", "windmill")
@@ -232,10 +231,10 @@ def test_run_records_rects_and_labels(sweep):
 
 
 def test_criterion_6_partitioning_units():
-    rng = random.Random(2024)
+    line, general = criterion_6_units()
     checked_line = 0
     fails = []
-    for k, poly, rects in line_units(rng, 200):
+    for k, poly, rects in line:
         try:
             res = line_partition_cut(poly, rects)
             assert len(res.cut.segments) <= 8
@@ -250,7 +249,7 @@ def test_criterion_6_partitioning_units():
         checked_line += 1
 
     checked_general = 0
-    for tau, k, poly, rects in general_units(rng):
+    for tau, k, poly, rects in general:
         try:
             res = general_partition_cut(poly, rects, tau)
             assert len(res.cut.segments) <= 2 * tau + 1

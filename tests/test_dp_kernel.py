@@ -1,8 +1,9 @@
 """The polygon DP and RectPolygon on the integer loop kernel in geom_core,
 against the DP's loop kernel as first written (oracles.py): canonical
 forms of random loops with spikes, repeated points and collinear runs,
-corridors at every grid point of the DP's cells, the enumerated walks,
-surgery on every walk, and dp_solve's value and choice.
+touch tables and corridors at every grid point of the DP's cells, the
+enumerated walks, surgery on every walk and on hand-built splices, the
+part sizes counted before surgery, and dp_solve's value and choice.
 
 The first-written enumeration also tries walks whose first segment runs
 along the cell boundary, and emits every walk from both ends.  The
@@ -10,6 +11,7 @@ library drops those walks and emits each walk once; the tests check that
 every dropped walk is degenerate or cuts the parts of a kept one."""
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -26,8 +28,16 @@ from misr.dp_solver import (
     dp_solve,
     surgery,
 )
-from misr.geom_core import GeometryError, Point, Rect, RectPolygon, merge_loop
-from misr.instance import generate, preprocess
+from misr.geom_core import (
+    GeometryError,
+    Point,
+    RectPolygon,
+    edge_tables,
+    merge_loop,
+    splice_plan,
+    touch_intervals,
+)
+from misr.instance import generate
 from oracles import (
     RefCellGeometry,
     ref_canon_loop,
@@ -38,20 +48,11 @@ from oracles import (
     ref_polygon_vertices,
     ref_surgery,
 )
+from sweep_digests import KERNEL_RUNS
 
-T_SHAPE = preprocess([Rect(0, 0, 2, 4), Rect(2, 0, 4, 2), Rect(2, 2, 4, 4)])
-
-# (instance, k, cut_budget, shapes)
-RUNS = [
-    (generate("uniform_random", 6, 0), 4, 1, ("path", "tree")),
-    (generate("nested_grid", 6, 1), 4, 1, ("path", "tree")),
-    (generate("windmill", 5, 0), 4, 3, ("path", "tree")),
-    (generate("uniform_random", 5, 2), 4, 3, ("path", "tree")),
-    (generate("nested_grid", 3, 0), 6, 2, ("path",)),
-    (generate("nested_grid", 3, 1), 6, 2, ("path",)),
-    (T_SHAPE, 6, 2, ("path", "tree")),
-    (generate("uniform_random", 3, 2), 6, 2, ("path", "tree")),
-]
+# (instance, k, cut_budget, shapes); the DP section of sweep_digests.py
+# lists these runs too
+RUNS = KERNEL_RUNS
 # dp_solve's (cells, cuts tried) on each of RUNS.  The first-written DP
 # tries (205, 1358), (1006, 7758), (236, 1572), (111, 571), (418, 5004),
 # (1088, 9523), (7, 7) and (206, 12575): its enumeration order differs,
@@ -144,9 +145,9 @@ def recorded_cells():
     cells = {}
     real = dp_solver.surgery
 
-    def wrapper(loop, walk, area2):
+    def wrapper(loop, walk, area2, plan=None):
         cells[loop] = area2
-        parts = real(loop, walk, area2)
+        parts = real(loop, walk, area2, plan)
         cells.update(parts)
         return parts
 
@@ -238,6 +239,121 @@ def test_surgery_on_every_enumerated_walk(dp_cells):
         for walk, parts in dropped_parts:
             assert parts in kept_parts, (loop, walk)
     assert splits > 10000 and rejected > 1000 and dropped > 50000
+
+
+def test_counted_part_sizes_are_exact(dp_cells):
+    """splice_plan's part sizes, which decide whether a cut can fit before
+    the surgery runs, are the canonical parts' sizes on every walk."""
+    walks = 0
+    for loop, (area2, xs, ys, b) in dp_cells.items():
+        for walk in _enumerate_walks(_CellGeometry(loop, xs, ys), b):
+            plan = splice_plan(loop, walk)
+            (p1, _a1), (p2, _a2) = surgery(loop, walk, area2, plan)
+            assert plan[4:] == (len(p1), len(p2)), (loop, walk)
+            walks += 1
+    assert walks > 10000
+
+
+def test_touch_tables_match_touch_intervals(dp_cells):
+    """The one-sweep touch tables equal touch_intervals line for line: on
+    the grid lines through each cell, lines beyond it, and the
+    branch-point lines of the tree cuts."""
+    built = []
+    real = dp_solver._CellGeometry
+
+    class Recorded(real):
+        def __init__(self, loop, xs, ys, tables=None):
+            built.append((loop, xs, ys))
+            super().__init__(loop, xs, ys, tables)
+
+    with mock.patch.object(dp_solver, "_CellGeometry", Recorded):
+        for inst, k, b, shapes in RUNS:
+            if "tree" in shapes and k > 4:
+                dp_solve(inst, k, b, shapes)
+    branch = len(built)
+    wide = lambda cs: [cs[0] - 1, *cs, cs[-1] + 1]
+    for loop, (_area2, xs, ys, _b) in dp_cells.items():
+        built.append((loop, wide(xs), wide(ys)))
+    assert branch > 100 and len(built) > branch + 1000
+    for loop, xs, ys in built:
+        geom = _CellGeometry(loop, xs, ys)
+        vtab, htab = edge_tables(loop)
+        assert geom.vtouch == {x: touch_intervals(2 * x, vtab, htab) for x in xs}
+        assert geom.htouch == {y: touch_intervals(2 * y, htab, vtab) for y in ys}
+
+
+# Hand-built splices the DP's own walks on the benchmark instances do not
+# reach: (cell loop, walks); every walk is also tried reversed.
+L_CELL = [(0, 0), (0, 4), (2, 4), (2, 2), (4, 2), (4, 0)]
+SPLICES = [
+    # an end on the reflex vertex (2, 2), the walk going on along an edge's
+    # line, so the vertex merges away in one part
+    (L_CELL, [[(2, 2), (2, 0)], [(2, 2), (0, 2)], [(2, 2), (2, 1), (4, 1)],
+              [(2, 2), (1, 2), (1, 4)], [(0, 3), (1, 3), (1, 2), (2, 2)]]),
+    # both ends on vertices: the chord between the two reflex corners of a
+    # step merges away at both ends of both parts
+    ([(0, 0), (0, 2), (2, 2), (2, 4), (6, 4), (6, 2), (4, 2), (4, 0)],
+     [[(2, 2), (4, 2)], [(2, 2), (2, 1), (4, 1), (4, 2)]]),
+    # both ends inside one edge, in both orders
+    ([(0, 0), (0, 4), (6, 4), (6, 0)],
+     [[(1, 0), (1, 2), (3, 2), (3, 0)], [(1, 4), (1, 1), (5, 1), (5, 4)],
+      [(0, 1), (2, 1), (2, 3), (0, 3)]]),
+    # four and more segments, a crossing one among them
+    ([(0, 0), (0, 6), (6, 6), (6, 0)],
+     [[(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (6, 5)],
+      [(0, 1), (3, 1), (3, 4), (5, 4), (5, 6)],
+      [(0, 1), (5, 1), (5, 5), (1, 5), (1, 3), (3, 3), (3, 6)],
+      [(0, 3), (4, 3), (4, 1), (2, 1), (2, 5), (6, 5)]]),
+    # walks outside the cell, through the notch of the L
+    (L_CELL, [[(2, 3), (3, 3), (3, 2)], [(4, 1), (5, 1), (5, 3), (3, 3), (3, 2)],
+              [(1, 4), (1, 5), (3, 5), (3, 2)]]),
+    # walks running along the boundary, which the DP never tries
+    (L_CELL, [[(0, 1), (0, 3), (1, 3), (1, 0)], [(2, 3), (2, 2), (1, 2), (1, 0)],
+              [(4, 1), (4, 2), (3, 2), (3, 0)], [(1, 0), (3, 0)]]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SPLICES)))
+def test_hand_built_splices_match_first_written(case):
+    """Surgery agrees with the first-written one, crossing walks apart;
+    where the walk's inner points are corners off the loop, the counted
+    part sizes are the parts' sizes."""
+    pts, walks = SPLICES[case]
+    loop, area2 = canon_loop(pts)
+    poly = RectPolygon([Point(*p) for p in loop])
+    for walk in walks + [w[::-1] for w in walks]:
+        got = outcome(surgery, loop, walk, area2)
+        if not lattice_simple(walk):
+            assert got is DpError, walk
+            continue
+        want = outcome(ref_surgery, loop, walk)
+        if isinstance(want, tuple):
+            assert got == tuple((p, ref_loop_area2(p)) for p in want), walk
+            inner = walk[1:-1]
+            if all(not poly.on_boundary_doubled(2 * x, 2 * y) for x, y in inner):
+                assert splice_plan(loop, walk)[4:] == tuple(len(p) for p in want), walk
+        else:
+            assert got is DpError, walk
+
+
+def test_hand_built_splices_reach_every_case():
+    """The cases above reach what they are meant to: splits with merged
+    ends, rejected crossings and walks outside the cell."""
+    outcomes = Counter()
+    for pts, walks in SPLICES:
+        loop, area2 = canon_loop(pts)
+        for walk in walks + [w[::-1] for w in walks]:
+            try:
+                plan = splice_plan(loop, walk)
+                (p1, _a), (p2, _b) = surgery(loop, walk, area2, plan)
+            except (DpError, GeometryError) as e:
+                outcomes[str(e).split()[-1]] += 1
+                continue
+            raw = 4 + plan[1] + plan[3] + 2 * (len(walk) - 2)
+            outcomes["merged"] += len(p1) + len(p2) < raw
+            outcomes["split"] += 1
+    assert outcomes["merged"] and outcomes["split"] >= 20
+    assert outcomes["area"] >= 4 and outcomes["itself"] >= 2, outcomes
 
 
 @pytest.mark.parametrize("run", range(len(RUNS)))

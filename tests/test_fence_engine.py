@@ -4,7 +4,6 @@ points, interior coverage and chain walks must agree exactly, on
 partition nodes (packed ones included), on the notched units of
 acceptance criterion 6 and at budgets beyond a byte."""
 
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -15,9 +14,8 @@ from misr.structure import FenceEngine, is_protected, is_tau_protected, maximal_
 from oracles import (
     NestedFenceEngine,
     _nested_edges_reaching_run,
-    general_units,
+    criterion_6_units,
     line_protected,
-    line_units,
     nested_is_tau_protected,
 )
 
@@ -148,9 +146,8 @@ def test_anchor_sets_of_short_runs_match_reference():
 
 
 def test_line_protection_matches_reference():
-    rng = random.Random(2024)
     checked = 0
-    for _k, poly, rects in line_units(rng, 200):
+    for _k, poly, rects in criterion_6_units()[0]:
         for _rid, r in rects:
             assert is_protected(r, poly, rects) == line_protected(r, poly, rects)
             checked += 1
@@ -164,12 +161,9 @@ def test_line_protection_matches_reference():
 
 
 def test_criterion_6_units_match_reference():
-    # the same units as acceptance criterion 6: its line units come first
-    rng = random.Random(2024)
-    for _unit in line_units(rng, 200):
-        pass
+    # the general units of acceptance criterion 6
     units = 0
-    for tau, _k, poly, rects in general_units(rng):
+    for tau, _k, poly, rects in criterion_6_units()[1]:
         assert_engines_agree(poly, rects, tau)
         units += 1
     assert units == 214
