@@ -131,9 +131,9 @@ def run_pipeline(
     tau: Optional[int] = None,
     eps: Optional[Fraction] = None,
     cell_cap: int = 2_000_000,
-    oracle_cap: Optional[int] = None,
 ) -> tuple[Solution, RunReport, dict]:
-    """Run one named pipeline; returns (solution, report, artifacts)."""
+    """Run one named pipeline; returns (solution, report, artifacts).  The
+    DP's report checks it against the oracle only up to the oracle cap."""
     t0 = time.perf_counter()
     digest = instance_digest(inst)
     artifacts: dict = {"instance": instance_to_json(inst)}
@@ -143,7 +143,7 @@ def run_pipeline(
     params: dict = {}
 
     if algo == "exact":
-        sol = exact_mis(inst, cap=oracle_cap)
+        sol = exact_mis(inst)
         opt = sol.size
         achieved = sol.size
     elif algo == "dp":
@@ -151,13 +151,13 @@ def run_pipeline(
         sol = dp_solve(inst, k, cut_budget, shapes, cell_cap)
         achieved = sol.size
         opt = None
-        if inst.n <= inst_mod.DEFAULT_ORACLE_CAP:
-            opt = exact_mis(inst, cap=oracle_cap).size
+        if inst.n <= inst_mod._oracle_cap(None):
+            opt = exact_mis(inst).size
             _check(
                 checks, "dp_not_above_optimum", achieved <= opt, f"dp={achieved} opt={opt}"
             )
     elif algo in ("six", "three", "two_eps"):
-        opt_sol = exact_mis(inst, cap=oracle_cap)
+        opt_sol = exact_mis(inst)
         opt = opt_sol.size
         m = maximal_extension(opt_sol, inst)
         nesting = classify_nesting(m)  # raises if the never-both-nested invariant fails
@@ -392,17 +392,26 @@ def cmd_render(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """One CSV row per (instance, algo).  The exact oracle runs once per
+    instance, where the exact row or a DP row within the oracle cap needs
+    it; a regime row reads the optimum from its own report, and a DP row
+    past the cap leaves opt and ratio empty."""
     ns = range(args.n_min, args.n_max + 1)
     seeds = range(args.seeds)
     algos = _shapes(args.algos)
+    eps = parse_eps(args.eps) if args.eps else Fraction(1)
     rows = []
     for family in _shapes(args.families):
         for n in ns:
             for seed in seeds:
                 inst = generate(family, n, seed)
-                opt = exact_mis(inst).size
+                bench_opt = None
+                if "exact" in algos or (
+                    "dp" in algos and inst.n <= inst_mod._oracle_cap(None)
+                ):
+                    bench_opt = exact_mis(inst).size
                 for algo in algos:
-                    eps = parse_eps(args.eps) if args.eps else Fraction(1)
+                    opt = bench_opt
                     stats = DpStats() if algo == "dp" else None
                     t0 = time.perf_counter()
                     if algo == "dp":
@@ -417,13 +426,12 @@ def cmd_bench(args) -> int:
                             inst, algo, eps=eps if algo == "two_eps" else None,
                             tau=args.tau,
                         )
-                        val = rep.achieved
+                        val, opt = rep.achieved, rep.opt
                     ms = (time.perf_counter() - t0) * 1000
-                    ratio = (
-                        f"{Fraction(opt, val).numerator}/{Fraction(opt, val).denominator}"
-                        if val
-                        else ""
-                    )
+                    ratio = ""
+                    if opt is not None and val:
+                        fr = Fraction(opt, val)
+                        ratio = f"{fr.numerator}/{fr.denominator}"
                     rows.append(
                         {
                             "family": family,

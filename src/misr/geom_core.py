@@ -473,7 +473,9 @@ class RectPolygon:
     area, and builds the ``edge_tables`` once, as ``_vtab`` (vertical
     edges) and ``_htab`` (horizontal edges), read only inside this module.
     The point and rect predicates and the line sections
-    (``section_intervals``) are the kernel's, on those tables.  Filled on
+    (``section_intervals``) are the kernel's, on those tables, and
+    ``edges_at`` locates a boundary point as the splices do
+    (``_loop_locate``).  Filled on
     first use: ``_coords``, ``_sections`` (see ``_section``), ``_vclass``.
     """
 
@@ -607,6 +609,19 @@ class RectPolygon:
         return loop_contains_rect_doubled(
             self._vtab, self._htab, 2 * r.xl, 2 * r.yb, 2 * r.xr, 2 * r.yt
         )
+
+    def edges_at(self, p: Point) -> tuple[int, ...]:
+        """The indices of the edges whose closed segment holds p, in
+        ascending order: none off the boundary, the two edges at a vertex,
+        the one edge p lies inside.  Read off ``_loop_locate``, so exact on
+        simple polygons, where a point lies on at most two edges."""
+        if not self.on_boundary_doubled(2 * p.x, 2 * p.y):
+            return ()
+        at = _loop_locate(self.vertices, p, 0)
+        i = at >> 1
+        if at & 1:
+            return (i,)
+        return (i - 1, i) if i else (0, len(self.vertices) - 1)
 
     def vertical_touches(self, x: int) -> list[tuple[int, int]]:
         """The sorted, disjoint closed y-intervals (possibly single points)

@@ -9,17 +9,27 @@ Three regimes share the driver:
 
 Every guaranteed postcondition is asserted at run time; a violation
 raises ConstructionError, which always indicates a bug rather than an
-input condition.  The cuts assert their own shape (segment and edge
-budgets, components, the one rect-meeting vertical segment); the driver
-asserts, after every cut, that no rect protected at the node was
-intersected, and under check=True that protection persists into the
-child.
+input condition.  Each fact of a cut is decided in one place:
+  regime_budgets  the segment and edge budgets of each regime;
+  _split_walks    a construction's point walks as merged segments, and
+                  the one split of the polygon along them;
+  _finalize       the repair of a split that breaks the budgets or the
+                  part count (repair_nonsimple), then every check of the
+                  cut's shape (budgets, parts, horizontal convexity for
+                  the line regime, the one rect-meeting vertical segment)
+                  and the assignment of rects to parts.
+The driver asserts, after every cut, that no rect protected at the node
+was intersected, and under check=True that protection persists into the
+child; validate_partition checks the finished tree against the same
+budgets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .geom_core import (
@@ -30,6 +40,7 @@ from .geom_core import (
     Rect,
     RectPolygon,
     Segment,
+    _merge_touches,
     cut_pieces,
     edge_distance,
     is_horizontally_convex,
@@ -72,67 +83,56 @@ class CutResult:
     case: str = ""
 
 
+def regime_budgets(tau: Optional[int]) -> tuple[int, int]:
+    """(segments per cut, edges per polygon) of a regime: 8 and 26 for the
+    line regime (tau None), 2 tau + 1 and 30 tau + 18 for a tau regime."""
+    if tau is None:
+        return 8, 26
+    return 2 * tau + 1, 30 * tau + 18
+
+
 def _merge_segments(segs: Sequence[Segment]) -> list[Segment]:
-    """Union of axis-parallel segments as maximal merged segments."""
-    groups: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    points = []
+    """Union of axis-parallel segments as maximal merged segments, line by
+    line (horizontal lines first), each merged with ``_merge_touches``."""
+    lines: dict[tuple[bool, int], list[tuple[int, int]]] = {}
     for s in segs:
         if s.degenerate:
-            points.append(s)
             continue
-        if s.vertical:
-            key = ("v", s.a.x)
-            lo, hi = sorted((s.a.y, s.b.y))
-        else:
-            key = ("h", s.a.y)
-            lo, hi = sorted((s.a.x, s.b.x))
-        groups.setdefault(key, []).append((lo, hi))
-    out: list[Segment] = []
-    for (kind, c), ivals in sorted(groups.items()):
-        ivals.sort()
-        cur_lo, cur_hi = ivals[0]
-        for lo, hi in ivals[1:]:
-            if lo <= cur_hi:
-                cur_hi = max(cur_hi, hi)
-            else:
-                out.append(_make_seg(kind, c, cur_lo, cur_hi))
-                cur_lo, cur_hi = lo, hi
-        out.append(_make_seg(kind, c, cur_lo, cur_hi))
-    return out
+        v = s.vertical
+        lo, hi = sorted((s.a.y, s.b.y) if v else (s.a.x, s.b.x))
+        lines.setdefault((v, s.a.x if v else s.a.y), []).append((lo, hi))
+    return [
+        Segment(Point(c, lo), Point(c, hi)) if v else Segment(Point(lo, c), Point(hi, c))
+        for (v, c), ivals in sorted(lines.items())
+        for lo, hi in zip(*_merge_touches(ivals))
+    ]
 
 
-def _make_seg(kind: str, c: int, lo: int, hi: int) -> Segment:
-    if kind == "v":
-        return Segment(Point(c, lo), Point(c, hi))
-    return Segment(Point(lo, c), Point(hi, c))
+Split = tuple[list[Segment], list[RectPolygon]]
 
 
-def _segment_hits(
-    segs: Sequence[Segment], rects: RectsIn
-) -> dict[int, list[Segment]]:
-    hits: dict[int, list[Segment]] = {}
-    for rid, r in rects:
-        for s in segs:
-            if segment_intersects_rect(s, r):
-                hits.setdefault(rid, []).append(s)
-    return hits
+def _split_walks(poly: RectPolygon, *walks: Sequence[Point]) -> Split:
+    """A construction's cut, given as point walks: its merged segments and
+    the parts of one split of the polygon along them."""
+    merged = _merge_segments(
+        [s for w in walks for s in polyline_to_segments(splice_simple(w))]
+    )
+    return merged, split_components(poly, Cut(tuple(merged)))
 
 
 def _finalize(
-    poly: RectPolygon,
-    segments: list[Segment],
-    rects: RectsIn,
-    max_segments: int,
-    max_edges: int,
-    expect_components: Optional[tuple[int, int]],
-    case: str,
-    require_hconvex: bool = False,
+    poly: RectPolygon, split: Split, rects: RectsIn, tau: Optional[int], case: str
 ) -> CutResult:
-    """Split by the cut, repair degenerate outcomes, and assert the
-    partitioning postconditions."""
-    merged = _merge_segments(segments)
-    polys = split_components(poly, Cut(tuple(merged)))
-    lo, hi = expect_components if expect_components else (2, 2)
+    """Turn a construction's split (see _split_walks) into a checked cut
+    of its regime, tau None for the line regime.  A split into the wrong
+    number of parts, or with a part that is not simple or breaks the edge
+    budget, is repaired first.  Then the regime's budgets are asserted,
+    with 2-3 horizontally convex parts for the line regime and exactly 2
+    for a tau regime, and at most one segment, a vertical one, meeting
+    rects; each rect it does not meet goes to the one part holding it."""
+    merged, polys = split
+    max_segments, max_edges = regime_budgets(tau)
+    hi = 3 if tau is None else 2
     bad = len(polys) < 2 or len(polys) > hi or any(
         not c.is_simple for c in polys
     ) or any(c.num_edges > max_edges for c in polys)
@@ -140,9 +140,9 @@ def _finalize(
         merged = repair_nonsimple(poly, merged, max_edges)
         polys = split_components(poly, Cut(tuple(merged)))
         case = case + "+repair"
-    if not (lo <= len(polys) <= hi):
+    if not (2 <= len(polys) <= hi):
         raise ConstructionError(
-            f"{case}: expected {lo}..{hi} components, got {len(polys)}"
+            f"{case}: expected 2..{hi} components, got {len(polys)}"
         )
     if any(not p.is_simple for p in polys):
         raise ConstructionError(f"{case}: non-simple component survived repair")
@@ -150,14 +150,14 @@ def _finalize(
         raise ConstructionError(
             f"{case}: component exceeds {max_edges} edges"
         )
-    if require_hconvex and any(not is_horizontally_convex(p) for p in polys):
+    if tau is None and any(not is_horizontally_convex(p) for p in polys):
         raise ConstructionError(f"{case}: component not horizontally convex")
     if len(merged) > max_segments:
         raise ConstructionError(
             f"{case}: cut has {len(merged)} segments > {max_segments}"
         )
-    hits = _segment_hits(merged, rects)
-    hit_segs = {s for segs in hits.values() for s in segs}
+    hits = [(rid, s) for rid, r in rects for s in merged if segment_intersects_rect(s, r)]
+    hit_segs = {s for _rid, s in hits}
     ell: Optional[Segment] = None
     if hit_segs:
         if len(hit_segs) > 1 or not next(iter(hit_segs)).vertical:
@@ -166,10 +166,10 @@ def _finalize(
                 f"segment or by a horizontal segment"
             )
         ell = next(iter(hit_segs))
-    intersected = tuple(sorted(hits))
+    intersected = tuple(sorted({rid for rid, _s in hits}))
     assignment: dict[int, int] = {}
     for rid, r in rects:
-        if rid in hits:
+        if rid in intersected:
             continue
         homes = [i for i, c in enumerate(polys) if c.contains_rect(r)]
         if len(homes) != 1:
@@ -199,15 +199,18 @@ def repair_nonsimple(
     candidate both splits cleanly and satisfies the rule, the guarantee
     failed: ConstructionError.
     """
-    edges = poly.edges()
-    k = len(edges)
+    k = poly.num_edges
 
-    # Cut segments refined at boundary contacts and mutual endpoints.
-    pieces: list[Segment] = []
-    piece_owner: list[int] = []
-    for si, refined in enumerate(cut_pieces(poly, segments)):
-        pieces += refined
-        piece_owner += [si] * len(refined)
+    # Cut segments refined at boundary contacts and mutual endpoints.  A
+    # path contains segment si when it holds all need[si] of its pieces and
+    # those span it (need -1: part of it runs along the boundary).
+    refined = cut_pieces(poly, segments)
+    pieces = [piece for sp in refined for piece in sp]
+    piece_owner = [si for si, sp in enumerate(refined) for _ in sp]
+    need = [
+        len(sp) if sum(p.length for p in sp) == s.length else -1
+        for s, sp in zip(segments, refined)
+    ]
 
     # Graph on piece endpoints.
     adj: dict[Point, list[int]] = {}
@@ -246,21 +249,9 @@ def repair_nonsimple(
 
     candidates.sort(key=cand_key)
 
-    def endpoint_edges(p: Point) -> list[int]:
-        out = []
-        for i, e in enumerate(edges):
-            if e.contains_point(p):
-                out.append(i)
-        return out
-
     def contained_original_count(path: list[int]) -> int:
-        count = 0
-        path_pieces = [pieces[pi] for pi in path]
-        for s in segments:
-            covered = _covered_by(s, path_pieces)
-            if covered:
-                count += 1
-        return count
+        held = Counter(piece_owner[pi] for pi in path)
+        return sum(1 for si, count in held.items() if count == need[si])
 
     for path in candidates:
         segs = _merge_segments([pieces[pi] for pi in path])
@@ -279,8 +270,8 @@ def repair_nonsimple(
         rule_ok = False
         if len(ends) == 2:
             best_d = 0
-            for ei in endpoint_edges(ends[0]):
-                for ej in endpoint_edges(ends[1]):
+            for ei in poly.edges_at(ends[0]):
+                for ej in poly.edges_at(ends[1]):
                     best_d = max(best_d, edge_distance(k, min(ei, ej), max(ei, ej)))
             rule_ok = contained_original_count(path) <= best_d - 1
         if rule_ok:
@@ -297,32 +288,6 @@ def _path_ends(pieces: list[Segment], path: list[int]) -> list[Optional[Point]]:
     return ends if len(ends) == 2 else [None]
 
 
-def _covered_by(s: Segment, pieces: list[Segment]) -> bool:
-    """Is segment s entirely covered by the given collinear pieces?"""
-    if s.degenerate:
-        return any(p.contains_point(s.a) for p in pieces)
-    lo, hi = sorted((s.a, s.b))
-    ivals = []
-    for p in pieces:
-        if p.vertical != s.vertical or p.degenerate:
-            continue
-        if s.vertical and p.a.x == s.a.x:
-            y1, y2 = sorted((p.a.y, p.b.y))
-            ivals.append((y1, y2))
-        elif s.horizontal and p.a.y == s.a.y:
-            x1, x2 = sorted((p.a.x, p.b.x))
-            ivals.append((x1, x2))
-    ivals.sort()
-    want_lo = lo.y if s.vertical else lo.x
-    want_hi = hi.y if s.vertical else hi.x
-    cur = want_lo
-    for a, b in ivals:
-        if a > cur:
-            break
-        cur = max(cur, b)
-    return cur >= want_hi
-
-
 # -- k/3 vertical chord --------------------------------------------------------
 
 
@@ -335,18 +300,11 @@ class Chord:
     e_top: int
 
 
-def _horizontal_edge_at(poly: RectPolygon, p: Point) -> int:
-    for i, e in enumerate(poly.edges()):
-        if e.horizontal and e.contains_point(p):
-            return i
-    raise ConstructionError(f"no horizontal edge contains {p}")
-
-
-def _vertical_edge_endpoint_at(poly: RectPolygon, p: Point) -> Optional[int]:
-    for i, e in enumerate(poly.edges()):
-        if e.vertical and (e.a == p or e.b == p):
-            return i
-    return None
+def _edge_at(poly: RectPolygon, p: Point, vertical: bool) -> Optional[int]:
+    """The vertical (or horizontal) edge holding the boundary point p, if
+    any; on a simple polygon p lies on at most one of each."""
+    sides = poly.vertical_edge_sides()
+    return next((i for i in poly.edges_at(p) if (i in sides) == vertical), None)
 
 
 def chord_distance(poly: RectPolygon, c: Chord) -> int:
@@ -356,13 +314,13 @@ def chord_distance(poly: RectPolygon, c: Chord) -> int:
 
 
 def _make_chord(poly: RectPolygon, x: int, ylo: int, yhi: int) -> Chord:
-    return Chord(
-        x,
-        ylo,
-        yhi,
-        _horizontal_edge_at(poly, Point(x, ylo)),
-        _horizontal_edge_at(poly, Point(x, yhi)),
-    )
+    ends = []
+    for y in (ylo, yhi):
+        e = _edge_at(poly, Point(x, y), vertical=False)
+        if e is None:
+            raise ConstructionError(f"no horizontal edge contains {Point(x, y)}")
+        ends.append(e)
+    return Chord(x, ylo, yhi, *ends)
 
 
 def vertical_spanning_segment(poly: RectPolygon) -> tuple[Segment, Chord]:
@@ -486,10 +444,9 @@ def _improve_chord(poly: RectPolygon, chord: Chord, depth: int = 0) -> Chord:
 def _improve_case1(
     poly: RectPolygon, chord: Chord, p_b: Point, p_t: Point, e_t: Segment
 ) -> Chord:
-    k = poly.num_edges
     ex1, ex2 = sorted((e_t.a.x, e_t.b.x))
     if p_t.x == ex1:  # left endpoint: a vertical edge hangs down inside the chord
-        vi = _vertical_edge_endpoint_at(poly, p_t)
+        vi = _edge_at(poly, p_t, vertical=True)
         if vi is None:
             raise ConstructionError("case 1a: no vertical edge at p_t")
         e_v = poly.edges()[vi]
@@ -506,20 +463,18 @@ def _improve_case1(
     qy = hi if lo <= p_t.y else lo
     if not poly.contains_segment(Segment(p_t, Point(chord.x, qy))):
         raise ConstructionError("case 1b: segment above p_t leaves polygon")
-    q = Point(chord.x, qy)
-    e_q = _horizontal_edge_at(poly, q)
+    # the chord above p_t, or the whole chord, extended up to q
+    up = _make_chord(poly, chord.x, p_t.y, qy)
+    whole = Chord(chord.x, p_b.y, qy, chord.e_bottom, up.e_top)
     d = chord_distance(poly, chord)
-    d_et = edge_distance(k, min(chord.e_top, e_q), max(chord.e_top, e_q))
-    d_be = edge_distance(k, min(chord.e_bottom, e_q), max(chord.e_bottom, e_q))
-    if d_et > d:
-        return _make_chord(poly, chord.x, p_t.y, qy)
-    if d_be > d:
-        return _make_chord(poly, chord.x, p_b.y, qy)
+    for new in (up, whole):
+        if chord_distance(poly, new) > d:
+            return new
     raise ConstructionError("case 1b: no replacement increases d")
 
 
 def _improve_case2(poly: RectPolygon, chord: Chord, p_b: Point, p_t: Point) -> Chord:
-    vi = _vertical_edge_endpoint_at(poly, p_t)
+    vi = _edge_at(poly, p_t, vertical=True)
     if vi is None:
         raise ConstructionError("case 2: no vertical edge at p_t")
     e_v = poly.edges()[vi]
@@ -652,24 +607,12 @@ def line_partition_cut(
     qb, tail_b = ray_stop(p_prime, down=True)
     qt, tail_t = ray_stop(p_prime, down=False)
 
-    path_b = splice_simple([p_anchor, p_prime, qb] + tail_b)
-    path_t = splice_simple([p_anchor, p_prime, qt] + tail_t)
-    segs = polyline_to_segments(path_b) + polyline_to_segments(path_t)
-    merged = _merge_segments(segs)
-
-    comps = split_components(poly, Cut(tuple(merged)))
-    if len(comps) < 2:
-        return _degenerate_line_cut(poly, rects, p_anchor, p_prime)
-    return _finalize(
-        poly,
-        merged,
-        rects,
-        max_segments=8,
-        max_edges=26,
-        expect_components=(2, 3),
-        case="line",
-        require_hconvex=True,
+    split = _split_walks(
+        poly, [p_anchor, p_prime, qb] + tail_b, [p_anchor, p_prime, qt] + tail_t
     )
+    if len(split[1]) < 2:
+        return _degenerate_line_cut(poly, rects, p_anchor, p_prime)
+    return _finalize(poly, split, rects, None, "line")
 
 
 def _event_order(data: tuple) -> tuple:
@@ -683,28 +626,23 @@ def _guillotine_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
     """A single straight chord splitting the polygon without meeting any
     rectangle; used when no middle-third fence exists."""
     x0, y0, x1, y1 = poly.bbox()
-    for y in range(y0 + 1, y1):
-        for lo, hi in poly.horizontal_section(y):
-            seg = Segment(Point(lo, y), Point(hi, y))
-            if any(segment_intersects_rect(seg, r) for _rid, r in rects):
-                continue
-            try:
-                return _finalize(
-                    poly, [seg], rects, 8, 26, (2, 3), "guillotine", True
-                )
-            except (ConstructionError, CutError):
-                continue
-    for x in range(x0 + 1, x1):
-        for lo, hi in poly.vertical_section(x):
-            seg = Segment(Point(x, lo), Point(x, hi))
-            if any(segment_intersects_rect(seg, r) for _rid, r in rects):
-                continue
-            try:
-                return _finalize(
-                    poly, [seg], rects, 8, 26, (2, 3), "guillotine", True
-                )
-            except (ConstructionError, CutError):
-                continue
+    rows = (
+        (Point(lo, y), Point(hi, y))
+        for y in range(y0 + 1, y1)
+        for lo, hi in poly.horizontal_section(y)
+    )
+    columns = (
+        (Point(x, lo), Point(x, hi))
+        for x in range(x0 + 1, x1)
+        for lo, hi in poly.vertical_section(x)
+    )
+    for a, b in chain(rows, columns):
+        if any(segment_intersects_rect(Segment(a, b), r) for _rid, r in rects):
+            continue
+        try:
+            return _finalize(poly, _split_walks(poly, [a, b]), rects, None, "guillotine")
+        except (ConstructionError, CutError):
+            continue
     raise ConstructionError("no fence anchored on the middle third and no guillotine")
 
 
@@ -733,10 +671,7 @@ def _degenerate_line_cut(
         walk = [p_anchor, Point(r.xl, y), Point(r.xl, r.yb), Point(r.xr, r.yb)]
     else:
         walk = [p_anchor, Point(r.xl, y), Point(r.xl, r.yt), Point(r.xr, r.yt)]
-    segs = polyline_to_segments(splice_simple(walk))
-    return _finalize(
-        poly, segs, rects, 8, 26, (2, 3), "line-degenerate", True
-    )
+    return _finalize(poly, _split_walks(poly, walk), rects, None, "line-degenerate")
 
 
 # -- the general partitioning cut (tau-fence regimes) --------------------------
@@ -759,10 +694,9 @@ def general_partition_cut(
     if not poly.is_simple:
         raise ConstructionError("polygon is not simple")
     k = poly.num_edges
-    cap = 30 * tau + 18
+    budget, cap = regime_budgets(tau)
     if k > cap:
         raise ConstructionError(f"polygon exceeds {cap} edges")
-    budget = 2 * tau + 1
 
     if k <= 15 * budget - 1:
         return _case0_cut(poly, rects, tau)
@@ -793,23 +727,16 @@ def general_partition_cut(
     LB, LM, LT = split3(L)
     RT, RM, RB = split3(R)
 
-    def group_table(group: list[int]):
-        pts = []
-        for i in group:
-            if i in sides:
-                pts.extend(eng.edge_points(edges[i]))
-        return eng.reach(pts) if pts else None
-
-    tables = {
-        name: group_table(g)
-        for name, g in (("LB", LB), ("LM", LM), ("LT", LT),
-                        ("RT", RT), ("RM", RM), ("RB", RB))
-    }
+    # Each group holds at least 2 tau + 1 >= 3 consecutive edges of a loop
+    # whose edges alternate, so at least one vertical edge anchors it.
     group_edges = {"LB": LB, "LM": LM, "LT": LT, "RT": RT, "RM": RM, "RB": RB}
+    tables = {
+        name: eng.reach([p for i in g if i in sides for p in eng.edge_points(edges[i])])
+        for name, g in group_edges.items()
+    }
 
     def covered(name: str, p: Point) -> bool:
-        t = tables[name]
-        return t is not None and eng.covers(t, p)
+        return eng.covers(tables[name], p)
 
     ys = range(chord.ylo, chord.yhi + 1)
     pts = [Point(chord.x, y) for y in ys]
@@ -825,22 +752,16 @@ def general_partition_cut(
     rm_hit = any(covered("RM", p) for p in plist)
 
     if not lm_hit and not rm_hit:
-        res = _general_case1(poly, rects, tau, eng, tables, plist)
-    else:
-        if not lm_hit:
-            if _depth >= 2:
-                raise ConstructionError("mirror recursion diverged")
-            mpoly = poly.transform(_mirror_x_point)
-            mrects = _mirror_x_tagged(rects)
-            mchord = _make_chord(mpoly, -chord.x, chord.ylo, chord.yhi)
-            mres = general_partition_cut(
-                mpoly, mrects, tau, mchord, _depth + 1, memo
-            )
-            return _mirror_cutresult(mres)
-        res = _general_case2(
-            poly, rects, tau, eng, tables, group_edges, chord, plist
-        )
-    return res
+        return _general_case1(poly, rects, tau, eng, tables, covered, plist)
+    if not lm_hit:
+        if _depth >= 2:
+            raise ConstructionError("mirror recursion diverged")
+        mpoly = poly.transform(_mirror_x_point)
+        mrects = _mirror_x_tagged(rects)
+        mchord = _make_chord(mpoly, -chord.x, chord.ylo, chord.yhi)
+        mres = general_partition_cut(mpoly, mrects, tau, mchord, _depth + 1, memo)
+        return _mirror_cutresult(mres)
+    return _general_case2(poly, rects, tau, eng, tables, group_edges)
 
 
 def _case0_cut(poly: RectPolygon, rects: RectsIn, tau: int) -> CutResult:
@@ -856,49 +777,31 @@ def _case0_cut(poly: RectPolygon, rects: RectsIn, tau: int) -> CutResult:
         Point(r.xr, r.yb),
         Point(bot_lo, r.yb),
     ]
-    segs = polyline_to_segments(splice_simple(walk))
-    hits = _segment_hits(segs, rects)
-    if hits:
+    res = _finalize(poly, _split_walks(poly, walk), rects, tau, "general-0")
+    if res.intersected:
         raise ConstructionError("case 0 cut intersects a rectangle")
-    return _finalize(
-        poly,
-        segs,
-        rects,
-        max_segments=2 * tau + 1,
-        max_edges=30 * tau + 18,
-        expect_components=(2, 2),
-        case="general-0",
-    )
+    return res
 
 
-def _general_case1(poly, rects, tau, eng: FenceEngine, tables, plist) -> CutResult:
+def _general_case1(
+    poly, rects, tau, eng: FenceEngine, tables, covered, plist
+) -> CutResult:
     def b_cover(p):
-        return (tables["LB"] and eng.covers(tables["LB"], p)) or (
-            tables["RB"] and eng.covers(tables["RB"], p)
-        )
+        return covered("LB", p) or covered("RB", p)
 
     def t_cover(p):
-        return (tables["LT"] and eng.covers(tables["LT"], p)) or (
-            tables["RT"] and eng.covers(tables["RT"], p)
-        )
+        return covered("LT", p) or covered("RT", p)
 
-    def chain_from(names, p):
-        for name in names:
-            t = tables[name]
-            if t is not None and eng.covers(t, p):
-                return eng.chain_to(t, p)
-        raise ConstructionError("no covering chain found")
+    def chain_from(names, p):  # one of the groups covers p
+        name = next(name for name in names if covered(name, p))
+        return eng.chain_to(tables[name], p)
 
     for p in plist:
         if b_cover(p) and t_cover(p):
             walk = chain_from(("LB", "RB"), p) + list(
                 reversed(chain_from(("LT", "RT"), p))
             )[1:]
-            segs = polyline_to_segments(splice_simple(walk))
-            return _finalize(
-                poly, segs, rects, 2 * tau + 1, 30 * tau + 18, (2, 2),
-                "general-1a",
-            )
+            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-1a")
     for a, b in zip(plist, plist[1:]):
         if b_cover(a) and t_cover(b):
             walk = (
@@ -906,24 +809,13 @@ def _general_case1(poly, rects, tau, eng: FenceEngine, tables, plist) -> CutResu
                 + [b]
                 + list(reversed(chain_from(("LT", "RT"), b)))[1:]
             )
-            segs = polyline_to_segments(splice_simple(walk))
-            return _finalize(
-                poly, segs, rects, 2 * tau + 1, 30 * tau + 18, (2, 2),
-                "general-1b",
-            )
+            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-1b")
     raise ConstructionError("case 1: no bottom-to-top transition on the chord")
 
 
-def _general_case2(
-    poly, rects, tau, eng: FenceEngine, tables, group_edges, chord: Chord, plist
-) -> CutResult:
-    k = poly.num_edges
-    budget = 2 * tau + 1
-    cap = 30 * tau + 18
+def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> CutResult:
     # f: the LM-anchored chain with the rightmost endpoint.
     t_lm = tables["LM"]
-    if t_lm is None:
-        raise ConstructionError("case 2 without LM anchors")
     best = None
     for ix in range(eng.nx):
         for iy in range(eng.ny):
@@ -942,25 +834,16 @@ def _general_case2(
         ys = range(start.y, yhi + 1) if up else range(start.y, ylo - 1, -1)
         for y in ys:
             z = Point(start.x, y)
-            grps = [g for g in tables if covered_interior_any(g, z)]
+            grps = [g for g in tables if eng.covers_interior(tables[g], z)]
             if grps:
                 return z, grps, False
         z = Point(start.x, yhi if up else ylo)
-        vi = _vertical_edge_endpoint_at(poly, z)
-        if vi is None:
-            for i, e in enumerate(poly.edges()):
-                if e.vertical and e.contains_point(z):
-                    vi = i
-                    break
+        vi = _edge_at(poly, z, vertical=True)
         if vi is not None:
             grp = _group_of_edge(group_edges, vi)
             if grp:
                 return z, [grp], True
         return None, [], False
-
-    def covered_interior_any(name, z):
-        t = tables[name]
-        return t is not None and eng.covers_interior(t, z)
 
     q, q_groups, q_vertex = scan(p, up=True)
     qh, qh_groups, qh_vertex = scan(p, up=False)
@@ -971,24 +854,14 @@ def _general_case2(
         return eng.chain_to(tables[name], z)
 
     right = ("RT", "RM", "RB")
-    finalize = lambda walk, case: _finalize(
-        poly,
-        polyline_to_segments(splice_simple(walk)),
-        rects,
-        budget,
-        cap,
-        (2, 2),
-        case,
-    )
-
     for name in right:
         if q is not None and name in q_groups:
             walk = f_chain + [q] + list(reversed(chain_or_point(name, q, q_vertex)))[1:]
-            return finalize(walk, "general-2a")
+            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2a")
     for name in right:
         if qh is not None and name in qh_groups:
             walk = f_chain + [qh] + list(reversed(chain_or_point(name, qh, qh_vertex)))[1:]
-            return finalize(walk, "general-2a'")
+            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2a'")
 
     if q is None or qh is None:
         raise ConstructionError("case 2b: missing ray stop")
@@ -1001,12 +874,12 @@ def _general_case2(
             + [qh]
             + list(reversed(chain_or_point("LB", qh, qh_vertex)))[1:]
         )
-        return finalize(walk, "general-2bi")
+        return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2bi")
     if "LB" in q_groups and "LT" in qh_groups:
         g_chain = chain_or_point("LB", q, q_vertex)
         gh_chain = chain_or_point("LT", qh, qh_vertex)
         walk = _join_at_intersection(g_chain, gh_chain)
-        return finalize(walk, "general-2bi'")
+        return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2bi'")
 
     if "LT" in q_groups and "LT" in qh_groups:
         side = "LT"
@@ -1017,7 +890,7 @@ def _general_case2(
     else:
         raise ConstructionError(f"case 2b: unclassifiable stops {q_groups}/{qh_groups}")
     return _general_case2bii(
-        poly, rects, tau, eng, tables, group_edges, p, f_chain, side, down, finalize
+        poly, rects, tau, eng, tables, group_edges, p, f_chain, side, down
     )
 
 
@@ -1039,8 +912,8 @@ def _join_at_intersection(chain_a: list[Point], chain_b: list[Point]) -> list[Po
 
 
 def _general_case2bii(
-    poly, rects, tau, eng, tables, group_edges, p, f_chain, side, down, finalize
-):
+    poly, rects, tau, eng, tables, group_edges, p, f_chain, side, down
+) -> CutResult:
     """Both ray stops anchor on the same outer-left group: walk the ray to
     the boundary, find the lowest/highest stop anchored outside the group,
     and cut between the group fence and that outside fence."""
@@ -1050,11 +923,7 @@ def _general_case2bii(
     stops = []
     for y in ys:
         z = Point(p.x, y)
-        grps = [
-            g
-            for g in tables
-            if tables[g] is not None and eng.covers_interior(tables[g], z)
-        ]
+        grps = [g for g in tables if eng.covers_interior(tables[g], z)]
         if grps:
             stops.append((z, grps))
     if not stops:
@@ -1078,16 +947,10 @@ def _general_case2bii(
         raise ConstructionError("case 2bii: no complement-anchored stop adjacent")
 
     g_chain = eng.chain_to(tables[side], z_star)
-    anchor = g_chain[0]
-    anchor_edge = None
-    for i in group_edges[side]:
-        e = poly.edges()[i]
-        if e.vertical and e.contains_point(anchor):
-            anchor_edge = i
-            break
-    if anchor_edge is None:
-        raise ConstructionError("case 2bii: group chain anchor not on a group edge")
+    anchor_edge = _edge_at(poly, g_chain[0], vertical=True)
     group = group_edges[side]
+    if anchor_edge not in group:
+        raise ConstructionError("case 2bii: group chain anchor not on a group edge")
     half = len(group) // 2
     # The half adjacent to LM: LT starts right after LM (clockwise), LB ends
     # right before it.
@@ -1099,9 +962,9 @@ def _general_case2bii(
         z2, gname = gpp_at
         gpp_chain = eng.chain_to(tables[gname], z2)
         walk = g_chain + ([z2] if z2 != z_star else []) + list(reversed(gpp_chain))[1:]
-        return finalize(walk, "general-2biiA")
+        return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2biiA")
     walk = _join_at_intersection(f_chain, g_chain)
-    return finalize(walk, "general-2biiB")
+    return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2biiB")
 
 
 # -- recursive partitioning driver ---------------------------------------------
@@ -1160,9 +1023,7 @@ class PartitionRun:
 
     @property
     def k_budget(self) -> int:
-        if self.regime == "six":
-            return 26
-        return 30 * self.tau + 18
+        return regime_budgets(self.tau)[1]
 
     def saved_original_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.origin[i] for i in self.tracked))
@@ -1202,8 +1063,8 @@ def recursive_partition(
     whole configuration (at most half horizontally nested for six/three,
     at least half horizontally nice for two_eps); all further work happens
     in the normalized frame.  ``nesting`` is ``classify_nesting(m)`` where
-    the caller has it already; it is reused for the normalized frame when
-    nothing is transposed.
+    the caller has it already; it, and under two_eps the niceness labels
+    of m, are reused for the normalized frame when nothing is transposed.
     """
     if regime not in REGIMES:
         raise ConstructionError(f"unknown regime {regime!r}")
@@ -1211,6 +1072,7 @@ def recursive_partition(
     side = m.side
     transposed = False
     lab = nesting
+    nice = None
     if regime in ("six", "three"):
         if lab is None:
             lab = classify_nesting(m)
@@ -1224,9 +1086,9 @@ def recursive_partition(
         anti_transpose_rect(r, side) if transposed else r for r in m.rects
     )
     wm = MaximalSet(work, m.origin, side)
-    nice = None
     if regime == "two_eps":
-        nice = classify_nice(wm)
+        if transposed:
+            nice = classify_nice(wm)
         if 2 * len(nice.horizontally_nice) < n:
             raise ConstructionError("normalization failed: too few nice")
     nesting = lab if lab is not None and not transposed else classify_nesting(wm)
@@ -1361,10 +1223,11 @@ def _check(report: list[dict], name: str, ok: bool, detail: str = "") -> None:
     report.append({"name": name, "ok": bool(ok), "detail": detail})
 
 
-def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]:
-    """Check every defining clause of a k-recursive partition plus the
-    regime extras; returns a report of named checks."""
-    k = k if k is not None else run.k_budget
+def validate_partition(run: PartitionRun) -> list[dict]:
+    """Check every defining clause of a k-recursive partition, k the run's
+    edge budget, plus the regime extras; returns a report of named
+    checks."""
+    k = run.k_budget
     report = []
     nodes = run.nodes
 
@@ -1455,7 +1318,7 @@ def validate_partition(run: PartitionRun, k: Optional[int] = None) -> list[dict]
             break
     _check(report, "horizontal_edges_miss_rects", horiz_ok, horiz_detail)
 
-    budget = 8 if run.regime == "six" else 2 * run.tau + 1
+    budget = regime_budgets(run.tau)[0]
     cut_ok = all(
         node.cut is None or len(node.cut.segments) <= budget for node in nodes
     )

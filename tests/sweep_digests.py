@@ -1,10 +1,10 @@
 """Digest every run of the identity sweep, one line per run.
 
-    PYTHONPATH=src python tests/sweep_digests.py [partition|dp] > digests.txt
+    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units] > digests.txt
 
 A refactor that must not change any output runs this on both checkouts
-and diffs the two files.  Without an argument both sections run, the
-partitions first.
+and diffs the two files.  Without an argument all three sections run,
+in that order.
 
 The partition section: uniform_random and nested_grid at n = 3..16 with
 seeds 0-2, windmill at n = 3..16, and packed at n in {12, 16, 24, 32}
@@ -21,6 +21,18 @@ n = 3 and on uniform_random at n = 4, with seeds 0-2 (nested_grid at
 n = 4 takes 7-19 s a run, more than the rest of the section together);
 and windmill n = 5 at k = 4 with walk budgets 1 and 3.  A line holds the
 run and dp_solve's (size, chosen, cells, cuts tried).
+
+The units section: the single cuts of acceptance criteria 6 and 7, which
+reach construction cases the recursive runs never do (general-1b,
+general-2a, the k/3 chord search).  One line per unit: each line unit of
+criterion 6 under line_partition_cut and each general unit under
+general_partition_cut, with the case and the first 16 hex digits of the
+sha256 of the cut, ell, intersected rects, parts and assignment; and
+each criterion-7 polygon with its spanning chord.  A unit that raises
+shows the type and message of the error instead.  This section builds
+its units with tests/oracles.py, the only section that imports it; run
+against an older checkout's src, it still takes oracles.py from the
+script's own directory.
 
 The file name keeps it out of pytest's collection.
 """
@@ -101,7 +113,7 @@ def partition_section() -> None:
 
 
 # (instance, k, cut budget, shapes) of the DP runs whose counts
-# tests/test_dp_kernel.py pins; kept here so that this script imports
+# tests/test_dp_kernel.py pins; kept here so that the DP section imports
 # nothing but the library, and runs against an older checkout's src.
 T_SHAPE = preprocess([Rect(0, 0, 2, 4), Rect(2, 0, 4, 2), Rect(2, 2, 4, 4)])
 KERNEL_RUNS = [
@@ -140,8 +152,66 @@ def dp_section() -> None:
         )
 
 
+def _cut_digest(res) -> str:
+    def seg(s):
+        return None if s is None else [[s.a.x, s.a.y], [s.b.x, s.b.y]]
+
+    doc = [
+        res.cut.shape,
+        [seg(s) for s in res.cut.segments],
+        seg(res.ell),
+        list(res.intersected),
+        [[[p.x, p.y] for p in c.vertices] for c in res.components],
+        sorted(res.assignment.items()),
+    ]
+    blob = json.dumps(doc).encode()
+    return f"{res.case} {hashlib.sha256(blob).hexdigest()[:16]}"
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return fn(*args)
+    except Exception as exc:  # every outcome is part of the digest
+        return f"{type(exc).__name__}: {exc}"
+
+
+def units_section() -> None:
+    import random
+
+    from misr.partition import (
+        general_partition_cut,
+        line_partition_cut,
+        vertical_spanning_segment,
+    )
+    from oracles import blob_polygon, criterion_6_units
+
+    def line(poly, rects):
+        return _cut_digest(line_partition_cut(poly, rects))
+
+    def general(poly, rects, tau):
+        return _cut_digest(general_partition_cut(poly, rects, tau))
+
+    def chord(poly):
+        c = vertical_spanning_segment(poly)[1]
+        return f"x={c.x} y={c.ylo}..{c.yhi} edges={c.e_bottom},{c.e_top}"
+
+    line_units, general_units = criterion_6_units()
+    for i, (k, poly, rects) in enumerate(line_units):
+        print(f"line {i} k={k} {_outcome(line, poly, rects)}")
+    for i, (tau, k, poly, rects) in enumerate(general_units):
+        print(f"general {i} tau={tau} k={k} {_outcome(general, poly, rects, tau)}")
+    # criterion 7's polygons, drawn as test_criterion_7_spanning_chord does
+    rng = random.Random(7)
+    i = 0
+    while i < 200:
+        poly = blob_polygon(rng, grid=7, cells=rng.randrange(5, 26))
+        if 4 <= poly.num_edges <= 24:
+            print(f"chord {i} k={poly.num_edges} {_outcome(chord, poly)}")
+            i += 1
+
+
 def main(argv: list[str]) -> int:
-    sections = {"partition": partition_section, "dp": dp_section}
+    sections = {"partition": partition_section, "dp": dp_section, "units": units_section}
     for name in argv or list(sections):
         sections[name]()
     return 0

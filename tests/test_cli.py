@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -199,6 +201,46 @@ class TestBench:
             else:
                 assert cells == cuts == ""
 
+    def test_dp_past_oracle_cap(self, tmp_path, monkeypatch):
+        """A DP row past the oracle cap leaves opt and ratio empty, as
+        solve --algo dp leaves opt null; the rows within the cap keep it."""
+        monkeypatch.delenv("MISR_ORACLE_CAP", raising=False)
+        out = tmp_path / "bench.csv"
+        code = run_cli(
+            ["bench", "--families", "stacked_strips", "--n-min", "16",
+             "--n-max", "17", "--seeds", "1", "--algos", "dp", "--out", str(out)]
+        )
+        assert code == 0
+        rows = csv.DictReader(out.read_text().splitlines())
+        assert [(r["n"], r["value"], r["opt"], r["ratio"]) for r in rows] == [
+            ("16", "16", "16", "1/1"),
+            ("17", "17", "", ""),
+        ]
+
+    def test_regime_rows_read_opt_from_report(self, tmp_path, monkeypatch):
+        """With only regimes asked for, the oracle runs once per regime
+        row, inside its pipeline, and the row reads opt from the report."""
+        import misr.cli as cli
+
+        calls = []
+        real = cli.exact_mis
+
+        def counted(inst, *a, **kw):
+            calls.append(inst.n)
+            return real(inst, *a, **kw)
+
+        monkeypatch.setattr(cli, "exact_mis", counted)
+        out = tmp_path / "bench.csv"
+        code = run_cli(
+            ["bench", "--families", "windmill", "--n-min", "5", "--n-max", "5",
+             "--seeds", "1", "--algos", "six,three", "--out", str(out)]
+        )
+        assert code == 0 and calls == [5, 5]
+        opt = real(generate("windmill", 5, 0)).size
+        for r in csv.DictReader(out.read_text().splitlines()):
+            fr = Fraction(opt, int(r["value"]))
+            assert (r["opt"], r["ratio"]) == (str(opt), f"{fr.numerator}/{fr.denominator}"), r
+
     def test_header_only_when_no_seeds(self, tmp_path):
         out = tmp_path / "bench.csv"
         run_cli(
@@ -256,6 +298,24 @@ class TestCorruptionAndEnv:
             exact_mis(inst)
         monkeypatch.setenv("MISR_ORACLE_CAP", "20")
         assert exact_mis(inst).size == 17
+
+
+    def test_dp_report_follows_env_oracle_cap(self, tmp_path, monkeypatch, capsys):
+        """solve --algo dp checks the DP against the oracle only up to the
+        cap exact_mis applies, the environment's included."""
+        inst_file = tmp_path / "u12.json"
+        run_cli(["generate", "uniform_random", "12", "--out", str(inst_file)])
+        capsys.readouterr()
+        monkeypatch.setenv("MISR_ORACLE_CAP", "10")
+        assert run_cli(["solve", str(inst_file), "--algo", "dp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["opt"] is None and report["ratio"] is None
+        assert report["checks"] == []
+        monkeypatch.delenv("MISR_ORACLE_CAP")
+        assert run_cli(["solve", str(inst_file), "--algo", "dp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["opt"] is not None
+        assert [c["name"] for c in report["checks"]] == ["dp_not_above_optimum"]
 
 
 class TestDpScaling:

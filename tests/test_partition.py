@@ -23,6 +23,7 @@ from oracles import (
     all_chords,
     blob_polygon,
     cells_to_polygon,
+    criterion_6_units,
     fill_with_maximal_rects,
     notched_polygon,
 )
@@ -110,6 +111,27 @@ class TestLinePartitionCut:
             cases.add(res.case.split("+")[0])
             done += 1
         assert "line" in cases or "line-degenerate" in cases
+
+    def test_separating_cut_splits_once(self):
+        """A line cut that separates without repair is split once: its
+        separation test and the finisher share one split."""
+        line_units, _ = criterion_6_units()
+        real = partition.split_components
+        calls = []
+
+        def counted(poly, cut):
+            calls.append(cut)
+            return real(poly, cut)
+
+        checked = 0
+        with mock.patch.object(partition, "split_components", counted):
+            for _k, poly, rects in line_units:
+                calls.clear()
+                res = line_partition_cut(poly, rects)
+                if res.case in ("line", "line+mirrored"):
+                    assert len(calls) == 1, (poly, rects, res.case, calls)
+                    checked += 1
+        assert checked > 100, checked
 
     def test_needs_two_rects(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 4, 4))

@@ -1,10 +1,11 @@
 """RectPolygon's edge tables against the per-call predicates in
 oracles.py: point membership, boundary, rect containment, line
-sections, segment containment, horizontal convexity, edge sides,
-simplicity and line-fence enumeration must agree exactly, on blob
-polygons, on partition nodes and on random self-touching vertex loops.
-The loop surgery split must agree with the refined-grid split in
-oracles.py on every split the constructions make and on random cuts."""
+sections, segment containment, horizontal convexity, edge sides, the
+edges holding a point (edges_at), simplicity and line-fence enumeration
+must agree exactly, on blob polygons, on partition nodes and on random
+self-touching vertex loops.  The loop surgery split must agree with the
+refined-grid split in oracles.py on every split the constructions make
+and on random cuts."""
 
 import random
 from fractions import Fraction
@@ -86,6 +87,24 @@ def test_point_predicates_agree(node_cells):
                 assert poly.contains_doubled(X, Y) == ref_contains_doubled(
                     poly, X, Y
                 ), (poly, X, Y)
+
+
+def test_edges_at_agrees_with_edge_scan(node_cells):
+    """edges_at against the scan of edges() at every integral point of the
+    bounding box and one unit beyond it, on every node cell and blob (all
+    simple)."""
+    on_boundary = 0
+    for poly in {p for p, _ in node_cells} | set(blobs()):
+        assert poly.is_simple, poly
+        edges = poly.edges()
+        x0, y0, x1, y1 = poly.bbox()
+        for x in range(x0 - 1, x1 + 2):
+            for y in range(y0 - 1, y1 + 2):
+                p = Point(x, y)
+                want = tuple(i for i, e in enumerate(edges) if e.contains_point(p))
+                assert poly.edges_at(p) == want, (poly, p)
+                on_boundary += bool(want)
+    assert on_boundary > 1000, on_boundary
 
 
 def test_sections_and_rect_containment_agree(node_cells):
