@@ -87,6 +87,14 @@ def parse_eps(text: str) -> Fraction:
     return eps
 
 
+def check_tau(tau: Optional[int]) -> Optional[int]:
+    """tau as given, or None for the regime's default; a chain of fewer
+    than one segment is no fence."""
+    if tau is not None and tau < 1:
+        raise InstanceError(f"tau must be at least 1: {tau}")
+    return tau
+
+
 @dataclass
 class RunReport:
     digest: str
@@ -353,7 +361,7 @@ def cmd_solve(args) -> int:
         k=args.k,
         cut_budget=args.cut_budget,
         shapes=_shapes(args.shapes),
-        tau=args.tau,
+        tau=check_tau(args.tau),
         eps=eps,
         cell_cap=args.cell_cap,
     )
@@ -368,7 +376,7 @@ def cmd_certify(args) -> int:
     inst = _load_instance(args.input)
     eps = parse_eps(args.eps) if args.eps else None
     sol, report, artifacts = run_pipeline(
-        inst, args.regime, tau=args.tau, eps=eps
+        inst, args.regime, tau=check_tau(args.tau), eps=eps
     )
     if args.out:
         write_json(args.out, artifacts)
@@ -395,39 +403,48 @@ def cmd_bench(args) -> int:
     """One CSV row per (instance, algo).  The exact oracle runs once per
     instance, where the exact row or a DP row within the oracle cap needs
     it; a regime row reads the optimum from its own report, and a DP row
-    past the cap leaves opt and ratio empty."""
+    past the cap leaves opt and ratio empty.
+
+    A row's ms is the wall time of one call: for an exact row the oracle
+    call, for a regime row its whole pipeline (oracle, extension,
+    partition, charging and checks), for a dp row dp_solve alone, without
+    the oracle run that gives its opt."""
     ns = range(args.n_min, args.n_max + 1)
     seeds = range(args.seeds)
     algos = _shapes(args.algos)
     eps = parse_eps(args.eps) if args.eps else Fraction(1)
+    tau = check_tau(args.tau)
     rows = []
     for family in _shapes(args.families):
         for n in ns:
             for seed in seeds:
                 inst = generate(family, n, seed)
-                bench_opt = None
+                bench_opt = oracle_ms = None
                 if "exact" in algos or (
                     "dp" in algos and inst.n <= inst_mod._oracle_cap(None)
                 ):
+                    t0 = time.perf_counter()
                     bench_opt = exact_mis(inst).size
+                    oracle_ms = (time.perf_counter() - t0) * 1000
                 for algo in algos:
                     opt = bench_opt
                     stats = DpStats() if algo == "dp" else None
-                    t0 = time.perf_counter()
-                    if algo == "dp":
-                        val = dp_solve(
-                            inst, args.k, args.cut_budget, _shapes(args.shapes),
-                            stats=stats,
-                        ).size
-                    elif algo == "exact":
-                        val = opt
+                    if algo == "exact":
+                        val, ms = opt, oracle_ms
                     else:
-                        _sol, rep, _a = run_pipeline(
-                            inst, algo, eps=eps if algo == "two_eps" else None,
-                            tau=args.tau,
-                        )
-                        val, opt = rep.achieved, rep.opt
-                    ms = (time.perf_counter() - t0) * 1000
+                        t0 = time.perf_counter()
+                        if algo == "dp":
+                            val = dp_solve(
+                                inst, args.k, args.cut_budget, _shapes(args.shapes),
+                                stats=stats,
+                            ).size
+                        else:
+                            _sol, rep, _a = run_pipeline(
+                                inst, algo, eps=eps if algo == "two_eps" else None,
+                                tau=tau,
+                            )
+                            val, opt = rep.achieved, rep.opt
+                        ms = (time.perf_counter() - t0) * 1000
                     ratio = ""
                     if opt is not None and val:
                         fr = Fraction(opt, val)

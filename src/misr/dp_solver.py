@@ -90,6 +90,8 @@ class DpConfig:
             raise DpError("k must be an even integer >= 4")
         if self.cut_budget < 1:
             raise DpError("cut budget must be >= 1")
+        if self.cell_cap < 1:
+            raise DpError("cell cap must be >= 1")
         for s in self.shapes:
             if s not in ("path", "tree"):
                 raise DpError(f"unknown cut shape {s!r}")

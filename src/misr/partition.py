@@ -60,8 +60,7 @@ from .structure import (
     classify_nice,
     is_protected,
     is_tau_protected,
-    enumerate_line_fences,
-    protecting_fences,
+    line_fences,
     seen_corners_on_side,
     tau_engine,
 )
@@ -510,7 +509,7 @@ def line_partition_cut(
     rects) with at most 8 segments so that 2-3 horizontally convex
     components remain, only one vertical segment meets any rectangle, and
     no line-fence-protected rectangle is met.  memo is the caller's
-    protection memo (see protecting_fences).
+    protection memo (see line_fences).
     """
     if len(rects) < 2:
         raise ConstructionError("line_partition_cut needs at least two rects")
@@ -530,62 +529,51 @@ def line_partition_cut(
     s = len(lefts)
     em = lefts[s // 3 : (2 * s + 2) // 3]  # middle third, 1-based floor/ceil
 
-    fences = enumerate_line_fences(poly, rects)
-    # the furthest feature from each left anchor: its fences come nearest
-    # first, so the last one wins
-    furthest = {f.anchor: f for f in fences if f.side == "from_left_edge"}
+    fences = line_fences(poly, rects, memo)
     candidates = []
     for i in em:
         e = edges[i]
         y1, y2 = sorted((e.a.y, e.b.y))
         for y in range(y1, y2 + 1):
             p = Point(e.a.x, y)
-            if p in furthest:
-                candidates.append((furthest[p].endpoint, p))
+            end = fences.furthest(p, left=True)
+            if end is not None:
+                candidates.append((Point(end, y), p))
     if not candidates:
         return _guillotine_cut(poly, rects)
     candidates.sort(key=lambda t: (-t[0].x, t[1].y, t[1].x))
     p_prime, p_anchor = candidates[0]
 
-    prot_ids = {rid for rid, r in rects if protecting_fences(poly, rects, r, memo)}
+    prot_ids = {rid for rid, r in rects if fences.protecting(r)}
 
     def ray_stop(start: Point, down: bool) -> tuple[Point, list[Point]]:
         """First stopping event of the vertical ray from start; returns the
-        stop point and the tail walk from it to the polygon boundary."""
+        stop point and the tail walk from it to the polygon boundary.  The
+        events are a line fence strictly crossing the ray, from its least
+        anchor, and the facing edge of a protected rect the ray pierces,
+        least id first; the nearest row decides, a fence before a rect."""
         ylo, yhi = poly.vertical_reach(start)
         bound = ylo if down else yhi
-        events: list[tuple[int, int, tuple]] = []  # (y, priority, data)
+        hit = None  # ((nearness, id), row, rect) of the nearest rect event
         for rid, r in rects:
             if rid not in prot_ids or not (r.xl < start.x < r.xr):
                 continue
             ey = r.yt if down else r.yb
             within = (bound <= ey <= start.y) if down else (start.y <= ey <= bound)
-            if within:
-                events.append((ey, 1, ("rect", rid, r)))
-        for f in fences:
-            seg = f.chain[0]
-            if seg.degenerate:
-                continue
-            fx1, fx2 = sorted((seg.a.x, seg.b.x))
-            fy = seg.a.y
-            if not (fx1 < start.x < fx2):
-                continue
-            within = (bound <= fy <= start.y) if down else (start.y <= fy <= bound)
-            if within:
-                events.append((fy, 0, ("fence", f)))
-        if not events:
+            order = (-ey if down else ey, rid)
+            if within and (hit is None or order < hit[0]):
+                hit = order, ey, r
+        stop = bound if hit is None else hit[1]
+        step = -1 if down else 1
+        for y in range(start.y, stop + step, step):
+            xa = fences.crossing_anchor(y, start.x)
+            if xa is not None:
+                return Point(start.x, y), [Point(xa, y)]
+        if hit is None:
             return Point(start.x, bound), []
-        if down:
-            events.sort(key=lambda t: (-t[0], t[1], _event_order(t[2])))
-        else:
-            events.sort(key=lambda t: (t[0], t[1], _event_order(t[2])))
-        y, _prio, data = events[0]
+        _order, y, r = hit
         qp = Point(start.x, y)
-        if data[0] == "fence":
-            f = data[1]
-            return qp, [f.anchor]
-        _kind, rid, r = data
-        pf = protecting_fences(poly, rects, r, memo)[0]
+        pf = fences.protecting(r)[0]
         covered_y = pf.chain[0].a.y
         if covered_y == (r.yt if down else r.yb):
             # the protecting fence runs along the very edge the ray hit
@@ -613,13 +601,6 @@ def line_partition_cut(
     if len(split[1]) < 2:
         return _degenerate_line_cut(poly, rects, p_anchor, p_prime)
     return _finalize(poly, split, rects, None, "line")
-
-
-def _event_order(data: tuple) -> tuple:
-    if data[0] == "fence":
-        f = data[1]
-        return (0, f.anchor.y, f.anchor.x)
-    return (1, data[1])
 
 
 def _guillotine_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:

@@ -14,16 +14,26 @@ integral coordinates, so chains can always be deformed onto the integer
 grid without increasing their segment count.
 
 Both kinds of protection are memoized per partition run, in one dict the
-run owns: tau_engine keeps one engine per (polygon, rects, tau), and
-protecting_fences one fence list per (rect, polygon, rects).  A memo is a
-cache only; every answer is the same without it.
+run owns, where a node (a polygon and the rects inside it) fills at most
+one entry of each kind:
+  line_fences   one LineFences per (polygon, rects): the node's line
+                protection (protecting_fences, every rect answered once)
+                and the line cut's reads, all from one record per row,
+                built on first use;
+  tau_engine    one FenceEngine per (polygon, rects, tau), with its move
+                table and search tables.
+Rows are read once per node: _crossing_rows buckets the rects by the rows
+(or columns) their interiors cross, for the row records and for the move
+table alike.  A memo is a cache only; every answer is the same without it.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .geom_core import (
@@ -351,74 +361,214 @@ class Fence:
         return self.chain[-1].b if self.chain else self.anchor
 
 
-def _fence_features_rightward(
-    rects_in: Sequence[tuple[int, Rect]], y: int, x_from: int, x_to: int
-) -> list[tuple[int, str, int]]:
-    """Rect features on the rightward ray at height y within [x_from,x_to],
-    ordered by x: (x, kind, rect id).  kind 'block' is the interior of a
-    left edge; the ray cannot continue past it."""
-    feats = []
-    for rid, r in rects_in:
-        if r.yb < y < r.yt and x_from <= r.xl <= x_to:
-            feats.append((r.xl, "block", rid))
-        if (y == r.yt or y == r.yb) and x_from <= r.xr <= x_to:
-            feats.append((r.xr, "corner", rid))
-    feats.sort()
-    return feats
+def _crossing_rows(
+    spans: Iterable[tuple[int, int, int, int]], lo: int, n: int
+) -> list[list[tuple[int, int]]]:
+    """rows[i]: the (a, b) of every span (clo, chi, a, b) with
+    clo < lo + i < chi, sorted.  With a rect's (yb, yt, xl, xr) as its
+    span, rows[i] holds the x-extents of the rects whose interior crosses
+    the row y = lo + i; with (xl, xr, yb, yt), the y-extents of those
+    crossing the column x = lo + i."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for clo, chi, a, b in spans:
+        extent = (a, b)  # one tuple, shared by every row it crosses
+        for i in range(max(clo + 1 - lo, 0), min(chi - lo, n)):
+            rows[i].append(extent)
+    for row in rows:
+        row.sort()
+    return rows
 
 
-def _fence_frame(
-    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], side: str
-) -> tuple[RectPolygon, Sequence[tuple[int, Rect]], int, str]:
-    """(polygon, rects, sign, tag) in which the line fences from a
-    `side`-vertical edge run rightward: the cell itself for left edges,
-    its reflection in the line x = 0 for right edges.  sign maps an x of
-    the frame back to the cell."""
-    if side == "left":
-        return poly, rects_in, 1, "from_left_edge"
-    return poly.transform(_mirror_x_point), _mirror_x_tagged(rects_in), -1, "from_right_edge"
+class _Row(NamedTuple):
+    """The facts of one row y of a node that its line fences read.
+    lefts/rights: the x of the left/right polygon edges holding a point of
+    y, ascending; left_ends/right_ends: the x of the furthest line fence
+    from each of them, None where it anchors none; free_lo/free_hi: the
+    pieces of the polygon's section on y outside the open x-extents of the
+    rects crossing y, closed intervals (possibly points), ascending."""
+
+    lefts: tuple[int, ...]
+    left_ends: tuple[Optional[int], ...]
+    rights: tuple[int, ...]
+    right_ends: tuple[Optional[int], ...]
+    free_lo: tuple[int, ...]
+    free_hi: tuple[int, ...]
 
 
-def _fences_rightward(frame, p: Point) -> list[Fence]:
-    """Line fences from the anchor p of the cell, nearest feature first,
-    found running rightward in the frame."""
-    fpoly, frects, sign, tag = frame
-    q = Point(sign * p.x, p.y)
-    _lo, hi = fpoly.horizontal_reach(q)
-    out = []
-    for x, kind, _rid in _fence_features_rightward(frects, q.y, q.x, hi):
-        if x < q.x:
-            continue
-        out.append(Fence(p, (Segment(p, Point(sign * x, p.y)),), tag))
-        if kind == "block":
-            break
-    return out
+def _free_pieces(
+    sections: Sequence[tuple[int, int]], crossing: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The closed sections minus the open intervals crossing (sorted), as
+    the pieces' low ends and their high ends."""
+    los: list[int] = []
+    his: list[int] = []
+    for a, b in sections:
+        cur = a
+        for xl, xr in crossing:
+            if xl >= b or xr <= cur:
+                continue
+            if xl >= cur:
+                los.append(cur)
+                his.append(xl)
+            cur = xr
+            if cur > b:
+                break
+        if cur <= b:
+            los.append(cur)
+            his.append(b)
+    return tuple(los), tuple(his)
 
 
-def enumerate_line_fences(
-    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
-) -> list[Fence]:
-    """All line fences, one per (integral anchor point, reachable feature)
-    pair over every vertical edge; degenerate point fences included.  Each
-    side's frame, the mirrored cell for right edges, is built once."""
-    fences: list[Fence] = []
-    sides = poly.vertical_edge_sides()
-    edges = poly.edges()
-    frames = {side: _fence_frame(poly, rects_in, side) for side in ("left", "right")}
-    for idx in sorted(sides):
-        e = edges[idx]
-        y1, y2 = sorted((e.a.y, e.b.y))
-        for y in range(y1, y2 + 1):
-            fences.extend(_fences_rightward(frames[sides[idx]], Point(e.a.x, y)))
-    return fences
+class LineFences:
+    """The line fences of one node, a polygon and the rects inside it,
+    read from one record per row (_Row), built on first use.
+
+    A line fence from a left polygon edge runs rightward from an integral
+    anchor point of the edge, within the polygon's section, to a rect
+    feature: the interior of a left edge, where it must stop, or a right
+    corner; fences from right edges are the mirror image.  The node's
+    reads are the furthest fence of an anchor, the least anchor whose
+    fence strictly crosses a vertical line on a row, and the fences that
+    protect a rect (protecting), each answered from the records of its
+    rows.
+    """
+
+    def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]):
+        self.poly = poly
+        _x0, self.y0, _x1, y1 = poly.bbox()
+        n = y1 - self.y0 + 1
+        # a run's memo keeps every node's record: rows as tuples, so that
+        # the many empty ones share the empty tuple
+        self._crossing = [
+            tuple(row)
+            for row in _crossing_rows(
+                ((r.yb, r.yt, r.xl, r.xr) for _rid, r in rects_in), self.y0, n
+            )
+        ]
+        self._edged: dict[int, list[tuple[int, int]]] = {}
+        for _rid, r in rects_in:
+            for y in (r.yb, r.yt):
+                self._edged.setdefault(y, []).append((r.xl, r.xr))
+        edges = poly.edges()
+        self._verticals = [
+            (edges[i].a.x, *sorted((edges[i].a.y, edges[i].b.y)), side == "left")
+            for i, side in poly.vertical_edge_sides().items()
+        ]
+        self._rows: dict[int, _Row] = {}
+        self._protecting: dict[Rect, list[Fence]] = {}
+
+    def row(self, y: int) -> _Row:
+        """The record of row y, which must lie in the polygon's bbox.
+
+        The fence from an anchor runs within the anchor's section of the
+        row; a left anchor's furthest fence ends at the first left edge of
+        a crossing rect at or right of it (the fence stops inside that
+        edge), else at the last right corner on the row; a right anchor's
+        is the mirror image."""
+        rec = self._rows.get(y)
+        if rec is None:
+            crossing, edged = self._crossing[y - self.y0], self._edged.get(y, ())
+            sections = self.poly.horizontal_section(y)
+            blocks_l = [a for a, _b in crossing]
+            blocks_r = sorted(b for _a, b in crossing)
+            corners_l = sorted(a for a, _b in edged)
+            corners_r = sorted(b for _a, b in edged)
+            lefts = tuple(
+                sorted(x for x, lo, hi, left in self._verticals if left and lo <= y <= hi)
+            )
+            rights = tuple(
+                sorted(x for x, lo, hi, left in self._verticals if not left and lo <= y <= hi)
+            )
+            left_ends: list[Optional[int]] = []
+            for x in lefts:
+                hi = next(b for a, b in sections if a <= x <= b)
+                k = bisect_left(blocks_l, x)
+                if k < len(blocks_l) and blocks_l[k] <= hi:
+                    left_ends.append(blocks_l[k])
+                    continue
+                k = bisect_right(corners_r, hi) - 1
+                left_ends.append(corners_r[k] if k >= 0 and corners_r[k] >= x else None)
+            right_ends: list[Optional[int]] = []
+            for x in rights:
+                lo = next(a for a, b in sections if a <= x <= b)
+                k = bisect_right(blocks_r, x) - 1
+                if k >= 0 and blocks_r[k] >= lo:
+                    right_ends.append(blocks_r[k])
+                    continue
+                k = bisect_left(corners_l, lo)
+                found = k < len(corners_l) and corners_l[k] <= x
+                right_ends.append(corners_l[k] if found else None)
+            rec = self._rows[y] = _Row(
+                lefts,
+                tuple(left_ends),
+                rights,
+                tuple(right_ends),
+                *_free_pieces(sections, crossing),
+            )
+        return rec
+
+    def furthest(self, p: Point, left: bool) -> Optional[int]:
+        """The x of the furthest line fence from p, an integral point of a
+        left (fences run rightward) or right (leftward) polygon edge, or
+        None when p anchors none."""
+        rec = self.row(p.y)
+        xs, ends = (rec.lefts, rec.left_ends) if left else (rec.rights, rec.right_ends)
+        k = bisect_left(xs, p.x)
+        return ends[k] if k < len(xs) and xs[k] == p.x else None
+
+    def crossing_anchor(self, y: int, x: int) -> Optional[int]:
+        """The least x of an anchor on row y with a line fence that
+        strictly crosses the vertical line at x, or None.  Left anchors
+        lie left of x and right ones right of it, so the left come first."""
+        rec = self.row(y)
+        for xa, end in zip(rec.lefts, rec.left_ends):
+            if xa >= x:
+                break
+            if end is not None and end > x:
+                return xa
+        for xa, end in zip(rec.rights, rec.right_ends):
+            if xa > x and end is not None and end < x:
+                return xa
+        return None
+
+    def protecting(self, r: Rect) -> list[Fence]:
+        """protecting_fences of r, answered once per rect."""
+        out = self._protecting.get(r)
+        if out is None:
+            out = self._protecting[r] = []
+            for y in (r.yt, r.yb):
+                if not 0 <= y - self.y0 < len(self._crossing):
+                    continue
+                rec = self.row(y)
+                k = bisect_right(rec.free_lo, r.xl) - 1
+                if k < 0 or rec.free_hi[k] < r.xr:
+                    continue
+                lefts, rights = rec.lefts, rec.rights
+                lo, hi = rec.free_lo[k], rec.free_hi[k]
+                for xa in lefts[bisect_left(lefts, lo) : bisect_right(lefts, r.xl)]:
+                    p = Point(xa, y)
+                    out.append(Fence(p, (Segment(p, Point(r.xr, y)),), "from_left_edge"))
+                for xa in rights[bisect_left(rights, r.xr) : bisect_right(rights, hi)]:
+                    p = Point(xa, y)
+                    out.append(Fence(p, (Segment(p, Point(r.xl, y)),), "from_right_edge"))
+        return out
 
 
-def _ray_clear_of_rects(
-    rects_in: Sequence[tuple[int, Rect]], y: int, x1: int, x2: int
-) -> bool:
-    return not any(
-        r.yb < y < r.yt and x1 < r.xr and x2 > r.xl for _rid, r in rects_in
-    )
+def line_fences(
+    poly: RectPolygon,
+    rects_in: Sequence[tuple[int, Rect]],
+    memo: Optional[dict] = None,
+) -> LineFences:
+    """The line fences of (poly, rects_in).  With a memo (a partition
+    run's, as for tau_engine), one record per node serves every request;
+    without one, a fresh record."""
+    if memo is None:
+        return LineFences(poly, rects_in)
+    key = ("line", poly, tuple(sorted(rects_in)))
+    rec = memo.get(key)
+    if rec is None:
+        rec = memo[key] = LineFences(poly, rects_in)
+    return rec
 
 
 def protecting_fences(
@@ -430,47 +580,14 @@ def protecting_fences(
     """Line fences containing the top or bottom edge of r.
 
     Only the fence ending at the covered edge's far corner needs testing:
-    if any covering fence exists, that one does.  Deterministic order:
+    if any covering fence exists, that one does.  Such a fence from the
+    anchor (x, y) exists when the segment from it to the far corner lies
+    in one free piece of row y (the row's record).  Deterministic order:
     top before bottom, left anchors before right, then anchor position.
-    With a memo (a partition run's, as for tau_engine), each (r, poly,
-    rects_in) is answered once; the answer is the same without one.
+    With a memo, the node's record answers each rect once; the answer is
+    the same without one.
     """
-    if memo is not None:
-        key = ("line", r, poly, tuple(sorted(rects_in)))
-        if key in memo:
-            return memo[key]
-    out: list[Fence] = []
-    sides = poly.vertical_edge_sides()
-    edges = poly.edges()
-    for y in (r.yt, r.yb):
-        for side_name in ("left", "right"):
-            found = []
-            for idx, side in sides.items():
-                if side != side_name:
-                    continue
-                e = edges[idx]
-                ey1, ey2 = sorted((e.a.y, e.b.y))
-                if not ey1 <= y <= ey2:
-                    continue
-                xe = e.a.x
-                target_x = r.xr if side_name == "left" else r.xl
-                if (side_name == "left" and xe > r.xl) or (
-                    side_name == "right" and xe < r.xr
-                ):
-                    continue
-                p = Point(xe, y)
-                seg = Segment(p, Point(target_x, y))
-                x1, x2 = sorted((xe, target_x))
-                if not poly.contains_segment(seg):
-                    continue
-                if not _ray_clear_of_rects(rects_in, y, x1, x2):
-                    continue
-                found.append(Fence(p, (seg,), f"from_{side_name}_edge"))
-            found.sort(key=lambda f: (f.anchor.y, f.anchor.x))
-            out.extend(found)
-    if memo is not None:
-        memo[key] = out
-    return out
+    return line_fences(poly, rects_in, memo).protecting(r)
 
 
 def is_protected(
@@ -516,6 +633,49 @@ def _free_steps(
         if lo < hi:
             free[lo:hi] = bytes(hi - lo)
     return free
+
+
+@lru_cache(maxsize=None)
+def _step_rules(ny: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """rules[o*3 + h]: the (move bit, state offset, cost) of every step a
+    chain in orientation o and horizontal direction h may take, on a grid
+    ny points high.  The same for every engine of that height."""
+    shift = {_RIGHT: 12 * ny, _LEFT: -12 * ny, _UP: 12, _DOWN: -12}
+    rules = []
+    for o in range(4):
+        for h in range(3):
+            steps = []
+            for bit, no, nh in _STEPS:
+                if nh is None:
+                    nh = h
+                    if (o, no) in ((_VU, _VD), (_VD, _VU)):
+                        continue  # no doubling back
+                elif h != 0 and h != nh:
+                    continue  # one horizontal direction per chain
+                offset = shift[bit] + (no * 3 + nh) - (o * 3 + h)
+                steps.append((bit, offset, int(no != o)))
+            rules.append(tuple(steps))
+    return tuple(rules)
+
+
+def _line_steps(
+    section: Callable[[int], list[tuple[int, int]]],
+    crossing: list[list[tuple[int, int]]],
+    c0: int,
+    lo0: int,
+    n: int,
+) -> list[bytearray]:
+    """_free_steps of each line c0 + i, with its section and crossing[i]
+    as the blocked intervals; a line like the one before it (the same
+    section and the same crossing rects) shares its steps."""
+    out: list[bytearray] = []
+    prev = None
+    for i, blocked in enumerate(crossing):
+        sec = section(c0 + i)
+        if prev is None or sec != prev[0] or blocked != prev[1]:
+            prev = (sec, blocked, _free_steps(sec, blocked, lo0, n))
+        out.append(prev[2])
+    return out
 
 
 def _filled(value: int, size: int):
@@ -564,51 +724,33 @@ class FenceEngine:
         self.x0, self.y0 = x0, y0
         self.nx = x1 - x0 + 1
         self.ny = y1 - y0 + 1
-        self._moves: Optional[bytearray] = None
+        self._moves: Optional[bytes] = None
         self._cache: dict = {}
-        # _trans[o*3 + h]: the (move bit, state offset, cost) of every step
-        # a chain in orientation o and horizontal direction h may take.
-        shift = {_RIGHT: 12 * self.ny, _LEFT: -12 * self.ny, _UP: 12, _DOWN: -12}
-        self._trans = []
-        for o in range(4):
-            for h in range(3):
-                steps = []
-                for bit, no, nh in _STEPS:
-                    if nh is None:
-                        nh = h
-                        if (o, no) in ((_VU, _VD), (_VD, _VU)):
-                            continue  # no doubling back
-                    elif h != 0 and h != nh:
-                        continue  # one horizontal direction per chain
-                    offset = shift[bit] + (no * 3 + nh) - (o * 3 + h)
-                    steps.append((bit, offset, int(no != o)))
-                self._trans.append(tuple(steps))
+        self._trans = _step_rules(self.ny)
 
-    def _steps(self) -> bytearray:
+    def _steps(self) -> bytes:
         """moves[ix*ny + iy]: the move bits of the unit steps from grid
         point (x0+ix, y0+iy) that stay in the closed polygon and cross no
-        rect interior."""
+        rect interior.
+
+        Each row's free steps fill one strided slice of a table of free
+        steps right, and each column's one slice of a table of free steps
+        up; as integers of little-endian bytes, a step right from byte k
+        is a step left from byte k + ny, and a step up one down from byte
+        k + 1, so shifts give the other two directions."""
         if self._moves is None:
             poly, rects = self.poly, self.rects
             x0, y0, nx, ny = self.x0, self.y0, self.nx, self.ny
-            moves = bytearray(nx * ny)
-            for j in range(ny):
-                y = y0 + j
-                blocked = [(r.xl, r.xr) for r in rects if r.yb < y < r.yt]
-                free = _free_steps(poly.horizontal_section(y), blocked, x0, nx)
-                for i, ok in enumerate(free):
-                    if ok:
-                        moves[i * ny + j] |= _RIGHT
-                        moves[(i + 1) * ny + j] |= _LEFT
-            for i in range(nx):
-                x = x0 + i
-                blocked = [(r.yb, r.yt) for r in rects if r.xl < x < r.xr]
-                free = _free_steps(poly.vertical_section(x), blocked, y0, ny)
-                for j, ok in enumerate(free):
-                    if ok:
-                        moves[i * ny + j] |= _UP
-                        moves[i * ny + j + 1] |= _DOWN
-            self._moves = moves
+            right = bytearray(nx * ny)
+            rows = _crossing_rows(((r.yb, r.yt, r.xl, r.xr) for r in rects), y0, ny)
+            free = _line_steps(poly.horizontal_section, rows, y0, x0, nx)
+            for j, steps in enumerate(free):
+                right[j::ny] = steps
+            columns = _crossing_rows(((r.xl, r.xr, r.yb, r.yt) for r in rects), x0, nx)
+            up = b"".join(_line_steps(poly.vertical_section, columns, x0, y0, ny))
+            h, v = int.from_bytes(right, "little"), int.from_bytes(up, "little")
+            moves = h * _RIGHT | (h << 8 * ny) * _LEFT | v * _UP | (v << 8) * _DOWN
+            self._moves = moves.to_bytes(nx * ny, "little")
         return self._moves
 
     def _bfs(

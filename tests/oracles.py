@@ -33,7 +33,6 @@ from misr.structure import (
     Fence,
     MaximalSet,
     StructureError,
-    _fence_features_rightward,
     _sees_right_base,
     sees,
 )
@@ -1462,6 +1461,22 @@ class _Splitter:
 
 
 
+def _fence_features_rightward(
+    rects_in: Sequence[tuple[int, Rect]], y: int, x_from: int, x_to: int
+) -> list[tuple[int, str, int]]:
+    """Rect features on the rightward ray at height y within [x_from,x_to],
+    ordered by x: (x, kind, rect id).  kind 'block' is the interior of a
+    left edge; the ray cannot continue past it."""
+    feats = []
+    for rid, r in rects_in:
+        if r.yb < y < r.yt and x_from <= r.xl <= x_to:
+            feats.append((r.xl, "block", rid))
+        if (y == r.yt or y == r.yb) and x_from <= r.xr <= x_to:
+            feats.append((r.xr, "corner", rid))
+    feats.sort()
+    return feats
+
+
 def ref_line_fences_from_point(
     poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], p: Point, side: str
 ) -> list[Fence]:
@@ -1500,3 +1515,94 @@ def ref_enumerate_line_fences(
                 ref_line_fences_from_point(poly, rects_in, Point(e.a.x, y), sides[idx])
             )
     return fences
+
+
+def ref_furthest(fences: Sequence[Fence]) -> dict[Point, int]:
+    """The x of each anchor's furthest fence: its fences come nearest
+    first, so the last one wins."""
+    return {f.anchor: f.endpoint.x for f in fences}
+
+
+def ref_crossing_anchor(fences: Sequence[Fence], y: int, x: int) -> Optional[int]:
+    """The least anchor x of a fence on row y strictly crossing the
+    vertical line at x, as the line cut's ray first read it."""
+    xs = [
+        f.anchor.x for f in fences
+        if f.anchor.y == y
+        and min(f.anchor.x, f.endpoint.x) < x < max(f.anchor.x, f.endpoint.x)
+    ]
+    return min(xs, default=None)
+
+
+def ref_protecting_fences(
+    poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], r: Rect
+) -> list[Fence]:
+    """protecting_fences as first written: per rect, each facing vertical
+    edge tested with a segment containment and a scan of every rect."""
+    out: list[Fence] = []
+    sides = poly.vertical_edge_sides()
+    edges = poly.edges()
+    for y in (r.yt, r.yb):
+        for side_name in ("left", "right"):
+            found = []
+            for idx, side in sides.items():
+                if side != side_name:
+                    continue
+                e = edges[idx]
+                ey1, ey2 = sorted((e.a.y, e.b.y))
+                if not ey1 <= y <= ey2:
+                    continue
+                xe = e.a.x
+                target_x = r.xr if side_name == "left" else r.xl
+                if (side_name == "left" and xe > r.xl) or (
+                    side_name == "right" and xe < r.xr
+                ):
+                    continue
+                p = Point(xe, y)
+                seg = Segment(p, Point(target_x, y))
+                x1, x2 = sorted((xe, target_x))
+                if not poly.contains_segment(seg):
+                    continue
+                if any(o.yb < y < o.yt and x1 < o.xr and x2 > o.xl for _rid, o in rects_in):
+                    continue
+                found.append(Fence(p, (seg,), f"from_{side_name}_edge"))
+            found.sort(key=lambda f: (f.anchor.y, f.anchor.x))
+            out.extend(found)
+    return out
+
+
+def ref_moves(poly: RectPolygon, rects: Sequence[Rect]) -> bytes:
+    """The fence engine's move table as first written, one grid point at
+    a time: moves[ix*ny + iy] holds the bits right 1, left 2, up 4 and
+    down 8 of the free unit steps from (x0+ix, y0+iy)."""
+    x0, y0, x1, y1 = poly.bbox()
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+
+    def free_steps(sections, blocked, lo0, n):
+        free = bytearray(n)
+        for lo, hi in sections:
+            free[lo - lo0 : hi - lo0] = b"\x01" * (hi - lo)
+        for lo, hi in blocked:
+            lo, hi = max(lo - lo0, 0), min(hi - lo0, n)
+            if lo < hi:
+                free[lo:hi] = bytes(hi - lo)
+        return free
+
+    moves = bytearray(nx * ny)
+    for j in range(ny):
+        y = y0 + j
+        blocked = [(r.xl, r.xr) for r in rects if r.yb < y < r.yt]
+        free = free_steps(poly.horizontal_section(y), blocked, x0, nx)
+        for i, ok in enumerate(free):
+            if ok:
+                moves[i * ny + j] |= 1
+                moves[(i + 1) * ny + j] |= 2
+    for i in range(nx):
+        x = x0 + i
+        blocked = [(r.yb, r.yt) for r in rects if r.xl < x < r.xr]
+        free = free_steps(poly.vertical_section(x), blocked, y0, ny)
+        for j, ok in enumerate(free):
+            if ok:
+                moves[i * ny + j] |= 4
+                moves[i * ny + j + 1] |= 8
+    return bytes(moves)

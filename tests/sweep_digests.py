@@ -1,9 +1,9 @@
 """Digest every run of the identity sweep, one line per run.
 
-    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units] > digests.txt
+    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection] > digests.txt
 
 A refactor that must not change any output runs this on both checkouts
-and diffs the two files.  Without an argument all three sections run,
+and diffs the two files.  Without an argument all four sections run,
 in that order.
 
 The partition section: uniform_random and nested_grid at n = 3..16 with
@@ -34,6 +34,14 @@ its units with tests/oracles.py, the only section that imports it; run
 against an older checkout's src, it still takes oracles.py from the
 script's own directory.
 
+The protection section: the partition section's runs again, with one
+line per node that holds a rect: the run, the node id and the first 16
+hex digits of the sha256 of the node's facts that line and chain
+protection read, namely every rect's protecting_fences list (anchor,
+far end and side of each fence, in order) and the fence engine's move
+table.  A run that raises shows the type and message of the error
+instead, once.
+
 The file name keeps it out of pytest's collection.
 """
 
@@ -55,7 +63,7 @@ from misr.dp_solver import DpStats, dp_solve
 from misr.geom_core import Rect
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import recursive_partition, run_to_json, validate_partition
-from misr.structure import maximal_extension
+from misr.structure import FenceEngine, maximal_extension, protecting_fences
 
 REGIMES = (
     ("six", None),
@@ -210,8 +218,45 @@ def units_section() -> None:
             i += 1
 
 
+def _node_facts(run, node) -> str:
+    rects_in = [(i, run.work_rects[i]) for i in node.rects]
+    poly = node.polygon
+    memo: dict = {}
+    fences = [
+        [rid, [[f.anchor.x, f.anchor.y, f.endpoint.x, f.endpoint.y, f.side]
+               for f in protecting_fences(poly, rects_in, r, memo)]]
+        for rid, r in rects_in
+    ]
+    # the move table does not depend on the budget
+    moves = FenceEngine(poly, rects_in, 1)._steps()
+    blob = json.dumps([fences, bytes(moves).hex()]).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def protection_section() -> None:
+    for family, n, seed in specs():
+        inst = generate(family, n, seed)
+        m = maximal_extension(exact_mis(inst, cap=inst.n), inst)
+        for regime, eps in REGIMES:
+            name = regime if eps is None else f"{regime}@{eps}"
+            try:
+                run = recursive_partition(m, regime, eps=eps)
+            except Exception as exc:  # every outcome is part of the digest
+                print(f"{family} {n} {seed} {name} {type(exc).__name__}: {exc}")
+                continue
+            for node in run.nodes:
+                if node.rects:
+                    facts = _node_facts(run, node)
+                    print(f"{family} {n} {seed} {name} node={node.id} {facts}")
+
+
 def main(argv: list[str]) -> int:
-    sections = {"partition": partition_section, "dp": dp_section, "units": units_section}
+    sections = {
+        "partition": partition_section,
+        "dp": dp_section,
+        "units": units_section,
+        "protection": protection_section,
+    }
     for name in argv or list(sections):
         sections[name]()
     return 0

@@ -114,6 +114,33 @@ class TestSolveAndCertify:
         assert err.startswith("error: ") and "cell" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_dp_cell_cap_below_one(self, windmill_file, cap, capsys):
+        code = run_cli(["solve", windmill_file, "--algo", "dp", "--cell-cap", cap])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cell cap must be >= 1\n"
+
+    @pytest.mark.parametrize("tau", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["certify", "{file}", "--regime", "three"],
+            ["certify", "{file}", "--regime", "two_eps", "--eps", "1/2"],
+            ["solve", "{file}", "--algo", "three"],
+            ["bench", "--families", "windmill", "--n-min", "4", "--n-max", "4",
+             "--seeds", "1", "--algos", "exact,three"],
+        ],
+        ids=["certify-three", "certify-two_eps", "solve", "bench"],
+    )
+    def test_tau_below_one(self, windmill_file, command, tau, capsys):
+        """A chain of fewer than one segment is no fence: refused before
+        any construction runs, with one line naming tau."""
+        args = [a.format(file=windmill_file) for a in command] + ["--tau", tau]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tau must be at least 1: {tau}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("rects", SIX_REPRODUCERS)
     def test_certify_six_dense_reproducer(self, rects, tmp_path, capsys):
         """Pairwise-disjoint rects, so OPT takes all of them; six must
@@ -240,6 +267,31 @@ class TestBench:
         for r in csv.DictReader(out.read_text().splitlines()):
             fr = Fraction(opt, int(r["value"]))
             assert (r["opt"], r["ratio"]) == (str(opt), f"{fr.numerator}/{fr.denominator}"), r
+
+    def test_exact_row_times_its_oracle_call(self, tmp_path, monkeypatch):
+        """The exact row's ms covers the one oracle call of its instance,
+        which the dp row shares; the dp row's covers dp_solve alone."""
+        import time
+
+        import misr.cli as cli
+
+        calls = []
+        real = cli.exact_mis
+
+        def slow(inst, *a, **kw):
+            calls.append(inst.n)
+            time.sleep(0.05)
+            return real(inst, *a, **kw)
+
+        monkeypatch.setattr(cli, "exact_mis", slow)
+        out = tmp_path / "bench.csv"
+        code = run_cli(
+            ["bench", "--families", "stacked_strips", "--n-min", "3", "--n-max", "3",
+             "--seeds", "1", "--algos", "exact,dp", "--out", str(out)]
+        )
+        assert code == 0 and calls == [3]
+        ms = {r["algo"]: float(r["ms"]) for r in csv.DictReader(out.read_text().splitlines())}
+        assert ms["exact"] >= 50 and ms["dp"] < 50, ms
 
     def test_header_only_when_no_seeds(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -103,6 +103,12 @@ class TestDpSolve:
         with pytest.raises(DpError):
             dp_solve(WINDMILL, 4, 0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cell_cap_below_one(self, cap):
+        # refused before any cell is solved, not as an exceeded memo
+        with pytest.raises(DpError, match="cell cap must be >= 1"):
+            dp_solve(WINDMILL, 4, 1, cell_cap=cap)
+
     def test_tree_cuts_at_k6(self):
         # a T-subdivision is reachable with tree cuts; value must not drop
         inst = preprocess(

@@ -1,8 +1,10 @@
 """The fence engine against the nested-table reference engine in
-oracles.py: protection verdicts, the edges anchoring each run, covered
-points, interior coverage and chain walks must agree exactly, on
-partition nodes (packed ones included), on the notched units of
-acceptance criterion 6 and at budgets beyond a byte."""
+oracles.py: the move table byte for byte, protection verdicts, the
+edges anchoring each run, covered points, interior coverage and chain
+walks must agree exactly, on partition nodes (packed ones included), on
+the notched units of acceptance criterion 6 and at budgets beyond a
+byte.  Line protection: the fence lists, in order, against the per-rect
+scan as first written."""
 
 from collections import Counter
 from fractions import Fraction
@@ -10,13 +12,21 @@ from fractions import Fraction
 from misr.geom_core import Point, Rect, RectPolygon
 from misr.instance import exact_mis, generate
 from misr.partition import recursive_partition
-from misr.structure import FenceEngine, is_protected, is_tau_protected, maximal_extension
+from misr.structure import (
+    FenceEngine,
+    is_protected,
+    is_tau_protected,
+    maximal_extension,
+    protecting_fences,
+)
 from oracles import (
     NestedFenceEngine,
     _nested_edges_reaching_run,
     criterion_6_units,
     line_protected,
     nested_is_tau_protected,
+    ref_moves,
+    ref_protecting_fences,
 )
 
 TAUS = (1, 3, 7, 11)
@@ -61,6 +71,7 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     if given, counts the verdicts."""
     ref = NestedFenceEngine(poly, rin, tau)
     eng = FenceEngine(poly, rin, tau)
+    assert eng._steps() == ref_moves(poly, [r for _rid, r in rin]), (poly, rin)
     memo: dict = {}
     for _rid, r in rin:
         verdict = is_tau_protected(r, poly, rin, tau, memo)
@@ -145,19 +156,37 @@ def test_anchor_sets_of_short_runs_match_reference():
     assert all(seen[k] for k in ("walkable", "blocked", "anchored", "unanchored")), seen
 
 
+def assert_line_protection_agrees(poly, rin, count) -> None:
+    """Every rect's protecting fences, in order, with and without the
+    run's memo, against the per-rect scan; count counts the verdicts."""
+    memo: dict = {}
+    for _rid, r in rin:
+        ref = ref_protecting_fences(poly, rin, r)
+        assert protecting_fences(poly, rin, r) == ref, (poly, rin, r)
+        assert protecting_fences(poly, rin, r, memo) == ref, (poly, rin, r)
+        assert is_protected(r, poly, rin) == line_protected(r, poly, rin)
+        count[bool(ref)] += 1
+
+
 def test_line_protection_matches_reference():
-    checked = 0
-    for _k, poly, rects in criterion_6_units()[0]:
-        for _rid, r in rects:
-            assert is_protected(r, poly, rects) == line_protected(r, poly, rects)
-            checked += 1
-    for family in ("windmill", "uniform_random", "nested_grid"):
-        for n in range(3, 11):
-            for poly, rin in partition_cells(family, n, 0, 7):
-                for _rid, r in rin:
-                    assert is_protected(r, poly, rin) == line_protected(r, poly, rin)
-                    checked += 1
-    assert checked > 1000
+    count = Counter()
+    units = criterion_6_units()
+    for _k, poly, rects in units[0]:
+        assert_line_protection_agrees(poly, rects, count)
+    for _tau, _k, poly, rects in units[1]:
+        assert_line_protection_agrees(poly, rects, count)
+    # every rect of these is protected; packed nodes hold unprotected ones
+    specs = [
+        (family, n, 0)
+        for family in ("windmill", "uniform_random", "nested_grid")
+        for n in range(3, 11)
+    ]
+    specs += [("packed", 16, seed) for seed in range(3)]
+    for family, n, seed in specs:
+        for tau, regime in ((None, "six"), (7, "three")):
+            for poly, rin in partition_cells(family, n, seed, tau, regime):
+                assert_line_protection_agrees(poly, rin, count)
+    assert sum(count.values()) > 1000 and count[False] > 20, count
 
 
 def test_criterion_6_units_match_reference():

@@ -1,8 +1,8 @@
 """RectPolygon's edge tables against the per-call predicates in
 oracles.py: point membership, boundary, rect containment, line
 sections, segment containment, horizontal convexity, edge sides, the
-edges holding a point (edges_at), simplicity and line-fence enumeration
-must agree exactly, on blob polygons, on partition nodes and on random
+edges holding a point (edges_at), simplicity and the line cut's two
+line-fence reads must agree exactly, on blob polygons, on partition nodes and on random
 self-touching vertex loops.  The loop surgery split must agree with the
 refined-grid split in oracles.py on every split the constructions make
 and on random cuts."""
@@ -27,16 +27,20 @@ from misr.geom_core import (
 )
 from misr.instance import exact_mis, generate
 from misr.partition import ConstructionError, recursive_partition
-from misr.structure import enumerate_line_fences, maximal_extension
+from misr.structure import line_fences, maximal_extension, protecting_fences
 from oracles import (
     blob_polygon,
     brute_force_hconvex,
+    criterion_6_units,
     ref_contains_doubled,
     ref_contains_rect,
     ref_edge_sides,
+    ref_crossing_anchor,
     ref_enumerate_line_fences,
+    ref_furthest,
     ref_is_simple,
     ref_on_boundary_doubled,
+    ref_protecting_fences,
     ref_split_components,
 )
 
@@ -345,8 +349,59 @@ def test_is_simple_agrees_on_random_loops():
     assert verdicts[True] > 100 and distinct_nonsimple > 100, verdicts
 
 
+def assert_line_reads_agree(poly, rin) -> int:
+    """The line cut's two reads of a node's line fences, from its row
+    records, against the fences enumerated anchor by anchor: the furthest
+    fence of every anchor on every vertical edge, and on every row of the
+    bounding box, for every x across it, the least anchor whose fence
+    strictly crosses x.  Returns the number of crossings found."""
+    ref = ref_enumerate_line_fences(poly, rin)
+    fences = line_fences(poly, rin)
+    furthest = ref_furthest(ref)
+    edges = poly.edges()
+    for idx, side in poly.vertical_edge_sides().items():
+        e = edges[idx]
+        y1, y2 = sorted((e.a.y, e.b.y))
+        for y in range(y1, y2 + 1):
+            p = Point(e.a.x, y)
+            assert fences.furthest(p, side == "left") == furthest.get(p), (poly, rin, p)
+    crossings = 0
+    x0, y0, x1, y1 = poly.bbox()
+    for y in range(y0, y1 + 1):
+        for x in range(x0, x1 + 1):
+            got = fences.crossing_anchor(y, x)
+            assert got == ref_crossing_anchor(ref, y, x), (poly, rin, y, x)
+            crossings += got is not None
+    return crossings
+
+
 def test_line_fences_agree(node_cells):
+    """On every node cell and every line unit of acceptance criterion 6."""
+    crossings = 0
     for poly, rin in node_cells:
-        if not rin:
-            continue
-        assert enumerate_line_fences(poly, rin) == ref_enumerate_line_fences(poly, rin)
+        if rin:
+            crossings += assert_line_reads_agree(poly, rin)
+    for _k, poly, rects in criterion_6_units()[0]:
+        crossings += assert_line_reads_agree(poly, rects)
+    assert crossings > 1000, crossings
+
+
+def test_line_fences_agree_on_stray_rects():
+    """The row records make no use of the rects lying inside the polygon
+    or apart: on blobs with random rects around them, overlapping each
+    other and the boundary, the line cut's reads and every rect's
+    protecting fences still agree with the references."""
+    rng = random.Random(8)
+    crossings = 0
+    for poly in blobs():
+        x0, y0, x1, y1 = poly.bbox()
+        for _ in range(5):
+            rin = []
+            for rid in range(rng.randint(1, 6)):
+                xl, yb = rng.randint(x0 - 2, x1), rng.randint(y0 - 2, y1)
+                r = Rect(xl, yb, xl + rng.randint(1, 4), yb + rng.randint(1, 4))
+                rin.append((rid, r))
+            crossings += assert_line_reads_agree(poly, rin)
+            for _rid, r in rin:
+                assert protecting_fences(poly, rin, r) == ref_protecting_fences(poly, rin, r)
+    assert crossings > 1000, crossings

@@ -11,9 +11,9 @@ from misr.structure import (
     assert_maximal,
     classify_nesting,
     classify_nice,
-    enumerate_line_fences,
     is_protected,
     is_tau_protected,
+    line_fences,
     maximal_extension,
     sees,
     seen_corners_on_side,
@@ -239,40 +239,68 @@ class TestNice:
             check_niceness_observation(m)
 
 
+def anchors(poly):
+    """(anchor point, left edge?) of every integral point of every
+    vertical edge."""
+    sides = poly.vertical_edge_sides()
+    edges = poly.edges()
+    for idx, side in sorted(sides.items()):
+        e = edges[idx]
+        y1, y2 = sorted((e.a.y, e.b.y))
+        for y in range(y1, y2 + 1):
+            yield Point(e.a.x, y), side == "left"
+
+
 class TestLineFences:
     def poly(self):
         return RectPolygon.from_rect(Rect(0, 0, 9, 9))
 
     def test_empty_set_no_fences(self):
-        assert enumerate_line_fences(self.poly(), []) == []
+        fences = line_fences(self.poly(), [])
+        assert all(fences.furthest(p, left) is None for p, left in anchors(self.poly()))
 
     def test_single_point_fence_on_shared_edge(self):
-        # a rect whose left edge lies on the polygon's left boundary
+        # a rect whose left edge lies on the polygon's left boundary: the
+        # anchors inside that edge hold point fences, and nothing more
         rects = [(0, Rect(0, 3, 4, 6))]
-        fences = enumerate_line_fences(self.poly(), rects)
-        points = [f for f in fences if f.chain[0].degenerate]
-        assert {f.anchor for f in points} == {Point(0, 4), Point(0, 5)}
+        fences = line_fences(self.poly(), rects)
+        points = {
+            p for p, left in anchors(self.poly()) if fences.furthest(p, left) == p.x
+        }
+        assert points == {Point(0, 4), Point(0, 5)}
 
     def test_fence_ends_at_features(self):
         rects = [(0, Rect(2, 3, 5, 6)), (1, Rect(7, 2, 9, 7))]
-        fences = enumerate_line_fences(self.poly(), rects)
+        fences = line_fences(self.poly(), rects)
         # from the left edge at the height of rect 0's top edge: the ray
         # passes its TR corner then stops inside rect 1's left edge
-        ends = {
-            f.endpoint for f in fences if f.anchor == Point(0, 6)
-        }
-        assert ends == {Point(5, 6), Point(7, 6)}
+        assert fences.furthest(Point(0, 6), left=True) == 7
+        # rect 1's left edge blocks the ray strictly inside its rows only
+        assert fences.furthest(Point(0, 7), left=True) == 9
+        # from the right edge at that height, rect 1's right edge lies
+        # on the polygon's: a point fence
+        assert fences.furthest(Point(9, 6), left=False) == 9
+        # the least anchor crossing x = 6 at row 6 is on the left edge,
+        # and at row 4 (through rect 0's interior) there is none
+        assert fences.crossing_anchor(6, 6) == 0
+        assert fences.crossing_anchor(4, 6) is None
 
     def test_fences_do_not_cross_rects(self):
-        from misr.geom_core import segment_intersects_rect
+        from misr.geom_core import Segment, segment_intersects_rect
 
         rng = random.Random(6)
         for _ in range(15):
             poly = notched_polygon(rng, rng.choice((8, 12, 16)), width=12, height=10)
             rects = list(enumerate(fill_with_maximal_rects(rng, poly, 3)))
-            for f in enumerate_line_fences(poly, rects):
+            fences = line_fences(poly, rects)
+            for p, left in anchors(poly):
+                end = fences.furthest(p, left)
+                if end is None:
+                    continue
+                seg = Segment(p, Point(end, p.y))
+                assert poly.contains_segment(seg)
                 for _rid, r in rects:
-                    assert not segment_intersects_rect(f.chain[0], r)
+                    assert not segment_intersects_rect(seg, r)
 
 
 class TestProtection:
