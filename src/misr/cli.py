@@ -287,12 +287,12 @@ def _render_svg(artifacts: dict) -> str:
     work_rects = None
     if part is not None:
         work_rects = [Rect(*vals) for vals in part["work_rects"]]
-        labels = None
+        origin = part["origin"]
+        if not isinstance(origin, list):
+            raise TypeError("partition origin is not a list")
         try:
-            labels = classify_nesting(
-                MaximalSet(tuple(work_rects), tuple(part["origin"]), side)
-            )
-        except Exception:
+            labels = classify_nesting(MaximalSet(tuple(work_rects), tuple(origin), side))
+        except StructureError:  # a doubly nested rect: no labels, neutral fill
             labels = None
         for i, r in enumerate(work_rects):
             fill = _NEST_FILL["neither"]

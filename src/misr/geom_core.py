@@ -590,9 +590,6 @@ class RectPolygon:
     def on_boundary_doubled(self, X: int, Y: int) -> bool:
         return loop_on_boundary_doubled(self._vtab, self._htab, X, Y)
 
-    def contains_point(self, p: Point) -> bool:
-        return self.contains_doubled(2 * p.x, 2 * p.y)
-
     def contains_segment(self, s: Segment) -> bool:
         """Closed containment of an axis-parallel segment with integer ends:
         it lies in one interval of its line's section."""
@@ -742,34 +739,6 @@ class Cut:
 
     def nondegenerate(self) -> list[Segment]:
         return [s for s in self.segments if not s.degenerate]
-
-
-def polyline_to_segments(points: Sequence[Point]) -> list[Segment]:
-    """Maximal segments of an axis-parallel polyline, dropping zero-length
-    steps and merging collinear runs."""
-    pts = [points[0]]
-    for p in points[1:]:
-        if p != pts[-1]:
-            pts.append(p)
-    if len(pts) < 2:
-        return []
-    segs: list[Segment] = []
-    run_start = pts[0]
-    for i in range(1, len(pts)):
-        prev, cur = pts[i - 1], pts[i]
-        if prev.x != cur.x and prev.y != cur.y:
-            raise GeometryError("polyline step not axis-parallel")
-        if i == len(pts) - 1:
-            segs.append(Segment(run_start, cur))
-        else:
-            nxt = pts[i + 1]
-            straight = (run_start.x == cur.x == nxt.x) or (
-                run_start.y == cur.y == nxt.y
-            )
-            if not straight:
-                segs.append(Segment(run_start, cur))
-                run_start = cur
-    return segs
 
 
 def splice_simple(points: Sequence[Point]) -> list[Point]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, pairwise
 from typing import Optional, Sequence
 
 from .geom_core import (
@@ -44,7 +44,6 @@ from .geom_core import (
     cut_pieces,
     edge_distance,
     is_horizontally_convex,
-    polyline_to_segments,
     segment_intersects_rect,
     splice_simple,
     split_components,
@@ -114,7 +113,7 @@ def _split_walks(poly: RectPolygon, *walks: Sequence[Point]) -> Split:
     """A construction's cut, given as point walks: its merged segments and
     the parts of one split of the polygon along them."""
     merged = _merge_segments(
-        [s for w in walks for s in polyline_to_segments(splice_simple(w))]
+        [Segment(p, q) for w in walks for p, q in pairwise(splice_simple(w))]
     )
     return merged, split_components(poly, Cut(tuple(merged)))
 
@@ -307,9 +306,7 @@ def _edge_at(poly: RectPolygon, p: Point, vertical: bool) -> Optional[int]:
 
 
 def chord_distance(poly: RectPolygon, c: Chord) -> int:
-    return edge_distance(
-        poly.num_edges, min(c.e_bottom, c.e_top), max(c.e_bottom, c.e_top)
-    )
+    return edge_distance(poly.num_edges, c.e_bottom, c.e_top)
 
 
 def _make_chord(poly: RectPolygon, x: int, ylo: int, yhi: int) -> Chord:
@@ -323,26 +320,37 @@ def _make_chord(poly: RectPolygon, x: int, ylo: int, yhi: int) -> Chord:
 
 
 def vertical_spanning_segment(poly: RectPolygon) -> tuple[Segment, Chord]:
-    """A vertical segment inside the polygon whose endpoint edges are at
-    cyclic edge distance at least k/3, found by iterative improvement
-    over six mutually exclusive configurations; the distance strictly
-    increases every iteration.
+    """The vertical chord whose endpoint edges, the horizontal edges that
+    hold its two ends, are furthest apart in cyclic edge distance d.
+
+    The candidates are the segments at integral x between two boundary
+    touch points of one section of the vertical line at x; ties go to the
+    smallest (x, ylo, yhi).  Every line inside an open band between two
+    neighbouring vertex x's meets the same sections and horizontal edges,
+    so the scan reads the vertex x's and the first integral x of each
+    band, and locates each touch point's edge once per line.  The paper
+    shows that some chord has 3 d >= k; a best chord below that raises
+    ConstructionError.
     """
     k = poly.num_edges
-    v0 = poly.vertices[0]
-    lo, hi = poly.vertical_reach(v0)
-    chord = _make_chord(poly, v0.x, lo, hi)
-    guard = 0
-    while 3 * chord_distance(poly, chord) < k:
-        improved = _improve_chord(poly, chord)
-        if chord_distance(poly, improved) <= chord_distance(poly, chord):
-            raise ConstructionError("chord improvement failed to increase d")
-        chord = improved
-        guard += 1
-        if guard > 3 * k:
-            raise ConstructionError("chord improvement did not converge")
-    seg = Segment(Point(chord.x, chord.ylo), Point(chord.x, chord.yhi))
-    return seg, chord
+    xs = poly.coords()[0]
+    best, best_d = None, -1
+    for x in sorted({*xs, *(a + 1 for a, b in zip(xs, xs[1:]) if b > a + 1)}):
+        edge = {
+            y: _edge_at(poly, Point(x, y), vertical=False)
+            for touch in poly.vertical_touches(x)
+            for y in touch
+        }
+        for lo, hi in poly.vertical_section(x):
+            ys = sorted(y for y in edge if lo <= y <= hi)
+            for a, ylo in enumerate(ys):
+                for yhi in ys[a + 1 :]:
+                    d = edge_distance(k, edge[ylo], edge[yhi])
+                    if d > best_d:
+                        best, best_d = Chord(x, ylo, yhi, edge[ylo], edge[yhi]), d
+    if 3 * best_d < k:
+        raise ConstructionError(f"best vertical chord has d={best_d} < k/3, k={k}")
+    return Segment(Point(best.x, best.ylo), Point(best.x, best.yhi)), best
 
 
 def _chain_between(k: int, from_edge: int, to_edge: int) -> list[int]:
@@ -353,135 +361,6 @@ def _chain_between(k: int, from_edge: int, to_edge: int) -> list[int]:
         out.append(i)
         i = (i + 1) % k
     return out
-
-
-def _improve_chord(poly: RectPolygon, chord: Chord, depth: int = 0) -> Chord:
-    """One strict improvement step of the chord's endpoint-edge distance."""
-    if depth > 4:
-        raise ConstructionError("chord improvement mirror recursion diverged")
-    k = poly.num_edges
-    L = _chain_between(k, chord.e_bottom, chord.e_top)
-    R = _chain_between(k, chord.e_top, chord.e_bottom)
-    if len(R) < len(L):
-        mp = poly.transform(_mirror_x_point)
-        mc = _make_chord(mp, -chord.x, chord.ylo, chord.yhi)
-        res = _improve_chord(mp, mc, depth + 1)
-        return _make_chord(poly, -res.x, res.ylo, res.yhi)
-
-    hsides = poly.horizontal_edge_sides()
-    edges = poly.edges()
-    p_b = Point(chord.x, chord.ylo)
-    p_t = Point(chord.x, chord.yhi)
-    e_t, e_b = edges[chord.e_top], edges[chord.e_bottom]
-
-    def mirror_y() -> Chord:
-        mp = poly.transform(lambda q: Point(q.x, -q.y))
-        mc = _make_chord(mp, chord.x, -chord.yhi, -chord.ylo)
-        res = _improve_chord(mp, mc, depth + 1)
-        return _make_chord(poly, res.x, -res.yhi, -res.ylo)
-
-    # case 1 / 1': an endpoint edge faces away from the chord.
-    if hsides[chord.e_top] == "bottom":
-        return _improve_case1(poly, chord, p_b, p_t, e_t)
-    if hsides[chord.e_bottom] == "top":
-        return mirror_y()
-
-    ex1, ex2 = sorted((e_t.a.x, e_t.b.x))
-    q_t = Point(ex2, e_t.a.y)
-    bx1, bx2 = sorted((e_b.a.x, e_b.b.x))
-    q_b = Point(bx2, e_b.a.y)
-
-    # case 2 / 2': the chord already ends at a right endpoint.
-    if p_t == q_t:
-        return _improve_case2(poly, chord, p_b, p_t)
-    if p_b == q_b:
-        return mirror_y()
-
-    if q_t.x > q_b.x:
-        return mirror_y()
-
-    # cases 3 / 4: slide toward q_t through the rectangular window W.
-    W = Rect(chord.x, chord.ylo, q_t.x, chord.yhi)
-    hits = []
-    for i in R:
-        e = edges[i]
-        if not e.horizontal:
-            continue
-        hx1, hx2 = sorted((e.a.x, e.b.x))
-        if hx1 <= W.xr and hx2 >= W.xl and W.yb <= e.a.y <= W.yt:
-            hits.append((Point(hx1, e.a.y), i))
-    if not hits:
-        # case 3: shift the chord to q_t's x and fall through to case 2.
-        shifted = Segment(Point(q_t.x, chord.ylo), q_t)
-        if not poly.contains_segment(shifted):
-            raise ConstructionError("case 3: window right side leaves polygon")
-        new = _make_chord(poly, q_t.x, chord.ylo, q_t.y)
-        if new.e_bottom != chord.e_bottom or new.e_top != chord.e_top:
-            raise ConstructionError("case 3: shifted chord changed edges")
-        return _improve_case2(poly, new, Point(q_t.x, chord.ylo), q_t)
-    # case 4
-    for left_pt, i in hits:
-        if not (W.xl <= left_pt.x <= W.xr and W.yb <= left_pt.y <= W.yt):
-            raise ConstructionError("case 4: R-edge crosses W without endpoint")
-    q, e_q = min(hits, key=lambda h: (h[0].x, h[0].y, h[1]))
-    d = chord_distance(poly, chord)
-    d_be = edge_distance(k, min(chord.e_bottom, e_q), max(chord.e_bottom, e_q))
-    d_et = edge_distance(k, min(e_q, chord.e_top), max(e_q, chord.e_top))
-    if d_be > d:
-        seg = Segment(Point(q.x, chord.ylo), q)
-        if not poly.contains_segment(seg):
-            raise ConstructionError("case 4: lower replacement leaves polygon")
-        return _make_chord(poly, q.x, chord.ylo, q.y)
-    if d_et > d:
-        seg = Segment(q, Point(q.x, chord.yhi))
-        if not poly.contains_segment(seg):
-            raise ConstructionError("case 4: upper replacement leaves polygon")
-        return _make_chord(poly, q.x, q.y, chord.yhi)
-    raise ConstructionError("case 4: no replacement increases d")
-
-
-def _improve_case1(
-    poly: RectPolygon, chord: Chord, p_b: Point, p_t: Point, e_t: Segment
-) -> Chord:
-    ex1, ex2 = sorted((e_t.a.x, e_t.b.x))
-    if p_t.x == ex1:  # left endpoint: a vertical edge hangs down inside the chord
-        vi = _edge_at(poly, p_t, vertical=True)
-        if vi is None:
-            raise ConstructionError("case 1a: no vertical edge at p_t")
-        e_v = poly.edges()[vi]
-        q = e_v.a if e_v.b == p_t else e_v.b
-        if not (p_b.y < q.y < p_t.y):
-            raise ConstructionError("case 1a: hanging edge not inside the chord")
-        return _make_chord(poly, chord.x, p_b.y, q.y)
-    # right endpoint: jump to the next boundary touch above (the touch
-    # interval containing p_t may itself continue upward along an edge).
-    above = [(lo, hi) for lo, hi in poly.vertical_touches(chord.x) if hi > p_t.y]
-    if not above:
-        raise ConstructionError("case 1b: no boundary point above p_t")
-    lo, hi = above[0]
-    qy = hi if lo <= p_t.y else lo
-    if not poly.contains_segment(Segment(p_t, Point(chord.x, qy))):
-        raise ConstructionError("case 1b: segment above p_t leaves polygon")
-    # the chord above p_t, or the whole chord, extended up to q
-    up = _make_chord(poly, chord.x, p_t.y, qy)
-    whole = Chord(chord.x, p_b.y, qy, chord.e_bottom, up.e_top)
-    d = chord_distance(poly, chord)
-    for new in (up, whole):
-        if chord_distance(poly, new) > d:
-            return new
-    raise ConstructionError("case 1b: no replacement increases d")
-
-
-def _improve_case2(poly: RectPolygon, chord: Chord, p_b: Point, p_t: Point) -> Chord:
-    vi = _edge_at(poly, p_t, vertical=True)
-    if vi is None:
-        raise ConstructionError("case 2: no vertical edge at p_t")
-    e_v = poly.edges()[vi]
-    q = e_v.a if e_v.b == p_t else e_v.b
-    lo, hi = sorted((p_b.y, q.y))
-    if not poly.contains_segment(Segment(Point(chord.x, lo), Point(chord.x, hi))):
-        raise ConstructionError("case 2: replacement chord leaves polygon")
-    return _make_chord(poly, chord.x, lo, hi)
 
 
 # -- the line-partitioning cut (factor-6 regime) -------------------------------

@@ -28,10 +28,11 @@ general-2a, the k/3 chord search).  One line per unit: each line unit of
 criterion 6 under line_partition_cut and each general unit under
 general_partition_cut, with the case and the first 16 hex digits of the
 sha256 of the cut, ell, intersected rects, parts and assignment; and
-each criterion-7 polygon with its spanning chord.  A unit that raises
-shows the type and message of the error instead.  This section builds
-its units with tests/oracles.py, the only section that imports it; run
-against an older checkout's src, it still takes oracles.py from the
+each criterion-7 polygon with its spanning chord and the chord's
+endpoint-edge distance d, so a diff shows whether d grew.  A unit that
+raises shows the type and message of the error instead.  This section
+builds its units with tests/oracles.py, the only section that imports it;
+run against an older checkout's src, it still takes oracles.py from the
 script's own directory.
 
 The protection section: the partition section's runs again, with one
@@ -187,6 +188,7 @@ def units_section() -> None:
     import random
 
     from misr.partition import (
+        chord_distance,
         general_partition_cut,
         line_partition_cut,
         vertical_spanning_segment,
@@ -201,7 +203,8 @@ def units_section() -> None:
 
     def chord(poly):
         c = vertical_spanning_segment(poly)[1]
-        return f"x={c.x} y={c.ylo}..{c.yhi} edges={c.e_bottom},{c.e_top}"
+        d = chord_distance(poly, c)
+        return f"x={c.x} y={c.ylo}..{c.yhi} edges={c.e_bottom},{c.e_top} d={d}"
 
     line_units, general_units = criterion_6_units()
     for i, (k, poly, rects) in enumerate(line_units):

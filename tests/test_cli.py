@@ -341,6 +341,40 @@ class TestCorruptionAndEnv:
         assert "error: corrupted artifacts" in capsys.readouterr().err
         assert not out.exists()
 
+    def six_artifacts(self, tmp_path):
+        inst_file = tmp_path / "w.json"
+        run_cli(["generate", "windmill", "5", "--out", str(inst_file)])
+        art_file = tmp_path / "art.json"
+        run_cli(["certify", str(inst_file), "--regime", "six", "--out", str(art_file)])
+        return art_file, json.loads(art_file.read_text())
+
+    def test_doubly_nested_work_rects_render_neutral(self, tmp_path):
+        art_file, doc = self.six_artifacts(tmp_path)
+        # rect 0's bottom edge lies inside rect 1's top edge and its right
+        # edge inside rect 2's left edge: nested both ways
+        doc["partition"]["work_rects"] = [[1, 1, 2, 2], [0, 0, 3, 1], [2, 0, 3, 3]]
+        doc["partition"]["origin"] = [0, 1, 2]
+        art_file.write_text(json.dumps(doc))
+        out = tmp_path / "x.svg"
+        assert run_cli(["render", str(art_file), "--out", str(out)]) == 0
+        wrects = [ln for ln in out.read_text().splitlines() if 'id="wrect' in ln]
+        assert len(wrects) == 3
+        assert all('fill="#b8b8b8"' in ln for ln in wrects)
+
+    @pytest.mark.parametrize("origin", [None, 5, "012"], ids=["missing", "int", "str"])
+    def test_bad_origin_rejected(self, tmp_path, capsys, origin):
+        art_file, doc = self.six_artifacts(tmp_path)
+        if origin is None:
+            del doc["partition"]["origin"]
+        else:
+            doc["partition"]["origin"] = origin
+        art_file.write_text(json.dumps(doc))
+        out = tmp_path / "x.svg"
+        capsys.readouterr()
+        assert run_cli(["render", str(art_file), "--out", str(out)]) == 2
+        assert "error: corrupted artifacts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_cap_env(self, monkeypatch):
         from misr.instance import OracleCapError, exact_mis, generate
 

@@ -48,11 +48,11 @@ class TestVerticalSpanningSegment:
             if k < 4 or k > 24:
                 continue
             seg, chord = vertical_spanning_segment(poly)
-            d = chord_distance(poly, chord)
-            assert 3 * d >= k, (poly, d, k)
-            best = max(chord_distance(poly, c) for c in all_chords(poly))
-            assert best >= d
-            assert 3 * best >= k
+            # the first chord of greatest distance, in the oracle's order
+            best = max(all_chords(poly), key=lambda c: chord_distance(poly, c))
+            assert chord == best, (poly, chord, best)
+            assert seg == Segment(Point(chord.x, chord.ylo), Point(chord.x, chord.yhi))
+            assert 3 * chord_distance(poly, chord) >= k
 
     def test_chord_inside_polygon(self):
         rng = random.Random(1)
@@ -164,6 +164,30 @@ def check_general_postconditions(poly, rects, res, tau):
     assert sum(c.area2() for c in res.components) == poly.area2()
 
 
+# A 46-edge unit of the tau = 1 general cut (notched_polygon with 13
+# maximal rects), cut around the chord x = 1, y = 0..20 (d = 16).  Its
+# best chord, x = 7 (d = 22), gives a clean cut, so the failure shows
+# only with the old chord passed in.
+CASE_2B_POLY = [
+    (0, 1), (0, 6), (1, 6), (1, 7), (0, 7), (0, 12), (1, 12), (1, 13), (0, 13),
+    (0, 15), (1, 15), (1, 16), (0, 16), (0, 20), (4, 20), (4, 19), (5, 19),
+    (5, 20), (11, 20), (11, 19), (12, 19), (12, 20), (26, 20), (26, 14),
+    (25, 14), (25, 13), (26, 13), (26, 8), (25, 8), (25, 7), (26, 7), (26, 0),
+    (18, 0), (18, 1), (17, 1), (17, 0), (12, 0), (12, 1), (11, 1), (11, 0),
+    (8, 0), (8, 1), (7, 1), (7, 0), (1, 0), (1, 1),
+]
+CASE_2B_RECTS = [
+    (5, 1, 11, 20), (1, 0, 5, 19), (11, 8, 26, 13), (0, 19, 4, 20),
+    (11, 14, 26, 19), (11, 1, 26, 7), (12, 19, 26, 20), (11, 7, 25, 8),
+    (11, 13, 25, 14), (0, 7, 1, 12), (5, 0, 7, 1), (18, 0, 26, 1), (8, 0, 11, 1),
+]
+
+
+def case_2b_unit():
+    poly = RectPolygon([Point(x, y) for x, y in CASE_2B_POLY])
+    return poly, [(i, Rect(*r)) for i, r in enumerate(CASE_2B_RECTS)]
+
+
 def case1_fixture():
     """48-edge polygon with fence-blocking walls: the spanning chord's
     middle is uncovered, forcing the bottom-to-top transition cut, whose
@@ -244,6 +268,25 @@ class TestGeneralPartitionCut:
         assert is_tau_protected(rects[1], poly, rin, 1)
         res = general_partition_cut(poly, rin, tau=1, ell0=chord)
         assert 1 not in res.intersected
+        check_general_postconditions(poly, rin, res, 1)
+
+    @pytest.mark.xfail(
+        strict=True, raises=ConstructionError,
+        reason="case 2b: stop anchored on LM contradicts f's choice",
+    )
+    def test_case2b_reproducer(self):
+        poly, rin = case_2b_unit()
+        res = general_partition_cut(poly, rin, 1, ell0=_make_chord(poly, 1, 0, 20))
+        check_general_postconditions(poly, rin, res, 1)
+
+    def test_case2b_unit_under_best_chord(self):
+        poly, rin = case_2b_unit()
+        _seg, chord = vertical_spanning_segment(poly)
+        assert (chord.x, chord.ylo, chord.yhi) == (7, 1, 20)
+        assert chord_distance(poly, chord) == 22
+        assert chord_distance(poly, _make_chord(poly, 1, 0, 20)) == 16
+        res = general_partition_cut(poly, rin, 1)
+        assert res.case == "general-2a+repair+mirrored"
         check_general_postconditions(poly, rin, res, 1)
 
     def test_main_case_tau3(self):
