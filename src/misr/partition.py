@@ -398,8 +398,10 @@ def line_partition_cut(
     left_idx = [i for i, s in sides.items() if s == "left"]
     right_idx = [i for i, s in sides.items() if s == "right"]
     if len(left_idx) < len(right_idx):
+        # no later question asks about the mirrored node: its fences stay
+        # out of the memo
         mres = line_partition_cut(
-            poly.transform(_mirror_x_point), _mirror_x_tagged(rects), memo
+            poly.transform(_mirror_x_point), _mirror_x_tagged(rects)
         )
         return _mirror_cutresult(mres)
 
@@ -423,7 +425,7 @@ def line_partition_cut(
     candidates.sort(key=lambda t: (-t[0].x, t[1].y, t[1].x))
     p_prime, p_anchor = candidates[0]
 
-    prot_ids = {rid for rid, r in rects if fences.protecting(r)}
+    prot_ids = {rid for rid, r in rects if fences.protected(r)}
 
     def ray_stop(start: Point, down: bool) -> tuple[Point, list[Point]]:
         """First stopping event of the vertical ray from start; returns the
@@ -956,10 +958,10 @@ def recursive_partition(
         raise ConstructionError("normalization failed: too many nested")
 
     the_tau = regime_tau(regime, eps, tau)
-    # The run's protection memo: one fence engine per (polygon, rects) and
-    # one line-fence list per (rect, polygon, rects).  A node's visibility
-    # check, its protection checks, its cut and its parent's persistence
-    # check all ask the same questions.
+    # The run's protection memo: one LineFences record per (polygon, rects),
+    # and one fence engine per (polygon, rects, tau) for the rects its line
+    # fences leave open.  A node's visibility check, its protection checks,
+    # its cut and its parent's persistence check all ask the same questions.
     memo: dict = {}
     if regime == "six":
         cutter = lambda poly, rin: line_partition_cut(poly, rin, memo)

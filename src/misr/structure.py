@@ -16,12 +16,17 @@ grid without increasing their segment count.
 Both kinds of protection are memoized per partition run, in one dict the
 run owns, where a node (a polygon and the rects inside it) fills at most
 one entry of each kind:
-  line_fences   one LineFences per (polygon, rects): the node's line
-                protection (protecting_fences, every rect answered once)
-                and the line cut's reads, all from one record per row,
-                built on first use;
+  line_fences   one LineFences per (polygon, rects): the line cut's reads
+                from one record per row, and per rect the anchors of the
+                fences holding its top and bottom edges (one record per
+                rect), which answer line protection and certify
+                tau-protection, all built on first use;
   tau_engine    one FenceEngine per (polygon, rects, tau), with its move
-                table and search tables.
+                table and search tables, built only when a tau query is
+                left open by the node's line fences.
+A line fence is a tau-fence of one segment, so for tau >= 1 a rect whose
+top and bottom edges are held by line fences from one vertical edge is
+tau-protected; is_tau_protected asks the engine only about the others.
 Rows are read once per node: _crossing_rows buckets the rects by the rows
 (or columns) their interiors cross, for the row records and for the move
 table alike.  A memo is a cache only; every answer is the same without it.
@@ -419,6 +424,17 @@ def _free_pieces(
     return tuple(los), tuple(his)
 
 
+class _Anchors(NamedTuple):
+    """The anchors of the line fences holding one rect's top edge and of
+    those holding its bottom edge: the x of each left and each right
+    polygon edge on that row, ascending."""
+
+    top_lefts: tuple[int, ...]
+    top_rights: tuple[int, ...]
+    bottom_lefts: tuple[int, ...]
+    bottom_rights: tuple[int, ...]
+
+
 class LineFences:
     """The line fences of one node, a polygon and the rects inside it,
     read from one record per row (_Row), built on first use.
@@ -428,9 +444,10 @@ class LineFences:
     feature: the interior of a left edge, where it must stop, or a right
     corner; fences from right edges are the mirror image.  The node's
     reads are the furthest fence of an anchor, the least anchor whose
-    fence strictly crosses a vertical line on a row, and the fences that
-    protect a rect (protecting), each answered from the records of its
-    rows.
+    fence strictly crosses a vertical line on a row, and, per rect, the
+    anchors of the fences holding its top and bottom edges (anchors,
+    one record per rect), which answer protected, protecting and
+    one_edge_anchors_both.
     """
 
     def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]):
@@ -455,7 +472,7 @@ class LineFences:
             for i, side in poly.vertical_edge_sides().items()
         ]
         self._rows: dict[int, _Row] = {}
-        self._protecting: dict[Rect, list[Fence]] = {}
+        self._anchors: dict[Rect, _Anchors] = {}
 
     def row(self, y: int) -> _Row:
         """The record of row y, which must lie in the polygon's bbox.
@@ -531,27 +548,67 @@ class LineFences:
                 return xa
         return None
 
+    def anchors(self, r: Rect) -> _Anchors:
+        """The anchors of the fences holding r's top and bottom edges,
+        answered once per rect.  A fence from the anchor (x, y) holds the
+        edge on row y when the segment from it to the edge's far corner
+        lies in one free piece of the row."""
+        rec = self._anchors.get(r)
+        if rec is None:
+            rec = self._anchors[r] = _Anchors(
+                *self._row_anchors(r, r.yt), *self._row_anchors(r, r.yb)
+            )
+        return rec
+
+    def _row_anchors(self, r: Rect, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The left and the right anchors of the fences holding r's edge
+        on row y."""
+        if not 0 <= y - self.y0 < len(self._crossing):
+            return (), ()
+        rec = self.row(y)
+        k = bisect_right(rec.free_lo, r.xl) - 1
+        if k < 0 or rec.free_hi[k] < r.xr:
+            return (), ()
+        lefts, rights = rec.lefts, rec.rights
+        lo, hi = rec.free_lo[k], rec.free_hi[k]
+        return (
+            lefts[bisect_left(lefts, lo) : bisect_right(lefts, r.xl)],
+            rights[bisect_left(rights, r.xr) : bisect_right(rights, hi)],
+        )
+
+    def protected(self, r: Rect) -> bool:
+        """Some line fence holds r's top or bottom edge."""
+        return any(self.anchors(r))
+
     def protecting(self, r: Rect) -> list[Fence]:
-        """protecting_fences of r, answered once per rect."""
-        out = self._protecting.get(r)
-        if out is None:
-            out = self._protecting[r] = []
-            for y in (r.yt, r.yb):
-                if not 0 <= y - self.y0 < len(self._crossing):
-                    continue
-                rec = self.row(y)
-                k = bisect_right(rec.free_lo, r.xl) - 1
-                if k < 0 or rec.free_hi[k] < r.xr:
-                    continue
-                lefts, rights = rec.lefts, rec.rights
-                lo, hi = rec.free_lo[k], rec.free_hi[k]
-                for xa in lefts[bisect_left(lefts, lo) : bisect_right(lefts, r.xl)]:
-                    p = Point(xa, y)
-                    out.append(Fence(p, (Segment(p, Point(r.xr, y)),), "from_left_edge"))
-                for xa in rights[bisect_left(rights, r.xr) : bisect_right(rights, hi)]:
-                    p = Point(xa, y)
-                    out.append(Fence(p, (Segment(p, Point(r.xl, y)),), "from_right_edge"))
+        """protecting_fences of r, built from its anchors."""
+        a = self.anchors(r)
+        out = []
+        for y, lefts, rights in (
+            (r.yt, a.top_lefts, a.top_rights),
+            (r.yb, a.bottom_lefts, a.bottom_rights),
+        ):
+            for xa in lefts:
+                p = Point(xa, y)
+                out.append(Fence(p, (Segment(p, Point(r.xr, y)),), "from_left_edge"))
+            for xa in rights:
+                p = Point(xa, y)
+                out.append(Fence(p, (Segment(p, Point(r.xl, y)),), "from_right_edge"))
         return out
+
+    def one_edge_anchors_both(self, r: Rect) -> bool:
+        """One vertical polygon edge anchors a fence holding r's top edge
+        and one holding its bottom edge: for some x of both anchor lists
+        of one side, an edge at x holds (x, r.yt) and (x, r.yb).  Vertical
+        edges of a simple polygon are disjoint, so that edge is the one
+        anchoring both fences."""
+        a = self.anchors(r)
+        xs = set(a.top_lefts).intersection(a.bottom_lefts)
+        xs.update(set(a.top_rights).intersection(a.bottom_rights))
+        return any(
+            x in xs and lo <= r.yb and r.yt <= hi
+            for x, lo, hi, _left in self._verticals
+        )
 
 
 def line_fences(
@@ -597,7 +654,7 @@ def is_protected(
     memo: Optional[dict] = None,
 ) -> bool:
     """Line-fence protection: some fence contains r's top or bottom edge."""
-    return bool(protecting_fences(poly, rects_in, r, memo))
+    return line_fences(poly, rects_in, memo).protected(r)
 
 
 # -- tau-fences: budgeted x-monotone chain search -----------------------------
@@ -945,5 +1002,12 @@ def is_tau_protected(
     memo: Optional[dict] = None,
 ) -> bool:
     """tau-protection: one vertical polygon edge anchors two chains of at
-    most tau segments containing r's top and bottom edges respectively."""
+    most tau segments containing r's top and bottom edges respectively.
+
+    A line fence is such a chain of one segment, so when tau >= 1 and one
+    edge anchors line fences holding both edges (the node's LineFences
+    record), r is tau-protected; the node's fence engine decides every
+    other rect, and is built only for them."""
+    if tau >= 1 and line_fences(poly, rects_in, memo).one_edge_anchors_both(r):
+        return True
     return tau_engine(poly, rects_in, tau, memo).protects(r)

@@ -40,8 +40,9 @@ line per node that holds a rect: the run, the node id and the first 16
 hex digits of the sha256 of the node's facts that line and chain
 protection read, namely every rect's protecting_fences list (anchor,
 far end and side of each fence, in order) and the fence engine's move
-table.  A run that raises shows the type and message of the error
-instead, once.
+table, and under three and two_eps every rect's is_tau_protected
+verdict at the run's tau.  A run that raises shows the type and message
+of the error instead, once.
 
 The file name keeps it out of pytest's collection.
 """
@@ -64,7 +65,12 @@ from misr.dp_solver import DpStats, dp_solve
 from misr.geom_core import Rect
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import recursive_partition, run_to_json, validate_partition
-from misr.structure import FenceEngine, maximal_extension, protecting_fences
+from misr.structure import (
+    FenceEngine,
+    is_tau_protected,
+    maximal_extension,
+    protecting_fences,
+)
 
 REGIMES = (
     ("six", None),
@@ -232,7 +238,12 @@ def _node_facts(run, node) -> str:
     ]
     # the move table does not depend on the budget
     moves = FenceEngine(poly, rects_in, 1)._steps()
-    blob = json.dumps([fences, bytes(moves).hex()]).encode()
+    facts = [fences, bytes(moves).hex()]
+    if run.regime != "six":
+        facts.append(
+            [is_tau_protected(r, poly, rects_in, run.tau, memo) for _rid, r in rects_in]
+        )
+    blob = json.dumps(facts).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

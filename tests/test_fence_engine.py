@@ -3,8 +3,10 @@ oracles.py: the move table byte for byte, protection verdicts, the
 edges anchoring each run, covered points, interior coverage and chain
 walks must agree exactly, on partition nodes (packed ones included), on
 the notched units of acceptance criterion 6 and at budgets beyond a
-byte.  Line protection: the fence lists, in order, against the per-rect
-scan as first written."""
+byte.  is_tau_protected decides a rect by its line fences when one edge
+anchors fences holding both its edges, else by the engine: both paths
+must agree with the engine and the reference.  Line protection: the
+fence lists, in order, against the per-rect scan as first written."""
 
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +18,7 @@ from misr.structure import (
     FenceEngine,
     is_protected,
     is_tau_protected,
+    line_fences,
     maximal_extension,
     protecting_fences,
 )
@@ -67,19 +70,24 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     """Every tau-protection verdict and the edges anchoring the top and
     bottom runs of every rect, and for the chains from the left and from
     the right vertical edges every grid point's distance, interior
-    coverage and chain walk, agree with the reference engine.  verdicts,
-    if given, counts the verdicts."""
+    coverage and chain walk, agree with the reference engine.  A rect the
+    line fences certify (one edge anchors fences holding both its edges)
+    is protected by the engine and the reference alike.  verdicts, if
+    given, counts the verdicts by (deciding path, verdict), the path
+    "line" or "engine"."""
     ref = NestedFenceEngine(poly, rin, tau)
     eng = FenceEngine(poly, rin, tau)
     assert eng._steps() == ref_moves(poly, [r for _rid, r in rin]), (poly, rin)
     memo: dict = {}
+    fences = line_fences(poly, rin)
     for _rid, r in rin:
         verdict = is_tau_protected(r, poly, rin, tau, memo)
-        assert verdict == nested_is_tau_protected(r, poly, rin, tau, ref), (
-            poly, rin, tau, r
-        )
+        expected = nested_is_tau_protected(r, poly, rin, tau, ref)
+        assert verdict == expected == eng.protects(r), (poly, rin, tau, r)
+        certified = tau >= 1 and fences.one_edge_anchors_both(r)
+        assert expected or not certified, (poly, rin, tau, r)
         if verdicts is not None:
-            verdicts[verdict] += 1
+            verdicts["line" if certified else "engine", verdict] += 1
     assert_anchors_agree(
         eng, ref, [(y, r.xl, r.xr) for _rid, r in rin for y in (r.yt, r.yb)]
     )
@@ -113,7 +121,8 @@ def test_partition_nodes_match_reference():
                         assert_engines_agree(poly, rin, tau, verdicts)
                         cells += 1
     assert cells > 500
-    assert verdicts[True] and verdicts[False], verdicts
+    assert verdicts["line", True] and verdicts["engine", True], verdicts
+    assert verdicts["engine", False], verdicts
 
 
 def test_packed_nodes_match_reference():
@@ -126,7 +135,10 @@ def test_packed_nodes_match_reference():
                 for poly, rin in partition_cells("packed", n, seed, tau, regime, eps):
                     assert_engines_agree(poly, rin, tau, verdicts)
                     cells += 1
-    assert cells > 300 and verdicts[True], (cells, verdicts)
+    # every rect of these nodes is protected at tau 7 and 11; the engine
+    # decides those its line fences leave open
+    assert cells > 300, cells
+    assert verdicts["line", True] and verdicts["engine", True], verdicts
 
 
 def grid_runs(poly, longest=3):
@@ -218,3 +230,35 @@ def test_two_eps_at_eps_one_64th():
     assert len(cells) > 1
     for poly, rin in cells:
         assert_engines_agree(poly, rin, 259)
+
+
+def test_fences_from_two_edges_leave_the_rect_to_the_engine():
+    # The left boundary steps from x = 0 (y <= 5) to x = 2 (y >= 5): the
+    # fence holding mid's top edge anchors on the upper edge and the one
+    # holding its bottom edge on the lower, and the wall blocks every
+    # fence from the right edge.  One segment down from (2, 5) bends onto
+    # the bottom edge, so the upper edge anchors both at tau = 2.
+    corners = ((0, 0), (10, 0), (10, 10), (2, 10), (2, 5), (0, 5))
+    poly = RectPolygon([Point(x, y) for x, y in corners])
+    mid = Rect(4, 3, 6, 7)
+    rects = [(0, mid), (1, Rect(7, 1, 9, 9))]
+    fences = line_fences(poly, rects)
+    assert fences.anchors(mid) == ((2,), (), (0,), ())
+    assert fences.protected(mid) and not fences.one_edge_anchors_both(mid)
+    for tau, want in ((1, False), (2, True), (3, True)):
+        assert is_tau_protected(mid, poly, rects, tau) is want
+        assert FenceEngine(poly, rects, tau).protects(mid) is want
+        assert nested_is_tau_protected(mid, poly, rects, tau) is want
+
+
+def test_no_certificate_at_tau_zero():
+    # Line fences from the left edge hold both edges of the rect, but a
+    # budget of no segment holds no edge: the engine alone decides.
+    poly = RectPolygon.from_rect(Rect(0, 0, 9, 9))
+    r = Rect(3, 3, 6, 6)
+    rects = [(0, r)]
+    assert line_fences(poly, rects).one_edge_anchors_both(r)
+    assert FenceEngine(poly, rects, 0).protects(r) is False
+    assert is_tau_protected(r, poly, rects, 0) is False
+    assert is_tau_protected(r, poly, rects, 0, {}) is False
+    assert is_tau_protected(r, poly, rects, 1) is True
