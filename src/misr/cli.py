@@ -95,6 +95,18 @@ def check_tau(tau: Optional[int]) -> Optional[int]:
     return tau
 
 
+# The pipelines that read each option; elsewhere it is refused, not ignored.
+READERS = {"tau": ("three", "two_eps"), "eps": ("two_eps",)}
+
+
+def check_read(algo: str, tau: Optional[int], eps: Optional[Fraction]) -> None:
+    """Refuse a --tau or --eps that the algo's pipeline would not read."""
+    for name, value in (("tau", tau), ("eps", eps)):
+        if value is not None and algo not in READERS[name]:
+            readers = " and ".join(READERS[name])
+            raise InstanceError(f"--{name} is read only by {readers}, not by {algo}")
+
+
 @dataclass
 class RunReport:
     digest: str
@@ -355,13 +367,15 @@ def _shapes(text: str) -> tuple[str, ...]:
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     eps = parse_eps(args.eps) if args.eps else None
+    tau = check_tau(args.tau)
+    check_read(args.algo, tau, eps)
     sol, report, artifacts = run_pipeline(
         inst,
         args.algo,
         k=args.k,
         cut_budget=args.cut_budget,
         shapes=_shapes(args.shapes),
-        tau=check_tau(args.tau),
+        tau=tau,
         eps=eps,
         cell_cap=args.cell_cap,
     )
@@ -375,9 +389,9 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     inst = _load_instance(args.input)
     eps = parse_eps(args.eps) if args.eps else None
-    sol, report, artifacts = run_pipeline(
-        inst, args.regime, tau=check_tau(args.tau), eps=eps
-    )
+    tau = check_tau(args.tau)
+    check_read(args.regime, tau, eps)
+    sol, report, artifacts = run_pipeline(inst, args.regime, tau=tau, eps=eps)
     if args.out:
         write_json(args.out, artifacts)
     json.dump(report.to_json(), sys.stdout, indent=1, sort_keys=True)

@@ -95,6 +95,10 @@ class DpConfig:
         for s in self.shapes:
             if s not in ("path", "tree"):
                 raise DpError(f"unknown cut shape {s!r}")
+        if not self.shapes:
+            raise DpError("no cut shape given")
+        if set(self.shapes) == {"tree"} and self.k == 4:
+            raise DpError("tree cuts need k > 4: give path at k = 4")
 
 
 @dataclass

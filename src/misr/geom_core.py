@@ -73,12 +73,6 @@ class Segment:
         lo, hi = sorted((self.a, self.b))
         return Segment(lo, hi)
 
-    def contains_point(self, p: Point) -> bool:
-        lo, hi = sorted((self.a, self.b))
-        if self.a.x == self.b.x:
-            return p.x == self.a.x and lo.y <= p.y <= hi.y
-        return p.y == self.a.y and lo.x <= p.x <= hi.x
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -692,17 +686,6 @@ class RectPolygon:
                 if p.x == q.x
             }
         return self._vclass
-
-    def horizontal_edge_sides(self) -> dict[int, str]:
-        """Map edge index -> 'bottom' | 'top'.  A bottom edge has the polygon
-        above it, a top edge below it: on the clockwise loop of a simple
-        polygon, an edge running left is bottom."""
-        vs = self.vertices
-        return {
-            i: "bottom" if p.x > q.x else "top"
-            for i, (p, q) in enumerate(zip(vs, vs[1:] + vs[:1]))
-            if p.y == q.y
-        }
 
     def transform(self, f) -> "RectPolygon":
         return RectPolygon([f(p) for p in self.vertices])

@@ -50,6 +50,7 @@ from .geom_core import (
 )
 from .structure import (
     FenceEngine,
+    LineFences,
     _mirror_x_point,
     _mirror_x_tagged,
     MaximalSet,
@@ -57,11 +58,7 @@ from .structure import (
     NiceLabel,
     classify_nesting,
     classify_nice,
-    is_protected,
-    is_tau_protected,
-    line_fences,
     seen_corners_on_side,
-    tau_engine,
 )
 
 RectsIn = Sequence[tuple[int, Rect]]
@@ -382,13 +379,13 @@ def _mirror_cutresult(res: CutResult) -> CutResult:
 
 
 def line_partition_cut(
-    poly: RectPolygon, rects: RectsIn, memo: Optional[dict] = None
+    poly: RectPolygon, rects: RectsIn, fences: Optional[LineFences] = None
 ) -> CutResult:
     """Cut a horizontally convex polygon (at most 26 edges, at least two
     rects) with at most 8 segments so that 2-3 horizontally convex
     components remain, only one vertical segment meets any rectangle, and
-    no line-fence-protected rectangle is met.  memo is the caller's
-    protection memo (see line_fences).
+    no line-fence-protected rectangle is met.  fences is the node's
+    protection record, built here when none is given.
     """
     if len(rects) < 2:
         raise ConstructionError("line_partition_cut needs at least two rects")
@@ -398,8 +395,6 @@ def line_partition_cut(
     left_idx = [i for i, s in sides.items() if s == "left"]
     right_idx = [i for i, s in sides.items() if s == "right"]
     if len(left_idx) < len(right_idx):
-        # no later question asks about the mirrored node: its fences stay
-        # out of the memo
         mres = line_partition_cut(
             poly.transform(_mirror_x_point), _mirror_x_tagged(rects)
         )
@@ -410,7 +405,7 @@ def line_partition_cut(
     s = len(lefts)
     em = lefts[s // 3 : (2 * s + 2) // 3]  # middle third, 1-based floor/ceil
 
-    fences = line_fences(poly, rects, memo)
+    fences = fences or LineFences(poly, rects)
     candidates = []
     for i in em:
         e = edges[i]
@@ -545,12 +540,13 @@ def general_partition_cut(
     tau: int,
     ell0: Optional[Chord] = None,
     _depth: int = 0,
-    memo: Optional[dict] = None,
+    fences: Optional[LineFences] = None,
 ) -> CutResult:
     """Cut a simple polygon with at most 30 tau + 18 edges into exactly two
     simple components with at most 2 tau + 1 segments, such that only one
     vertical segment meets rectangles and no tau-protected rectangle is
-    met.  memo is the caller's fence-engine memo (see tau_engine)."""
+    met.  fences is the node's protection record, whose fence engine the
+    cut reads, built here when none is given."""
     if len(rects) < 2:
         raise ConstructionError("general_partition_cut needs at least two rects")
     if not poly.is_simple:
@@ -563,7 +559,7 @@ def general_partition_cut(
     if k <= 15 * budget - 1:
         return _case0_cut(poly, rects, tau)
 
-    eng = tau_engine(poly, rects, tau, memo)
+    eng = (fences or LineFences(poly, rects)).engine(tau)
     if ell0 is None:
         _seg, chord = vertical_spanning_segment(poly)
     else:
@@ -621,7 +617,7 @@ def general_partition_cut(
         mpoly = poly.transform(_mirror_x_point)
         mrects = _mirror_x_tagged(rects)
         mchord = _make_chord(mpoly, -chord.x, chord.ylo, chord.yhi)
-        mres = general_partition_cut(mpoly, mrects, tau, mchord, _depth + 1, memo)
+        mres = general_partition_cut(mpoly, mrects, tau, mchord, _depth + 1)
         return _mirror_cutresult(mres)
     return _general_case2(poly, rects, tau, eng, tables, group_edges)
 
@@ -958,27 +954,27 @@ def recursive_partition(
         raise ConstructionError("normalization failed: too many nested")
 
     the_tau = regime_tau(regime, eps, tau)
-    # The run's protection memo: one LineFences record per (polygon, rects),
-    # and one fence engine per (polygon, rects, tau) for the rects its line
-    # fences leave open.  A node's visibility check, its protection checks,
-    # its cut and its parent's persistence check all ask the same questions.
-    memo: dict = {}
+    # Each node's protection record (see LineFences) is made by its
+    # parent's persistence check, which hands it down the stack, or else
+    # when the node is cut; its facts are built at the first question that
+    # reads them.  A record is dropped when its node is done, and a one-rect
+    # child is done with its check.
     if regime == "six":
-        cutter = lambda poly, rin: line_partition_cut(poly, rin, memo)
-        prot = lambda r, poly, rin: is_protected(r, poly, rin, memo)
+        cutter = line_partition_cut
+        prot = lambda fences, r: fences.protected(r)
     else:
-        cutter = lambda poly, rin: general_partition_cut(
-            poly, rin, the_tau, memo=memo
+        cutter = lambda poly, rin, fences: general_partition_cut(
+            poly, rin, the_tau, fences=fences
         )
-        prot = lambda r, poly, rin: is_tau_protected(r, poly, rin, the_tau, memo)
+        prot = lambda fences, r: fences.tau_protected(r, the_tau)
 
     root_poly = RectPolygon.from_rect(Rect(0, 0, side, side))
     nodes = [PartitionNode(0, root_poly, None, tuple(range(n)))]
     trace: list[int] = []
     tracked: set[int] = set()
-    stack = [0]
+    stack: list[tuple[int, Optional[LineFences]]] = [(0, None)]
     while stack:
-        v = stack.pop()
+        v, fences = stack.pop()
         poly, ids = nodes[v].polygon, nodes[v].rects
         if not ids:
             continue
@@ -986,17 +982,13 @@ def recursive_partition(
             nodes[v].assigned = ids[0]
             tracked.add(ids[0])
             continue
-        rects_in = [(i, work[i]) for i in ids]
+        fences = fences or LineFences(poly, [(i, work[i]) for i in ids])
         if check:
-            _check_visibility_guarantee(
-                work, poly, rects_in, nesting.horizontally_nested, memo
-            )
-        protected_before = (
-            {i: prot(work[i], poly, rects_in) for i in ids} if check else {}
-        )
-        res = cutter(poly, rects_in)
+            _check_visibility_guarantee(work, fences, nesting.horizontally_nested)
+        protected_before = {i: prot(fences, work[i]) for i in ids} if check else {}
+        res = cutter(poly, fences.rects_in, fences)
         for i in res.intersected:
-            if (protected_before[i] if check else prot(work[i], poly, rects_in)):
+            if (protected_before[i] if check else prot(fences, work[i])):
                 raise ConstructionError(
                     f"{res.case}: protected rectangle {i} intersected"
                 )
@@ -1013,14 +1005,15 @@ def recursive_partition(
                 raise ConstructionError("child polygon did not shrink")
             nodes[v].children.append(child.id)
             nodes.append(child)
-            stack.append(child.id)
-            if check:
-                child_rects = [(j, work[j]) for j in child_ids]
+            child_fences = None
+            if check and child_ids:
+                child_fences = LineFences(child.polygon, [(j, work[j]) for j in child_ids])
                 for i in child_ids:
-                    if protected_before[i] and not prot(work[i], child.polygon, child_rects):
+                    if protected_before[i] and not prot(child_fences, work[i]):
                         raise ConstructionError(
                             f"protection of rect {i} not persistent in child"
                         )
+            stack.append((child.id, child_fences if len(child_ids) > 1 else None))
     leftover = set(range(n)) - tracked
     for v in trace:
         leftover -= set(nodes[v].intersected)
@@ -1043,18 +1036,14 @@ def recursive_partition(
 
 
 def _check_visibility_guarantee(
-    work: tuple[Rect, ...],
-    poly: RectPolygon,
-    rects_in: RectsIn,
-    h_nested: frozenset[int],
-    memo: dict,
+    work: tuple[Rect, ...], fences: LineFences, h_nested: frozenset[int]
 ) -> None:
-    """Every rect that is neither line-fence-protected (asked through the
-    run's memo) nor horizontally nested must see a corner of another
-    contained rect on each side."""
-    ids = [rid for rid, _ in rects_in]
-    for rid, r in rects_in:
-        if rid in h_nested or is_protected(r, poly, rects_in, memo):
+    """Every rect of the node that is neither line-fence-protected (asked
+    through the node's record) nor horizontally nested must see a corner
+    of another contained rect on each side."""
+    ids = [rid for rid, _ in fences.rects_in]
+    for rid, r in fences.rects_in:
+        if rid in h_nested or fences.protected(r):
             continue
         for side_name in ("left", "right"):
             if not seen_corners_on_side(work, rid, side_name, ids):

@@ -13,23 +13,27 @@ Anchors and bends are restricted to integral points; every obstacle has
 integral coordinates, so chains can always be deformed onto the integer
 grid without increasing their segment count.
 
-Both kinds of protection are memoized per partition run, in one dict the
-run owns, where a node (a polygon and the rects inside it) fills at most
-one entry of each kind:
-  line_fences   one LineFences per (polygon, rects): the line cut's reads
-                from one record per row, and per rect the anchors of the
-                fences holding its top and bottom edges (one record per
-                rect), which answer line protection and certify
-                tau-protection, all built on first use;
-  tau_engine    one FenceEngine per (polygon, rects, tau), with its move
-                table and search tables, built only when a tau query is
-                left open by the node's line fences.
+Protection belongs to a node of a partition, a polygon and the rects
+inside it, and lives in one LineFences record per node.  Building a record
+reads only the polygon's bounding box; each fact is built on first use and
+kept in the record:
+  rows      one record per row (_Row): the line cut's reads, the furthest
+            fence of each anchor and the free pieces of the row;
+  anchors   per rect, the anchors of the line fences holding its top and
+            bottom edges, which answer line protection (protected,
+            protecting) and certify tau-protection;
+  engine    per tau, one FenceEngine with its move table and search
+            tables, built only when a tau query is left open by the line
+            fences.
 A line fence is a tau-fence of one segment, so for tau >= 1 a rect whose
 top and bottom edges are held by line fences from one vertical edge is
-tau-protected; is_tau_protected asks the engine only about the others.
-Rows are read once per node: _crossing_rows buckets the rects by the rows
-(or columns) their interiors cross, for the row records and for the move
-table alike.  A memo is a cache only; every answer is the same without it.
+tau-protected; tau_protected asks the engine only about the others.
+recursive_partition makes a node's record in the parent's persistence
+check (check=True), which hands it down with the node, or else when the
+node is cut, and frees it when the node is done: no record outlives its
+node, and none outlives the run.  Rows are read once per node:
+_crossing_rows buckets the rects by the rows (or columns) their interiors
+cross, for the row records and for the move table alike.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .geom_core import (
@@ -436,8 +440,9 @@ class _Anchors(NamedTuple):
 
 
 class LineFences:
-    """The line fences of one node, a polygon and the rects inside it,
-    read from one record per row (_Row), built on first use.
+    """The protection record of one node, a polygon and the rects inside
+    it: its line fences, read from one record per row (_Row), and its fence
+    engines, all built on first use.
 
     A line fence from a left polygon edge runs rightward from an integral
     anchor point of the edge, within the polygon's section, to a rect
@@ -446,33 +451,41 @@ class LineFences:
     reads are the furthest fence of an anchor, the least anchor whose
     fence strictly crosses a vertical line on a row, and, per rect, the
     anchors of the fences holding its top and bottom edges (anchors,
-    one record per rect), which answer protected, protecting and
-    one_edge_anchors_both.
+    one record per rect), which answer protected, protecting,
+    one_edge_anchors_both and, with the engine, tau_protected.
     """
 
     def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]):
         self.poly = poly
-        _x0, self.y0, _x1, y1 = poly.bbox()
-        n = y1 - self.y0 + 1
-        # a run's memo keeps every node's record: rows as tuples, so that
-        # the many empty ones share the empty tuple
-        self._crossing = [
-            tuple(row)
-            for row in _crossing_rows(
-                ((r.yb, r.yt, r.xl, r.xr) for _rid, r in rects_in), self.y0, n
-            )
-        ]
-        self._edged: dict[int, list[tuple[int, int]]] = {}
-        for _rid, r in rects_in:
-            for y in (r.yb, r.yt):
-                self._edged.setdefault(y, []).append((r.xl, r.xr))
-        edges = poly.edges()
-        self._verticals = [
-            (edges[i].a.x, *sorted((edges[i].a.y, edges[i].b.y)), side == "left")
-            for i, side in poly.vertical_edge_sides().items()
-        ]
+        self.rects_in = rects_in
+        _x0, self.y0, _x1, self.y1 = poly.bbox()
         self._rows: dict[int, _Row] = {}
         self._anchors: dict[Rect, _Anchors] = {}
+        self._engines: dict[int, FenceEngine] = {}
+
+    @cached_property
+    def _crossing(self) -> list[list[tuple[int, int]]]:
+        """The x-extents of the rects crossing each row of the bbox."""
+        spans = ((r.yb, r.yt, r.xl, r.xr) for _rid, r in self.rects_in)
+        return _crossing_rows(spans, self.y0, self.y1 - self.y0 + 1)
+
+    @cached_property
+    def _edged(self) -> dict[int, list[tuple[int, int]]]:
+        """The x-extents of the rects with an edge on each row."""
+        edged: dict[int, list[tuple[int, int]]] = {}
+        for _rid, r in self.rects_in:
+            for y in (r.yb, r.yt):
+                edged.setdefault(y, []).append((r.xl, r.xr))
+        return edged
+
+    @cached_property
+    def _verticals(self) -> list[tuple[int, int, int, bool]]:
+        """(x, lowest y, highest y, left?) of each vertical polygon edge."""
+        edges = self.poly.edges()
+        return [
+            (edges[i].a.x, *sorted((edges[i].a.y, edges[i].b.y)), side == "left")
+            for i, side in self.poly.vertical_edge_sides().items()
+        ]
 
     def row(self, y: int) -> _Row:
         """The record of row y, which must lie in the polygon's bbox.
@@ -563,7 +576,7 @@ class LineFences:
     def _row_anchors(self, r: Rect, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The left and the right anchors of the fences holding r's edge
         on row y."""
-        if not 0 <= y - self.y0 < len(self._crossing):
+        if not self.y0 <= y <= self.y1:
             return (), ()
         rec = self.row(y)
         k = bisect_right(rec.free_lo, r.xl) - 1
@@ -581,7 +594,15 @@ class LineFences:
         return any(self.anchors(r))
 
     def protecting(self, r: Rect) -> list[Fence]:
-        """protecting_fences of r, built from its anchors."""
+        """The line fences containing r's top or bottom edge, built from
+        its anchors.
+
+        Only the fence ending at the covered edge's far corner needs
+        testing: if any covering fence exists, that one does.  Such a fence
+        from the anchor (x, y) exists when the segment from it to the far
+        corner lies in one free piece of row y (the row's record).
+        Deterministic order: top before bottom, left anchors before right,
+        then anchor position."""
         a = self.anchors(r)
         out = []
         for y, lefts, rights in (
@@ -610,51 +631,25 @@ class LineFences:
             for x, lo, hi, _left in self._verticals
         )
 
+    def engine(self, tau: int) -> FenceEngine:
+        """The node's fence engine at budget tau, built on first use."""
+        eng = self._engines.get(tau)
+        if eng is None:
+            eng = self._engines[tau] = FenceEngine(self.poly, self.rects_in, tau)
+        return eng
 
-def line_fences(
-    poly: RectPolygon,
-    rects_in: Sequence[tuple[int, Rect]],
-    memo: Optional[dict] = None,
-) -> LineFences:
-    """The line fences of (poly, rects_in).  With a memo (a partition
-    run's, as for tau_engine), one record per node serves every request;
-    without one, a fresh record."""
-    if memo is None:
-        return LineFences(poly, rects_in)
-    key = ("line", poly, tuple(sorted(rects_in)))
-    rec = memo.get(key)
-    if rec is None:
-        rec = memo[key] = LineFences(poly, rects_in)
-    return rec
+    def tau_protected(self, r: Rect, tau: int) -> bool:
+        """tau-protection: one vertical polygon edge anchors two chains of
+        at most tau segments containing r's top and bottom edges
+        respectively.
 
-
-def protecting_fences(
-    poly: RectPolygon,
-    rects_in: Sequence[tuple[int, Rect]],
-    r: Rect,
-    memo: Optional[dict] = None,
-) -> list[Fence]:
-    """Line fences containing the top or bottom edge of r.
-
-    Only the fence ending at the covered edge's far corner needs testing:
-    if any covering fence exists, that one does.  Such a fence from the
-    anchor (x, y) exists when the segment from it to the far corner lies
-    in one free piece of row y (the row's record).  Deterministic order:
-    top before bottom, left anchors before right, then anchor position.
-    With a memo, the node's record answers each rect once; the answer is
-    the same without one.
-    """
-    return line_fences(poly, rects_in, memo).protecting(r)
-
-
-def is_protected(
-    r: Rect,
-    poly: RectPolygon,
-    rects_in: Sequence[tuple[int, Rect]],
-    memo: Optional[dict] = None,
-) -> bool:
-    """Line-fence protection: some fence contains r's top or bottom edge."""
-    return line_fences(poly, rects_in, memo).protected(r)
+        A line fence is such a chain of one segment, so when tau >= 1 and
+        one edge anchors line fences holding both edges, r is
+        tau-protected; the node's engine decides every other rect, and is
+        built only for them."""
+        if tau >= 1 and self.one_edge_anchors_both(r):
+            return True
+        return self.engine(tau).protects(r)
 
 
 # -- tau-fences: budgeted x-monotone chain search -----------------------------
@@ -935,16 +930,6 @@ class FenceEngine:
             for idx in self.poly.vertical_edge_sides()
         )
 
-    def anchoring_edges(self, y: int, x1: int, x2: int) -> set[int]:
-        """Vertical edges of the polygon anchoring some chain that contains
-        the horizontal run [x1,x2]x{y}, x1 <= x2."""
-        if not self._walkable(y, x1, x2):
-            return set()
-        return {
-            idx for idx in self.poly.vertical_edge_sides()
-            if self._anchors(idx, y, x1, x2)
-        }
-
     def _walkable(self, y: int, x1: int, x2: int) -> bool:
         """The run [x1,x2]x{y} lies on the grid and each of its unit steps
         is free (a free step may be taken either way)."""
@@ -974,40 +959,3 @@ class FenceEngine:
                 return True
         return False
 
-
-def tau_engine(
-    poly: RectPolygon,
-    rects_in: Sequence[tuple[int, Rect]],
-    tau: int,
-    memo: Optional[dict] = None,
-) -> FenceEngine:
-    """The fence engine of (poly, rects_in, tau).  With a memo, one engine
-    and its search tables serve every request with the same key; a
-    partition run owns its memo, so everything in it is freed with the run.
-    Without one, a fresh engine."""
-    if memo is None:
-        return FenceEngine(poly, rects_in, tau)
-    key = (poly, tuple(sorted(rects_in)), tau)
-    eng = memo.get(key)
-    if eng is None:
-        eng = memo[key] = FenceEngine(poly, rects_in, tau)
-    return eng
-
-
-def is_tau_protected(
-    r: Rect,
-    poly: RectPolygon,
-    rects_in: Sequence[tuple[int, Rect]],
-    tau: int,
-    memo: Optional[dict] = None,
-) -> bool:
-    """tau-protection: one vertical polygon edge anchors two chains of at
-    most tau segments containing r's top and bottom edges respectively.
-
-    A line fence is such a chain of one segment, so when tau >= 1 and one
-    edge anchors line fences holding both edges (the node's LineFences
-    record), r is tau-protected; the node's fence engine decides every
-    other rect, and is built only for them."""
-    if tau >= 1 and line_fences(poly, rects_in, memo).one_edge_anchors_both(r):
-        return True
-    return tau_engine(poly, rects_in, tau, memo).protects(r)

@@ -971,6 +971,18 @@ def _nested_edges_reaching_run(eng: NestedFenceEngine, y: int, x1: int, x2: int)
     return out
 
 
+def anchoring_edges(eng, y: int, x1: int, x2: int) -> set[int]:
+    """Vertical edges of the library engine's polygon anchoring some chain
+    that contains the horizontal run [x1,x2]x{y}, x1 <= x2, read from the
+    engine's per-edge protection tables."""
+    if not eng._walkable(y, x1, x2):
+        return set()
+    return {
+        idx for idx in eng.poly.vertical_edge_sides()
+        if eng._anchors(idx, y, x1, x2)
+    }
+
+
 def nested_is_tau_protected(
     r: Rect,
     poly: RectPolygon,
@@ -1210,6 +1222,27 @@ def ref_contains_rect(poly: RectPolygon, r: Rect) -> bool:
     if not ref_contains_doubled(poly, r.xl + r.xr, r.yb + r.yt):
         return False
     return not any(segment_intersects_rect(e, r) for e in _loop_edges(poly))
+
+
+def segment_contains_point(s: Segment, p: Point) -> bool:
+    """The closed axis-parallel segment s holds the point p."""
+    lo, hi = sorted((s.a, s.b))
+    if s.a.x == s.b.x:
+        return p.x == s.a.x and lo.y <= p.y <= hi.y
+    return p.y == s.a.y and lo.x <= p.x <= hi.x
+
+
+def horizontal_edge_sides(poly: RectPolygon) -> dict[int, str]:
+    """Map edge index -> 'bottom' | 'top', read off the loop as the library
+    reads vertical_edge_sides: a bottom edge has the polygon above it, a
+    top edge below it; on the clockwise loop of a simple polygon, an edge
+    running left is bottom."""
+    vs = poly.vertices
+    return {
+        i: "bottom" if p.x > q.x else "top"
+        for i, (p, q) in enumerate(zip(vs, vs[1:] + vs[:1]))
+        if p.y == q.y
+    }
 
 
 def ref_edge_sides(poly: RectPolygon) -> tuple[dict[int, str], dict[int, str]]:
@@ -1537,7 +1570,7 @@ def ref_crossing_anchor(fences: Sequence[Fence], y: int, x: int) -> Optional[int
 def ref_protecting_fences(
     poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], r: Rect
 ) -> list[Fence]:
-    """protecting_fences as first written: per rect, each facing vertical
+    """LineFences.protecting as first written: per rect, each facing vertical
     edge tested with a segment containment and a scan of every rect."""
     out: list[Fence] = []
     sides = poly.vertical_edge_sides()

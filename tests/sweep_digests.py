@@ -38,11 +38,12 @@ script's own directory.
 The protection section: the partition section's runs again, with one
 line per node that holds a rect: the run, the node id and the first 16
 hex digits of the sha256 of the node's facts that line and chain
-protection read, namely every rect's protecting_fences list (anchor,
-far end and side of each fence, in order) and the fence engine's move
-table, and under three and two_eps every rect's is_tau_protected
-verdict at the run's tau.  A run that raises shows the type and message
-of the error instead, once.
+protection read from one LineFences record of the node, namely every
+rect's protecting list (anchor, far end and side of each fence, in
+order) and the fence engine's move table, and under three and two_eps
+every rect's tau_protected verdict at the run's tau.  Against an older
+src without tau_protected, the verdicts come from is_tau_protected.  A
+run that raises shows the type and message of the error instead, once.
 
 The file name keeps it out of pytest's collection.
 """
@@ -65,12 +66,7 @@ from misr.dp_solver import DpStats, dp_solve
 from misr.geom_core import Rect
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import recursive_partition, run_to_json, validate_partition
-from misr.structure import (
-    FenceEngine,
-    is_tau_protected,
-    maximal_extension,
-    protecting_fences,
-)
+from misr.structure import FenceEngine, LineFences, maximal_extension
 
 REGIMES = (
     ("six", None),
@@ -227,22 +223,32 @@ def units_section() -> None:
             i += 1
 
 
+def _tau_verdicts(record, rects_in, tau) -> list[bool]:
+    """Every rect's tau-protection verdict, read from the node's record
+    where the src has tau_protected, else from is_tau_protected, the
+    function an older src asks."""
+    if hasattr(record, "tau_protected"):
+        return [record.tau_protected(r, tau) for _rid, r in rects_in]
+    from misr.structure import is_tau_protected
+
+    memo: dict = {}
+    return [is_tau_protected(r, record.poly, rects_in, tau, memo) for _rid, r in rects_in]
+
+
 def _node_facts(run, node) -> str:
     rects_in = [(i, run.work_rects[i]) for i in node.rects]
     poly = node.polygon
-    memo: dict = {}
+    record = LineFences(poly, rects_in)
     fences = [
         [rid, [[f.anchor.x, f.anchor.y, f.endpoint.x, f.endpoint.y, f.side]
-               for f in protecting_fences(poly, rects_in, r, memo)]]
+               for f in record.protecting(r)]]
         for rid, r in rects_in
     ]
     # the move table does not depend on the budget
     moves = FenceEngine(poly, rects_in, 1)._steps()
     facts = [fences, bytes(moves).hex()]
     if run.regime != "six":
-        facts.append(
-            [is_tau_protected(r, poly, rects_in, run.tau, memo) for _rid, r in rects_in]
-        )
+        facts.append(_tau_verdicts(record, rects_in, run.tau))
     blob = json.dumps(facts).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

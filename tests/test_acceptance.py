@@ -37,11 +37,10 @@ from misr.partition import (
     vertical_spanning_segment,
 )
 from misr.structure import (
+    LineFences,
     MaximalSet,
     classify_nesting,
     classify_nice,
-    is_protected,
-    is_tau_protected,
     maximal_extension,
 )
 from oracles import (
@@ -243,7 +242,7 @@ def test_criterion_6_partitioning_units():
                 assert comp.is_simple and comp.num_edges <= 26
                 assert is_horizontally_convex(comp)
             for rid in res.intersected:
-                assert not is_protected(dict(rects)[rid], poly, rects)
+                assert not LineFences(poly, rects).protected(dict(rects)[rid])
         except Exception as exc:
             fails.append((k, str(exc)[:60]))
         checked_line += 1
@@ -257,7 +256,7 @@ def test_criterion_6_partitioning_units():
             for comp in res.components:
                 assert comp.is_simple and comp.num_edges <= 30 * tau + 18
             for rid in res.intersected:
-                assert not is_tau_protected(dict(rects)[rid], poly, rects, tau)
+                assert not LineFences(poly, rects).tau_protected(dict(rects)[rid], tau)
         except Exception as exc:
             fails.append((tau, k, str(exc)[:60]))
         checked_general += 1

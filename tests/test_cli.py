@@ -141,6 +141,49 @@ class TestSolveAndCertify:
         assert captured.err == f"error: tau must be at least 1: {tau}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["certify", "{file}", "--regime", "six", "--tau", "3"],
+            ["certify", "{file}", "--regime", "six", "--eps", "1/2"],
+            ["certify", "{file}", "--regime", "three", "--eps", "1/2"],
+            ["solve", "{file}", "--algo", "six", "--tau", "3"],
+            ["solve", "{file}", "--algo", "three", "--eps", "1"],
+            ["solve", "{file}", "--algo", "exact", "--tau", "3"],
+            ["solve", "{file}", "--algo", "exact", "--eps", "1"],
+            ["solve", "{file}", "--algo", "dp", "--tau", "3"],
+            ["solve", "{file}", "--algo", "dp", "--eps", "1/2"],
+        ],
+        ids=[
+            "certify-six-tau", "certify-six-eps", "certify-three-eps",
+            "solve-six-tau", "solve-three-eps", "solve-exact-tau",
+            "solve-exact-eps", "solve-dp-tau", "solve-dp-eps",
+        ],
+    )
+    def test_unread_option_refused(self, windmill_file, command, capsys):
+        """A --tau or --eps the algorithm never reads is refused with one
+        line naming the option, not ignored while the report claims it."""
+        args = [a.format(file=windmill_file) for a in command]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        option = "--tau" if "--tau" in args else "--eps"
+        assert captured.err.startswith(f"error: {option} is read only by ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_tau_checked_before_its_reader(self, windmill_file, capsys):
+        assert run_cli(["certify", windmill_file, "--regime", "six", "--tau", "0"]) == 2
+        assert capsys.readouterr().err == "error: tau must be at least 1: 0\n"
+
+    @pytest.mark.parametrize(
+        "extra", [["--shapes", ""], ["--k", "4", "--shapes", "tree"]], ids=["empty", "tree-k4"]
+    )
+    def test_dp_shapes_making_no_cut_refused(self, windmill_file, extra, capsys):
+        assert run_cli(["solve", windmill_file, "--algo", "dp", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("rects", SIX_REPRODUCERS)
     def test_certify_six_dense_reproducer(self, rects, tmp_path, capsys):
         """Pairwise-disjoint rects, so OPT takes all of them; six must

@@ -109,6 +109,18 @@ class TestDpSolve:
         with pytest.raises(DpError, match="cell cap must be >= 1"):
             dp_solve(WINDMILL, 4, 1, cell_cap=cap)
 
+    def test_no_cut_shape_refused(self):
+        with pytest.raises(DpError, match="no cut shape given"):
+            dp_solve(WINDMILL, 4, 1, ())
+
+    def test_tree_alone_at_k4_refused(self):
+        # tree cuts need k > 4, so tree alone names no cut at k = 4; with
+        # path it is the CLI default, and alone it is read at k = 6
+        with pytest.raises(DpError, match="tree cuts need k > 4"):
+            dp_solve(WINDMILL, 4, 1, ("tree",))
+        assert dp_solve(WINDMILL, 4, 1, ("path", "tree")).size == 3
+        assert dp_solve(generate("uniform_random", 3, 0), 6, 1, ("tree",)).size >= 1
+
     def test_tree_cuts_at_k6(self):
         # a T-subdivision is reachable with tree cuts; value must not drop
         inst = preprocess(

@@ -3,9 +3,10 @@ oracles.py: the move table byte for byte, protection verdicts, the
 edges anchoring each run, covered points, interior coverage and chain
 walks must agree exactly, on partition nodes (packed ones included), on
 the notched units of acceptance criterion 6 and at budgets beyond a
-byte.  is_tau_protected decides a rect by its line fences when one edge
-anchors fences holding both its edges, else by the engine: both paths
-must agree with the engine and the reference.  Line protection: the
+byte.  A node's LineFences record decides tau-protection by its line
+fences when one edge anchors fences holding both of a rect's edges, else
+by the record's engine: both paths must agree with the engine and the
+reference.  Line protection: the
 fence lists, in order, against the per-rect scan as first written."""
 
 from collections import Counter
@@ -14,17 +15,11 @@ from fractions import Fraction
 from misr.geom_core import Point, Rect, RectPolygon
 from misr.instance import exact_mis, generate
 from misr.partition import recursive_partition
-from misr.structure import (
-    FenceEngine,
-    is_protected,
-    is_tau_protected,
-    line_fences,
-    maximal_extension,
-    protecting_fences,
-)
+from misr.structure import FenceEngine, LineFences, maximal_extension
 from oracles import (
     NestedFenceEngine,
     _nested_edges_reaching_run,
+    anchoring_edges,
     criterion_6_units,
     line_protected,
     nested_is_tau_protected,
@@ -56,7 +51,7 @@ def assert_anchors_agree(eng, ref, runs, seen=None):
     reversed searches; seen, if given, counts the runs by whether they are
     walkable and whether some edge anchors them."""
     for y, x1, x2 in runs:
-        got = eng.anchoring_edges(y, x1, x2)
+        got = anchoring_edges(eng, y, x1, x2)
         assert got == _nested_edges_reaching_run(ref, y, x1, x2), (
             eng.poly, eng.rects, eng.tau, (y, x1, x2)
         )
@@ -78,10 +73,9 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     ref = NestedFenceEngine(poly, rin, tau)
     eng = FenceEngine(poly, rin, tau)
     assert eng._steps() == ref_moves(poly, [r for _rid, r in rin]), (poly, rin)
-    memo: dict = {}
-    fences = line_fences(poly, rin)
+    fences = LineFences(poly, rin)
     for _rid, r in rin:
-        verdict = is_tau_protected(r, poly, rin, tau, memo)
+        verdict = fences.tau_protected(r, tau)
         expected = nested_is_tau_protected(r, poly, rin, tau, ref)
         assert verdict == expected == eng.protects(r), (poly, rin, tau, r)
         certified = tau >= 1 and fences.one_edge_anchors_both(r)
@@ -169,14 +163,15 @@ def test_anchor_sets_of_short_runs_match_reference():
 
 
 def assert_line_protection_agrees(poly, rin, count) -> None:
-    """Every rect's protecting fences, in order, with and without the
-    run's memo, against the per-rect scan; count counts the verdicts."""
-    memo: dict = {}
+    """Every rect's protecting fences, in order, from a fresh record and
+    from one record of the node that answers every rect, against the
+    per-rect scan; count counts the verdicts."""
+    shared = LineFences(poly, rin)
     for _rid, r in rin:
         ref = ref_protecting_fences(poly, rin, r)
-        assert protecting_fences(poly, rin, r) == ref, (poly, rin, r)
-        assert protecting_fences(poly, rin, r, memo) == ref, (poly, rin, r)
-        assert is_protected(r, poly, rin) == line_protected(r, poly, rin)
+        assert LineFences(poly, rin).protecting(r) == ref, (poly, rin, r)
+        assert shared.protecting(r) == ref, (poly, rin, r)
+        assert shared.protected(r) == line_protected(r, poly, rin)
         count[bool(ref)] += 1
 
 
@@ -215,10 +210,10 @@ def test_tau_beyond_a_byte_on_walls():
     mid = Rect(8, 8, 12, 11)
     rects = [(0, mid), (1, Rect(2, 6, 5, 13)), (2, Rect(15, 6, 18, 13))]
     for _rid, r in rects:
-        assert is_tau_protected(r, poly, rects, 300) == nested_is_tau_protected(
+        assert LineFences(poly, rects).tau_protected(r, 300) == nested_is_tau_protected(
             r, poly, rects, 300
         )
-    assert is_tau_protected(mid, poly, rects, 300)
+    assert LineFences(poly, rects).tau_protected(mid, 300)
     assert_engines_agree(poly, rects, 300)
 
 
@@ -242,11 +237,11 @@ def test_fences_from_two_edges_leave_the_rect_to_the_engine():
     poly = RectPolygon([Point(x, y) for x, y in corners])
     mid = Rect(4, 3, 6, 7)
     rects = [(0, mid), (1, Rect(7, 1, 9, 9))]
-    fences = line_fences(poly, rects)
+    fences = LineFences(poly, rects)
     assert fences.anchors(mid) == ((2,), (), (0,), ())
     assert fences.protected(mid) and not fences.one_edge_anchors_both(mid)
     for tau, want in ((1, False), (2, True), (3, True)):
-        assert is_tau_protected(mid, poly, rects, tau) is want
+        assert fences.tau_protected(mid, tau) is want
         assert FenceEngine(poly, rects, tau).protects(mid) is want
         assert nested_is_tau_protected(mid, poly, rects, tau) is want
 
@@ -257,8 +252,9 @@ def test_no_certificate_at_tau_zero():
     poly = RectPolygon.from_rect(Rect(0, 0, 9, 9))
     r = Rect(3, 3, 6, 6)
     rects = [(0, r)]
-    assert line_fences(poly, rects).one_edge_anchors_both(r)
+    fences = LineFences(poly, rects)
+    assert fences.one_edge_anchors_both(r)
     assert FenceEngine(poly, rects, 0).protects(r) is False
-    assert is_tau_protected(r, poly, rects, 0) is False
-    assert is_tau_protected(r, poly, rects, 0, {}) is False
-    assert is_tau_protected(r, poly, rects, 1) is True
+    assert LineFences(poly, rects).tau_protected(r, 0) is False
+    assert fences.tau_protected(r, 0) is False
+    assert fences.tau_protected(r, 1) is True

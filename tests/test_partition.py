@@ -1,12 +1,13 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from misr.geom_core import Point, Rect, RectPolygon, Segment, segment_intersects_rect
-from misr import partition
+from misr import partition, structure
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import (
     ConstructionError,
@@ -18,7 +19,7 @@ from misr.partition import (
     vertical_spanning_segment,
     _make_chord,
 )
-from misr.structure import is_protected, is_tau_protected, maximal_extension
+from misr.structure import FenceEngine, LineFences, maximal_extension
 from oracles import (
     all_chords,
     blob_polygon,
@@ -76,7 +77,7 @@ def check_line_cut_postconditions(poly, rects, res):
         for s in nonell:
             assert not segment_intersects_rect(s, r)
     for rid in res.intersected:
-        assert not is_protected(dict(rects)[rid], poly, rects)
+        assert not LineFences(poly, rects).protected(dict(rects)[rid])
     assert sum(c.area2() for c in res.components) == poly.area2()
 
 
@@ -160,7 +161,7 @@ def check_general_postconditions(poly, rects, res, tau):
         for s in nonell:
             assert not segment_intersects_rect(s, r)
     for rid in res.intersected:
-        assert not is_tau_protected(dict(rects)[rid], poly, rects, tau)
+        assert not LineFences(poly, rects).tau_protected(dict(rects)[rid], tau)
     assert sum(c.area2() for c in res.components) == poly.area2()
 
 
@@ -252,7 +253,7 @@ class TestGeneralPartitionCut:
     def test_case1b_pierces_unprotected_middle(self):
         poly, rects, chord = case1_fixture()
         rin = list(enumerate(rects))
-        assert not is_tau_protected(rects[2], poly, rin, 1)
+        assert not LineFences(poly, rin).tau_protected(rects[2], 1)
         res = general_partition_cut(poly, rin, tau=1, ell0=chord)
         assert res.case.startswith("general-1b")
         assert res.intersected == (2,)
@@ -265,7 +266,7 @@ class TestGeneralPartitionCut:
         poly, rects, chord = case1_fixture()
         rects = [Rect(13, 8, 20, 32), Rect(9, 18, 13, 22)]
         rin = list(enumerate(rects))
-        assert is_tau_protected(rects[1], poly, rin, 1)
+        assert LineFences(poly, rin).tau_protected(rects[1], 1)
         res = general_partition_cut(poly, rin, tau=1, ell0=chord)
         assert 1 not in res.intersected
         check_general_postconditions(poly, rin, res, 1)
@@ -329,16 +330,17 @@ class TestRecursivePartition:
         # a cut that reports a rect protected at its node as intersected
         if regime == "six":
             cutter = "line_partition_cut"
-            protected = is_protected
+            protected = lambda fences, r: fences.protected(r)
         else:
             cutter = "general_partition_cut"
-            protected = lambda r, poly, rin: is_tau_protected(r, poly, rin, 7)
+            protected = lambda fences, r: fences.tau_protected(r, 7)
         real = getattr(partition, cutter)
 
         def faulty(poly, rects, *args, **kwargs):
             res = real(poly, rects, *args, **kwargs)
+            fences = LineFences(poly, rects)
             for rid, r in rects:
-                if rid not in res.intersected and protected(r, poly, rects):
+                if rid not in res.intersected and protected(fences, r):
                     extra = tuple(sorted(res.intersected + (rid,)))
                     return dataclasses.replace(res, intersected=extra)
             return res
@@ -398,3 +400,58 @@ class TestRecursivePartition:
         wm = MaximalSet(run.work_rects, run.origin, run.side)
         lab = classify_nesting(wm)
         assert 2 * len(lab.horizontally_nested) <= len(run.work_rects)
+
+
+def count_builds(monkeypatch, *classes) -> Counter:
+    """Count the instances of each class built while the patch holds."""
+    built: Counter = Counter()
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+# Fence engines each checked run builds: (n, seed) -> engines, the same
+# under three and two_eps at eps 1/2.
+PACKED_ENGINES = {
+    (24, 0): 22, (24, 1): 15, (40, 0): 30, (40, 1): 33, (64, 0): 56, (64, 1): 56,
+}
+
+
+@pytest.mark.parametrize("regime, eps", [("three", None), ("two_eps", Fraction(1, 2))])
+@pytest.mark.parametrize("n, seed", sorted(PACKED_ENGINES))
+def test_packed_checked_records_per_node(n, seed, regime, eps, monkeypatch):
+    """check=True on dense instances, whose case-0 trees are deep
+    caterpillars: every check passes, each node holding a rect gets one
+    protection record, handed from its parent's persistence check to the
+    node's own questions, and no record or engine is built twice."""
+    inst = generate("packed", n, seed)
+    m = maximal_extension(exact_mis(inst, cap=n), inst)
+    built = count_builds(monkeypatch, LineFences, FenceEngine)
+    run = recursive_partition(m, regime, eps=eps, check=True)
+    assert all(c["ok"] for c in validate_partition(run))
+    assert built["LineFences"] == sum(1 for node in run.nodes if node.rects) == 2 * n - 1
+    assert built["FenceEngine"] == PACKED_ENGINES[n, seed]
+
+
+def test_unchecked_case0_reads_nothing(monkeypatch):
+    """Without checks a case-0 cut asks no protection question: no row is
+    bucketed and no engine is built."""
+    inst = generate("packed", 24, 0)
+    m = maximal_extension(exact_mis(inst, cap=24), inst)
+    rows = Counter()
+    real = structure._crossing_rows
+
+    def counted(*args):
+        rows["calls"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(structure, "_crossing_rows", counted)
+    built = count_builds(monkeypatch, FenceEngine)
+    for regime, eps in (("three", None), ("two_eps", Fraction(1, 2))):
+        run = recursive_partition(m, regime, eps=eps, check=False)
+        assert {run.nodes[v].case for v in run.trace} == {"general-0"}
+    assert rows["calls"] == 0 and built["FenceEngine"] == 0

@@ -27,11 +27,12 @@ from misr.geom_core import (
 )
 from misr.instance import exact_mis, generate
 from misr.partition import ConstructionError, recursive_partition
-from misr.structure import line_fences, maximal_extension, protecting_fences
+from misr.structure import LineFences, maximal_extension
 from oracles import (
     blob_polygon,
     brute_force_hconvex,
     criterion_6_units,
+    horizontal_edge_sides,
     ref_contains_doubled,
     ref_contains_rect,
     ref_edge_sides,
@@ -42,6 +43,7 @@ from oracles import (
     ref_on_boundary_doubled,
     ref_protecting_fences,
     ref_split_components,
+    segment_contains_point,
 )
 
 FAMILIES = ("windmill", "uniform_random", "nested_grid")
@@ -105,7 +107,9 @@ def test_edges_at_agrees_with_edge_scan(node_cells):
         for x in range(x0 - 1, x1 + 2):
             for y in range(y0 - 1, y1 + 2):
                 p = Point(x, y)
-                want = tuple(i for i, e in enumerate(edges) if e.contains_point(p))
+                want = tuple(
+                    i for i, e in enumerate(edges) if segment_contains_point(e, p)
+                )
                 assert poly.edges_at(p) == want, (poly, p)
                 on_boundary += bool(want)
     assert on_boundary > 1000, on_boundary
@@ -161,7 +165,7 @@ def test_edge_sides_agree(node_cells):
             continue
         vsides, hsides = ref_edge_sides(poly)
         assert poly.vertical_edge_sides() == vsides, poly
-        assert poly.horizontal_edge_sides() == hsides, poly
+        assert horizontal_edge_sides(poly) == hsides, poly
         labels.update(vsides.values(), hsides.values())
     assert labels == {"left", "right", "bottom", "top"}, labels
 
@@ -356,7 +360,7 @@ def assert_line_reads_agree(poly, rin) -> int:
     bounding box, for every x across it, the least anchor whose fence
     strictly crosses x.  Returns the number of crossings found."""
     ref = ref_enumerate_line_fences(poly, rin)
-    fences = line_fences(poly, rin)
+    fences = LineFences(poly, rin)
     furthest = ref_furthest(ref)
     edges = poly.edges()
     for idx, side in poly.vertical_edge_sides().items():
@@ -403,5 +407,7 @@ def test_line_fences_agree_on_stray_rects():
                 rin.append((rid, r))
             crossings += assert_line_reads_agree(poly, rin)
             for _rid, r in rin:
-                assert protecting_fences(poly, rin, r) == ref_protecting_fences(poly, rin, r)
+                assert LineFences(poly, rin).protecting(r) == ref_protecting_fences(
+                    poly, rin, r
+                )
     assert crossings > 1000, crossings

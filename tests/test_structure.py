@@ -6,14 +6,12 @@ import pytest
 from misr.geom_core import Point, Rect, RectPolygon
 from misr.instance import Solution, exact_mis, generate, preprocess
 from misr.structure import (
+    LineFences,
     MaximalSet,
     StructureError,
     assert_maximal,
     classify_nesting,
     classify_nice,
-    is_protected,
-    is_tau_protected,
-    line_fences,
     maximal_extension,
     sees,
     seen_corners_on_side,
@@ -256,14 +254,14 @@ class TestLineFences:
         return RectPolygon.from_rect(Rect(0, 0, 9, 9))
 
     def test_empty_set_no_fences(self):
-        fences = line_fences(self.poly(), [])
+        fences = LineFences(self.poly(), [])
         assert all(fences.furthest(p, left) is None for p, left in anchors(self.poly()))
 
     def test_single_point_fence_on_shared_edge(self):
         # a rect whose left edge lies on the polygon's left boundary: the
         # anchors inside that edge hold point fences, and nothing more
         rects = [(0, Rect(0, 3, 4, 6))]
-        fences = line_fences(self.poly(), rects)
+        fences = LineFences(self.poly(), rects)
         points = {
             p for p, left in anchors(self.poly()) if fences.furthest(p, left) == p.x
         }
@@ -271,7 +269,7 @@ class TestLineFences:
 
     def test_fence_ends_at_features(self):
         rects = [(0, Rect(2, 3, 5, 6)), (1, Rect(7, 2, 9, 7))]
-        fences = line_fences(self.poly(), rects)
+        fences = LineFences(self.poly(), rects)
         # from the left edge at the height of rect 0's top edge: the ray
         # passes its TR corner then stops inside rect 1's left edge
         assert fences.furthest(Point(0, 6), left=True) == 7
@@ -292,7 +290,7 @@ class TestLineFences:
         for _ in range(15):
             poly = notched_polygon(rng, rng.choice((8, 12, 16)), width=12, height=10)
             rects = list(enumerate(fill_with_maximal_rects(rng, poly, 3)))
-            fences = line_fences(poly, rects)
+            fences = LineFences(poly, rects)
             for p, left in anchors(poly):
                 end = fences.furthest(p, left)
                 if end is None:
@@ -307,7 +305,7 @@ class TestProtection:
     def test_fence_covering_top_edge_protects(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 9, 9))
         rects = [(0, Rect(3, 3, 6, 6))]
-        assert is_protected(Rect(3, 3, 6, 6), poly, rects)
+        assert LineFences(poly, rects).protected(Rect(3, 3, 6, 6))
 
     def test_blocked_rect_unprotected(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 20, 20))
@@ -317,8 +315,8 @@ class TestProtection:
             (1, Rect(2, 6, 5, 13)),    # tall wall left of mid
             (2, Rect(15, 6, 18, 13)),  # tall wall right of mid
         ]
-        assert not is_protected(mid, poly, rects)
-        assert is_protected(Rect(2, 6, 5, 13), poly, rects)
+        assert not LineFences(poly, rects).protected(mid)
+        assert LineFences(poly, rects).protected(Rect(2, 6, 5, 13))
 
     def test_tau_protection_monotone(self):
         rng = random.Random(7)
@@ -327,7 +325,9 @@ class TestProtection:
             rects = fill_with_maximal_rects(rng, poly, 3)
             rin = list(enumerate(rects))
             for r in rects:
-                flags = [is_tau_protected(r, poly, rin, tau) for tau in (1, 2, 3, 5)]
+                flags = [
+                    LineFences(poly, rin).tau_protected(r, tau) for tau in (1, 2, 3, 5)
+                ]
                 for a, b in zip(flags, flags[1:]):
                     assert not a or b, "tau-protection must be monotone in tau"
 
@@ -338,8 +338,8 @@ class TestProtection:
         mid = Rect(4, 4, 8, 8)
         walls = Rect(2, 7, 3, 12)
         rects = [(0, mid), (1, walls)]
-        assert is_protected(mid, poly, rects)
-        assert is_tau_protected(mid, poly, rects, 3)
+        assert LineFences(poly, rects).protected(mid)
+        assert LineFences(poly, rects).tau_protected(mid, 3)
 
     def test_unprotected_between_walls_for_small_tau(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 20, 20))
@@ -349,6 +349,6 @@ class TestProtection:
             (1, Rect(2, 6, 5, 13)),
             (2, Rect(15, 6, 18, 13)),
         ]
-        assert not is_tau_protected(mid, poly, rects, 1)
+        assert not LineFences(poly, rects).tau_protected(mid, 1)
         # with a big enough budget the chain can wind over the walls
-        assert is_tau_protected(mid, poly, rects, 5)
+        assert LineFences(poly, rects).tau_protected(mid, 5)
