@@ -99,12 +99,17 @@ def check_tau(tau: Optional[int]) -> Optional[int]:
 READERS = {"tau": ("three", "two_eps"), "eps": ("two_eps",)}
 
 
-def check_read(algo: str, tau: Optional[int], eps: Optional[Fraction]) -> None:
-    """Refuse a --tau or --eps that the algo's pipeline would not read."""
+def check_read(
+    algos: Sequence[str], tau: Optional[int], eps: Optional[Fraction]
+) -> None:
+    """Refuse a --tau or --eps that none of the algos' pipelines would
+    read."""
     for name, value in (("tau", tau), ("eps", eps)):
-        if value is not None and algo not in READERS[name]:
+        if value is not None and not set(algos).intersection(READERS[name]):
             readers = " and ".join(READERS[name])
-            raise InstanceError(f"--{name} is read only by {readers}, not by {algo}")
+            raise InstanceError(
+                f"--{name} is read only by {readers}, not by {' or '.join(algos)}"
+            )
 
 
 @dataclass
@@ -368,7 +373,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     eps = parse_eps(args.eps) if args.eps else None
     tau = check_tau(args.tau)
-    check_read(args.algo, tau, eps)
+    check_read((args.algo,), tau, eps)
     sol, report, artifacts = run_pipeline(
         inst,
         args.algo,
@@ -390,7 +395,7 @@ def cmd_certify(args) -> int:
     inst = _load_instance(args.input)
     eps = parse_eps(args.eps) if args.eps else None
     tau = check_tau(args.tau)
-    check_read(args.regime, tau, eps)
+    check_read((args.regime,), tau, eps)
     sol, report, artifacts = run_pipeline(inst, args.regime, tau=tau, eps=eps)
     if args.out:
         write_json(args.out, artifacts)
@@ -422,12 +427,15 @@ def cmd_bench(args) -> int:
     A row's ms is the wall time of one call: for an exact row the oracle
     call, for a regime row its whole pipeline (oracle, extension,
     partition, charging and checks), for a dp row dp_solve alone, without
-    the oracle run that gives its opt."""
+    the oracle run that gives its opt.  A --tau or --eps that no row
+    reads is refused; each goes only to the rows of its READERS."""
     ns = range(args.n_min, args.n_max + 1)
     seeds = range(args.seeds)
     algos = _shapes(args.algos)
-    eps = parse_eps(args.eps) if args.eps else Fraction(1)
+    given_eps = parse_eps(args.eps) if args.eps else None
     tau = check_tau(args.tau)
+    check_read(algos, tau, given_eps)
+    eps = given_eps or Fraction(1)
     rows = []
     for family in _shapes(args.families):
         for n in ns:
@@ -454,8 +462,9 @@ def cmd_bench(args) -> int:
                             ).size
                         else:
                             _sol, rep, _a = run_pipeline(
-                                inst, algo, eps=eps if algo == "two_eps" else None,
-                                tau=tau,
+                                inst, algo,
+                                eps=eps if algo in READERS["eps"] else None,
+                                tau=tau if algo in READERS["tau"] else None,
                             )
                             val, opt = rep.achieved, rep.opt
                         ms = (time.perf_counter() - t0) * 1000

@@ -26,7 +26,6 @@ budgets.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, pairwise
@@ -188,24 +187,17 @@ def repair_nonsimple(
     and whose endpoints land on boundary edges far enough apart that both
     resulting components stay within the edge budget.
 
-    The candidate rule (contained original segments <= d(e,e')-1) follows
-    the counting argument that guarantees such a subpath exists; every
-    candidate is verified concretely before being accepted.  When no
-    candidate both splits cleanly and satisfies the rule, the guarantee
-    failed: ConstructionError.
+    The candidates are the boundary-to-boundary paths over the cut's
+    pieces, tried in cand_key order; the first that splits the polygon
+    into two simple parts within the edge budget is the repair.  The
+    paper's counting argument (a subpath holding at most d(e,e')-1
+    original segments) only shows that such a subpath exists.  When no
+    candidate splits cleanly, the guarantee failed: ConstructionError.
     """
-    k = poly.num_edges
-
-    # Cut segments refined at boundary contacts and mutual endpoints.  A
-    # path contains segment si when it holds all need[si] of its pieces and
-    # those span it (need -1: part of it runs along the boundary).
+    # Cut segments refined at boundary contacts and mutual endpoints.
     refined = cut_pieces(poly, segments)
     pieces = [piece for sp in refined for piece in sp]
     piece_owner = [si for si, sp in enumerate(refined) for _ in sp]
-    need = [
-        len(sp) if sum(p.length for p in sp) == s.length else -1
-        for s, sp in zip(segments, refined)
-    ]
 
     # Graph on piece endpoints.
     adj: dict[Point, list[int]] = {}
@@ -244,43 +236,19 @@ def repair_nonsimple(
 
     candidates.sort(key=cand_key)
 
-    def contained_original_count(path: list[int]) -> int:
-        held = Counter(piece_owner[pi] for pi in path)
-        return sum(1 for si, count in held.items() if count == need[si])
-
     for path in candidates:
         segs = _merge_segments([pieces[pi] for pi in path])
         try:
             comps = split_components(poly, Cut(tuple(segs)))
         except (CutError, GeometryError):
             continue
-        ok = (
+        if (
             len(comps) == 2
             and all(c.is_simple for c in comps)
             and all(c.num_edges <= max_edges for c in comps)
-        )
-        if not ok:
-            continue
-        ends = [p for p in (_path_ends(pieces, path)) if p is not None]
-        rule_ok = False
-        if len(ends) == 2:
-            best_d = 0
-            for ei in poly.edges_at(ends[0]):
-                for ej in poly.edges_at(ends[1]):
-                    best_d = max(best_d, edge_distance(k, min(ei, ej), max(ei, ej)))
-            rule_ok = contained_original_count(path) <= best_d - 1
-        if rule_ok:
+        ):
             return segs
     raise ConstructionError("no repairable subpath found")
-
-
-def _path_ends(pieces: list[Segment], path: list[int]) -> list[Optional[Point]]:
-    counts: dict[Point, int] = {}
-    for pi in path:
-        for p in (pieces[pi].a, pieces[pi].b):
-            counts[p] = counts.get(p, 0) + 1
-    ends = sorted(p for p, c in counts.items() if c == 1)
-    return ends if len(ends) == 2 else [None]
 
 
 # -- k/3 vertical chord --------------------------------------------------------
@@ -449,24 +417,22 @@ def line_partition_cut(
             return Point(start.x, bound), []
         _order, y, r = hit
         qp = Point(start.x, y)
-        pf = fences.protecting(r)[0]
-        covered_y = pf.chain[0].a.y
+        # r is protected, so a fence holds its top or bottom edge; the
+        # first one (top before bottom, left anchors before right) decides
+        a = fences.anchors(r)
+        covered_y, xs, side_x = next(
+            t for t in (
+                (r.yt, a.top_lefts, r.xl),
+                (r.yt, a.top_rights, r.xr),
+                (r.yb, a.bottom_lefts, r.xl),
+                (r.yb, a.bottom_rights, r.xr),
+            ) if t[1]
+        )
+        anchor = Point(xs[0], covered_y)
         if covered_y == (r.yt if down else r.yb):
-            # the protecting fence runs along the very edge the ray hit
-            return qp, [pf.anchor]
-        if pf.side == "from_left_edge":
-            walk = [
-                Point(r.xl, y),
-                Point(r.xl, covered_y),
-                pf.anchor,
-            ]
-        else:
-            walk = [
-                Point(r.xr, y),
-                Point(r.xr, covered_y),
-                pf.anchor,
-            ]
-        return qp, walk
+            # that fence runs along the very edge the ray hit
+            return qp, [anchor]
+        return qp, [Point(side_x, y), Point(side_x, covered_y), anchor]
 
     qb, tail_b = ray_stop(p_prime, down=True)
     qt, tail_t = ray_stop(p_prime, down=False)

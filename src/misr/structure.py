@@ -2,7 +2,7 @@
 niceness labels, corridor visibility ("sees"), and fence/protection
 machinery for single-segment fences and for chains of up to tau segments.
 
-Fence conventions (all exact, all integral):
+Conventions for fences (all exact, all integral):
   * a line fence is one horizontal segment from an integral point on a
     vertical polygon edge to a rectangle feature (left-edge interior or a
     far corner), crossing no rectangle contained in the polygon;
@@ -20,8 +20,9 @@ kept in the record:
   rows      one record per row (_Row): the line cut's reads, the furthest
             fence of each anchor and the free pieces of the row;
   anchors   per rect, the anchors of the line fences holding its top and
-            bottom edges, which answer line protection (protected,
-            protecting) and certify tau-protection;
+            bottom edges, which answer line protection (protected), give
+            the line cut the fence of a rect its ray hits and certify
+            tau-protection;
   engine    per tau, one FenceEngine with its move table and search
             tables, built only when a tau query is left open by the line
             fences.
@@ -249,12 +250,11 @@ def _anti_transpose(rects: Sequence[Rect]) -> list[Rect]:
 
 # The frame in which each side's corridors run rightward, and the corner
 # of the base case (right, TL or BL) that each (side, corner) pair becomes
-# there: the seven non-base combinations are reflections of right/TL.
+# there.  Only the pairs the library asks about are listed.
 _SEE_FRAMES: dict[str, Optional[Callable]] = {
     "right": None,
     "left": _mirror_x,
     "bottom": _anti_transpose,
-    "top": lambda rs: _anti_transpose(_mirror_x(_mirror_y(rs))),
 }
 _SEE_BASE_CORNER: dict[tuple[str, str], str] = {
     ("right", "TL"): "TL",
@@ -262,9 +262,6 @@ _SEE_BASE_CORNER: dict[tuple[str, str], str] = {
     ("left", "TR"): "TL",
     ("left", "BR"): "BL",
     ("bottom", "TR"): "BL",
-    ("bottom", "TL"): "TL",
-    ("top", "BR"): "BL",
-    ("top", "BL"): "TL",
 }
 
 
@@ -289,10 +286,10 @@ def _sees_in_frame(
 def sees(rects: Sequence[Rect], i: int, j: int, corner: str, side: str) -> bool:
     """Corridor visibility from rects[i] to the named corner of rects[j].
 
-    Valid (side, corner) pairs: TL/BL on the right, TR/BR on the left,
-    TR/TL below, BR/BL above; the seven non-base combinations are the
-    reflections of the right/TL case.  Callers asking many questions on
-    one side build its frame once and ask _sees_in_frame.
+    Valid (side, corner) pairs, the ones the library asks about: TL/BL on
+    the right, TR/BR on the left and TR below; each is a reflection of
+    the right/TL case.  Callers asking many questions on one side build
+    its frame once and ask _sees_in_frame.
     """
     return _sees_in_frame(_see_frame(rects, side), i, j, corner, side)
 
@@ -354,20 +351,6 @@ def classify_nice(m: MaximalSet) -> NiceLabel:
 
 
 # -- line fences (single horizontal segments) --------------------------------
-
-
-@dataclass(frozen=True)
-class Fence:
-    """An x-monotone chain anchored on a vertical polygon edge.  Line
-    fences carry a single segment (possibly a degenerate point)."""
-
-    anchor: Point
-    chain: tuple[Segment, ...]
-    side: str  # 'from_left_edge' | 'from_right_edge'
-
-    @property
-    def endpoint(self) -> Point:
-        return self.chain[-1].b if self.chain else self.anchor
 
 
 def _crossing_rows(
@@ -451,8 +434,9 @@ class LineFences:
     reads are the furthest fence of an anchor, the least anchor whose
     fence strictly crosses a vertical line on a row, and, per rect, the
     anchors of the fences holding its top and bottom edges (anchors,
-    one record per rect), which answer protected, protecting,
-    one_edge_anchors_both and, with the engine, tau_protected.
+    one record per rect), which answer protected, one_edge_anchors_both
+    and, with the engine, tau_protected.  A fence holding an edge is read
+    as its anchor: it runs from there to the edge's far corner.
     """
 
     def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]):
@@ -592,30 +576,6 @@ class LineFences:
     def protected(self, r: Rect) -> bool:
         """Some line fence holds r's top or bottom edge."""
         return any(self.anchors(r))
-
-    def protecting(self, r: Rect) -> list[Fence]:
-        """The line fences containing r's top or bottom edge, built from
-        its anchors.
-
-        Only the fence ending at the covered edge's far corner needs
-        testing: if any covering fence exists, that one does.  Such a fence
-        from the anchor (x, y) exists when the segment from it to the far
-        corner lies in one free piece of row y (the row's record).
-        Deterministic order: top before bottom, left anchors before right,
-        then anchor position."""
-        a = self.anchors(r)
-        out = []
-        for y, lefts, rights in (
-            (r.yt, a.top_lefts, a.top_rights),
-            (r.yb, a.bottom_lefts, a.bottom_rights),
-        ):
-            for xa in lefts:
-                p = Point(xa, y)
-                out.append(Fence(p, (Segment(p, Point(r.xr, y)),), "from_left_edge"))
-            for xa in rights:
-                p = Point(xa, y)
-                out.append(Fence(p, (Segment(p, Point(r.xl, y)),), "from_right_edge"))
-        return out
 
     def one_edge_anchors_both(self, r: Rect) -> bool:
         """One vertical polygon edge anchors a fence holding r's top edge
@@ -759,11 +719,12 @@ class FenceEngine:
     ((ix*ny + iy)*4 + o)*3 + h for grid offset (ix, iy), orientation o and
     horizontal direction h; unreached states hold tau + 1, and the element
     type is the narrowest array type that holds tau + 1 (bytes up to
-    tau = 254).  There are two kinds of table, both cached in the engine:
-    reach() tables, seeded at given anchor points, also keep each state's
-    predecessor state in a flat array (-1 for none), for chain_to;
-    protection tables, one per vertical polygon edge and seeded at every
-    point of it, keep none and are read only at the ends of a run.
+    tau = 254).  There are two kinds of table: reach() tables, seeded at
+    given anchor points and returned to the caller, also keep each
+    state's predecessor state in a flat array (-1 for none), for chain_to;
+    protection tables, one per vertical polygon edge, seeded at every
+    point of it and kept in the engine, keep none and are read only at the
+    ends of a run.
     """
 
     def __init__(
@@ -777,7 +738,7 @@ class FenceEngine:
         self.nx = x1 - x0 + 1
         self.ny = y1 - y0 + 1
         self._moves: Optional[bytes] = None
-        self._cache: dict = {}
+        self._edge_tables: dict[int, _Table] = {}
         self._trans = _step_rules(self.ny)
 
     def _steps(self) -> bytes:
@@ -844,12 +805,13 @@ class FenceEngine:
         return _Table(dist, parent)
 
     def reach(self, sources: Iterable[Point]) -> _Table:
-        """Chains emanating from any of the given anchor points."""
-        key = ("pts", tuple(sorted(set(sources))))
-        if key not in self._cache:
-            seeds = [(0, p.x - self.x0, p.y - self.y0, _START, 0) for p in key[1]]
-            self._cache[key] = self._bfs(seeds, with_parent=True)
-        return self._cache[key]
+        """Chains emanating from any of the given anchor points, searched
+        anew on each call.  The seeds go in sorted order, which fixes the
+        parents chain_to follows."""
+        seeds = [
+            (0, p.x - self.x0, p.y - self.y0, _START, 0) for p in sorted(set(sources))
+        ]
+        return self._bfs(seeds, with_parent=True)
 
     # queries ----------------------------------------------------------------
 
@@ -944,14 +906,13 @@ class FenceEngine:
     def _anchors(self, idx: int, y: int, x1: int, x2: int) -> bool:
         """The lookup of protects() for vertical edge idx and a walkable
         run."""
-        key = ("edge", idx)
-        table = self._cache.get(key)
+        table = self._edge_tables.get(idx)
         if table is None:
             e = self.poly.edges()[idx]
             ix = e.a.x - self.x0
             y1, y2 = sorted((e.a.y - self.y0, e.b.y - self.y0))
             seeds = [(0, ix, iy, _START, 0) for iy in range(y1, y2 + 1)]
-            table = self._cache[key] = self._bfs(seeds, with_parent=False)
+            table = self._edge_tables[idx] = self._bfs(seeds, with_parent=False)
         dist, tau = table.dist, self.tau
         for x, (straight, turns) in ((x1, _ONTO_RIGHT), (x2, _ONTO_LEFT)):
             base = ((x - self.x0) * self.ny + y - self.y0) * 12

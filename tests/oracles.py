@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -30,7 +31,7 @@ from misr.geom_core import (
 from misr.instance import Instance
 from misr.partition import Chord, _make_chord
 from misr.structure import (
-    Fence,
+    LineFences,
     MaximalSet,
     StructureError,
     _sees_right_base,
@@ -1006,10 +1007,6 @@ def _ref_mirror_x(rects: Sequence[Rect]) -> list[Rect]:
     return [Rect(-r.xr, r.yb, -r.xl, r.yt) for r in rects]
 
 
-def _ref_mirror_y(rects: Sequence[Rect]) -> list[Rect]:
-    return [Rect(r.xl, -r.yt, r.xr, -r.yb) for r in rects]
-
-
 def _ref_anti_transpose(rects: Sequence[Rect]) -> list[Rect]:
     return [Rect(-r.yt, -r.xr, -r.yb, -r.xl) for r in rects]
 
@@ -1020,9 +1017,6 @@ _REF_SEE = {
     ("left", "TR"): (_ref_mirror_x, "TL"),
     ("left", "BR"): (_ref_mirror_x, "BL"),
     ("bottom", "TR"): (_ref_anti_transpose, "BL"),
-    ("bottom", "TL"): (_ref_anti_transpose, "TL"),
-    ("top", "BR"): (lambda rs: _ref_anti_transpose(_ref_mirror_x(_ref_mirror_y(rs))), "BL"),
-    ("top", "BL"): (lambda rs: _ref_anti_transpose(_ref_mirror_x(_ref_mirror_y(rs))), "TL"),
 }
 
 
@@ -1493,6 +1487,42 @@ class _Splitter:
         return RectPolygon(loop)
 
 
+# -- line fences ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fence:
+    """An x-monotone chain anchored on a vertical polygon edge.  Line
+    fences carry a single segment (possibly a degenerate point)."""
+
+    anchor: Point
+    chain: tuple[Segment, ...]
+    side: str  # 'from_left_edge' | 'from_right_edge'
+
+    @property
+    def endpoint(self) -> Point:
+        return self.chain[-1].b if self.chain else self.anchor
+
+
+def protecting_fences(record: LineFences, r: Rect) -> list[Fence]:
+    """The line fences holding r's top or bottom edge, built from the
+    record's anchors of r: each runs from its anchor to the edge's far
+    corner.  Order: top before bottom, left anchors before right, each
+    side's anchors ascending, the order the line cut reads them in."""
+    a = record.anchors(r)
+    out = []
+    for y, lefts, rights in (
+        (r.yt, a.top_lefts, a.top_rights),
+        (r.yb, a.bottom_lefts, a.bottom_rights),
+    ):
+        for xa in lefts:
+            p = Point(xa, y)
+            out.append(Fence(p, (Segment(p, Point(r.xr, y)),), "from_left_edge"))
+        for xa in rights:
+            p = Point(xa, y)
+            out.append(Fence(p, (Segment(p, Point(r.xl, y)),), "from_right_edge"))
+    return out
+
 
 def _fence_features_rightward(
     rects_in: Sequence[tuple[int, Rect]], y: int, x_from: int, x_to: int
@@ -1570,7 +1600,7 @@ def ref_crossing_anchor(fences: Sequence[Fence], y: int, x: int) -> Optional[int
 def ref_protecting_fences(
     poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], r: Rect
 ) -> list[Fence]:
-    """LineFences.protecting as first written: per rect, each facing vertical
+    """protecting_fences as first written: per rect, each facing vertical
     edge tested with a segment containment and a scan of every rect."""
     out: list[Fence] = []
     sides = poly.vertical_edge_sides()

@@ -31,17 +31,18 @@ sha256 of the cut, ell, intersected rects, parts and assignment; and
 each criterion-7 polygon with its spanning chord and the chord's
 endpoint-edge distance d, so a diff shows whether d grew.  A unit that
 raises shows the type and message of the error instead.  This section
-builds its units with tests/oracles.py, the only section that imports it;
-run against an older checkout's src, it still takes oracles.py from the
-script's own directory.
+builds its units with tests/oracles.py; run against an older checkout's
+src, it still takes oracles.py from the script's own directory, and so
+does the protection section.
 
 The protection section: the partition section's runs again, with one
 line per node that holds a rect: the run, the node id and the first 16
 hex digits of the sha256 of the node's facts that line and chain
 protection read from one LineFences record of the node, namely every
-rect's protecting list (anchor, far end and side of each fence, in
-order) and the fence engine's move table, and under three and two_eps
-every rect's tau_protected verdict at the run's tau.  Against an older
+rect's line fences (anchor, far end and side of each, in order; built
+by oracles.protecting_fences from the record's anchors of the rect),
+the fence engine's move table and, under three and two_eps, every
+rect's tau_protected verdict at the run's tau.  Against an older
 src without tau_protected, the verdicts come from is_tau_protected.  A
 run that raises shows the type and message of the error instead, once.
 
@@ -236,12 +237,14 @@ def _tau_verdicts(record, rects_in, tau) -> list[bool]:
 
 
 def _node_facts(run, node) -> str:
+    from oracles import protecting_fences
+
     rects_in = [(i, run.work_rects[i]) for i in node.rects]
     poly = node.polygon
     record = LineFences(poly, rects_in)
     fences = [
         [rid, [[f.anchor.x, f.anchor.y, f.endpoint.x, f.endpoint.y, f.side]
-               for f in record.protecting(r)]]
+               for f in protecting_fences(record, r)]]
         for rid, r in rects_in
     ]
     # the move table does not depend on the budget

@@ -153,11 +153,16 @@ class TestSolveAndCertify:
             ["solve", "{file}", "--algo", "exact", "--eps", "1"],
             ["solve", "{file}", "--algo", "dp", "--tau", "3"],
             ["solve", "{file}", "--algo", "dp", "--eps", "1/2"],
+            ["bench", "--families", "windmill", "--n-min", "4", "--n-max", "4",
+             "--seeds", "1", "--algos", "six,exact", "--tau", "3"],
+            ["bench", "--families", "windmill", "--n-min", "4", "--n-max", "4",
+             "--seeds", "1", "--algos", "six,three", "--eps", "1/2"],
         ],
         ids=[
             "certify-six-tau", "certify-six-eps", "certify-three-eps",
             "solve-six-tau", "solve-three-eps", "solve-exact-tau",
             "solve-exact-eps", "solve-dp-tau", "solve-dp-eps",
+            "bench-six-exact-tau", "bench-six-three-eps",
         ],
     )
     def test_unread_option_refused(self, windmill_file, command, capsys):
@@ -170,6 +175,19 @@ class TestSolveAndCertify:
         assert captured.err.startswith(f"error: {option} is read only by ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_bench_tau_read_by_one_row(self, tmp_path):
+        """A --tau that one row reads runs; the rows that do not read it
+        run as if it were not given."""
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--families", "windmill", "--n-min", "4", "--n-max", "4",
+                "--seeds", "1", "--algos", "six,three", "--out", str(out)]
+        assert run_cli(args + ["--tau", "3"]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["algo"] for r in rows] == ["six", "three"]
+        assert run_cli(args) == 0
+        plain = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows[0]["value"] == plain[0]["value"]
 
     def test_tau_checked_before_its_reader(self, windmill_file, capsys):
         assert run_cli(["certify", windmill_file, "--regime", "six", "--tau", "0"]) == 2

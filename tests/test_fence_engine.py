@@ -23,6 +23,7 @@ from oracles import (
     criterion_6_units,
     line_protected,
     nested_is_tau_protected,
+    protecting_fences,
     ref_moves,
     ref_protecting_fences,
 )
@@ -169,8 +170,8 @@ def assert_line_protection_agrees(poly, rin, count) -> None:
     shared = LineFences(poly, rin)
     for _rid, r in rin:
         ref = ref_protecting_fences(poly, rin, r)
-        assert LineFences(poly, rin).protecting(r) == ref, (poly, rin, r)
-        assert shared.protecting(r) == ref, (poly, rin, r)
+        assert protecting_fences(LineFences(poly, rin), r) == ref, (poly, rin, r)
+        assert protecting_fences(shared, r) == ref, (poly, rin, r)
         assert shared.protected(r) == line_protected(r, poly, rin)
         count[bool(ref)] += 1
 

@@ -401,6 +401,29 @@ class TestRecursivePartition:
         lab = classify_nesting(wm)
         assert 2 * len(lab.horizontally_nested) <= len(run.work_rects)
 
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize(
+        "regime, family, n, seed, node_id, case, seg",
+        [
+            ("three", "uniform_random", 10, 1, 2, "general-0+repair", (9, 7, 19, 7)),
+            ("six", "packed", 12, 4, 5, "line+repair+mirrored", (9, 4, 13, 4)),
+        ],
+        ids=["three", "six"],
+    )
+    def test_repaired_cut_pinned(self, regime, family, n, seed, node_id, case, seg, check):
+        """The one repaired node of a run: the subpath repair_nonsimple
+        chose fixes its case, its cut and its ell."""
+        inst = generate(family, n, seed)
+        m = maximal_extension(exact_mis(inst), inst)
+        run = recursive_partition(m, regime, check=check)
+        repaired = [node for node in run.nodes if "repair" in node.case]
+        assert [node.id for node in repaired] == [node_id]
+        node = repaired[0]
+        assert node.case == case
+        assert node.cut.segments == (Segment(Point(*seg[:2]), Point(*seg[2:])),)
+        assert node.cut.shape == "path"
+        assert node.ell is None and node.intersected == ()
+
 
 def count_builds(monkeypatch, *classes) -> Counter:
     """Count the instances of each class built while the patch holds."""

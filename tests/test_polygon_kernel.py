@@ -33,6 +33,7 @@ from oracles import (
     brute_force_hconvex,
     criterion_6_units,
     horizontal_edge_sides,
+    protecting_fences,
     ref_contains_doubled,
     ref_contains_rect,
     ref_edge_sides,
@@ -407,7 +408,7 @@ def test_line_fences_agree_on_stray_rects():
                 rin.append((rid, r))
             crossings += assert_line_reads_agree(poly, rin)
             for _rid, r in rin:
-                assert LineFences(poly, rin).protecting(r) == ref_protecting_fences(
-                    poly, rin, r
-                )
+                assert protecting_fences(
+                    LineFences(poly, rin), r
+                ) == ref_protecting_fences(poly, rin, r)
     assert crossings > 1000, crossings
