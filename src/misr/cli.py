@@ -428,16 +428,25 @@ def cmd_bench(args) -> int:
     call, for a regime row its whole pipeline (oracle, extension,
     partition, charging and checks), for a dp row dp_solve alone, without
     the oracle run that gives its opt.  A --tau or --eps that no row
-    reads is refused; each goes only to the rows of its READERS."""
+    reads is refused; each goes only to the rows of its READERS.  So is a
+    sweep with no row: no n from --n-min to --n-max, no seed, no family
+    or no algo."""
     ns = range(args.n_min, args.n_max + 1)
     seeds = range(args.seeds)
+    families = _shapes(args.families)
     algos = _shapes(args.algos)
+    if not ns:
+        raise InstanceError(f"empty sweep: --n-min {args.n_min} is above --n-max {args.n_max}")
+    if not seeds:
+        raise InstanceError(f"empty sweep: --seeds must be at least 1: {args.seeds}")
+    if not families or not algos:
+        raise InstanceError(f"empty sweep: no {'family' if not families else 'algo'} given")
     given_eps = parse_eps(args.eps) if args.eps else None
     tau = check_tau(args.tau)
     check_read(algos, tau, given_eps)
     eps = given_eps or Fraction(1)
     rows = []
-    for family in _shapes(args.families):
+    for family in families:
         for n in ns:
             for seed in seeds:
                 inst = generate(family, n, seed)

@@ -36,22 +36,33 @@ before any part is built: both parts within k for a path cut, or one
 within k and the other within k + 2 * cut_budget for a tree cut's seed;
 a walk with no such use is counted as tried and skipped.
 
-A cell's rects are tested on the cell's ``edge_tables``, its walk
-corridors on the boundary-touch tables that ``touch_tables`` builds in
-one sweep over the same tables, and a cell looks for rects only among
-its parent's.
+A cell looks for rects only among its parent's.  A cell that is no
+rectangle tests them on its ``edge_tables``, and its walk corridors on
+the boundary-touch tables that ``touch_tables`` builds in one sweep over
+the same tables.
 
 For k = 4 every cell is a rectangle and any subdivision of a rectangle
 into at most three rectangles is realizable by straight chords applied
-recursively, so single-segment cuts are complete and the enumerator
-stops there.
+recursively, so single-segment cuts are complete and the walk budget is
+one segment.  A rectangle cell is read off its corners: its rects are
+those whose doubled corners lie in its doubled box, and at a walk budget
+of one its cuts are its chords (``_chords``), each part spelled from the
+cell's corners and its doubled area from their differences.  The chords
+are all the walks there are: a one-segment walk leaves the boundary into
+the interior and ends at the boundary, and in a rectangle that is a
+segment on a grid line strictly inside, from one side to the opposite
+one.  ``_chords`` yields them in the order ``_enumerate_walks`` does and
+each part as ``surgery`` would, so the memo, the early exit and the tie
+rule see the same cuts.  Every other cell, and a rectangle cell at a
+walk budget of two or more, goes through ``_CellGeometry``,
+``_enumerate_walks``, ``splice_plan`` and ``surgery``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .geom_core import (
     CutError,
@@ -126,6 +137,11 @@ def containment_prune(rects: Sequence[Rect]) -> list[int]:
     return keep
 
 
+# a cut's walk, and its two parts: each a canonical loop and its doubled area
+Walk = list[tuple[int, int]]
+Parts = tuple[tuple[Loop, int], tuple[Loop, int]]
+
+
 # -- vertex loops ----------------------------------------------------------------
 
 
@@ -154,7 +170,7 @@ def surgery(
     walk: Sequence[tuple[int, int]],
     area2: int,
     plan: Optional[tuple[int, int, int, int, int, int]] = None,
-) -> tuple[tuple[Loop, int], tuple[Loop, int]]:
+) -> Parts:
     """Split a canonical cell loop of doubled area ``area2`` along an
     interior-clean path whose endpoints are on the boundary, at the
     ``splice_plan`` given or found; returns the two canonical part loops,
@@ -167,8 +183,12 @@ def surgery(
         half1, half2 = splice_loop(loop, walk, plan)
     except CutError as e:
         raise DpError(str(e)) from None
-    part1 = _oriented(half1)
-    part2 = _oriented(half2)
+    return _summed(_oriented(half1), _oriented(half2), area2)
+
+
+def _summed(part1: tuple[Loop, int], part2: tuple[Loop, int], area2: int) -> Parts:
+    """The two parts, after ``surgery``'s check that their areas add up to
+    the cell's."""
     if part1[1] + part2[1] != area2:
         raise DpError("path split lost area")
     return part1, part2
@@ -297,6 +317,52 @@ def _enumerate_walks(geom: _CellGeometry, budget: int) -> Iterator[list[tuple[in
                     yield from extend([a, mid], budget - 1, dx, dy)
 
 
+def _kernel_cuts(
+    loop: Loop,
+    area2: int,
+    geom: _CellGeometry,
+    budget: int,
+    usable: Callable[[int, int], bool],
+) -> Iterator[tuple[Walk, Optional[Parts]]]:
+    """Each walk of ``_enumerate_walks`` on the cell (loop, doubled area)
+    with the two canonical parts ``surgery`` cuts, or None where
+    ``splice_plan`` or ``surgery`` rejects the walk or ``usable`` rejects
+    the part sizes it counted, before any part is built."""
+    for walk in _enumerate_walks(geom, budget):
+        parts = None
+        try:
+            plan = splice_plan(loop, walk)
+        except CutError:
+            plan = None
+        if plan is not None and usable(*plan[4:]):
+            try:
+                parts = surgery(loop, walk, area2, plan)
+            except DpError:
+                pass
+        yield walk, parts
+
+
+def _chords(
+    loop: Loop, area2: int, gxs: Sequence[int], gys: Sequence[int]
+) -> Iterator[tuple[Walk, Parts]]:
+    """The walks of one segment of the rectangle cell
+    ``((x0, y0), (x0, y1), (x1, y1), (x1, y0))`` of doubled area ``area2``,
+    with their parts, read off the corners: what ``_kernel_cuts`` gives at
+    walk budget 1, in its order.  Those walks are the chords: the
+    horizontal one at each grid y strictly between y0 and y1, ascending,
+    parts top then bottom, then the vertical one at each grid x strictly
+    between x0 and x1, ascending, parts left then right."""
+    (x0, y0), (_, y1), (x1, _) = loop[:3]
+    for y in gys[bisect_right(gys, y0) : bisect_left(gys, y1)]:
+        top = ((x0, y), (x0, y1), (x1, y1), (x1, y)), 2 * (x1 - x0) * (y1 - y)
+        bottom = ((x0, y0), (x0, y), (x1, y), (x1, y0)), 2 * (x1 - x0) * (y - y0)
+        yield [(x0, y), (x1, y)], _summed(top, bottom, area2)
+    for x in gxs[bisect_right(gxs, x0) : bisect_left(gxs, x1)]:
+        left = ((x0, y0), (x0, y1), (x, y1), (x, y0)), 2 * (x - x0) * (y1 - y0)
+        right = ((x, y0), (x, y1), (x1, y1), (x1, y0)), 2 * (x1 - x) * (y1 - y0)
+        yield [(x, y0), (x, y1)], _summed(left, right, area2)
+
+
 def dp_solve(
     inst: Instance,
     k: int = 4,
@@ -324,6 +390,13 @@ def dp_solve(
     use_path = "path" in cfg.shapes
     # a part a tree cut branches into may exceed k by two edges per segment
     tree_k = cfg.k + 2 * cfg.cut_budget
+    budget = 1 if cfg.k == 4 else cfg.cut_budget
+
+    def usable(n1: int, n2: int) -> bool:
+        """Can parts of n1 and n2 vertices be a path cut or a tree cut's seed?"""
+        if n1 <= cfg.k and n2 <= cfg.k:
+            return True
+        return use_tree and min(n1, n2) <= cfg.k and max(n1, n2) <= tree_k
 
     def solve(cell: tuple[Loop, int], cands) -> tuple[int, tuple[int, ...]]:
         """Best (size, chosen) in the cell (loop, doubled area); ``cands``
@@ -334,23 +407,36 @@ def dp_solve(
             return hit
         if len(memo) >= cfg.cell_cap:
             raise DpCellCapError(f"memo exceeded {cfg.cell_cap} cells")
-        tables = edge_tables(loop)
-        vtab, htab = tables
-        inside = [
-            c for c in cands if loop_contains_rect_doubled(vtab, htab, c[1], c[2], c[3], c[4])
-        ]
+        rectangle = len(loop) == 4
+        if rectangle:
+            # the loop is ((x0, y0), (x0, y1), (x1, y1), (x1, y0))
+            X0, Y0 = 2 * loop[0][0], 2 * loop[0][1]
+            X1, Y1 = 2 * loop[2][0], 2 * loop[2][1]
+            tables = None
+            inside = [
+                c for c in cands if X0 <= c[1] and c[3] <= X1 and Y0 <= c[2] and c[4] <= Y1
+            ]
+        else:
+            tables = edge_tables(loop)
+            vtab, htab = tables
+            inside = [
+                c for c in cands if loop_contains_rect_doubled(vtab, htab, c[1], c[2], c[3], c[4])
+            ]
         if len(inside) <= 1:
             result = (len(inside), tuple(c[0] for c in inside))
             memo[loop] = result
             return result
-        xs0 = min(p[0] for p in loop)
-        xs1 = max(p[0] for p in loop)
-        ys0 = min(p[1] for p in loop)
-        ys1 = max(p[1] for p in loop)
-        xs = gxs[bisect_left(gxs, xs0) : bisect_right(gxs, xs1)]
-        ys = gys[bisect_left(gys, ys0) : bisect_right(gys, ys1)]
-        geom = _CellGeometry(loop, xs, ys, tables)
-        budget = 1 if cfg.k == 4 else cfg.cut_budget
+        if rectangle and budget == 1:
+            cuts = _chords(loop, area2, gxs, gys)
+        else:
+            xs0 = min(p[0] for p in loop)
+            xs1 = max(p[0] for p in loop)
+            ys0 = min(p[1] for p in loop)
+            ys1 = max(p[1] for p in loop)
+            xs = gxs[bisect_left(gxs, xs0) : bisect_right(gxs, xs1)]
+            ys = gys[bisect_left(gys, ys0) : bisect_right(gys, ys1)]
+            geom = _CellGeometry(loop, xs, ys, tables)
+            cuts = _kernel_cuts(loop, area2, geom, budget, usable)
         bound = len(inside)
         best: tuple[int, tuple[int, ...]] = (1, (inside[0][0],))
 
@@ -369,22 +455,13 @@ def dp_solve(
             return best[0] >= bound
 
         done = False
-        tree_seeds: list[tuple[list[tuple[int, int]], tuple]] = []
-        for walk in _enumerate_walks(geom, budget):
+        tree_seeds: list[tuple[Walk, Parts]] = []
+        for walk, parts in cuts:
             if stats is not None:
                 stats.cuts_tried += 1
-            try:
-                plan = splice_plan(loop, walk)
-            except CutError:
+            if parts is None:
                 continue
-            n1, n2 = plan[4:]
-            fits = n1 <= cfg.k and n2 <= cfg.k
-            if not fits and not (use_tree and min(n1, n2) <= cfg.k and max(n1, n2) <= tree_k):
-                continue  # no use of the parts fits: skip the surgery
-            try:
-                parts = surgery(loop, walk, area2, plan)
-            except DpError:
-                continue
+            fits = len(parts[0][0]) <= cfg.k and len(parts[1][0]) <= cfg.k
             if fits and (use_path or len(walk) == 2):
                 if consider(parts):
                     done = True

@@ -354,14 +354,27 @@ class TestBench:
         ms = {r["algo"]: float(r["ms"]) for r in csv.DictReader(out.read_text().splitlines())}
         assert ms["exact"] >= 50 and ms["dp"] < 50, ms
 
-    def test_header_only_when_no_seeds(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--n-min", "5", "--n-max", "3"], "--n-min 5 is above --n-max 3"),
+            (["--seeds", "0"], "--seeds must be at least 1: 0"),
+            (["--seeds", "-1"], "--seeds must be at least 1: -1"),
+            (["--families", ""], "no family given"),
+            (["--algos", " , "], "no algo given"),
+        ],
+        ids=["n-range", "no-seeds", "negative-seeds", "no-family", "no-algo"],
+    )
+    def test_empty_sweep_refused(self, tmp_path, extra, message, capsys):
+        """A sweep with no row is refused with one line, not answered with
+        a bare CSV header, and writes no file."""
         out = tmp_path / "bench.csv"
-        run_cli(
-            ["bench", "--families", "stacked_strips", "--n-min", "3",
-             "--n-max", "4", "--seeds", "0", "--out", str(out)]
-        )
-        lines = out.read_text().strip().splitlines()
-        assert lines == ["family,n,seed,algo,value,opt,ratio,ms,cells,cuts"]
+        args = ["bench", "--families", "stacked_strips", "--n-min", "3",
+                "--n-max", "4", "--seeds", "1", "--out", str(out)]
+        assert run_cli(args + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: empty sweep: {message}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_slope_fit(self):
         pts = [(2, 4.0), (4, 16.0), (8, 64.0)]

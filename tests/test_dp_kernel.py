@@ -3,7 +3,8 @@ against the DP's loop kernel as first written (oracles.py): canonical
 forms of random loops with spikes, repeated points and collinear runs,
 touch tables and corridors at every grid point of the DP's cells, the
 enumerated walks, surgery on every walk and on hand-built splices, the
-part sizes counted before surgery, and dp_solve's value and choice.
+part sizes counted before surgery, the chords of rectangle cells, and
+dp_solve's value and choice.
 
 The first-written enumeration also tries walks whose first segment runs
 along the cell boundary, and emits every walk from both ends.  The
@@ -22,6 +23,7 @@ from misr.dp_solver import (
     DpError,
     DpStats,
     _CellGeometry,
+    _chords,
     _enumerate_walks,
     canon_loop,
     containment_prune,
@@ -141,17 +143,27 @@ def test_merge_handles_diagonals_and_wraparound():
 
 @contextmanager
 def recorded_cells():
-    """Every cell a dp_solve run splits, and every part it gets back."""
+    """Every cell a dp_solve run splits, and every part it gets back, from
+    surgery or from the chords of a rectangle cell."""
     cells = {}
-    real = dp_solver.surgery
+    real_surgery = dp_solver.surgery
+    real_chords = dp_solver._chords
 
-    def wrapper(loop, walk, area2, plan=None):
+    def surgery(loop, walk, area2, plan=None):
         cells[loop] = area2
-        parts = real(loop, walk, area2, plan)
+        parts = real_surgery(loop, walk, area2, plan)
         cells.update(parts)
         return parts
 
-    with mock.patch.object(dp_solver, "surgery", wrapper):
+    def chords(loop, area2, gxs, gys):
+        for walk, parts in real_chords(loop, area2, gxs, gys):
+            cells[loop] = area2
+            cells.update(parts)
+            yield walk, parts
+
+    with mock.patch.object(dp_solver, "surgery", surgery), mock.patch.object(
+        dp_solver, "_chords", chords
+    ):
         yield cells
 
 
@@ -171,6 +183,7 @@ def dp_cells():
             ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
             out[loop] = (area2, xs, ys, 1 if k == 4 else b)
     assert len(out) > 1000
+    assert len(out) == 1772 and sum(len(loop) == 4 for loop in out) == 1313
     return out
 
 
@@ -252,6 +265,28 @@ def test_counted_part_sizes_are_exact(dp_cells):
             assert plan[4:] == (len(p1), len(p2)), (loop, walk)
             walks += 1
     assert walks > 10000
+
+
+def test_chords_are_the_kernel_cuts_at_budget_one(dp_cells):
+    """On every rectangle cell, the chords read off the corners are the
+    walks _enumerate_walks yields at walk budget 1, in its order, each
+    with the parts surgery cuts and splice_plan counted as (4, 4); grid
+    lines beyond the cell change nothing."""
+    rectangles = chords = 0
+    for loop, (area2, xs, ys, _b) in dp_cells.items():
+        if len(loop) != 4:
+            continue
+        want = []
+        for walk in _enumerate_walks(_CellGeometry(loop, xs, ys), 1):
+            plan = splice_plan(loop, walk)
+            assert plan[4:] == (4, 4), (loop, walk)
+            want.append((walk, surgery(loop, walk, area2, plan)))
+        assert list(_chords(loop, area2, xs, ys)) == want, loop
+        wide = lambda cs: [cs[0] - 1, *cs, cs[-1] + 1]
+        assert list(_chords(loop, area2, wide(xs), wide(ys))) == want, loop
+        rectangles += 1
+        chords += len(want)
+    assert rectangles == 1313 and chords > 5000
 
 
 def test_touch_tables_match_touch_intervals(dp_cells):
@@ -365,6 +400,28 @@ def test_dp_solve_matches_first_written(run):
     assert (sol.size, sol.chosen) == (size, chosen)
     assert (stats.cells, stats.cuts_tried) == RUN_COUNTS[run]
     assert (stats.cuts_tried < ref_cuts) == (run not in MORE_CUTS_THAN_FIRST_WRITTEN)
+
+
+# k > 4 at walk budget 1, where rectangle cells are cut by their chords
+# and every other cell by the general kernel: (instance, dp_solve's
+# (cells, cuts tried) at k = 6 with path and tree cuts)
+BUDGET_ONE_RUNS = [
+    (("uniform_random", 6, 0), (408, 1900)),
+    (("nested_grid", 5, 1), (1233, 5182)),
+    (("windmill", 5, 0), (405, 2049)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, counts", BUDGET_ONE_RUNS, ids=["-".join(map(str, spec)) for spec, _c in BUDGET_ONE_RUNS]
+)
+def test_budget_one_above_k4_matches_first_written(spec, counts):
+    inst = generate(*spec)
+    stats = DpStats()
+    sol = dp_solve(inst, 6, 1, ("path", "tree"), stats=stats)
+    size, chosen, _cells, _cuts = ref_dp_solve(inst, 6, 1, ("path", "tree"))
+    assert (sol.size, sol.chosen) == (size, chosen)
+    assert (stats.cells, stats.cuts_tried) == counts
 
 
 def lattice_simple(walk) -> bool:
