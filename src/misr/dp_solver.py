@@ -14,7 +14,11 @@ reverse of every walk is a walk too, and each walk is emitted once, from
 its smaller end.
 
 Parts are produced by boundary surgery (splicing the path into the
-vertex loop); cells are memoized by canonical vertex tuple.  A cell
+vertex loop); cells are memoized by canonical vertex tuple.  A cut reads
+each part from the memo and enters ``solve`` only for a part not in it,
+so ``solve`` runs once per cell; the cell cap counts the cells stored.
+The sorted union of the parts' chosen sets, which the tie rule compares,
+is built only for a cut whose size ties or beats the best.  A cell
 stops enumerating as soon as its candidate value reaches the number of
 rects it contains.  Walks that cross themselves (possible from four
 segments on) are rejected, so every part is again a simple polygon.
@@ -24,11 +28,15 @@ RectPolygon and the partitions' ``split_components``.  ``canon_loop`` is
 its ``merge_loop`` and ``orient_loop`` plus the rejection of pinched
 loops, and returns the canonical loop with its doubled area.  A cut is
 spliced locally on the canonical cell loop: ``splice_plan`` locates each
-walk end once, as a vertex or the inside of an edge, and counts the
-vertices each part keeps; ``surgery`` builds both parts from slices of
-the loop with ``splice_loop``, the one polygon split, which merges them
-only at the two splice points (the walk's inner points are corners and
-the rest of the loop is canonical already), and then takes each part's
+walk end, as a vertex or the inside of an edge, and counts the vertices
+each part keeps.  It reads both ends from the cell's one position table
+(``loop_positions``: every grid point on the loop with the answer of
+the kernel's ``_loop_locate``, unique as a canonical loop repeats no
+vertex), built once per cell rather than scanned for per walk.
+``surgery`` builds both parts from slices of the loop with
+``splice_loop``, the one polygon split, which merges them only at the
+two splice points (the walk's inner points are corners and the rest of
+the loop is canonical already), and then takes each part's
 orientation and doubled area from one signed-area pass and rotates it
 to its smallest vertex.  Every surgery checks that the parts' areas add
 up to the cell's.  The counted sizes decide whether a cut can be used
@@ -39,7 +47,9 @@ a walk with no such use is counted as tried and skipped.
 A cell looks for rects only among its parent's.  A cell that is no
 rectangle tests them on its ``edge_tables``, and its walk corridors on
 the boundary-touch tables that ``touch_tables`` builds in one sweep over
-the same tables.
+the same tables.  A corridor from a boundary point may leave the cell,
+which a parity test of its midpoint decides; a walk's bend points lie
+strictly inside the cell, so a corridor from one needs no test.
 
 For k = 4 every cell is a rectangle and any subdivision of a rectangle
 into at most three rectangles is realizable by straight chords applied
@@ -62,6 +72,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .geom_core import (
@@ -72,6 +83,7 @@ from .geom_core import (
     edge_tables,
     loop_contains_doubled,
     loop_contains_rect_doubled,
+    loop_positions,
     merge_loop,
     orient_loop,
     splice_loop,
@@ -206,7 +218,11 @@ class _CellGeometry:
     sorted, disjoint closed intervals where the line touches the boundary,
     kept as the list of their low ends and the list of their high ends:
     ``geom_core.touch_intervals`` of each line, built for all lines in one
-    sweep over the edges (``geom_core.touch_tables``)."""
+    sweep over the edges (``geom_core.touch_tables``).
+
+    ``positions`` is the loop's ``geom_core.loop_positions`` table on the
+    same lines, from which ``splice_plan`` reads where each walk ends; it
+    is built on first use, as a tree cut's geometries never read it."""
 
     def __init__(
         self,
@@ -215,10 +231,15 @@ class _CellGeometry:
         ys: list[int],
         tables: Optional[tuple[EdgeTable, EdgeTable]] = None,
     ):
+        self.loop = loop
         self.xs = xs
         self.ys = ys
         self.vtab, self.htab = tables if tables is not None else edge_tables(loop)
         self.vtouch, self.htouch = touch_tables(xs, ys, self.vtab, self.htab)
+
+    @cached_property
+    def positions(self) -> dict[tuple[int, int], int]:
+        return loop_positions(self.loop, self.xs, self.ys)
 
     def on_boundary(self, p: tuple[int, int]) -> bool:
         los, his = self.vtouch[p[0]]
@@ -226,13 +247,18 @@ class _CellGeometry:
         return j < len(his) and los[j] <= p[1]
 
     def corridor(
-        self, p: tuple[int, int], dx: int, dy: int
+        self, p: tuple[int, int], dx: int, dy: int, inner: bool = False
     ) -> tuple[Optional[int], list[int]]:
         """First boundary-touch coordinate from p along (dx,dy), plus the
         interior grid coordinates strictly before it.  A segment that
         would run along the boundary from p (p lies in a touch interval
         that goes on in that direction) gives ``(None, [])``: corridors
-        never run along the boundary."""
+        never run along the boundary.
+
+        From a boundary point the segment to the first touch may run
+        outside the cell, which a parity test of its midpoint decides.  A
+        point known to lie strictly inside (``inner``: a walk's bend point)
+        needs no test, as the segment from it to the first touch is."""
         if dx != 0:
             los, his = self.htouch[p[1]]
             coords = self.xs
@@ -256,12 +282,13 @@ class _CellGeometry:
             t = his[j]
             mids = coords[bisect_right(coords, t) : bisect_left(coords, pos)]
             mids.reverse()
-        if dx:
-            X, Y = pos + t, 2 * p[1]
-        else:
-            X, Y = 2 * p[0], pos + t
-        if not loop_contains_doubled(self.vtab, self.htab, X, Y):
-            return None, []
+        if not inner:
+            if dx:
+                X, Y = pos + t, 2 * p[1]
+            else:
+                X, Y = 2 * p[0], pos + t
+            if not loop_contains_doubled(self.vtab, self.htab, X, Y):
+                return None, []
         return t, mids
 
 
@@ -275,7 +302,8 @@ def _enumerate_walks(geom: _CellGeometry, budget: int) -> Iterator[list[tuple[in
     Starts are the grid points in the cell's vertical touch intervals.  No
     corridor runs along the boundary, so every segment leaves its start
     into the interior, and the reverse of every walk is enumerated too;
-    each walk is emitted once, from its smaller end."""
+    each walk is emitted once, from its smaller end.  A bend point lies
+    strictly inside the cell, so its corridors skip the parity test."""
     ys = geom.ys
     starts = [
         (x, y)
@@ -289,7 +317,7 @@ def _enumerate_walks(geom: _CellGeometry, budget: int) -> Iterator[list[tuple[in
         for ndx, ndy in _DIRS:
             if (ndx, ndy) == (dx, dy) or (ndx, ndy) == (-dx, -dy):
                 continue
-            t, mids = geom.corridor(cur, ndx, ndy)
+            t, mids = geom.corridor(cur, ndx, ndy, True)
             if t is None:
                 continue
             end = (t, cur[1]) if ndx else (cur[0], t)
@@ -327,11 +355,13 @@ def _kernel_cuts(
     """Each walk of ``_enumerate_walks`` on the cell (loop, doubled area)
     with the two canonical parts ``surgery`` cuts, or None where
     ``splice_plan`` or ``surgery`` rejects the walk or ``usable`` rejects
-    the part sizes it counted, before any part is built."""
+    the part sizes it counted, before any part is built.  Both ends of
+    every walk are read from the cell's one position table."""
+    positions = geom.positions
     for walk in _enumerate_walks(geom, budget):
         parts = None
         try:
-            plan = splice_plan(loop, walk)
+            plan = splice_plan(loop, walk, positions)
         except CutError:
             plan = None
         if plan is not None and usable(*plan[4:]):
@@ -351,16 +381,21 @@ def _chords(
     walk budget 1, in its order.  Those walks are the chords: the
     horizontal one at each grid y strictly between y0 and y1, ascending,
     parts top then bottom, then the vertical one at each grid x strictly
-    between x0 and x1, ascending, parts left then right."""
-    (x0, y0), (_, y1), (x1, _) = loop[:3]
+    between x0 and x1, ascending, parts left then right.  Every chord's
+    parts add up to the corners' area, so ``surgery``'s area check is made
+    once for the cell, and the parts share the cell's corner points."""
+    a, b, c, d = loop
+    (x0, y0), (x1, y1) = a, c
+    w = 2 * (x1 - x0)
+    h = 2 * (y1 - y0)
+    if w * (y1 - y0) != area2:
+        raise DpError("path split lost area")
     for y in gys[bisect_right(gys, y0) : bisect_left(gys, y1)]:
-        top = ((x0, y), (x0, y1), (x1, y1), (x1, y)), 2 * (x1 - x0) * (y1 - y)
-        bottom = ((x0, y0), (x0, y), (x1, y), (x1, y0)), 2 * (x1 - x0) * (y - y0)
-        yield [(x0, y), (x1, y)], _summed(top, bottom, area2)
+        p, q = (x0, y), (x1, y)
+        yield [p, q], (((p, b, c, q), w * (y1 - y)), ((a, p, q, d), w * (y - y0)))
     for x in gxs[bisect_right(gxs, x0) : bisect_left(gxs, x1)]:
-        left = ((x0, y0), (x0, y1), (x, y1), (x, y0)), 2 * (x - x0) * (y1 - y0)
-        right = ((x, y0), (x, y1), (x1, y1), (x1, y0)), 2 * (x1 - x) * (y1 - y0)
-        yield [(x, y0), (x, y1)], _summed(left, right, area2)
+        p, q = (x, y0), (x, y1)
+        yield [p, q], (((a, b, q, p), (x - x0) * h), ((p, q, c, d), (x1 - x) * h))
 
 
 def dp_solve(
@@ -398,15 +433,18 @@ def dp_solve(
             return True
         return use_tree and min(n1, n2) <= cfg.k and max(n1, n2) <= tree_k
 
-    def solve(cell: tuple[Loop, int], cands) -> tuple[int, tuple[int, ...]]:
-        """Best (size, chosen) in the cell (loop, doubled area); ``cands``
-        holds every rect that can lie in it (the parent's inside rects)."""
-        loop, area2 = cell
-        hit = memo.get(loop)
-        if hit is not None:
-            return hit
+    def store(loop: Loop, result: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+        """Memoize a solved cell; the cap counts the cells stored."""
         if len(memo) >= cfg.cell_cap:
             raise DpCellCapError(f"memo exceeded {cfg.cell_cap} cells")
+        memo[loop] = result
+        return result
+
+    def solve(cell: tuple[Loop, int], cands) -> tuple[int, tuple[int, ...]]:
+        """Best (size, chosen) in the cell (loop, doubled area), which is
+        not in the memo yet; ``cands`` holds every rect that can lie in it
+        (the parent's inside rects)."""
+        loop, area2 = cell
         rectangle = len(loop) == 4
         if rectangle:
             # the loop is ((x0, y0), (x0, y1), (x1, y1), (x1, y0))
@@ -423,9 +461,7 @@ def dp_solve(
                 c for c in cands if loop_contains_rect_doubled(vtab, htab, c[1], c[2], c[3], c[4])
             ]
         if len(inside) <= 1:
-            result = (len(inside), tuple(c[0] for c in inside))
-            memo[loop] = result
-            return result
+            return store(loop, (len(inside), tuple(c[0] for c in inside)))
         if rectangle and budget == 1:
             cuts = _chords(loop, area2, gxs, gys)
         else:
@@ -441,24 +477,28 @@ def dp_solve(
         best: tuple[int, tuple[int, ...]] = (1, (inside[0][0],))
 
         def consider(parts: Sequence[tuple[Loop, int]]) -> bool:
-            """Returns True when the cell's upper bound is reached."""
+            """Returns True when the cell's upper bound is reached.  Each
+            part is read from the memo, and solved only when missing; the
+            parts' chosen sets are sorted into one only for a size that
+            ties or beats the best."""
             nonlocal best
             size = 0
-            chosen: list[int] = []
+            chosen = ()
             for part in parts:
-                s, ch = solve(part, inside)
-                size += s
-                chosen.extend(ch)
-            cand = (size, tuple(sorted(chosen)))
-            if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
+                hit = memo.get(part[0]) or solve(part, inside)
+                size += hit[0]
+                chosen += hit[1]
+            if size >= best[0]:
+                chosen = tuple(sorted(chosen))
+                if size > best[0] or chosen < best[1]:
+                    best = (size, chosen)
             return best[0] >= bound
 
         done = False
         tree_seeds: list[tuple[Walk, Parts]] = []
+        tried = 0
         for walk, parts in cuts:
-            if stats is not None:
-                stats.cuts_tried += 1
+            tried += 1
             if parts is None:
                 continue
             fits = len(parts[0][0]) <= cfg.k and len(parts[1][0]) <= cfg.k
@@ -468,12 +508,13 @@ def dp_solve(
                     break
             if use_tree:
                 tree_seeds.append((walk, parts))
+        if stats is not None:
+            stats.cuts_tried += tried
         if not done and use_tree:
             for walk, parts in tree_seeds:
                 if _tree_cuts(cfg, gxs, gys, walk, parts, consider, stats):
                     break
-        memo[loop] = best
-        return best
+        return store(loop, best)
 
     size, chosen = solve(root, rects)
     if stats is not None:

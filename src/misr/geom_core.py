@@ -144,8 +144,9 @@ def edge_distance(k: int, i: int, j: int) -> int:
 # ``splice_loop`` cuts a canonical loop along a boundary-to-boundary walk;
 # it is the one polygon split, used by the DP's ``surgery`` and by
 # ``split_components`` below.  It works locally: ``splice_plan`` locates
-# each walk end once (``_loop_locate``), as vertex i or the inside of edge
-# i, which fixes the slices of the loop that each part keeps and, from
+# each walk end once (``_loop_locate``, or a cell's ``loop_positions``
+# table of its grid points), as vertex i or the inside of edge i, which
+# fixes the slices of the loop that each part keeps and, from
 # the ends' neighbours, how many vertices each part has; the parts are
 # then built from those slices and the walk, and merged only around the
 # two splice points (``_merge_at``), the one place where a canonical
@@ -345,6 +346,31 @@ def _loop_locate(loop: Sequence[tuple[int, int]], p: tuple[int, int], start: int
     raise CutError(f"{p} not on the boundary loop")
 
 
+def loop_positions(
+    loop: Sequence[tuple[int, int]], xs: Sequence[int], ys: Sequence[int]
+) -> dict[tuple[int, int], int]:
+    """``_loop_locate(loop, p, 0)`` of every grid point p (x in xs, y in ys,
+    both sorted) on a rectilinear loop, and of every vertex: 2i for vertex
+    i, its first occurrence; 2i + 1 for a point inside edge i, the first
+    such edge.  One pass over the edges, each finding the grid points
+    inside it by bisection."""
+    pos: dict[tuple[int, int], int] = {}
+    n = len(loop)
+    for i in range(n):
+        (qx, qy), (rx, ry) = loop[i], loop[i + 1 - n]
+        if qx == rx:
+            lo, hi = (qy, ry) if qy < ry else (ry, qy)
+            for y in ys[bisect_right(ys, lo) : bisect_left(ys, hi)]:
+                pos.setdefault((qx, y), 2 * i + 1)
+        else:
+            lo, hi = (qx, rx) if qx < rx else (rx, qx)
+            for x in xs[bisect_right(xs, lo) : bisect_left(xs, hi)]:
+                pos.setdefault((x, qy), 2 * i + 1)
+    for i in range(n - 1, -1, -1):
+        pos[loop[i]] = 2 * i
+    return pos
+
+
 def _straight(o: tuple[int, int], p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Is p, between o and q on a loop, no corner: a repeat of q or the
     middle of an axis-collinear triple?"""
@@ -384,7 +410,9 @@ def crosses_itself(walk: Sequence[tuple[int, int]]) -> bool:
 
 
 def splice_plan(
-    loop: Sequence[tuple[int, int]], walk: Sequence[tuple[int, int]]
+    loop: Sequence[tuple[int, int]],
+    walk: Sequence[tuple[int, int]],
+    positions: Optional[dict[tuple[int, int], int]] = None,
 ) -> tuple[int, int, int, int, int, int]:
     """Where a walk between two boundary points cuts a loop, and how many
     vertices each part keeps.
@@ -398,16 +426,23 @@ def splice_plan(
     count both parts' vertices with the ends dropped where they are no
     corner; they are the merged parts' sizes whenever the walk's inner
     points are corners off the loop, as the DP's walks are.  Raises
-    CutError when the walk crosses itself or an end is not on the loop."""
+    CutError when the walk crosses itself or an end is not on the loop.
+
+    ``positions``, the loop's ``loop_positions`` table holding both ends,
+    replaces the two scans; the answers are the same on a loop that
+    repeats no vertex, as canonical loops do."""
     if len(walk) > 4 and crosses_itself(walk):
         raise CutError("walk crosses itself")
     a, b = walk[0], walk[-1]
     if a == b:
         raise CutError("walk closes a cycle")
     n = len(loop)
-    pa = _loop_locate(loop, a, 0)
+    if positions is None:
+        pa = _loop_locate(loop, a, 0)
+        pb = _loop_locate(loop, b, ((pa >> 1) + 1) % n)
+    else:
+        pa, pb = positions[a], positions[b]
     sa = (pa >> 1) + 1  # the first loop vertex after a
-    pb = _loop_locate(loop, b, sa % n)
     sb = (pb >> 1) + 1
     na = (((pb + 1) >> 1) - sa) % n
     if pa == pb:  # both inside one edge: is b before a along it?
@@ -423,8 +458,19 @@ def splice_plan(
     b_next = loop[sb % n] if nb else a
     a_prev = loop[(sb + nb - 1) % n] if nb else b
     inner = len(walk) - 2
-    size1 = 2 + na + inner - _straight(w1, a, a_next) - _straight(b_prev, b, wl)
-    size2 = 2 + nb + inner - _straight(wl, b, b_next) - _straight(a_prev, a, w1)
+    # an end counts out of a part where it is no corner of it: the four
+    # ``_straight`` tests of each end between its two neighbours, written out
+    (ax, ay), (bx, by) = a, b
+    size1 = (
+        2 + na + inner
+        - (a == a_next or w1[0] == ax == a_next[0] or w1[1] == ay == a_next[1])
+        - (b == wl or b_prev[0] == bx == wl[0] or b_prev[1] == by == wl[1])
+    )
+    size2 = (
+        2 + nb + inner
+        - (b == b_next or wl[0] == bx == b_next[0] or wl[1] == by == b_next[1])
+        - (a == w1 or a_prev[0] == ax == w1[0] or a_prev[1] == ay == w1[1])
+    )
     return sa, na, sb, nb, size1, size2
 
 

@@ -1,10 +1,10 @@
 """The polygon DP and RectPolygon on the integer loop kernel in geom_core,
 against the DP's loop kernel as first written (oracles.py): canonical
 forms of random loops with spikes, repeated points and collinear runs,
-touch tables and corridors at every grid point of the DP's cells, the
-enumerated walks, surgery on every walk and on hand-built splices, the
-part sizes counted before surgery, the chords of rectangle cells, and
-dp_solve's value and choice.
+touch tables, corridors and position tables at every grid point of the
+DP's cells, the enumerated walks, surgery on every walk and on
+hand-built splices, the part sizes counted before surgery, the chords of
+rectangle cells, and dp_solve's value and choice.
 
 The first-written enumeration also tries walks whose first segment runs
 along the cell boundary, and emits every walk from both ends.  The
@@ -34,7 +34,9 @@ from misr.geom_core import (
     GeometryError,
     Point,
     RectPolygon,
+    _loop_locate,
     edge_tables,
+    loop_positions,
     merge_loop,
     splice_plan,
     touch_intervals,
@@ -43,6 +45,7 @@ from misr.instance import generate
 from oracles import (
     RefCellGeometry,
     ref_canon_loop,
+    ref_contains_doubled,
     ref_dp_solve,
     ref_enumerate_walks,
     ref_loop_area2,
@@ -189,8 +192,10 @@ def dp_cells():
 
 def test_corridor_at_every_grid_point(dp_cells):
     """The first-written corridor, except that a segment running along the
-    boundary from p (its midpoint is on the boundary) is no corridor."""
-    calls = along = 0
+    boundary from p (its midpoint is on the boundary) is no corridor.  From
+    a point strictly inside, as a walk's bend points are, the corridor
+    without the parity test is the first-written one too."""
+    calls = along = bends = 0
     for loop, (area2, xs, ys, _b) in dp_cells.items():
         assert area2 == ref_loop_area2(loop)
         poly = RectPolygon([Point(*p) for p in loop])
@@ -199,9 +204,15 @@ def test_corridor_at_every_grid_point(dp_cells):
         for x in xs:
             for y in ys:
                 assert geom.on_boundary((x, y)) == ref.on_boundary((x, y))
+                interior = ref_contains_doubled(
+                    poly, 2 * x, 2 * y
+                ) and not ref_on_boundary_doubled(poly, 2 * x, 2 * y)
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                     got = geom.corridor((x, y), dx, dy)
                     want = ref.corridor((x, y), dx, dy)
+                    if interior:
+                        assert geom.corridor((x, y), dx, dy, True) == want, (loop, (x, y))
+                        bends += 1
                     t = want[0]
                     if t is not None and ref_on_boundary_doubled(
                         poly, *((x + t, 2 * y) if dx else (2 * x, y + t))
@@ -211,7 +222,28 @@ def test_corridor_at_every_grid_point(dp_cells):
                     else:
                         assert got == want, (loop, (x, y), dx, dy)
                     calls += 1
-    assert calls > 100000 and along > 10000
+    assert calls > 100000 and along > 10000 and bends > 10000
+
+
+def test_position_table_is_loop_locate(dp_cells):
+    """A cell's position table holds exactly the grid points on its loop,
+    each with ``_loop_locate``'s answer, and splice_plan reads the same
+    plan from it as from its own scans on every enumerated walk."""
+    points = walks = 0
+    for loop, (area2, xs, ys, b) in dp_cells.items():
+        poly = RectPolygon([Point(*p) for p in loop])
+        geom = _CellGeometry(loop, xs, ys)
+        table = geom.positions
+        assert table == loop_positions(loop, xs, ys)
+        on_loop = [(x, y) for x in xs for y in ys if ref_on_boundary_doubled(poly, 2 * x, 2 * y)]
+        assert sorted(table) == on_loop, loop
+        for p in on_loop:
+            assert table[p] == _loop_locate(loop, p, 0), (loop, p)
+            points += 1
+        for walk in _enumerate_walks(geom, b):
+            assert outcome(splice_plan, loop, walk, table) == outcome(splice_plan, loop, walk)
+            walks += 1
+    assert points > 10000 and walks > 10000
 
 
 def segments(walk) -> frozenset:

@@ -6,6 +6,7 @@ from misr.geom_core import Point, Rect, RectPolygon
 from misr.dp_solver import (
     DpCellCapError,
     DpError,
+    DpStats,
     canon_loop,
     containment_prune,
     dp_solve,
@@ -96,6 +97,25 @@ class TestDpSolve:
     def test_cell_cap(self):
         with pytest.raises(DpCellCapError):
             dp_solve(WINDMILL, 4, 1, cell_cap=3)
+
+    @pytest.mark.parametrize(
+        "spec, k, b, shapes, cells",
+        [
+            (("windmill", 5, 0), 4, 3, ("path", "tree"), 236),
+            (("nested_grid", 3, 1), 6, 2, ("path",), 1098),
+        ],
+        ids=["k4-windmill", "k6-nested_grid"],
+    )
+    def test_cell_cap_is_exact(self, spec, k, b, shapes, cells):
+        """The cap counts the cells stored: a run fits a cap of exactly its
+        cell count, and one cell fewer raises."""
+        inst = generate(*spec)
+        stats = DpStats()
+        sol = dp_solve(inst, k, b, shapes, stats=stats)
+        assert stats.cells == cells
+        assert dp_solve(inst, k, b, shapes, cell_cap=cells) == sol
+        with pytest.raises(DpCellCapError):
+            dp_solve(inst, k, b, shapes, cell_cap=cells - 1)
 
     def test_bad_params(self):
         with pytest.raises(DpError):
