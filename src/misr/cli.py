@@ -176,7 +176,7 @@ def run_pipeline(
         sol = dp_solve(inst, k, cut_budget, shapes, cell_cap)
         achieved = sol.size
         opt = None
-        if inst.n <= inst_mod._oracle_cap(None):
+        if inst.n <= inst_mod.oracle_cap():
             opt = exact_mis(inst).size
             _check(
                 checks, "dp_not_above_optimum", achieved <= opt, f"dp={achieved} opt={opt}"
@@ -452,7 +452,7 @@ def cmd_bench(args) -> int:
                 inst = generate(family, n, seed)
                 bench_opt = oracle_ms = None
                 if "exact" in algos or (
-                    "dp" in algos and inst.n <= inst_mod._oracle_cap(None)
+                    "dp" in algos and inst.n <= inst_mod.oracle_cap()
                 ):
                     t0 = time.perf_counter()
                     bench_opt = exact_mis(inst).size

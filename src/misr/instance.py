@@ -78,70 +78,107 @@ def preprocess(rects: list[Rect]) -> Instance:
     return Instance(out, side=2 * n - 1)
 
 
-def _oracle_cap(cap: Optional[int]) -> int:
+def oracle_cap(cap: Optional[int] = None) -> int:
+    """The largest n exact_mis accepts: `cap` when given, else the
+    integer in MISR_ORACLE_CAP, else DEFAULT_ORACLE_CAP."""
     if cap is not None:
         return cap
     env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    if not env:
+        return DEFAULT_ORACLE_CAP
+    message = f"{ORACLE_CAP_ENV} must be an integer >= 1: {env!r}"
+    try:
+        value = int(env)
+    except ValueError:
+        raise InstanceError(message) from None
+    if value < 1:
+        raise InstanceError(message)
+    return value
 
 
 def exact_mis(inst: Instance, cap: Optional[int] = None) -> Solution:
-    """Maximum independent set by branch and bound on the intersection
-    graph (greedy lower bound, clique-cover upper bound); among maximum
+    """Maximum independent set of the intersection graph; among maximum
     sets the lexicographically smallest index set is returned.
+
+    The cap bounds n, however the graph splits.  Vertex sets are int
+    bitmasks (bit i is rect i).  One pass over the pairs builds each
+    rect's neighbour mask; the connected components are grown from their
+    least index in index order, and each is solved on its own by a depth-
+    first branch and bound: branch on the lowest candidate, including it
+    before excluding it, and prune a node unless its size plus a greedy
+    clique cover of its candidates beats the best size found.
+
+    Including first visits the leaves in lexicographic order: where two
+    leaves part, the earlier one holds the branching index and the later
+    one does not, and every lower index is decided alike in both.  So no
+    set of the maximum size is reached before the lex-smallest one, which
+    the strict prune cannot cut, and nothing after it beats its size.
+
+    The union of the components' answers is the whole answer, since a set
+    is maximum iff its part in every component is.  For sets of equal
+    size, S precedes T lexicographically iff min(S ^ T) lies in S.  If
+    every component's part of S is its lex-smallest maximum set, then for
+    any other maximum set T the least index of S ^ T is the least over
+    the components of their parts of S ^ T, and each of those lies in S.
     """
     n = inst.n
-    if n > _oracle_cap(cap):
+    if n > oracle_cap(cap):
         raise OracleCapError(f"oracle cap exceeded: n={n}")
-    adj = [set() for _ in range(n)]
+    rects = inst.rects
+    adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if rects_intersect(inst.rects[i], inst.rects[j]):
-                adj[i].add(j)
-                adj[j].add(i)
+            if rects_intersect(rects[i], rects[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
 
-    def greedy(cand: list[int]) -> list[int]:
-        picked = []
-        banned: set[int] = set()
-        for v in sorted(cand, key=lambda v: (len(adj[v] & set(cand)), v)):
-            if v not in banned:
-                picked.append(v)
-                banned |= adj[v]
-        return picked
-
-    def clique_cover_bound(cand: list[int]) -> int:
-        remaining = set(cand)
+    def cover(cand: int, limit: int) -> int:
+        """Cliques of a greedy clique cover of cand, counted up to limit."""
         cliques = 0
-        while remaining:
-            v = min(remaining, key=lambda u: (len(remaining - adj[u] - {u}), u))
-            clique = {v}
-            for u in sorted(remaining - {v}):
-                if all(u in adj[w] for w in clique):
-                    clique.add(u)
-            remaining -= clique
+        while cand and cliques < limit:
+            low = cand & -cand
+            cand ^= low
+            pool = cand & adj[low.bit_length() - 1]
+            while pool:  # every vertex of pool meets the whole clique so far
+                u = pool & -pool
+                cand ^= u
+                pool &= adj[u.bit_length() - 1]
             cliques += 1
-        return cliques
+        return cliques if not cand else limit
 
-    best: list[int] = sorted(greedy(list(range(n))))
-
-    def search(cand: list[int], chosen: list[int]) -> None:
-        nonlocal best
+    def search(cand: int, chosen: int, size: int) -> None:
+        nonlocal best_size, best
         if not cand:
-            if len(chosen) > len(best) or (
-                len(chosen) == len(best) and chosen < best
-            ):
-                best = list(chosen)
+            if size > best_size:
+                best_size, best = size, chosen
             return
-        # Strict bound only: ties must stay reachable so the lexicographic
-        # rule is exact.
-        if len(chosen) + clique_cover_bound(cand) < len(best):
+        # Prune what cannot beat best_size; the first set of the maximum
+        # size reached is the lex-smallest, and it beats what came before.
+        if size + cover(cand, best_size - size + 1) <= best_size:
             return
-        v = cand[0]
-        search([u for u in cand[1:] if u not in adj[v]], chosen + [v])
-        search(cand[1:], chosen)
+        low = cand & -cand
+        nbrs = adj[low.bit_length() - 1]
+        search((cand ^ low) & ~nbrs, chosen | low, size + 1)
+        if cand & nbrs:  # else every maximum set below this node holds low
+            search(cand ^ low, chosen, size)
 
-    search(list(range(n)), [])
-    sol = Solution(tuple(sorted(best)))
+    chosen = 0
+    seen = 0
+    for i in range(n):
+        if seen >> i & 1:
+            continue
+        comp = frontier = 1 << i
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow = adj[low.bit_length() - 1] & ~comp
+            comp |= grow
+            frontier |= grow
+        seen |= comp
+        best_size = best = 0
+        search(comp, 0, 0)
+        chosen |= best
+    sol = Solution(tuple(i for i in range(n) if chosen >> i & 1))
     validate_solution(inst, sol)
     return sol
 

@@ -28,7 +28,7 @@ from misr.geom_core import (
     segment_intersects_rect,
     split_components,
 )
-from misr.instance import Instance
+from misr.instance import Instance, Solution
 from misr.partition import Chord, _make_chord
 from misr.structure import (
     LineFences,
@@ -61,6 +61,63 @@ def brute_force_mis(inst: Instance) -> tuple[int, tuple[int, ...]]:
             best = (size, found)
             break
     return best
+
+
+def ref_exact_mis(inst: Instance) -> Solution:
+    """Reference for exact_mis: branch and bound on Python sets over the
+    whole intersection graph (greedy lower bound, clique-cover upper
+    bound); among maximum sets the lexicographically smallest index set
+    is returned."""
+    n = inst.n
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rects_intersect(inst.rects[i], inst.rects[j]):
+                adj[i].add(j)
+                adj[j].add(i)
+
+    def greedy(cand: list[int]) -> list[int]:
+        picked = []
+        banned: set[int] = set()
+        for v in sorted(cand, key=lambda v: (len(adj[v] & set(cand)), v)):
+            if v not in banned:
+                picked.append(v)
+                banned |= adj[v]
+        return picked
+
+    def clique_cover_bound(cand: list[int]) -> int:
+        remaining = set(cand)
+        cliques = 0
+        while remaining:
+            v = min(remaining, key=lambda u: (len(remaining - adj[u] - {u}), u))
+            clique = {v}
+            for u in sorted(remaining - {v}):
+                if all(u in adj[w] for w in clique):
+                    clique.add(u)
+            remaining -= clique
+            cliques += 1
+        return cliques
+
+    best: list[int] = sorted(greedy(list(range(n))))
+
+    def search(cand: list[int], chosen: list[int]) -> None:
+        nonlocal best
+        if not cand:
+            if len(chosen) > len(best) or (
+                len(chosen) == len(best) and chosen < best
+            ):
+                best = list(chosen)
+            return
+        # Strict bound only: ties must stay reachable so the lexicographic
+        # rule is exact.
+        if len(chosen) + clique_cover_bound(cand) < len(best):
+            return
+        v = cand[0]
+        search([u for u in cand[1:] if u not in adj[v]], chosen + [v])
+        search(cand[1:], chosen)
+
+    search(list(range(n)), [])
+    return Solution(tuple(sorted(best)))
 
 
 # -- brute force horizontal convexity ----------------------------------------------

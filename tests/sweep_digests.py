@@ -1,9 +1,9 @@
 """Digest every run of the identity sweep, one line per run.
 
-    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection] > digests.txt
+    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection|oracle] > digests.txt
 
 A refactor that must not change any output runs this on both checkouts
-and diffs the two files.  Without an argument all four sections run,
+and diffs the two files.  Without an argument all five sections run,
 in that order.
 
 The partition section: uniform_random and nested_grid at n = 3..16 with
@@ -45,6 +45,12 @@ the fence engine's move table and, under three and two_eps, every
 rect's tau_protected verdict at the run's tau.  Against an older
 src without tau_protected, the verdicts come from is_tau_protected.  A
 run that raises shows the type and message of the error instead, once.
+
+The oracle section: the partition section's instances, then packed at
+n in {48, 60, 120} with seeds 0-2, windmill at n = 60 and nested_grid at
+n = 48; one line per instance with the index set exact_mis chooses with
+its cap at n.  It needs nothing but exact_mis and the generators, so it
+runs against an older checkout's src too.
 
 The file name keeps it out of pytest's collection.
 """
@@ -273,12 +279,22 @@ def protection_section() -> None:
                     print(f"{family} {n} {seed} {name} node={node.id} {facts}")
 
 
+def oracle_section() -> None:
+    extra = [("packed", n, seed) for n in (48, 60, 120) for seed in range(3)]
+    extra += [("windmill", 60, 0), ("nested_grid", 48, 0)]
+    for family, n, seed in specs() + extra:
+        inst = generate(family, n, seed)
+        chosen = exact_mis(inst, cap=inst.n).chosen
+        print(f"oracle {family} {n} {seed} {list(chosen)}")
+
+
 def main(argv: list[str]) -> int:
     sections = {
         "partition": partition_section,
         "dp": dp_section,
         "units": units_section,
         "protection": protection_section,
+        "oracle": oracle_section,
     }
     for name in argv or list(sections):
         sections[name]()

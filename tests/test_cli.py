@@ -515,6 +515,22 @@ class TestCorruptionAndEnv:
         assert report["opt"] is not None
         assert [c["name"] for c in report["checks"]] == ["dp_not_above_optimum"]
 
+    @pytest.mark.parametrize("algo", ["exact", "dp"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_malformed_env_oracle_cap(self, tmp_path, monkeypatch, capsys, algo, value):
+        """A cap that is not an integer >= 1 exits 2 with one line naming
+        the variable, not a traceback or a cap-exceeded report."""
+        inst_file = tmp_path / "u5.json"
+        run_cli(["generate", "uniform_random", "5", "--out", str(inst_file)])
+        capsys.readouterr()
+        monkeypatch.setenv("MISR_ORACLE_CAP", value)
+        assert run_cli(["solve", str(inst_file), "--algo", algo]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: MISR_ORACLE_CAP must be an integer >= 1: {value!r}\n"
+        )
+
 
 class TestDpScaling:
     def test_fitted_exponent_within_bound(self):

@@ -6,6 +6,7 @@ import pytest
 from misr.geom_core import Rect, rects_intersect
 from misr.instance import (
     DEFAULT_ORACLE_CAP,
+    GENERATOR_KINDS,
     Instance,
     InstanceError,
     OracleCapError,
@@ -18,7 +19,7 @@ from misr.instance import (
     solution_from_json,
     solution_to_json,
 )
-from oracles import brute_force_mis, intersection_matrix
+from oracles import brute_force_mis, intersection_matrix, ref_exact_mis
 
 
 def random_instance(rng: random.Random, n: int, span: int | None = None) -> Instance:
@@ -111,6 +112,44 @@ class TestExactMis:
         with pytest.raises(OracleCapError):
             exact_mis(inst)
         assert exact_mis(inst, cap=inst.n).size >= 1
+
+    def test_matches_reference_on_generators(self):
+        for kind in GENERATOR_KINDS:
+            for n in range(1, 17):
+                for seed in range(10):
+                    inst = generate(kind, n, seed)
+                    assert exact_mis(inst) == ref_exact_mis(inst), (kind, n, seed)
+
+    def test_disjoint_copies_match_brute_force(self):
+        """Translated copies of one small instance, their rects shuffled so
+        that the components' indices interleave: the lex rule has to hold
+        across components."""
+        rng = random.Random(5)
+        for _ in range(60):
+            copies = rng.randrange(2, 5)
+            base = random_instance(rng, rng.randrange(1, 12 // copies + 1))
+            shift = base.side + 1
+            rects = [
+                Rect(r.xl + c * shift, r.yb, r.xr + c * shift, r.yt)
+                for c in range(copies)
+                for r in base.rects
+            ]
+            rng.shuffle(rects)
+            inst = preprocess(rects)
+            size, lex = brute_force_mis(inst)
+            assert exact_mis(inst).chosen == lex
+            assert size == copies * exact_mis(base).size
+
+    def test_packed_120_takes_all(self):
+        inst = generate("packed", 120, 0)
+        assert exact_mis(inst, cap=inst.n).chosen == tuple(range(inst.n))
+
+    def test_windmill_60_takes_the_arms(self):
+        # twelve pinwheels; each hub (every fifth rect) meets its four arms
+        inst = generate("windmill", 60, 0)
+        sol = exact_mis(inst, cap=inst.n)
+        assert sol.size == 48
+        assert sol.chosen == tuple(i for i in range(60) if i % 5 != 4)
 
 
 class TestGenerators:
