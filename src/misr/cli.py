@@ -173,11 +173,12 @@ def run_pipeline(
         achieved = sol.size
     elif algo == "dp":
         params = {"k": k, "cut_budget": cut_budget, "shapes": list(shapes)}
+        cap = inst_mod.oracle_cap()  # a malformed cap is refused before the DP runs
         sol = dp_solve(inst, k, cut_budget, shapes, cell_cap)
         achieved = sol.size
         opt = None
-        if inst.n <= inst_mod.oracle_cap():
-            opt = exact_mis(inst).size
+        if inst.n <= cap:
+            opt = exact_mis(inst, cap).size
             _check(
                 checks, "dp_not_above_optimum", achieved <= opt, f"dp={achieved} opt={opt}"
             )

@@ -18,10 +18,29 @@ vertex loop); cells are memoized by canonical vertex tuple.  A cut reads
 each part from the memo and enters ``solve`` only for a part not in it,
 so ``solve`` runs once per cell; the cell cap counts the cells stored.
 The sorted union of the parts' chosen sets, which the tie rule compares,
-is built only for a cut whose size ties or beats the best.  A cell
-stops enumerating as soon as its candidate value reaches the number of
-rects it contains.  Walks that cross themselves (possible from four
-segments on) are rejected, so every part is again a simple polygon.
+is built only for a cut whose size ties or beats the best.  Walks that
+cross themselves (possible from four segments on) are rejected, so every
+part is again a simple polygon.
+
+A cell stops enumerating as soon as its best value equals its target:
+the lexicographically smallest maximum independent set of the rects
+inside it.  The run builds each pruned rect's neighbour mask once
+(``instance.neighbour_masks``); a cell ORs its rects' bits and
+neighbour masks as it finds them.  A cell none of whose rects meets
+another has all of them as its target, with no search; any other cell
+takes its target from ``instance.max_independent_mask``, the search
+``exact_mis`` runs too, kept for the run by inside mask.  Bits follow
+the rects' index order, so the search's lexicographic order is the tie
+rule's.  The exit is safe: every candidate a cell compares, its first
+rect alone or the union of its parts' values, is an independent set of
+its inside rects, since the parts are interior-disjoint and each part's
+set lies inside that part.  Under the DP's order (larger size first,
+then the lexicographically smaller sorted tuple) no candidate beats the
+target, so once the best reaches it, enumerating every cut would end
+with the same value.  Every stored cell keeps its value, and a memo hit
+returns what it would without the exit.  Where the inside rects are
+pairwise disjoint, the target is all of them, and the cell stops when
+its best reaches its rect count.
 
 The loop geometry is geom_core's integer loop kernel, shared with
 RectPolygon and the partitions' ``split_components``.  ``canon_loop`` is
@@ -90,7 +109,13 @@ from .geom_core import (
     splice_plan,
     touch_tables,
 )
-from .instance import Instance, Solution, validate_solution
+from .instance import (
+    Instance,
+    Solution,
+    max_independent_mask,
+    neighbour_masks,
+    validate_solution,
+)
 
 
 class DpError(RuntimeError):
@@ -409,15 +434,22 @@ def dp_solve(
     """Top-down memoized recursion over polygon cells: terminal cells hold
     at most one rect; otherwise the best candidate over all enumerated
     subdivisions, ties broken toward the lexicographically smallest chosen
-    index set."""
+    index set, where a cell stops at its target (module docstring)."""
     cfg = DpConfig(k, cut_budget, tuple(shapes), cell_cap)
     pruned = containment_prune(inst.rects)
     kept = [inst.rects[i] for i in pruned]
-    # (index, doubled corners) of each rect, as the kernel's rect test takes them
-    rects = [(i, 2 * r.xl, 2 * r.yb, 2 * r.xr, 2 * r.yt) for i, r in zip(pruned, kept)]
+    # (index, doubled corners, bit, neighbour mask) of each rect: the corners
+    # as the kernel's rect test takes them, the masks as the target's search
+    adj = neighbour_masks(kept)
+    rects = [
+        (i, 2 * r.xl, 2 * r.yb, 2 * r.xr, 2 * r.yt, 1 << j, adj[j])
+        for j, (i, r) in enumerate(zip(pruned, kept))
+    ]
     gxs = sorted({c for r in kept for c in (r.xl, r.xr)} | {0, inst.side})
     gys = sorted({c for r in kept for c in (r.yb, r.yt)} | {0, inst.side})
     memo: dict[Loop, tuple[int, tuple[int, ...]]] = {}
+    # the best value of the rects of an inside mask: (size, chosen)
+    targets: dict[int, tuple[int, tuple[int, ...]]] = {}
     root = canon_loop(
         [(0, 0), (0, inst.side), (inst.side, inst.side), (inst.side, 0)]
     )
@@ -462,6 +494,23 @@ def dp_solve(
             ]
         if len(inside) <= 1:
             return store(loop, (len(inside), tuple(c[0] for c in inside)))
+        mask = meets = 0
+        for c in inside:
+            mask |= c[5]
+            meets |= c[6]
+        if not mask & meets:
+            target = (len(inside), tuple(c[0] for c in inside))
+        else:
+            target = targets.get(mask)
+            if target is None:
+                found = max_independent_mask(adj, mask)
+                target = targets[mask] = (
+                    found.bit_count(),
+                    tuple(c[0] for c in inside if c[5] & found),
+                )
+        best: tuple[int, tuple[int, ...]] = (1, (inside[0][0],))
+        if best == target:
+            return store(loop, best)
         if rectangle and budget == 1:
             cuts = _chords(loop, area2, gxs, gys)
         else:
@@ -473,11 +522,9 @@ def dp_solve(
             ys = gys[bisect_left(gys, ys0) : bisect_right(gys, ys1)]
             geom = _CellGeometry(loop, xs, ys, tables)
             cuts = _kernel_cuts(loop, area2, geom, budget, usable)
-        bound = len(inside)
-        best: tuple[int, tuple[int, ...]] = (1, (inside[0][0],))
 
         def consider(parts: Sequence[tuple[Loop, int]]) -> bool:
-            """Returns True when the cell's upper bound is reached.  Each
+            """Returns True when the best reaches the cell's target.  Each
             part is read from the memo, and solved only when missing; the
             parts' chosen sets are sorted into one only for a size that
             ties or beats the best."""
@@ -492,7 +539,7 @@ def dp_solve(
                 chosen = tuple(sorted(chosen))
                 if size > best[0] or chosen < best[1]:
                     best = (size, chosen)
-            return best[0] >= bound
+            return best == target
 
         done = False
         tree_seeds: list[tuple[Walk, Parts]] = []

@@ -9,7 +9,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .geom_core import GeometryError, Rect, rects_intersect
 
@@ -96,17 +96,29 @@ def oracle_cap(cap: Optional[int] = None) -> int:
     return value
 
 
-def exact_mis(inst: Instance, cap: Optional[int] = None) -> Solution:
-    """Maximum independent set of the intersection graph; among maximum
-    sets the lexicographically smallest index set is returned.
+def neighbour_masks(rects: Sequence[Rect]) -> list[int]:
+    """Each rect's neighbours in the intersection graph as an int mask
+    (bit j is rects[j]), from one pass over the pairs."""
+    n = len(rects)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rects_intersect(rects[i], rects[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
-    The cap bounds n, however the graph splits.  Vertex sets are int
-    bitmasks (bit i is rect i).  One pass over the pairs builds each
-    rect's neighbour mask; the connected components are grown from their
-    least index in index order, and each is solved on its own by a depth-
-    first branch and bound: branch on the lowest candidate, including it
-    before excluding it, and prune a node unless its size plus a greedy
-    clique cover of its candidates beats the best size found.
+
+def max_independent_mask(adj: Sequence[int], cand: int) -> int:
+    """The lexicographically smallest maximum independent set among the
+    vertices of the mask ``cand``, as a mask, in the graph whose neighbour
+    masks are ``adj``.
+
+    The connected components of cand are grown from their least index in
+    index order, and each is solved on its own by a depth-first branch
+    and bound: branch on the lowest candidate, including it before
+    excluding it, and prune a node unless its size plus a greedy clique
+    cover of its candidates beats the best size found.
 
     Including first visits the leaves in lexicographic order: where two
     leaves part, the earlier one holds the branching index and the later
@@ -121,16 +133,6 @@ def exact_mis(inst: Instance, cap: Optional[int] = None) -> Solution:
     any other maximum set T the least index of S ^ T is the least over
     the components of their parts of S ^ T, and each of those lies in S.
     """
-    n = inst.n
-    if n > oracle_cap(cap):
-        raise OracleCapError(f"oracle cap exceeded: n={n}")
-    rects = inst.rects
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rects_intersect(rects[i], rects[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
 
     def cover(cand: int, limit: int) -> int:
         """Cliques of a greedy clique cover of cand, counted up to limit."""
@@ -163,21 +165,33 @@ def exact_mis(inst: Instance, cap: Optional[int] = None) -> Solution:
             search(cand ^ low, chosen, size)
 
     chosen = 0
-    seen = 0
-    for i in range(n):
-        if seen >> i & 1:
-            continue
-        comp = frontier = 1 << i
+    rest = cand
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            grow = adj[low.bit_length() - 1] & ~comp
+            grow = adj[low.bit_length() - 1] & rest & ~comp
             comp |= grow
             frontier |= grow
-        seen |= comp
+        rest ^= comp
         best_size = best = 0
         search(comp, 0, 0)
         chosen |= best
+    return chosen
+
+
+def exact_mis(inst: Instance, cap: Optional[int] = None) -> Solution:
+    """Maximum independent set of the intersection graph; among maximum
+    sets the lexicographically smallest index set is returned.
+
+    The cap bounds n, however the graph splits.  Vertex sets are int
+    bitmasks (bit i is rect i), solved by ``max_independent_mask``, the
+    search the DP asks for its cells' optima too."""
+    n = inst.n
+    if n > oracle_cap(cap):
+        raise OracleCapError(f"oracle cap exceeded: n={n}")
+    chosen = max_independent_mask(neighbour_masks(inst.rects), (1 << n) - 1)
     sol = Solution(tuple(i for i in range(n) if chosen >> i & 1))
     validate_solution(inst, sol)
     return sol

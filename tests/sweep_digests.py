@@ -18,9 +18,12 @@ The DP section: the runs whose counts tests/test_dp_kernel.py pins
 (KERNEL_RUNS); k = 4 on uniform_random and nested_grid at n = 5..12 with
 seeds 0-2; k = 6 with two-segment path and tree cuts on both families at
 n = 3 and on uniform_random at n = 4, with seeds 0-2 (nested_grid at
-n = 4 takes 7-19 s a run, more than the rest of the section together);
-and windmill n = 5 at k = 4 with walk budgets 1 and 3.  A line holds the
-run and dp_solve's (size, chosen, cells, cuts tried).
+n = 4 is left out: an older checkout, whose cells do not stop at their
+optimum, takes 7-19 s a run on it); windmill n = 5 at k = 4 with walk
+budgets 1 and 3; and WINDMILL_RUNS, on which the cut language falls
+short of the optimum in many cells, so that a cell's early exit at its
+optimum seldom fires.  A line holds the run and dp_solve's (size,
+chosen, cells, cuts tried).
 
 The units section: the single cuts of acceptance criteria 6 and 7, which
 reach construction cases the recursive runs never do (general-1b,
@@ -144,6 +147,13 @@ KERNEL_RUNS = [
     (T_SHAPE, 6, 2, ("path", "tree")),
     (generate("uniform_random", 3, 2), 6, 2, ("path", "tree")),
 ]
+# windmill runs whose cells often fall short of their optimum: n = 8 and
+# 12 at k = 4, and n = 6 at k = 6 with two-segment paths
+WINDMILL_RUNS = [
+    (generate("windmill", 8, 0), 4, 1, ("path", "tree")),
+    (generate("windmill", 12, 0), 4, 1, ("path", "tree")),
+    (generate("windmill", 6, 0), 6, 2, ("path",)),
+]
 
 
 def dp_runs() -> list:
@@ -157,6 +167,8 @@ def dp_runs() -> list:
             out.append((f"{family} {n} {seed}", generate(family, n, seed), k, b, both))
     for b in (1, 3):
         out.append(("windmill 5 0", generate("windmill", 5, 0), 4, b, both))
+    for inst, k, b, shapes in WINDMILL_RUNS:
+        out.append((f"windmill {inst.n} 0", inst, k, b, shapes))
     return out
 
 

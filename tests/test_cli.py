@@ -531,6 +531,24 @@ class TestCorruptionAndEnv:
             f"error: MISR_ORACLE_CAP must be an integer >= 1: {value!r}\n"
         )
 
+    def test_malformed_env_oracle_cap_refused_before_dp(self, tmp_path, monkeypatch, capsys):
+        """solve --algo dp reads the cap before it runs the DP."""
+        from misr import cli
+
+        inst_file = tmp_path / "u5.json"
+        run_cli(["generate", "uniform_random", "5", "--out", str(inst_file)])
+        capsys.readouterr()
+
+        def no_dp(*args, **kwargs):
+            raise AssertionError("dp_solve ran before the cap was read")
+
+        monkeypatch.setattr(cli, "dp_solve", no_dp)
+        monkeypatch.setenv("MISR_ORACLE_CAP", "abc")
+        assert run_cli(["solve", str(inst_file), "--algo", "dp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MISR_ORACLE_CAP must be an integer >= 1: 'abc'\n"
+
 
 class TestDpScaling:
     def test_fitted_exponent_within_bound(self):

@@ -41,7 +41,7 @@ from misr.geom_core import (
     splice_plan,
     touch_intervals,
 )
-from misr.instance import generate
+from misr.instance import GENERATOR_KINDS, generate
 from oracles import (
     RefCellGeometry,
     ref_canon_loop,
@@ -53,34 +53,38 @@ from oracles import (
     ref_polygon_vertices,
     ref_surgery,
 )
-from sweep_digests import KERNEL_RUNS
+from sweep_digests import KERNEL_RUNS, WINDMILL_RUNS
 
 # (instance, k, cut_budget, shapes); the DP section of sweep_digests.py
 # lists these runs too
 RUNS = KERNEL_RUNS
 # dp_solve's (cells, cuts tried) on each of RUNS.  The first-written DP
 # tries (205, 1358), (1006, 7758), (236, 1572), (111, 571), (418, 5004),
-# (1088, 9523), (7, 7) and (206, 12575): its enumeration order differs,
-# so with the early exit at a cell's bound the cell count moves too.
+# (1088, 9523), (7, 7) and (206, 12575): it stops a cell only at the
+# cell's rect count, dp_solve at the cell's optimum, and their
+# enumeration orders differ.  The last run keeps two rects after
+# containment pruning, and they meet, so its root stops at its first rect.
 RUN_COUNTS = [
-    (205, 248),
-    (1006, 1594),
-    (236, 301),
-    (111, 104),
-    (400, 1592),
-    (1098, 4017),
+    (16, 8),
+    (156, 158),
+    (167, 150),
+    (13, 7),
+    (3, 1),
+    (85, 48),
     (26, 18),
-    (205, 1753),
+    (1, 0),
 ]
-# On the T shape the first-written order meets the optimum with its second
-# walk at the root, the chord x = 1 entered along the bottom edge from the
-# corner (0, 0).  The library starts at (0, 1) and meets it only with its
-# sixth walk at the root, the chord y = 2, after the parts of the five
-# walks before it, so it tries more cuts.
+# The T shape's rects are pairwise disjoint, so its optimum is its rect
+# count.  The first-written order meets it with its second walk at the
+# root, the chord x = 1 entered along the bottom edge from the corner
+# (0, 0).  The library starts at (0, 1) and meets it only with its sixth
+# walk at the root, the chord y = 2, after the parts of the five walks
+# before it, so it tries more cuts.
 MORE_CUTS_THAN_FIRST_WRITTEN = {6}
-# Runs whose cells are checked one by one; the second nested_grid run at
-# k=6 alone would treble the time of that check.
-CELL_RUNS = RUNS[:5] + RUNS[6:]
+# Runs whose cells are checked one by one: RUNS stop most cells early, so
+# the windmill runs whose cells often fall short of their optimum (n = 12
+# at k = 4, n = 6 at k = 6) supply most cells, the non-rectangle ones too.
+CELL_RUNS = RUNS + WINDMILL_RUNS[1:]
 
 
 def random_loop(rng: random.Random) -> list[tuple[int, int]]:
@@ -186,7 +190,7 @@ def dp_cells():
             ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
             out[loop] = (area2, xs, ys, 1 if k == 4 else b)
     assert len(out) > 1000
-    assert len(out) == 1772 and sum(len(loop) == 4 for loop in out) == 1313
+    assert len(out) == 2676 and sum(len(loop) == 4 for loop in out) == 2029
     return out
 
 
@@ -318,13 +322,14 @@ def test_chords_are_the_kernel_cuts_at_budget_one(dp_cells):
         assert list(_chords(loop, area2, wide(xs), wide(ys))) == want, loop
         rectangles += 1
         chords += len(want)
-    assert rectangles == 1313 and chords > 5000
+    assert rectangles == 2029 and chords > 5000
 
 
 def test_touch_tables_match_touch_intervals(dp_cells):
     """The one-sweep touch tables equal touch_intervals line for line: on
     the grid lines through each cell, lines beyond it, and the
-    branch-point lines of the tree cuts."""
+    branch-point lines of the tree cuts, which RUNS' tree runs at k > 4
+    stop early and the windmill at k = 6 reaches often."""
     built = []
     real = dp_solver._CellGeometry
 
@@ -334,7 +339,7 @@ def test_touch_tables_match_touch_intervals(dp_cells):
             super().__init__(loop, xs, ys, tables)
 
     with mock.patch.object(dp_solver, "_CellGeometry", Recorded):
-        for inst, k, b, shapes in RUNS:
+        for inst, k, b, shapes in RUNS + [(generate("windmill", 6, 0), 6, 2, ("path", "tree"))]:
             if "tree" in shapes and k > 4:
                 dp_solve(inst, k, b, shapes)
     branch = len(built)
@@ -434,13 +439,29 @@ def test_dp_solve_matches_first_written(run):
     assert (stats.cuts_tried < ref_cuts) == (run not in MORE_CUTS_THAN_FIRST_WRITTEN)
 
 
+def test_dp_solve_matches_first_written_on_a_battery():
+    """Cells that stop at their optimum keep the first-written DP's value
+    and choice: every generator family at n = 3..8 at k = 4 with path and
+    tree cuts, and at n = 3 at k = 6 with two-segment paths (the
+    first-written tree cuts take seconds a run there), one seeded seed
+    each."""
+    rng = random.Random(8)
+    runs = [(f, n, 4, 1, ("path", "tree")) for f in GENERATOR_KINDS for n in range(3, 9)]
+    runs += [(f, 3, 6, 2, ("path",)) for f in GENERATOR_KINDS]
+    for family, n, k, b, shapes in runs:
+        inst = generate(family, n, rng.randrange(10))
+        sol = dp_solve(inst, k, b, shapes)
+        size, chosen, _cells, _cuts = ref_dp_solve(inst, k, b, shapes)
+        assert (sol.size, sol.chosen) == (size, chosen), (family, n, k)
+
+
 # k > 4 at walk budget 1, where rectangle cells are cut by their chords
 # and every other cell by the general kernel: (instance, dp_solve's
 # (cells, cuts tried) at k = 6 with path and tree cuts)
 BUDGET_ONE_RUNS = [
-    (("uniform_random", 6, 0), (408, 1900)),
-    (("nested_grid", 5, 1), (1233, 5182)),
-    (("windmill", 5, 0), (405, 2049)),
+    (("uniform_random", 6, 0), (16, 8)),
+    (("nested_grid", 5, 1), (11, 5)),
+    (("windmill", 5, 0), (274, 477)),
 ]
 
 

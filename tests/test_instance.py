@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,8 @@ from misr.instance import (
     generate,
     instance_from_json,
     instance_to_json,
+    max_independent_mask,
+    neighbour_masks,
     preprocess,
     solution_from_json,
     solution_to_json,
@@ -96,8 +99,6 @@ class TestExactMis:
 
     def test_no_larger_independent_set(self):
         rng = random.Random(4)
-        from itertools import combinations
-
         for _ in range(10):
             inst = random_instance(rng, 7)
             sol = exact_mis(inst)
@@ -139,6 +140,41 @@ class TestExactMis:
             size, lex = brute_force_mis(inst)
             assert exact_mis(inst).chosen == lex
             assert size == copies * exact_mis(base).size
+
+    def test_search_on_random_masks_matches_brute_force(self):
+        """The search exact_mis and the DP share, on random graphs and a
+        random candidate mask each: the lex-smallest maximum independent
+        subset of the candidates, found by trying every subset."""
+        rng = random.Random(6)
+        for _ in range(300):
+            n = rng.randrange(1, 11)
+            adj = [0] * n
+            density = rng.random()
+            for i, j in combinations(range(n), 2):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            cand = rng.getrandbits(n)
+            verts = [i for i in range(n) if cand >> i & 1]
+            want = 0
+            for size in range(len(verts), 0, -1):
+                for combo in combinations(verts, size):  # lexicographic order
+                    if all(not adj[a] >> b & 1 for a, b in combinations(combo, 2)):
+                        want = sum(1 << i for i in combo)
+                        break
+                if want:
+                    break
+            assert max_independent_mask(adj, cand) == want, (adj, cand)
+
+    def test_neighbour_masks_are_the_intersection_graph(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            inst = random_instance(rng, rng.randrange(1, 12))
+            adj = neighbour_masks(inst.rects)
+            for i, j in combinations(range(inst.n), 2):
+                meet = rects_intersect(inst.rects[i], inst.rects[j])
+                assert (adj[i] >> j & 1, adj[j] >> i & 1) == (meet, meet)
+            assert not any(adj[i] >> i & 1 for i in range(inst.n))
 
     def test_packed_120_takes_all(self):
         inst = generate("packed", 120, 0)
