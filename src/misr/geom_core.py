@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GeometryError(ValueError):
@@ -32,13 +32,12 @@ class CutError(GeometryError):
     fails to separate."""
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
+    """An integral point: the loop kernel's ``(x, y)`` tuple, with names.
+    It equals, hashes and sorts as that tuple."""
+
     x: int
     y: int
-
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.x, self.y))
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,6 @@ class Segment:
     @property
     def degenerate(self) -> bool:
         return self.a == self.b
-
-    @property
-    def length(self) -> int:
-        return abs(self.a.x - self.b.x) + abs(self.a.y - self.b.y)
 
     def canonical(self) -> "Segment":
         lo, hi = sorted((self.a, self.b))
@@ -133,9 +128,10 @@ def edge_distance(k: int, i: int, j: int) -> int:
 # -- integer vertex-loop kernel ---------------------------------------------------
 #
 # A loop is a sequence of integer (x, y) tuples, one per vertex, closing from
-# the last vertex back to the first.  RectPolygon and the polygon DP
-# (dp_solver) both canonicalize loops and query them through these
-# functions: ``merge_loop`` then ``orient_loop`` give the canonical vertex
+# the last vertex back to the first: Points, or the plain tuples the DP
+# keeps; the kernel keeps the caller's objects.  RectPolygon and the
+# polygon DP (dp_solver) both canonicalize loops and query them through
+# these functions: ``merge_loop`` then ``orient_loop`` give the canonical vertex
 # order and the doubled area, ``edge_tables`` gives the doubled edge tables,
 # and the point, rect, section and touch-interval queries read those tables
 # (``touch_tables`` answers the touch-interval query for many lines at once,
@@ -533,26 +529,21 @@ class RectPolygon:
     )
 
     def __init__(self, vertices: Iterable[Point]):
-        given: dict[tuple[int, int], Point] = {}
-        pts = []
-        for p in vertices:
-            t = (p.x, p.y)
-            given[t] = p
-            pts.append(t)
-        vs = merge_loop(pts)
+        vs = merge_loop(vertices)
         if len(vs) < 4:
-            raise GeometryError(f"too few vertices for a rectilinear polygon: {vs}")
+            raise GeometryError(
+                f"too few vertices for a rectilinear polygon: {[tuple(p) for p in vs]}"
+            )
         for p, q in zip(vs, vs[1:] + vs[:1]):
-            if p[0] != q[0] and p[1] != q[1]:
-                raise GeometryError(f"edge {given[p]}-{given[q]} not axis-parallel")
+            if p.x != q.x and p.y != q.y:
+                raise GeometryError(f"edge {p}-{q} not axis-parallel")
         loop, area2 = orient_loop(vs)
         if area2 == 0:
             raise GeometryError("zero-area vertex loop")
-        self.vertices: tuple[Point, ...] = tuple(given[t] for t in loop)
+        self.vertices: tuple[Point, ...] = loop
         self._area2 = area2
         self._vtab, self._htab = edge_tables(loop)
         self.is_simple = self._check_simple()
-        # A Point hashes as its (x, y) tuple, so this is hash(self.vertices).
         self._hash = hash(loop)
         self._coords = None
         self._sections: dict[int, list[tuple[int, int]]] = {}
@@ -568,7 +559,7 @@ class RectPolygon:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"RectPolygon({[(p.x, p.y) for p in self.vertices]})"
+        return f"RectPolygon({[tuple(p) for p in self.vertices]})"
 
     # -- basic structure --------------------------------------------------
 
@@ -801,7 +792,7 @@ def cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[Segm
     """Each segment cut at the polygon's vertices and boundary crossings
     and at the other segments' endpoints: per segment, its pieces in
     order of increasing coordinate, leaving out those on the boundary."""
-    ends = {(p.x, p.y) for s in segments for p in (s.a, s.b)}
+    ends = {p for s in segments for p in (s.a, s.b)}
     out = []
     for s in segments:
         # c is the segment's line, [a, b] its span along it; a point q lies
@@ -815,15 +806,15 @@ def cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[Segm
             if lo <= 2 * c <= hi and 2 * a <= e <= 2 * b
         )
         ts = sorted(ts)
-        pairs = [((c, t), (c, u)) if v else ((t, c), (u, c)) for t, u in zip(ts, ts[1:])]
+        pts = [Point(c, t) if v else Point(t, c) for t in ts]
         out.append([
-            Segment(Point(*p), Point(*q)) for p, q in pairs
-            if not poly.on_boundary_doubled(p[0] + q[0], p[1] + q[1])
+            Segment(p, q) for p, q in zip(pts, pts[1:])
+            if not poly.on_boundary_doubled(p.x + q.x, p.y + q.y)
         ])
     return out
 
 
-def _prune(adj: dict[tuple[int, int], set], keep: set) -> None:
+def _prune(adj: dict[Point, set], keep: set) -> None:
     """Remove, until none is left, every node outside ``keep`` with at
     most one neighbour, and then the nodes left without neighbours."""
     tips = [q for q, nb in adj.items() if len(nb) <= 1 and q not in keep]
@@ -853,15 +844,14 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
         if not p.contains_segment(s):
             raise CutError(f"cut segment {s} leaves the polygon")
     _check_no_proper_crossing(segs)
-    adj: dict[tuple[int, int], set] = {}
+    adj: dict[Point, set] = {}
     for pieces in cut_pieces(p, segs):
         for s in pieces:
-            a, b = (s.a.x, s.a.y), (s.b.x, s.b.y)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+            adj.setdefault(s.a, set()).add(s.b)
+            adj.setdefault(s.b, set()).add(s.a)
     # nodes on the boundary of some part: first the polygon's, then also
     # every walk already split along
-    fixed = {q for q in adj if p.on_boundary_doubled(2 * q[0], 2 * q[1])}
+    fixed = {q for q in adj if p.on_boundary_doubled(2 * q.x, 2 * q.y)}
     _prune(adj, fixed)
     forest = {q: set(nb) for q, nb in adj.items()}
     _prune(forest, set())  # only a cycle survives pruning every leaf
@@ -879,16 +869,13 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
                     del adj[u]
             walk.append(r)
         fixed.update(walk)
-        X, Y = walk[0][0] + walk[1][0], walk[0][1] + walk[1][1]
+        X, Y = walk[0].x + walk[1].x, walk[0].y + walk[1].y
         i = next(
             i for i, q in enumerate(parts)
             if q.contains_doubled(X, Y) and not q.on_boundary_doubled(X, Y)
         )
         whole = parts[i]
-        halves = [
-            RectPolygon([Point(*t) for t in loop])
-            for loop in splice_loop([(v.x, v.y) for v in whole.vertices], walk)
-        ]
+        halves = [RectPolygon(loop) for loop in splice_loop(whole.vertices, walk)]
         if halves[0].area2() + halves[1].area2() != whole.area2():
             raise CutError("split lost area")
         parts[i : i + 1] = halves

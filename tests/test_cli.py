@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -93,6 +94,13 @@ class TestSolveAndCertify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["achieved"] == 3
         assert all(c["ok"] for c in doc["checks"])
+
+    def test_report_json_is_its_fields_in_order(self):
+        for algo in ("exact", "dp", "six", "three"):
+            _sol, report, art = run_pipeline(generate("windmill", 5, 0), algo)
+            doc = dataclasses.asdict(report)
+            assert list(report.to_json().items()) == list(doc.items())
+            assert list(art["report"].items()) == list(doc.items())
 
     def test_certify_six_exit_zero(self, windmill_file, tmp_path, capsys):
         art = tmp_path / "art.json"

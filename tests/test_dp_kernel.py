@@ -457,11 +457,16 @@ def test_dp_solve_matches_first_written_on_a_battery():
 
 # k > 4 at walk budget 1, where rectangle cells are cut by their chords
 # and every other cell by the general kernel: (instance, dp_solve's
-# (cells, cuts tried) at k = 6 with path and tree cuts)
+# (cells, cuts tried) at k = 6 with path and tree cuts).  The windmills
+# keep tree cuts under the reference: cells stop at their optimum, so the
+# random runs stop after a few cells, and windmill 7 and 8 make 105 and
+# 161 ``_tree_cuts`` calls.
 BUDGET_ONE_RUNS = [
     (("uniform_random", 6, 0), (16, 8)),
     (("nested_grid", 5, 1), (11, 5)),
     (("windmill", 5, 0), (274, 477)),
+    (("windmill", 7, 0), (719, 1572)),
+    (("windmill", 8, 0), (1093, 2502)),
 ]
 
 

@@ -13,6 +13,8 @@ from misr.geom_core import (
     Segment,
     edge_distance,
     is_horizontally_convex,
+    merge_loop,
+    orient_loop,
     rects_intersect,
     segment_intersects_rect,
     split_components,
@@ -149,6 +151,31 @@ class TestConvexity:
         for _ in range(40):
             poly = blob_polygon(rng, grid=6, cells=rng.randrange(4, 20))
             assert is_horizontally_convex(poly) == brute_force_hconvex(poly)
+
+
+class TestPoint:
+    def test_point_is_its_tuple(self):
+        p = Point(3, 4)
+        assert p == (3, 4) and (3, 4) == p
+        assert hash(p) == hash((3, 4))
+        assert {(3, 4): "t"}[p] == "t" and {p: "p"}[(3, 4)] == "p"
+        assert (p.x, p.y) == tuple(p) == (3, 4)
+
+    def test_points_sort_as_tuples(self):
+        rng = random.Random(3)
+        pairs = [(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(40)]
+        assert sorted(Point(*t) for t in pairs) == sorted(pairs)
+        assert min(Point(1, 0), (0, 5)) == (0, 5)
+
+    def test_vertices_are_the_kernels_loop(self):
+        vs = [Point(4, 0), Point(4, 2), Point(2, 2), Point(2, 4), Point(0, 4),
+              Point(0, 2), Point(0, 0)]
+        loop, area2 = orient_loop(merge_loop(vs))
+        poly = RectPolygon(vs)
+        assert type(poly.vertices) is tuple and poly.vertices == loop
+        assert poly.area2() == area2 and hash(poly) == hash(loop)
+        # the caller's own Points, not copies
+        assert all(any(v is p for p in vs) for v in poly.vertices)
 
 
 class TestCanonicalization:

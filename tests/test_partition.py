@@ -39,7 +39,7 @@ class TestVerticalSpanningSegment:
         poly = RectPolygon.from_rect(Rect(0, 0, 5, 3))
         seg, chord = vertical_spanning_segment(poly)
         assert chord_distance(poly, chord) == 2
-        assert seg.vertical and seg.length == 3
+        assert (seg.a, seg.b) == (Point(0, 0), Point(0, 3))
 
     def test_meets_k_over_3_with_oracle(self):
         rng = random.Random(0)
