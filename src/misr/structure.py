@@ -15,10 +15,16 @@ grid without increasing their segment count.
 
 Protection belongs to a node of a partition, a polygon and the rects
 inside it, and lives in one LineFences record per node.  Building a record
-reads only the polygon's bounding box; each fact is built on first use and
-kept in the record:
-  rows      one record per row (_Row): the line cut's reads, the furthest
-            fence of each anchor and the free pieces of the row;
+reads nothing; each fact is built on first use and kept in the record:
+  rows      one record per band of rows (_Row): the anchors on the row
+            and its free pieces.  All rows strictly between two
+            neighbouring event lines (the y of the polygon's vertices and
+            of the rects' edges) have the same crossing rects, section
+            and vertical edges, and no rect edge, so they share one
+            record; each event line has its own (see LineFences).  The
+            ends of each anchor's furthest fence (_Ends), which only the
+            line cut reads, are kept per band beside it and built only
+            when the line cut asks;
   anchors   per rect, the anchors of the line fences holding its top and
             bottom edges, which answer line protection (protected), give
             the line cut the fence of a rect its ray hits and certify
@@ -32,9 +38,11 @@ tau-protected; tau_protected asks the engine only about the others.
 recursive_partition makes a node's record in the parent's persistence
 check (check=True), which hands it down with the node, or else when the
 node is cut, and frees it when the node is done: no record outlives its
-node, and none outlives the run.  Rows are read once per node:
-_crossing_rows buckets the rects by the rows (or columns) their interiors
-cross, for the row records and for the move table alike.
+node, and none outlives the run.  A row record takes its crossing rects
+from the node's rects, sorted by x-extent once per node, and its edges
+from one sorted list of the vertical edges; _crossing_rows buckets the
+rects by the rows (or columns) their interiors cross for the engine's
+move table.
 """
 
 from __future__ import annotations
@@ -372,19 +380,25 @@ def _crossing_rows(
 
 
 class _Row(NamedTuple):
-    """The facts of one row y of a node that its line fences read.
-    lefts/rights: the x of the left/right polygon edges holding a point of
-    y, ascending; left_ends/right_ends: the x of the furthest line fence
-    from each of them, None where it anchors none; free_lo/free_hi: the
-    pieces of the polygon's section on y outside the open x-extents of the
-    rects crossing y, closed intervals (possibly points), ascending."""
+    """The anchor facts of one row y of a node: lefts/rights, the x of the
+    left/right polygon edges holding a point of y, ascending;
+    free_lo/free_hi, the pieces of the polygon's section on y outside the
+    open x-extents of the rects crossing y, closed intervals (possibly
+    points), ascending."""
 
     lefts: tuple[int, ...]
-    left_ends: tuple[Optional[int], ...]
     rights: tuple[int, ...]
-    right_ends: tuple[Optional[int], ...]
     free_lo: tuple[int, ...]
     free_hi: tuple[int, ...]
+
+
+class _Ends(NamedTuple):
+    """The line cut's facts of one row: the x of the furthest line fence
+    from each of the row's left and right anchors (_Row.lefts/rights, in
+    order), None where it anchors none."""
+
+    left_ends: tuple[Optional[int], ...]
+    right_ends: tuple[Optional[int], ...]
 
 
 def _free_pieces(
@@ -424,7 +438,7 @@ class _Anchors(NamedTuple):
 
 class LineFences:
     """The protection record of one node, a polygon and the rects inside
-    it: its line fences, read from one record per row (_Row), and its fence
+    it: its line fences, read from one row record per band, and its fence
     engines, all built on first use.
 
     A line fence from a left polygon edge runs rightward from an integral
@@ -437,110 +451,161 @@ class LineFences:
     one record per rect), which answer protected, one_edge_anchors_both
     and, with the engine, tau_protected.  A fence holding an edge is read
     as its anchor: it runs from there to the edge's far corner.
+
+    Rows are read by band.  The event lines are the distinct y of the
+    polygon's vertices and of the rects' bottom and top edges; a band is
+    one event line, or the rows strictly between two neighbouring event
+    lines (or beyond the last), keyed as RectPolygon._section keys its
+    bands.  All rows of a band read alike, so one record per band is
+    exact: a rect crosses row y when yb < y < yt, and no yb or yt lies
+    strictly inside a band, so every row of it has the same crossing
+    rects and none has a rect edge on it; the polygon's section changes
+    only at vertex lines, and a vertical edge holds a point of the row
+    exactly when the row lies between the edge's ends, which are vertex
+    y's.  A row's facts are functions of these four alone.  Its anchor
+    facts (_Row) serve anchors; the ends of its furthest fences (_Ends)
+    serve only the line cut (furthest and crossing_anchor), and are built
+    only when it asks.
     """
 
     def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]):
         self.poly = poly
         self.rects_in = rects_in
-        _x0, self.y0, _x1, self.y1 = poly.bbox()
         self._rows: dict[int, _Row] = {}
+        self._ends: dict[int, _Ends] = {}
         self._anchors: dict[Rect, _Anchors] = {}
         self._engines: dict[int, FenceEngine] = {}
 
     @cached_property
-    def _crossing(self) -> list[list[tuple[int, int]]]:
-        """The x-extents of the rects crossing each row of the bbox."""
-        spans = ((r.yb, r.yt, r.xl, r.xr) for _rid, r in self.rects_in)
-        return _crossing_rows(spans, self.y0, self.y1 - self.y0 + 1)
+    def _events(self) -> list[int]:
+        """The event lines: the sorted distinct y of the polygon's
+        vertices and of the rects' bottom and top edges."""
+        ys = set(self.poly.coords()[1])
+        for _rid, r in self.rects_in:
+            ys.add(r.yb)
+            ys.add(r.yt)
+        return sorted(ys)
+
+    def _band(self, y: int) -> int:
+        """The key of row y's band: 2j + 1 on event line j, 2j strictly
+        between event lines j - 1 and j."""
+        events = self._events
+        j = bisect_left(events, y)
+        return 2 * j + (j < len(events) and events[j] == y)
 
     @cached_property
-    def _edged(self) -> dict[int, list[tuple[int, int]]]:
-        """The x-extents of the rects with an edge on each row."""
-        edged: dict[int, list[tuple[int, int]]] = {}
-        for _rid, r in self.rects_in:
-            for y in (r.yb, r.yt):
-                edged.setdefault(y, []).append((r.xl, r.xr))
-        return edged
+    def _by_x(self) -> list[tuple[int, int, int, int]]:
+        """(xl, xr, yb, yt) of each rect, sorted by x-extent."""
+        return sorted((r.xl, r.xr, r.yb, r.yt) for _rid, r in self.rects_in)
 
     @cached_property
     def _verticals(self) -> list[tuple[int, int, int, bool]]:
-        """(x, lowest y, highest y, left?) of each vertical polygon edge."""
+        """(x, lowest y, highest y, left?) of each vertical polygon edge,
+        sorted."""
         edges = self.poly.edges()
-        return [
+        return sorted(
             (edges[i].a.x, *sorted((edges[i].a.y, edges[i].b.y)), side == "left")
             for i, side in self.poly.vertical_edge_sides().items()
-        ]
+        )
 
     def row(self, y: int) -> _Row:
-        """The record of row y, which must lie in the polygon's bbox.
+        """The anchor facts of row y, one record per band."""
+        key = self._band(y)
+        rec = self._rows.get(key)
+        if rec is None:
+            rec = self._rows[key] = self._build_row(y)
+        return rec
+
+    def _build_row(self, y: int) -> _Row:
+        """The anchor facts of row y, built afresh."""
+        lefts: list[int] = []
+        rights: list[int] = []
+        for x, lo, hi, left in self._verticals:
+            if lo <= y <= hi:
+                (lefts if left else rights).append(x)
+        crossing = [(a, b) for a, b, lo, hi in self._by_x if lo < y < hi]
+        return _Row(
+            tuple(lefts),
+            tuple(rights),
+            *_free_pieces(self.poly.horizontal_section(y), crossing),
+        )
+
+    def _line_ends(self, y: int) -> _Ends:
+        """The line cut's facts of row y, one record per band."""
+        key = self._band(y)
+        ends = self._ends.get(key)
+        if ends is None:
+            ends = self._ends[key] = self._build_ends(y)
+        return ends
+
+    def _build_ends(self, y: int) -> _Ends:
+        """The line cut's facts of row y, built afresh from the row's
+        anchor facts.
 
         The fence from an anchor runs within the anchor's section of the
         row; a left anchor's furthest fence ends at the first left edge of
         a crossing rect at or right of it (the fence stops inside that
         edge), else at the last right corner on the row; a right anchor's
         is the mirror image."""
-        rec = self._rows.get(y)
-        if rec is None:
-            crossing, edged = self._crossing[y - self.y0], self._edged.get(y, ())
-            sections = self.poly.horizontal_section(y)
-            blocks_l = [a for a, _b in crossing]
-            blocks_r = sorted(b for _a, b in crossing)
-            corners_l = sorted(a for a, _b in edged)
-            corners_r = sorted(b for _a, b in edged)
-            lefts = tuple(
-                sorted(x for x, lo, hi, left in self._verticals if left and lo <= y <= hi)
-            )
-            rights = tuple(
-                sorted(x for x, lo, hi, left in self._verticals if not left and lo <= y <= hi)
-            )
-            left_ends: list[Optional[int]] = []
-            for x in lefts:
-                hi = next(b for a, b in sections if a <= x <= b)
-                k = bisect_left(blocks_l, x)
-                if k < len(blocks_l) and blocks_l[k] <= hi:
-                    left_ends.append(blocks_l[k])
-                    continue
-                k = bisect_right(corners_r, hi) - 1
-                left_ends.append(corners_r[k] if k >= 0 and corners_r[k] >= x else None)
-            right_ends: list[Optional[int]] = []
-            for x in rights:
-                lo = next(a for a, b in sections if a <= x <= b)
-                k = bisect_right(blocks_r, x) - 1
-                if k >= 0 and blocks_r[k] >= lo:
-                    right_ends.append(blocks_r[k])
-                    continue
-                k = bisect_left(corners_l, lo)
-                found = k < len(corners_l) and corners_l[k] <= x
-                right_ends.append(corners_l[k] if found else None)
-            rec = self._rows[y] = _Row(
-                lefts,
-                tuple(left_ends),
-                rights,
-                tuple(right_ends),
-                *_free_pieces(sections, crossing),
-            )
-        return rec
+        rec = self.row(y)
+        sections = self.poly.horizontal_section(y)
+        blocks_l: list[int] = []
+        blocks_r: list[int] = []
+        corners_l: list[int] = []
+        corners_r: list[int] = []
+        for a, b, lo, hi in self._by_x:
+            if lo < y < hi:
+                blocks_l.append(a)
+                blocks_r.append(b)
+            elif lo == y or hi == y:
+                corners_l.append(a)
+                corners_r.append(b)
+        blocks_r.sort()
+        corners_r.sort()
+        left_ends: list[Optional[int]] = []
+        for x in rec.lefts:
+            hi = next(b for a, b in sections if a <= x <= b)
+            k = bisect_left(blocks_l, x)
+            if k < len(blocks_l) and blocks_l[k] <= hi:
+                left_ends.append(blocks_l[k])
+                continue
+            k = bisect_right(corners_r, hi) - 1
+            left_ends.append(corners_r[k] if k >= 0 and corners_r[k] >= x else None)
+        right_ends: list[Optional[int]] = []
+        for x in rec.rights:
+            lo = next(a for a, b in sections if a <= x <= b)
+            k = bisect_right(blocks_r, x) - 1
+            if k >= 0 and blocks_r[k] >= lo:
+                right_ends.append(blocks_r[k])
+                continue
+            k = bisect_left(corners_l, lo)
+            found = k < len(corners_l) and corners_l[k] <= x
+            right_ends.append(corners_l[k] if found else None)
+        return _Ends(tuple(left_ends), tuple(right_ends))
 
     def furthest(self, p: Point, left: bool) -> Optional[int]:
         """The x of the furthest line fence from p, an integral point of a
         left (fences run rightward) or right (leftward) polygon edge, or
         None when p anchors none."""
         rec = self.row(p.y)
-        xs, ends = (rec.lefts, rec.left_ends) if left else (rec.rights, rec.right_ends)
+        xs = rec.lefts if left else rec.rights
         k = bisect_left(xs, p.x)
-        return ends[k] if k < len(xs) and xs[k] == p.x else None
+        if k == len(xs) or xs[k] != p.x:
+            return None
+        ends = self._line_ends(p.y)
+        return (ends.left_ends if left else ends.right_ends)[k]
 
     def crossing_anchor(self, y: int, x: int) -> Optional[int]:
         """The least x of an anchor on row y with a line fence that
         strictly crosses the vertical line at x, or None.  Left anchors
         lie left of x and right ones right of it, so the left come first."""
-        rec = self.row(y)
-        for xa, end in zip(rec.lefts, rec.left_ends):
+        rec, ends = self.row(y), self._line_ends(y)
+        for xa, end in zip(rec.lefts, ends.left_ends):
             if xa >= x:
                 break
             if end is not None and end > x:
                 return xa
-        for xa, end in zip(rec.rights, rec.right_ends):
+        for xa, end in zip(rec.rights, ends.right_ends):
             if xa > x and end is not None and end < x:
                 return xa
         return None
@@ -559,9 +624,7 @@ class LineFences:
 
     def _row_anchors(self, r: Rect, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The left and the right anchors of the fences holding r's edge
-        on row y."""
-        if not self.y0 <= y <= self.y1:
-            return (), ()
+        on row y; a row off the polygon holds no free piece."""
         rec = self.row(y)
         k = bisect_right(rec.free_lo, r.xl) - 1
         if k < 0 or rec.free_hi[k] < r.xr:

@@ -44,8 +44,11 @@ hex digits of the sha256 of the node's facts that line and chain
 protection read from one LineFences record of the node, namely every
 rect's line fences (anchor, far end and side of each, in order; built
 by oracles.protecting_fences from the record's anchors of the rect),
-the fence engine's move table and, under three and two_eps, every
-rect's tau_protected verdict at the run's tau.  Against an older
+the fence engine's move table, the line cut's reads (furthest at every
+integral point of every vertical edge, and crossing_anchor on every row
+of the bbox at every vertex x and at the integral x midway between
+neighbouring vertex x's) and, under three and two_eps, every rect's
+tau_protected verdict at the run's tau.  Against an older
 src without tau_protected, the verdicts come from is_tau_protected.  A
 run that raises shows the type and message of the error instead, once.
 
@@ -73,7 +76,7 @@ from misr.charging import (
     verify_ratios,
 )
 from misr.dp_solver import DpStats, dp_solve
-from misr.geom_core import Rect
+from misr.geom_core import Point, Rect
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import recursive_partition, run_to_json, validate_partition
 from misr.structure import FenceEngine, LineFences, maximal_extension
@@ -254,6 +257,27 @@ def _tau_verdicts(record, rects_in, tau) -> list[bool]:
     return [is_tau_protected(r, record.poly, rects_in, tau, memo) for _rid, r in rects_in]
 
 
+def _line_cut_reads(record) -> list:
+    """The line cut's two reads of a node's record: furthest at every
+    integral point of every vertical edge, in edge order, and
+    crossing_anchor on every row of the bbox at every vertex x and at the
+    integral x midway (rounded down) between neighbouring vertex x's."""
+    poly = record.poly
+    edges = poly.edges()
+    furthest = []
+    for idx, side in sorted(poly.vertical_edge_sides().items()):
+        e = edges[idx]
+        y1, y2 = sorted((e.a.y, e.b.y))
+        furthest.append(
+            [record.furthest(Point(e.a.x, y), side == "left") for y in range(y1, y2 + 1)]
+        )
+    vxs = sorted({p.x for p in poly.vertices})
+    xs = sorted(set(vxs).union((a + b) // 2 for a, b in zip(vxs, vxs[1:])))
+    _x0, y0, _x1, y1 = poly.bbox()
+    crossing = [[record.crossing_anchor(y, x) for x in xs] for y in range(y0, y1 + 1)]
+    return [furthest, crossing]
+
+
 def _node_facts(run, node) -> str:
     from oracles import protecting_fences
 
@@ -267,7 +291,7 @@ def _node_facts(run, node) -> str:
     ]
     # the move table does not depend on the budget
     moves = FenceEngine(poly, rects_in, 1)._steps()
-    facts = [fences, bytes(moves).hex()]
+    facts = [fences, bytes(moves).hex(), _line_cut_reads(record)]
     if run.regime != "six":
         facts.append(_tau_verdicts(record, rects_in, run.tau))
     blob = json.dumps(facts).encode()

@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+from misr.charging import charge_six, charge_three, charge_two_eps, verify_ratios
 from misr.geom_core import Point, Rect, RectPolygon, Segment, segment_intersects_rect
 from misr import partition, structure
 from misr.instance import exact_mis, generate, preprocess
@@ -460,21 +461,82 @@ def test_packed_checked_records_per_node(n, seed, regime, eps, monkeypatch):
     assert built["FenceEngine"] == PACKED_ENGINES[n, seed]
 
 
+def count_calls(monkeypatch, owner, *names) -> Counter:
+    """Count the calls of each named function of owner (a module or a
+    class) made while the patch holds."""
+    calls: Counter = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+CHECKED_SWEEP = [
+    (family, n, seed)
+    for family in ("uniform_random", "nested_grid")
+    for n in (24, 32, 40, 48, 56, 64)
+    for seed in range(3)
+]
+
+
+def test_checked_sweep_passes_every_check():
+    """check=True on uniform_random and nested_grid at n = 24..64, beyond
+    the acceptance sweep's n <= 10: every regime's run passes every
+    validate_partition and verify_ratios check."""
+    failed = []
+    for family, n, seed in CHECKED_SWEEP:
+        inst = generate(family, n, seed)
+        opt = exact_mis(inst, cap=n)
+        m = maximal_extension(opt, inst)
+        for regime, eps in (("six", None), ("three", None), ("two_eps", Fraction(1, 2))):
+            run = recursive_partition(m, regime, eps=eps, check=True)
+            if regime == "six":
+                ledger, forest = charge_six(run), None
+            elif regime == "three":
+                ledger, forest = charge_three(run), None
+            else:
+                ledger, forest = charge_two_eps(run, eps)
+            checks = validate_partition(run) + verify_ratios(run, ledger, opt.size, forest)
+            failed += [(family, n, seed, regime, c["name"]) for c in checks if not c["ok"]]
+    assert not failed, failed
+
+
 def test_unchecked_case0_reads_nothing(monkeypatch):
-    """Without checks a case-0 cut asks no protection question: no row is
-    bucketed and no engine is built."""
+    """Without checks a case-0 cut asks no protection question: no row
+    record and no line-cut ends are built, no row is bucketed for a move
+    table and no engine is built."""
     inst = generate("packed", 24, 0)
     m = maximal_extension(exact_mis(inst, cap=24), inst)
-    rows = Counter()
-    real = structure._crossing_rows
-
-    def counted(*args):
-        rows["calls"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(structure, "_crossing_rows", counted)
+    rows = count_calls(monkeypatch, LineFences, "_build_row", "_build_ends")
+    rows.update(count_calls(monkeypatch, structure, "_crossing_rows"))
     built = count_builds(monkeypatch, FenceEngine)
     for regime, eps in (("three", None), ("two_eps", Fraction(1, 2))):
         run = recursive_partition(m, regime, eps=eps, check=False)
         assert {run.nodes[v].case for v in run.trace} == {"general-0"}
-    assert rows["calls"] == 0 and built["FenceEngine"] == 0
+    assert sum(rows.values()) == 0 and built["FenceEngine"] == 0
+
+
+def test_six_builds_one_row_record_per_band(monkeypatch):
+    """six reads its rows by band: a checked run on windmill n = 16 builds
+    one row record per distinct (node, band) it asks, 108 of them (one
+    per distinct (node, row), 394, before rows were shared by band), and
+    the line cut's ends for 68 of those bands."""
+    inst = generate("windmill", 16, 0)
+    m = maximal_extension(exact_mis(inst, cap=16), inst)
+    held: dict = {}  # every record asked, alive so that ids stay distinct
+    asked = set()
+    real_row = LineFences.row
+
+    def row(self, y):
+        held[id(self)] = self
+        asked.add((id(self), self._band(y)))
+        return real_row(self, y)
+
+    monkeypatch.setattr(LineFences, "row", row)
+    built = count_calls(monkeypatch, LineFences, "_build_row", "_build_ends")
+    recursive_partition(m, "six", check=True)
+    assert built["_build_row"] == len(asked) == 108
+    assert built["_build_ends"] == 68

@@ -391,13 +391,10 @@ def test_line_fences_agree(node_cells):
     assert crossings > 1000, crossings
 
 
-def test_line_fences_agree_on_stray_rects():
-    """The row records make no use of the rects lying inside the polygon
-    or apart: on blobs with random rects around them, overlapping each
-    other and the boundary, the line cut's reads and every rect's
-    protecting fences still agree with the references."""
+def stray_rect_sets():
+    """(blob, rects) pairs: each blob with five sets of random rects
+    around it, overlapping each other and the boundary."""
     rng = random.Random(8)
-    crossings = 0
     for poly in blobs():
         x0, y0, x1, y1 = poly.bbox()
         for _ in range(5):
@@ -406,9 +403,46 @@ def test_line_fences_agree_on_stray_rects():
                 xl, yb = rng.randint(x0 - 2, x1), rng.randint(y0 - 2, y1)
                 r = Rect(xl, yb, xl + rng.randint(1, 4), yb + rng.randint(1, 4))
                 rin.append((rid, r))
-            crossings += assert_line_reads_agree(poly, rin)
-            for _rid, r in rin:
-                assert protecting_fences(
-                    LineFences(poly, rin), r
-                ) == ref_protecting_fences(poly, rin, r)
+            yield poly, rin
+
+
+def test_line_fences_agree_on_stray_rects():
+    """The row records make no use of the rects lying inside the polygon
+    or apart: on blobs with random rects around them the line cut's reads
+    and every rect's protecting fences still agree with the references."""
+    crossings = 0
+    for poly, rin in stray_rect_sets():
+        crossings += assert_line_reads_agree(poly, rin)
+        for _rid, r in rin:
+            assert protecting_fences(
+                LineFences(poly, rin), r
+            ) == ref_protecting_fences(poly, rin, r)
     assert crossings > 1000, crossings
+
+
+def assert_rows_by_band(poly, rin) -> int:
+    """Every row of the bounding box, built afresh on a fresh record,
+    equals what one record, asked bottom-up, holds for the row's band: the
+    anchor facts and the line cut's ends both.  Returns the number of rows
+    that read a record built at a lower row of their band."""
+    shared = LineFences(poly, rin)
+    _x0, y0, _x1, y1 = poly.bbox()
+    for y in range(y0, y1 + 1):
+        fresh = LineFences(poly, rin)
+        assert fresh._build_row(y) == shared.row(y), (poly, rin, y)
+        assert fresh._build_ends(y) == shared._line_ends(y), (poly, rin, y)
+    assert len(shared._rows) == len(shared._ends)
+    return y1 - y0 + 1 - len(shared._rows)
+
+
+def test_rows_of_a_band_read_alike(node_cells):
+    """One record per band is exact: on every node cell, every line unit
+    of acceptance criterion 6 and every blob with stray rects."""
+    shared = 0
+    for poly, rin in node_cells:
+        shared += assert_rows_by_band(poly, rin)
+    for _k, poly, rects in criterion_6_units()[0]:
+        shared += assert_rows_by_band(poly, rects)
+    for poly, rin in stray_rect_sets():
+        shared += assert_rows_by_band(poly, rin)
+    assert shared > 1000, shared
