@@ -859,13 +859,14 @@ REGIMES = ("six", "three", "two_eps")
 def regime_tau(regime: str, eps: Optional[Fraction], tau: Optional[int]) -> Optional[int]:
     if regime == "six":
         return None
+    if regime == "two_eps" and eps is None:
+        # the bound 2 + eps and the quota 2/eps read eps whatever tau is
+        raise ConstructionError("two_eps regime requires eps")
     if tau is not None:
         return tau
     if regime == "three":
         return 7
     if regime == "two_eps":
-        if eps is None:
-            raise ConstructionError("two_eps regime requires eps")
         inv = 1 / Fraction(eps)
         if inv.denominator != 1:
             raise ConstructionError("two_eps requires 1/eps integral")
@@ -923,8 +924,9 @@ def recursive_partition(
     # Each node's protection record (see LineFences) is made by its
     # parent's persistence check, which hands it down the stack, or else
     # when the node is cut; its facts are built at the first question that
-    # reads them.  A record is dropped when its node is done, and a one-rect
-    # child is done with its check.
+    # reads them, and it answers alike before and after the cut, so every
+    # question is asked after it.  A record is dropped when its node is
+    # done, and a one-rect child is done with its check.
     if regime == "six":
         cutter = line_partition_cut
         prot = lambda fences, r: fences.protected(r)
@@ -951,10 +953,9 @@ def recursive_partition(
         fences = fences or LineFences(poly, [(i, work[i]) for i in ids])
         if check:
             _check_visibility_guarantee(work, fences, nesting.horizontally_nested)
-        protected_before = {i: prot(fences, work[i]) for i in ids} if check else {}
         res = cutter(poly, fences.rects_in, fences)
         for i in res.intersected:
-            if (protected_before[i] if check else prot(fences, work[i])):
+            if prot(fences, work[i]):
                 raise ConstructionError(
                     f"{res.case}: protected rectangle {i} intersected"
                 )
@@ -975,7 +976,7 @@ def recursive_partition(
             if check and child_ids:
                 child_fences = LineFences(child.polygon, [(j, work[j]) for j in child_ids])
                 for i in child_ids:
-                    if protected_before[i] and not prot(child_fences, work[i]):
+                    if prot(fences, work[i]) and not prot(child_fences, work[i]):
                         raise ConstructionError(
                             f"protection of rect {i} not persistent in child"
                         )
@@ -1090,15 +1091,22 @@ def validate_partition(run: PartitionRun) -> list[dict]:
             break
     _check(report, "children_tile_parent", tile_ok, tile_detail)
 
+    # Per tracked rect, the leaves meeting its interior and, among them,
+    # the leaves holding it (a leaf holding a rect meets its interior).
     leaves = [node for node in nodes if not node.children]
+    meets: dict[int, list[int]] = {}
+    homes: dict[int, list[int]] = {}
+    for i in run.tracked:
+        r = run.work_rects[i]
+        meets[i] = [
+            node.id for node in leaves if polygon_meets_rect_interior(node.polygon, r)
+        ]
+        homes[i] = [v for v in meets[i] if nodes[v].polygon.contains_rect(r)]
+
     leaf_ok = True
     leaf_detail = ""
     for node in leaves:
-        inside = [
-            i
-            for i in run.tracked
-            if node.polygon.contains_rect(run.work_rects[i])
-        ]
+        inside = [i for i in run.tracked if node.id in homes[i]]
         if len(inside) > 1:
             leaf_ok, leaf_detail = False, f"leaf {node.id} holds {inside}"
             break
@@ -1106,16 +1114,9 @@ def validate_partition(run: PartitionRun) -> list[dict]:
 
     unique_ok, unique_detail = True, ""
     for i in run.tracked:
-        r = run.work_rects[i]
-        homes = [node.id for node in leaves if node.polygon.contains_rect(r)]
-        meets = [
-            node.id
-            for node in leaves
-            if polygon_meets_rect_interior(node.polygon, r)
-        ]
-        if len(homes) != 1 or meets != homes:
+        if len(homes[i]) != 1 or meets[i] != homes[i]:
             unique_ok = False
-            unique_detail = f"rect {i}: homes={homes} meets={meets}"
+            unique_detail = f"rect {i}: homes={homes[i]} meets={meets[i]}"
             break
     _check(report, "tracked_in_unique_leaf", unique_ok, unique_detail)
 

@@ -14,35 +14,30 @@ integral coordinates, so chains can always be deformed onto the integer
 grid without increasing their segment count.
 
 Protection belongs to a node of a partition, a polygon and the rects
-inside it, and lives in one LineFences record per node.  Building a record
-reads nothing; each fact is built on first use and kept in the record:
-  rows      one record per band of rows (_Row): the anchors on the row
-            and its free pieces.  All rows strictly between two
-            neighbouring event lines (the y of the polygon's vertices and
-            of the rects' edges) have the same crossing rects, section
-            and vertical edges, and no rect edge, so they share one
-            record; each event line has its own (see LineFences).  The
-            ends of each anchor's furthest fence (_Ends), which only the
-            line cut reads, are kept per band beside it and built only
-            when the line cut asks;
+inside it, and lives in one LineFences record per node, the one place
+that computes a line's free pieces (its section minus the rects crossing
+it), for rows and columns alike, one record per band of lines (see
+LineFences).  Building a record reads nothing; each fact is built on
+first use and kept in the record:
+  rows      per band of rows, the anchors on the row and its free pieces
+            (_Row), and beside it the ends of each anchor's furthest fence
+            (_Ends), built only when the line cut asks;
+  columns   per band of columns, the free pieces (_Pieces), built only
+            when an engine makes its move table;
   anchors   per rect, the anchors of the line fences holding its top and
             bottom edges, which answer line protection (protected), give
             the line cut the fence of a rect its ray hits and certify
             tau-protection;
-  engine    per tau, one FenceEngine with its move table and search
-            tables, built only when a tau query is left open by the line
-            fences.
+  engine    per tau, one FenceEngine, whose move table is made from the
+            record's rows and columns, with its search tables, built only
+            when a tau query is left open by the line fences.
 A line fence is a tau-fence of one segment, so for tau >= 1 a rect whose
 top and bottom edges are held by line fences from one vertical edge is
 tau-protected; tau_protected asks the engine only about the others.
 recursive_partition makes a node's record in the parent's persistence
 check (check=True), which hands it down with the node, or else when the
 node is cut, and frees it when the node is done: no record outlives its
-node, and none outlives the run.  A row record takes its crossing rects
-from the node's rects, sorted by x-extent once per node, and its edges
-from one sorted list of the vertical edges; _crossing_rows buckets the
-rects by the rows (or columns) their interiors cross for the engine's
-move table.
+node, and none outlives the run.
 """
 
 from __future__ import annotations
@@ -92,10 +87,15 @@ def maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
     """Grow each chosen rectangle until every coordinate is blocked by
     another rectangle of the set or by the bounding square.
 
-    Rectangles are processed in ascending index order; within one
-    rectangle the growth cycle is left, right, bottom, top, repeated to a
-    fixpoint.  Any processing order yields a valid maximal set; fixing
-    one keeps fixtures reproducible.
+    Rectangles are processed in ascending index order; each grows once
+    left, right, bottom and top, against the others as grown so far (left
+    and right read only the y-range, which they leave as is, so they grow
+    independently; so do bottom and top).  Any processing order yields a
+    valid maximal set; fixing one keeps fixtures reproducible.  One cycle
+    reaches the fixpoint: a second left step would take the maximum over a
+    superset of the rects that set xl, still holding the one that set it,
+    capped at xl, so it stays at xl, and right is the mirror image; bottom
+    and top see the x-range of the first cycle, so their limits stay.
     """
     validate_solution(inst, Solution(tuple(sorted(opt.chosen))))
     side = inst.side
@@ -105,22 +105,12 @@ def maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
     for idx in range(len(grown)):
         r = grown[idx]
         others = [grown[k] for k in range(len(grown)) if k != idx]
-        changed = True
-        while changed:
-            changed = False
-            limit = max([0] + [o.xr for o in others if o.xr <= r.xl and _y_overlap(o, r)])
-            if limit < r.xl:
-                r, changed = Rect(limit, r.yb, r.xr, r.yt), True
-            limit = min([side] + [o.xl for o in others if o.xl >= r.xr and _y_overlap(o, r)])
-            if limit > r.xr:
-                r, changed = Rect(r.xl, r.yb, limit, r.yt), True
-            limit = max([0] + [o.yt for o in others if o.yt <= r.yb and _x_overlap(o, r)])
-            if limit < r.yb:
-                r, changed = Rect(r.xl, limit, r.xr, r.yt), True
-            limit = min([side] + [o.yb for o in others if o.yb >= r.yt and _x_overlap(o, r)])
-            if limit > r.yt:
-                r, changed = Rect(r.xl, r.yb, r.xr, limit), True
-        grown[idx] = r
+        xl = max([0] + [o.xr for o in others if o.xr <= r.xl and _y_overlap(o, r)])
+        xr = min([side] + [o.xl for o in others if o.xl >= r.xr and _y_overlap(o, r)])
+        r = Rect(xl, r.yb, xr, r.yt)
+        yb = max([0] + [o.yt for o in others if o.yt <= r.yb and _x_overlap(o, r)])
+        yt = min([side] + [o.yb for o in others if o.yb >= r.yt and _x_overlap(o, r)])
+        grown[idx] = Rect(xl, yb, xr, yt)
 
     m = MaximalSet(tuple(grown), tuple(order), side)
     assert_maximal(m)
@@ -361,33 +351,38 @@ def classify_nice(m: MaximalSet) -> NiceLabel:
 # -- line fences (single horizontal segments) --------------------------------
 
 
-def _crossing_rows(
-    spans: Iterable[tuple[int, int, int, int]], lo: int, n: int
-) -> list[list[tuple[int, int]]]:
-    """rows[i]: the (a, b) of every span (clo, chi, a, b) with
-    clo < lo + i < chi, sorted.  With a rect's (yb, yt, xl, xr) as its
-    span, rows[i] holds the x-extents of the rects whose interior crosses
-    the row y = lo + i; with (xl, xr, yb, yt), the y-extents of those
-    crossing the column x = lo + i."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for clo, chi, a, b in spans:
-        extent = (a, b)  # one tuple, shared by every row it crosses
-        for i in range(max(clo + 1 - lo, 0), min(chi - lo, n)):
-            rows[i].append(extent)
-    for row in rows:
-        row.sort()
-    return rows
+class _Lines(NamedTuple):
+    """The lines of one axis of a node, its rows (y = c) or its columns
+    (x = c): events, the event lines, ascending; spans, the (a, b, lo, hi)
+    of each rect, its extent (a, b) along the lines and (lo, hi) across
+    them, ascending."""
+
+    events: list[int]
+    spans: list[tuple[int, int, int, int]]
+
+
+def _band(events: Sequence[int], c: int) -> int:
+    """The key of line c's band among the event lines: 2j + 1 on event
+    line j, 2j strictly between event lines j - 1 and j."""
+    j = bisect_left(events, c)
+    return 2 * j + (j < len(events) and events[j] == c)
 
 
 class _Row(NamedTuple):
     """The anchor facts of one row y of a node: lefts/rights, the x of the
     left/right polygon edges holding a point of y, ascending;
-    free_lo/free_hi, the pieces of the polygon's section on y outside the
-    open x-extents of the rects crossing y, closed intervals (possibly
-    points), ascending."""
+    free_lo/free_hi, the row's free pieces (_Pieces)."""
 
     lefts: tuple[int, ...]
     rights: tuple[int, ...]
+    free_lo: tuple[int, ...]
+    free_hi: tuple[int, ...]
+
+
+class _Pieces(NamedTuple):
+    """The free pieces of one line of a node (_free_pieces), closed
+    intervals (possibly points), ascending, as their low and high ends."""
+
     free_lo: tuple[int, ...]
     free_hi: tuple[int, ...]
 
@@ -402,10 +397,14 @@ class _Ends(NamedTuple):
 
 
 def _free_pieces(
-    sections: Sequence[tuple[int, int]], crossing: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The closed sections minus the open intervals crossing (sorted), as
-    the pieces' low ends and their high ends."""
+    sections: Sequence[tuple[int, int]],
+    spans: Sequence[tuple[int, int, int, int]],
+    c: int,
+) -> _Pieces:
+    """The free pieces of line c, outside the rects crossing it: the
+    closed sections of the line minus the open extents (a, b) of the
+    spans (a, b, lo, hi) with lo < c < hi (see _Lines)."""
+    crossing = [(a, b) for a, b, lo, hi in spans if lo < c < hi]
     los: list[int] = []
     his: list[int] = []
     for a, b in sections:
@@ -422,7 +421,7 @@ def _free_pieces(
         if cur <= b:
             los.append(cur)
             his.append(b)
-    return tuple(los), tuple(his)
+    return _Pieces(tuple(los), tuple(his))
 
 
 class _Anchors(NamedTuple):
@@ -438,8 +437,9 @@ class _Anchors(NamedTuple):
 
 class LineFences:
     """The protection record of one node, a polygon and the rects inside
-    it: its line fences, read from one row record per band, and its fence
-    engines, all built on first use.
+    it: the free pieces of its lines, one record per band of rows or of
+    columns, its line fences and its fence engines, all built on first
+    use.
 
     A line fence from a left polygon edge runs rightward from an integral
     anchor point of the edge, within the polygon's section, to a rect
@@ -452,20 +452,23 @@ class LineFences:
     and, with the engine, tau_protected.  A fence holding an edge is read
     as its anchor: it runs from there to the edge's far corner.
 
-    Rows are read by band.  The event lines are the distinct y of the
-    polygon's vertices and of the rects' bottom and top edges; a band is
-    one event line, or the rows strictly between two neighbouring event
-    lines (or beyond the last), keyed as RectPolygon._section keys its
-    bands.  All rows of a band read alike, so one record per band is
-    exact: a rect crosses row y when yb < y < yt, and no yb or yt lies
-    strictly inside a band, so every row of it has the same crossing
-    rects and none has a rect edge on it; the polygon's section changes
-    only at vertex lines, and a vertical edge holds a point of the row
-    exactly when the row lies between the edge's ends, which are vertex
-    y's.  A row's facts are functions of these four alone.  Its anchor
-    facts (_Row) serve anchors; the ends of its furthest fences (_Ends)
-    serve only the line cut (furthest and crossing_anchor), and are built
-    only when it asks.
+    Lines are read by band.  The event lines of an axis are the distinct
+    coordinates of the polygon's vertices and of the rects' edges along
+    the lines (for rows, the y of vertices and of bottom and top edges),
+    and the rects' spans are sorted once per axis (_Lines); a band is one
+    event line, or the lines strictly between two neighbouring ones (or
+    beyond the last), keyed as RectPolygon._section keys its bands (_band).
+    All lines of a band read alike, so one record per band is exact: a
+    rect crosses row y when yb < y < yt, and no yb or yt lies strictly
+    inside a band, so every row of it has the same crossing rects and none
+    has a rect edge on it; the polygon's section changes only at vertex
+    lines, and a vertical edge holds a point of the row exactly when the
+    row lies between the edge's ends, which are vertex y's.  A row's facts
+    are functions of these four alone, and a column's free pieces, by the
+    mirror argument, of its crossing rects and section.  A row's anchor
+    facts (_Row) serve anchors and the engine; its fence ends (_Ends) only
+    the line cut (furthest and crossing_anchor); a column's free pieces
+    (_Pieces) only the engine.
     """
 
     def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]):
@@ -473,30 +476,30 @@ class LineFences:
         self.rects_in = rects_in
         self._rows: dict[int, _Row] = {}
         self._ends: dict[int, _Ends] = {}
+        self._columns: dict[int, _Pieces] = {}
         self._anchors: dict[Rect, _Anchors] = {}
         self._engines: dict[int, FenceEngine] = {}
 
-    @cached_property
-    def _events(self) -> list[int]:
-        """The event lines: the sorted distinct y of the polygon's
-        vertices and of the rects' bottom and top edges."""
-        ys = set(self.poly.coords()[1])
-        for _rid, r in self.rects_in:
-            ys.add(r.yb)
-            ys.add(r.yt)
-        return sorted(ys)
-
-    def _band(self, y: int) -> int:
-        """The key of row y's band: 2j + 1 on event line j, 2j strictly
-        between event lines j - 1 and j."""
-        events = self._events
-        j = bisect_left(events, y)
-        return 2 * j + (j < len(events) and events[j] == y)
+    def _lines(self, horizontal: bool) -> _Lines:
+        """The rows (horizontal) or the columns of the node: the event
+        lines and the rects' spans."""
+        spans = sorted(
+            (r.xl, r.xr, r.yb, r.yt) if horizontal else (r.yb, r.yt, r.xl, r.xr)
+            for _rid, r in self.rects_in
+        )
+        events = set(self.poly.coords()[horizontal])
+        for _a, _b, lo, hi in spans:
+            events.add(lo)
+            events.add(hi)
+        return _Lines(sorted(events), spans)
 
     @cached_property
-    def _by_x(self) -> list[tuple[int, int, int, int]]:
-        """(xl, xr, yb, yt) of each rect, sorted by x-extent."""
-        return sorted((r.xl, r.xr, r.yb, r.yt) for _rid, r in self.rects_in)
+    def _row_lines(self) -> _Lines:
+        return self._lines(True)
+
+    @cached_property
+    def _column_lines(self) -> _Lines:
+        return self._lines(False)
 
     @cached_property
     def _verticals(self) -> list[tuple[int, int, int, bool]]:
@@ -510,7 +513,7 @@ class LineFences:
 
     def row(self, y: int) -> _Row:
         """The anchor facts of row y, one record per band."""
-        key = self._band(y)
+        key = _band(self._row_lines.events, y)
         rec = self._rows.get(key)
         if rec is None:
             rec = self._rows[key] = self._build_row(y)
@@ -523,16 +526,27 @@ class LineFences:
         for x, lo, hi, left in self._verticals:
             if lo <= y <= hi:
                 (lefts if left else rights).append(x)
-        crossing = [(a, b) for a, b, lo, hi in self._by_x if lo < y < hi]
         return _Row(
             tuple(lefts),
             tuple(rights),
-            *_free_pieces(self.poly.horizontal_section(y), crossing),
+            *_free_pieces(self.poly.horizontal_section(y), self._row_lines.spans, y),
         )
+
+    def column(self, x: int) -> _Pieces:
+        """The free pieces of column x, one record per band."""
+        key = _band(self._column_lines.events, x)
+        rec = self._columns.get(key)
+        if rec is None:
+            rec = self._columns[key] = self._build_column(x)
+        return rec
+
+    def _build_column(self, x: int) -> _Pieces:
+        """The free pieces of column x, built afresh."""
+        return _free_pieces(self.poly.vertical_section(x), self._column_lines.spans, x)
 
     def _line_ends(self, y: int) -> _Ends:
         """The line cut's facts of row y, one record per band."""
-        key = self._band(y)
+        key = _band(self._row_lines.events, y)
         ends = self._ends.get(key)
         if ends is None:
             ends = self._ends[key] = self._build_ends(y)
@@ -553,7 +567,7 @@ class LineFences:
         blocks_r: list[int] = []
         corners_l: list[int] = []
         corners_r: list[int] = []
-        for a, b, lo, hi in self._by_x:
+        for a, b, lo, hi in self._row_lines.spans:
             if lo < y < hi:
                 blocks_l.append(a)
                 blocks_r.append(b)
@@ -658,7 +672,7 @@ class LineFences:
         """The node's fence engine at budget tau, built on first use."""
         eng = self._engines.get(tau)
         if eng is None:
-            eng = self._engines[tau] = FenceEngine(self.poly, self.rects_in, tau)
+            eng = self._engines[tau] = FenceEngine(self, tau)
         return eng
 
     def tau_protected(self, r: Rect, tau: int) -> bool:
@@ -696,18 +710,22 @@ _ONTO_LEFT = (_H * 3 + 2, tuple(o * 3 + h for o in (_VU, _VD, _START) for h in (
 
 
 def _free_steps(
-    sections: list[tuple[int, int]], blocked: list[tuple[int, int]], lo0: int, n: int
-) -> bytearray:
-    """free[i]: the unit step from lo0+i to lo0+i+1 lies in one of the
-    sections and in none of the blocked intervals."""
-    free = bytearray(n)
-    for lo, hi in sections:
-        free[lo - lo0 : hi - lo0] = b"\x01" * (hi - lo)
-    for lo, hi in blocked:
-        lo, hi = max(lo - lo0, 0), min(hi - lo0, n)
-        if lo < hi:
-            free[lo:hi] = bytes(hi - lo)
-    return free
+    records: Iterable[_Row | _Pieces], lo0: int, n: int
+) -> list[bytearray]:
+    """For the record of each line in turn, free[i]: the unit step from
+    lo0+i to lo0+i+1 lies in one of the line's free pieces.  Lines with the
+    same pieces, as all lines of one band have, share one array."""
+    out: list[bytearray] = []
+    made: dict[tuple[tuple[int, ...], tuple[int, ...]], bytearray] = {}
+    for rec in records:
+        key = (rec.free_lo, rec.free_hi)
+        free = made.get(key)
+        if free is None:
+            free = made[key] = bytearray(n)
+            for lo, hi in zip(*key):
+                free[lo - lo0 : hi - lo0] = b"\x01" * (hi - lo)
+        out.append(free)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -733,26 +751,6 @@ def _step_rules(ny: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     return tuple(rules)
 
 
-def _line_steps(
-    section: Callable[[int], list[tuple[int, int]]],
-    crossing: list[list[tuple[int, int]]],
-    c0: int,
-    lo0: int,
-    n: int,
-) -> list[bytearray]:
-    """_free_steps of each line c0 + i, with its section and crossing[i]
-    as the blocked intervals; a line like the one before it (the same
-    section and the same crossing rects) shares its steps."""
-    out: list[bytearray] = []
-    prev = None
-    for i, blocked in enumerate(crossing):
-        sec = section(c0 + i)
-        if prev is None or sec != prev[0] or blocked != prev[1]:
-            prev = (sec, blocked, _free_steps(sec, blocked, lo0, n))
-        out.append(prev[2])
-    return out
-
-
 def _filled(value: int, size: int):
     """A flat table of size entries equal to value, in the narrowest array
     type that holds value."""
@@ -771,11 +769,14 @@ class _Table(NamedTuple):
 
 class FenceEngine:
     """Reachability of x-monotone chains of at most tau axis-parallel
-    segments inside a polygon, avoiding the given rect interiors.
+    segments inside a node's polygon, avoiding its rects' interiors.
 
-    The search graph is the integer grid of the polygon's bounding box; a
-    chain state is (grid point, current orientation, committed horizontal
-    direction).  Turning costs one segment, continuing straight nothing.
+    An engine belongs to the node's protection record, which builds it
+    (LineFences.engine) and whose rows' and columns' free pieces make its
+    move table.  The search graph is the integer grid of the polygon's
+    bounding box; a chain state is (grid point, current orientation,
+    committed horizontal direction).  Turning costs one segment,
+    continuing straight nothing.
 
     A search result (a table) is private to the engine: only its methods
     read it.  Its distances live in one flat array indexed
@@ -790,11 +791,9 @@ class FenceEngine:
     ends of a run.
     """
 
-    def __init__(
-        self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]], tau: int
-    ):
-        self.poly = poly
-        self.rects = [r for _rid, r in rects_in]
+    def __init__(self, fences: LineFences, tau: int):
+        self.fences = fences
+        self.poly = poly = fences.poly
         self.tau = tau
         x0, y0, x1, y1 = poly.bbox()
         self.x0, self.y0 = x0, y0
@@ -809,21 +808,20 @@ class FenceEngine:
         point (x0+ix, y0+iy) that stay in the closed polygon and cross no
         rect interior.
 
-        Each row's free steps fill one strided slice of a table of free
-        steps right, and each column's one slice of a table of free steps
-        up; as integers of little-endian bytes, a step right from byte k
-        is a step left from byte k + ny, and a step up one down from byte
-        k + 1, so shifts give the other two directions."""
+        The steps come from the free pieces of the record's rows and
+        columns.  Each row's free steps fill one strided slice of a table
+        of free steps right, and each column's one slice of a table of free
+        steps up; as integers of little-endian bytes, a step right from
+        byte k is a step left from byte k + ny, and a step up one down from
+        byte k + 1, so shifts give the other two directions."""
         if self._moves is None:
-            poly, rects = self.poly, self.rects
+            fences = self.fences
             x0, y0, nx, ny = self.x0, self.y0, self.nx, self.ny
             right = bytearray(nx * ny)
-            rows = _crossing_rows(((r.yb, r.yt, r.xl, r.xr) for r in rects), y0, ny)
-            free = _line_steps(poly.horizontal_section, rows, y0, x0, nx)
-            for j, steps in enumerate(free):
+            rows = map(fences.row, range(y0, y0 + ny))
+            for j, steps in enumerate(_free_steps(rows, x0, nx)):
                 right[j::ny] = steps
-            columns = _crossing_rows(((r.xl, r.xr, r.yb, r.yt) for r in rects), x0, nx)
-            up = b"".join(_line_steps(poly.vertical_section, columns, x0, y0, ny))
+            up = b"".join(_free_steps(map(fences.column, range(x0, x0 + nx)), y0, ny))
             h, v = int.from_bytes(right, "little"), int.from_bytes(up, "little")
             moves = h * _RIGHT | (h << 8 * ny) * _LEFT | v * _UP | (v << 8) * _DOWN
             self._moves = moves.to_bytes(nx * ny, "little")

@@ -35,6 +35,8 @@ from misr.structure import (
     MaximalSet,
     StructureError,
     _sees_right_base,
+    _x_overlap,
+    _y_overlap,
     sees,
 )
 
@@ -1055,6 +1057,38 @@ def nested_is_tau_protected(
     if not top:
         return False
     return bool(top & _nested_edges_reaching_run(eng, r.yb, r.xl, r.xr))
+
+
+# -- maximal extension as first written -------------------------------------------
+
+
+def ref_maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
+    """maximal_extension as first written: each chosen rect, in ascending
+    index order, repeats the cycle left, right, bottom, top against the
+    others as grown so far until a cycle grows nothing."""
+    side = inst.side
+    order = sorted(opt.chosen)
+    grown = [inst.rects[i] for i in order]
+    for idx in range(len(grown)):
+        r = grown[idx]
+        others = [o for k, o in enumerate(grown) if k != idx]
+        changed = True
+        while changed:
+            changed = False
+            limit = max([0] + [o.xr for o in others if o.xr <= r.xl and _y_overlap(o, r)])
+            if limit < r.xl:
+                r, changed = Rect(limit, r.yb, r.xr, r.yt), True
+            limit = min([side] + [o.xl for o in others if o.xl >= r.xr and _y_overlap(o, r)])
+            if limit > r.xr:
+                r, changed = Rect(r.xl, r.yb, limit, r.yt), True
+            limit = max([0] + [o.yt for o in others if o.yt <= r.yb and _x_overlap(o, r)])
+            if limit < r.yb:
+                r, changed = Rect(r.xl, limit, r.xr, r.yt), True
+            limit = min([side] + [o.yb for o in others if o.yb >= r.yt and _x_overlap(o, r)])
+            if limit > r.yt:
+                r, changed = Rect(r.xl, r.yb, r.xr, limit), True
+        grown[idx] = r
+    return MaximalSet(tuple(grown), tuple(order), side)
 
 
 # -- corridor visibility, one reflection per query ---------------------------------

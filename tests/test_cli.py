@@ -225,6 +225,22 @@ class TestSolveAndCertify:
         assert capsys.readouterr().err == "error: tau must be at least 1: 0\n"
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["certify", "{file}", "--regime", "two_eps", "--tau", "5"],
+            ["solve", "{file}", "--algo", "two_eps", "--tau", "5"],
+        ],
+        ids=["certify", "solve"],
+    )
+    def test_two_eps_needs_eps_with_tau(self, windmill_file, command, capsys):
+        """two_eps reads eps for its bound 2 + eps and its quota 2/eps
+        whatever tau is: a --tau without --eps is refused with one line."""
+        assert run_cli([a.format(file=windmill_file) for a in command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: two_eps regime requires eps\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "extra", [["--shapes", ""], ["--k", "4", "--shapes", "tree"]], ids=["empty", "tree-k4"]
     )
     def test_dp_shapes_making_no_cut_refused(self, windmill_file, extra, capsys):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from misr.geom_core import Point, Rect, RectPolygon
 from misr.instance import exact_mis, generate
 from misr.partition import recursive_partition
-from misr.structure import FenceEngine, LineFences, maximal_extension
+from misr.structure import LineFences, maximal_extension
 from oracles import (
     NestedFenceEngine,
     _nested_edges_reaching_run,
@@ -54,7 +54,7 @@ def assert_anchors_agree(eng, ref, runs, seen=None):
     for y, x1, x2 in runs:
         got = anchoring_edges(eng, y, x1, x2)
         assert got == _nested_edges_reaching_run(ref, y, x1, x2), (
-            eng.poly, eng.rects, eng.tau, (y, x1, x2)
+            eng.poly, eng.fences.rects_in, eng.tau, (y, x1, x2)
         )
         if seen is not None:
             walkable = ref.reach_run(y, x1, x2, rightward=True) is not None
@@ -72,7 +72,7 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     given, counts the verdicts by (deciding path, verdict), the path
     "line" or "engine"."""
     ref = NestedFenceEngine(poly, rin, tau)
-    eng = FenceEngine(poly, rin, tau)
+    eng = LineFences(poly, rin).engine(tau)
     assert eng._steps() == ref_moves(poly, [r for _rid, r in rin]), (poly, rin)
     fences = LineFences(poly, rin)
     for _rid, r in rin:
@@ -157,7 +157,7 @@ def test_anchor_sets_of_short_runs_match_reference():
     for tau in TAUS:
         for family, n in (("windmill", 4), ("uniform_random", 5), ("nested_grid", 5)):
             for poly, rin in partition_cells(family, n, 0, tau):
-                eng = FenceEngine(poly, rin, tau)
+                eng = LineFences(poly, rin).engine(tau)
                 ref = NestedFenceEngine(poly, rin, tau)
                 assert_anchors_agree(eng, ref, grid_runs(poly), seen)
     assert all(seen[k] for k in ("walkable", "blocked", "anchored", "unanchored")), seen
@@ -243,7 +243,7 @@ def test_fences_from_two_edges_leave_the_rect_to_the_engine():
     assert fences.protected(mid) and not fences.one_edge_anchors_both(mid)
     for tau, want in ((1, False), (2, True), (3, True)):
         assert fences.tau_protected(mid, tau) is want
-        assert FenceEngine(poly, rects, tau).protects(mid) is want
+        assert LineFences(poly, rects).engine(tau).protects(mid) is want
         assert nested_is_tau_protected(mid, poly, rects, tau) is want
 
 
@@ -255,7 +255,7 @@ def test_no_certificate_at_tau_zero():
     rects = [(0, r)]
     fences = LineFences(poly, rects)
     assert fences.one_edge_anchors_both(r)
-    assert FenceEngine(poly, rects, 0).protects(r) is False
+    assert LineFences(poly, rects).engine(0).protects(r) is False
     assert LineFences(poly, rects).tau_protected(r, 0) is False
     assert fences.tau_protected(r, 0) is False
     assert fences.tau_protected(r, 1) is True

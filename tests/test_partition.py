@@ -506,12 +506,13 @@ def test_checked_sweep_passes_every_check():
 
 def test_unchecked_case0_reads_nothing(monkeypatch):
     """Without checks a case-0 cut asks no protection question: no row
-    record and no line-cut ends are built, no row is bucketed for a move
-    table and no engine is built."""
+    record, no line-cut ends and no column record (which only a move
+    table reads) are built, and no engine is built."""
     inst = generate("packed", 24, 0)
     m = maximal_extension(exact_mis(inst, cap=24), inst)
-    rows = count_calls(monkeypatch, LineFences, "_build_row", "_build_ends")
-    rows.update(count_calls(monkeypatch, structure, "_crossing_rows"))
+    rows = count_calls(
+        monkeypatch, LineFences, "_build_row", "_build_ends", "_build_column"
+    )
     built = count_builds(monkeypatch, FenceEngine)
     for regime, eps in (("three", None), ("two_eps", Fraction(1, 2))):
         run = recursive_partition(m, regime, eps=eps, check=False)
@@ -532,7 +533,7 @@ def test_six_builds_one_row_record_per_band(monkeypatch):
 
     def row(self, y):
         held[id(self)] = self
-        asked.add((id(self), self._band(y)))
+        asked.add((id(self), structure._band(self._row_lines.events, y)))
         return real_row(self, y)
 
     monkeypatch.setattr(LineFences, "row", row)

@@ -423,21 +423,28 @@ def test_line_fences_agree_on_stray_rects():
 def assert_rows_by_band(poly, rin) -> int:
     """Every row of the bounding box, built afresh on a fresh record,
     equals what one record, asked bottom-up, holds for the row's band: the
-    anchor facts and the line cut's ends both.  Returns the number of rows
-    that read a record built at a lower row of their band."""
+    anchor facts and the line cut's ends both; and every column, built
+    afresh, equals what the record, asked left to right, holds for the
+    column's band: its free pieces.  Returns the number of rows and
+    columns that read a record built at a lower line of their band."""
     shared = LineFences(poly, rin)
-    _x0, y0, _x1, y1 = poly.bbox()
+    x0, y0, x1, y1 = poly.bbox()
     for y in range(y0, y1 + 1):
         fresh = LineFences(poly, rin)
         assert fresh._build_row(y) == shared.row(y), (poly, rin, y)
         assert fresh._build_ends(y) == shared._line_ends(y), (poly, rin, y)
+    for x in range(x0, x1 + 1):
+        fresh = LineFences(poly, rin)
+        assert fresh._build_column(x) == shared.column(x), (poly, rin, x)
     assert len(shared._rows) == len(shared._ends)
-    return y1 - y0 + 1 - len(shared._rows)
+    lines = y1 - y0 + 1 + x1 - x0 + 1
+    return lines - len(shared._rows) - len(shared._columns)
 
 
 def test_rows_of_a_band_read_alike(node_cells):
-    """One record per band is exact: on every node cell, every line unit
-    of acceptance criterion 6 and every blob with stray rects."""
+    """One record per band is exact, for rows and for columns: on every
+    node cell, every line unit of acceptance criterion 6 and every blob
+    with stray rects."""
     shared = 0
     for poly, rin in node_cells:
         shared += assert_rows_by_band(poly, rin)

@@ -21,6 +21,7 @@ from oracles import (
     check_niceness_observation,
     fill_with_maximal_rects,
     notched_polygon,
+    ref_maximal_extension,
     ref_sees,
     ref_seen_corners_on_side,
 )
@@ -68,6 +69,26 @@ class TestMaximalExtension:
             inst = random_instance(rng, rng.randrange(1, 9))
             m = maximal_extension(exact_mis(inst), inst)
             assert_maximal(m)  # raises on any growable direction
+
+    def test_one_cycle_matches_fixpoint(self):
+        # one growth cycle per rect reaches the fixpoint the reference
+        # repeats cycles to
+        cases = 0
+        families = ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed")
+        for family in families:
+            for n in range(1, 31):
+                for seed in range(3):
+                    inst = generate(family, n, seed)
+                    opt = exact_mis(inst, cap=n)
+                    assert maximal_extension(opt, inst) == ref_maximal_extension(opt, inst)
+                    cases += 1
+        rng = random.Random(5)
+        for _ in range(100):
+            inst = random_instance(rng, rng.randrange(1, 12))
+            opt = exact_mis(inst)
+            assert maximal_extension(opt, inst) == ref_maximal_extension(opt, inst)
+            cases += 1
+        assert cases == 550
 
     def test_rejects_dependent_input(self):
         inst = preprocess([Rect(0, 0, 4, 4), Rect(1, 1, 5, 5)])
