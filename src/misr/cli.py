@@ -46,6 +46,7 @@ from .partition import (
     ConstructionError,
     _check,
     recursive_partition,
+    regime_tau,
     run_to_json,
     validate_partition,
 )
@@ -173,13 +174,14 @@ def run_pipeline(
                 checks, "dp_not_above_optimum", achieved <= opt, f"dp={achieved} opt={opt}"
             )
     elif algo in ("six", "three", "two_eps"):
+        regime_tau(algo, eps, tau)  # bad regime parameters are refused before the oracle
         opt_sol = exact_mis(inst)
         opt = opt_sol.size
         m = maximal_extension(opt_sol, inst)
         nesting = classify_nesting(m)  # raises if the never-both-nested invariant fails
-        classify_nice(m)  # raises if some rect has no nice flag
+        nice = classify_nice(m)  # raises if some rect has no nice flag
         params = {"tau": tau, "eps": str(eps) if eps is not None else None}
-        run = recursive_partition(m, algo, eps=eps, tau=tau, nesting=nesting)
+        run = recursive_partition(m, algo, eps=eps, tau=tau, nesting=nesting, nice=nice)
         transposed = run.transposed
         if algo == "six":
             ledger = charge_six(run)

@@ -231,6 +231,23 @@ def loop_contains_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> b
     return inside
 
 
+def loop_contains_run_doubled(
+    vtab: EdgeTable, htab: EdgeTable, c: int, a: int, b: int, horizontal: bool
+) -> bool:
+    """Closed containment of the run from a to b (a <= b) along the line
+    y = c (horizontal) or x = c, all doubled.  The edges across the line
+    that touch it strictly inside the run cut the run into pieces; a
+    piece holds no other boundary point unless it runs along an edge, so
+    it lies inside as a whole exactly when its midpoint does."""
+    across = vtab if horizontal else htab
+    ends = [a, *sorted(e for e, lo, hi in across if a < e < b and lo <= c <= hi), b]
+    for u, v in zip(ends, ends[1:]):
+        m = (u + v) >> 1
+        if not loop_contains_doubled(vtab, htab, *((m, c) if horizontal else (c, m))):
+            return False
+    return True
+
+
 def loop_on_boundary_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> bool:
     for c, lo, hi in vtab:
         if c == X and lo <= Y <= hi:
@@ -622,15 +639,21 @@ class RectPolygon:
         return loop_on_boundary_doubled(self._vtab, self._htab, X, Y)
 
     def contains_segment(self, s: Segment) -> bool:
-        """Closed containment of an axis-parallel segment with integer ends:
-        it lies in one interval of its line's section."""
-        if s.a.x == s.b.x:
-            lo, hi = sorted((s.a.y, s.b.y))
-            sec = self.vertical_section(s.a.x)
-        else:
-            lo, hi = sorted((s.a.x, s.b.x))
-            sec = self.horizontal_section(s.a.y)
-        return any(a <= lo and hi <= b for a, b in sec)
+        """Closed containment of an axis-parallel segment with integer ends."""
+        return self.contains_walk((s.a, s.b))
+
+    def contains_walk(self, walk: Sequence[Point]) -> bool:
+        """Closed containment of every segment of a walk of integral
+        points, each axis-parallel to the next (loop_contains_run_doubled)."""
+        for p, q in zip(walk, walk[1:]):
+            horizontal = p.y == q.y
+            c, a, b = (p.y, p.x, q.x) if horizontal else (p.x, p.y, q.y)
+            lo, hi = (a, b) if a <= b else (b, a)
+            if not loop_contains_run_doubled(
+                self._vtab, self._htab, 2 * c, 2 * lo, 2 * hi, horizontal
+            ):
+                return False
+        return True
 
     def contains_rect(self, r: Rect) -> bool:
         """True iff the open rectangle lies inside the closed polygon."""

@@ -55,9 +55,10 @@ from .structure import (
     MaximalSet,
     NestingLabel,
     NiceLabel,
+    _see_frame,
     classify_nesting,
     classify_nice,
-    seen_corners_on_side,
+    sees_a_corner_on_side,
 )
 
 RectsIn = Sequence[tuple[int, Rect]]
@@ -881,15 +882,16 @@ def recursive_partition(
     tau: Optional[int] = None,
     check: bool = True,
     nesting: Optional[NestingLabel] = None,
+    nice: Optional[NiceLabel] = None,
 ) -> PartitionRun:
     """Run the regime's recursive partitioning over the maximal set.
 
     Orientation is normalized first by an anti-diagonal transpose of the
     whole configuration (at most half horizontally nested for six/three,
     at least half horizontally nice for two_eps); all further work happens
-    in the normalized frame.  ``nesting`` is ``classify_nesting(m)`` where
-    the caller has it already; it, and under two_eps the niceness labels
-    of m, are reused for the normalized frame when nothing is transposed.
+    in the normalized frame.  ``nesting`` is ``classify_nesting(m)`` and
+    ``nice`` is ``classify_nice(m)`` where the caller has them already;
+    they are reused for the normalized frame when nothing is transposed.
     """
     if regime not in REGIMES:
         raise ConstructionError(f"unknown regime {regime!r}")
@@ -897,14 +899,15 @@ def recursive_partition(
     side = m.side
     transposed = False
     lab = nesting
-    nice = None
     if regime in ("six", "three"):
+        nice = None
         if lab is None:
             lab = classify_nesting(m)
         if 2 * len(lab.horizontally_nested) > n:
             transposed = True
     else:
-        nice = classify_nice(m)
+        if nice is None:
+            nice = classify_nice(m)
         if 2 * len(nice.horizontally_nice) < n:
             transposed = True
     work = tuple(
@@ -921,12 +924,13 @@ def recursive_partition(
         raise ConstructionError("normalization failed: too many nested")
 
     the_tau = regime_tau(regime, eps, tau)
-    # Each node's protection record (see LineFences) is made by its
-    # parent's persistence check, which hands it down the stack, or else
-    # when the node is cut; its facts are built at the first question that
-    # reads them, and it answers alike before and after the cut, so every
-    # question is asked after it.  A record is dropped when its node is
-    # done, and a one-rect child is done with its check.
+    # Each node's protection record (see LineFences) is made when its
+    # parent is cut, from the witnesses the parent's record holds for the
+    # node's rects, and handed down the stack; its facts are built at the
+    # first question that reads them, and it answers alike before and
+    # after the cut, so every question is asked after it.  A record is
+    # dropped when its node is done, and a one-rect child, which only the
+    # persistence check asks, is done with that check.
     if regime == "six":
         cutter = line_partition_cut
         prot = lambda fences, r: fences.protected(r)
@@ -936,11 +940,12 @@ def recursive_partition(
         )
         prot = lambda fences, r: fences.tau_protected(r, the_tau)
 
+    frames = {s: _see_frame(work, s) for s in ("left", "right")} if check else {}
     root_poly = RectPolygon.from_rect(Rect(0, 0, side, side))
     nodes = [PartitionNode(0, root_poly, None, tuple(range(n)))]
     trace: list[int] = []
     tracked: set[int] = set()
-    stack: list[tuple[int, Optional[LineFences]]] = [(0, None)]
+    stack = [(0, LineFences(root_poly, list(enumerate(work))))]
     while stack:
         v, fences = stack.pop()
         poly, ids = nodes[v].polygon, nodes[v].rects
@@ -950,9 +955,8 @@ def recursive_partition(
             nodes[v].assigned = ids[0]
             tracked.add(ids[0])
             continue
-        fences = fences or LineFences(poly, [(i, work[i]) for i in ids])
         if check:
-            _check_visibility_guarantee(work, fences, nesting.horizontally_nested)
+            _check_visibility_guarantee(frames, fences, nesting.horizontally_nested)
         res = cutter(poly, fences.rects_in, fences)
         for i in res.intersected:
             if prot(fences, work[i]):
@@ -972,14 +976,18 @@ def recursive_partition(
                 raise ConstructionError("child polygon did not shrink")
             nodes[v].children.append(child.id)
             nodes.append(child)
-            child_fences = None
-            if check and child_ids:
-                child_fences = LineFences(child.polygon, [(j, work[j]) for j in child_ids])
-                for i in child_ids:
-                    if prot(fences, work[i]) and not prot(child_fences, work[i]):
-                        raise ConstructionError(
-                            f"protection of rect {i} not persistent in child"
-                        )
+            if len(child_ids) < (1 if check else 2):
+                stack.append((child.id, None))
+                continue
+            # the parent answers first, so that its witnesses go down
+            held = [i for i in child_ids if prot(fences, work[i])] if check else []
+            child_rects = [work[j] for j in child_ids]
+            child_fences = LineFences(
+                child.polygon, list(zip(child_ids, child_rects)), fences.witnesses(child_rects)
+            )
+            for i in held:
+                if not prot(child_fences, work[i]):
+                    raise ConstructionError(f"protection of rect {i} not persistent in child")
             stack.append((child.id, child_fences if len(child_ids) > 1 else None))
     leftover = set(range(n)) - tracked
     for v in trace:
@@ -1003,17 +1011,18 @@ def recursive_partition(
 
 
 def _check_visibility_guarantee(
-    work: tuple[Rect, ...], fences: LineFences, h_nested: frozenset[int]
+    frames: dict[str, Sequence[Rect]], fences: LineFences, h_nested: frozenset[int]
 ) -> None:
     """Every rect of the node that is neither line-fence-protected (asked
     through the node's record) nor horizontally nested must see a corner
-    of another contained rect on each side."""
+    of another contained rect on each side; frames holds the run's rects
+    in each side's frame (_see_frame)."""
     ids = [rid for rid, _ in fences.rects_in]
     for rid, r in fences.rects_in:
         if rid in h_nested or fences.protected(r):
             continue
         for side_name in ("left", "right"):
-            if not seen_corners_on_side(work, rid, side_name, ids):
+            if not sees_a_corner_on_side(frames[side_name], rid, side_name, ids):
                 raise ConstructionError(
                     f"rect {rid} neither protected nor nested sees no corner "
                     f"on its {side_name}"
@@ -1093,19 +1102,23 @@ def validate_partition(run: PartitionRun) -> list[dict]:
 
     # Per tracked rect, the leaves meeting its interior and, among them,
     # the leaves holding it (a leaf holding a rect meets its interior).
-    leaves = [node for node in nodes if not node.children]
+    # A leaf whose bounding box misses the open rect meets none of it.
+    leaves = [(node, node.polygon.bbox()) for node in nodes if not node.children]
     meets: dict[int, list[int]] = {}
     homes: dict[int, list[int]] = {}
     for i in run.tracked:
         r = run.work_rects[i]
         meets[i] = [
-            node.id for node in leaves if polygon_meets_rect_interior(node.polygon, r)
+            node.id
+            for node, (x0, y0, x1, y1) in leaves
+            if x0 < r.xr and r.xl < x1 and y0 < r.yt and r.yb < y1
+            and polygon_meets_rect_interior(node.polygon, r)
         ]
         homes[i] = [v for v in meets[i] if nodes[v].polygon.contains_rect(r)]
 
     leaf_ok = True
     leaf_detail = ""
-    for node in leaves:
+    for node, _box in leaves:
         inside = [i for i in run.tracked if node.id in homes[i]]
         if len(inside) > 1:
             leaf_ok, leaf_detail = False, f"leaf {node.id} holds {inside}"
@@ -1120,12 +1133,17 @@ def validate_partition(run: PartitionRun) -> list[dict]:
             break
     _check(report, "tracked_in_unique_leaf", unique_ok, unique_detail)
 
+    # A horizontal edge on row y can meet only the rects with yb < y < yt.
+    crossing: dict[int, list[tuple[int, Rect]]] = {}
     horiz_ok, horiz_detail = True, ""
     for node in nodes:
         for e in node.polygon.edges():
             if not e.horizontal:
                 continue
-            for i, r in enumerate(run.work_rects):
+            y = e.a.y
+            if y not in crossing:
+                crossing[y] = [(i, r) for i, r in enumerate(run.work_rects) if r.yb < y < r.yt]
+            for i, r in crossing[y]:
                 if segment_intersects_rect(e, r):
                     horiz_ok = False
                     horiz_detail = f"node {node.id} horizontal edge hits rect {i}"

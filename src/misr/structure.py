@@ -34,10 +34,12 @@ first use and kept in the record:
 A line fence is a tau-fence of one segment, so for tau >= 1 a rect whose
 top and bottom edges are held by line fences from one vertical edge is
 tau-protected; tau_protected asks the engine only about the others.
-recursive_partition makes a node's record in the parent's persistence
-check (check=True), which hands it down with the node, or else when the
-node is cut, and frees it when the node is done: no record outlives its
-node, and none outlives the run.
+A True verdict keeps its witness (_Witness), the fences or chains that
+prove it, and recursive_partition makes each child's record from its
+parent's witnesses for the child's rects, so a child re-checks its
+parent's fences before it builds a row or an engine.  A record is made
+when its node's parent is cut (the root's at the start) and freed when
+the node is done: no record outlives its node, and none outlives the run.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .geom_core import (
     Point,
@@ -292,18 +294,22 @@ def sees(rects: Sequence[Rect], i: int, j: int, corner: str, side: str) -> bool:
     return _sees_in_frame(_see_frame(rects, side), i, j, corner, side)
 
 
+def _side_corners(side: str) -> tuple[str, str]:
+    """The corners seen on a horizontal side: left corners on the right."""
+    if side == "right":
+        return ("TL", "BL")
+    if side == "left":
+        return ("TR", "BR")
+    raise StructureError("seen_corners_on_side handles left/right only")
+
+
 def seen_corners_on_side(
     rects: Sequence[Rect], i: int, side: str, candidates: Iterable[int]
 ) -> list[tuple[Point, int, str]]:
     """All corners rects[i] sees on the given horizontal side, restricted
     to candidate owners, in scan order (corner y descending, corner x
     ascending, owner index ascending)."""
-    if side == "right":
-        corners = ("TL", "BL")
-    elif side == "left":
-        corners = ("TR", "BR")
-    else:
-        raise StructureError("seen_corners_on_side handles left/right only")
+    corners = _side_corners(side)
     frame = _see_frame(rects, side)
     out = []
     for j in candidates:
@@ -314,6 +320,17 @@ def seen_corners_on_side(
                 out.append((rects[j].corner(c), j, c))
     out.sort(key=lambda t: (-t[0].y, t[0].x, t[1]))
     return out
+
+
+def sees_a_corner_on_side(
+    frame: Sequence[Rect], i: int, side: str, candidates: Iterable[int]
+) -> bool:
+    """seen_corners_on_side is not empty, asked of the rects already put in
+    the side's frame (_see_frame); stops at the first corner seen."""
+    corners = _side_corners(side)
+    return any(
+        _sees_in_frame(frame, i, j, c, side) for j in candidates if j != i for c in corners
+    )
 
 
 # -- niceness ----------------------------------------------------------------
@@ -435,6 +452,29 @@ class _Anchors(NamedTuple):
     bottom_rights: tuple[int, ...]
 
 
+class _Witness(NamedTuple):
+    """The proof of one True protection verdict: point walks, each from its
+    start through its bends to its end, that start on one vertical polygon
+    edge, a left one (left True), a right one (False) or either (None),
+    lie in the closed polygon and cross no rect interior.  A line fence is
+    one walk of one segment from its anchor to the far corner of the edge
+    it holds."""
+
+    walks: tuple[tuple[Point, ...], ...]
+    left: Optional[bool]
+
+
+# What a witness proves, with its rect the key of a record's witnesses:
+# protected, one_edge_anchors_both, or tau_protected at the given tau.
+_LINE, _PAIR = "line", "pair"
+Proves = Union[str, int]
+
+
+def _fence(r: Rect, y: int, x: int, left: bool) -> tuple[Point, Point]:
+    """The line fence from anchor (x, y) holding r's edge on row y."""
+    return Point(x, y), Point(r.xr if left else r.xl, y)
+
+
 class LineFences:
     """The protection record of one node, a polygon and the rects inside
     it: the free pieces of its lines, one record per band of rows or of
@@ -469,9 +509,30 @@ class LineFences:
     facts (_Row) serve anchors and the engine; its fence ends (_Ends) only
     the line cut (furthest and crossing_anchor); a column's free pieces
     (_Pieces) only the engine.
+
+    A True verdict keeps its witness (_Witness): for protected, the
+    shortest fence holding an edge; for one_edge_anchors_both, the nearest
+    edge's two fences; for an engine's tau verdict, its two chains
+    (FenceEngine.proof).  A record may start from witnesses proved in an
+    ancestor node (inherited, as witnesses() hands them down), and each
+    question first re-checks the inherited witness on the record's own
+    edge tables (_holds): every segment lies in the closed polygon and the
+    walks start on one vertical edge, of the fence's side for line fences.
+    Only when that fails does the record build rows or an engine.  This is
+    exact: a child's polygon lies inside its parent's and its rects are a
+    subset of the parent's, so a segment that crosses no parent rect's
+    interior and lies in the child's closed polygon is free in the child,
+    and the re-checked walks are fences or chains of the child that hold
+    the same edges with the same number of segments.  So the child's
+    verdict is True, as a fresh record of the child would find.
     """
 
-    def __init__(self, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]):
+    def __init__(
+        self,
+        poly: RectPolygon,
+        rects_in: Sequence[tuple[int, Rect]],
+        inherited: Optional[dict[tuple[Rect, Proves], _Witness]] = None,
+    ):
         self.poly = poly
         self.rects_in = rects_in
         self._rows: dict[int, _Row] = {}
@@ -479,6 +540,8 @@ class LineFences:
         self._columns: dict[int, _Pieces] = {}
         self._anchors: dict[Rect, _Anchors] = {}
         self._engines: dict[int, FenceEngine] = {}
+        self._inherited = inherited or {}
+        self._proofs: dict[tuple[Rect, Proves], _Witness] = {}
 
     def _lines(self, horizontal: bool) -> _Lines:
         """The rows (horizontal) or the columns of the node: the event
@@ -504,11 +567,13 @@ class LineFences:
     @cached_property
     def _verticals(self) -> list[tuple[int, int, int, bool]]:
         """(x, lowest y, highest y, left?) of each vertical polygon edge,
-        sorted."""
-        edges = self.poly.edges()
+        sorted.  The loop runs clockwise, so an edge running up is left
+        (RectPolygon.vertical_edge_sides)."""
+        vs = self.poly.vertices
         return sorted(
-            (edges[i].a.x, *sorted((edges[i].a.y, edges[i].b.y)), side == "left")
-            for i, side in self.poly.vertical_edge_sides().items()
+            (p.x, p.y, q.y, True) if p.y < q.y else (p.x, q.y, p.y, False)
+            for p, q in zip(vs, vs[1:] + vs[:1])
+            if p.x == q.x
         )
 
     def row(self, y: int) -> _Row:
@@ -650,23 +715,91 @@ class LineFences:
             rights[bisect_left(rights, r.xr) : bisect_right(rights, hi)],
         )
 
+    def witnesses(self, rects: Iterable[Rect]) -> dict[tuple[Rect, Proves], _Witness]:
+        """The witnesses the record holds for the given rects, proved here
+        or inherited and not yet asked, as a plain dict: the inheritance
+        of a child's record."""
+        keep = set(rects)
+        return {
+            key: w
+            for held in (self._inherited, self._proofs)
+            for key, w in held.items()
+            if key[0] in keep
+        }
+
+    def _proved(self, r: Rect, proves: Proves) -> bool:
+        """The record holds a witness of the verdict: proved here, or
+        inherited and holding here (_holds), when it is kept as proved.  An
+        inherited witness is checked once."""
+        key = (r, proves)
+        if key in self._proofs:
+            return True
+        w = self._inherited.pop(key, None)
+        if w is not None and self._holds(w):
+            self._proofs[key] = w
+            return True
+        return False
+
+    def _holds(self, w: _Witness) -> bool:
+        """The witness's walks start on one vertical edge of the polygon,
+        of the witness's side, and every segment lies in the closed
+        polygon.  Crossing no rect interior is inherited (see the class
+        docstring)."""
+        starts = [walk[0] for walk in w.walks]
+        x = starts[0].x
+        lo, hi = min(p.y for p in starts), max(p.y for p in starts)
+        return (
+            all(p.x == x for p in starts)
+            and any(
+                ex == x and elo <= lo and hi <= ehi and w.left in (None, left)
+                for ex, elo, ehi, left in self._verticals
+            )
+            and all(map(self.poly.contains_walk, w.walks))
+        )
+
     def protected(self, r: Rect) -> bool:
-        """Some line fence holds r's top or bottom edge."""
-        return any(self.anchors(r))
+        """Some line fence holds r's top or bottom edge: a proof of
+        one_edge_anchors_both holds two."""
+        if (r, _PAIR) in self._proofs or self._proved(r, _LINE):
+            return True
+        a = self.anchors(r)
+        fences = []  # the nearest anchor of each list, the shortest fence
+        for y, lefts, rights in (
+            (r.yt, a.top_lefts, a.top_rights),
+            (r.yb, a.bottom_lefts, a.bottom_rights),
+        ):
+            if lefts:
+                fences.append((r.xr - lefts[-1], y, lefts[-1], True))
+            if rights:
+                fences.append((rights[0] - r.xl, y, rights[0], False))
+        if not fences:
+            return False
+        _length, y, x, left = min(fences)
+        self._proofs[r, _LINE] = _Witness((_fence(r, y, x, left),), left)
+        return True
 
     def one_edge_anchors_both(self, r: Rect) -> bool:
         """One vertical polygon edge anchors a fence holding r's top edge
         and one holding its bottom edge: for some x of both anchor lists
         of one side, an edge at x holds (x, r.yt) and (x, r.yb).  Vertical
         edges of a simple polygon are disjoint, so that edge is the one
-        anchoring both fences."""
+        anchoring both fences, and its side is the lists'."""
+        if self._proved(r, _PAIR):
+            return True
         a = self.anchors(r)
         xs = set(a.top_lefts).intersection(a.bottom_lefts)
         xs.update(set(a.top_rights).intersection(a.bottom_rights))
-        return any(
-            x in xs and lo <= r.yb and r.yt <= hi
-            for x, lo, hi, _left in self._verticals
-        )
+        edges = [
+            (r.xr - x if left else x - r.xl, x, left)
+            for x, lo, hi, left in self._verticals
+            if x in xs and lo <= r.yb and r.yt <= hi
+        ]
+        if not edges:
+            return False
+        _length, x, left = min(edges)
+        walks = (_fence(r, r.yt, x, left), _fence(r, r.yb, x, left))
+        self._proofs[r, _PAIR] = _Witness(walks, left)
+        return True
 
     def engine(self, tau: int) -> FenceEngine:
         """The node's fence engine at budget tau, built on first use."""
@@ -683,10 +816,18 @@ class LineFences:
         A line fence is such a chain of one segment, so when tau >= 1 and
         one edge anchors line fences holding both edges, r is
         tau-protected; the node's engine decides every other rect, and is
-        built only for them."""
-        if tau >= 1 and self.one_edge_anchors_both(r):
+        built only for them.  Inherited witnesses of either kind are
+        re-checked before anything is built."""
+        line = tau >= 1
+        if line and self._proved(r, _PAIR) or self._proved(r, tau):
             return True
-        return self.engine(tau).protects(r)
+        if line and self.one_edge_anchors_both(r):
+            return True
+        walks = self.engine(tau).proof(r)
+        if walks is None:
+            return False
+        self._proofs[r, tau] = _Witness(walks, None)
+        return True
 
 
 # -- tau-fences: budgeted x-monotone chain search -----------------------------
@@ -751,6 +892,20 @@ def _step_rules(ny: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     return tuple(rules)
 
 
+def _step_preds(
+    rules: Sequence[Sequence[tuple[int, int, int]]],
+) -> list[list[tuple[int, int, int]]]:
+    """preds[o*3 + h]: the (move bit, state offset, cost) of every step of
+    the rules (_step_rules) into a state of orientation o and horizontal
+    direction h, the one going straight on first; the step leaves the
+    state's index minus the offset."""
+    preds: list[list[tuple[int, int, int]]] = [[] for _ in range(12)]
+    for prev, steps in enumerate(rules):
+        for step in steps:
+            preds[(prev + step[1]) % 12].append(step)
+    return [sorted(p, key=lambda step: step[2]) for p in preds]
+
+
 def _filled(value: int, size: int):
     """A flat table of size entries equal to value, in the narrowest array
     type that holds value."""
@@ -787,8 +942,8 @@ class FenceEngine:
     given anchor points and returned to the caller, also keep each
     state's predecessor state in a flat array (-1 for none), for chain_to;
     protection tables, one per vertical polygon edge, seeded at every
-    point of it and kept in the engine, keep none and are read only at the
-    ends of a run.
+    point of it and kept in the engine, keep none: they are read at the
+    ends of a run, and a proof reads its chains back from them (_chain).
     """
 
     def __init__(self, fences: LineFences, tau: int):
@@ -942,16 +1097,33 @@ class FenceEngine:
         opposite horizontal direction, so this forward lookup answers the
         same question as a reversed search seeded at the run.
 
-        The edges are tried in turn and the first that anchors both runs
-        decides; an edge's table is built on first use.
+        The edges are tried from the rightmost one leftward, and the first
+        that anchors both runs decides; an edge's table is built on first
+        use.  The order does not change the verdict, only the proof: a case-0
+        cut peels the leftmost rect off the node with leftward rays, so the
+        chains from the right are the ones a child keeps (LineFences).
         """
+        return self.proof(r) is not None
+
+    def proof(self, r: Rect) -> Optional[tuple[tuple[Point, ...], ...]]:
+        """The chains from the edge deciding protects(r), containing r's
+        top and r's bottom edge, as point walks (_chain), or None when r is
+        not tau-protected."""
         top, bottom = (r.yt, r.xl, r.xr), (r.yb, r.xl, r.xr)
         if not (self._walkable(*top) and self._walkable(*bottom)):
-            return False
-        return any(
-            self._anchors(idx, *top) and self._anchors(idx, *bottom)
-            for idx in self.poly.vertical_edge_sides()
-        )
+            return None
+        for idx in self._edge_order:
+            at_top = self._anchors(idx, *top)
+            at_bottom = at_top and self._anchors(idx, *bottom)
+            if at_bottom:
+                return self._chain(idx, *at_top), self._chain(idx, *at_bottom)
+        return None
+
+    @cached_property
+    def _edge_order(self) -> list[int]:
+        """The vertical edges' indices, rightmost first (stable)."""
+        vs = self.poly.vertices
+        return sorted(self.poly.vertical_edge_sides(), key=lambda i: -vs[i].x)
 
     def _walkable(self, y: int, x1: int, x2: int) -> bool:
         """The run [x1,x2]x{y} lies on the grid and each of its unit steps
@@ -964,9 +1136,10 @@ class FenceEngine:
             and all(moves[i * ny + iy] & _RIGHT for i in range(ix1, ix2))
         )
 
-    def _anchors(self, idx: int, y: int, x1: int, x2: int) -> bool:
+    def _anchors(self, idx: int, y: int, x1: int, x2: int) -> Optional[tuple[int, Point]]:
         """The lookup of protects() for vertical edge idx and a walkable
-        run."""
+        run: the state at one end of the run from which a chain from the
+        edge goes on along it, and the run's other end, or None."""
         table = self._edge_tables.get(idx)
         if table is None:
             e = self.poly.edges()[idx]
@@ -975,9 +1148,43 @@ class FenceEngine:
             seeds = [(0, ix, iy, _START, 0) for iy in range(y1, y2 + 1)]
             table = self._edge_tables[idx] = self._bfs(seeds, with_parent=False)
         dist, tau = table.dist, self.tau
-        for x, (straight, turns) in ((x1, _ONTO_RIGHT), (x2, _ONTO_LEFT)):
+        for x, far, (straight, turns) in ((x1, x2, _ONTO_RIGHT), (x2, x1, _ONTO_LEFT)):
             base = ((x - self.x0) * self.ny + y - self.y0) * 12
-            if dist[base + straight] <= tau or min(dist[base + s] for s in turns) + 1 <= tau:
-                return True
-        return False
+            if dist[base + straight] <= tau:
+                return base + straight, Point(far, y)
+            d = min(dist[base + s] for s in turns)
+            if d + 1 <= tau:
+                return base + next(s for s in turns if dist[base + s] == d), Point(far, y)
+        return None
+
+    def _chain(self, idx: int, s: int, end: Point) -> tuple[Point, ...]:
+        """The chain from edge idx through state s of the edge's table, then
+        on to end, as its start, bends and end.  The table keeps no
+        parents, so the chain is read back from s: each step goes to a
+        predecessor state whose distance plus the step's cost is the
+        state's, which every reached state but a seed has, going straight
+        on where it can; the seeds are the states at distance 0, and a step
+        costs a segment exactly where the chain bends (every step out of
+        _START does)."""
+        dist, moves, ny = self._edge_tables[idx].dist, self._steps(), self.ny
+        preds, size = _step_preds(self._trans), len(dist)
+
+        def point(t: int) -> Point:
+            return Point(t // 12 // ny + self.x0, t // 12 % ny + self.y0)
+
+        # a chain running right or left at s goes straight on to end
+        walk = [] if s % 12 // 3 == _H else [point(s)]
+        while dist[s]:
+            for bit, offset, cost in preds[s % 12]:
+                p = s - offset
+                if 0 <= p < size and moves[p // 12] & bit and dist[p] + cost == dist[s]:
+                    break
+            else:
+                raise StructureError(f"no chain of edge {idx} reaches state {s}")
+            if cost:
+                walk.append(point(p))
+            s = p
+        walk.reverse()
+        walk.append(end)
+        return tuple(walk)
 

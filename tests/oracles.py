@@ -1154,6 +1154,24 @@ def line_protected(r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rec
     return False
 
 
+def ref_one_edge_anchors_both(
+    r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
+) -> bool:
+    """one_edge_anchors_both as first written: some vertical polygon edge
+    holding both of r's edge rows anchors a protecting fence on each."""
+    anchors = {(f.anchor, f.side) for f in ref_protecting_fences(poly, rects_in, r)}
+    edges = poly.edges()
+    for idx, side in poly.vertical_edge_sides().items():
+        e = edges[idx]
+        lo, hi = sorted((e.a.y, e.b.y))
+        kind = f"from_{side}_edge"
+        if lo <= r.yb and r.yt <= hi and all(
+            (Point(e.a.x, y), kind) in anchors for y in (r.yt, r.yb)
+        ):
+            return True
+    return False
+
+
 # -- test-only helpers -------------------------------------------------------------
 
 

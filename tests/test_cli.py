@@ -573,6 +573,24 @@ class TestCorruptionAndEnv:
         assert captured.out == ""
         assert captured.err == "error: MISR_ORACLE_CAP must be an integer >= 1: 'abc'\n"
 
+    def test_two_eps_without_eps_refused_before_oracle(self, tmp_path, monkeypatch, capsys):
+        """certify refuses a two_eps run without eps before it runs the
+        oracle."""
+        from misr import cli
+
+        inst_file = tmp_path / "u5.json"
+        run_cli(["generate", "uniform_random", "5", "--out", str(inst_file)])
+        capsys.readouterr()
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("exact_mis ran before the regime was checked")
+
+        monkeypatch.setattr(cli, "exact_mis", no_oracle)
+        assert run_cli(["certify", str(inst_file), "--regime", "two_eps", "--tau", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: two_eps regime requires eps\n"
+
 
 class TestDpScaling:
     def test_fitted_exponent_within_bound(self):

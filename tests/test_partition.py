@@ -22,12 +22,16 @@ from misr.partition import (
 )
 from misr.structure import FenceEngine, LineFences, maximal_extension
 from oracles import (
+    NestedFenceEngine,
     all_chords,
     blob_polygon,
     cells_to_polygon,
     criterion_6_units,
     fill_with_maximal_rects,
+    line_protected,
+    nested_is_tau_protected,
     notched_polygon,
+    ref_one_edge_anchors_both,
 )
 
 
@@ -438,10 +442,12 @@ def count_builds(monkeypatch, *classes) -> Counter:
     return built
 
 
-# Fence engines each checked run builds: (n, seed) -> engines, the same
-# under three and two_eps at eps 1/2.
+# Fence engines each checked run builds: (n, seed) -> engines under three
+# and under two_eps at eps 1/2.  A child re-checks its parent's chains, so
+# only a node where some chain fails builds one.
 PACKED_ENGINES = {
-    (24, 0): 22, (24, 1): 15, (40, 0): 30, (40, 1): 33, (64, 0): 56, (64, 1): 56,
+    (24, 0): (1, 1), (24, 1): (2, 2), (40, 0): (2, 2), (40, 1): (1, 1),
+    (64, 0): (2, 1), (64, 1): (2, 2),
 }
 
 
@@ -450,15 +456,29 @@ PACKED_ENGINES = {
 def test_packed_checked_records_per_node(n, seed, regime, eps, monkeypatch):
     """check=True on dense instances, whose case-0 trees are deep
     caterpillars: every check passes, each node holding a rect gets one
-    protection record, handed from its parent's persistence check to the
-    node's own questions, and no record or engine is built twice."""
+    protection record, made from its parent's witnesses when the parent is
+    cut, and no record or engine is built twice."""
     inst = generate("packed", n, seed)
     m = maximal_extension(exact_mis(inst, cap=n), inst)
     built = count_builds(monkeypatch, LineFences, FenceEngine)
     run = recursive_partition(m, regime, eps=eps, check=True)
     assert all(c["ok"] for c in validate_partition(run))
     assert built["LineFences"] == sum(1 for node in run.nodes if node.rects) == 2 * n - 1
-    assert built["FenceEngine"] == PACKED_ENGINES[n, seed]
+    assert built["FenceEngine"] == PACKED_ENGINES[n, seed][regime == "two_eps"]
+
+
+@pytest.mark.parametrize("regime, eps", [("three", None), ("two_eps", Fraction(1, 2))])
+def test_windmill_checked_builds_one_engine(regime, eps, monkeypatch):
+    """check=True on windmill n = 16: the root's engine proves every rect
+    its line fences leave open, with chains from the right edge, which
+    case 0's leftward peels leave in every child; the children re-check
+    those chains and build no engine."""
+    inst = generate("windmill", 16, 0)
+    m = maximal_extension(exact_mis(inst, cap=16), inst)
+    built = count_builds(monkeypatch, LineFences, FenceEngine)
+    run = recursive_partition(m, regime, eps=eps, check=True)
+    assert all(c["ok"] for c in validate_partition(run))
+    assert built["FenceEngine"] == 1
 
 
 def count_calls(monkeypatch, owner, *names) -> Counter:
@@ -482,26 +502,117 @@ CHECKED_SWEEP = [
 ]
 
 
-def test_checked_sweep_passes_every_check():
+def checked_runs(specs, regimes):
+    """The check=True run of each regime (regime, eps) on each instance
+    spec (family, n, seed), as (spec, opt, eps, run), and every verdict that a
+    record answered from an inherited witness during them, as (polygon,
+    rects inside, rect, what the witness proves: "line", "pair" or a
+    tau)."""
+    runs, inherited = [], []
+    real = LineFences._proved
+
+    def proved(self, r, proves):
+        was_inherited = (r, proves) in self._inherited
+        ok = real(self, r, proves)
+        if was_inherited and ok:
+            inherited.append((self.poly, tuple(self.rects_in), r, proves))
+        return ok
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LineFences, "_proved", proved)
+        for family, n, seed in specs:
+            inst = generate(family, n, seed)
+            opt = exact_mis(inst, cap=n)
+            m = maximal_extension(opt, inst)
+            for regime, eps in regimes:
+                run = recursive_partition(m, regime, eps=eps, check=True)
+                runs.append(((family, n, seed), opt, eps, run))
+    return runs, inherited
+
+
+ALL_REGIMES = (("six", None), ("three", None), ("two_eps", Fraction(1, 2)))
+TAU_REGIMES = ALL_REGIMES[1:]
+
+
+@pytest.fixture(scope="module")
+def checked_sweep():
+    return checked_runs(CHECKED_SWEEP, ALL_REGIMES)
+
+
+def test_checked_sweep_passes_every_check(checked_sweep):
     """check=True on uniform_random and nested_grid at n = 24..64, beyond
     the acceptance sweep's n <= 10: every regime's run passes every
     validate_partition and verify_ratios check."""
     failed = []
-    for family, n, seed in CHECKED_SWEEP:
-        inst = generate(family, n, seed)
-        opt = exact_mis(inst, cap=n)
-        m = maximal_extension(opt, inst)
-        for regime, eps in (("six", None), ("three", None), ("two_eps", Fraction(1, 2))):
-            run = recursive_partition(m, regime, eps=eps, check=True)
-            if regime == "six":
-                ledger, forest = charge_six(run), None
-            elif regime == "three":
-                ledger, forest = charge_three(run), None
-            else:
-                ledger, forest = charge_two_eps(run, eps)
-            checks = validate_partition(run) + verify_ratios(run, ledger, opt.size, forest)
-            failed += [(family, n, seed, regime, c["name"]) for c in checks if not c["ok"]]
+    runs, _inherited = checked_sweep
+    for spec, opt, eps, run in runs:
+        if run.regime == "six":
+            ledger, forest = charge_six(run), None
+        elif run.regime == "three":
+            ledger, forest = charge_three(run), None
+        else:
+            ledger, forest = charge_two_eps(run, eps)
+        checks = validate_partition(run) + verify_ratios(run, ledger, opt.size, forest)
+        failed += [(*spec, run.regime, c["name"]) for c in checks if not c["ok"]]
     assert not failed, failed
+
+
+def assert_inherited_verdicts_hold(inherited, reference_every) -> Counter:
+    """Every inherited verdict (see checked_runs) is a fresh record's of
+    its node, LineFences(polygon, rects inside), and the reference's:
+    line_protected for a line fence, ref_one_edge_anchors_both for the
+    fences from one edge, nested_is_tau_protected for chains.  The nested
+    reference searches a node's grid anew, so it judges every
+    reference_every-th chain verdict.  Returns the verdicts by kind."""
+    fresh: dict = {}
+    engines: dict = {}
+    kinds: Counter = Counter()
+    for poly, rin, r, proves in inherited:
+        if (poly, rin) not in fresh:
+            fresh[poly, rin] = LineFences(poly, list(rin))
+        record = fresh[poly, rin]
+        where = (poly, rin, r, proves)
+        if proves == "line":
+            assert record.protected(r) and line_protected(r, poly, rin), where
+        elif proves == "pair":
+            assert record.one_edge_anchors_both(r), where
+            assert ref_one_edge_anchors_both(r, poly, rin), where
+        else:
+            assert record.tau_protected(r, proves) and record.engine(proves).protects(r), where
+            if kinds["chain"] % reference_every == 0:
+                key = (poly, rin, proves)
+                if key not in engines:
+                    engines[key] = NestedFenceEngine(poly, rin, proves)
+                assert nested_is_tau_protected(r, poly, rin, proves, engines[key]), where
+        kinds["chain" if isinstance(proves, int) else proves] += 1
+    return kinds
+
+
+def test_inherited_verdicts_match_fresh_records(checked_sweep):
+    """On the checked sweep, every verdict a child answered from its
+    parent's witness is the one a fresh record of the child gives, and the
+    reference's: all three kinds of witness are inherited."""
+    kinds = assert_inherited_verdicts_hold(checked_sweep[1], reference_every=40)
+    assert all(kinds[k] for k in ("line", "pair", "chain")), kinds
+
+
+@pytest.mark.parametrize(
+    "specs, regimes, reference_every",
+    [
+        ([("packed", 24, 0), ("packed", 40, 0)], TAU_REGIMES, 10),
+        ([("packed", 64, 0)], TAU_REGIMES[:1], 200),
+        ([("windmill", n, 0) for n in (14, 15, 16)], TAU_REGIMES, 1),
+    ],
+    ids=["packed24-40", "packed64-three", "windmill14-16"],
+)
+def test_inherited_verdicts_on_engine_heavy_runs(specs, regimes, reference_every):
+    """The same on runs whose tau verdicts come mostly from engines:
+    packed n = 24..64 and windmill n = 14..16, where every chain verdict
+    meets the nested reference.  The nested reference is slowest on the
+    largest grids, so packed n = 64 runs under three alone."""
+    _runs, inherited = checked_runs(specs, regimes)
+    kinds = assert_inherited_verdicts_hold(inherited, reference_every)
+    assert kinds["chain"] > kinds["pair"], kinds
 
 
 def test_unchecked_case0_reads_nothing(monkeypatch):
@@ -522,9 +633,10 @@ def test_unchecked_case0_reads_nothing(monkeypatch):
 
 def test_six_builds_one_row_record_per_band(monkeypatch):
     """six reads its rows by band: a checked run on windmill n = 16 builds
-    one row record per distinct (node, band) it asks, 108 of them (one
-    per distinct (node, row), 394, before rows were shared by band), and
-    the line cut's ends for 68 of those bands."""
+    one row record per distinct (node, band) it asks, 80 of them (one per
+    distinct (node, row), 394, before rows were shared by band), and the
+    line cut's ends for 68 of those bands; the other protection questions
+    are answered by the parents' fences."""
     inst = generate("windmill", 16, 0)
     m = maximal_extension(exact_mis(inst, cap=16), inst)
     held: dict = {}  # every record asked, alive so that ids stay distinct
@@ -539,5 +651,5 @@ def test_six_builds_one_row_record_per_band(monkeypatch):
     monkeypatch.setattr(LineFences, "row", row)
     built = count_calls(monkeypatch, LineFences, "_build_row", "_build_ends")
     recursive_partition(m, "six", check=True)
-    assert built["_build_row"] == len(asked) == 108
+    assert built["_build_row"] == len(asked) == 80
     assert built["_build_ends"] == 68
