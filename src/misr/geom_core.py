@@ -13,6 +13,11 @@ of an edge is inside follows from the clockwise canonical loop.
 Polygons are split by loop surgery only: ``split_components`` breaks a cut
 into boundary-to-boundary walks and splices each into the vertex loop of
 the part it runs through (``splice_loop``), as the DP does for its cuts.
+It reads the cut in one pass: each segment is cut into pieces at the
+boundary and at the other segments' ends, and each piece is placed by its
+midpoint (``loop_side_doubled``) as on the boundary, inside or outside,
+which both checks that the cut stays in the polygon and gives the graph
+of the pieces inside.
 """
 
 from __future__ import annotations
@@ -246,6 +251,23 @@ def loop_contains_run_doubled(
         if not loop_contains_doubled(vtab, htab, *((m, c) if horizontal else (c, m))):
             return False
     return True
+
+
+def loop_side_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> int:
+    """Where the doubled point (X, Y) lies, in one pass over the edges: 0
+    on the boundary, 1 inside, -1 outside (the parity rule of
+    ``loop_contains_doubled``)."""
+    inside = False
+    for c, lo, hi in vtab:
+        if lo <= Y <= hi:
+            if c == X:
+                return 0
+            if c > X and Y < hi:
+                inside = not inside
+    for c, lo, hi in htab:
+        if c == Y and lo <= X <= hi:
+            return 0
+    return 1 if inside else -1
 
 
 def loop_on_boundary_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> bool:
@@ -642,6 +664,18 @@ class RectPolygon:
         """Closed containment of an axis-parallel segment with integer ends."""
         return self.contains_walk((s.a, s.b))
 
+    def segment_on_boundary(self, s: Segment) -> bool:
+        """Does the boundary hold every point of the axis-parallel segment
+        s?  The boundary on s's line is the union of the closed intervals
+        of ``touch_intervals``, so s must lie in one of them."""
+        horizontal = s.a.y == s.b.y
+        c, a, b = (s.a.y, s.a.x, s.b.x) if horizontal else (s.a.x, s.a.y, s.b.y)
+        lo, hi = (a, b) if a <= b else (b, a)
+        along, across = (self._htab, self._vtab) if horizontal else (self._vtab, self._htab)
+        los, his = touch_intervals(2 * c, along, across)
+        k = bisect_right(los, lo) - 1
+        return k >= 0 and his[k] >= hi
+
     def contains_walk(self, walk: Sequence[Point]) -> bool:
         """Closed containment of every segment of a walk of integral
         points, each axis-parallel to the next (loop_contains_run_doubled)."""
@@ -753,14 +787,21 @@ class RectPolygon:
 
 def is_horizontally_convex(p: RectPolygon) -> bool:
     """Every horizontal chord between two polygon points stays inside.
+    The polygon must be simple.
 
-    Sections change only at vertex rows, so it is enough that each vertex
-    row, and one line inside each open row between two vertex rows, meets
-    the polygon in at most one interval.
+    A simple rectilinear polygon is horizontally convex exactly when no
+    horizontal edge has two reflex ends.  Such an edge leaves outside
+    space between two inside parts on the rows just past it; the lowest
+    or highest edge of any pocket between two sections of a row is such
+    an edge.  On the clockwise loop an edge from p to q, with o before p
+    and r after q, has a reflex end at p when (p.y - o.y)(q.x - p.x) < 0
+    and at q when (q.x - p.x)(r.y - q.y) > 0.
     """
-    _, ys = p.coords()
-    lines = [2 * y for y in ys] + [y + z for y, z in zip(ys, ys[1:])]
-    return all(len(p._section(c, True)) <= 1 for c in lines)
+    vs = p.vertices
+    for o, v, q, r in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
+        if v[1] == q[1] and (v[1] - o[1]) * (q[0] - v[0]) < 0 < (q[0] - v[0]) * (r[1] - q[1]):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -811,25 +852,34 @@ def _check_no_proper_crossing(segs: Sequence[Segment]) -> None:
                 raise CutError(f"cut segments cross: {s} x {t}")
 
 
+def _cut_points(poly: RectPolygon, s: Segment, ends: set[Point]) -> list[Point]:
+    """The points at which s is cut: its ends, the polygon's vertices and
+    boundary crossings on it and the points of ``ends`` inside it (the
+    cut's segment ends, those of perpendicular segments too), in order of
+    increasing coordinate.  The boundary meets no piece between two of
+    them except along an edge."""
+    # c is the segment's line, [a, b] its span along it; a point q lies on
+    # the line when q[1 - v] == c, at coordinate q[v]
+    v = s.vertical
+    c = s.a.x if v else s.a.y
+    a, b = sorted((s.a.y, s.b.y) if v else (s.a.x, s.b.x))
+    ts = {a, b} | {q[v] for q in ends if q[1 - v] == c and a < q[v] < b}
+    ts.update(
+        e >> 1 for e, lo, hi in (poly._htab if v else poly._vtab)
+        if lo <= 2 * c <= hi and 2 * a <= e <= 2 * b
+    )
+    return [Point(c, t) if v else Point(t, c) for t in sorted(ts)]
+
+
 def cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[Segment]]:
     """Each segment cut at the polygon's vertices and boundary crossings
-    and at the other segments' endpoints: per segment, its pieces in
-    order of increasing coordinate, leaving out those on the boundary."""
+    and at the other segments' endpoints (``_cut_points``): per segment,
+    its pieces in order of increasing coordinate, leaving out those on
+    the boundary."""
     ends = {p for s in segments for p in (s.a, s.b)}
     out = []
     for s in segments:
-        # c is the segment's line, [a, b] its span along it; a point q lies
-        # on the line when q[1 - v] == c, at coordinate q[v]
-        v = s.vertical
-        c = s.a.x if v else s.a.y
-        a, b = sorted((s.a.y, s.b.y) if v else (s.a.x, s.b.x))
-        ts = {a, b} | {q[v] for q in ends if q[1 - v] == c and a < q[v] < b}
-        ts.update(
-            e >> 1 for e, lo, hi in (poly._htab if v else poly._vtab)
-            if lo <= 2 * c <= hi and 2 * a <= e <= 2 * b
-        )
-        ts = sorted(ts)
-        pts = [Point(c, t) if v else Point(t, c) for t in ts]
+        pts = _cut_points(poly, s, ends)
         out.append([
             Segment(p, q) for p, q in zip(pts, pts[1:])
             if not poly.on_boundary_doubled(p.x + q.x, p.y + q.y)
@@ -855,23 +905,34 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
     """The parts of p cut along c, sorted by smallest vertex; just p when
     the cut separates nothing.
 
-    The cut's pieces (``cut_pieces``) form a graph on their endpoints.
-    Slits that end inside the polygon are pruned; what is left is a
-    forest whose leaves lie on the boundary.  It is split off one
-    boundary-to-boundary walk at a time, each spliced into the part that
-    holds its first piece.  Raises CutError when a segment leaves the
-    polygon, two segments cross, or the cut holds a cycle.
+    One pass cuts each segment into pieces (``_cut_points``, as
+    ``cut_pieces`` cuts it) and places each piece by its midpoint
+    (``loop_side_doubled``): the boundary meets a piece only along an
+    edge, so a piece on the boundary lies there whole and is left out,
+    and a piece off it lies inside exactly when its midpoint does; a
+    segment with a piece outside leaves the polygon.  The pieces inside
+    form a graph on their endpoints.  Slits that end inside the polygon
+    are pruned; what is left is a forest whose leaves lie on the
+    boundary.  It is split off one boundary-to-boundary walk at a time,
+    each spliced into the part that holds its first piece.  Segments are
+    taken as they come where they are canonical.  Raises CutError when a
+    segment leaves the polygon, two segments cross, or the cut holds a
+    cycle.
     """
-    segs = [s.canonical() for s in c.nondegenerate()]
-    for s in segs:
-        if not p.contains_segment(s):
-            raise CutError(f"cut segment {s} leaves the polygon")
-    _check_no_proper_crossing(segs)
+    segs = [s if s.a <= s.b else Segment(s.b, s.a) for s in c.segments if not s.degenerate]
+    ends = {q for s in segs for q in (s.a, s.b)}
+    vtab, htab = p._vtab, p._htab
     adj: dict[Point, set] = {}
-    for pieces in cut_pieces(p, segs):
-        for s in pieces:
-            adj.setdefault(s.a, set()).add(s.b)
-            adj.setdefault(s.b, set()).add(s.a)
+    for s in segs:
+        pts = _cut_points(p, s, ends)
+        for u, w in zip(pts, pts[1:]):
+            side = loop_side_doubled(vtab, htab, u.x + w.x, u.y + w.y)
+            if side < 0:
+                raise CutError(f"cut segment {s} leaves the polygon")
+            if side:
+                adj.setdefault(u, set()).add(w)
+                adj.setdefault(w, set()).add(u)
+    _check_no_proper_crossing(segs)
     # nodes on the boundary of some part: first the polygon's, then also
     # every walk already split along
     fixed = {q for q in adj if p.on_boundary_doubled(2 * q.x, 2 * q.y)}
@@ -894,8 +955,7 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
         fixed.update(walk)
         X, Y = walk[0].x + walk[1].x, walk[0].y + walk[1].y
         i = next(
-            i for i, q in enumerate(parts)
-            if q.contains_doubled(X, Y) and not q.on_boundary_doubled(X, Y)
+            i for i, q in enumerate(parts) if loop_side_doubled(q._vtab, q._htab, X, Y) > 0
         )
         whole = parts[i]
         halves = [RectPolygon(loop) for loop in splice_loop(whole.vertices, walk)]

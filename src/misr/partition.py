@@ -12,12 +12,17 @@ raises ConstructionError, which always indicates a bug rather than an
 input condition.  Each fact of a cut is decided in one place:
   regime_budgets  the segment and edge budgets of each regime;
   _split_walks    a construction's point walks as merged segments, and
-                  the one split of the polygon along them;
+                  the one split of the polygon along them (none for a cut
+                  that lies wholly on the boundary, which gives the
+                  polygon back whole);
   _finalize       the repair of a split that breaks the budgets or the
                   part count (repair_nonsimple), then every check of the
                   cut's shape (budgets, parts, horizontal convexity for
                   the line regime, the one rect-meeting vertical segment)
                   and the assignment of rects to parts.
+The line cut reads its rows from the node's protection record once per
+band of rows (LineFences.band_rows): p' from the middle-third left edges
+(_line_anchor) and each ray's fence stop (_ray_crossing).
 The driver asserts, after every cut, that no rect protected at the node
 was intersected, and under check=True that protection persists into the
 child; validate_partition checks the finished tree against the same
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, pairwise
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geom_core import (
     Cut,
@@ -86,16 +91,21 @@ def regime_budgets(tau: Optional[int]) -> tuple[int, int]:
     return 2 * tau + 1, 30 * tau + 18
 
 
-def _merge_segments(segs: Sequence[Segment]) -> list[Segment]:
-    """Union of axis-parallel segments as maximal merged segments, line by
-    line (horizontal lines first), each merged with ``_merge_touches``."""
+def _merge_segments(steps: Iterable[tuple[Point, Point]]) -> list[Segment]:
+    """Union of axis-parallel steps, each a pair of points, as maximal
+    merged segments, line by line (horizontal lines first), each merged
+    with ``_merge_touches``; steps of one point add nothing."""
     lines: dict[tuple[bool, int], list[tuple[int, int]]] = {}
-    for s in segs:
-        if s.degenerate:
-            continue
-        v = s.vertical
-        lo, hi = sorted((s.a.y, s.b.y) if v else (s.a.x, s.b.x))
-        lines.setdefault((v, s.a.x if v else s.a.y), []).append((lo, hi))
+    for (px, py), (qx, qy) in steps:
+        if px == qx:
+            if py == qy:
+                continue
+            key, lo, hi = (True, px), py, qy
+        elif py == qy:
+            key, lo, hi = (False, py), px, qx
+        else:
+            raise GeometryError(f"segment not axis-parallel: {Point(px, py)}-{Point(qx, qy)}")
+        lines.setdefault(key, []).append((lo, hi) if lo < hi else (hi, lo))
     return [
         Segment(Point(c, lo), Point(c, hi)) if v else Segment(Point(lo, c), Point(hi, c))
         for (v, c), ivals in sorted(lines.items())
@@ -107,11 +117,16 @@ Split = tuple[list[Segment], list[RectPolygon]]
 
 
 def _split_walks(poly: RectPolygon, *walks: Sequence[Point]) -> Split:
-    """A construction's cut, given as point walks: its merged segments and
-    the parts of one split of the polygon along them."""
-    merged = _merge_segments(
-        [Segment(p, q) for w in walks for p, q in pairwise(splice_simple(w))]
-    )
+    """A construction's cut, given as point walks: its merged segments (the
+    steps of each walk, its loops spliced out, merged per line) and the
+    parts of one split of the polygon along them.  A cut that lies
+    wholly on the boundary gives the polygon back whole without a split,
+    as split_components would: it leaves out every piece on the boundary,
+    a boundary segment lies in the closed polygon, and two boundary
+    segments of a simple polygon cannot cross at a point inside both."""
+    merged = _merge_segments(step for w in walks for step in pairwise(splice_simple(w)))
+    if all(map(poly.segment_on_boundary, merged)):
+        return merged, [poly]
     return merged, split_components(poly, Cut(tuple(merged)))
 
 
@@ -238,7 +253,7 @@ def repair_nonsimple(
     candidates.sort(key=cand_key)
 
     for path in candidates:
-        segs = _merge_segments([pieces[pi] for pi in path])
+        segs = _merge_segments((pieces[pi].a, pieces[pi].b) for pi in path)
         try:
             comps = split_components(poly, Cut(tuple(segs)))
         except (CutError, GeometryError):
@@ -347,6 +362,39 @@ def _mirror_cutresult(res: CutResult) -> CutResult:
     )
 
 
+def _line_anchor(fences: LineFences, em: Sequence[Segment]) -> Optional[tuple[Point, Point]]:
+    """The line cut's (p', anchor): among the furthest line fences from
+    the integral points of the middle-third left edges em, the one ending
+    furthest right, then lowest, then leftmost; None when em anchors no
+    fence.  The furthest fence from a point of an edge is a function of
+    the row's band (LineFences keys row and _line_ends by band), so each
+    band of an edge is read once, at the edge's lowest row in it
+    (band_rows), which the order prefers among equal ends."""
+    best = None
+    for e in em:
+        x = e.a.x
+        y1, y2 = sorted((e.a.y, e.b.y))
+        for y in fences.band_rows(y1, y2, up=True):
+            end = fences.furthest(Point(x, y), left=True)
+            if end is not None and (best is None or (-end, y, x) < best[0]):
+                best = (-end, y, x), Point(end, y), Point(x, y)
+    return None if best is None else best[1:]
+
+
+def _ray_crossing(fences: LineFences, x: int, y0: int, y1: int) -> Optional[tuple[int, int]]:
+    """The first row y from y0 toward y1 (both included) where a line
+    fence strictly crosses the vertical line at x, with the least anchor
+    x of such a fence (crossing_anchor), or None.  crossing_anchor is a
+    function of the row's band, so only the first row of each band in the
+    direction of travel is read (band_rows)."""
+    lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
+    for y in fences.band_rows(lo, hi, up=y0 <= y1):
+        xa = fences.crossing_anchor(y, x)
+        if xa is not None:
+            return y, xa
+    return None
+
+
 def line_partition_cut(
     poly: RectPolygon, rects: RectsIn, fences: Optional[LineFences] = None
 ) -> CutResult:
@@ -355,6 +403,12 @@ def line_partition_cut(
     components remain, only one vertical segment meets any rectangle, and
     no line-fence-protected rectangle is met.  fences is the node's
     protection record, built here when none is given.
+
+    The rows the cut reads, for p' (_line_anchor) and for the two rays'
+    fence stops (_ray_crossing), are read once per band of rows.  When
+    every segment of the two arms lies on the polygon's boundary, the cut
+    goes to _degenerate_line_cut without a split (_split_walks gives the
+    polygon back whole).
     """
     if len(rects) < 2:
         raise ConstructionError("line_partition_cut needs at least two rects")
@@ -375,19 +429,10 @@ def line_partition_cut(
     em = lefts[s // 3 : (2 * s + 2) // 3]  # middle third, 1-based floor/ceil
 
     fences = fences or LineFences(poly, rects)
-    candidates = []
-    for i in em:
-        e = edges[i]
-        y1, y2 = sorted((e.a.y, e.b.y))
-        for y in range(y1, y2 + 1):
-            p = Point(e.a.x, y)
-            end = fences.furthest(p, left=True)
-            if end is not None:
-                candidates.append((Point(end, y), p))
-    if not candidates:
+    chosen = _line_anchor(fences, [edges[i] for i in em])
+    if chosen is None:
         return _guillotine_cut(poly, rects)
-    candidates.sort(key=lambda t: (-t[0].x, t[1].y, t[1].x))
-    p_prime, p_anchor = candidates[0]
+    p_prime, p_anchor = chosen
 
     prot_ids = {rid for rid, r in rects if fences.protected(r)}
 
@@ -409,11 +454,10 @@ def line_partition_cut(
             if within and (hit is None or order < hit[0]):
                 hit = order, ey, r
         stop = bound if hit is None else hit[1]
-        step = -1 if down else 1
-        for y in range(start.y, stop + step, step):
-            xa = fences.crossing_anchor(y, start.x)
-            if xa is not None:
-                return Point(start.x, y), [Point(xa, y)]
+        crossing = _ray_crossing(fences, start.x, start.y, stop)
+        if crossing is not None:
+            y, xa = crossing
+            return Point(start.x, y), [Point(xa, y)]
         if hit is None:
             return Point(start.x, bound), []
         _order, y, r = hit

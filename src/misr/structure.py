@@ -385,6 +385,24 @@ def _band(events: Sequence[int], c: int) -> int:
     return 2 * j + (j < len(events) and events[j] == c)
 
 
+def _band_rows(events: Sequence[int], lo: int, hi: int, up: bool) -> list[int]:
+    """The first row of each band (_band) met by the rows lo..hi, in the
+    direction of travel: upward from lo, or downward from hi.  Past an
+    event line e, the next row e + 1 (or e - 1) opens a band unless it is
+    an event line itself."""
+    ev = events[bisect_left(events, lo) : bisect_right(events, hi)]
+    if not up:
+        ev = ev[::-1]
+    rows = [lo if up else hi]
+    for k, e in enumerate(ev):
+        if e != rows[-1]:
+            rows.append(e)
+        nxt = e + 1 if up else e - 1
+        if lo <= nxt <= hi and (k + 1 == len(ev) or ev[k + 1] != nxt):
+            rows.append(nxt)
+    return rows
+
+
 class _Row(NamedTuple):
     """The anchor facts of one row y of a node: lefts/rights, the x of the
     left/right polygon edges holding a point of y, ascending;
@@ -508,7 +526,9 @@ class LineFences:
     mirror argument, of its crossing rects and section.  A row's anchor
     facts (_Row) serve anchors and the engine; its fence ends (_Ends) only
     the line cut (furthest and crossing_anchor); a column's free pieces
-    (_Pieces) only the engine.
+    (_Pieces) only the engine.  So a reader that walks a run of rows
+    asking these reads needs only the first row of each band it meets:
+    band_rows lists them, in the direction of travel.
 
     A True verdict keeps its witness (_Witness): for protected, the
     shortest fence holding an edge; for one_edge_anchors_both, the nearest
@@ -596,6 +616,12 @@ class LineFences:
             tuple(rights),
             *_free_pieces(self.poly.horizontal_section(y), self._row_lines.spans, y),
         )
+
+    def band_rows(self, lo: int, hi: int, up: bool) -> list[int]:
+        """The first row of each band of rows between lo and hi (both
+        included), in the direction of travel: ascending from lo when up,
+        else descending from hi.  Every row of a band reads as that one."""
+        return _band_rows(self._row_lines.events, lo, hi, up)
 
     def column(self, x: int) -> _Pieces:
         """The free pieces of column x, one record per band."""

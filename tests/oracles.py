@@ -138,6 +138,16 @@ def brute_force_hconvex(poly: RectPolygon) -> bool:
     return True
 
 
+def ref_is_horizontally_convex(p: RectPolygon) -> bool:
+    """is_horizontally_convex as first written, a section scan: sections
+    change only at vertex rows, so it is enough that each vertex row, and
+    one line inside each open row between two vertex rows, meets the
+    polygon in at most one interval."""
+    _, ys = p.coords()
+    lines = [2 * y for y in ys] + [y + z for y, z in zip(ys, ys[1:])]
+    return all(len(p._section(c, True)) <= 1 for c in lines)
+
+
 # -- polygon generators --------------------------------------------------------------
 
 
@@ -1704,6 +1714,40 @@ def ref_crossing_anchor(fences: Sequence[Fence], y: int, x: int) -> Optional[int
         and min(f.anchor.x, f.endpoint.x) < x < max(f.anchor.x, f.endpoint.x)
     ]
     return min(xs, default=None)
+
+
+def ref_line_anchor(
+    fences: LineFences, em: Sequence[Segment]
+) -> Optional[tuple[Point, Point]]:
+    """The line cut's (p', anchor) as first read, row by row: the furthest
+    fence from every integral point of every middle-third left edge, the
+    candidates sorted by (-end x, y, x)."""
+    candidates = []
+    for e in em:
+        y1, y2 = sorted((e.a.y, e.b.y))
+        for y in range(y1, y2 + 1):
+            p = Point(e.a.x, y)
+            end = fences.furthest(p, left=True)
+            if end is not None:
+                candidates.append((Point(end, y), p))
+    if not candidates:
+        return None
+    candidates.sort(key=lambda t: (-t[0].x, t[1].y, t[1].x))
+    return candidates[0]
+
+
+def ref_ray_crossing(
+    fences: LineFences, x: int, y0: int, y1: int
+) -> Optional[tuple[int, int]]:
+    """The line cut's ray fence stop as first read, row by row from y0 to
+    y1: the first row with an anchor whose fence strictly crosses x, and
+    that anchor."""
+    step = 1 if y0 <= y1 else -1
+    for y in range(y0, y1 + step, step):
+        xa = fences.crossing_anchor(y, x)
+        if xa is not None:
+            return y, xa
+    return None
 
 
 def ref_protecting_fences(

@@ -31,7 +31,9 @@ from oracles import (
     line_protected,
     nested_is_tau_protected,
     notched_polygon,
+    ref_line_anchor,
     ref_one_edge_anchors_both,
+    ref_ray_crossing,
 )
 
 
@@ -138,6 +140,44 @@ class TestLinePartitionCut:
                     assert len(calls) == 1, (poly, rects, res.case, calls)
                     checked += 1
         assert checked > 100, checked
+
+    def test_degenerate_cut_splits_once(self, monkeypatch):
+        """A line cut whose arms lie wholly on the boundary goes to the
+        degenerate cut unsplit, so a line-degenerate node is split once,
+        by the degenerate cut: every such node of six on uniform_random
+        and nested_grid (seeds 0-1) and windmill at n = 3..10."""
+        real_cut, real_split = partition.line_partition_cut, partition.split_components
+        calls = []
+        depth = [0]  # a mirrored cut calls itself
+        cases = Counter()
+
+        def counted(poly, cut):
+            calls.append(cut)
+            return real_split(poly, cut)
+
+        def cut(poly, rects, fences=None):
+            if depth[0] == 0:
+                calls.clear()
+            depth[0] += 1
+            try:
+                res = real_cut(poly, rects, fences)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                cases[res.case] += 1
+                if res.case.startswith("line-degenerate"):
+                    assert len(calls) == 1, (poly, rects, res.case, calls)
+            return res
+
+        monkeypatch.setattr(partition, "split_components", counted)
+        monkeypatch.setattr(partition, "line_partition_cut", cut)
+        specs = [(f, n, s) for f in ("uniform_random", "nested_grid") for n in range(3, 11) for s in range(2)]
+        specs += [("windmill", n, 0) for n in range(3, 11)]
+        for family, n, seed in specs:
+            inst = generate(family, n, seed)
+            recursive_partition(maximal_extension(exact_mis(inst), inst), "six")
+        degenerate = cases["line-degenerate"] + cases["line-degenerate+mirrored"]
+        assert degenerate > 100, cases
 
     def test_needs_two_rects(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 4, 4))
@@ -537,6 +577,38 @@ TAU_REGIMES = ALL_REGIMES[1:]
 @pytest.fixture(scope="module")
 def checked_sweep():
     return checked_runs(CHECKED_SWEEP, ALL_REGIMES)
+
+
+def test_line_cut_band_reads_match_row_reads(monkeypatch):
+    """The line cut reads rows once per band: its (p', anchor) and the
+    fence stop of each ray equal the row-by-row reads they replace
+    (oracles.ref_line_anchor, ref_ray_crossing), on every line unit of
+    criterion 6 and in the six runs of CHECKED_SWEEP.  The rest of a ray
+    stop does not read rows, so both stops are unchanged."""
+    real_anchor, real_crossing = partition._line_anchor, partition._ray_crossing
+    seen = Counter()
+
+    def anchor(fences, em):
+        got = real_anchor(fences, em)
+        assert got == ref_line_anchor(fences, em), (fences.poly, fences.rects_in, em)
+        seen["anchor"] += 1
+        return got
+
+    def crossing(fences, x, y0, y1):
+        got = real_crossing(fences, x, y0, y1)
+        assert got == ref_ray_crossing(fences, x, y0, y1), (fences.poly, x, y0, y1)
+        seen["fence stop" if got else "no fence stop"] += 1
+        return got
+
+    monkeypatch.setattr(partition, "_line_anchor", anchor)
+    monkeypatch.setattr(partition, "_ray_crossing", crossing)
+    for _k, poly, rects in criterion_6_units()[0]:
+        line_partition_cut(poly, rects)
+    for family, n, seed in CHECKED_SWEEP:
+        inst = generate(family, n, seed)
+        m = maximal_extension(exact_mis(inst, cap=n), inst)
+        recursive_partition(m, "six", check=True)
+    assert min(seen.values()) > 40, seen
 
 
 def test_checked_sweep_passes_every_check(checked_sweep):

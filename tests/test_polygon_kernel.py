@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from misr import partition
+from misr import partition, structure
 from misr.geom_core import (
     Cut,
     CutError,
@@ -40,9 +40,12 @@ from oracles import (
     ref_crossing_anchor,
     ref_enumerate_line_fences,
     ref_furthest,
+    ref_is_horizontally_convex,
     ref_is_simple,
+    ref_line_anchor,
     ref_on_boundary_doubled,
     ref_protecting_fences,
+    ref_ray_crossing,
     ref_split_components,
     segment_contains_point,
 )
@@ -172,11 +175,13 @@ def test_edge_sides_agree(node_cells):
 
 
 def test_horizontal_convexity_agrees(node_cells):
-    """is_horizontally_convex against the doubled-grid chord scan."""
+    """is_horizontally_convex against the doubled-grid chord scan and the
+    section scan it replaced."""
     verdicts = {True: 0, False: 0}
     for poly in {p for p, _ in node_cells} | set(blobs()):
         got = is_horizontally_convex(poly)
         assert got == brute_force_hconvex(poly), poly
+        assert got == ref_is_horizontally_convex(poly), poly
         verdicts[got] += 1
     assert min(verdicts.values()) > 10, verdicts
 
@@ -359,7 +364,10 @@ def assert_line_reads_agree(poly, rin) -> int:
     records, against the fences enumerated anchor by anchor: the furthest
     fence of every anchor on every vertical edge, and on every row of the
     bounding box, for every x across it, the least anchor whose fence
-    strictly crosses x.  Returns the number of crossings found."""
+    strictly crosses x.  Then the line cut's band reads against the
+    row-by-row reads they replace: p' and its anchor from each left edge
+    and from all of them, and the fence stop of the rays up and down the
+    bounding box at every x.  Returns the number of crossings found."""
     ref = ref_enumerate_line_fences(poly, rin)
     fences = LineFences(poly, rin)
     furthest = ref_furthest(ref)
@@ -377,6 +385,13 @@ def assert_line_reads_agree(poly, rin) -> int:
             got = fences.crossing_anchor(y, x)
             assert got == ref_crossing_anchor(ref, y, x), (poly, rin, y, x)
             crossings += got is not None
+    lefts = [edges[i] for i, side in poly.vertical_edge_sides().items() if side == "left"]
+    for em in [[e] for e in lefts] + [lefts]:
+        assert partition._line_anchor(fences, em) == ref_line_anchor(fences, em), (poly, rin, em)
+    for x in range(x0, x1 + 1):
+        for ya, yb in ((y0, y1), (y1, y0)):
+            got = partition._ray_crossing(fences, x, ya, yb)
+            assert got == ref_ray_crossing(fences, x, ya, yb), (poly, rin, x, ya, yb)
     return crossings
 
 
@@ -439,6 +454,40 @@ def assert_rows_by_band(poly, rin) -> int:
     assert len(shared._rows) == len(shared._ends)
     lines = y1 - y0 + 1 + x1 - x0 + 1
     return lines - len(shared._rows) - len(shared._columns)
+
+
+def band_walk(events, lo: int, hi: int, up: bool) -> list[int]:
+    """The rows from lo up to hi (up) or from hi down to lo at which the
+    row's band (_band) changes, read row by row: the first row of each
+    band met."""
+    rows = range(lo, hi + 1) if up else range(hi, lo - 1, -1)
+    out, last = [], None
+    for y in rows:
+        key = structure._band(events, y)
+        if key != last:
+            out.append(y)
+            last = key
+    return out
+
+
+def test_band_rows_match_row_walk(node_cells):
+    """band_rows against a row-by-row band walk, in both directions: on
+    3,000 random event lists and row ranges, and over the bounding box of
+    every node cell's record."""
+    rng = random.Random(12)
+    for _ in range(3000):
+        events = sorted(rng.sample(range(-6, 26), rng.randint(0, 12)))
+        lo = rng.randint(-8, 26)
+        hi = rng.randint(lo, 28)
+        for up in (True, False):
+            got = structure._band_rows(events, lo, hi, up)
+            assert got == band_walk(events, lo, hi, up), (events, lo, hi, up)
+    for poly, rin in node_cells:
+        fences = LineFences(poly, rin)
+        _x0, y0, _x1, y1 = poly.bbox()
+        for up in (True, False):
+            want = band_walk(fences._row_lines.events, y0, y1, up)
+            assert fences.band_rows(y0, y1, up) == want, (poly, rin, up)
 
 
 def test_rows_of_a_band_read_alike(node_cells):
