@@ -73,8 +73,9 @@ CLI_ERRORS = (
 )
 
 
-def instance_digest(inst: Instance) -> str:
-    blob = json.dumps(instance_to_json(inst), sort_keys=True).encode()
+def instance_digest(doc: dict) -> str:
+    """The digest of an instance from its JSON document (instance_to_json)."""
+    blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -151,8 +152,9 @@ def run_pipeline(
     """Run one named pipeline; returns (solution, report, artifacts).  The
     DP's report checks it against the oracle only up to the oracle cap."""
     t0 = time.perf_counter()
-    digest = instance_digest(inst)
-    artifacts: dict = {"instance": instance_to_json(inst)}
+    doc = instance_to_json(inst)
+    digest = instance_digest(doc)
+    artifacts: dict = {"instance": doc}
     checks: list[dict] = []
     flags: list[str] = []
     transposed = False
@@ -279,7 +281,7 @@ def render_svg(artifacts: dict) -> str:
 
 def _render_svg(artifacts: dict) -> str:
     inst = instance_from_json(artifacts["instance"])
-    digest = instance_digest(inst)
+    digest = instance_digest(instance_to_json(inst))
     report = artifacts.get("report")
     if report is not None and report["digest"] != digest:
         raise InstanceError("artifact digest mismatch")

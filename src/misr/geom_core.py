@@ -76,7 +76,10 @@ class Segment:
 
 @dataclass(frozen=True)
 class Rect:
-    """Open axis-parallel rectangle {(x,y) | xl<x<xr, yb<y<yt}."""
+    """Open axis-parallel rectangle {(x,y) | xl<x<xr, yb<y<yt}.
+
+    Its hash, the hash of its field tuple as a frozen dataclass's, is
+    computed once, at construction: rects key the protection memos."""
 
     xl: int
     yb: int
@@ -86,6 +89,10 @@ class Rect:
     def __post_init__(self) -> None:
         if not (self.xl < self.xr and self.yb < self.yt):
             raise GeometryError(f"degenerate rectangle {self!r}")
+        object.__setattr__(self, "_hash", hash((self.xl, self.yb, self.xr, self.yt)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def corner(self, name: str) -> Point:
         return {
@@ -236,23 +243,6 @@ def loop_contains_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> b
     return inside
 
 
-def loop_contains_run_doubled(
-    vtab: EdgeTable, htab: EdgeTable, c: int, a: int, b: int, horizontal: bool
-) -> bool:
-    """Closed containment of the run from a to b (a <= b) along the line
-    y = c (horizontal) or x = c, all doubled.  The edges across the line
-    that touch it strictly inside the run cut the run into pieces; a
-    piece holds no other boundary point unless it runs along an edge, so
-    it lies inside as a whole exactly when its midpoint does."""
-    across = vtab if horizontal else htab
-    ends = [a, *sorted(e for e, lo, hi in across if a < e < b and lo <= c <= hi), b]
-    for u, v in zip(ends, ends[1:]):
-        m = (u + v) >> 1
-        if not loop_contains_doubled(vtab, htab, *((m, c) if horizontal else (c, m))):
-            return False
-    return True
-
-
 def loop_side_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> int:
     """Where the doubled point (X, Y) lies, in one pass over the edges: 0
     on the boundary, 1 inside, -1 outside (the parity rule of
@@ -352,11 +342,29 @@ def section_intervals(c: int, along: EdgeTable, across: EdgeTable) -> list[tuple
     sorted, disjoint closed intervals, halved.  The edges ``across`` with
     lo <= c < hi pair up, in order along the line, into the inside runs
     (the half-open rule of ``loop_contains_doubled``, so their number is
-    even); ``touch_intervals`` merges them, as edges along the line, with
-    the boundary on it."""
-    xs = sorted(e for e, lo, hi in across if lo <= c < hi)
-    runs = tuple((c, lo, hi) for lo, hi in zip(xs[::2], xs[1::2]))
-    return list(zip(*touch_intervals(c, along + runs, across)))
+    even).  They are merged where they meet with the boundary on the line,
+    as ``touch_intervals`` merges it: the edges along the line and the
+    ends of the edges across that stop on it (hi == c); every other point
+    where an edge across meets the line is the end of a run."""
+    xs = []
+    out = [(lo, hi) for e, lo, hi in along if e == c]
+    for e, lo, hi in across:
+        if lo <= c <= hi:
+            if c < hi:
+                xs.append(e)
+            else:
+                out.append((e, e))
+    xs.sort()
+    out += zip(xs[::2], xs[1::2])
+    out.sort()
+    sec: list[list[int]] = []
+    for lo, hi in out:
+        if sec and lo <= sec[-1][1]:
+            if hi > sec[-1][1]:
+                sec[-1][1] = hi
+        else:
+            sec.append([lo, hi])
+    return [(lo >> 1, hi >> 1) for lo, hi in sec]
 
 
 def _loop_locate(loop: Sequence[tuple[int, int]], p: tuple[int, int], start: int) -> int:
@@ -546,12 +554,14 @@ class RectPolygon:
     A view over the integer loop kernel above: ``__init__`` canonicalizes
     with ``merge_loop`` and ``orient_loop``, which also give the doubled
     area, and builds the ``edge_tables`` once, as ``_vtab`` (vertical
-    edges) and ``_htab`` (horizontal edges), read only inside this module.
+    edges) and ``_htab`` (horizontal edges), read inside this module and
+    by ``partition.validate_partition``, which checks each horizontal edge.
     The point and rect predicates and the line sections
     (``section_intervals``) are the kernel's, on those tables, and
     ``edges_at`` locates a boundary point as the splices do
-    (``_loop_locate``).  Filled on
-    first use: ``_coords``, ``_sections`` (see ``_section``), ``_vclass``.
+    (``_loop_locate``).  Segment and walk containment read the memoized
+    section of each segment's line, one record per band (``_section``).
+    Filled on first use: ``_coords``, ``_sections``, ``_vclass``.
     """
 
     __slots__ = (
@@ -678,14 +688,18 @@ class RectPolygon:
 
     def contains_walk(self, walk: Sequence[Point]) -> bool:
         """Closed containment of every segment of a walk of integral
-        points, each axis-parallel to the next (loop_contains_run_doubled)."""
+        points, each axis-parallel to the next.  The closed polygon meets
+        a segment's line in the disjoint closed intervals of its section
+        (``_section``), so the segment lies in it exactly when it fits in
+        one of them: the last one starting at or before its low end."""
         for p, q in zip(walk, walk[1:]):
-            horizontal = p.y == q.y
-            c, a, b = (p.y, p.x, q.x) if horizontal else (p.x, p.y, q.y)
+            if p.y == q.y:
+                sec, a, b = self._section(2 * p.y, True), p.x, q.x
+            else:
+                sec, a, b = self._section(2 * p.x, False), p.y, q.y
             lo, hi = (a, b) if a <= b else (b, a)
-            if not loop_contains_run_doubled(
-                self._vtab, self._htab, 2 * c, 2 * lo, 2 * hi, horizontal
-            ):
+            k = bisect_left(sec, (lo + 1,)) - 1
+            if k < 0 or sec[k][1] < hi:
                 return False
         return True
 
@@ -718,10 +732,8 @@ class RectPolygon:
     def coords(self) -> tuple[list[int], list[int]]:
         """The sorted distinct vertex x and y coordinates."""
         if self._coords is None:
-            self._coords = (
-                sorted({p.x for p in self.vertices}),
-                sorted({p.y for p in self.vertices}),
-            )
+            xs, ys = zip(*self.vertices)
+            self._coords = (sorted(set(xs)), sorted(set(ys)))
         return self._coords
 
     def _section(self, c: int, horizontal: bool) -> list[tuple[int, int]]:

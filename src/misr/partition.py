@@ -367,7 +367,7 @@ def _line_anchor(fences: LineFences, em: Sequence[Segment]) -> Optional[tuple[Po
     the integral points of the middle-third left edges em, the one ending
     furthest right, then lowest, then leftmost; None when em anchors no
     fence.  The furthest fence from a point of an edge is a function of
-    the row's band (LineFences keys row and _line_ends by band), so each
+    the row's band (LineFences keys its row records by band), so each
     band of an edge is read once, at the edge's lowest row in it
     (band_rows), which the order prefers among equal ends."""
     best = None
@@ -1105,9 +1105,9 @@ def validate_partition(run: PartitionRun) -> list[dict]:
     ok = all(p.polygon.is_simple and p.polygon.num_edges <= k for p in nodes)
     _check(report, "polygons_in_class", ok, f"k={k}")
 
-    root_ok = nodes[0].polygon == RectPolygon.from_rect(
-        Rect(0, 0, run.side, run.side)
-    )
+    # the canonical loop of the square: clockwise from its least vertex
+    side = run.side
+    root_ok = nodes[0].polygon.vertices == ((0, 0), (0, side), (side, side), (side, 0))
     _check(report, "root_is_square", root_ok)
 
     tile_ok, tile_detail = True, ""
@@ -1177,18 +1177,23 @@ def validate_partition(run: PartitionRun) -> list[dict]:
             break
     _check(report, "tracked_in_unique_leaf", unique_ok, unique_detail)
 
-    # A horizontal edge on row y can meet only the rects with yb < y < yt.
-    crossing: dict[int, list[tuple[int, Rect]]] = {}
+    # A horizontal edge on row y can meet only the rects with yb < y < yt,
+    # and meets one of them when it overlaps its open x-extent.  The edges
+    # are read from the polygon's table (2y, 2xlo, 2xhi), in edge order.
+    crossing: dict[int, list[tuple[int, int, int]]] = {}
     horiz_ok, horiz_detail = True, ""
     for node in nodes:
-        for e in node.polygon.edges():
-            if not e.horizontal:
-                continue
-            y = e.a.y
-            if y not in crossing:
-                crossing[y] = [(i, r) for i, r in enumerate(run.work_rects) if r.yb < y < r.yt]
-            for i, r in crossing[y]:
-                if segment_intersects_rect(e, r):
+        for Y, X0, X1 in node.polygon._htab:
+            row = crossing.get(Y)
+            if row is None:
+                y = Y >> 1
+                row = crossing[Y] = [
+                    (i, 2 * r.xl, 2 * r.xr)
+                    for i, r in enumerate(run.work_rects)
+                    if r.yb < y < r.yt
+                ]
+            for i, XL, XR in row:
+                if X0 < XR and XL < X1:
                     horiz_ok = False
                     horiz_detail = f"node {node.id} horizontal edge hits rect {i}"
                     break

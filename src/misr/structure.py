@@ -21,7 +21,8 @@ LineFences).  Building a record reads nothing; each fact is built on
 first use and kept in the record:
   rows      per band of rows, the anchors on the row and its free pieces
             (_Row), and beside it the ends of each anchor's furthest fence
-            (_Ends), built only when the line cut asks;
+            (_Ends), built only when the line cut asks which fence
+            crosses a column (crossing_anchor);
   columns   per band of columns, the free pieces (_Pieces), built only
             when an engine makes its move table;
   anchors   per rect, the anchors of the line fences holding its top and
@@ -121,24 +122,34 @@ def maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
 
 def assert_maximal(m: MaximalSet) -> None:
     """A unit of growth in any direction must hit another rect of the set
-    or leave the bounding square."""
-    for i, r in enumerate(m.rects):
-        for j in range(i + 1, len(m.rects)):
-            if rects_intersect(r, m.rects[j]):
+    or leave the bounding square.  The rect grown by one unit meets
+    another exactly when their open extents overlap on both axes; growing
+    left or right leaves its y-extent as is, and growing down or up its
+    x-extent, so one pass over the others settles all four directions,
+    reported in the order left, right, bottom, top."""
+    rects = m.rects
+    for i, r in enumerate(rects):
+        for j in range(i + 1, len(rects)):
+            if rects_intersect(r, rects[j]):
                 raise StructureError(f"extended rects {i},{j} overlap")
-    for i, r in enumerate(m.rects):
-        grown = {
-            "left": Rect(r.xl - 1, r.yb, r.xr, r.yt) if r.xl > 0 else None,
-            "right": Rect(r.xl, r.yb, r.xr + 1, r.yt) if r.xr < m.side else None,
-            "bottom": Rect(r.xl, r.yb - 1, r.xr, r.yt) if r.yb > 0 else None,
-            "top": Rect(r.xl, r.yb, r.xr, r.yt + 1) if r.yt < m.side else None,
-        }
-        for direction, bigger in grown.items():
-            if bigger is None:
+    for i, r in enumerate(rects):
+        xl, yb, xr, yt = r.xl, r.yb, r.xr, r.yt
+        free = [xl > 0, xr < m.side, yb > 0, yt < m.side]
+        for k, o in enumerate(rects):
+            if k == i:
                 continue
-            if not any(
-                rects_intersect(bigger, o) for k, o in enumerate(m.rects) if k != i
-            ):
+            if o.yb < yt and yb < o.yt:
+                if xl - 1 < o.xr and o.xl < xr:
+                    free[0] = False
+                if xl < o.xr and o.xl < xr + 1:
+                    free[1] = False
+            if o.xl < xr and xl < o.xr:
+                if yb - 1 < o.yt and o.yb < yt:
+                    free[2] = False
+                if yb < o.yt and o.yb < yt + 1:
+                    free[3] = False
+        for direction, grows in zip(("left", "right", "bottom", "top"), free):
+            if grows:
                 raise StructureError(f"rect {i} could still grow {direction}")
 
 
@@ -525,8 +536,9 @@ class LineFences:
     are functions of these four alone, and a column's free pieces, by the
     mirror argument, of its crossing rects and section.  A row's anchor
     facts (_Row) serve anchors and the engine; its fence ends (_Ends) only
-    the line cut (furthest and crossing_anchor); a column's free pieces
-    (_Pieces) only the engine.  So a reader that walks a run of rows
+    the line cut's crossing_anchor, while furthest reads the one anchor's
+    end it asks for (_end); a column's free pieces (_Pieces) only the
+    engine.  So a reader that walks a run of rows
     asking these reads needs only the first row of each band it meets:
     band_rows lists them, in the direction of travel.
 
@@ -536,8 +548,10 @@ class LineFences:
     (FenceEngine.proof).  A record may start from witnesses proved in an
     ancestor node (inherited, as witnesses() hands them down), and each
     question first re-checks the inherited witness on the record's own
-    edge tables (_holds): every segment lies in the closed polygon and the
-    walks start on one vertical edge, of the fence's side for line fences.
+    polygon (_holds): the walks start on one vertical edge, of the
+    fence's side for line fences, and every segment lies in the closed
+    polygon, read with one lookup in the memoized section of its line
+    (RectPolygon.contains_walk).
     Only when that fails does the record build rows or an engine.  This is
     exact: a child's polygon lies inside its parent's and its rects are a
     subset of the parent's, so a segment that crosses no parent rect's
@@ -644,49 +658,46 @@ class LineFences:
         return ends
 
     def _build_ends(self, y: int) -> _Ends:
-        """The line cut's facts of row y, built afresh from the row's
-        anchor facts.
-
-        The fence from an anchor runs within the anchor's section of the
-        row; a left anchor's furthest fence ends at the first left edge of
-        a crossing rect at or right of it (the fence stops inside that
-        edge), else at the last right corner on the row; a right anchor's
-        is the mirror image."""
+        """The line cut's facts of row y, built afresh: the end of each
+        anchor's furthest fence (_end)."""
         rec = self.row(y)
-        sections = self.poly.horizontal_section(y)
-        blocks_l: list[int] = []
-        blocks_r: list[int] = []
-        corners_l: list[int] = []
-        corners_r: list[int] = []
-        for a, b, lo, hi in self._row_lines.spans:
-            if lo < y < hi:
-                blocks_l.append(a)
-                blocks_r.append(b)
-            elif lo == y or hi == y:
-                corners_l.append(a)
-                corners_r.append(b)
-        blocks_r.sort()
-        corners_r.sort()
-        left_ends: list[Optional[int]] = []
-        for x in rec.lefts:
-            hi = next(b for a, b in sections if a <= x <= b)
-            k = bisect_left(blocks_l, x)
-            if k < len(blocks_l) and blocks_l[k] <= hi:
-                left_ends.append(blocks_l[k])
-                continue
-            k = bisect_right(corners_r, hi) - 1
-            left_ends.append(corners_r[k] if k >= 0 and corners_r[k] >= x else None)
-        right_ends: list[Optional[int]] = []
-        for x in rec.rights:
-            lo = next(a for a, b in sections if a <= x <= b)
-            k = bisect_right(blocks_r, x) - 1
-            if k >= 0 and blocks_r[k] >= lo:
-                right_ends.append(blocks_r[k])
-                continue
-            k = bisect_left(corners_l, lo)
-            found = k < len(corners_l) and corners_l[k] <= x
-            right_ends.append(corners_l[k] if found else None)
-        return _Ends(tuple(left_ends), tuple(right_ends))
+        return _Ends(
+            tuple(self._end(y, x, True) for x in rec.lefts),
+            tuple(self._end(y, x, False) for x in rec.rights),
+        )
+
+    def _end(self, y: int, x: int, left: bool) -> Optional[int]:
+        """The x of the furthest line fence from the anchor (x, y) of a left
+        or a right polygon edge, or None when it anchors none.
+
+        The fence runs within the anchor's section of the row; a left
+        anchor's furthest fence ends at the first left edge of a crossing
+        rect at or right of it (the fence stops inside that edge), else at
+        the last right corner on the row; a right anchor's is the mirror
+        image.  The spans are sorted by their left ends, so the scan stops
+        at the first one past every end it may take."""
+        lo, hi = next(sec for sec in self.poly.horizontal_section(y) if sec[0] <= x <= sec[1])
+        corner = None
+        if left:
+            for a, b, ylo, yhi in self._row_lines.spans:
+                if a > hi:
+                    break
+                if ylo < y < yhi:
+                    if a >= x:
+                        return a
+                elif (ylo == y or yhi == y) and x <= b <= hi and (corner is None or b > corner):
+                    corner = b
+            return corner
+        block = None
+        for a, b, ylo, yhi in self._row_lines.spans:
+            if a > x:
+                break
+            if ylo < y < yhi:
+                if lo <= b <= x and (block is None or b > block):
+                    block = b
+            elif (ylo == y or yhi == y) and corner is None and a >= lo:
+                corner = a
+        return corner if block is None else block
 
     def furthest(self, p: Point, left: bool) -> Optional[int]:
         """The x of the furthest line fence from p, an integral point of a
@@ -697,8 +708,7 @@ class LineFences:
         k = bisect_left(xs, p.x)
         if k == len(xs) or xs[k] != p.x:
             return None
-        ends = self._line_ends(p.y)
-        return (ends.left_ends if left else ends.right_ends)[k]
+        return self._end(p.y, p.x, left)
 
     def crossing_anchor(self, y: int, x: int) -> Optional[int]:
         """The least x of an anchor on row y with a line fence that
@@ -769,19 +779,26 @@ class LineFences:
     def _holds(self, w: _Witness) -> bool:
         """The witness's walks start on one vertical edge of the polygon,
         of the witness's side, and every segment lies in the closed
-        polygon.  Crossing no rect interior is inherited (see the class
-        docstring)."""
-        starts = [walk[0] for walk in w.walks]
-        x = starts[0].x
-        lo, hi = min(p.y for p in starts), max(p.y for p in starts)
-        return (
-            all(p.x == x for p in starts)
-            and any(
-                ex == x and elo <= lo and hi <= ehi and w.left in (None, left)
-                for ex, elo, ehi, left in self._verticals
-            )
-            and all(map(self.poly.contains_walk, w.walks))
-        )
+        polygon (RectPolygon.contains_walk, one section lookup per segment).
+        Crossing no rect interior is inherited (see the class docstring)."""
+        x, lo = w.walks[0][0]
+        hi = lo
+        for walk in w.walks:
+            p = walk[0]
+            if p.x != x:
+                return False
+            if p.y < lo:
+                lo = p.y
+            elif p.y > hi:
+                hi = p.y
+        verticals = self._verticals
+        k = bisect_left(verticals, (x,))
+        while k < len(verticals) and verticals[k][0] == x:
+            _x, elo, ehi, left = verticals[k]
+            if elo <= lo and hi <= ehi and w.left in (None, left):
+                return all(map(self.poly.contains_walk, w.walks))
+            k += 1
+        return False
 
     def protected(self, r: Rect) -> bool:
         """Some line fence holds r's top or bottom edge: a proof of

@@ -24,6 +24,7 @@ from misr.geom_core import (
     RectPolygon,
     Segment,
     is_horizontally_convex,
+    loop_contains_doubled,
     rects_intersect,
     segment_intersects_rect,
     split_components,
@@ -1822,3 +1823,108 @@ def ref_moves(poly: RectPolygon, rects: Sequence[Rect]) -> bytes:
                 moves[i * ny + j] |= 4
                 moves[i * ny + j + 1] |= 8
     return bytes(moves)
+
+
+# -- the first-written certification checks ----------------------------------------
+#
+# Walk containment, the protection record's witness re-check, the
+# maximality check and two clauses of validate_partition as first
+# written: each segment cut into pieces and each piece tested by parity,
+# a Rect built for each unit of growth, a Segment for each polygon edge
+# and a RectPolygon for the square.  test_certification_checks.py
+# requires the library's table reads to agree with them exactly.
+
+
+def _ref_run_contains(
+    vtab, htab, c: int, a: int, b: int, horizontal: bool
+) -> bool:
+    """Closed containment of the run from a to b (a <= b) along the line
+    y = c (horizontal) or x = c, all doubled: the edges across the line
+    that touch it strictly inside the run cut it into pieces, and each
+    piece lies inside as a whole exactly when its midpoint does."""
+    across = vtab if horizontal else htab
+    ends = [a, *sorted(e for e, lo, hi in across if a < e < b and lo <= c <= hi), b]
+    for u, v in zip(ends, ends[1:]):
+        m = (u + v) >> 1
+        if not loop_contains_doubled(vtab, htab, *((m, c) if horizontal else (c, m))):
+            return False
+    return True
+
+
+def ref_contains_walk(poly: RectPolygon, walk: Sequence[Point]) -> bool:
+    """Closed containment of every segment of a walk, run by run."""
+    for p, q in zip(walk, walk[1:]):
+        horizontal = p.y == q.y
+        c, a, b = (p.y, p.x, q.x) if horizontal else (p.x, p.y, q.y)
+        lo, hi = (a, b) if a <= b else (b, a)
+        if not _ref_run_contains(poly._vtab, poly._htab, 2 * c, 2 * lo, 2 * hi, horizontal):
+            return False
+    return True
+
+
+def ref_holds(poly: RectPolygon, walks, left: Optional[bool]) -> bool:
+    """A witness's re-check: its walks start on one vertical edge of the
+    polygon, of its side (left None takes either), and lie in the closed
+    polygon (ref_contains_walk)."""
+    starts = [walk[0] for walk in walks]
+    x = starts[0].x
+    lo, hi = min(p.y for p in starts), max(p.y for p in starts)
+    vs = poly.vertices
+    verticals = [
+        (p.x, min(p.y, q.y), max(p.y, q.y), p.y < q.y)
+        for p, q in zip(vs, vs[1:] + vs[:1])
+        if p.x == q.x
+    ]
+    return (
+        all(p.x == x for p in starts)
+        and any(
+            ex == x and elo <= lo and hi <= ehi and left in (None, side)
+            for ex, elo, ehi, side in verticals
+        )
+        and all(ref_contains_walk(poly, walk) for walk in walks)
+    )
+
+
+def ref_assert_maximal(m: MaximalSet) -> None:
+    """A unit of growth in any direction must hit another rect of the set
+    or leave the bounding square: the grown rect built and tested."""
+    for i, r in enumerate(m.rects):
+        for j in range(i + 1, len(m.rects)):
+            if rects_intersect(r, m.rects[j]):
+                raise StructureError(f"extended rects {i},{j} overlap")
+    for i, r in enumerate(m.rects):
+        grown = {
+            "left": Rect(r.xl - 1, r.yb, r.xr, r.yt) if r.xl > 0 else None,
+            "right": Rect(r.xl, r.yb, r.xr + 1, r.yt) if r.xr < m.side else None,
+            "bottom": Rect(r.xl, r.yb - 1, r.xr, r.yt) if r.yb > 0 else None,
+            "top": Rect(r.xl, r.yb, r.xr, r.yt + 1) if r.yt < m.side else None,
+        }
+        for direction, bigger in grown.items():
+            if bigger is None:
+                continue
+            if not any(
+                rects_intersect(bigger, o) for k, o in enumerate(m.rects) if k != i
+            ):
+                raise StructureError(f"rect {i} could still grow {direction}")
+
+
+def ref_root_is_square(run) -> bool:
+    """validate_partition's root_is_square: the root is the square."""
+    return run.nodes[0].polygon == RectPolygon.from_rect(Rect(0, 0, run.side, run.side))
+
+
+def ref_horizontal_edges_miss_rects(run) -> tuple[bool, str]:
+    """validate_partition's horizontal_edges_miss_rects, (ok, detail): no
+    horizontal edge of a node meets the interior of a work rect."""
+    crossing: dict[int, list[tuple[int, Rect]]] = {}
+    for node in run.nodes:
+        for e in node.polygon.edges():
+            if not e.horizontal:
+                continue
+            y = e.a.y
+            if y not in crossing:
+                crossing[y] = [(i, r) for i, r in enumerate(run.work_rects) if r.yb < y < r.yt]
+            for i, r in crossing[y]:
+                if segment_intersects_rect(e, r):
+                    return False, f"node {node.id} horizontal edge hits rect {i}"
+    return True, ""

@@ -34,6 +34,7 @@ from oracles import (
     ref_line_anchor,
     ref_one_edge_anchors_both,
     ref_ray_crossing,
+    ref_split_components,
 )
 
 
@@ -178,6 +179,39 @@ class TestLinePartitionCut:
             recursive_partition(maximal_extension(exact_mis(inst), inst), "six")
         degenerate = cases["line-degenerate"] + cases["line-degenerate+mirrored"]
         assert degenerate > 100, cases
+
+    def test_degenerate_units_cut_alone(self, monkeypatch):
+        """The line-degenerate nodes of six on uniform_random and
+        nested_grid (n = 6..10, seeds 0-3), cut alone as units, with a
+        fresh record: each gives the degenerate cut again, split once,
+        into the parts the refined-grid split finds.  criterion 6's line
+        units never reach the degenerate cut."""
+        units = []
+        for family in ("uniform_random", "nested_grid"):
+            for n in range(6, 11):
+                for seed in range(4):
+                    inst = generate(family, n, seed)
+                    run = recursive_partition(maximal_extension(exact_mis(inst), inst), "six")
+                    units += [
+                        (node.polygon, [(i, run.work_rects[i]) for i in node.rects])
+                        for node in run.nodes
+                        if node.case == "line-degenerate"
+                    ]
+        real = partition.split_components
+        calls = []
+
+        def counted(poly, cut):
+            calls.append(cut)
+            return real(poly, cut)
+
+        monkeypatch.setattr(partition, "split_components", counted)
+        for poly, rects in units:
+            calls.clear()
+            res = line_partition_cut(poly, rects)
+            assert res.case == "line-degenerate", (poly, rects, res.case)
+            assert len(calls) == 1, (poly, rects, calls)
+            assert res.components == ref_split_components(poly, res.cut), (poly, rects)
+        assert len(units) > 100, len(units)
 
     def test_needs_two_rects(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 4, 4))
@@ -707,21 +741,29 @@ def test_six_builds_one_row_record_per_band(monkeypatch):
     """six reads its rows by band: a checked run on windmill n = 16 builds
     one row record per distinct (node, band) it asks, 80 of them (one per
     distinct (node, row), 394, before rows were shared by band), and the
-    line cut's ends for 68 of those bands; the other protection questions
-    are answered by the parents' fences."""
+    line cut's ends for the 55 bands crossing_anchor asks (68 while
+    furthest read them too; it now reads one anchor's end, _end); the
+    other protection questions are answered by the parents' fences."""
     inst = generate("windmill", 16, 0)
     m = maximal_extension(exact_mis(inst, cap=16), inst)
     held: dict = {}  # every record asked, alive so that ids stay distinct
     asked = set()
-    real_row = LineFences.row
+    crossed = set()
+    real_row, real_crossing = LineFences.row, LineFences.crossing_anchor
 
     def row(self, y):
         held[id(self)] = self
         asked.add((id(self), structure._band(self._row_lines.events, y)))
         return real_row(self, y)
 
+    def crossing_anchor(self, y, x):
+        held[id(self)] = self
+        crossed.add((id(self), structure._band(self._row_lines.events, y)))
+        return real_crossing(self, y, x)
+
     monkeypatch.setattr(LineFences, "row", row)
+    monkeypatch.setattr(LineFences, "crossing_anchor", crossing_anchor)
     built = count_calls(monkeypatch, LineFences, "_build_row", "_build_ends")
     recursive_partition(m, "six", check=True)
     assert built["_build_row"] == len(asked) == 80
-    assert built["_build_ends"] == 68
+    assert built["_build_ends"] == len(crossed) == 55
