@@ -100,9 +100,9 @@ from .geom_core import (
     IntLoop as Loop,
     Rect,
     edge_tables,
-    loop_contains_doubled,
     loop_contains_rect_doubled,
     loop_positions,
+    loop_side_doubled,
     merge_loop,
     orient_loop,
     splice_loop,
@@ -312,7 +312,7 @@ class _CellGeometry:
                 X, Y = pos + t, 2 * p[1]
             else:
                 X, Y = 2 * p[0], pos + t
-            if not loop_contains_doubled(self.vtab, self.htab, X, Y):
+            if loop_side_doubled(self.vtab, self.htab, X, Y) < 0:
                 return None, []
         return t, mids
 

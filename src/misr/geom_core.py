@@ -13,11 +13,16 @@ of an edge is inside follows from the clockwise canonical loop.
 Polygons are split by loop surgery only: ``split_components`` breaks a cut
 into boundary-to-boundary walks and splices each into the vertex loop of
 the part it runs through (``splice_loop``), as the DP does for its cuts.
-It reads the cut in one pass: each segment is cut into pieces at the
-boundary and at the other segments' ends, and each piece is placed by its
-midpoint (``loop_side_doubled``) as on the boundary, inside or outside,
-which both checks that the cut stays in the polygon and gives the graph
-of the pieces inside.
+It reads the cut in one pass, ``inside_pieces``, the one list of a cut's
+pieces (the partitions' repair reads it too): each segment is cut into
+pieces at the boundary and at the other segments' ends, and each piece is
+placed by its midpoint as on the boundary, inside or outside, which both
+checks that the cut stays in the polygon and gives the graph of the
+pieces inside.
+
+Every point is located by one scan, ``loop_side_doubled`` (0 on the
+boundary, 1 inside, -1 outside), or ``RectPolygon.side_doubled`` on a
+polygon's tables.
 """
 
 from __future__ import annotations
@@ -145,9 +150,11 @@ def edge_distance(k: int, i: int, j: int) -> int:
 # polygon DP (dp_solver) both canonicalize loops and query them through
 # these functions: ``merge_loop`` then ``orient_loop`` give the canonical vertex
 # order and the doubled area, ``edge_tables`` gives the doubled edge tables,
-# and the point, rect, section and touch-interval queries read those tables
-# (``touch_tables`` answers the touch-interval query for many lines at once,
-# in one sweep over the edges).
+# and the point, rect, section and touch-interval queries read those tables.
+# A point is located by ``loop_side_doubled`` alone, whatever the caller
+# asks of it (inside, on the boundary, or in the closed loop);
+# ``touch_tables`` answers the touch-interval query for many lines at once,
+# in one sweep over the edges.
 #
 # ``splice_loop`` cuts a canonical loop along a boundary-to-boundary walk;
 # it is the one polygon split, used by the DP's ``surgery`` and by
@@ -227,26 +234,11 @@ def edge_tables(loop: Sequence[tuple[int, int]]) -> tuple[EdgeTable, EdgeTable]:
     return tuple(vtab), tuple(htab)
 
 
-def loop_contains_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> bool:
-    """Closed membership of the doubled point (X, Y): on the boundary, or
-    inside by the parity of the vertical edges to its right."""
-    inside = False
-    for c, lo, hi in vtab:
-        if lo <= Y <= hi:
-            if c == X:
-                return True
-            if c > X and Y < hi:
-                inside = not inside
-    for c, lo, hi in htab:
-        if c == Y and lo <= X <= hi:
-            return True
-    return inside
-
-
 def loop_side_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> int:
     """Where the doubled point (X, Y) lies, in one pass over the edges: 0
-    on the boundary, 1 inside, -1 outside (the parity rule of
-    ``loop_contains_doubled``)."""
+    on the boundary, 1 inside, -1 outside.  Inside is decided by the
+    parity of the vertical edges to its right, each counted over the
+    half-open span lo <= Y < hi."""
     inside = False
     for c, lo, hi in vtab:
         if lo <= Y <= hi:
@@ -260,23 +252,13 @@ def loop_side_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> int:
     return 1 if inside else -1
 
 
-def loop_on_boundary_doubled(vtab: EdgeTable, htab: EdgeTable, X: int, Y: int) -> bool:
-    for c, lo, hi in vtab:
-        if c == X and lo <= Y <= hi:
-            return True
-    for c, lo, hi in htab:
-        if c == Y and lo <= X <= hi:
-            return True
-    return False
-
-
 def loop_contains_rect_doubled(
     vtab: EdgeTable, htab: EdgeTable, xl: int, yb: int, xr: int, yt: int
 ) -> bool:
     """Does the open rectangle with doubled corners (xl, yb), (xr, yt) lie
     inside the closed loop?  Its centre must be inside, and no edge may
     reach into it."""
-    if not loop_contains_doubled(vtab, htab, (xl + xr) >> 1, (yb + yt) >> 1):
+    if loop_side_doubled(vtab, htab, (xl + xr) >> 1, (yb + yt) >> 1) < 0:
         return False
     for c, lo, hi in vtab:
         if xl < c < xr and lo < yt and hi > yb:
@@ -341,7 +323,7 @@ def section_intervals(c: int, along: EdgeTable, across: EdgeTable) -> list[tuple
     """The closed loop's section by the line at doubled coordinate c: the
     sorted, disjoint closed intervals, halved.  The edges ``across`` with
     lo <= c < hi pair up, in order along the line, into the inside runs
-    (the half-open rule of ``loop_contains_doubled``, so their number is
+    (the half-open rule of ``loop_side_doubled``, so their number is
     even).  They are merged where they meet with the boundary on the line,
     as ``touch_intervals`` merges it: the edges along the line and the
     ends of the edges across that stop on it (hi == c); every other point
@@ -663,16 +645,10 @@ class RectPolygon:
 
     # -- exact point membership -------------------------------------------
 
-    def contains_doubled(self, X: int, Y: int) -> bool:
-        """Closed membership for a point given in doubled coordinates."""
-        return loop_contains_doubled(self._vtab, self._htab, X, Y)
-
-    def on_boundary_doubled(self, X: int, Y: int) -> bool:
-        return loop_on_boundary_doubled(self._vtab, self._htab, X, Y)
-
-    def contains_segment(self, s: Segment) -> bool:
-        """Closed containment of an axis-parallel segment with integer ends."""
-        return self.contains_walk((s.a, s.b))
+    def side_doubled(self, X: int, Y: int) -> int:
+        """Where a point given in doubled coordinates lies: 0 on the
+        boundary, 1 inside, -1 outside (``loop_side_doubled``)."""
+        return loop_side_doubled(self._vtab, self._htab, X, Y)
 
     def segment_on_boundary(self, s: Segment) -> bool:
         """Does the boundary hold every point of the axis-parallel segment
@@ -714,7 +690,7 @@ class RectPolygon:
         ascending order: none off the boundary, the two edges at a vertex,
         the one edge p lies inside.  Read off ``_loop_locate``, so exact on
         simple polygons, where a point lies on at most two edges."""
-        if not self.on_boundary_doubled(2 * p.x, 2 * p.y):
+        if self.side_doubled(2 * p.x, 2 * p.y):
             return ()
         at = _loop_locate(self.vertices, p, 0)
         i = at >> 1
@@ -833,9 +809,6 @@ class Cut:
         if self.shape not in ("path", "tree"):
             raise GeometryError(f"unknown cut shape {self.shape!r}")
 
-    def nondegenerate(self) -> list[Segment]:
-        return [s for s in self.segments if not s.degenerate]
-
 
 def splice_simple(points: Sequence[Point]) -> list[Point]:
     """Remove loops from a polyline that revisits vertices, keeping a simple
@@ -883,19 +856,29 @@ def _cut_points(poly: RectPolygon, s: Segment, ends: set[Point]) -> list[Point]:
     return [Point(c, t) if v else Point(t, c) for t in sorted(ts)]
 
 
-def cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[Segment]]:
-    """Each segment cut at the polygon's vertices and boundary crossings
-    and at the other segments' endpoints (``_cut_points``): per segment,
-    its pieces in order of increasing coordinate, leaving out those on
-    the boundary."""
-    ends = {p for s in segments for p in (s.a, s.b)}
+def inside_pieces(
+    poly: RectPolygon, segs: Sequence[Segment]
+) -> list[tuple[int, Point, Point]]:
+    """The pieces of a cut inside the polygon: each segment cut at the
+    polygon's vertices and boundary crossings and at the segments' ends
+    (``_cut_points``), and each piece placed by its midpoint
+    (``loop_side_doubled``).  The boundary meets a piece only along an
+    edge, so a piece on the boundary lies there whole and is left out,
+    and a piece off it lies inside exactly when its midpoint does.
+    Returns (segment index, low end, high end) of each piece inside,
+    segment by segment, each segment's in order of increasing coordinate.
+    Raises CutError on a piece outside: its segment leaves the polygon."""
+    ends = {q for s in segs for q in (s.a, s.b)}
+    vtab, htab = poly._vtab, poly._htab
     out = []
-    for s in segments:
+    for i, s in enumerate(segs):
         pts = _cut_points(poly, s, ends)
-        out.append([
-            Segment(p, q) for p, q in zip(pts, pts[1:])
-            if not poly.on_boundary_doubled(p.x + q.x, p.y + q.y)
-        ])
+        for u, w in zip(pts, pts[1:]):
+            side = loop_side_doubled(vtab, htab, u.x + w.x, u.y + w.y)
+            if side < 0:
+                raise CutError(f"cut segment {s} leaves the polygon")
+            if side:
+                out.append((i, u, w))
     return out
 
 
@@ -917,37 +900,24 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
     """The parts of p cut along c, sorted by smallest vertex; just p when
     the cut separates nothing.
 
-    One pass cuts each segment into pieces (``_cut_points``, as
-    ``cut_pieces`` cuts it) and places each piece by its midpoint
-    (``loop_side_doubled``): the boundary meets a piece only along an
-    edge, so a piece on the boundary lies there whole and is left out,
-    and a piece off it lies inside exactly when its midpoint does; a
-    segment with a piece outside leaves the polygon.  The pieces inside
-    form a graph on their endpoints.  Slits that end inside the polygon
-    are pruned; what is left is a forest whose leaves lie on the
-    boundary.  It is split off one boundary-to-boundary walk at a time,
-    each spliced into the part that holds its first piece.  Segments are
-    taken as they come where they are canonical.  Raises CutError when a
-    segment leaves the polygon, two segments cross, or the cut holds a
-    cycle.
+    The pieces of the cut inside the polygon (``inside_pieces``, which
+    checks that the cut stays in it) form a graph on their endpoints.
+    Slits that end inside the polygon are pruned; what is left is a
+    forest whose leaves lie on the boundary.  It is split off one
+    boundary-to-boundary walk at a time, each spliced into the part that
+    holds its first piece.  Segments are taken as they come where they
+    are canonical.  Raises CutError when a segment leaves the polygon,
+    two segments cross, or the cut holds a cycle.
     """
     segs = [s if s.a <= s.b else Segment(s.b, s.a) for s in c.segments if not s.degenerate]
-    ends = {q for s in segs for q in (s.a, s.b)}
-    vtab, htab = p._vtab, p._htab
     adj: dict[Point, set] = {}
-    for s in segs:
-        pts = _cut_points(p, s, ends)
-        for u, w in zip(pts, pts[1:]):
-            side = loop_side_doubled(vtab, htab, u.x + w.x, u.y + w.y)
-            if side < 0:
-                raise CutError(f"cut segment {s} leaves the polygon")
-            if side:
-                adj.setdefault(u, set()).add(w)
-                adj.setdefault(w, set()).add(u)
+    for _i, u, w in inside_pieces(p, segs):
+        adj.setdefault(u, set()).add(w)
+        adj.setdefault(w, set()).add(u)
     _check_no_proper_crossing(segs)
     # nodes on the boundary of some part: first the polygon's, then also
     # every walk already split along
-    fixed = {q for q in adj if p.on_boundary_doubled(2 * q.x, 2 * q.y)}
+    fixed = {q for q in adj if p.side_doubled(2 * q.x, 2 * q.y) == 0}
     _prune(adj, fixed)
     forest = {q: set(nb) for q, nb in adj.items()}
     _prune(forest, set())  # only a cycle survives pruning every leaf
@@ -966,9 +936,7 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
             walk.append(r)
         fixed.update(walk)
         X, Y = walk[0].x + walk[1].x, walk[0].y + walk[1].y
-        i = next(
-            i for i, q in enumerate(parts) if loop_side_doubled(q._vtab, q._htab, X, Y) > 0
-        )
+        i = next(i for i, q in enumerate(parts) if q.side_doubled(X, Y) > 0)
         whole = parts[i]
         halves = [RectPolygon(loop) for loop in splice_loop(whole.vertices, walk)]
         if halves[0].area2() + halves[1].area2() != whole.area2():

@@ -282,6 +282,17 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
+def _check_count(doc: dict, key: str, count: int, what: str) -> None:
+    """A document's declared count, where it has one, must be an int (a
+    bool is none) equal to the count read: ``True == 1`` in Python."""
+    if key in doc:
+        declared = doc[key]
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise InstanceError(f"non-integer {key!r}: {declared!r}")
+        if declared != count:
+            raise InstanceError(f"declared {key} does not match {what} count")
+
+
 def instance_from_json(doc: dict) -> Instance:
     if not isinstance(doc, dict) or not isinstance(doc.get("rects"), list):
         raise InstanceError("instance document needs a 'rects' list")
@@ -298,8 +309,7 @@ def instance_from_json(doc: dict) -> Instance:
             rects.append(Rect(*vals))
         except GeometryError as exc:
             raise InstanceError(str(exc)) from None
-    if "n" in doc and doc["n"] != len(rects):
-        raise InstanceError("declared n does not match rect count")
+    _check_count(doc, "n", len(rects), "rect")
     if not rects:
         raise InstanceError("empty instance")
     inst = Instance(tuple(rects), side=2 * len(rects) - 1)
@@ -321,8 +331,7 @@ def solution_from_json(doc: dict, inst: Optional[Instance] = None) -> Solution:
         not isinstance(i, int) or isinstance(i, bool) for i in chosen
     ):
         raise InstanceError("malformed 'chosen' list")
-    if "size" in doc and doc["size"] != len(chosen):
-        raise InstanceError("declared size does not match chosen count")
+    _check_count(doc, "size", len(chosen), "chosen")
     sol = Solution(tuple(sorted(chosen)))
     if inst is not None:
         validate_solution(inst, sol)

@@ -45,8 +45,8 @@ from .geom_core import (
     RectPolygon,
     Segment,
     _merge_touches,
-    cut_pieces,
     edge_distance,
+    inside_pieces,
     is_horizontally_convex,
     segment_intersects_rect,
     splice_simple,
@@ -204,25 +204,26 @@ def repair_nonsimple(
     resulting components stay within the edge budget.
 
     The candidates are the boundary-to-boundary paths over the cut's
-    pieces, tried in cand_key order; the first that splits the polygon
-    into two simple parts within the edge budget is the repair.  The
+    pieces inside the polygon (inside_pieces), tried in cand_key order;
+    the first that splits the polygon into two simple parts within the
+    edge budget is the repair.  The
     paper's counting argument (a subpath holding at most d(e,e')-1
     original segments) only shows that such a subpath exists.  When no
     candidate splits cleanly, the guarantee failed: ConstructionError.
     """
-    # Cut segments refined at boundary contacts and mutual endpoints.
-    refined = cut_pieces(poly, segments)
-    pieces = [piece for sp in refined for piece in sp]
-    piece_owner = [si for si, sp in enumerate(refined) for _ in sp]
+    # The cut's pieces inside the polygon, and the segment owning each.
+    refined = inside_pieces(poly, segments)
+    pieces = [(a, b) for _si, a, b in refined]
+    piece_owner = [si for si, _a, _b in refined]
 
     # Graph on piece endpoints.
     adj: dict[Point, list[int]] = {}
-    for pi, piece in enumerate(pieces):
-        adj.setdefault(piece.a, []).append(pi)
-        adj.setdefault(piece.b, []).append(pi)
+    for pi, (a, b) in enumerate(pieces):
+        adj.setdefault(a, []).append(pi)
+        adj.setdefault(b, []).append(pi)
 
     def is_boundary_node(p: Point) -> bool:
-        return poly.on_boundary_doubled(2 * p.x, 2 * p.y)
+        return poly.side_doubled(2 * p.x, 2 * p.y) == 0
 
     boundary_nodes = [p for p in adj if is_boundary_node(p)]
     candidates: list[list[int]] = []
@@ -242,9 +243,8 @@ def repair_nonsimple(
                     continue
                 if pi in path:
                     continue
-                piece = pieces[pi]
-                nxt = piece.b if piece.a == node else piece.a
-                stack.append((nxt, path + [pi]))
+                a, b = pieces[pi]
+                stack.append((b if a == node else a, path + [pi]))
 
     def cand_key(path: list[int]) -> tuple:
         owners = sorted({piece_owner[pi] for pi in path})
@@ -253,7 +253,7 @@ def repair_nonsimple(
     candidates.sort(key=cand_key)
 
     for path in candidates:
-        segs = _merge_segments((pieces[pi].a, pieces[pi].b) for pi in path)
+        segs = _merge_segments(pieces[pi] for pi in path)
         try:
             comps = split_components(poly, Cut(tuple(segs)))
         except (CutError, GeometryError):
@@ -1078,13 +1078,13 @@ def _check_visibility_guarantee(
 
 def polygon_meets_rect_interior(poly: RectPolygon, r: Rect) -> bool:
     """Does the closed polygon contain any interior point of the rect?"""
-    if poly.contains_doubled(r.xl + r.xr, r.yb + r.yt):
+    if poly.side_doubled(r.xl + r.xr, r.yb + r.yt) >= 0:
         return True
     xs = sorted({p.x for p in poly.vertices if r.xl < p.x < r.xr} | {r.xl, r.xr})
     ys = sorted({p.y for p in poly.vertices if r.yb < p.y < r.yt} | {r.yb, r.yt})
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
-            if poly.contains_doubled(xs[i] + xs[i + 1], ys[j] + ys[j + 1]):
+            if poly.side_doubled(xs[i] + xs[i + 1], ys[j] + ys[j + 1]) >= 0:
                 return True
     return False
 
@@ -1126,14 +1126,8 @@ def validate_partition(run: PartitionRun) -> list[dict]:
         for i in range(len(xs) - 1):
             for j in range(len(ys) - 1):
                 X, Y = xs[i] + xs[i + 1], ys[j] + ys[j + 1]
-                inside_parent = node.polygon.contains_doubled(
-                    X, Y
-                ) and not node.polygon.on_boundary_doubled(X, Y)
-                owners = sum(
-                    1
-                    for kp in kids
-                    if kp.contains_doubled(X, Y) and not kp.on_boundary_doubled(X, Y)
-                )
+                inside_parent = node.polygon.side_doubled(X, Y) > 0
+                owners = sum(1 for kp in kids if kp.side_doubled(X, Y) > 0)
                 if inside_parent != (owners == 1) or owners > 1:
                     tile_ok = False
                     tile_detail = f"node {node.id} cell ({xs[i]},{ys[j]}) owners={owners}"

@@ -20,9 +20,9 @@ it), for rows and columns alike, one record per band of lines (see
 LineFences).  Building a record reads nothing; each fact is built on
 first use and kept in the record:
   rows      per band of rows, the anchors on the row and its free pieces
-            (_Row), and beside it the ends of each anchor's furthest fence
-            (_Ends), built only when the line cut asks which fence
-            crosses a column (crossing_anchor);
+            (_Row); the end of an anchor's furthest fence is read for the
+            one anchor asked (_end), by furthest and by the line cut's
+            crossing_anchor alike, and kept nowhere;
   columns   per band of columns, the free pieces (_Pieces), built only
             when an engine makes its move table;
   anchors   per rect, the anchors of the line fences holding its top and
@@ -433,15 +433,6 @@ class _Pieces(NamedTuple):
     free_hi: tuple[int, ...]
 
 
-class _Ends(NamedTuple):
-    """The line cut's facts of one row: the x of the furthest line fence
-    from each of the row's left and right anchors (_Row.lefts/rights, in
-    order), None where it anchors none."""
-
-    left_ends: tuple[Optional[int], ...]
-    right_ends: tuple[Optional[int], ...]
-
-
 def _free_pieces(
     sections: Sequence[tuple[int, int]],
     spans: Sequence[tuple[int, int, int, int]],
@@ -535,12 +526,12 @@ class LineFences:
     row lies between the edge's ends, which are vertex y's.  A row's facts
     are functions of these four alone, and a column's free pieces, by the
     mirror argument, of its crossing rects and section.  A row's anchor
-    facts (_Row) serve anchors and the engine; its fence ends (_Ends) only
-    the line cut's crossing_anchor, while furthest reads the one anchor's
-    end it asks for (_end); a column's free pieces (_Pieces) only the
-    engine.  So a reader that walks a run of rows
-    asking these reads needs only the first row of each band it meets:
-    band_rows lists them, in the direction of travel.
+    facts (_Row) serve anchors, the engine and the line cut's reads,
+    furthest and crossing_anchor, which read the fence end of each anchor
+    they ask about (_end) and keep none; a column's free pieces (_Pieces)
+    serve only the engine.  So a reader that walks a run of rows asking
+    these reads needs only the first row of each band it meets: band_rows
+    lists them, in the direction of travel.
 
     A True verdict keeps its witness (_Witness): for protected, the
     shortest fence holding an edge; for one_edge_anchors_both, the nearest
@@ -570,7 +561,6 @@ class LineFences:
         self.poly = poly
         self.rects_in = rects_in
         self._rows: dict[int, _Row] = {}
-        self._ends: dict[int, _Ends] = {}
         self._columns: dict[int, _Pieces] = {}
         self._anchors: dict[Rect, _Anchors] = {}
         self._engines: dict[int, FenceEngine] = {}
@@ -649,23 +639,6 @@ class LineFences:
         """The free pieces of column x, built afresh."""
         return _free_pieces(self.poly.vertical_section(x), self._column_lines.spans, x)
 
-    def _line_ends(self, y: int) -> _Ends:
-        """The line cut's facts of row y, one record per band."""
-        key = _band(self._row_lines.events, y)
-        ends = self._ends.get(key)
-        if ends is None:
-            ends = self._ends[key] = self._build_ends(y)
-        return ends
-
-    def _build_ends(self, y: int) -> _Ends:
-        """The line cut's facts of row y, built afresh: the end of each
-        anchor's furthest fence (_end)."""
-        rec = self.row(y)
-        return _Ends(
-            tuple(self._end(y, x, True) for x in rec.lefts),
-            tuple(self._end(y, x, False) for x in rec.rights),
-        )
-
     def _end(self, y: int, x: int, left: bool) -> Optional[int]:
         """The x of the furthest line fence from the anchor (x, y) of a left
         or a right polygon edge, or None when it anchors none.
@@ -714,15 +687,18 @@ class LineFences:
         """The least x of an anchor on row y with a line fence that
         strictly crosses the vertical line at x, or None.  Left anchors
         lie left of x and right ones right of it, so the left come first."""
-        rec, ends = self.row(y), self._line_ends(y)
-        for xa, end in zip(rec.lefts, ends.left_ends):
+        rec = self.row(y)
+        for xa in rec.lefts:
             if xa >= x:
                 break
+            end = self._end(y, xa, True)
             if end is not None and end > x:
                 return xa
-        for xa, end in zip(rec.rights, ends.right_ends):
-            if xa > x and end is not None and end < x:
-                return xa
+        for xa in rec.rights:
+            if xa > x:
+                end = self._end(y, xa, False)
+                if end is not None and end < x:
+                    return xa
         return None
 
     def anchors(self, r: Rect) -> _Anchors:
@@ -1122,10 +1098,11 @@ class FenceEngine:
             s = table.parent[s]
         return list(reversed(walk))
 
-    def protects(self, r: Rect) -> bool:
+    def proof(self, r: Rect) -> Optional[tuple[tuple[Point, ...], ...]]:
         """tau-protection: one vertical polygon edge anchors two chains of
         at most tau segments containing r's top and bottom edges
-        respectively.
+        respectively.  Returns those two chains from the deciding edge, as
+        point walks (_chain), or None when r is not tau-protected.
 
         Every edge e has one forward table: the search seeded at each
         point of e in state _START.  A chain from e contains the run
@@ -1146,12 +1123,6 @@ class FenceEngine:
         cut peels the leftmost rect off the node with leftward rays, so the
         chains from the right are the ones a child keeps (LineFences).
         """
-        return self.proof(r) is not None
-
-    def proof(self, r: Rect) -> Optional[tuple[tuple[Point, ...], ...]]:
-        """The chains from the edge deciding protects(r), containing r's
-        top and r's bottom edge, as point walks (_chain), or None when r is
-        not tau-protected."""
         top, bottom = (r.yt, r.xl, r.xr), (r.yb, r.xl, r.xr)
         if not (self._walkable(*top) and self._walkable(*bottom)):
             return None
@@ -1180,7 +1151,7 @@ class FenceEngine:
         )
 
     def _anchors(self, idx: int, y: int, x1: int, x2: int) -> Optional[tuple[int, Point]]:
-        """The lookup of protects() for vertical edge idx and a walkable
+        """The lookup of proof() for vertical edge idx and a walkable
         run: the state at one end of the run from which a chain from the
         edge goes on along it, and the run's other end, or None."""
         table = self._edge_tables.get(idx)

@@ -23,8 +23,8 @@ from misr.geom_core import (
     Rect,
     RectPolygon,
     Segment,
+    _cut_points,
     is_horizontally_convex,
-    loop_contains_doubled,
     rects_intersect,
     segment_intersects_rect,
     split_components,
@@ -132,7 +132,8 @@ def brute_force_hconvex(poly: RectPolygon) -> bool:
     x0, y0, x1, y1 = poly.bbox()
     for Y in range(2 * y0, 2 * y1 + 1):
         row = [
-            X for X in range(2 * x0, 2 * x1 + 1) if poly.contains_doubled(X, Y)
+            X for X in range(2 * x0, 2 * x1 + 1)
+            if loop_contains_doubled(poly._vtab, poly._htab, X, Y)
         ]
         if row and row[-1] - row[0] + 1 != len(row):
             return False
@@ -1157,7 +1158,7 @@ def line_protected(r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rec
                 continue
             target_x = r.xr if side == "left" else r.xl
             x1, x2 = sorted((xe, target_x))
-            if not poly.contains_segment(Segment(Point(xe, y), Point(target_x, y))):
+            if not poly.contains_walk((Point(xe, y), Point(target_x, y))):
                 continue
             if any(o.yb < y < o.yt and x1 < o.xr and x2 > o.xl for _rid, o in rects_in):
                 continue
@@ -1332,6 +1333,23 @@ def ref_contains_doubled(poly: RectPolygon, X: int, Y: int) -> bool:
     return parity == 1
 
 
+def loop_contains_doubled(vtab, htab, X: int, Y: int) -> bool:
+    """Closed membership of the doubled point (X, Y) on a loop's doubled
+    edge tables, as first written: on the boundary, or inside by the
+    parity of the vertical edges to its right."""
+    inside = False
+    for c, lo, hi in vtab:
+        if lo <= Y <= hi:
+            if c == X:
+                return True
+            if c > X and Y < hi:
+                inside = not inside
+    for c, lo, hi in htab:
+        if c == Y and lo <= X <= hi:
+            return True
+    return inside
+
+
 def ref_contains_rect(poly: RectPolygon, r: Rect) -> bool:
     if not ref_contains_doubled(poly, r.xl + r.xr, r.yb + r.yt):
         return False
@@ -1422,6 +1440,26 @@ def ref_is_simple(poly: RectPolygon) -> bool:
     return True
 
 
+# -- a cut's pieces (reference for inside_pieces) ------------------------------------
+
+
+def ref_cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[Segment]]:
+    """The cut's pieces as first written: each segment cut at the
+    polygon's vertices and boundary crossings and at the other segments'
+    endpoints (``_cut_points``); per segment, its pieces in order of
+    increasing coordinate, leaving out those on the boundary (but not
+    those outside)."""
+    ends = {p for s in segments for p in (s.a, s.b)}
+    out = []
+    for s in segments:
+        pts = _cut_points(poly, s, ends)
+        out.append([
+            Segment(p, q) for p, q in zip(pts, pts[1:])
+            if not ref_on_boundary_doubled(poly, p.x + q.x, p.y + q.y)
+        ])
+    return out
+
+
 # -- refined-grid polygon split (reference for split_components) -------------------
 #
 # The first-written split: a flood fill over the grid refined by the
@@ -1434,7 +1472,8 @@ def ref_is_simple(poly: RectPolygon) -> bool:
 def ref_split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
     """The components of p minus the cut, in flood-fill order; pinched
     components come back with is_simple == False."""
-    return [comp["polygon"] for comp in _Splitter(p, c.nondegenerate()).components()]
+    segs = [s for s in c.segments if not s.degenerate]
+    return [comp["polygon"] for comp in _Splitter(p, segs).components()]
 
 
 class _Splitter:
@@ -1445,7 +1484,7 @@ class _Splitter:
         self.poly = poly
         self.segments = [s.canonical() for s in segments]
         for s in self.segments:
-            if not poly.contains_segment(s):
+            if not poly.contains_walk((s.a, s.b)):
                 raise CutError(f"cut segment {s} leaves the polygon")
         self._check_no_proper_crossing()
         xs = {p.x for p in poly.vertices}
@@ -1482,11 +1521,9 @@ class _Splitter:
                     raise CutError(f"cut segments cross: {s} x {t}")
 
     def _inside_cell(self, i: int, j: int) -> bool:
-        return self.poly.contains_doubled(
+        return self.poly.side_doubled(
             self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
-        ) and not self.poly.on_boundary_doubled(
-            self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
-        )
+        ) > 0
 
     def _blocked(self, vertical: bool, c: int, lo: int, hi: int) -> bool:
         """Is the unit grid wall (a full cell side) covered by a cut segment
@@ -1778,7 +1815,7 @@ def ref_protecting_fences(
                 p = Point(xe, y)
                 seg = Segment(p, Point(target_x, y))
                 x1, x2 = sorted((xe, target_x))
-                if not poly.contains_segment(seg):
+                if not poly.contains_walk((seg.a, seg.b)):
                     continue
                 if any(o.yb < y < o.yt and x1 < o.xr and x2 > o.xl for _rid, o in rects_in):
                     continue

@@ -136,6 +136,12 @@ class TestSolveAndCertify:
         bad.write_text("{not json")
         assert run_cli(["solve", str(bad), "--algo", "exact"]) == 2
 
+    def test_boolean_rect_count(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": true, "rects": [{"xl": 0, "yb": 0, "xr": 1, "yt": 1}]}')
+        assert run_cli(["solve", str(bad), "--algo", "exact"]) == 2
+        assert capsys.readouterr().err == "error: non-integer 'n': True\n"
+
     def test_dp_cell_cap_clean_error(self, windmill_file, capsys):
         code = run_cli(
             ["solve", windmill_file, "--algo", "dp", "--cell-cap", "1"]

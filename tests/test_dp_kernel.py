@@ -402,7 +402,7 @@ def test_hand_built_splices_match_first_written(case):
         if isinstance(want, tuple):
             assert got == tuple((p, ref_loop_area2(p)) for p in want), walk
             inner = walk[1:-1]
-            if all(not poly.on_boundary_doubled(2 * x, 2 * y) for x, y in inner):
+            if all(poly.side_doubled(2 * x, 2 * y) for x, y in inner):
                 assert splice_plan(loop, walk)[4:] == tuple(len(p) for p in want), walk
         else:
             assert got is DpError, walk

@@ -78,7 +78,7 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     for _rid, r in rin:
         verdict = fences.tau_protected(r, tau)
         expected = nested_is_tau_protected(r, poly, rin, tau, ref)
-        assert verdict == expected == eng.protects(r), (poly, rin, tau, r)
+        assert verdict == expected == (eng.proof(r) is not None), (poly, rin, tau, r)
         certified = tau >= 1 and fences.one_edge_anchors_both(r)
         assert expected or not certified, (poly, rin, tau, r)
         if verdicts is not None:
@@ -243,7 +243,7 @@ def test_fences_from_two_edges_leave_the_rect_to_the_engine():
     assert fences.protected(mid) and not fences.one_edge_anchors_both(mid)
     for tau, want in ((1, False), (2, True), (3, True)):
         assert fences.tau_protected(mid, tau) is want
-        assert LineFences(poly, rects).engine(tau).protects(mid) is want
+        assert (LineFences(poly, rects).engine(tau).proof(mid) is not None) is want
         assert nested_is_tau_protected(mid, poly, rects, tau) is want
 
 
@@ -255,7 +255,7 @@ def test_no_certificate_at_tau_zero():
     rects = [(0, r)]
     fences = LineFences(poly, rects)
     assert fences.one_edge_anchors_both(r)
-    assert LineFences(poly, rects).engine(0).protects(r) is False
+    assert LineFences(poly, rects).engine(0).proof(r) is None
     assert LineFences(poly, rects).tau_protected(r, 0) is False
     assert fences.tau_protected(r, 0) is False
     assert fences.tau_protected(r, 1) is True

@@ -275,3 +275,23 @@ class TestJson:
     def test_solution_size_mismatch(self):
         with pytest.raises(InstanceError):
             solution_from_json({"chosen": [0], "size": 2})
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1", None])
+    def test_non_integer_n(self, n):
+        """A declared n must be an int: True and 1.0 equal 1 in Python."""
+        rect = {"xl": 0, "yb": 0, "xr": 1, "yt": 1}
+        with pytest.raises(InstanceError, match="non-integer 'n'"):
+            instance_from_json({"n": n, "rects": [rect]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"chosen": [0], "size": True},
+            {"chosen": [], "size": False},
+            {"chosen": [0, 1], "size": 2.0},
+        ],
+    )
+    def test_non_integer_size(self, doc):
+        """A declared size must be an int: True equals 1 and False 0."""
+        with pytest.raises(InstanceError, match="non-integer 'size'"):
+            solution_from_json(doc)

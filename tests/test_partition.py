@@ -68,7 +68,7 @@ class TestVerticalSpanningSegment:
         for _ in range(20):
             poly = blob_polygon(rng, grid=6, cells=12)
             seg, _ = vertical_spanning_segment(poly)
-            assert poly.contains_segment(seg)
+            assert poly.contains_walk((seg.a, seg.b))
 
 
 def check_line_cut_postconditions(poly, rects, res):
@@ -684,7 +684,7 @@ def assert_inherited_verdicts_hold(inherited, reference_every) -> Counter:
             assert record.one_edge_anchors_both(r), where
             assert ref_one_edge_anchors_both(r, poly, rin), where
         else:
-            assert record.tau_protected(r, proves) and record.engine(proves).protects(r), where
+            assert record.tau_protected(r, proves) and record.engine(proves).proof(r) is not None, where
             if kinds["chain"] % reference_every == 0:
                 key = (poly, rin, proves)
                 if key not in engines:
@@ -723,13 +723,11 @@ def test_inherited_verdicts_on_engine_heavy_runs(specs, regimes, reference_every
 
 def test_unchecked_case0_reads_nothing(monkeypatch):
     """Without checks a case-0 cut asks no protection question: no row
-    record, no line-cut ends and no column record (which only a move
-    table reads) are built, and no engine is built."""
+    record and no column record (which only a move table reads) are
+    built, and no engine is built."""
     inst = generate("packed", 24, 0)
     m = maximal_extension(exact_mis(inst, cap=24), inst)
-    rows = count_calls(
-        monkeypatch, LineFences, "_build_row", "_build_ends", "_build_column"
-    )
+    rows = count_calls(monkeypatch, LineFences, "_build_row", "_build_column")
     built = count_builds(monkeypatch, FenceEngine)
     for regime, eps in (("three", None), ("two_eps", Fraction(1, 2))):
         run = recursive_partition(m, regime, eps=eps, check=False)
@@ -740,30 +738,20 @@ def test_unchecked_case0_reads_nothing(monkeypatch):
 def test_six_builds_one_row_record_per_band(monkeypatch):
     """six reads its rows by band: a checked run on windmill n = 16 builds
     one row record per distinct (node, band) it asks, 80 of them (one per
-    distinct (node, row), 394, before rows were shared by band), and the
-    line cut's ends for the 55 bands crossing_anchor asks (68 while
-    furthest read them too; it now reads one anchor's end, _end); the
+    distinct (node, row), 394, before rows were shared by band); the
     other protection questions are answered by the parents' fences."""
     inst = generate("windmill", 16, 0)
     m = maximal_extension(exact_mis(inst, cap=16), inst)
     held: dict = {}  # every record asked, alive so that ids stay distinct
     asked = set()
-    crossed = set()
-    real_row, real_crossing = LineFences.row, LineFences.crossing_anchor
+    real_row = LineFences.row
 
     def row(self, y):
         held[id(self)] = self
         asked.add((id(self), structure._band(self._row_lines.events, y)))
         return real_row(self, y)
 
-    def crossing_anchor(self, y, x):
-        held[id(self)] = self
-        crossed.add((id(self), structure._band(self._row_lines.events, y)))
-        return real_crossing(self, y, x)
-
     monkeypatch.setattr(LineFences, "row", row)
-    monkeypatch.setattr(LineFences, "crossing_anchor", crossing_anchor)
-    built = count_calls(monkeypatch, LineFences, "_build_row", "_build_ends")
+    built = count_calls(monkeypatch, LineFences, "_build_row")
     recursive_partition(m, "six", check=True)
     assert built["_build_row"] == len(asked) == 80
-    assert built["_build_ends"] == len(crossed) == 55

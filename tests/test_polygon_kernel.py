@@ -5,15 +5,17 @@ edges holding a point (edges_at), simplicity and the line cut's two
 line-fence reads must agree exactly, on blob polygons, on partition nodes and on random
 self-touching vertex loops.  The loop surgery split must agree with the
 refined-grid split in oracles.py on every split the constructions make
-and on random cuts."""
+and on random cuts, and its list of a cut's pieces (inside_pieces) with
+the first-written one."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from misr import partition, structure
+from misr import geom_core, partition, structure
 from misr.geom_core import (
     Cut,
     CutError,
@@ -26,7 +28,13 @@ from misr.geom_core import (
     split_components,
 )
 from misr.instance import exact_mis, generate
-from misr.partition import ConstructionError, recursive_partition
+from misr.partition import (
+    ConstructionError,
+    general_partition_cut,
+    line_partition_cut,
+    recursive_partition,
+    vertical_spanning_segment,
+)
 from misr.structure import LineFences, maximal_extension
 from oracles import (
     blob_polygon,
@@ -35,6 +43,7 @@ from oracles import (
     horizontal_edge_sides,
     protecting_fences,
     ref_contains_doubled,
+    ref_cut_pieces,
     ref_contains_rect,
     ref_edge_sides,
     ref_crossing_anchor,
@@ -86,17 +95,19 @@ def blobs(count=60):
 
 
 def test_point_predicates_agree(node_cells):
+    """side_doubled against the per-call boundary and membership scans, all
+    three values, at every doubled lattice point of the bounding box and
+    one unit beyond it."""
     polys = {p for p, _ in node_cells} | set(blobs())
     for poly in polys:
         x0, y0, x1, y1 = poly.bbox()
         for X in range(2 * x0 - 2, 2 * x1 + 3):
             for Y in range(2 * y0 - 2, 2 * y1 + 3):
-                assert poly.on_boundary_doubled(X, Y) == ref_on_boundary_doubled(
-                    poly, X, Y
-                ), (poly, X, Y)
-                assert poly.contains_doubled(X, Y) == ref_contains_doubled(
-                    poly, X, Y
-                ), (poly, X, Y)
+                if ref_on_boundary_doubled(poly, X, Y):
+                    want = 0
+                else:
+                    want = 1 if ref_contains_doubled(poly, X, Y) else -1
+                assert poly.side_doubled(X, Y) == want, (poly, X, Y)
 
 
 def test_edges_at_agrees_with_edge_scan(node_cells):
@@ -141,8 +152,9 @@ def test_sections_and_rect_containment_agree(node_cells):
 
 
 def test_contains_segment_agrees(node_cells):
-    """contains_segment against membership of every doubled lattice point
-    along the segment, on random horizontal and vertical segments."""
+    """Segment containment (contains_walk of the segment's two ends)
+    against membership of every doubled lattice point along the segment,
+    on random horizontal and vertical segments."""
     rng = random.Random(6)
     for poly in {p for p, _ in node_cells} | set(blobs(30)):
         x0, y0, x1, y1 = poly.bbox()
@@ -157,7 +169,7 @@ def test_contains_segment_agrees(node_cells):
                 (Segment(Point(xc, ya), Point(xc, yb)), vertical),
             ):
                 want = all(ref_contains_doubled(poly, X, Y) for X, Y in probes)
-                assert poly.contains_segment(s) == want, (poly, s)
+                assert poly.contains_walk((s.a, s.b)) == want, (poly, s)
 
 
 def test_edge_sides_agree(node_cells):
@@ -233,7 +245,7 @@ def reflex_cycle_cuts(poly: RectPolygon):
     for p in poly.vertices:
         outside = [
             (dx, dy) for dx in (-1, 1) for dy in (-1, 1)
-            if not poly.contains_doubled(2 * p.x + dx, 2 * p.y + dy)
+            if poly.side_doubled(2 * p.x + dx, 2 * p.y + dy) < 0
         ]
         if len(outside) != 1:
             continue
@@ -313,6 +325,93 @@ def test_split_components_agrees_with_reference(construction_splits, node_cells)
                 split_components(poly, cut)
             outcomes["cycle"] += isinstance(want, list)
     assert min(outcomes.values()) > 50, outcomes
+
+
+def _pieces_outcome(poly: RectPolygon, segs) -> object:
+    """What inside_pieces must answer, read off ref_cut_pieces: each piece
+    off the boundary with its segment's index, segment by segment, in
+    order; or CutError when one of them lies outside."""
+    refined = ref_cut_pieces(poly, segs)
+    pieces = [(si, p.a, p.b) for si, sp in enumerate(refined) for p in sp]
+    if any(not ref_contains_doubled(poly, a.x + b.x, a.y + b.y) for _si, a, b in pieces):
+        return CutError
+    return pieces
+
+
+def test_inside_pieces_agree_with_reference(monkeypatch):
+    """inside_pieces against the first-written piece list: the same
+    pieces, the same owning segments and the same order (repair_nonsimple's
+    candidate order reads piece indices), or CutError on a piece outside.
+    Every call is checked that the cuts of acceptance criterion 6's units
+    make (splits and repairs), on each chord of criterion 7's polygons,
+    every call of repair_nonsimple on the identity sweep's partition runs
+    (tests/sweep_digests.py), and random segments on blobs, some of them
+    leaving the polygon."""
+    from sweep_digests import REGIMES, specs
+
+    real = geom_core.inside_pieces
+    calls: Counter = Counter()
+
+    def checked(poly, segs, _kind):
+        want = _pieces_outcome(poly, segs)
+        calls[_kind, want is CutError] += 1
+        try:
+            got = real(poly, segs)
+        except CutError:
+            assert want is CutError, (poly, segs)
+            raise
+        assert got == want, (poly, segs)
+        return got
+
+    monkeypatch.setattr(geom_core, "inside_pieces", lambda p, s: checked(p, s, "split"))
+    monkeypatch.setattr(partition, "inside_pieces", lambda p, s: checked(p, s, "repair"))
+    line_units, general_units = criterion_6_units()
+    for _k, poly, rects in line_units:
+        line_partition_cut(poly, rects)
+    for tau, _k, poly, rects in general_units:
+        general_partition_cut(poly, rects, tau)
+    rng = random.Random(7)  # criterion 7's polygons, as its test draws them
+    chords = 0
+    while chords < 200:
+        poly = blob_polygon(rng, grid=7, cells=rng.randrange(5, 26))
+        if 4 <= poly.num_edges <= 24:
+            seg, _chord = vertical_spanning_segment(poly)
+            geom_core.inside_pieces(poly, [seg])
+            chords += 1
+    for poly in blobs(40):
+        x0, y0, x1, y1 = poly.bbox()
+        for _ in range(10):
+            segs = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    x = rng.randint(x0, x1)
+                    ya, yb = sorted(rng.sample(range(y0 - 1, y1 + 2), 2))
+                    segs.append(Segment(Point(x, ya), Point(x, yb)))
+                else:
+                    y = rng.randint(y0, y1)
+                    xa, xb = sorted(rng.sample(range(x0 - 1, x1 + 2), 2))
+                    segs.append(Segment(Point(xa, y), Point(xb, y)))
+            try:
+                checked(poly, segs, "random")
+            except CutError:
+                pass
+    unit_repairs = calls["repair", False]
+    assert calls["split", False] > 800 and unit_repairs > 100, calls
+    assert calls["random", False] > 50 and calls["random", True] > 50, calls
+
+    monkeypatch.setattr(geom_core, "inside_pieces", real)
+    repaired = 0
+    for family, n, seed in specs():
+        inst = generate(family, n, seed)
+        m = maximal_extension(exact_mis(inst, cap=inst.n), inst)
+        for regime, eps in REGIMES:
+            try:
+                run = recursive_partition(m, regime, eps=eps)
+            except ConstructionError:
+                continue
+            repaired += sum("repair" in node.case for node in run.nodes)
+    sweep_repairs = calls["repair", False] - unit_repairs
+    assert sweep_repairs >= repaired > 100, (calls, repaired)
 
 
 def _closes_a_cycle(poly: RectPolygon, cut: Cut) -> bool:
@@ -437,8 +536,8 @@ def test_line_fences_agree_on_stray_rects():
 
 def assert_rows_by_band(poly, rin) -> int:
     """Every row of the bounding box, built afresh on a fresh record,
-    equals what one record, asked bottom-up, holds for the row's band: the
-    anchor facts and the line cut's ends both; and every column, built
+    equals what one record, asked bottom-up, holds for the row's band: its
+    anchor facts; and every column, built
     afresh, equals what the record, asked left to right, holds for the
     column's band: its free pieces.  Returns the number of rows and
     columns that read a record built at a lower line of their band."""
@@ -447,11 +546,9 @@ def assert_rows_by_band(poly, rin) -> int:
     for y in range(y0, y1 + 1):
         fresh = LineFences(poly, rin)
         assert fresh._build_row(y) == shared.row(y), (poly, rin, y)
-        assert fresh._build_ends(y) == shared._line_ends(y), (poly, rin, y)
     for x in range(x0, x1 + 1):
         fresh = LineFences(poly, rin)
         assert fresh._build_column(x) == shared.column(x), (poly, rin, x)
-    assert len(shared._rows) == len(shared._ends)
     lines = y1 - y0 + 1 + x1 - x0 + 1
     return lines - len(shared._rows) - len(shared._columns)
 

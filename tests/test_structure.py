@@ -318,7 +318,7 @@ class TestLineFences:
                 if end is None:
                     continue
                 seg = Segment(p, Point(end, p.y))
-                assert poly.contains_segment(seg)
+                assert poly.contains_walk((seg.a, seg.b))
                 for _rid, r in rects:
                     assert not segment_intersects_rect(seg, r)
 
