@@ -298,7 +298,7 @@ def _render_svg(artifacts: dict) -> str:
     part = artifacts.get("partition")
     work_rects = None
     if part is not None:
-        work_rects = [Rect(*vals) for vals in part["work_rects"]]
+        work_rects = [Rect(*map(_json_int, vals)) for vals in part["work_rects"]]
         origin = part["origin"]
         if not isinstance(origin, list):
             raise TypeError("partition origin is not a list")
@@ -328,8 +328,10 @@ def _render_svg(artifacts: dict) -> str:
     ledger = artifacts.get("ledger")
     if ledger is not None and work_rects is not None:
         for idx, e in enumerate(ledger["entries"]):
-            r = work_rects[e["payee"]]
-            c = r.corner(e["corner"])
+            payee = _json_int(e["payee"])
+            if not 0 <= payee < len(work_rects):
+                raise IndexError(f"payee {payee} out of range")
+            c = work_rects[payee].corner(e["corner"])
             out.append(
                 f'<circle id="tok{idx}" cx="{c.x * s}" cy="{(side - c.y) * s}" '
                 f'r="6" fill="#2d64c8"/>'
@@ -339,7 +341,16 @@ def _render_svg(artifacts: dict) -> str:
 
 
 def _pt(v) -> Point:
-    return Point(v[0], v[1])
+    x, y = v
+    return Point(_json_int(x), _json_int(y))
+
+
+def _json_int(v) -> int:
+    """An integer read as the JSON readers read one: an int that is not a
+    bool (``True == 1`` in Python)."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"non-integer value {v!r}")
+    return v
 
 
 # -- commands ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ of an edge is inside follows from the clockwise canonical loop.
 Polygons are split by loop surgery only: ``split_components`` breaks a cut
 into boundary-to-boundary walks and splices each into the vertex loop of
 the part it runs through (``splice_loop``), as the DP does for its cuts.
+A walk is spliced through its corners only, so each part comes out
+merged and is built without a second merge.
 It reads the cut in one pass, ``inside_pieces``, the one list of a cut's
 pieces (the partitions' repair reads it too): each segment is cut into
 pieces at the boundary and at the other segments' ends, and each piece is
@@ -23,6 +25,12 @@ pieces inside.
 Every point is located by one scan, ``loop_side_doubled`` (0 on the
 boundary, 1 inside, -1 outside), or ``RectPolygon.side_doubled`` on a
 polygon's tables.
+
+A polygon has two constructors: ``RectPolygon(vertices)`` merges any
+vertex loop (``merge_loop``) and checks that its edges are axis-parallel;
+``RectPolygon._from_merged`` takes a loop that is merged already, every
+point a corner, as the split parts and ``RectPolygon.mirror_x`` give it.
+Both orient the loop and build the same tables.
 """
 
 from __future__ import annotations
@@ -122,14 +130,14 @@ def segment_intersects_rect(s: Segment, r: Rect) -> bool:
     A segment running along r's boundary (e.g. covering its whole top edge)
     does not intersect r: the rectangle is an open set.
     """
-    lo, hi = sorted((s.a, s.b))
-    if s.a.x == s.b.x:  # vertical or degenerate
-        if not (r.xl < s.a.x < r.xr):
+    (ax, ay), (bx, by) = s.a, s.b
+    if ax == bx:  # vertical or degenerate
+        if not (r.xl < ax < r.xr):
             return False
-        return lo.y < r.yt and hi.y > r.yb
-    if not (r.yb < s.a.y < r.yt):
+        return (ay < r.yt and by > r.yb) if ay <= by else (by < r.yt and ay > r.yb)
+    if not (r.yb < ay < r.yt):
         return False
-    return lo.x < r.xr and hi.x > r.xl
+    return (ax < r.xr and bx > r.xl) if ax <= bx else (bx < r.xr and ax > r.xl)
 
 
 def edge_distance(k: int, i: int, j: int) -> int:
@@ -508,7 +516,11 @@ def splice_loop(
     canonical loop into, as ``splice_plan`` (or the given plan) places
     them: built from slices of the loop and merged at the two splice
     points, not yet oriented or rotated.  Points inside the walk are kept
-    as given.  Raises CutError when the walk crosses itself or an end is
+    as given.  When each of them is a corner of the walk (no point between
+    two collinear steps) and lies off the loop, every point but the splice
+    points is a corner of its part, which is ``_merge_at``'s precondition:
+    both loops come out merged, as ``merge_loop`` would leave them up to
+    rotation.  Raises CutError when the walk crosses itself or an end is
     not on the loop."""
     sa, na, sb, nb, size1, size2 = plan or splice_plan(loop, walk)
     twice = tuple(loop) * 2
@@ -535,9 +547,12 @@ class RectPolygon:
 
     A view over the integer loop kernel above: ``__init__`` canonicalizes
     with ``merge_loop`` and ``orient_loop``, which also give the doubled
-    area, and builds the ``edge_tables`` once, as ``_vtab`` (vertical
-    edges) and ``_htab`` (horizontal edges), read inside this module and
-    by ``partition.validate_partition``, which checks each horizontal edge.
+    area; ``_from_merged`` takes a loop that is merged already (every
+    point a corner: the parts of ``split_components``, the reflection of
+    ``mirror_x``) and only orients it.  Either builds the ``edge_tables``
+    once, as ``_vtab`` (vertical edges) and ``_htab`` (horizontal edges),
+    read inside this module and by ``partition.validate_partition``, which
+    checks each horizontal edge.
     The point and rect predicates and the line sections
     (``section_intervals``) are the kernel's, on those tables, and
     ``edges_at`` locates a boundary point as the splices do
@@ -561,13 +576,28 @@ class RectPolygon:
 
     def __init__(self, vertices: Iterable[Point]):
         vs = merge_loop(vertices)
+        if len(vs) >= 4:  # a shorter loop is rejected by _set_loop
+            for p, q in zip(vs, vs[1:] + vs[:1]):
+                if p.x != q.x and p.y != q.y:
+                    raise GeometryError(f"edge {p}-{q} not axis-parallel")
+        self._set_loop(vs)
+
+    @classmethod
+    def _from_merged(cls, vs: list[Point]) -> "RectPolygon":
+        """The polygon of a loop that is merged already, as ``merge_loop``
+        leaves it, of axis-parallel edges: every point is a corner.  Skips
+        the merge and the axis check; the rest is ``__init__``'s."""
+        poly = cls.__new__(cls)
+        poly._set_loop(vs)
+        return poly
+
+    def _set_loop(self, vs: list[Point]) -> None:
+        """Orient a merged loop of axis-parallel edges and fill the fields
+        from it."""
         if len(vs) < 4:
             raise GeometryError(
                 f"too few vertices for a rectilinear polygon: {[tuple(p) for p in vs]}"
             )
-        for p, q in zip(vs, vs[1:] + vs[:1]):
-            if p.x != q.x and p.y != q.y:
-                raise GeometryError(f"edge {p}-{q} not axis-parallel")
         loop, area2 = orient_loop(vs)
         if area2 == 0:
             raise GeometryError("zero-area vertex loop")
@@ -626,19 +656,21 @@ class RectPolygon:
 
         This is the rule "edges touch only where adjacent edges share a
         vertex" for a loop whose edges alternate between vertical and
-        horizontal, as merged loops do.  Collinear edges need no test of
+        horizontal, as merged loops do: the vertical edges are every other
+        edge, from edge 0 or edge 1.  Collinear edges need no test of
         their own: sharing an end repeats a vertex, and overlapping puts an
         end of one strictly inside the other, where the perpendicular edge
         at that end touches it.
         """
         vs = self.vertices
         n = len(vs)
+        if n == 4:  # a merged loop of four vertices is a rectangle
+            return True
         if len(set(vs)) != n:
             return False
-        vidx = [i for i in range(n) if vs[i].x == vs[(i + 1) % n].x]
-        hidx = [i for i in range(n) if vs[i].x != vs[(i + 1) % n].x]
-        for (x, ylo, yhi), i in zip(self._vtab, vidx):
-            for (y, xlo, xhi), j in zip(self._htab, hidx):
+        v0 = vs[0].x != vs[1].x  # the index of the first vertical edge
+        for (x, ylo, yhi), i in zip(self._vtab, range(v0, n, 2)):
+            for (y, xlo, xhi), j in zip(self._htab, range(1 - v0, n, 2)):
                 if xlo <= x <= xhi and ylo <= y <= yhi and (i - j) % n not in (1, n - 1):
                     return False
         return True
@@ -769,8 +801,10 @@ class RectPolygon:
             }
         return self._vclass
 
-    def transform(self, f) -> "RectPolygon":
-        return RectPolygon([f(p) for p in self.vertices])
+    def mirror_x(self) -> "RectPolygon":
+        """The reflection in the line x = 0.  A reflection keeps a merged
+        loop merged, so only the orientation is redone."""
+        return RectPolygon._from_merged([Point(-p.x, p.y) for p in self.vertices])
 
 
 def is_horizontally_convex(p: RectPolygon) -> bool:
@@ -903,15 +937,21 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
     The pieces of the cut inside the polygon (``inside_pieces``, which
     checks that the cut stays in it) form a graph on their endpoints.
     Slits that end inside the polygon are pruned; what is left is a
-    forest whose leaves lie on the boundary.  It is split off one
-    boundary-to-boundary walk at a time, each spliced into the part that
-    holds its first piece.  Segments are taken as they come where they
-    are canonical.  Raises CutError when a segment leaves the polygon,
-    two segments cross, or the cut holds a cycle.
+    forest whose leaves lie on the boundary (a cut of fewer than four
+    pieces holds no cycle and is not searched for one).  It is split off
+    one boundary-to-boundary walk at a time, each spliced into the part
+    that holds its first piece through the walk's corners: a point where
+    the walk runs straight on past a segment's end (a T-junction of the
+    cut) is dropped, so
+    the spliced loops are merged (``splice_loop``) and the parts are built
+    by ``RectPolygon._from_merged``.  Segments are taken as they come where
+    they are canonical.  Raises CutError when a segment leaves the
+    polygon, two segments cross, or the cut holds a cycle.
     """
     segs = [s if s.a <= s.b else Segment(s.b, s.a) for s in c.segments if not s.degenerate]
+    pieces = inside_pieces(p, segs)
     adj: dict[Point, set] = {}
-    for _i, u, w in inside_pieces(p, segs):
+    for _i, u, w in pieces:
         adj.setdefault(u, set()).add(w)
         adj.setdefault(w, set()).add(u)
     _check_no_proper_crossing(segs)
@@ -919,10 +959,11 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
     # every walk already split along
     fixed = {q for q in adj if p.side_doubled(2 * q.x, 2 * q.y) == 0}
     _prune(adj, fixed)
-    forest = {q: set(nb) for q, nb in adj.items()}
-    _prune(forest, set())  # only a cycle survives pruning every leaf
-    if forest:
-        raise CutError("cut contains a cycle")
+    if len(pieces) >= 4:  # an axis-parallel cycle has four pieces at least
+        forest = {q: set(nb) for q, nb in adj.items()}
+        _prune(forest, set())  # only a cycle survives pruning every leaf
+        if forest:
+            raise CutError("cut contains a cycle")
     parts = [p]
     while adj:
         walk = [min(q for q in adj if q in fixed)]
@@ -938,7 +979,12 @@ def split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
         X, Y = walk[0].x + walk[1].x, walk[0].y + walk[1].y
         i = next(i for i, q in enumerate(parts) if q.side_doubled(X, Y) > 0)
         whole = parts[i]
-        halves = [RectPolygon(loop) for loop in splice_loop(whole.vertices, walk)]
+        # the walk's corners: a point between two collinear steps, where
+        # the walk runs on past a segment's end (a T-junction), is none
+        corners = [walk[0]]
+        corners += (q for o, q, r in zip(walk, walk[1:], walk[2:]) if not _straight(o, q, r))
+        corners.append(walk[-1])
+        halves = [RectPolygon._from_merged(loop) for loop in splice_loop(whole.vertices, corners)]
         if halves[0].area2() + halves[1].area2() != whole.area2():
             raise CutError("split lost area")
         parts[i : i + 1] = halves

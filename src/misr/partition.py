@@ -22,7 +22,9 @@ input condition.  Each fact of a cut is decided in one place:
                   and the assignment of rects to parts.
 The line cut reads its rows from the node's protection record once per
 band of rows (LineFences.band_rows): p' from the middle-third left edges
-(_line_anchor) and each ray's fence stop (_ray_crossing).
+(_line_anchor, which reads fence ends but no row record) and each ray's
+fence stop (_ray_crossing); it asks about protection only of the rects
+its rays pierce.
 The driver asserts, after every cut, that no rect protected at the node
 was intersected, and under check=True that protection persists into the
 child; validate_partition checks the finished tree against the same
@@ -356,7 +358,7 @@ def _mirror_cutresult(res: CutResult) -> CutResult:
         Cut(tuple(mseg(s) for s in res.cut.segments), res.cut.shape),
         mseg(res.ell) if res.ell else None,
         res.intersected,
-        [p.transform(_mirror_x_point) for p in res.components],
+        [p.mirror_x() for p in res.components],
         dict(res.assignment),
         res.case + "+mirrored",
     )
@@ -367,9 +369,10 @@ def _line_anchor(fences: LineFences, em: Sequence[Segment]) -> Optional[tuple[Po
     the integral points of the middle-third left edges em, the one ending
     furthest right, then lowest, then leftmost; None when em anchors no
     fence.  The furthest fence from a point of an edge is a function of
-    the row's band (LineFences keys its row records by band), so each
-    band of an edge is read once, at the edge's lowest row in it
-    (band_rows), which the order prefers among equal ends."""
+    the row's band (the row's section, crossing rects and rect edges on
+    it), so each band of an edge is read once, at the edge's lowest row in
+    it (band_rows), which the order prefers among equal ends.  Each read
+    is one fence end (LineFences.furthest): no row record is built."""
     best = None
     for e in em:
         x = e.a.x
@@ -405,7 +408,10 @@ def line_partition_cut(
     protection record, built here when none is given.
 
     The rows the cut reads, for p' (_line_anchor) and for the two rays'
-    fence stops (_ray_crossing), are read once per band of rows.  When
+    fence stops (_ray_crossing), are read once per band of rows; p' reads
+    no row record (LineFences.furthest).  The rays ask whether a rect is
+    protected only about the rects they pierce, those whose open x-range
+    holds p'.x.  When
     every segment of the two arms lies on the polygon's boundary, the cut
     goes to _degenerate_line_cut without a split (_split_walks gives the
     polygon back whole).
@@ -418,9 +424,7 @@ def line_partition_cut(
     left_idx = [i for i, s in sides.items() if s == "left"]
     right_idx = [i for i, s in sides.items() if s == "right"]
     if len(left_idx) < len(right_idx):
-        mres = line_partition_cut(
-            poly.transform(_mirror_x_point), _mirror_x_tagged(rects)
-        )
+        mres = line_partition_cut(poly.mirror_x(), _mirror_x_tagged(rects))
         return _mirror_cutresult(mres)
 
     edges = poly.edges()
@@ -434,19 +438,19 @@ def line_partition_cut(
         return _guillotine_cut(poly, rects)
     p_prime, p_anchor = chosen
 
-    prot_ids = {rid for rid, r in rects if fences.protected(r)}
-
     def ray_stop(start: Point, down: bool) -> tuple[Point, list[Point]]:
         """First stopping event of the vertical ray from start; returns the
         stop point and the tail walk from it to the polygon boundary.  The
         events are a line fence strictly crossing the ray, from its least
         anchor, and the facing edge of a protected rect the ray pierces,
-        least id first; the nearest row decides, a fence before a rect."""
+        least id first; the nearest row decides, a fence before a rect.
+        Only the rects the ray pierces are asked whether they are
+        protected."""
         ylo, yhi = poly.vertical_reach(start)
         bound = ylo if down else yhi
         hit = None  # ((nearness, id), row, rect) of the nearest rect event
         for rid, r in rects:
-            if rid not in prot_ids or not (r.xl < start.x < r.xr):
+            if not (r.xl < start.x < r.xr) or not fences.protected(r):
                 continue
             ey = r.yt if down else r.yb
             within = (bound <= ey <= start.y) if down else (start.y <= ey <= bound)
@@ -528,10 +532,11 @@ def _degenerate_line_cut(
     y = p_anchor.y
     top_rect = None
     for rid, r in rects:
-        if r.corner("TR") == p_prime:
-            top_rect = ("top", r)
-        if r.corner("BR") == p_prime:
-            top_rect = top_rect or ("bottom", r)
+        if r.xr == p_prime.x:
+            if r.yt == p_prime.y:
+                top_rect = ("top", r)
+            if r.yb == p_prime.y:
+                top_rect = top_rect or ("bottom", r)
     if top_rect is None:
         raise ConstructionError("degenerate case: p' is not a rect corner")
     kind, r = top_rect
@@ -625,7 +630,7 @@ def general_partition_cut(
     if not lm_hit:
         if _depth >= 2:
             raise ConstructionError("mirror recursion diverged")
-        mpoly = poly.transform(_mirror_x_point)
+        mpoly = poly.mirror_x()
         mrects = _mirror_x_tagged(rects)
         mchord = _make_chord(mpoly, -chord.x, chord.ylo, chord.yhi)
         mres = general_partition_cut(mpoly, mrects, tau, mchord, _depth + 1)

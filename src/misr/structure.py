@@ -22,7 +22,9 @@ first use and kept in the record:
   rows      per band of rows, the anchors on the row and its free pieces
             (_Row); the end of an anchor's furthest fence is read for the
             one anchor asked (_end), by furthest and by the line cut's
-            crossing_anchor alike, and kept nowhere;
+            crossing_anchor alike, and kept nowhere; furthest finds its
+            anchor's edge among the polygon's vertical edges and reads no
+            row;
   columns   per band of columns, the free pieces (_Pieces), built only
             when an engine makes its move table;
   anchors   per rect, the anchors of the line fences holding its top and
@@ -526,10 +528,12 @@ class LineFences:
     row lies between the edge's ends, which are vertex y's.  A row's facts
     are functions of these four alone, and a column's free pieces, by the
     mirror argument, of its crossing rects and section.  A row's anchor
-    facts (_Row) serve anchors, the engine and the line cut's reads,
-    furthest and crossing_anchor, which read the fence end of each anchor
-    they ask about (_end) and keep none; a column's free pieces (_Pieces)
-    serve only the engine.  So a reader that walks a run of rows asking
+    facts (_Row) serve anchors, the engine and the line cut's
+    crossing_anchor; the line cut's furthest reads no row: it finds its
+    anchor's edge among the vertical edges (_verticals), like _holds.
+    Both line-cut reads read the fence end of each anchor they ask about
+    (_end) and keep none; a column's free pieces (_Pieces) serve only the
+    engine.  So a reader that walks a run of rows asking
     these reads needs only the first row of each band it meets: band_rows
     lists them, in the direction of travel.
 
@@ -675,13 +679,17 @@ class LineFences:
     def furthest(self, p: Point, left: bool) -> Optional[int]:
         """The x of the furthest line fence from p, an integral point of a
         left (fences run rightward) or right (leftward) polygon edge, or
-        None when p anchors none."""
-        rec = self.row(p.y)
-        xs = rec.lefts if left else rec.rights
-        k = bisect_left(xs, p.x)
-        if k == len(xs) or xs[k] != p.x:
-            return None
-        return self._end(p.y, p.x, left)
+        None when p anchors none.  The edge holding p is found among the
+        vertical edges (_verticals), as _holds finds it, and the fence end
+        is read with _end: no row record is built or read."""
+        verticals = self._verticals
+        k = bisect_left(verticals, (p.x,))
+        while k < len(verticals) and verticals[k][0] == p.x:
+            _x, lo, hi, edge_left = verticals[k]
+            if edge_left == left and lo <= p.y <= hi:
+                return self._end(p.y, p.x, left)
+            k += 1
+        return None
 
     def crossing_anchor(self, y: int, x: int) -> Optional[int]:
         """The least x of an anchor on row y with a line fence that

@@ -9,8 +9,9 @@ each maximal set is made once (exact_mis, maximal_extension) and then
 partitioned under six, three and two_eps (eps 1/2) with check=True, as
 ``misr certify`` partitions it.  The suite runs five times.
 
-Three functions of ``misr.partition`` are timed: ``_split_walks`` (a
-construction's walks merged and split), ``line_partition_cut`` (six's
+Four functions of ``misr.partition`` are timed: ``_split_walks`` (a
+construction's walks merged and split), ``_finalize`` (a split's repair,
+checks and assignment of rects to parts), ``line_partition_cut`` (six's
 cut) and ``is_horizontally_convex`` (six's entry and part checks).  Each
 is wrapped by a timer that counts and times its outermost calls only, so
 a mirrored line cut, which calls itself, counts once.  The output is one
@@ -32,7 +33,7 @@ from misr import partition
 from misr.instance import exact_mis, generate
 from misr.structure import maximal_extension
 
-TIMED = ("_split_walks", "line_partition_cut", "is_horizontally_convex")
+TIMED = ("_split_walks", "_finalize", "line_partition_cut", "is_horizontally_convex")
 REGIMES = (("six", None), ("three", None), ("two_eps", Fraction(1, 2)))
 PASSES = 5
 

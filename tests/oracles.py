@@ -1195,7 +1195,7 @@ def classify_vertical_edges(p: RectPolygon) -> dict[Segment, str]:
 
 
 def is_vertically_convex(p: RectPolygon) -> bool:
-    return is_horizontally_convex(p.transform(lambda q: Point(q.y, q.x)))
+    return is_horizontally_convex(RectPolygon([Point(q.y, q.x) for q in p.vertices]))
 
 
 def split_polygon(p: RectPolygon, c: Cut) -> list[RectPolygon]:
@@ -1713,7 +1713,7 @@ def ref_line_fences_from_point(
                 break
         return out
     mirrored = [(rid, Rect(-r.xr, r.yb, -r.xl, r.yt)) for rid, r in rects_in]
-    mpoly = poly.transform(lambda q: Point(-q.x, q.y))
+    mpoly = RectPolygon([Point(-q.x, q.y) for q in poly.vertices])
     out = []
     for f in ref_line_fences_from_point(mpoly, mirrored, Point(-p.x, p.y), "left"):
         end = f.endpoint

@@ -483,6 +483,22 @@ class TestCorruptionAndEnv:
         assert "error: corrupted artifacts" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "point", [[True, 0], [0.5, 0], [0, 0, 0]], ids=["bool", "float", "three-coords"]
+    )
+    def test_malformed_cut_point_rejected(self, tmp_path, capsys, point):
+        """Cut and ell points are pairs of integers, read as the JSON
+        readers read them."""
+        art_file, doc = self.six_artifacts(tmp_path)
+        node = next(v for v in doc["partition"]["nodes"] if v["cut"] is not None)
+        node["cut"]["segments"][0][0] = point
+        art_file.write_text(json.dumps(doc))
+        out = tmp_path / "x.svg"
+        capsys.readouterr()
+        assert run_cli(["render", str(art_file), "--out", str(out)]) == 2
+        assert "error: corrupted artifacts" in capsys.readouterr().err
+        assert not out.exists()
+
     def six_artifacts(self, tmp_path):
         inst_file = tmp_path / "w.json"
         run_cli(["generate", "windmill", "5", "--out", str(inst_file)])
@@ -512,6 +528,31 @@ class TestCorruptionAndEnv:
             doc["partition"]["origin"] = origin
         art_file.write_text(json.dumps(doc))
         out = tmp_path / "x.svg"
+        capsys.readouterr()
+        assert run_cli(["render", str(art_file), "--out", str(out)]) == 2
+        assert "error: corrupted artifacts" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payee, rect0",
+        [(-1, None), (True, None), (0, [False, 3, 3, 9]), (0, [0.0, 3, 3, 9])],
+        ids=["payee-negative", "payee-bool", "rect-bool", "rect-float"],
+    )
+    def test_malformed_payee_or_work_rect_rejected(self, tmp_path, capsys, payee, rect0):
+        """Payees and work-rect fields are read as the JSON readers read
+        integers (no bool, no float), and a payee must name a work rect."""
+        art_file, doc = self.six_artifacts(tmp_path)
+        assert doc["partition"]["work_rects"][0] == [0, 3, 3, 9]
+        out = tmp_path / "x.svg"
+        doc["ledger"]["entries"] = [{"payee": 0, "corner": "TR"}]
+        art_file.write_text(json.dumps(doc))
+        assert run_cli(["render", str(art_file), "--out", str(out)]) == 0
+        assert 'id="tok0"' in out.read_text()
+        out.unlink()
+        doc["ledger"]["entries"] = [{"payee": payee, "corner": "TR"}]
+        if rect0 is not None:
+            doc["partition"]["work_rects"][0] = rect0
+        art_file.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli(["render", str(art_file), "--out", str(out)]) == 2
         assert "error: corrupted artifacts" in capsys.readouterr().err

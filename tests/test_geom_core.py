@@ -111,7 +111,7 @@ class TestClassifyVerticalEdges:
         rng = random.Random(4)
         for _ in range(10):
             poly = blob_polygon(rng)
-            mirrored = poly.transform(lambda p: Point(-p.x, p.y))
+            mirrored = poly.mirror_x()
             a = sorted(
                 (min(s.a.y, s.b.y), s.a.x, side)
                 for s, side in classify_vertical_edges(poly).items()

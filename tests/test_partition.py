@@ -735,11 +735,60 @@ def test_unchecked_case0_reads_nothing(monkeypatch):
     assert sum(rows.values()) == 0 and built["FenceEngine"] == 0
 
 
+def test_unchecked_six_asks_protection_only_of_pierced_rects(monkeypatch):
+    """Without checks, six's line cut asks a record whether a rect is
+    protected only when one of its rays pierces the rect: the rect's open
+    x-range holds an x that the cut passes to _ray_crossing on the same
+    record (a mirrored cut asks its own record).  The driver's own
+    question, about the rects a cut intersected, is asked after the cut."""
+    held: dict = {}  # every record asked, alive so that ids stay distinct
+    asked = []  # (record id, rect) of each protection question of a cut
+    rays = set()  # (record id, x) of each ray's fence-stop read
+    depth = []  # one entry per line cut running
+    real_protected = LineFences.protected
+    real_crossing = partition._ray_crossing
+    real_cut = partition.line_partition_cut
+
+    def cut(poly, rects, fences=None):
+        depth.append(poly)
+        try:
+            return real_cut(poly, rects, fences)
+        finally:
+            depth.pop()
+
+    def protected(self, r):
+        if depth:
+            held[id(self)] = self
+            asked.append((id(self), r))
+        return real_protected(self, r)
+
+    def ray_crossing(fences, x, y0, y1):
+        held[id(fences)] = fences
+        rays.add((id(fences), x))
+        return real_crossing(fences, x, y0, y1)
+
+    monkeypatch.setattr(LineFences, "protected", protected)
+    monkeypatch.setattr(partition, "_ray_crossing", ray_crossing)
+    monkeypatch.setattr(partition, "line_partition_cut", cut)
+    # the rays of uniform_random and nested_grid cuts pierce no rect;
+    # six fails on packed n = 24 seed 4 (ROADMAP item 1)
+    specs = [("windmill", n, 0) for n in range(3, 17)]
+    specs += [("packed", n, seed) for n in (12, 16, 24) for seed in range(4)]
+    for family, n, seed in specs:
+        inst = generate(family, n, seed)
+        m = maximal_extension(exact_mis(inst, cap=n), inst)
+        recursive_partition(m, "six", check=False)
+    assert len(asked) > 100, len(asked)
+    for rec, r in asked:
+        assert any(key == rec and r.xl < x < r.xr for key, x in rays), r
+
+
 def test_six_builds_one_row_record_per_band(monkeypatch):
     """six reads its rows by band: a checked run on windmill n = 16 builds
-    one row record per distinct (node, band) it asks, 80 of them (one per
-    distinct (node, row), 394, before rows were shared by band); the
-    other protection questions are answered by the parents' fences."""
+    one row record per distinct (node, band) it asks, 68 of them (one per
+    distinct (node, row), 394, before rows were shared by band, and 80
+    while furthest still read a row); the other protection questions are
+    answered by the parents' fences."""
     inst = generate("windmill", 16, 0)
     m = maximal_extension(exact_mis(inst, cap=16), inst)
     held: dict = {}  # every record asked, alive so that ids stay distinct
@@ -754,4 +803,4 @@ def test_six_builds_one_row_record_per_band(monkeypatch):
     monkeypatch.setattr(LineFences, "row", row)
     built = count_calls(monkeypatch, LineFences, "_build_row")
     recursive_partition(m, "six", check=True)
-    assert built["_build_row"] == len(asked) == 80
+    assert built["_build_row"] == len(asked) == 68

@@ -292,17 +292,43 @@ def _split_outcome(split, poly, cut):
         return type(e)
 
 
+def assert_canonical(poly: RectPolygon) -> None:
+    """A polygon built from a loop taken as merged (split parts, mirror
+    images) equals, field by field, the one RectPolygon canonicalizes from
+    its vertices."""
+    want = RectPolygon(list(poly.vertices))
+    assert poly.vertices == want.vertices, poly
+    assert poly.area2() == want.area2(), poly
+    assert (poly._vtab, poly._htab) == (want._vtab, want._htab), poly
+    assert poly.is_simple == want.is_simple and hash(poly) == hash(want), poly
+
+
+# a cut running straight through a T-junction: the part left of x = 5 has
+# (5, 4) on its boundary and must not keep it as a vertex
+T_JUNCTION = (
+    RectPolygon.from_rect(Rect(0, 0, 10, 10)),
+    Cut((Segment(Point(5, 0), Point(5, 10)), Segment(Point(5, 4), Point(10, 4)))),
+)
+
+
 def test_split_components_agrees_with_reference(construction_splits, node_cells):
     """The loop-surgery split against the refined-grid flood fill: the
     same parts, in the same order, or the same exception, on every
-    construction split and on random cuts; every cut holding a cycle
-    raises CutError."""
+    construction split, a cut through a T-junction and random cuts, each
+    part canonical; every cut holding a cycle raises CutError."""
     sizes = set()
-    for poly, cut in construction_splits:
+    for poly, cut in [*construction_splits, T_JUNCTION]:
         got = _split_outcome(split_components, poly, cut)
         assert got == _split_outcome(ref_split_components, poly, cut), (poly, cut)
+        for part in got:
+            assert_canonical(part)
         sizes.add(len(got))
     assert len(construction_splits) > 1000 and {1, 2, 3} <= sizes, sizes
+    assert [q.vertices for q in split_components(*T_JUNCTION)] == [
+        (Point(0, 0), Point(0, 10), Point(5, 10), Point(5, 0)),
+        (Point(5, 0), Point(5, 4), Point(10, 4), Point(10, 0)),
+        (Point(5, 4), Point(5, 10), Point(10, 10), Point(10, 4)),
+    ]
 
     rng = random.Random(11)
     polys = [p for p, _ in node_cells] + blobs(40)
@@ -313,18 +339,37 @@ def test_split_components_agrees_with_reference(construction_splits, node_cells)
             assert got == _split_outcome(ref_split_components, poly, cut), (poly, cut)
             if isinstance(got, list):
                 assert all(q.is_simple for q in got), (poly, cut)
+                for part in got:
+                    assert_canonical(part)
                 outcomes["parts"] += 1
             else:
                 outcomes["error"] += 1
         for cut in reflex_cycle_cuts(poly):
             want = _split_outcome(ref_split_components, poly, cut)
             if not _closes_a_cycle(poly, cut):
-                assert _split_outcome(split_components, poly, cut) == want, (poly, cut)
+                got = _split_outcome(split_components, poly, cut)
+                assert got == want, (poly, cut)
+                for part in got if isinstance(got, list) else ():
+                    assert_canonical(part)
                 continue
             with pytest.raises(CutError):
                 split_components(poly, cut)
             outcomes["cycle"] += isinstance(want, list)
     assert min(outcomes.values()) > 50, outcomes
+
+
+def test_mirror_x_is_canonical(construction_splits, node_cells):
+    """mirror_x of every partition node and every polygon the
+    constructions split equals the reflection canonicalized by
+    RectPolygon, field by field, and mirroring twice gives the polygon
+    back."""
+    polys = {p for p, _ in node_cells} | {p for p, _ in construction_splits}
+    for poly in polys:
+        m = poly.mirror_x()
+        assert_canonical(m)
+        assert m == RectPolygon([Point(-q.x, q.y) for q in poly.vertices]), poly
+        twice = m.mirror_x()
+        assert twice.vertices == poly.vertices and hash(twice) == hash(poly), poly
 
 
 def _pieces_outcome(poly: RectPolygon, segs) -> object:
@@ -463,20 +508,25 @@ def assert_line_reads_agree(poly, rin) -> int:
     records, against the fences enumerated anchor by anchor: the furthest
     fence of every anchor on every vertical edge, and on every row of the
     bounding box, for every x across it, the least anchor whose fence
-    strictly crosses x.  Then the line cut's band reads against the
-    row-by-row reads they replace: p' and its anchor from each left edge
-    and from all of them, and the fence stop of the rays up and down the
-    bounding box at every x.  Returns the number of crossings found."""
+    strictly crosses x.  furthest builds no row record.  Then the line
+    cut's band reads against the row-by-row reads they replace: p' and
+    its anchor from each left edge and from all of them, and the fence
+    stop of the rays up and down the bounding box at every x.  Returns the
+    number of crossings found."""
     ref = ref_enumerate_line_fences(poly, rin)
     fences = LineFences(poly, rin)
     furthest = ref_furthest(ref)
     edges = poly.edges()
-    for idx, side in poly.vertical_edge_sides().items():
-        e = edges[idx]
-        y1, y2 = sorted((e.a.y, e.b.y))
-        for y in range(y1, y2 + 1):
-            p = Point(e.a.x, y)
-            assert fences.furthest(p, side == "left") == furthest.get(p), (poly, rin, p)
+    with mock.patch.object(
+        LineFences, "_build_row", autospec=True, side_effect=LineFences._build_row
+    ) as build_row:
+        for idx, side in poly.vertical_edge_sides().items():
+            e = edges[idx]
+            y1, y2 = sorted((e.a.y, e.b.y))
+            for y in range(y1, y2 + 1):
+                p = Point(e.a.x, y)
+                assert fences.furthest(p, side == "left") == furthest.get(p), (poly, rin, p)
+    assert build_row.call_count == 0, (poly, rin)
     crossings = 0
     x0, y0, x1, y1 = poly.bbox()
     for y in range(y0, y1 + 1):
