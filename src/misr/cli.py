@@ -302,6 +302,11 @@ def _render_svg(artifacts: dict) -> str:
         origin = part["origin"]
         if not isinstance(origin, list):
             raise TypeError("partition origin is not a list")
+        origin = [_json_int(v) for v in origin]
+        if len(origin) != len(work_rects):
+            raise ValueError(
+                f"partition origin has {len(origin)} entries for {len(work_rects)} work rects"
+            )
         try:
             labels = classify_nesting(MaximalSet(tuple(work_rects), tuple(origin), side))
         except StructureError:  # a doubly nested rect: no labels, neutral fill

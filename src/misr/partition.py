@@ -59,13 +59,13 @@ from .structure import (
     LineFences,
     _mirror_x_point,
     _mirror_x_tagged,
+    _side_corners,
     MaximalSet,
     NestingLabel,
     NiceLabel,
-    _see_frame,
     classify_nesting,
     classify_nice,
-    sees_a_corner_on_side,
+    sees,
 )
 
 RectsIn = Sequence[tuple[int, Rect]]
@@ -989,7 +989,6 @@ def recursive_partition(
         )
         prot = lambda fences, r: fences.tau_protected(r, the_tau)
 
-    frames = {s: _see_frame(work, s) for s in ("left", "right")} if check else {}
     root_poly = RectPolygon.from_rect(Rect(0, 0, side, side))
     nodes = [PartitionNode(0, root_poly, None, tuple(range(n)))]
     trace: list[int] = []
@@ -1005,7 +1004,7 @@ def recursive_partition(
             tracked.add(ids[0])
             continue
         if check:
-            _check_visibility_guarantee(frames, fences, nesting.horizontally_nested)
+            _check_visibility_guarantee(work, fences, nesting.horizontally_nested)
         res = cutter(poly, fences.rects_in, fences)
         for i in res.intersected:
             if prot(fences, work[i]):
@@ -1060,18 +1059,20 @@ def recursive_partition(
 
 
 def _check_visibility_guarantee(
-    frames: dict[str, Sequence[Rect]], fences: LineFences, h_nested: frozenset[int]
+    work: Sequence[Rect], fences: LineFences, h_nested: frozenset[int]
 ) -> None:
     """Every rect of the node that is neither line-fence-protected (asked
     through the node's record) nor horizontally nested must see a corner
-    of another contained rect on each side; frames holds the run's rects
-    in each side's frame (_see_frame)."""
+    of another contained rect on each side; work holds the run's rects."""
     ids = [rid for rid, _ in fences.rects_in]
     for rid, r in fences.rects_in:
         if rid in h_nested or fences.protected(r):
             continue
         for side_name in ("left", "right"):
-            if not sees_a_corner_on_side(frames[side_name], rid, side_name, ids):
+            corners = _side_corners(side_name)
+            if not any(
+                sees(work, rid, j, c, side_name) for j in ids if j != rid for c in corners
+            ):
                 raise ConstructionError(
                     f"rect {rid} neither protected nor nested sees no corner "
                     f"on its {side_name}"

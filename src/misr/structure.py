@@ -52,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .geom_core import (
     Point,
@@ -62,9 +62,6 @@ from .geom_core import (
     rects_intersect,
 )
 from .instance import Instance, Solution, validate_solution
-
-CORNERS = ("TL", "BL", "TR", "BR")
-
 
 class StructureError(ValueError):
     pass
@@ -203,39 +200,7 @@ def classify_nesting(m: MaximalSet) -> NestingLabel:
     return NestingLabel(frozenset(hset), frozenset(vset))
 
 
-# -- seeing -----------------------------------------------------------------
-
-
-def _sees_right_base(rects: Sequence[Rect], i: int, j: int, corner: str) -> bool:
-    """Does rects[i] see the given left corner (TL or BL) of rects[j] on its
-    right?
-
-    The corridor h runs from a point p on i's right edge to the corner; h
-    must cross no rectangle interior, p must not be i's opposite-edge
-    right corner, and h must not contain the top (for TL) / bottom (for
-    BL) edge of any other rectangle.
-    """
-    if i == j:
-        raise StructureError("a rectangle does not see itself")
-    r, rp = rects[i], rects[j]
-    if corner == "TL":
-        y = rp.yt
-        excluded_p_y = r.yb  # p may not be the bottom-right corner of r
-    else:
-        y = rp.yb
-        excluded_p_y = r.yt
-    if rp.xl < r.xr:
-        return False
-    if not (r.yb <= y <= r.yt) or y == excluded_p_y:
-        return False
-    x1, x2 = r.xr, rp.xl
-    for k, o in enumerate(rects):
-        if o.yb < y < o.yt and x1 < o.xr and x2 > o.xl:
-            return False
-        edge_y = o.yt if corner == "TL" else o.yb
-        if k != j and edge_y == y and x1 <= o.xl and o.xr <= x2:
-            return False
-    return True
+# -- reflections ------------------------------------------------------------
 
 
 def _mirror_x(rects: Sequence[Rect]) -> list[Rect]:
@@ -256,55 +221,55 @@ def _mirror_y(rects: Sequence[Rect]) -> list[Rect]:
     return [Rect(r.xl, -r.yt, r.xr, -r.yb) for r in rects]
 
 
-def _anti_transpose(rects: Sequence[Rect]) -> list[Rect]:
-    # (x, y) -> (-y, -x): "right of" becomes "below", BL corners become TR.
-    return [Rect(-r.yt, -r.xr, -r.yb, -r.xl) for r in rects]
+# -- seeing -----------------------------------------------------------------
 
 
-# The frame in which each side's corridors run rightward, and the corner
-# of the base case (right, TL or BL) that each (side, corner) pair becomes
-# there.  Only the pairs the library asks about are listed.
-_SEE_FRAMES: dict[str, Optional[Callable]] = {
-    "right": None,
-    "left": _mirror_x,
-    "bottom": _anti_transpose,
-}
-_SEE_BASE_CORNER: dict[tuple[str, str], str] = {
-    ("right", "TL"): "TL",
-    ("right", "BL"): "BL",
-    ("left", "TR"): "TL",
-    ("left", "BR"): "BL",
-    ("bottom", "TR"): "BL",
-}
-
-
-def _see_frame(rects: Sequence[Rect], side: str) -> Sequence[Rect]:
-    """The rects in the frame where corridors on the given side run
-    rightward; one frame serves every query on that side.  An unknown
-    side is left for _sees_in_frame to reject."""
-    transform = _SEE_FRAMES.get(side)
-    return rects if transform is None else transform(rects)
-
-
-def _sees_in_frame(
-    frame: Sequence[Rect], i: int, j: int, corner: str, side: str
-) -> bool:
-    """sees() on rects already put in the side's frame by _see_frame."""
-    key = (side, corner)
-    if key not in _SEE_BASE_CORNER:
-        raise StructureError(f"invalid corner/side combination {key}")
-    return _sees_right_base(frame, i, j, _SEE_BASE_CORNER[key])
+# The (side, corner) pairs the library asks about.
+_SEE_PAIRS = frozenset(
+    {("right", "TL"), ("right", "BL"), ("left", "TR"), ("left", "BR"), ("bottom", "TR")}
+)
 
 
 def sees(rects: Sequence[Rect], i: int, j: int, corner: str, side: str) -> bool:
     """Corridor visibility from rects[i] to the named corner of rects[j].
 
     Valid (side, corner) pairs, the ones the library asks about: TL/BL on
-    the right, TR/BR on the left and TR below; each is a reflection of
-    the right/TL case.  Callers asking many questions on one side build
-    its frame once and ask _sees_in_frame.
+    the right, TR/BR on the left and TR below.  The corridor h runs from a
+    point p on i's facing edge to the corner: along the row at the
+    corner's y, from i's xr to j's xl on the right or from j's xr to i's
+    xl on the left; below, down the column x = j's xr from j's yt to i's
+    yb.  h must cross no rectangle interior; p must not be the excluded
+    end of i's facing edge (its yb for a top corner, its yt for a bottom
+    one, its xl below); and h must not contain the matching edge of any
+    other rectangle, the edge that holds the named corner and runs along
+    h (top for TL/TR, bottom for BL/BR, right below).
     """
-    return _sees_in_frame(_see_frame(rects, side), i, j, corner, side)
+    if (side, corner) not in _SEE_PAIRS:
+        raise StructureError(f"invalid corner/side combination {(side, corner)}")
+    if i == j:
+        raise StructureError("a rectangle does not see itself")
+    r, q = rects[i], rects[j]
+    if side == "bottom":
+        x, lo, hi = q.xr, q.yt, r.yb
+        if lo > hi or not r.xl <= x <= r.xr or x == r.xl:
+            return False
+        for k, o in enumerate(rects):
+            if o.xl < x < o.xr and lo < o.yt and o.yb < hi:
+                return False
+            if k != j and o.xr == x and lo <= o.yb and o.yt <= hi:
+                return False
+        return True
+    top = corner[0] == "T"
+    y = q.yt if top else q.yb
+    lo, hi = (r.xr, q.xl) if side == "right" else (q.xr, r.xl)
+    if lo > hi or not r.yb <= y <= r.yt or y == (r.yb if top else r.yt):
+        return False
+    for k, o in enumerate(rects):
+        if o.yb < y < o.yt and lo < o.xr and o.xl < hi:
+            return False
+        if k != j and (o.yt if top else o.yb) == y and lo <= o.xl and o.xr <= hi:
+            return False
+    return True
 
 
 def _side_corners(side: str) -> tuple[str, str]:
@@ -323,27 +288,15 @@ def seen_corners_on_side(
     to candidate owners, in scan order (corner y descending, corner x
     ascending, owner index ascending)."""
     corners = _side_corners(side)
-    frame = _see_frame(rects, side)
     out = []
     for j in candidates:
         if j == i:
             continue
         for c in corners:
-            if _sees_in_frame(frame, i, j, c, side):
+            if sees(rects, i, j, c, side):
                 out.append((rects[j].corner(c), j, c))
     out.sort(key=lambda t: (-t[0].y, t[0].x, t[1]))
     return out
-
-
-def sees_a_corner_on_side(
-    frame: Sequence[Rect], i: int, side: str, candidates: Iterable[int]
-) -> bool:
-    """seen_corners_on_side is not empty, asked of the rects already put in
-    the side's frame (_see_frame); stops at the first corner seen."""
-    corners = _side_corners(side)
-    return any(
-        _sees_in_frame(frame, i, j, c, side) for j in candidates if j != i for c in corners
-    )
 
 
 # -- niceness ----------------------------------------------------------------
@@ -361,14 +314,11 @@ def classify_nice(m: MaximalSet) -> NiceLabel:
     edge on the boundary of S.  Every rect must earn at least one flag."""
     hset, vset = set(), set()
     n = len(m.rects)
-    right, below = _see_frame(m.rects, "right"), _see_frame(m.rects, "bottom")
     for i, r in enumerate(m.rects):
-        if r.yb == 0 or any(
-            j != i and _sees_in_frame(right, i, j, "BL", "right") for j in range(n)
-        ):
+        if r.yb == 0 or any(j != i and sees(m.rects, i, j, "BL", "right") for j in range(n)):
             hset.add(i)
         if r.xr == m.side or any(
-            j != i and _sees_in_frame(below, i, j, "TR", "bottom") for j in range(n)
+            j != i and sees(m.rects, i, j, "TR", "bottom") for j in range(n)
         ):
             vset.add(i)
         if i not in hset and i not in vset:

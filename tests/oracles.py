@@ -35,7 +35,6 @@ from misr.structure import (
     LineFences,
     MaximalSet,
     StructureError,
-    _sees_right_base,
     _x_overlap,
     _y_overlap,
     sees,
@@ -1106,6 +1105,38 @@ def ref_maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
 # -- corridor visibility, one reflection per query ---------------------------------
 
 
+def _ref_sees_right_base(rects: Sequence[Rect], i: int, j: int, corner: str) -> bool:
+    """Does rects[i] see the given left corner (TL or BL) of rects[j] on its
+    right?
+
+    The corridor h runs from a point p on i's right edge to the corner; h
+    must cross no rectangle interior, p must not be i's opposite-edge
+    right corner, and h must not contain the top (for TL) / bottom (for
+    BL) edge of any other rectangle.
+    """
+    if i == j:
+        raise StructureError("a rectangle does not see itself")
+    r, rp = rects[i], rects[j]
+    if corner == "TL":
+        y = rp.yt
+        excluded_p_y = r.yb  # p may not be the bottom-right corner of r
+    else:
+        y = rp.yb
+        excluded_p_y = r.yt
+    if rp.xl < r.xr:
+        return False
+    if not (r.yb <= y <= r.yt) or y == excluded_p_y:
+        return False
+    x1, x2 = r.xr, rp.xl
+    for k, o in enumerate(rects):
+        if o.yb < y < o.yt and x1 < o.xr and x2 > o.xl:
+            return False
+        edge_y = o.yt if corner == "TL" else o.yb
+        if k != j and edge_y == y and x1 <= o.xl and o.xr <= x2:
+            return False
+    return True
+
+
 def _ref_mirror_x(rects: Sequence[Rect]) -> list[Rect]:
     return [Rect(-r.xr, r.yb, -r.xl, r.yt) for r in rects]
 
@@ -1124,10 +1155,10 @@ _REF_SEE = {
 
 
 def ref_sees(rects: Sequence[Rect], i: int, j: int, corner: str, side: str) -> bool:
-    """sees() as first written: reflect the whole rect list into the
-    right/TL frame for every query."""
+    """sees() as first written: reflect the whole rect list so that the
+    corridor runs rightward, and ask the right-side base case."""
     transform, base = _REF_SEE[(side, corner)]
-    return _sees_right_base(transform(rects), i, j, base)
+    return _ref_sees_right_base(transform(rects), i, j, base)
 
 
 def ref_seen_corners_on_side(rects: Sequence[Rect], i: int, side: str, candidates) -> list:

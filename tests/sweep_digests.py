@@ -1,9 +1,9 @@
 """Digest every run of the identity sweep, one line per run.
 
-    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection|oracle] > digests.txt
+    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection|oracle|see] > digests.txt
 
 A refactor that must not change any output runs this on both checkouts
-and diffs the two files.  Without an argument all five sections run,
+and diffs the two files.  Without an argument all six sections run,
 in that order.
 
 The partition section: uniform_random and nested_grid at n = 3..16 with
@@ -61,6 +61,12 @@ n = 48; one line per instance with the index set exact_mis chooses with
 its cap at n.  It needs nothing but exact_mis and the generators, so it
 runs against an older checkout's src too.
 
+The see section: the partition section's instances, one line per
+instance with the first 16 hex digits of the sha256 of corridor
+visibility on its maximal set, one 0/1 digit of sees(rects, i, j, corner,
+side) for every ordered pair i != j and every valid (side, corner) pair.
+It asks only sees, so it runs against an older checkout's src too.
+
 The file name keeps it out of pytest's collection.
 """
 
@@ -82,7 +88,7 @@ from misr.dp_solver import DpStats, dp_solve
 from misr.geom_core import Point, Rect
 from misr.instance import exact_mis, generate, preprocess
 from misr.partition import recursive_partition, run_to_json, validate_partition
-from misr.structure import LineFences, maximal_extension
+from misr.structure import LineFences, maximal_extension, sees
 
 REGIMES = (
     ("six", None),
@@ -327,6 +333,23 @@ def oracle_section() -> None:
         print(f"oracle {family} {n} {seed} {list(chosen)}")
 
 
+SEE_PAIRS = (("right", "TL"), ("right", "BL"), ("left", "TR"), ("left", "BR"), ("bottom", "TR"))
+
+
+def see_section() -> None:
+    for family, n, seed in specs():
+        inst = generate(family, n, seed)
+        rects = maximal_extension(exact_mis(inst, cap=inst.n), inst).rects
+        bits = "".join(
+            "1" if sees(rects, i, j, corner, side) else "0"
+            for i in range(len(rects))
+            for j in range(len(rects))
+            if i != j
+            for side, corner in SEE_PAIRS
+        )
+        print(f"see {family} {n} {seed} {hashlib.sha256(bits.encode()).hexdigest()[:16]}")
+
+
 def main(argv: list[str]) -> int:
     sections = {
         "partition": partition_section,
@@ -334,6 +357,7 @@ def main(argv: list[str]) -> int:
         "units": units_section,
         "protection": protection_section,
         "oracle": oracle_section,
+        "see": see_section,
     }
     for name in argv or list(sections):
         sections[name]()

@@ -519,7 +519,13 @@ class TestCorruptionAndEnv:
         assert len(wrects) == 3
         assert all('fill="#b8b8b8"' in ln for ln in wrects)
 
-    @pytest.mark.parametrize("origin", [None, 5, "012"], ids=["missing", "int", "str"])
+    @pytest.mark.parametrize(
+        "origin",
+        [None, 5, "012", ["a", "b", "c", "d"], [0, 1], [True, 1, 2, 3, 4], [True, 1, 2, 3],
+         list(range(7))],
+        ids=["missing", "int", "str", "str-entries", "too-few", "bool-entry", "bool-only",
+             "too-many"],
+    )
     def test_bad_origin_rejected(self, tmp_path, capsys, origin):
         art_file, doc = self.six_artifacts(tmp_path)
         if origin is None:

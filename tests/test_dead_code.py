@@ -1,9 +1,10 @@
-"""No dead code in the library: every function, method and class that
-src/misr defines is referenced somewhere in src/misr.
+"""No dead code in the library: every function, method, class and
+module-level constant that src/misr defines is referenced somewhere in
+src/misr.
 
-A reference is any name or attribute with the definition's name (an
-``ast.Name`` or an ``ast.Attribute``), so a method counts as used when
-any object's attribute of that name is read.  Dunders are exempt: the
+A reference is any name read or attribute with the definition's name (an
+``ast.Name`` that is not assigned to, or an ``ast.Attribute``), so a
+method counts as used when any object's attribute of that name is read.  Dunders are exempt: the
 language calls them.  A wrapper that only tests call fails this test;
 tests must reach the routine the library itself uses."""
 
@@ -14,22 +15,46 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "misr"
 
 # These read outside input, a stored ledger and a stored solution, and
 # nothing in src/misr calls them yet: they stay for the certificate
-# checker of ROADMAP item 8 (``misr verify``), which loads both.
+# checker of ROADMAP item 12 (``misr verify``), which loads both.
 ALLOWED = {"ledger_from_json", "solution_from_json"}
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _module_constants(tree: ast.Module) -> list[ast.Name]:
+    """The names a module's top-level Assign and AnnAssign statements bind."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            elts = target.elts if isinstance(target, ast.Tuple) else [target]
+            out += [t for t in elts if isinstance(t, ast.Name)]
+    return out
+
+
 def unreferenced(src: Path) -> list[str]:
-    """``file:line name`` of every non-dunder function, method and class
-    defined under src whose name no Name or Attribute node reads."""
+    """``file:line name`` of every non-dunder function, method, class and
+    module-level constant defined under src whose name no Name node reads
+    and no Attribute node names."""
     defined: dict[str, str] = {}
     used: set[str] = set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        for const in _module_constants(tree):
+            if not _dunder(const.id):
+                defined.setdefault(const.id, f"{path.name}:{const.lineno}")
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
+                if not _dunder(node.name):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

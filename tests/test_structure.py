@@ -142,32 +142,66 @@ class TestSees:
         assert sees(rects, 0, 1, "TL", "right")
         assert sees(rects, 0, 1, "BL", "right")  # p = BR of 0 is allowed here
         assert sees(rects, 1, 0, "TR", "left")
+        assert sees(rects, 1, 0, "BR", "left")  # p = BL of 1 is allowed here
 
     def test_excluded_p_top_right_for_bl(self):
         # seeing a BL corner whose corridor starts at the seer's top-right
-        # corner is excluded: the target would be entirely above the seer
-        rects = [Rect(0, 2, 3, 6), Rect(5, 6, 8, 9)]
-        assert not sees(rects, 0, 1, "BL", "right")
+        # corner is excluded: the target would be entirely above the seer;
+        # likewise a BR corner on the left from the seer's top-left corner,
+        # and a TR corner below from the seer's bottom-left corner
+        for rects, corner, side in (
+            ([Rect(0, 2, 3, 6), Rect(5, 6, 8, 9)], "BL", "right"),
+            ([Rect(5, 2, 8, 6), Rect(0, 6, 3, 9)], "BR", "left"),
+            ([Rect(2, 5, 6, 9), Rect(0, 0, 2, 4)], "TR", "bottom"),
+        ):
+            assert not sees(rects, 0, 1, corner, side), (corner, side)
+        # the other end of the bottom edge is allowed
+        assert sees([Rect(2, 5, 6, 9), Rect(0, 0, 6, 4)], 0, 1, "TR", "bottom")
 
     def test_blocked_corridor(self):
-        rects = [Rect(0, 2, 3, 6), Rect(5, 2, 8, 6), Rect(4, 0, 5, 8)]
-        assert not sees(rects, 0, 1, "TL", "right")
+        # the last rect crosses the corridor; without it the corner is seen
+        for rects, corner, side in (
+            ([Rect(0, 2, 3, 6), Rect(5, 2, 8, 6), Rect(4, 0, 5, 8)], "TL", "right"),
+            ([Rect(5, 2, 8, 6), Rect(0, 2, 3, 6), Rect(3, 0, 4, 8)], "TR", "left"),
+            ([Rect(5, 2, 8, 6), Rect(0, 2, 3, 6), Rect(3, 0, 4, 8)], "BR", "left"),
+            ([Rect(2, 5, 6, 9), Rect(2, 0, 6, 3), Rect(5, 3, 8, 4)], "TR", "bottom"),
+        ):
+            assert not sees(rects, 0, 1, corner, side), (corner, side)
+            assert sees(rects[:2], 0, 1, corner, side), (corner, side)
 
     def test_top_edge_containment_excluded(self):
-        # corridor passes exactly along the top edge of a middle rect
-        rects = [Rect(0, 2, 3, 6), Rect(8, 2, 11, 6), Rect(4, 0, 7, 6)]
-        # seeing TL of rect 1 at height 6 would contain rect 2's top edge
-        assert not sees(rects, 0, 1, "TL", "right")
+        # corridor passes exactly along the top edge of a middle rect:
+        # seeing TL of rect 1 at height 6 would contain rect 2's top edge;
+        # the same for the bottom edge under BL and BR and for the right
+        # edge below.  Without the middle rect the corner is seen.
+        for rects, corner, side in (
+            ([Rect(0, 2, 3, 6), Rect(8, 2, 11, 6), Rect(4, 0, 7, 6)], "TL", "right"),
+            ([Rect(0, 2, 3, 6), Rect(8, 2, 11, 6), Rect(4, 2, 7, 8)], "BL", "right"),
+            ([Rect(8, 2, 11, 6), Rect(0, 2, 3, 6), Rect(4, 0, 7, 6)], "TR", "left"),
+            ([Rect(8, 2, 11, 6), Rect(0, 2, 3, 6), Rect(4, 2, 7, 8)], "BR", "left"),
+            ([Rect(2, 8, 6, 11), Rect(2, 0, 6, 3), Rect(4, 4, 6, 7)], "TR", "bottom"),
+        ):
+            assert not sees(rects, 0, 1, corner, side), (corner, side)
+            assert sees(rects[:2], 0, 1, corner, side), (corner, side)
 
     def test_degenerate_touching_corridor(self):
-        rects = [Rect(0, 2, 4, 6), Rect(4, 0, 8, 4)]
-        # TL of rect 1 is on rect 0's right edge
-        assert sees(rects, 0, 1, "TL", "right")
+        # the corner lies on the seer's facing edge: a corridor of length 0
+        for rects, corner, side in (
+            ([Rect(0, 2, 4, 6), Rect(4, 0, 8, 4)], "TL", "right"),
+            ([Rect(4, 2, 8, 6), Rect(0, 0, 4, 4)], "TR", "left"),
+            ([Rect(4, 2, 8, 6), Rect(0, 4, 4, 8)], "BR", "left"),
+            ([Rect(2, 4, 6, 8), Rect(0, 0, 4, 4)], "TR", "bottom"),
+        ):
+            assert sees(rects, 0, 1, corner, side), (corner, side)
 
     def test_excluded_p_bottom_right(self):
-        # the corridor would start at the seer's bottom-right corner
-        rects = [Rect(0, 2, 4, 6), Rect(6, 0, 9, 2)]
-        assert not sees(rects, 0, 1, "TL", "right")
+        # the corridor would start at the seer's bottom-right corner, or on
+        # the left at its bottom-left corner
+        for rects, corner, side in (
+            ([Rect(0, 2, 4, 6), Rect(6, 0, 9, 2)], "TL", "right"),
+            ([Rect(5, 2, 9, 6), Rect(0, 0, 3, 2)], "TR", "left"),
+        ):
+            assert not sees(rects, 0, 1, corner, side), (corner, side)
 
     def test_vertical_direction(self):
         rects = [Rect(2, 5, 6, 9), Rect(2, 0, 6, 4)]
@@ -194,10 +228,16 @@ class TestSees:
     def test_invalid_combo(self):
         with pytest.raises(StructureError):
             sees(BASE, 0, 1, "TL", "left")
+        # a bad pair is reported before self-sight
+        with pytest.raises(StructureError, match="invalid corner/side"):
+            sees(BASE, 0, 0, "TL", "left")
+        with pytest.raises(StructureError, match="does not see itself"):
+            sees(BASE, 0, 0, "TL", "right")
 
     def test_frames_match_per_query_reflection(self):
         # the rect lists the visibility guarantee scans: every node of a
-        # partition, asked on one frame per side
+        # partition, every (side, corner) pair, against ref_sees, which
+        # reflects the rects so that each corridor runs rightward
         combos = (
             ("right", "TL"), ("right", "BL"), ("left", "TR"), ("left", "BR"),
             ("bottom", "TR"),
@@ -206,6 +246,8 @@ class TestSees:
         for family, n, regime in (
             ("uniform_random", 8, "three"), ("nested_grid", 8, "six"),
             ("windmill", 6, "two_eps"), ("packed", 12, "three"),
+            # a rect crosses a rightward corridor only from n = 6 on here
+            ("packed", 6, "six"),
         ):
             inst = generate(family, n, 1)
             m = maximal_extension(exact_mis(inst), inst)

@@ -1,4 +1,4 @@
-"""The identity sweep (sweep_digests.py) still runs: its two quick
+"""The identity sweep (sweep_digests.py) still runs: its three quick
 sections print their known line counts."""
 
 import sweep_digests
@@ -11,3 +11,10 @@ def test_dp_and_oracle_sections_print_their_listings(capsys):
     oracle = capsys.readouterr().out.splitlines()
     assert len(dp) == 70 and all(line.startswith("dp ") for line in dp)
     assert len(oracle) == 169 and all(line.startswith("oracle ") for line in oracle)
+
+
+def test_see_section_prints_one_line_per_instance(capsys):
+    sweep_digests.main(["see"])
+    see = capsys.readouterr().out.splitlines()
+    assert len(see) == len(sweep_digests.specs()) == 158
+    assert all(line.startswith("see ") for line in see)
