@@ -37,8 +37,9 @@ its inside rects, since the parts are interior-disjoint and each part's
 set lies inside that part.  Under the DP's order (larger size first,
 then the lexicographically smaller sorted tuple) no candidate beats the
 target, so once the best reaches it, enumerating every cut would end
-with the same value.  Every stored cell keeps its value, and a memo hit
-returns what it would without the exit.  Where the inside rects are
+with the same value.  Every stored cell keeps the value it would have
+without the exit, and without the k = 4 bounding-box rule below, so a
+memo hit returns that value too.  Where the inside rects are
 pairwise disjoint, the target is all of them, and the cell stops when
 its best reaches its rect count.
 
@@ -85,6 +86,27 @@ each part as ``surgery`` would, so the memo, the early exit and the tie
 rule see the same cuts.  Every other cell, and a rectangle cell at a
 walk budget of two or more, goes through ``_CellGeometry``,
 ``_enumerate_walks``, ``splice_plan`` and ``surgery``.
+
+At k = 4 a cell's value depends only on the rects inside it, so a cell
+holding two or more rects whose corners are not their bounding box B
+stores B's value, read from the memo or solved first with the cell's
+inside rects as candidates, and tries no chord.  Both cells are stored,
+and the cell cap counts both.  Why that is exact: let S be the rects
+inside a rectangle cell R, and B their bounding box, whose corners are
+grid points.  A chord of R on a grid line outside B's open range leaves
+all of S on one side; its candidate is the value of a smaller rectangle
+that holds S, plus an empty part.  A chord inside B's open range is
+also a chord of B, and the parts on each side hold the same rects in R
+as in B.  Each such part holds a proper subset of S, since the rect
+whose edge lies on B's bottom (top, left, right) line stays on that
+side of the chord or is cut by it.  The first-rect baseline, the order
+of ``inside`` and the target depend on S alone.  The DP's order is
+total, so a cell's value is the best of its candidates, whatever order
+they come in and wherever the early exit stops.  By induction on |S|,
+and for one S on the area of R, value(R) = value(B), with the same
+chosen set: R's candidates are B's plus value(B) itself.  Above k = 4
+tree cuts give three parts and the parts need not be rectangles, which
+this argument does not cover, so the rule stays at k = 4.
 """
 
 from __future__ import annotations
@@ -151,6 +173,12 @@ class DpConfig:
 
 @dataclass
 class DpStats:
+    """Counters of one ``dp_solve`` run.  ``cells`` is the number of cells
+    stored in the memo, the count the cell cap bounds; at k = 4 it counts
+    a cell that takes its rects' bounding box's value as well as the box.
+    ``cuts_tried`` counts the walks enumerated, usable or not, and the
+    branches of tree cuts; a cell that takes its box's value tries none."""
+
     cells: int = 0
     cuts_tried: int = 0
 
@@ -432,9 +460,11 @@ def dp_solve(
     stats: Optional[DpStats] = None,
 ) -> Solution:
     """Top-down memoized recursion over polygon cells: terminal cells hold
-    at most one rect; otherwise the best candidate over all enumerated
-    subdivisions, ties broken toward the lexicographically smallest chosen
-    index set, where a cell stops at its target (module docstring)."""
+    at most one rect; at k = 4 a cell whose corners are not its rects'
+    bounding box takes the box's value; otherwise the best candidate over
+    all enumerated subdivisions, ties broken toward the lexicographically
+    smallest chosen index set, where a cell stops at its target (module
+    docstring)."""
     cfg = DpConfig(k, cut_budget, tuple(shapes), cell_cap)
     pruned = containment_prune(inst.rects)
     kept = [inst.rects[i] for i in pruned]
@@ -494,6 +524,18 @@ def dp_solve(
             ]
         if len(inside) <= 1:
             return store(loop, (len(inside), tuple(c[0] for c in inside)))
+        if cfg.k == 4:
+            # a rectangle cell takes the value of its rects' bounding box
+            # (module docstring)
+            BX0 = min(c[1] for c in inside)
+            BY0 = min(c[2] for c in inside)
+            BX1 = max(c[3] for c in inside)
+            BY1 = max(c[4] for c in inside)
+            if (BX0, BY0, BX1, BY1) != (X0, Y0, X1, Y1):
+                x0, y0, x1, y1 = BX0 // 2, BY0 // 2, BX1 // 2, BY1 // 2
+                box = ((x0, y0), (x0, y1), (x1, y1), (x1, y0))
+                hit = memo.get(box) or solve((box, 2 * (x1 - x0) * (y1 - y0)), inside)
+                return store(loop, hit)
         mask = meets = 0
         for c in inside:
             mask |= c[5]

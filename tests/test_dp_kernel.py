@@ -65,10 +65,10 @@ RUNS = KERNEL_RUNS
 # enumeration orders differ.  The last run keeps two rects after
 # containment pruning, and they meet, so its root stops at its first rect.
 RUN_COUNTS = [
-    (16, 8),
-    (156, 158),
-    (167, 150),
-    (13, 7),
+    (14, 6),
+    (64, 32),
+    (78, 50),
+    (10, 4),
     (3, 1),
     (85, 48),
     (26, 18),
@@ -84,7 +84,14 @@ MORE_CUTS_THAN_FIRST_WRITTEN = {6}
 # Runs whose cells are checked one by one: RUNS stop most cells early, so
 # the windmill runs whose cells often fall short of their optimum (n = 12
 # at k = 4, n = 6 at k = 6) supply most cells, the non-rectangle ones too.
-CELL_RUNS = RUNS + WINDMILL_RUNS[1:]
+# At k = 4 a cell whose corners are not its rects' bounding box takes the
+# box's value and is cut no further, which leaves those runs fewer cells;
+# windmill n = 16 and nested_grid n = 10 (seeds 0 and 1) at k = 4 bring
+# the rectangle cells back up.
+CELL_RUNS = RUNS + WINDMILL_RUNS[1:] + [
+    (generate(family, n, seed), 4, 1, ("path", "tree"))
+    for family, n, seed in (("windmill", 16, 0), ("nested_grid", 10, 0), ("nested_grid", 10, 1))
+]
 
 
 def random_loop(rng: random.Random) -> list[tuple[int, int]]:
@@ -190,7 +197,7 @@ def dp_cells():
             ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
             out[loop] = (area2, xs, ys, 1 if k == 4 else b)
     assert len(out) > 1000
-    assert len(out) == 2676 and sum(len(loop) == 4 for loop in out) == 2029
+    assert len(out) == 2692 and sum(len(loop) == 4 for loop in out) == 2045
     return out
 
 
@@ -322,7 +329,7 @@ def test_chords_are_the_kernel_cuts_at_budget_one(dp_cells):
         assert list(_chords(loop, area2, wide(xs), wide(ys))) == want, loop
         rectangles += 1
         chords += len(want)
-    assert rectangles == 2029 and chords > 5000
+    assert rectangles == 2045 and chords > 5000
 
 
 def test_touch_tables_match_touch_intervals(dp_cells):
@@ -440,14 +447,16 @@ def test_dp_solve_matches_first_written(run):
 
 
 def test_dp_solve_matches_first_written_on_a_battery():
-    """Cells that stop at their optimum keep the first-written DP's value
-    and choice: every generator family at n = 3..8 at k = 4 with path and
+    """Cells that stop at their optimum, and at k = 4 cells that take the
+    value of their rects' bounding box, keep the first-written DP's value
+    and choice: every generator family at n = 3..10 at k = 4 with path and
     tree cuts, and at n = 3 at k = 6 with two-segment paths (the
     first-written tree cuts take seconds a run there), one seeded seed
     each."""
     rng = random.Random(8)
     runs = [(f, n, 4, 1, ("path", "tree")) for f in GENERATOR_KINDS for n in range(3, 9)]
     runs += [(f, 3, 6, 2, ("path",)) for f in GENERATOR_KINDS]
+    runs += [(f, n, 4, 1, ("path", "tree")) for f in GENERATOR_KINDS for n in (9, 10)]
     for family, n, k, b, shapes in runs:
         inst = generate(family, n, rng.randrange(10))
         sol = dp_solve(inst, k, b, shapes)

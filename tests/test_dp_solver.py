@@ -101,7 +101,7 @@ class TestDpSolve:
     @pytest.mark.parametrize(
         "spec, k, b, shapes, cells",
         [
-            (("windmill", 5, 0), 4, 3, ("path", "tree"), 167),
+            (("windmill", 5, 0), 4, 3, ("path", "tree"), 78),
             (("nested_grid", 3, 1), 6, 2, ("path",), 85),
         ],
         ids=["k4-windmill", "k6-nested_grid"],
