@@ -41,7 +41,7 @@ from misr.instance import exact_mis, generate
 from misr.partition import recursive_partition
 from misr.structure import LineFences, maximal_extension
 
-from bench_cut import suite
+from bench_cut import Timer, suite
 
 REGIMES = (("six", None), ("three", None), ("two_eps", Fraction(1, 2)))
 PASSES = 5
@@ -52,32 +52,6 @@ TIMED = (
     ("validate_partition", partition),
     ("assert_maximal", structure),
 )
-
-
-class Timer:
-    """Counts and times the outermost calls of one function; ``wrapper``
-    is the function to install, which binds as a method where the
-    original does."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.depth = 0
-        self.calls = 0
-        self.seconds = 0.0
-
-        def wrapper(*args, **kwargs):
-            if self.depth:
-                return fn(*args, **kwargs)
-            self.depth = 1
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self.seconds += time.perf_counter() - t0
-                self.calls += 1
-                self.depth = 0
-
-        self.wrapper = wrapper
 
 
 def one_pass(sets: list, runs: list, packed) -> dict:

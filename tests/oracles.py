@@ -1,8 +1,50 @@
-"""Independent oracles and generators for the test suite.
+"""Independent references and generators for the test suite.
 
-Everything here is deliberately separate from the library's own
-algorithms: brute-force enumeration, chord scans, and blob/notch polygon
-builders used to cross-check the constructive machinery.
+One reference per question.  A test that checks a library routine
+compares it with the one reference this module keeps for the routine's
+question: the one closest to the paper's definition, such as a brute
+force, a scan of the vertex loop or the routine as first written.  A
+reference never calls the library routine it checks; the library code
+it does call has tests of its own.  A name here that no test module
+reads fails tests/test_dead_code.py.
+
+Each kept reference, the library routine it checks, and the library
+names it still calls ("nothing" still reads a polygon's vertex loop, its
+input):
+
+  brute_force_mis: exact_mis; rects_intersect
+  ref_side_doubled: side_doubled; nothing
+  ref_contains_rect: contains_rect; nothing
+  brute_force_hconvex: is_horizontally_convex; RectPolygon.bbox
+  ref_canon_loop: canon_loop and RectPolygon's canonical loop; nothing
+  ref_surgery, RefCellGeometry, ref_enumerate_walks: surgery,
+      _CellGeometry, _enumerate_walks; nothing
+  ref_dp_solve: dp_solve and its DpStats; containment_prune
+  ref_moves, NestedFenceEngine, nested_is_tau_protected: FenceEngine;
+      horizontal_section, vertical_section, edges, vertical_edge_sides
+  ref_maximal_extension: maximal_extension; _x_overlap, _y_overlap
+  ref_sees, ref_seen_corners_on_side: sees, seen_corners_on_side;
+      Rect.corner
+  ref_protecting_fences, ref_one_edge_anchors_both: LineFences.anchors,
+      protected, one_edge_anchors_both; edges, vertical_edge_sides
+  ref_enumerate_line_fences, ref_furthest, ref_crossing_anchor:
+      LineFences.furthest, crossing_anchor; horizontal_reach,
+      vertical_edge_sides
+  ref_line_anchor, ref_ray_crossing: partition._line_anchor,
+      _ray_crossing; LineFences.furthest, crossing_anchor
+  ref_edge_sides: vertical_edge_sides; nothing
+  ref_is_simple: RectPolygon.is_simple; nothing
+  ref_cut_pieces: inside_pieces; nothing
+  ref_split_components: split_components; RectPolygon, to build the parts
+  ref_contains_walk, ref_holds: contains_walk, LineFences._holds; nothing
+  ref_assert_maximal: assert_maximal; rects_intersect
+  ref_root_is_square, ref_horizontal_edges_miss_rects: two clauses of
+      validate_partition; RectPolygon.from_rect, edges,
+      segment_intersects_rect
+
+The rest of the module builds inputs (blob, notched and cell-traced
+polygons, the units of acceptance criterion 6) and holds small test
+helpers.
 """
 
 from __future__ import annotations
@@ -14,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from misr.dp_solver import DpError, dp_solve, surgery
+from misr.dp_solver import DpError
 from misr.geom_core import (
     Cut,
     CutError,
@@ -23,7 +65,6 @@ from misr.geom_core import (
     Rect,
     RectPolygon,
     Segment,
-    _cut_points,
     is_horizontally_convex,
     rects_intersect,
     segment_intersects_rect,
@@ -45,84 +86,66 @@ from misr.structure import (
 
 
 def brute_force_mis(inst: Instance) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive maximum independent set; lexicographically smallest among
-    the maximum ones."""
-    n = inst.n
-    best = (0, ())
+    """Exhaustive maximum independent set: every index subset, largest
+    size first and each size in lexicographic order, until one is
+    pairwise disjoint.  Returns its size and the subset, so among the
+    maximum sets the lexicographically smallest."""
+    n, rects = inst.n, inst.rects
+    adj = [0] * n  # bit j of adj[i]: rects i and j meet
+    for i, j in combinations(range(n), 2):
+        if rects_intersect(rects[i], rects[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     for size in range(n, 0, -1):
-        found = None
         for combo in combinations(range(n), size):
-            ok = all(
-                not rects_intersect(inst.rects[a], inst.rects[b])
-                for a, b in combinations(combo, 2)
-            )
-            if ok:
-                found = combo
-                break
-        if found is not None:
-            best = (size, found)
-            break
-    return best
+            taken = 0
+            for v in combo:
+                if adj[v] & taken:
+                    break
+                taken |= 1 << v
+            else:
+                return size, combo
+    return 0, ()
 
 
-def ref_exact_mis(inst: Instance) -> Solution:
-    """Reference for exact_mis: branch and bound on Python sets over the
-    whole intersection graph (greedy lower bound, clique-cover upper
-    bound); among maximum sets the lexicographically smallest index set
-    is returned."""
-    n = inst.n
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rects_intersect(inst.rects[i], inst.rects[j]):
-                adj[i].add(j)
-                adj[j].add(i)
-
-    def greedy(cand: list[int]) -> list[int]:
-        picked = []
-        banned: set[int] = set()
-        for v in sorted(cand, key=lambda v: (len(adj[v] & set(cand)), v)):
-            if v not in banned:
-                picked.append(v)
-                banned |= adj[v]
-        return picked
-
-    def clique_cover_bound(cand: list[int]) -> int:
-        remaining = set(cand)
-        cliques = 0
-        while remaining:
-            v = min(remaining, key=lambda u: (len(remaining - adj[u] - {u}), u))
-            clique = {v}
-            for u in sorted(remaining - {v}):
-                if all(u in adj[w] for w in clique):
-                    clique.add(u)
-            remaining -= clique
-            cliques += 1
-        return cliques
-
-    best: list[int] = sorted(greedy(list(range(n))))
-
-    def search(cand: list[int], chosen: list[int]) -> None:
-        nonlocal best
-        if not cand:
-            if len(chosen) > len(best) or (
-                len(chosen) == len(best) and chosen < best
-            ):
-                best = list(chosen)
-            return
-        # Strict bound only: ties must stay reachable so the lexicographic
-        # rule is exact.
-        if len(chosen) + clique_cover_bound(cand) < len(best):
-            return
-        v = cand[0]
-        search([u for u in cand[1:] if u not in adj[v]], chosen + [v])
-        search(cand[1:], chosen)
-
-    search(list(range(n)), [])
-    return Solution(tuple(sorted(best)))
+# -- point location, rect containment, horizontal convexity ------------------------
+#
+# Read off the vertex loop: no edge table or line section of the
+# library's polygon.  A loop is any sequence of (x, y) pairs, a
+# RectPolygon's vertices or a DP cell.
 
 
-# -- brute force horizontal convexity ----------------------------------------------
+def ref_side_doubled(loop: Sequence[tuple[int, int]], X: int, Y: int) -> int:
+    """Where the doubled point (X, Y) lies against the closed loop: 0 on
+    an edge, 1 inside, -1 outside.  Off the boundary it is inside when an
+    odd number of vertical edges lie to its right, each counted over its
+    half-open span lo <= Y < hi."""
+    inside = False
+    px, py = loop[-1]
+    for qx, qy in loop:
+        if px == qx:
+            lo, hi = (2 * py, 2 * qy) if py < qy else (2 * qy, 2 * py)
+            if lo <= Y <= hi:
+                if X == 2 * px:
+                    return 0
+                if X < 2 * px and Y < hi:
+                    inside = not inside
+        elif Y == 2 * py and (2 * px <= X <= 2 * qx or 2 * qx <= X <= 2 * px):
+            return 0
+        px, py = qx, qy
+    return 1 if inside else -1
+
+
+def ref_contains_rect(loop: Sequence[tuple[int, int]], r: Rect) -> bool:
+    """The open rect lies inside the closed loop: its centre is not
+    outside, and no edge reaches into it."""
+    if ref_side_doubled(loop, r.xl + r.xr, r.yb + r.yt) < 0:
+        return False
+    return not any(
+        min(p[0], q[0]) < r.xr and max(p[0], q[0]) > r.xl
+        and min(p[1], q[1]) < r.yt and max(p[1], q[1]) > r.yb
+        for p, q in zip(loop, loop[1:] + loop[:1])
+    )
 
 
 def brute_force_hconvex(poly: RectPolygon) -> bool:
@@ -132,21 +155,11 @@ def brute_force_hconvex(poly: RectPolygon) -> bool:
     for Y in range(2 * y0, 2 * y1 + 1):
         row = [
             X for X in range(2 * x0, 2 * x1 + 1)
-            if loop_contains_doubled(poly._vtab, poly._htab, X, Y)
+            if ref_side_doubled(poly.vertices, X, Y) >= 0
         ]
         if row and row[-1] - row[0] + 1 != len(row):
             return False
     return True
-
-
-def ref_is_horizontally_convex(p: RectPolygon) -> bool:
-    """is_horizontally_convex as first written, a section scan: sections
-    change only at vertex rows, so it is enough that each vertex row, and
-    one line inside each open row between two vertex rows, meets the
-    polygon in at most one interval."""
-    _, ys = p.coords()
-    lines = [2 * y for y in ys] + [y + z for y, z in zip(ys, ys[1:])]
-    return all(len(p._section(c, True)) <= 1 for c in lines)
 
 
 # -- polygon generators --------------------------------------------------------------
@@ -185,58 +198,82 @@ def blob_polygon(rng: random.Random, grid: int = 8, cells: int = 14) -> RectPoly
 
 
 def cells_to_polygon(blob: set[tuple[int, int]]) -> RectPolygon:
-    """Trace the outer boundary of a connected hole-free cell set."""
-    edges: dict[Point, list[Point]] = {}
+    """Trace the outer boundary of a connected hole-free set of unit cells
+    of non-negative coordinates."""
+    grid = range(max(max(c) for c in blob) + 2)
+    return trace_cells(blob, grid, grid)
+
+
+def trace_cells(cells, xs: Sequence[int], ys: Sequence[int], blocked=None) -> RectPolygon:
+    """The polygon of a set of grid cells, cell (i, j) spanning
+    [xs[i], xs[i+1]] x [ys[j], ys[j+1]]: a cell side is boundary where no
+    cell of the set lies across it or where ``blocked(vertical,
+    coordinate, lo, hi)`` says a wall covers it."""
+    cellset = set(cells)
+    outgoing: dict[Point, list[Point]] = {}  # directed boundary edges by start
 
     def add(a: Point, b: Point) -> None:
-        edges.setdefault(a, []).append(b)
+        outgoing.setdefault(a, []).append(b)
 
-    for (x, y) in blob:
-        if (x - 1, y) not in blob:
-            add(Point(x, y), Point(x, y + 1))
-        if (x + 1, y) not in blob:
-            add(Point(x + 1, y + 1), Point(x + 1, y))
-        if (x, y - 1) not in blob:
-            add(Point(x + 1, y), Point(x, y))
-        if (x, y + 1) not in blob:
-            add(Point(x, y + 1), Point(x + 1, y + 1))
-    start = min(edges)
+    def wall(*side) -> bool:
+        return blocked is not None and blocked(*side)
+
+    for (i, j) in cells:
+        x1, x2, y1, y2 = xs[i], xs[i + 1], ys[j], ys[j + 1]
+        if (i - 1, j) not in cellset or wall(True, x1, y1, y2):
+            add(Point(x1, y1), Point(x1, y2))
+        if (i + 1, j) not in cellset or wall(True, x2, y1, y2):
+            add(Point(x2, y2), Point(x2, y1))
+        if (i, j - 1) not in cellset or wall(False, y1, x1, x2):
+            add(Point(x2, y1), Point(x1, y1))
+        if (i, j + 1) not in cellset or wall(False, y2, x1, x2):
+            add(Point(x1, y2), Point(x2, y2))
+    return trace_loop(outgoing)
+
+
+# the directions to try after a step in each direction: the rightmost
+# turn first, which keeps the traced face consistent at a pinch, and the
+# reversal last, which lets a slit's tip turn back
+_TURNS = {
+    (0, 1): [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    (1, 0): [(0, -1), (1, 0), (0, 1), (-1, 0)],
+    (0, -1): [(-1, 0), (0, -1), (1, 0), (0, 1)],
+    (-1, 0): [(0, 1), (-1, 0), (0, -1), (1, 0)],
+}
+
+
+def trace_loop(outgoing: dict[Point, list[Point]]) -> RectPolygon:
+    """The polygon of directed boundary edges, keyed by their start, that
+    keep the interior on their right: traced from the smallest start,
+    turning by ``_TURNS`` where a point has several ways on.  Raises
+    GeometryError when the edges do not close into a single loop."""
+    start = cur = min(outgoing)
     loop = [start]
-    cur = start
-    prev_dir = None
-    turn_order = {
-        (0, 1): [(1, 0), (0, 1), (-1, 0), (0, -1)],
-        (1, 0): [(0, -1), (1, 0), (0, 1), (-1, 0)],
-        (0, -1): [(-1, 0), (0, -1), (1, 0), (0, 1)],
-        (-1, 0): [(0, 1), (-1, 0), (0, -1), (1, 0)],
-    }
+    step = None
     while True:
-        cands = edges.get(cur, [])
+        cands = outgoing.get(cur)
         if not cands:
-            raise ValueError("open boundary")
-        if prev_dir is None or len(cands) == 1:
-            nxt = sorted(cands)[0]
+            raise GeometryError("boundary trace dead end")
+        if step is None or len(cands) == 1:
+            nxt = min(cands)
         else:
-            nxt = None
-            for d in turn_order[prev_dir]:
-                for c in sorted(cands):
-                    step = ((c.x > cur.x) - (c.x < cur.x), (c.y > cur.y) - (c.y < cur.y))
-                    if step == d:
-                        nxt = c
-                        break
-                if nxt:
-                    break
+            nxt = min(cands, key=lambda c: (_TURNS[step].index(_direction(cur, c)), c))
         cands.remove(nxt)
         if not cands:
-            del edges[cur]
-        prev_dir = ((nxt.x > cur.x) - (nxt.x < cur.x), (nxt.y > cur.y) - (nxt.y < cur.y))
+            del outgoing[cur]
+        step = _direction(cur, nxt)
         cur = nxt
         if cur == start:
             break
         loop.append(cur)
-    if edges:
-        raise ValueError("cell set traced into multiple loops (pinched blob)")
+    if outgoing:
+        # leftover edges: a second loop, a hole or a pinched-off part
+        raise GeometryError("boundary is not a single loop")
     return RectPolygon(loop)
+
+
+def _direction(a: Point, b: Point) -> tuple[int, int]:
+    return (b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)
 
 
 def notched_polygon(
@@ -396,68 +433,28 @@ def _grow_in_polygon(poly: RectPolygon, others: list[Rect], r: Rect) -> Rect:
     return r
 
 
-# -- exhaustive cut-language value (tiny instances) -----------------------------------
-
-
-def naive_dp_value(inst: Instance, k: int, budget: int) -> int:
-    """Value-only recursion over the same declared cut language, without
-    the solver's tie-breaking, pruning, or early exits; cross-checks that
-    those optimizations never change the computed value.  It runs on the
-    DP's loop kernel as first written (below), not on the library's."""
-    from misr.dp_solver import containment_prune
-
-    pruned = containment_prune(inst.rects)
-    rects = [(i, inst.rects[i]) for i in pruned]
-    gxs = sorted({c for _i, r in rects for c in (r.xl, r.xr)} | {0, inst.side})
-    gys = sorted({c for _i, r in rects for c in (r.yb, r.yt)} | {0, inst.side})
-    root = ref_canon_loop([(0, 0), (0, inst.side), (inst.side, inst.side), (inst.side, 0)])
-    memo: dict = {}
-
-    def solve(loop) -> int:
-        if loop in memo:
-            return memo[loop]
-        inside = [i for i, r in rects if ref_loop_contains_rect(loop, r)]
-        if len(inside) <= 1:
-            memo[loop] = len(inside)
-            return len(inside)
-        xs = [x for x in gxs if min(p[0] for p in loop) <= x <= max(p[0] for p in loop)]
-        ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
-        geom = RefCellGeometry(loop, xs, ys)
-        best = 1
-        b = 1 if k == 4 else budget
-        for walk in ref_enumerate_walks(geom, b):
-            try:
-                parts = ref_surgery(loop, walk)
-            except Exception:
-                continue
-            if any(len(p) > k for p in parts):
-                continue
-            best = max(best, sum(solve(p) for p in parts))
-        memo[loop] = best
-        return best
-
-    return solve(root)
-
-
 # -- the DP's loop kernel as first written -----------------------------------------
 #
-# Canonicalization by repeated deletion, the per-cut area re-check and the
-# per-call cell geometry of the polygon DP, and RectPolygon's own
-# canonicalization, as they were before both moved onto the integer loop
-# kernel in geom_core.  test_dp_kernel.py requires the library to agree
-# with them exactly; naive_dp_value runs on them alone.
+# Canonicalization by repeated deletion, the per-cut area re-check, the
+# per-call cell geometry and the memoized recursion of the polygon DP as
+# they were before it moved onto the integer loop kernel in geom_core.
+# test_dp_kernel.py requires the library's kernel, RectPolygon's
+# canonical loop and dp_solve to agree with them exactly.
 
 
-def ref_canon_loop(pts: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Canonical form of a rectilinear vertex loop: duplicates and
-    collinear runs merged, clockwise, rotated to the smallest vertex."""
+def ref_canon_loop(
+    pts: Sequence[tuple[int, int]], simple: bool = True
+) -> tuple[tuple[int, int], ...]:
+    """Canonical form of a rectilinear vertex loop: repeated points and
+    the middle points of axis-collinear runs deleted one at a time until
+    none is left, clockwise, rotated to the smallest vertex.  Raises
+    DpError on an edge off the axes, on fewer than four points left, on
+    zero area and, when ``simple``, on a repeated point (a pinched loop):
+    the DP's cells must be simple, a RectPolygon need not be."""
     out = list(pts)
     changed = True
     while changed:
         changed = False
-        n = len(out)
-        if n < 3:
-            break
         i = 0
         while i < len(out) and len(out) > 2:
             n = len(out)
@@ -469,13 +466,12 @@ def ref_canon_loop(pts: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...
                 i += 1
     if len(out) < 4:
         raise DpError("degenerate loop")
-    if len(set(out)) != len(out):
+    for p, q in zip(out, out[1:] + out[:1]):
+        if p[0] != q[0] and p[1] != q[1]:
+            raise DpError(f"edge {p}-{q} not axis-parallel")
+    if simple and len(set(out)) != len(out):
         raise DpError("pinched loop")
-    area2 = 0
-    n = len(out)
-    for i in range(n):
-        p, q = out[i], out[(i + 1) % n]
-        area2 += p[0] * q[1] - q[0] * p[1]
+    area2 = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(out, out[1:] + out[:1]))
     if area2 == 0:
         raise DpError("zero-area loop")
     if area2 > 0:
@@ -491,39 +487,6 @@ def ref_loop_area2(loop: Sequence[tuple[int, int]]) -> int:
         p, q = loop[i], loop[(i + 1) % n]
         total += p[0] * q[1] - q[0] * p[1]
     return abs(total)
-
-
-def ref_merge_collinear(vertices: list[Point]) -> list[Point]:
-    out = list(vertices)
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        n = len(out)
-        for idx in range(n):
-            p, q, r = out[(idx - 1) % n], out[idx], out[(idx + 1) % n]
-            if (p.x == q.x == r.x) or (p.y == q.y == r.y) or p == q:
-                del out[idx]
-                changed = True
-                break
-    return out
-
-
-def ref_polygon_vertices(vertices: Sequence[Point]) -> tuple[Point, ...]:
-    """RectPolygon's canonical vertex tuple; raises GeometryError where
-    RectPolygon must."""
-    vs = ref_merge_collinear(list(vertices))
-    if len(vs) < 4:
-        raise GeometryError(f"too few vertices for a rectilinear polygon: {vs}")
-    for p, q in zip(vs, vs[1:] + vs[:1]):
-        if p.x != q.x and p.y != q.y:
-            raise GeometryError(f"edge {p}-{q} not axis-parallel")
-    signed = sum(p.x * q.y - q.x * p.y for p, q in zip(vs, vs[1:] + vs[:1]))
-    if signed == 0:
-        raise GeometryError("zero-area vertex loop")
-    if signed > 0:  # counter-clockwise in y-up coordinates
-        vs.reverse()
-    start = min(range(len(vs)), key=lambda i: (vs[i].x, vs[i].y))
-    return tuple(vs[start:] + vs[:start])
 
 
 def _ref_loop_insert(loop: list[tuple[int, int]], p: tuple[int, int]) -> list[tuple[int, int]]:
@@ -610,21 +573,6 @@ class RefCellGeometry:
                 return True
         return False
 
-    def contains_mid(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        """Is the midpoint of ab inside the closed polygon (doubled)?"""
-        X, Y = a[0] + b[0], a[1] + b[1]
-        for x, ylo, yhi in self.vedges:
-            if X == 2 * x and 2 * ylo <= Y <= 2 * yhi:
-                return True
-        for y, xlo, xhi in self.hedges:
-            if Y == 2 * y and 2 * xlo <= X <= 2 * xhi:
-                return True
-        parity = 0
-        for x, ylo, yhi in self.vedges:
-            if 2 * ylo <= Y < 2 * yhi and 2 * x > X:
-                parity ^= 1
-        return parity == 1
-
     def corridor(
         self, p: tuple[int, int], dx: int, dy: int
     ) -> tuple[Optional[int], list[int]]:
@@ -656,19 +604,9 @@ class RefCellGeometry:
             mids = [c for c in coords if t < c < pos]
             mids.reverse()
         end = (t, p[1]) if dx else (p[0], t)
-        if not self.contains_mid(p, end):
+        if ref_side_doubled(self.loop, p[0] + end[0], p[1] + end[1]) < 0:
             return None, []
         return t, mids
-
-
-def ref_loop_contains_rect(loop, r: Rect) -> bool:
-    """Open rect inside the closed loop: its centre inside, no edge into it."""
-    if not RefCellGeometry(loop, [], []).contains_mid((r.xl, r.yb), (r.xr, r.yt)):
-        return False
-    return not any(
-        segment_intersects_rect(Segment(Point(*p), Point(*q)), r)
-        for p, q in zip(loop, loop[1:] + loop[:1])
-    )
 
 
 _WALK_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -739,7 +677,7 @@ def ref_dp_solve(
         hit = memo.get(loop)
         if hit is not None:
             return hit
-        inside = [(i, r) for i, r in rects if ref_loop_contains_rect(loop, r)]
+        inside = [(i, r) for i, r in rects if ref_contains_rect(loop, r)]
         if len(inside) <= 1:
             memo[loop] = (len(inside), tuple(i for i, _r in inside))
             return memo[loop]
@@ -827,15 +765,53 @@ def ref_dp_solve(
     return size, tuple(sorted(chosen)), len(memo), cuts
 
 
-# -- reference fence engine (nested tables) ----------------------------------------
+# -- reference fence engine --------------------------------------------------------
 #
 # The fence engine and the protection checks as first written: BFS
-# distances in nested per-point lists, predecessors in a dict keyed by
-# state tuple.  The library's engine must agree with these on every
-# verdict, every covered point and every chain walk.
+# distances and predecessors in dicts keyed by state tuple, over the free
+# unit steps of ref_moves's table.  The library's engine must agree with
+# these on every verdict, every covered point and every chain walk.
 
 _H, _VU, _VD, _START = 0, 1, 2, 3
-_DIRS = ((1, 0, _H), (-1, 0, _H), (0, 1, _VU), (0, -1, _VD))
+# (dx, dy, orientation, the step's bit in ref_moves's table)
+_DIRS = ((1, 0, _H, 1), (-1, 0, _H, 2), (0, 1, _VU, 4), (0, -1, _VD, 8))
+
+
+def ref_moves(poly: RectPolygon, rects: Sequence[Rect]) -> bytes:
+    """The fence engine's move table as first written, one grid point at
+    a time: moves[ix*ny + iy] holds the bits right 1, left 2, up 4 and
+    down 8 of the free unit steps from (x0+ix, y0+iy)."""
+    x0, y0, x1, y1 = poly.bbox()
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+
+    def free_steps(sections, blocked, lo0, n):
+        free = bytearray(n)
+        for lo, hi in sections:
+            free[lo - lo0 : hi - lo0] = b"\x01" * (hi - lo)
+        for lo, hi in blocked:
+            lo, hi = max(lo - lo0, 0), min(hi - lo0, n)
+            if lo < hi:
+                free[lo:hi] = bytes(hi - lo)
+        return free
+
+    moves = bytearray(nx * ny)
+    for j in range(ny):
+        y = y0 + j
+        blocked = [(r.xl, r.xr) for r in rects if r.yb < y < r.yt]
+        free = free_steps(poly.horizontal_section(y), blocked, x0, nx)
+        for i, ok in enumerate(free):
+            if ok:
+                moves[i * ny + j] |= 1
+                moves[(i + 1) * ny + j] |= 2
+    for i in range(nx):
+        x = x0 + i
+        blocked = [(r.yb, r.yt) for r in rects if r.xl < x < r.xr]
+        free = free_steps(poly.vertical_section(x), blocked, y0, ny)
+        for j, ok in enumerate(free):
+            if ok:
+                moves[i * ny + j] |= 4
+                moves[i * ny + j + 1] |= 8
+    return bytes(moves)
 
 
 class NestedFenceEngine:
@@ -850,41 +826,20 @@ class NestedFenceEngine:
         self.x0, self.y0 = x0, y0
         self.nx = x1 - x0 + 1
         self.ny = y1 - y0 + 1
-        self._hstep: Optional[list[list[bool]]] = None
-        self._vstep: Optional[list[list[bool]]] = None
+        self._table: Optional[bytes] = None
         self._cache: dict = {}
         self._points: Optional[list[Point]] = None
 
-    def _steps(self):
-        if self._hstep is None:
-            poly, rects = self.poly, self.rects
-            x0, y0 = self.x0, self.y0
-            hstep = [[False] * self.ny for _ in range(max(self.nx - 1, 1))]
-            for j in range(self.ny):
-                y = y0 + j
-                blocked = [(r.xl, r.xr) for r in rects if r.yb < y < r.yt]
-                for lo, hi in poly.horizontal_section(y):
-                    for x in range(lo, hi):
-                        if any(bl <= x and x + 1 <= bh for bl, bh in blocked):
-                            continue
-                        hstep[x - x0][j] = True
-            vstep = [[False] * max(self.ny - 1, 1) for _ in range(self.nx)]
-            for i in range(self.nx):
-                x = x0 + i
-                blocked = [(r.yb, r.yt) for r in rects if r.xl < x < r.xr]
-                for lo, hi in poly.vertical_section(x):
-                    for y in range(lo, hi):
-                        if any(bl <= y and y + 1 <= bh for bl, bh in blocked):
-                            continue
-                        vstep[i][y - y0] = True
-            self._hstep, self._vstep = hstep, vstep
-        return self._hstep, self._vstep
+    def _moves(self) -> bytes:
+        if self._table is None:
+            self._table = ref_moves(self.poly, self.rects)
+        return self._table
 
     def _bfs(self, seeds: list[tuple[int, int, int, int, int]]) -> dict:
         """dist maps each reached state (ix, iy, o, h) to its distance, keyed
         like parent; a state missing from it is at tau + 1.  best maps each
         reached grid offset (ix, iy) to the least distance of its states."""
-        hstep, vstep = self._steps()
+        moves, ny = self._moves(), self.ny
         INF = self.tau + 1
         dist: dict[tuple, int] = {}
         best: dict[tuple, int] = {}
@@ -901,18 +856,10 @@ class NestedFenceEngine:
             d, ix, iy, o, h = dq.popleft()
             if d > dist[(ix, iy, o, h)]:
                 continue
-            for dx, dy, no in _DIRS:
+            for dx, dy, no, bit in _DIRS:
+                if not moves[ix * ny + iy] & bit:
+                    continue
                 nix, niy = ix + dx, iy + dy
-                if not (0 <= nix < self.nx and 0 <= niy < self.ny):
-                    continue
-                if dx == 1 and not hstep[ix][iy]:
-                    continue
-                if dx == -1 and not hstep[ix - 1][iy]:
-                    continue
-                if dy == 1 and not vstep[ix][iy]:
-                    continue
-                if dy == -1 and not vstep[ix][iy - 1]:
-                    continue
                 if no == _H:
                     nh = 1 if dx == 1 else 2
                     if h != 0 and h != nh:
@@ -948,10 +895,10 @@ class NestedFenceEngine:
         key = ("run", y, x1, x2, rightward)
         if key in self._cache:
             return self._cache[key]
-        hstep, _ = self._steps()
+        moves = self._moves()
         iy = y - self.y0
         ok = 0 <= iy < self.ny and all(
-            0 <= i < len(hstep) and hstep[i][iy]
+            0 <= i < self.nx and moves[i * self.ny + iy] & 1
             for i in range(x1 - self.x0, x2 - self.x0)
         )
         result = None
@@ -978,7 +925,7 @@ class NestedFenceEngine:
         ix, iy = p.x - self.x0, p.y - self.y0
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
             return False
-        hstep, vstep = self._steps()
+        free = self._moves()[ix * self.ny + iy]
         dist = table["dist"]
         for o in range(4):
             if o == _START:
@@ -987,14 +934,8 @@ class NestedFenceEngine:
                 d = dist.get((ix, iy, o, h), self.tau + 1)
                 if d > self.tau:
                     continue
-                for dx, dy, no in _DIRS:
-                    if dx == 1 and not (ix < self.nx - 1 and hstep[ix][iy]):
-                        continue
-                    if dx == -1 and not (ix > 0 and hstep[ix - 1][iy]):
-                        continue
-                    if dy == 1 and not (iy < self.ny - 1 and vstep[ix][iy]):
-                        continue
-                    if dy == -1 and not (iy > 0 and vstep[ix][iy - 1]):
+                for dx, _dy, no, bit in _DIRS:
+                    if not free & bit:
                         continue
                     if no == _H:
                         nh = 1 if dx == 1 else 2
@@ -1172,49 +1113,6 @@ def ref_seen_corners_on_side(rects: Sequence[Rect], i: int, side: str, candidate
     return out
 
 
-def line_protected(r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]) -> bool:
-    """Line-fence protection as first written: a horizontal segment from a
-    facing vertical polygon edge to r's far corner, inside the polygon and
-    clear of rect interiors, along r's top or bottom edge."""
-    sides = poly.vertical_edge_sides()
-    edges = poly.edges()
-    for y in (r.yt, r.yb):
-        for idx, side in sides.items():
-            e = edges[idx]
-            ey1, ey2 = sorted((e.a.y, e.b.y))
-            if not ey1 <= y <= ey2:
-                continue
-            xe = e.a.x
-            if (side == "left" and xe > r.xl) or (side == "right" and xe < r.xr):
-                continue
-            target_x = r.xr if side == "left" else r.xl
-            x1, x2 = sorted((xe, target_x))
-            if not poly.contains_walk((Point(xe, y), Point(target_x, y))):
-                continue
-            if any(o.yb < y < o.yt and x1 < o.xr and x2 > o.xl for _rid, o in rects_in):
-                continue
-            return True
-    return False
-
-
-def ref_one_edge_anchors_both(
-    r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
-) -> bool:
-    """one_edge_anchors_both as first written: some vertical polygon edge
-    holding both of r's edge rows anchors a protecting fence on each."""
-    anchors = {(f.anchor, f.side) for f in ref_protecting_fences(poly, rects_in, r)}
-    edges = poly.edges()
-    for idx, side in poly.vertical_edge_sides().items():
-        e = edges[idx]
-        lo, hi = sorted((e.a.y, e.b.y))
-        kind = f"from_{side}_edge"
-        if lo <= r.yb and r.yt <= hi and all(
-            (Point(e.a.x, y), kind) in anchors for y in (r.yt, r.yb)
-        ):
-            return True
-    return False
-
-
 # -- test-only helpers -------------------------------------------------------------
 
 
@@ -1296,95 +1194,17 @@ def intersection_matrix(rects: tuple[Rect, ...]) -> list[list[bool]]:
     ]
 
 
-def split_by_path(poly: RectPolygon, walk: Sequence[Point]) -> list[RectPolygon]:
-    """Polygon-level wrapper around the DP's loop surgery."""
-    (l1, _), (l2, _) = surgery(
-        tuple((p.x, p.y) for p in poly.vertices), [(p.x, p.y) for p in walk], poly.area2()
-    )
-    return [
-        RectPolygon([Point(x, y) for x, y in l1]),
-        RectPolygon([Point(x, y) for x, y in l2]),
-    ]
-
-
-def dp_dominates_partition(
-    inst: Instance,
-    tracked_count: int,
-    k: int,
-    cut_budget: int,
-    shapes: tuple[str, ...] = ("path", "tree"),
-    cell_cap: int = 2_000_000,
-) -> bool:
-    """Executable dominance check: the DP must match or beat the tracked
-    set of any valid recursive partition expressible in its cut
-    language."""
-    sol = dp_solve(inst, k, cut_budget, shapes, cell_cap)
-    return sol.size >= tracked_count
-
-
 # -- per-call polygon predicates (reference for the edge tables) -------------------
 #
-# The polygon predicates as first written: every call walks the vertex
-# loop, building segments and sorting endpoints.  test_polygon_kernel.py
-# requires RectPolygon's edge tables to agree with them exactly.
+# Edge sides, the edges holding a point and simplicity as first written:
+# every call walks the vertex loop, building segments and sorting
+# endpoints.  test_polygon_kernel.py requires RectPolygon's tables to
+# agree with them exactly.
 
 
 def _loop_edges(poly: RectPolygon) -> list[Segment]:
     vs = poly.vertices
     return [Segment(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
-
-def ref_on_boundary_doubled(poly: RectPolygon, X: int, Y: int) -> bool:
-    vs = poly.vertices
-    for i in range(len(vs)):
-        p, q = vs[i], vs[(i + 1) % len(vs)]
-        if p.x == q.x:
-            y1, y2 = sorted((2 * p.y, 2 * q.y))
-            if X == 2 * p.x and y1 <= Y <= y2:
-                return True
-        else:
-            x1, x2 = sorted((2 * p.x, 2 * q.x))
-            if Y == 2 * p.y and x1 <= X <= x2:
-                return True
-    return False
-
-
-def ref_contains_doubled(poly: RectPolygon, X: int, Y: int) -> bool:
-    if ref_on_boundary_doubled(poly, X, Y):
-        return True
-    parity = 0
-    vs = poly.vertices
-    for i in range(len(vs)):
-        p, q = vs[i], vs[(i + 1) % len(vs)]
-        if p.x != q.x:
-            continue
-        y1, y2 = sorted((2 * p.y, 2 * q.y))
-        if y1 <= Y < y2 and 2 * p.x > X:
-            parity ^= 1
-    return parity == 1
-
-
-def loop_contains_doubled(vtab, htab, X: int, Y: int) -> bool:
-    """Closed membership of the doubled point (X, Y) on a loop's doubled
-    edge tables, as first written: on the boundary, or inside by the
-    parity of the vertical edges to its right."""
-    inside = False
-    for c, lo, hi in vtab:
-        if lo <= Y <= hi:
-            if c == X:
-                return True
-            if c > X and Y < hi:
-                inside = not inside
-    for c, lo, hi in htab:
-        if c == Y and lo <= X <= hi:
-            return True
-    return inside
-
-
-def ref_contains_rect(poly: RectPolygon, r: Rect) -> bool:
-    if not ref_contains_doubled(poly, r.xl + r.xr, r.yb + r.yt):
-        return False
-    return not any(segment_intersects_rect(e, r) for e in _loop_edges(poly))
 
 
 def segment_contains_point(s: Segment, p: Point) -> bool:
@@ -1417,10 +1237,10 @@ def ref_edge_sides(poly: RectPolygon) -> tuple[dict[int, str], dict[int, str]]:
     for i in range(len(vs)):
         p, q = vs[i], vs[(i + 1) % len(vs)]
         if p.x == q.x:
-            inside = ref_contains_doubled(poly, 2 * p.x + 1, p.y + q.y)
+            inside = ref_side_doubled(vs, 2 * p.x + 1, p.y + q.y) >= 0
             vsides[i] = "left" if inside else "right"
         else:
-            inside = ref_contains_doubled(poly, p.x + q.x, 2 * p.y + 1)
+            inside = ref_side_doubled(vs, p.x + q.x, 2 * p.y + 1) >= 0
             hsides[i] = "bottom" if inside else "top"
     return vsides, hsides
 
@@ -1475,18 +1295,29 @@ def ref_is_simple(poly: RectPolygon) -> bool:
 
 
 def ref_cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[Segment]]:
-    """The cut's pieces as first written: each segment cut at the
-    polygon's vertices and boundary crossings and at the other segments'
-    endpoints (``_cut_points``); per segment, its pieces in order of
-    increasing coordinate, leaving out those on the boundary (but not
-    those outside)."""
+    """The cut's pieces as first written, read off the vertex loop: each
+    segment cut at its ends, at the other segments' ends on it and at
+    every point where a polygon edge perpendicular to it meets it (the
+    polygon's vertices on it among them); per segment, its pieces in
+    order of increasing coordinate, leaving out those on the boundary
+    (but not those outside)."""
+    vs = poly.vertices
     ends = {p for s in segments for p in (s.a, s.b)}
     out = []
     for s in segments:
-        pts = _cut_points(poly, s, ends)
+        k = 1 if s.a.x == s.b.x else 0  # s runs along coordinate k ...
+        c = s.a[1 - k]  # ... on the line where coordinate 1 - k is c
+        a, b = sorted((s.a[k], s.b[k]))
+        ts = {a, b} | {p[k] for p in ends if p[1 - k] == c and a < p[k] < b}
+        ts.update(
+            p[k] for p, q in zip(vs, vs[1:] + vs[:1])
+            if p[k] == q[k] and a <= p[k] <= b
+            and min(p[1 - k], q[1 - k]) <= c <= max(p[1 - k], q[1 - k])
+        )
+        pts = [Point(c, t) if k else Point(t, c) for t in sorted(ts)]
         out.append([
             Segment(p, q) for p, q in zip(pts, pts[1:])
-            if not ref_on_boundary_doubled(poly, p.x + q.x, p.y + q.y)
+            if ref_side_doubled(vs, p.x + q.x, p.y + q.y) != 0
         ])
     return out
 
@@ -1495,7 +1326,7 @@ def ref_cut_pieces(poly: RectPolygon, segments: Sequence[Segment]) -> list[list[
 #
 # The first-written split: a flood fill over the grid refined by the
 # polygon's and the cut's coordinates, then a trace of each component's
-# unit boundary edges.  test_polygon_kernel.py requires split_components
+# boundary (trace_cells).  test_polygon_kernel.py requires split_components
 # to agree with it on every split the constructions make and on random
 # cuts.
 
@@ -1504,7 +1335,7 @@ def ref_split_components(p: RectPolygon, c: Cut) -> list[RectPolygon]:
     """The components of p minus the cut, in flood-fill order; pinched
     components come back with is_simple == False."""
     segs = [s for s in c.segments if not s.degenerate]
-    return [comp["polygon"] for comp in _Splitter(p, segs).components()]
+    return _Splitter(p, segs).components()
 
 
 class _Splitter:
@@ -1515,7 +1346,7 @@ class _Splitter:
         self.poly = poly
         self.segments = [s.canonical() for s in segments]
         for s in self.segments:
-            if not poly.contains_walk((s.a, s.b)):
+            if not ref_contains_walk(poly, (s.a, s.b)):
                 raise CutError(f"cut segment {s} leaves the polygon")
         self._check_no_proper_crossing()
         xs = {p.x for p in poly.vertices}
@@ -1533,9 +1364,12 @@ class _Splitter:
                 walls.setdefault((True, s.a.x), []).append((s.a.y, s.b.y))
             elif s.horizontal:
                 walls.setdefault((False, s.a.y), []).append((s.a.x, s.b.x))
-        for vertical, tab in ((True, poly._vtab), (False, poly._htab)):
-            for c, lo, hi in tab:
-                walls.setdefault((vertical, c >> 1), []).append((lo >> 1, hi >> 1))
+        vs = poly.vertices
+        for p, q in zip(vs, vs[1:] + vs[:1]):
+            if p.x == q.x:
+                walls.setdefault((True, p.x), []).append(tuple(sorted((p.y, q.y))))
+            else:
+                walls.setdefault((False, p.y), []).append(tuple(sorted((p.x, q.x))))
         self._walls = walls
 
     def _check_no_proper_crossing(self) -> None:
@@ -1552,8 +1386,8 @@ class _Splitter:
                     raise CutError(f"cut segments cross: {s} x {t}")
 
     def _inside_cell(self, i: int, j: int) -> bool:
-        return self.poly.side_doubled(
-            self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
+        return ref_side_doubled(
+            self.poly.vertices, self.xs[i] + self.xs[i + 1], self.ys[j] + self.ys[j + 1]
         ) > 0
 
     def _blocked(self, vertical: bool, c: int, lo: int, hi: int) -> bool:
@@ -1564,115 +1398,34 @@ class _Splitter:
                 return True
         return False
 
-    def components(self) -> list[dict]:
+    def components(self) -> list[RectPolygon]:
+        """The components' polygons, each flood-filled from its least cell."""
         xs, ys = self.xs, self.ys
-        ni, nj = len(xs) - 1, len(ys) - 1
-        inside = [[self._inside_cell(i, j) for j in range(nj)] for i in range(ni)]
-        comp = [[-1] * nj for _ in range(ni)]
-        comps: list[list[tuple[int, int]]] = []
-        for i0 in range(ni):
-            for j0 in range(nj):
-                if not inside[i0][j0] or comp[i0][j0] != -1:
-                    continue
-                cid = len(comps)
-                stack = [(i0, j0)]
-                comp[i0][j0] = cid
-                cells = []
-                while stack:
-                    i, j = stack.pop()
-                    cells.append((i, j))
-                    if i + 1 < ni and inside[i + 1][j] and comp[i + 1][j] == -1:
-                        if not self._blocked(True, xs[i + 1], ys[j], ys[j + 1]):
-                            comp[i + 1][j] = cid
-                            stack.append((i + 1, j))
-                    if i > 0 and inside[i - 1][j] and comp[i - 1][j] == -1:
-                        if not self._blocked(True, xs[i], ys[j], ys[j + 1]):
-                            comp[i - 1][j] = cid
-                            stack.append((i - 1, j))
-                    if j + 1 < nj and inside[i][j + 1] and comp[i][j + 1] == -1:
-                        if not self._blocked(False, ys[j + 1], xs[i], xs[i + 1]):
-                            comp[i][j + 1] = cid
-                            stack.append((i, j + 1))
-                    if j > 0 and inside[i][j - 1] and comp[i][j - 1] == -1:
-                        if not self._blocked(False, ys[j], xs[i], xs[i + 1]):
-                            comp[i][j - 1] = cid
-                            stack.append((i, j - 1))
-                comps.append(cells)
-        return [
-            {"cells": cells, "polygon": self._trace(cells)} for cells in comps
-        ]
-
-    def _trace(self, cells: list[tuple[int, int]]) -> RectPolygon:
-        """Trace the boundary loop of a cell set (interior kept on the right,
-        giving clockwise order); pinched components come out non-simple."""
-        xs, ys = self.xs, self.ys
-        cellset = set(cells)
-        # Directed unit boundary edges, keyed by start vertex.
-        outgoing: dict[Point, list[Point]] = {}
-
-        def add(a: Point, b: Point) -> None:
-            outgoing.setdefault(a, []).append(b)
-
-        for (i, j) in cells:
-            x1, x2, y1, y2 = xs[i], xs[i + 1], ys[j], ys[j + 1]
-            if (i - 1, j) not in cellset or self._blocked(True, x1, y1, y2):
-                add(Point(x1, y1), Point(x1, y2))
-            if (i + 1, j) not in cellset or self._blocked(True, x2, y1, y2):
-                add(Point(x2, y2), Point(x2, y1))
-            if (i, j - 1) not in cellset or self._blocked(False, y1, x1, x2):
-                add(Point(x2, y1), Point(x1, y1))
-            if (i, j + 1) not in cellset or self._blocked(False, y2, x1, x2):
-                add(Point(x1, y2), Point(x2, y2))
-
-        start = min(outgoing)
-        loop = [start]
-        prev_dir: Optional[tuple[int, int]] = None
-        cur = start
-        # Rightmost-turn-first keeps the traced face consistent at pinches;
-        # reversal last so slit tips (non-separating cut ends) can U-turn.
-        turn_order = {
-            (0, 1): [(1, 0), (0, 1), (-1, 0), (0, -1)],
-            (1, 0): [(0, -1), (1, 0), (0, 1), (-1, 0)],
-            (0, -1): [(-1, 0), (0, -1), (1, 0), (0, 1)],
-            (-1, 0): [(0, 1), (-1, 0), (0, -1), (1, 0)],
+        inside = {
+            (i, j) for i in range(len(xs) - 1) for j in range(len(ys) - 1)
+            if self._inside_cell(i, j)
         }
-        total = sum(len(v) for v in outgoing.values())
-        steps = 0
-        while True:
-            cands = outgoing.get(cur, [])
-            if not cands:
-                raise GeometryError("boundary trace dead end")
-            if prev_dir is None or len(cands) == 1:
-                nxt = sorted(cands)[0]
-            else:
-                nxt = None
-                for d in turn_order[prev_dir]:
-                    for c in sorted(cands):
-                        dx = (c.x > cur.x) - (c.x < cur.x)
-                        dy = (c.y > cur.y) - (c.y < cur.y)
-                        if (dx, dy) == d:
-                            nxt = c
-                            break
-                    if nxt is not None:
-                        break
-                if nxt is None:
-                    nxt = sorted(cands)[0]
-            cands.remove(nxt)
-            if not cands:
-                del outgoing[cur]
-            prev_dir = ((nxt.x > cur.x) - (nxt.x < cur.x), (nxt.y > cur.y) - (nxt.y < cur.y))
-            cur = nxt
-            steps += 1
-            if cur == start:
-                break
-            loop.append(cur)
-            if steps > total + 1:
-                raise GeometryError("boundary trace failed to close")
-        if outgoing:
-            # Leftover edges mean a second loop: a hole, impossible for
-            # acyclic cuts of a simple polygon.
-            raise GeometryError("component boundary is not a single loop")
-        return RectPolygon(loop)
+        seen: set[tuple[int, int]] = set()
+        out = []
+        for start in sorted(inside):
+            if start in seen:
+                continue
+            seen.add(start)
+            stack, cells = [start], []
+            while stack:
+                i, j = stack.pop()
+                cells.append((i, j))
+                for cell, side in (
+                    ((i + 1, j), (True, xs[i + 1], ys[j], ys[j + 1])),
+                    ((i - 1, j), (True, xs[i], ys[j], ys[j + 1])),
+                    ((i, j + 1), (False, ys[j + 1], xs[i], xs[i + 1])),
+                    ((i, j - 1), (False, ys[j], xs[i], xs[i + 1])),
+                ):
+                    if cell in inside and cell not in seen and not self._blocked(*side):
+                        seen.add(cell)
+                        stack.append(cell)
+            out.append(trace_cells(cells, xs, ys, self._blocked))
+        return out
 
 
 # -- line fences ----------------------------------------------------------------
@@ -1846,7 +1599,7 @@ def ref_protecting_fences(
                 p = Point(xe, y)
                 seg = Segment(p, Point(target_x, y))
                 x1, x2 = sorted((xe, target_x))
-                if not poly.contains_walk((seg.a, seg.b)):
+                if not ref_contains_walk(poly, (seg.a, seg.b)):
                     continue
                 if any(o.yb < y < o.yt and x1 < o.xr and x2 > o.xl for _rid, o in rects_in):
                     continue
@@ -1856,41 +1609,22 @@ def ref_protecting_fences(
     return out
 
 
-def ref_moves(poly: RectPolygon, rects: Sequence[Rect]) -> bytes:
-    """The fence engine's move table as first written, one grid point at
-    a time: moves[ix*ny + iy] holds the bits right 1, left 2, up 4 and
-    down 8 of the free unit steps from (x0+ix, y0+iy)."""
-    x0, y0, x1, y1 = poly.bbox()
-    nx, ny = x1 - x0 + 1, y1 - y0 + 1
-
-    def free_steps(sections, blocked, lo0, n):
-        free = bytearray(n)
-        for lo, hi in sections:
-            free[lo - lo0 : hi - lo0] = b"\x01" * (hi - lo)
-        for lo, hi in blocked:
-            lo, hi = max(lo - lo0, 0), min(hi - lo0, n)
-            if lo < hi:
-                free[lo:hi] = bytes(hi - lo)
-        return free
-
-    moves = bytearray(nx * ny)
-    for j in range(ny):
-        y = y0 + j
-        blocked = [(r.xl, r.xr) for r in rects if r.yb < y < r.yt]
-        free = free_steps(poly.horizontal_section(y), blocked, x0, nx)
-        for i, ok in enumerate(free):
-            if ok:
-                moves[i * ny + j] |= 1
-                moves[(i + 1) * ny + j] |= 2
-    for i in range(nx):
-        x = x0 + i
-        blocked = [(r.yb, r.yt) for r in rects if r.xl < x < r.xr]
-        free = free_steps(poly.vertical_section(x), blocked, y0, ny)
-        for j, ok in enumerate(free):
-            if ok:
-                moves[i * ny + j] |= 4
-                moves[i * ny + j + 1] |= 8
-    return bytes(moves)
+def ref_one_edge_anchors_both(
+    r: Rect, poly: RectPolygon, rects_in: Sequence[tuple[int, Rect]]
+) -> bool:
+    """one_edge_anchors_both as first written: some vertical polygon edge
+    holding both of r's edge rows anchors a protecting fence on each."""
+    anchors = {(f.anchor, f.side) for f in ref_protecting_fences(poly, rects_in, r)}
+    edges = poly.edges()
+    for idx, side in poly.vertical_edge_sides().items():
+        e = edges[idx]
+        lo, hi = sorted((e.a.y, e.b.y))
+        kind = f"from_{side}_edge"
+        if lo <= r.yb and r.yt <= hi and all(
+            (Point(e.a.x, y), kind) in anchors for y in (r.yt, r.yb)
+        ):
+            return True
+    return False
 
 
 # -- the first-written certification checks ----------------------------------------
@@ -1904,17 +1638,25 @@ def ref_moves(poly: RectPolygon, rects: Sequence[Rect]) -> bytes:
 
 
 def _ref_run_contains(
-    vtab, htab, c: int, a: int, b: int, horizontal: bool
+    loop: Sequence[tuple[int, int]], c: int, a: int, b: int, horizontal: bool
 ) -> bool:
     """Closed containment of the run from a to b (a <= b) along the line
     y = c (horizontal) or x = c, all doubled: the edges across the line
     that touch it strictly inside the run cut it into pieces, and each
     piece lies inside as a whole exactly when its midpoint does."""
-    across = vtab if horizontal else htab
-    ends = [a, *sorted(e for e, lo, hi in across if a < e < b and lo <= c <= hi), b]
+    k = 0 if horizontal else 1  # the run's coordinate
+    cuts = []
+    p = loop[-1]
+    for q in loop:
+        if p[k] == q[k] and a < 2 * p[k] < b:
+            lo, hi = (p[1 - k], q[1 - k]) if p[1 - k] < q[1 - k] else (q[1 - k], p[1 - k])
+            if 2 * lo <= c <= 2 * hi:
+                cuts.append(2 * p[k])
+        p = q
+    ends = [a, *sorted(cuts), b]
     for u, v in zip(ends, ends[1:]):
         m = (u + v) >> 1
-        if not loop_contains_doubled(vtab, htab, *((m, c) if horizontal else (c, m))):
+        if ref_side_doubled(loop, *((m, c) if horizontal else (c, m))) < 0:
             return False
     return True
 
@@ -1925,7 +1667,7 @@ def ref_contains_walk(poly: RectPolygon, walk: Sequence[Point]) -> bool:
         horizontal = p.y == q.y
         c, a, b = (p.y, p.x, q.x) if horizontal else (p.x, p.y, q.y)
         lo, hi = (a, b) if a <= b else (b, a)
-        if not _ref_run_contains(poly._vtab, poly._htab, 2 * c, 2 * lo, 2 * hi, horizontal):
+        if not _ref_run_contains(poly.vertices, 2 * c, 2 * lo, 2 * hi, horizontal):
             return False
     return True
 

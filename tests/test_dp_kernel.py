@@ -45,12 +45,10 @@ from misr.instance import GENERATOR_KINDS, generate
 from oracles import (
     RefCellGeometry,
     ref_canon_loop,
-    ref_contains_doubled,
     ref_dp_solve,
     ref_enumerate_walks,
     ref_loop_area2,
-    ref_on_boundary_doubled,
-    ref_polygon_vertices,
+    ref_side_doubled,
     ref_surgery,
 )
 from sweep_digests import KERNEL_RUNS, WINDMILL_RUNS
@@ -132,7 +130,7 @@ def test_canonical_forms_match_repeated_deletion():
         else:
             assert got is DpError, pts
         verts = [Point(x, y) for x, y in pts]
-        want = outcome(ref_polygon_vertices, verts)
+        want = outcome(lambda: ref_canon_loop(verts, simple=False))
         if isinstance(want, tuple):
             poly = RectPolygon(verts)
             assert poly.vertices == want, pts
@@ -209,15 +207,12 @@ def test_corridor_at_every_grid_point(dp_cells):
     calls = along = bends = 0
     for loop, (area2, xs, ys, _b) in dp_cells.items():
         assert area2 == ref_loop_area2(loop)
-        poly = RectPolygon([Point(*p) for p in loop])
         geom = _CellGeometry(loop, xs, ys)
         ref = RefCellGeometry(loop, xs, ys)
         for x in xs:
             for y in ys:
                 assert geom.on_boundary((x, y)) == ref.on_boundary((x, y))
-                interior = ref_contains_doubled(
-                    poly, 2 * x, 2 * y
-                ) and not ref_on_boundary_doubled(poly, 2 * x, 2 * y)
+                interior = ref_side_doubled(loop, 2 * x, 2 * y) > 0
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                     got = geom.corridor((x, y), dx, dy)
                     want = ref.corridor((x, y), dx, dy)
@@ -225,9 +220,9 @@ def test_corridor_at_every_grid_point(dp_cells):
                         assert geom.corridor((x, y), dx, dy, True) == want, (loop, (x, y))
                         bends += 1
                     t = want[0]
-                    if t is not None and ref_on_boundary_doubled(
-                        poly, *((x + t, 2 * y) if dx else (2 * x, y + t))
-                    ):
+                    if t is not None and ref_side_doubled(
+                        loop, *((x + t, 2 * y) if dx else (2 * x, y + t))
+                    ) == 0:
                         assert got == (None, []), (loop, (x, y), dx, dy)
                         along += 1
                     else:
@@ -242,11 +237,10 @@ def test_position_table_is_loop_locate(dp_cells):
     plan from it as from its own scans on every enumerated walk."""
     points = walks = 0
     for loop, (area2, xs, ys, b) in dp_cells.items():
-        poly = RectPolygon([Point(*p) for p in loop])
         geom = _CellGeometry(loop, xs, ys)
         table = geom.positions
         assert table == loop_positions(loop, xs, ys)
-        on_loop = [(x, y) for x in xs for y in ys if ref_on_boundary_doubled(poly, 2 * x, 2 * y)]
+        on_loop = [(x, y) for x in xs for y in ys if ref_side_doubled(loop, 2 * x, 2 * y) == 0]
         assert sorted(table) == on_loop, loop
         for p in on_loop:
             assert table[p] == _loop_locate(loop, p, 0), (loop, p)

@@ -24,7 +24,6 @@ from oracles import (
     brute_force_hconvex,
     classify_vertical_edges,
     is_vertically_convex,
-    ref_is_horizontally_convex,
     split_polygon,
 )
 
@@ -152,7 +151,6 @@ class TestConvexity:
         for _ in range(40):
             poly = blob_polygon(rng, grid=6, cells=rng.randrange(4, 20))
             assert is_horizontally_convex(poly) == brute_force_hconvex(poly)
-            assert is_horizontally_convex(poly) == ref_is_horizontally_convex(poly)
 
 
 class TestPoint:

@@ -28,11 +28,11 @@ from oracles import (
     cells_to_polygon,
     criterion_6_units,
     fill_with_maximal_rects,
-    line_protected,
     nested_is_tau_protected,
     notched_polygon,
     ref_line_anchor,
     ref_one_edge_anchors_both,
+    ref_protecting_fences,
     ref_ray_crossing,
     ref_split_components,
 )
@@ -666,7 +666,7 @@ def test_checked_sweep_passes_every_check(checked_sweep):
 def assert_inherited_verdicts_hold(inherited, reference_every) -> Counter:
     """Every inherited verdict (see checked_runs) is a fresh record's of
     its node, LineFences(polygon, rects inside), and the reference's:
-    line_protected for a line fence, ref_one_edge_anchors_both for the
+    ref_protecting_fences for a line fence, ref_one_edge_anchors_both for the
     fences from one edge, nested_is_tau_protected for chains.  The nested
     reference searches a node's grid anew, so it judges every
     reference_every-th chain verdict.  Returns the verdicts by kind."""
@@ -679,7 +679,7 @@ def assert_inherited_verdicts_hold(inherited, reference_every) -> Counter:
         record = fresh[poly, rin]
         where = (poly, rin, r, proves)
         if proves == "line":
-            assert record.protected(r) and line_protected(r, poly, rin), where
+            assert record.protected(r) and ref_protecting_fences(poly, rin, r), where
         elif proves == "pair":
             assert record.one_edge_anchors_both(r), where
             assert ref_one_edge_anchors_both(r, poly, rin), where

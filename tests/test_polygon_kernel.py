@@ -42,19 +42,17 @@ from oracles import (
     criterion_6_units,
     horizontal_edge_sides,
     protecting_fences,
-    ref_contains_doubled,
-    ref_cut_pieces,
     ref_contains_rect,
-    ref_edge_sides,
     ref_crossing_anchor,
+    ref_cut_pieces,
+    ref_edge_sides,
     ref_enumerate_line_fences,
     ref_furthest,
-    ref_is_horizontally_convex,
     ref_is_simple,
     ref_line_anchor,
-    ref_on_boundary_doubled,
     ref_protecting_fences,
     ref_ray_crossing,
+    ref_side_doubled,
     ref_split_components,
     segment_contains_point,
 )
@@ -95,18 +93,15 @@ def blobs(count=60):
 
 
 def test_point_predicates_agree(node_cells):
-    """side_doubled against the per-call boundary and membership scans, all
-    three values, at every doubled lattice point of the bounding box and
-    one unit beyond it."""
+    """side_doubled against the scan of the vertex loop, all three values,
+    at every doubled lattice point of the bounding box and one unit beyond
+    it."""
     polys = {p for p, _ in node_cells} | set(blobs())
     for poly in polys:
         x0, y0, x1, y1 = poly.bbox()
         for X in range(2 * x0 - 2, 2 * x1 + 3):
             for Y in range(2 * y0 - 2, 2 * y1 + 3):
-                if ref_on_boundary_doubled(poly, X, Y):
-                    want = 0
-                else:
-                    want = 1 if ref_contains_doubled(poly, X, Y) else -1
+                want = ref_side_doubled(poly.vertices, X, Y)
                 assert poly.side_doubled(X, Y) == want, (poly, X, Y)
 
 
@@ -132,14 +127,15 @@ def test_edges_at_agrees_with_edge_scan(node_cells):
 
 def test_sections_and_rect_containment_agree(node_cells):
     """Sections against the doubled-grid membership scan; contains_rect
-    against the per-call version on every rect of the bbox."""
+    against the scan of the vertex loop on every rect of the bbox."""
     for poly in {p for p, _ in node_cells} | set(blobs(30)):
+        vs = poly.vertices
         x0, y0, x1, y1 = poly.bbox()
         for y in range(y0 - 1, y1 + 2):
-            row = [X for X in range(2 * x0, 2 * x1 + 1) if ref_contains_doubled(poly, X, 2 * y)]
+            row = [X for X in range(2 * x0, 2 * x1 + 1) if ref_side_doubled(vs, X, 2 * y) >= 0]
             assert poly.horizontal_section(y) == _runs(row), (poly, y)
         for x in range(x0 - 1, x1 + 2):
-            col = [Y for Y in range(2 * y0, 2 * y1 + 1) if ref_contains_doubled(poly, 2 * x, Y)]
+            col = [Y for Y in range(2 * y0, 2 * y1 + 1) if ref_side_doubled(vs, 2 * x, Y) >= 0]
             assert poly.vertical_section(x) == _runs(col), (poly, x)
         if (x1 - x0) * (y1 - y0) > 40:
             continue
@@ -148,7 +144,7 @@ def test_sections_and_rect_containment_agree(node_cells):
                 for yb in range(y0 - 1, y1 + 1):
                     for yt in range(yb + 1, y1 + 2):
                         r = Rect(xl, yb, xr, yt)
-                        assert poly.contains_rect(r) == ref_contains_rect(poly, r), (poly, r)
+                        assert poly.contains_rect(r) == ref_contains_rect(vs, r), (poly, r)
 
 
 def test_contains_segment_agrees(node_cells):
@@ -168,7 +164,7 @@ def test_contains_segment_agrees(node_cells):
                 (Segment(Point(xa, yc), Point(xb, yc)), horizontal),
                 (Segment(Point(xc, ya), Point(xc, yb)), vertical),
             ):
-                want = all(ref_contains_doubled(poly, X, Y) for X, Y in probes)
+                want = all(ref_side_doubled(poly.vertices, X, Y) >= 0 for X, Y in probes)
                 assert poly.contains_walk((s.a, s.b)) == want, (poly, s)
 
 
@@ -187,13 +183,11 @@ def test_edge_sides_agree(node_cells):
 
 
 def test_horizontal_convexity_agrees(node_cells):
-    """is_horizontally_convex against the doubled-grid chord scan and the
-    section scan it replaced."""
+    """is_horizontally_convex against the doubled-grid chord scan."""
     verdicts = {True: 0, False: 0}
     for poly in {p for p, _ in node_cells} | set(blobs()):
         got = is_horizontally_convex(poly)
         assert got == brute_force_hconvex(poly), poly
-        assert got == ref_is_horizontally_convex(poly), poly
         verdicts[got] += 1
     assert min(verdicts.values()) > 10, verdicts
 
@@ -378,7 +372,7 @@ def _pieces_outcome(poly: RectPolygon, segs) -> object:
     order; or CutError when one of them lies outside."""
     refined = ref_cut_pieces(poly, segs)
     pieces = [(si, p.a, p.b) for si, sp in enumerate(refined) for p in sp]
-    if any(not ref_contains_doubled(poly, a.x + b.x, a.y + b.y) for _si, a, b in pieces):
+    if any(ref_side_doubled(poly.vertices, a.x + b.x, a.y + b.y) < 0 for _si, a, b in pieces):
         return CutError
     return pieces
 
@@ -469,7 +463,7 @@ def _closes_a_cycle(poly: RectPolygon, cut: Cut) -> bool:
             probes = [(2 * lo.x, 2 * y + 1) for y in range(lo.y, hi.y)]
         else:
             probes = [(2 * x + 1, 2 * lo.y) for x in range(lo.x, hi.x)]
-        if any(ref_on_boundary_doubled(poly, X, Y) for X, Y in probes):
+        if any(ref_side_doubled(poly.vertices, X, Y) == 0 for X, Y in probes):
             return False
     return True
 
