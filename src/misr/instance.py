@@ -8,8 +8,10 @@ from __future__ import annotations
 import json
 import os
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from math import isqrt
+from typing import Iterable, Optional, Sequence
 
 from .geom_core import GeometryError, Rect, rects_intersect
 
@@ -46,18 +48,19 @@ class Solution:
 
 
 def validate_solution(inst: Instance, sol: Solution) -> None:
+    """The indices are distinct and in range, and their rects pairwise
+    disjoint, read by the overlap kernel ``neighbour_masks`` reads too;
+    of several overlapping pairs the least (a, b) is reported."""
     ids = sorted(sol.chosen)
     if len(set(ids)) != len(ids):
         raise InstanceError("solution repeats an index")
     for i in ids:
         if not 0 <= i < inst.n:
             raise InstanceError(f"solution index {i} out of range")
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if rects_intersect(inst.rects[ids[a]], inst.rects[ids[b]]):
-                raise InstanceError(
-                    f"solution rectangles {ids[a]} and {ids[b]} overlap"
-                )
+    pairs = _overlapping_pairs(_boxes(inst.rects[i] for i in ids))
+    if pairs:
+        a, b = min(pairs)
+        raise InstanceError(f"solution rectangles {ids[a]} and {ids[b]} overlap")
 
 
 def preprocess(rects: list[Rect]) -> Instance:
@@ -96,16 +99,36 @@ def oracle_cap(cap: Optional[int] = None) -> int:
     return value
 
 
+def _boxes(rects: Iterable[Rect]) -> list[tuple[int, int, int, int]]:
+    """Each rect's (xl, yb, xr, yt), read once for the pair loops."""
+    return [(r.xl, r.yb, r.xr, r.yt) for r in rects]
+
+
+def _overlapping_pairs(boxes: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
+    """Every pair (a, b), a < b, of boxes whose open interiors meet, in no
+    set order: the one overlap kernel of the oracle and the maximal set.
+
+    A sweep in order of xl: each box is tested, on y alone, against the
+    boxes after it whose xl lies before its xr, the ones that overlap it
+    on x; every x-overlapping pair is met once, at its box of lesser xl."""
+    swept = sorted([(*box, i) for i, box in enumerate(boxes)])
+    starts = [s[0] for s in swept]
+    pairs = []
+    for p, (_xl, yb, xr, yt, i) in enumerate(swept, 1):
+        for _, oyb, _, oyt, j in swept[p : bisect_left(starts, xr, p)]:
+            if oyb < yt and yb < oyt:
+                pairs.append((i, j) if i < j else (j, i))
+    return pairs
+
+
 def neighbour_masks(rects: Sequence[Rect]) -> list[int]:
     """Each rect's neighbours in the intersection graph as an int mask
-    (bit j is rects[j]), from one pass over the pairs."""
-    n = len(rects)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rects_intersect(rects[i], rects[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    (bit j is rects[j]), from the overlap kernel, which
+    ``validate_solution`` reads too."""
+    adj = [0] * len(rects)
+    for a, b in _overlapping_pairs(_boxes(rects)):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     return adj
 
 
@@ -197,7 +220,9 @@ def exact_mis(inst: Instance, cap: Optional[int] = None) -> Solution:
     return sol
 
 
-GENERATOR_KINDS = ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed")
+GENERATOR_KINDS = (
+    "uniform_random", "nested_grid", "windmill", "stacked_strips", "packed", "pinwheel"
+)
 
 # Interlocking pinwheel: four pairwise-disjoint arms, every axis-parallel
 # chord of the bounding square cuts one of them, plus a center rectangle
@@ -265,6 +290,16 @@ def generate(kind: str, n: int, seed: int) -> Instance:
             if not any(rects_intersect(r, o) for o in rects):
                 rects.append(r)
         return preprocess(rects)
+    if kind == "pinwheel":  # windmill cells in a k x k grid at pitch 5, k = ceil(sqrt(n/4))
+        k = isqrt(-(-n // 4) - 1) + 1
+        cell = _WINDMILL_CELL if seed % 2 else _WINDMILL_CELL[:4]  # odd seeds keep the hubs
+        rects = [
+            Rect(r.xl + dx, r.yb + dy, r.xr + dx, r.yt + dy)
+            for dy in range(0, k * _WINDMILL_SPAN, _WINDMILL_SPAN)
+            for dx in range(0, k * _WINDMILL_SPAN, _WINDMILL_SPAN)
+            for r in cell
+        ]
+        return preprocess(rects[:n])
     raise InstanceError(f"unknown generator kind {kind!r}")
 
 

@@ -48,7 +48,7 @@ the node is done: no record outlives its node, and none outlives the run.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -59,9 +59,8 @@ from .geom_core import (
     Rect,
     RectPolygon,
     Segment,
-    rects_intersect,
 )
-from .instance import Instance, Solution, validate_solution
+from .instance import Instance, Solution, _boxes, _overlapping_pairs, validate_solution
 
 class StructureError(ValueError):
     pass
@@ -77,14 +76,6 @@ class MaximalSet:
     side: int
 
 
-def _y_overlap(a: Rect, b: Rect) -> bool:
-    return max(a.yb, b.yb) < min(a.yt, b.yt)
-
-
-def _x_overlap(a: Rect, b: Rect) -> bool:
-    return max(a.xl, b.xl) < min(a.xr, b.xr)
-
-
 def maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
     """Grow each chosen rectangle until every coordinate is blocked by
     another rectangle of the set or by the bounding square.
@@ -98,57 +89,98 @@ def maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
     superset of the rects that set xl, still holding the one that set it,
     capped at xl, so it stays at xl, and right is the mirror image; bottom
     and top see the x-range of the first cycle, so their limits stay.
+
+    Each step reads the others sorted by the coordinate it faces: a left
+    step, the right edges.  The new xl is the greatest right edge at or
+    left of xl among the rects that overlap it on y (a rect's own right
+    edge lies right of its xl, so it is never a candidate), so a bisect to
+    xl and a scan down to the first rect overlapping it on y finds it, and
+    0 if none does; the other three steps are its mirror images.  A rect
+    that grows moves its edges to their new places in the four orders, so
+    every step reads the others as grown so far, as the one-cycle growth
+    does, and returns what it returns.  A step costs a bisect and the
+    rects it passes, those nearer than its blocker that miss its extent;
+    on a tiling, the few whose facing edges share the blocker's line.
     """
-    validate_solution(inst, Solution(tuple(sorted(opt.chosen))))
-    side = inst.side
     order = sorted(opt.chosen)
-    grown: list[Rect] = [inst.rects[i] for i in order]
+    validate_solution(inst, Solution(tuple(order)))
+    side, n = inst.side, len(order)
+    boxes = _boxes(inst.rects[i] for i in order)
+    # by_edge[e]: (coordinate e of each box, its index), sorted, for
+    # e = 0..3, the xl, yb, xr and yt edges
+    by_edge = [sorted((box[e], k) for k, box in enumerate(boxes)) for e in range(4)]
+    lefts, bottoms, rights, tops = by_edge
 
-    for idx in range(len(grown)):
-        r = grown[idx]
-        others = [grown[k] for k in range(len(grown)) if k != idx]
-        xl = max([0] + [o.xr for o in others if o.xr <= r.xl and _y_overlap(o, r)])
-        xr = min([side] + [o.xl for o in others if o.xl >= r.xr and _y_overlap(o, r)])
-        r = Rect(xl, r.yb, xr, r.yt)
-        yb = max([0] + [o.yt for o in others if o.yt <= r.yb and _x_overlap(o, r)])
-        yt = min([side] + [o.yb for o in others if o.yb >= r.yt and _x_overlap(o, r)])
-        grown[idx] = Rect(xl, yb, xr, yt)
+    def facing_down(edges: list, at: int, lo: int, hi: int, axis: int) -> int:
+        """The greatest edge at or below ``at`` of a box whose open extent
+        on ``axis`` (0 for x, 1 for y) meets (lo, hi), else 0."""
+        for p in range(bisect_right(edges, (at, n)) - 1, -1, -1):
+            c, j = edges[p]
+            box = boxes[j]
+            if box[axis] < hi and lo < box[axis + 2]:
+                return c
+        return 0
 
-    m = MaximalSet(tuple(grown), tuple(order), side)
+    def facing_up(edges: list, at: int, lo: int, hi: int, axis: int) -> int:
+        """The least edge at or above ``at`` of a box whose open extent on
+        ``axis`` meets (lo, hi), else the side."""
+        for p in range(bisect_left(edges, (at, -1)), n):
+            c, j = edges[p]
+            box = boxes[j]
+            if box[axis] < hi and lo < box[axis + 2]:
+                return c
+        return side
+
+    for k, box in enumerate(boxes):
+        xl, yb, xr, yt = box
+        xl = facing_down(rights, xl, yb, yt, 1)
+        xr = facing_up(lefts, xr, yb, yt, 1)
+        yb = facing_down(tops, yb, xl, xr, 0)
+        yt = facing_up(bottoms, yt, xl, xr, 0)
+        grown = (xl, yb, xr, yt)
+        for e, edges in enumerate(by_edge):
+            if grown[e] != box[e]:
+                del edges[bisect_left(edges, (box[e], k))]
+                insort(edges, (grown[e], k))
+        boxes[k] = grown
+
+    m = MaximalSet(tuple(Rect(*box) for box in boxes), tuple(order), side)
     assert_maximal(m)
     return m
 
 
 def assert_maximal(m: MaximalSet) -> None:
     """A unit of growth in any direction must hit another rect of the set
-    or leave the bounding square.  The rect grown by one unit meets
-    another exactly when their open extents overlap on both axes; growing
-    left or right leaves its y-extent as is, and growing down or up its
-    x-extent, so one pass over the others settles all four directions,
-    reported in the order left, right, bottom, top."""
-    rects = m.rects
-    for i, r in enumerate(rects):
-        for j in range(i + 1, len(rects)):
-            if rects_intersect(r, rects[j]):
-                raise StructureError(f"extended rects {i},{j} overlap")
-    for i, r in enumerate(rects):
-        xl, yb, xr, yt = r.xl, r.yb, r.xr, r.yt
-        free = [xl > 0, xr < m.side, yb > 0, yt < m.side]
-        for k, o in enumerate(rects):
-            if k == i:
-                continue
-            if o.yb < yt and yb < o.yt:
-                if xl - 1 < o.xr and o.xl < xr:
-                    free[0] = False
-                if xl < o.xr and o.xl < xr + 1:
-                    free[1] = False
-            if o.xl < xr and xl < o.xr:
-                if yb - 1 < o.yt and o.yb < yt:
-                    free[2] = False
-                if yb < o.yt and o.yb < yt + 1:
-                    free[3] = False
-        for direction, grows in zip(("left", "right", "bottom", "top"), free):
-            if grows:
+    or leave the bounding square, and the rects must be pairwise disjoint
+    (the overlap kernel of ``neighbour_masks``; the least overlapping pair
+    is reported).  The rect grown one unit left meets another exactly
+    when their open extents overlap on both axes, and as the two are
+    disjoint and the coordinates integers, exactly when the other's right
+    edge lies on the rect's left edge and their y-extents overlap.  So a
+    pass over the pairs of facing edges on one line blocks both rects of
+    each pair that overlaps across the line, and the first rect left
+    unblocked is reported with its first free direction in the order
+    left, right, bottom, top."""
+    boxes = _boxes(m.rects)
+    pairs = _overlapping_pairs(boxes)
+    if pairs:
+        i, j = min(pairs)
+        raise StructureError(f"extended rects {i},{j} overlap")
+    side = m.side
+    # free[i][e]: rect i may grow across its edge e (xl, yb, xr, yt)
+    free = [[xl > 0, yb > 0, xr < side, yt < side] for xl, yb, xr, yt in boxes]
+    for low, high, axis in ((0, 2, 1), (1, 3, 0)):  # left meets right, bottom meets top
+        ends: dict[int, list[int]] = {}
+        for j, box in enumerate(boxes):
+            ends.setdefault(box[high], []).append(j)
+        for i, box in enumerate(boxes):
+            for j in ends.get(box[low], ()):
+                o = boxes[j]
+                if o[axis] < box[axis + 2] and box[axis] < o[axis + 2]:
+                    free[i][low] = free[j][high] = False
+    for i, grows in enumerate(free):
+        for e, direction in ((0, "left"), (2, "right"), (1, "bottom"), (3, "top")):
+            if grows[e]:
                 raise StructureError(f"rect {i} could still grow {direction}")
 
 

@@ -22,7 +22,7 @@ input):
   ref_dp_solve: dp_solve and its DpStats; containment_prune
   ref_moves, NestedFenceEngine, nested_is_tau_protected: FenceEngine;
       horizontal_section, vertical_section, edges, vertical_edge_sides
-  ref_maximal_extension: maximal_extension; _x_overlap, _y_overlap
+  ref_maximal_extension: maximal_extension; nothing
   ref_sees, ref_seen_corners_on_side: sees, seen_corners_on_side;
       Rect.corner
   ref_protecting_fences, ref_one_edge_anchors_both: LineFences.anchors,
@@ -76,8 +76,6 @@ from misr.structure import (
     LineFences,
     MaximalSet,
     StructureError,
-    _x_overlap,
-    _y_overlap,
     sees,
 )
 
@@ -1018,6 +1016,13 @@ def ref_maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
     """maximal_extension as first written: each chosen rect, in ascending
     index order, repeats the cycle left, right, bottom, top against the
     others as grown so far until a cycle grows nothing."""
+
+    def y_overlap(a: Rect, b: Rect) -> bool:
+        return max(a.yb, b.yb) < min(a.yt, b.yt)
+
+    def x_overlap(a: Rect, b: Rect) -> bool:
+        return max(a.xl, b.xl) < min(a.xr, b.xr)
+
     side = inst.side
     order = sorted(opt.chosen)
     grown = [inst.rects[i] for i in order]
@@ -1027,16 +1032,16 @@ def ref_maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
         changed = True
         while changed:
             changed = False
-            limit = max([0] + [o.xr for o in others if o.xr <= r.xl and _y_overlap(o, r)])
+            limit = max([0] + [o.xr for o in others if o.xr <= r.xl and y_overlap(o, r)])
             if limit < r.xl:
                 r, changed = Rect(limit, r.yb, r.xr, r.yt), True
-            limit = min([side] + [o.xl for o in others if o.xl >= r.xr and _y_overlap(o, r)])
+            limit = min([side] + [o.xl for o in others if o.xl >= r.xr and y_overlap(o, r)])
             if limit > r.xr:
                 r, changed = Rect(r.xl, r.yb, limit, r.yt), True
-            limit = max([0] + [o.yt for o in others if o.yt <= r.yb and _x_overlap(o, r)])
+            limit = max([0] + [o.yt for o in others if o.yt <= r.yb and x_overlap(o, r)])
             if limit < r.yb:
                 r, changed = Rect(r.xl, limit, r.xr, r.yt), True
-            limit = min([side] + [o.yb for o in others if o.yb >= r.yt and _x_overlap(o, r)])
+            limit = min([side] + [o.yb for o in others if o.yb >= r.yt and x_overlap(o, r)])
             if limit > r.yt:
                 r, changed = Rect(r.xl, r.yb, r.xr, limit), True
         grown[idx] = r
@@ -1672,10 +1677,11 @@ def ref_contains_walk(poly: RectPolygon, walk: Sequence[Point]) -> bool:
     return True
 
 
-def ref_holds(poly: RectPolygon, walks, left: Optional[bool]) -> bool:
+def ref_holds(poly: RectPolygon, walks, left: Optional[bool], inside: bool) -> bool:
     """A witness's re-check: its walks start on one vertical edge of the
     polygon, of its side (left None takes either), and lie in the closed
-    polygon (ref_contains_walk)."""
+    polygon, which ``inside`` says: ref_contains_walk's verdict on every
+    walk, read by the caller once for a witness and its other side."""
     starts = [walk[0] for walk in walks]
     x = starts[0].x
     lo, hi = min(p.y for p in starts), max(p.y for p in starts)
@@ -1691,7 +1697,7 @@ def ref_holds(poly: RectPolygon, walks, left: Optional[bool]) -> bool:
             ex == x and elo <= lo and hi <= ehi and left in (None, side)
             for ex, elo, ehi, side in verticals
         )
-        and all(ref_contains_walk(poly, walk) for walk in walks)
+        and inside
     )
 
 

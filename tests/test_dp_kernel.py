@@ -41,7 +41,7 @@ from misr.geom_core import (
     splice_plan,
     touch_intervals,
 )
-from misr.instance import GENERATOR_KINDS, generate
+from misr.instance import generate
 from oracles import (
     RefCellGeometry,
     ref_canon_loop,
@@ -443,14 +443,15 @@ def test_dp_solve_matches_first_written(run):
 def test_dp_solve_matches_first_written_on_a_battery():
     """Cells that stop at their optimum, and at k = 4 cells that take the
     value of their rects' bounding box, keep the first-written DP's value
-    and choice: every generator family at n = 3..10 at k = 4 with path and
-    tree cuts, and at n = 3 at k = 6 with two-segment paths (the
-    first-written tree cuts take seconds a run there), one seeded seed
-    each."""
+    and choice: every generator family but pinwheel at n = 3..10 at k = 4
+    with path and tree cuts, and at n = 3 at k = 6 with two-segment paths
+    (the first-written tree cuts take seconds a run there), one seeded
+    seed each."""
     rng = random.Random(8)
-    runs = [(f, n, 4, 1, ("path", "tree")) for f in GENERATOR_KINDS for n in range(3, 9)]
-    runs += [(f, 3, 6, 2, ("path",)) for f in GENERATOR_KINDS]
-    runs += [(f, n, 4, 1, ("path", "tree")) for f in GENERATOR_KINDS for n in (9, 10)]
+    families = ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed")
+    runs = [(f, n, 4, 1, ("path", "tree")) for f in families for n in range(3, 9)]
+    runs += [(f, 3, 6, 2, ("path",)) for f in families]
+    runs += [(f, n, 4, 1, ("path", "tree")) for f in families for n in (9, 10)]
     for family, n, k, b, shapes in runs:
         inst = generate(family, n, rng.randrange(10))
         sol = dp_solve(inst, k, b, shapes)

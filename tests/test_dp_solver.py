@@ -186,8 +186,9 @@ class TestDominance:
             assert dp_solve(inst, 4, 1).size >= tracked
 
     def test_vacuous_tree(self):
+        # three disjoint strips: the optimum takes all three
         inst = generate("stacked_strips", 3, 0)
-        assert dp_solve(inst, 4, 1).size >= 0
+        assert dp_solve(inst, 4, 1).size == exact_mis(inst).size == 3
 
     def test_six_regime_tree_on_tiny_instance(self):
         # a three-rect instance whose six-regime cuts are expressible as

@@ -21,6 +21,7 @@ from misr.instance import (
     preprocess,
     solution_from_json,
     solution_to_json,
+    validate_solution,
 )
 from oracles import brute_force_mis, intersection_matrix
 
@@ -169,8 +170,12 @@ class TestExactMis:
 
     def test_neighbour_masks_are_the_intersection_graph(self):
         rng = random.Random(7)
-        for _ in range(20):
-            inst = random_instance(rng, rng.randrange(1, 12))
+        insts = [random_instance(rng, rng.randrange(1, 12)) for _ in range(20)]
+        # larger sets with many shared coordinates and overlaps: the
+        # kernel's sweep meets equal left edges and long runs of x-overlaps
+        insts += [generate("uniform_random", 80, 0), generate("nested_grid", 80, 1)]
+        insts += [generate("pinwheel", 100, 1), generate("windmill", 60, 0)]
+        for inst in insts:
             adj = neighbour_masks(inst.rects)
             for i, j in combinations(range(inst.n), 2):
                 meet = rects_intersect(inst.rects[i], inst.rects[j])
@@ -212,10 +217,34 @@ class TestGenerators:
             assert any(segment_intersects_rect(seg, inst.rects[i]) for i in opt)
 
     def test_determinism(self):
-        for kind in ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed"):
+        for kind in GENERATOR_KINDS:
             a = generate(kind, 6, 42)
             b = generate(kind, 6, 42)
             assert a == b
+
+    def test_pinwheel_tiles_the_windmill_cell(self):
+        """k = ceil(sqrt(n/4)) rows and columns of windmill cells at pitch
+        5, row by row, truncated to n; even seeds drop the hubs, odd seeds
+        keep them, and the seed is read for nothing else."""
+        hubless = [Rect(0, 3, 3, 4), Rect(3, 2, 4, 5), Rect(2, 1, 5, 2), Rect(1, 0, 2, 3)]
+        cell = hubless + [Rect(1, 1, 4, 4)]
+        for n, k in ((1, 1), (4, 1), (5, 2), (16, 2), (17, 3), (36, 3), (37, 4)):
+            for seed, kept in ((0, hubless), (1, cell)):
+                rects = [
+                    Rect(r.xl + 5 * col, r.yb + 5 * row, r.xr + 5 * col, r.yt + 5 * row)
+                    for row in range(k)
+                    for col in range(k)
+                    for r in kept
+                ]
+                inst = generate("pinwheel", n, seed)
+                assert inst == preprocess(rects[:n]), (n, seed)
+                assert generate("pinwheel", n, seed + 2) == inst
+
+    def test_pinwheel_optimum_takes_the_arms(self):
+        inst = generate("pinwheel", 64, 0)  # 4 x 4, no hubs: pairwise disjoint
+        assert exact_mis(inst, cap=inst.n).chosen == tuple(range(64))
+        inst = generate("pinwheel", 45, 1)  # 3 x 3 cells of five
+        assert exact_mis(inst, cap=inst.n).chosen == tuple(i for i in range(45) if i % 5 != 4)
 
     def test_stacked_strips_all_disjoint(self):
         inst = generate("stacked_strips", 9, 5)
@@ -238,7 +267,7 @@ class TestGenerators:
             generate("mystery", 3, 0)
 
     def test_emits_preprocessed(self):
-        for kind in ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed"):
+        for kind in GENERATOR_KINDS:
             inst = generate(kind, 7, 1)
             assert preprocess(list(inst.rects)).rects == inst.rects
 
@@ -272,6 +301,16 @@ class TestJson:
         inst = preprocess([Rect(0, 0, 4, 4), Rect(1, 1, 5, 5)])
         with pytest.raises(InstanceError):
             solution_from_json({"chosen": [0, 1], "size": 2}, inst)
+
+    def test_solution_overlap_names_the_least_pair(self):
+        # chosen 1 and 5 overlap at the right, 2 and 4 further left
+        rects = [Rect(0, 6, 1, 7), Rect(8, 0, 10, 2), Rect(0, 0, 2, 2), Rect(4, 4, 5, 5)]
+        rects += [Rect(1, 1, 3, 3), Rect(9, 1, 11, 3)]
+        inst = Instance(tuple(rects), side=11)
+        with pytest.raises(InstanceError, match="^solution rectangles 1 and 5 overlap$"):
+            validate_solution(inst, Solution((5, 4, 2, 1)))
+        with pytest.raises(InstanceError, match="^solution rectangles 2 and 4 overlap$"):
+            validate_solution(inst, Solution((0, 2, 3, 4)))
 
     def test_solution_size_mismatch(self):
         with pytest.raises(InstanceError):

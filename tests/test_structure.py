@@ -21,6 +21,7 @@ from oracles import (
     check_niceness_observation,
     fill_with_maximal_rects,
     notched_polygon,
+    ref_assert_maximal,
     ref_maximal_extension,
     ref_sees,
     ref_seen_corners_on_side,
@@ -90,10 +91,56 @@ class TestMaximalExtension:
             cases += 1
         assert cases == 550
 
+    def test_matches_reference_at_scale(self):
+        # packed n = 120: rects facing one another in both orders; a 10 x 10
+        # pinwheel without hubs, every arm chosen: each facing coordinate
+        # is shared by a whole row or column of arms
+        for seed in range(3):
+            inst = generate("packed", 120, seed)
+            opt = exact_mis(inst, cap=120)
+            assert maximal_extension(opt, inst) == ref_maximal_extension(opt, inst)
+        inst = generate("pinwheel", 400, 0)
+        opt = Solution(tuple(range(inst.n)))
+        assert maximal_extension(opt, inst) == ref_maximal_extension(opt, inst)
+
     def test_rejects_dependent_input(self):
         inst = preprocess([Rect(0, 0, 4, 4), Rect(1, 1, 5, 5)])
         with pytest.raises(Exception):
             maximal_extension(Solution((0, 1)), inst)
+
+
+class TestAssertMaximalMessages:
+    """The first failure is reported, as the reference reports it: the
+    least overlapping pair, else the least rect and its first growable
+    direction in the order left, right, bottom, top."""
+
+    def outcome(self, check, rects, side):
+        try:
+            check(MaximalSet(tuple(rects), tuple(range(len(rects))), side))
+        except StructureError as exc:
+            return str(exc)
+        return None
+
+    def test_two_overlapping_pairs(self):
+        # the pair (1, 2) lies left of the pair (0, 3)
+        rects = [Rect(6, 0, 8, 2), Rect(0, 0, 2, 2), Rect(1, 1, 3, 3), Rect(7, 1, 9, 3)]
+        for check in (assert_maximal, ref_assert_maximal):
+            assert self.outcome(check, rects, 9) == "extended rects 0,3 overlap"
+
+    def test_two_growable_directions(self):
+        # rect 0 could grow top; rect 1 could grow right and top
+        rects = [Rect(0, 0, 4, 5), Rect(4, 0, 6, 3), Rect(7, 0, 8, 8), Rect(0, 6, 4, 8)]
+        for check in (assert_maximal, ref_assert_maximal):
+            assert self.outcome(check, rects, 8) == "rect 0 could still grow top"
+        rects[0] = Rect(0, 0, 4, 6)  # rect 0 now meets rect 3
+        for check in (assert_maximal, ref_assert_maximal):
+            assert self.outcome(check, rects, 8) == "rect 1 could still grow right"
+
+    def test_left_before_bottom(self):
+        # rect 1 could grow left and bottom, rect 2 right
+        rects = [Rect(0, 0, 2, 4), Rect(3, 2, 4, 4), Rect(2, 0, 3, 1)]
+        for check in (assert_maximal, ref_assert_maximal):
+            assert self.outcome(check, rects, 4) == "rect 1 could still grow left"
 
 
 class TestNesting:
