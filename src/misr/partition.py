@@ -939,36 +939,39 @@ def recursive_partition(
     whole configuration (at most half horizontally nested for six/three,
     at least half horizontally nice for two_eps); all further work happens
     in the normalized frame.  ``nesting`` is ``classify_nesting(m)`` and
-    ``nice`` is ``classify_nice(m)`` where the caller has them already;
-    they are reused for the normalized frame when nothing is transposed.
+    ``nice`` is ``classify_nice(m)`` where the caller has them already.
+
+    The normalized frame's labels are m's, with the axes swapped when m is
+    transposed.  The transpose (x, y) -> (s - y, s - x) maps S to itself
+    and a rect's bottom and top edges to its right and left edges, so an
+    edge inside the interior of a facing edge (of a rect or of S) stays
+    one, across the other axis: the horizontally and the vertically nested
+    rects trade places.  It maps the corridor of ``sees`` to the right of
+    a BL corner to the corridor below a TR corner, with the excluded ends
+    and the matching edges carried over, and a bottom edge on the boundary
+    of S to a right edge on it, so the horizontally and the vertically
+    nice rects trade places too.
     """
     if regime not in REGIMES:
         raise ConstructionError(f"unknown regime {regime!r}")
     n = len(m.rects)
     side = m.side
-    transposed = False
-    lab = nesting
-    if regime in ("six", "three"):
-        nice = None
-        if lab is None:
-            lab = classify_nesting(m)
-        if 2 * len(lab.horizontally_nested) > n:
-            transposed = True
-    else:
+    if regime == "two_eps":
         if nice is None:
             nice = classify_nice(m)
-        if 2 * len(nice.horizontally_nice) < n:
-            transposed = True
-    work = tuple(
-        anti_transpose_rect(r, side) if transposed else r for r in m.rects
-    )
-    wm = MaximalSet(work, m.origin, side)
-    if regime == "two_eps":
-        if transposed:
-            nice = classify_nice(wm)
-        if 2 * len(nice.horizontally_nice) < n:
-            raise ConstructionError("normalization failed: too few nice")
-    nesting = lab if lab is not None and not transposed else classify_nesting(wm)
+        transposed = 2 * len(nice.horizontally_nice) < n
+    if nesting is None:
+        nesting = classify_nesting(m)
+    if regime != "two_eps":
+        nice = None
+        transposed = 2 * len(nesting.horizontally_nested) > n
+    if transposed:
+        nesting = NestingLabel(nesting.vertically_nested, nesting.horizontally_nested)
+        if nice is not None:
+            nice = NiceLabel(nice.vertically_nice, nice.horizontally_nice)
+    work = tuple(anti_transpose_rect(r, side) if transposed else r for r in m.rects)
+    if regime == "two_eps" and 2 * len(nice.horizontally_nice) < n:
+        raise ConstructionError("normalization failed: too few nice")
     if regime != "two_eps" and 2 * len(nesting.horizontally_nested) > n:
         raise ConstructionError("normalization failed: too many nested")
 

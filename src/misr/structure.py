@@ -149,6 +149,22 @@ def maximal_extension(opt: Solution, inst: Instance) -> MaximalSet:
     return m
 
 
+def _far_edges(
+    boxes: Sequence[tuple[int, int, int, int]],
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The boxes' indices, ascending, bucketed by the line of their right
+    edge ({xr: indices}) and by the line of their top edge ({yt:
+    indices}): a box's left edge can lie on another's right edge only on
+    the line x = xl, so a lookup of its own xl finds every box that may
+    face it there, and likewise yb for its bottom edge."""
+    rights: dict[int, list[int]] = {}
+    tops: dict[int, list[int]] = {}
+    for j, (_xl, _yb, xr, yt) in enumerate(boxes):
+        rights.setdefault(xr, []).append(j)
+        tops.setdefault(yt, []).append(j)
+    return rights, tops
+
+
 def assert_maximal(m: MaximalSet) -> None:
     """A unit of growth in any direction must hit another rect of the set
     or leave the bounding square, and the rects must be pairwise disjoint
@@ -157,10 +173,10 @@ def assert_maximal(m: MaximalSet) -> None:
     when their open extents overlap on both axes, and as the two are
     disjoint and the coordinates integers, exactly when the other's right
     edge lies on the rect's left edge and their y-extents overlap.  So a
-    pass over the pairs of facing edges on one line blocks both rects of
-    each pair that overlaps across the line, and the first rect left
-    unblocked is reported with its first free direction in the order
-    left, right, bottom, top."""
+    pass over the pairs of facing edges on one line (``_far_edges``)
+    blocks both rects of each pair that overlaps across the line, and the
+    first rect left unblocked is reported with its first free direction
+    in the order left, right, bottom, top."""
     boxes = _boxes(m.rects)
     pairs = _overlapping_pairs(boxes)
     if pairs:
@@ -169,15 +185,16 @@ def assert_maximal(m: MaximalSet) -> None:
     side = m.side
     # free[i][e]: rect i may grow across its edge e (xl, yb, xr, yt)
     free = [[xl > 0, yb > 0, xr < side, yt < side] for xl, yb, xr, yt in boxes]
-    for low, high, axis in ((0, 2, 1), (1, 3, 0)):  # left meets right, bottom meets top
-        ends: dict[int, list[int]] = {}
-        for j, box in enumerate(boxes):
-            ends.setdefault(box[high], []).append(j)
-        for i, box in enumerate(boxes):
-            for j in ends.get(box[low], ()):
-                o = boxes[j]
-                if o[axis] < box[axis + 2] and box[axis] < o[axis + 2]:
-                    free[i][low] = free[j][high] = False
+    rights, tops = _far_edges(boxes)
+    for i, (xl, yb, xr, yt) in enumerate(boxes):
+        for j in rights.get(xl, ()):
+            _, oyb, _, oyt = boxes[j]
+            if oyb < yt and yb < oyt:
+                free[i][0] = free[j][2] = False
+        for j in tops.get(yb, ()):
+            oxl, _, oxr, _ = boxes[j]
+            if oxl < xr and xl < oxr:
+                free[i][1] = free[j][3] = False
     for i, grows in enumerate(free):
         for e, direction in ((0, "left"), (2, "right"), (1, "bottom"), (3, "top")):
             if grows[e]:
@@ -200,35 +217,41 @@ class NestingLabel:
         return "neither"
 
 
-def _seg_in_interior(lo: int, hi: int, olo: int, ohi: int) -> bool:
-    return olo < lo and hi < ohi
-
-
 def classify_nesting(m: MaximalSet) -> NestingLabel:
     """Vertical nesting: top or bottom edge inside the interior of a facing
     edge of another rect or of S; horizontal nesting likewise for left and
-    right edges.  No rect may carry both labels."""
-    hset, vset = set(), set()
+    right edges.  No rect may carry both labels; the least such rect is
+    reported.
+
+    An edge lies inside a facing edge of another rect only if the two lie
+    on one line, so only the pairs of facing edges on one line
+    (``_far_edges``, as ``assert_maximal`` reads them) can nest: of such a
+    pair, the rect whose extent along the line the other's strictly holds
+    is nested."""
+    boxes = _boxes(m.rects)
     side = m.side
-    for i, r in enumerate(m.rects):
-        v = h = False
-        for j, o in enumerate(m.rects):
-            if i == j:
-                continue
-            if (r.yt == o.yb or r.yb == o.yt) and _seg_in_interior(r.xl, r.xr, o.xl, o.xr):
-                v = True
-            if (r.xr == o.xl or r.xl == o.xr) and _seg_in_interior(r.yb, r.yt, o.yb, o.yt):
-                h = True
-        if (r.yt == side or r.yb == 0) and _seg_in_interior(r.xl, r.xr, 0, side):
-            v = True
-        if (r.xr == side or r.xl == 0) and _seg_in_interior(r.yb, r.yt, 0, side):
-            h = True
-        if h and v:
-            raise StructureError(f"rect {i} is both horizontally and vertically nested")
-        if h:
+    rights, tops = _far_edges(boxes)
+    hset, vset = set(), set()
+    for i, (xl, yb, xr, yt) in enumerate(boxes):
+        if (xl == 0 or xr == side) and 0 < yb and yt < side:
             hset.add(i)
-        if v:
+        if (yb == 0 or yt == side) and 0 < xl and xr < side:
             vset.add(i)
+        for j in rights.get(xl, ()):
+            _, oyb, _, oyt = boxes[j]
+            if oyb < yb and yt < oyt:
+                hset.add(i)
+            elif yb < oyb and oyt < yt:
+                hset.add(j)
+        for j in tops.get(yb, ()):
+            oxl, _, oxr, _ = boxes[j]
+            if oxl < xl and xr < oxr:
+                vset.add(i)
+            elif xl < oxl and oxr < xr:
+                vset.add(j)
+    both = hset & vset
+    if both:
+        raise StructureError(f"rect {min(both)} is both horizontally and vertically nested")
     return NestingLabel(frozenset(hset), frozenset(vset))
 
 

@@ -38,6 +38,7 @@ input):
   ref_split_components: split_components; RectPolygon, to build the parts
   ref_contains_walk, ref_holds: contains_walk, LineFences._holds; nothing
   ref_assert_maximal: assert_maximal; rects_intersect
+  ref_classify_nesting: classify_nesting; nothing
   ref_root_is_square, ref_horizontal_edges_miss_rects: two clauses of
       validate_partition; RectPolygon.from_rect, edges,
       segment_intersects_rect
@@ -75,6 +76,7 @@ from misr.partition import Chord, _make_chord
 from misr.structure import (
     LineFences,
     MaximalSet,
+    NestingLabel,
     StructureError,
     sees,
 )
@@ -1722,6 +1724,33 @@ def ref_assert_maximal(m: MaximalSet) -> None:
                 rects_intersect(bigger, o) for k, o in enumerate(m.rects) if k != i
             ):
                 raise StructureError(f"rect {i} could still grow {direction}")
+
+
+def ref_classify_nesting(m: MaximalSet) -> NestingLabel:
+    """classify_nesting as first written: every rect against every other
+    and against S, the least rect carrying both labels reported."""
+    hset, vset = set(), set()
+    side = m.side
+    for i, r in enumerate(m.rects):
+        v = h = False
+        for j, o in enumerate(m.rects):
+            if i == j:
+                continue
+            if (r.yt == o.yb or r.yb == o.yt) and o.xl < r.xl and r.xr < o.xr:
+                v = True
+            if (r.xr == o.xl or r.xl == o.xr) and o.yb < r.yb and r.yt < o.yt:
+                h = True
+        if (r.yt == side or r.yb == 0) and 0 < r.xl and r.xr < side:
+            v = True
+        if (r.xr == side or r.xl == 0) and 0 < r.yb and r.yt < side:
+            h = True
+        if h and v:
+            raise StructureError(f"rect {i} is both horizontally and vertically nested")
+        if h:
+            hset.add(i)
+        if v:
+            vset.add(i)
+    return NestingLabel(frozenset(hset), frozenset(vset))
 
 
 def ref_root_is_square(run) -> bool:

@@ -1,9 +1,9 @@
 """Digest every run of the identity sweep, one line per run.
 
-    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection|oracle|see] > digests.txt
+    PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection|oracle|see|pinwheel] > digests.txt
 
 A refactor that must not change any output runs this on both checkouts
-and diffs the two files.  Without an argument all six sections run,
+and diffs the two files.  Without an argument all seven sections run,
 in that order.
 
 The partition section: uniform_random and nested_grid at n = 3..16 with
@@ -67,6 +67,14 @@ visibility on its maximal set, one 0/1 digit of sees(rects, i, j, corner,
 side) for every ordered pair i != j and every valid (side, corner) pair.
 It asks only sees, so it runs against an older checkout's src too.
 
+The pinwheel section: the recursive runs on which the paper's general
+cases run (PINWHEEL_RUNS), on pinwheels without hubs (seed 0): three at
+tau = 1 on 6 x 6 and 7 x 7 (n = 144, 196), two_eps at eps 1/2 and
+tau = 1 on 6 x 6, and six on 2 x 2 and 3 x 2 (n = 16, 24), which lose
+rects.  A line holds the run, the partition section's digest, then in
+clear text the histogram of the cut nodes' cases and the ids of the
+maximal set's rects the run lost, or the error the run raised.
+
 The file name keeps it out of pytest's collection.
 """
 
@@ -75,6 +83,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from misr.charging import (
@@ -114,7 +123,11 @@ def specs() -> list[tuple[str, int, int]]:
 
 
 def digest(m, opt: int, regime: str, eps) -> str:
-    run = recursive_partition(m, regime, eps=eps)
+    return run_digest(recursive_partition(m, regime, eps=eps), opt, eps)
+
+
+def run_digest(run, opt: int, eps) -> str:
+    regime = run.regime
     if regime == "six":
         ledger, forest = charge_six(run), None
     elif regime == "three":
@@ -143,6 +156,32 @@ def partition_section() -> None:
             except Exception as exc:  # every outcome is part of the digest
                 result = f"{type(exc).__name__}: {exc}"
             print(f"{family} {n} {seed} {name} {result}")
+
+
+# (n, regime, eps, tau) of the pinwheel section's runs, seed 0
+PINWHEEL_RUNS = (
+    (144, "three", None, 1),
+    (144, "two_eps", Fraction(1, 2), 1),
+    (196, "three", None, 1),
+    (16, "six", None, None),
+    (24, "six", None, None),
+)
+
+
+def pinwheel_section() -> None:
+    for n, regime, eps, tau in PINWHEEL_RUNS:
+        inst = generate("pinwheel", n, 0)
+        opt = exact_mis(inst, cap=inst.n)
+        m = maximal_extension(opt, inst)
+        name = regime if eps is None else f"{regime}@{eps}"
+        try:
+            run = recursive_partition(m, regime, eps=eps, tau=tau)
+            cases = dict(sorted(Counter(node.case for node in run.nodes if node.case).items()))
+            lost = sorted(set(range(len(m.rects))) - run.tracked)
+            result = f"{run_digest(run, opt.size, eps)} {cases} lost={lost}"
+        except Exception as exc:  # every outcome is part of the listing
+            result = f"{type(exc).__name__}: {exc}"
+        print(f"pinwheel {n} 0 {name} tau={tau} {result}")
 
 
 # (instance, k, cut budget, shapes) of the DP runs whose counts
@@ -358,6 +397,7 @@ def main(argv: list[str]) -> int:
         "protection": protection_section,
         "oracle": oracle_section,
         "see": see_section,
+        "pinwheel": pinwheel_section,
     }
     for name in argv or list(sections):
         sections[name]()

@@ -227,7 +227,24 @@ def test_run_records_rects_and_labels(sweep):
                 continue
             intersected += assert_run_record(run)
             runs += 1
+    # larger sets, unchecked (the labels do not depend on check): pinwheels
+    # with and without hubs, and packed n = 48 and 60
+    specs = [("pinwheel", n, seed) for n in (16, 36, 64, 100) for seed in (0, 1)]
+    specs += [("packed", n, seed) for n in (48, 60) for seed in range(3)]
+    large = 0
+    for family, n, seed in specs:
+        inst = generate(family, n, seed)
+        m = maximal_extension(exact_mis(inst, cap=n), inst)
+        for regime, eps in (("six", None), ("three", None), ("two_eps", Fraction(1, 2))):
+            try:
+                run = recursive_partition(m, regime, eps=eps, check=False)
+            except ConstructionError as exc:
+                assert regime == "six" and "no repairable subpath found" in str(exc)
+                continue
+            assert_run_record(run)
+            large += 1
     assert runs > 2000 and intersected > 0, (runs, intersected)
+    assert large > 2 * len(specs), large
 
 
 def test_criterion_6_partitioning_units():

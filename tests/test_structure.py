@@ -22,10 +22,12 @@ from oracles import (
     fill_with_maximal_rects,
     notched_polygon,
     ref_assert_maximal,
+    ref_classify_nesting,
     ref_maximal_extension,
     ref_sees,
     ref_seen_corners_on_side,
 )
+from sweep_digests import specs as sweep_specs
 from test_instance import random_instance
 
 
@@ -173,6 +175,54 @@ class TestNesting:
             inst = random_instance(rng, rng.randrange(2, 10))
             m = maximal_extension(exact_mis(inst), inst)
             classify_nesting(m)  # raises if some rect carries both labels
+
+    @staticmethod
+    def outcome(classify, m):
+        try:
+            return classify(m)
+        except StructureError as exc:
+            return str(exc)
+
+    def test_matches_reference_on_maximal_sets(self):
+        """The edge-bucket pass equals the double loop on the sweep's maximal
+        sets, pinwheels with and without hubs and packed sets."""
+        specs = sweep_specs() + [("pinwheel", n, s) for n in (16, 36, 64, 100) for s in (0, 1)]
+        specs += [("pinwheel", 400, 0)] + [("packed", n, s) for n in (48, 60) for s in range(3)]
+        nested = 0
+        for family, n, seed in specs:
+            inst = generate(family, n, seed)
+            m = maximal_extension(exact_mis(inst, cap=n), inst)
+            lab = classify_nesting(m)
+            assert lab == ref_classify_nesting(m), (family, n, seed)
+            nested += bool(lab.horizontally_nested) + bool(lab.vertically_nested)
+        assert nested > len(specs)
+
+    def test_matches_reference_on_overlapping_sets(self):
+        """Also on sets that are neither disjoint nor maximal, where a rect
+        may carry both labels and the least such rect is reported."""
+        rng = random.Random(5)
+        raised = 0
+        for _ in range(400):
+            side = rng.randrange(3, 8)
+            rects = []
+            for _ in range(rng.randrange(1, 9)):
+                xl, xr = sorted(rng.sample(range(side + 1), 2))
+                yb, yt = sorted(rng.sample(range(side + 1), 2))
+                rects.append(Rect(xl, yb, xr, yt))
+            m = MaximalSet(tuple(rects), tuple(range(len(rects))), side)
+            got = self.outcome(classify_nesting, m)
+            assert got == self.outcome(ref_classify_nesting, m), rects
+            raised += isinstance(got, str)
+        assert raised > 0
+
+    def test_both_nested_reports_the_least_rect(self):
+        # rect 1 meets a taller rect on its left edge and a wider one on
+        # its top edge; rect 3 is a copy of it
+        left, inner, above = Rect(0, 1, 2, 5), Rect(2, 2, 4, 4), Rect(1, 4, 6, 6)
+        m = MaximalSet((left, inner, above, inner), (0, 1, 2, 3), 9)
+        for classify in (classify_nesting, ref_classify_nesting):
+            expected = "rect 1 is both horizontally and vertically nested"
+            assert self.outcome(classify, m) == expected
 
 
 BASE = [
