@@ -346,15 +346,8 @@ def section_intervals(c: int, along: EdgeTable, across: EdgeTable) -> list[tuple
                 out.append((e, e))
     xs.sort()
     out += zip(xs[::2], xs[1::2])
-    out.sort()
-    sec: list[list[int]] = []
-    for lo, hi in out:
-        if sec and lo <= sec[-1][1]:
-            if hi > sec[-1][1]:
-                sec[-1][1] = hi
-        else:
-            sec.append([lo, hi])
-    return [(lo >> 1, hi >> 1) for lo, hi in sec]
+    los, his = _merge_touches(out)
+    return [(lo >> 1, hi >> 1) for lo, hi in zip(los, his)]
 
 
 def _loop_locate(loop: Sequence[tuple[int, int]], p: tuple[int, int], start: int) -> int:

@@ -689,28 +689,15 @@ def _general_case1(
 
 def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> CutResult:
     # f: the LM-anchored chain with the rightmost endpoint.
-    t_lm = tables["LM"]
-    best = None
-    for ix in range(eng.nx):
-        for iy in range(eng.ny):
-            cand = Point(ix + eng.x0, iy + eng.y0)
-            if eng.covers(t_lm, cand):
-                key = (-cand.x, cand.y)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-    if best is None:
+    p = eng.rightmost(tables["LM"])
+    if p is None:
         raise ConstructionError("case 2: LM reaches nothing")
-    p = best[1]
-    f_chain = eng.chain_to(t_lm, p)
+    f_chain = eng.chain_to(tables["LM"], p)
 
     def scan(start: Point, up: bool):
+        for z, grps in _ray_stops(poly, eng, tables, start, up):
+            return z, grps, False
         ylo, yhi = poly.vertical_reach(start)
-        ys = range(start.y, yhi + 1) if up else range(start.y, ylo - 1, -1)
-        for y in ys:
-            z = Point(start.x, y)
-            grps = [g for g in tables if eng.covers_interior(tables[g], z)]
-            if grps:
-                return z, grps, False
         z = Point(start.x, yhi if up else ylo)
         vi = _edge_at(poly, z, vertical=True)
         if vi is not None:
@@ -768,6 +755,19 @@ def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> C
     )
 
 
+def _ray_stops(poly, eng, tables, start: Point, up: bool):
+    """The points of the vertical ray from start, up or down to the
+    polygon's boundary, through which some group's chains pass strictly,
+    in order along the ray, each with those groups."""
+    ylo, yhi = poly.vertical_reach(start)
+    ys = range(start.y, yhi + 1) if up else range(start.y, ylo - 1, -1)
+    for y in ys:
+        z = Point(start.x, y)
+        grps = [g for g in tables if eng.covers_interior(tables[g], z)]
+        if grps:
+            yield z, grps
+
+
 def _group_of_edge(group_edges: dict[str, list[int]], idx: int) -> Optional[str]:
     for name, g in group_edges.items():
         if idx in g:
@@ -791,15 +791,8 @@ def _general_case2bii(
     """Both ray stops anchor on the same outer-left group: walk the ray to
     the boundary, find the lowest/highest stop anchored outside the group,
     and cut between the group fence and that outside fence."""
-    ylo, yhi = poly.vertical_reach(p)
-    ys = range(p.y, ylo - 1, -1) if down else range(p.y, yhi + 1)
     complement = [g for g in tables if g not in (side, "LM")]
-    stops = []
-    for y in ys:
-        z = Point(p.x, y)
-        grps = [g for g in tables if eng.covers_interior(tables[g], z)]
-        if grps:
-            stops.append((z, grps))
+    stops = list(_ray_stops(poly, eng, tables, p, up=not down))
     if not stops:
         raise ConstructionError("case 2bii: no interior-covered stop on the ray")
     idx_star = None

@@ -26,14 +26,14 @@ first use and kept in the record:
             anchor's edge among the polygon's vertical edges and reads no
             row;
   columns   per band of columns, the free pieces (_Pieces), built only
-            when an engine makes its move table;
+            for the move table;
   anchors   per rect, the anchors of the line fences holding its top and
             bottom edges, which answer line protection (protected), give
             the line cut the fence of a rect its ray hits and certify
             tau-protection;
-  engine    per tau, one FenceEngine, whose move table is made from the
-            record's rows and columns, with its search tables, built only
-            when a tau query is left open by the line fences.
+  moves     the engines' move table, for every tau, from rows and columns;
+  engine    per tau, one FenceEngine, holding its search tables only, built
+            only when a tau query is left open by the line fences.
 A line fence is a tau-fence of one segment, so for tau >= 1 a rect whose
 top and bottom edges are held by line fences from one vertical edge is
 tau-protected; tau_protected asks the engine only about the others.
@@ -505,8 +505,8 @@ def _fence(r: Rect, y: int, x: int, left: bool) -> tuple[Point, Point]:
 class LineFences:
     """The protection record of one node, a polygon and the rects inside
     it: the free pieces of its lines, one record per band of rows or of
-    columns, its line fences and its fence engines, all built on first
-    use.
+    columns, its line fences, its fence engines' move table and its fence
+    engines, all built on first use.
 
     A line fence from a left polygon edge runs rightward from an integral
     anchor point of the edge, within the polygon's section, to a rect
@@ -533,12 +533,12 @@ class LineFences:
     row lies between the edge's ends, which are vertex y's.  A row's facts
     are functions of these four alone, and a column's free pieces, by the
     mirror argument, of its crossing rects and section.  A row's anchor
-    facts (_Row) serve anchors, the engine and the line cut's
+    facts (_Row) serve anchors, the move table and the line cut's
     crossing_anchor; the line cut's furthest reads no row: it finds its
     anchor's edge among the vertical edges (_verticals), like _holds.
     Both line-cut reads read the fence end of each anchor they ask about
     (_end) and keep none; a column's free pieces (_Pieces) serve only the
-    engine.  So a reader that walks a run of rows asking
+    move table.  So a reader that walks a run of rows asking
     these reads needs only the first row of each band it meets: band_rows
     lists them, in the direction of travel.
 
@@ -833,11 +833,35 @@ class LineFences:
         self._proofs[r, _PAIR] = _Witness(walks, left)
         return True
 
+    @cached_property
+    def moves(self) -> bytes:
+        """The fence engines' move table, one for every budget:
+        moves[ix*ny + iy] holds the move bits of the unit steps from grid
+        point (x0+ix, y0+iy) of the polygon's nx by ny bounding box that
+        stay in the closed polygon and cross no rect interior.
+
+        The steps come from the free pieces of the record's rows and
+        columns.  Each row's free steps fill one strided slice of a table
+        of free steps right, and each column's one slice of a table of free
+        steps up; as integers of little-endian bytes, a step right from
+        byte k is a step left from byte k + ny, and a step up one down from
+        byte k + 1, so shifts give the other two directions."""
+        x0, y0, x1, y1 = self.poly.bbox()
+        nx, ny = x1 - x0 + 1, y1 - y0 + 1
+        right = bytearray(nx * ny)
+        rows = map(self.row, range(y0, y0 + ny))
+        for j, steps in enumerate(_free_steps(rows, x0, nx)):
+            right[j::ny] = steps
+        up = b"".join(_free_steps(map(self.column, range(x0, x0 + nx)), y0, ny))
+        h, v = int.from_bytes(right, "little"), int.from_bytes(up, "little")
+        moves = h * _RIGHT | (h << 8 * ny) * _LEFT | v * _UP | (v << 8) * _DOWN
+        return moves.to_bytes(nx * ny, "little")
+
     def engine(self, tau: int) -> FenceEngine:
         """The node's fence engine at budget tau, built on first use."""
         eng = self._engines.get(tau)
         if eng is None:
-            eng = self._engines[tau] = FenceEngine(self, tau)
+            eng = self._engines[tau] = FenceEngine(self.poly, tau, self.moves)
         return eng
 
     def tau_protected(self, r: Rect, tau: int) -> bool:
@@ -958,12 +982,13 @@ class FenceEngine:
     """Reachability of x-monotone chains of at most tau axis-parallel
     segments inside a node's polygon, avoiding its rects' interiors.
 
-    An engine belongs to the node's protection record, which builds it
-    (LineFences.engine) and whose rows' and columns' free pieces make its
-    move table.  The search graph is the integer grid of the polygon's
-    bounding box; a chain state is (grid point, current orientation,
-    committed horizontal direction).  Turning costs one segment,
-    continuing straight nothing.
+    The node's protection record builds one engine per budget
+    (LineFences.engine) and hands it the polygon and the record's move
+    table (LineFences.moves); the engine keeps nothing of the record, only
+    its search tables.  The search graph is the integer grid of the
+    polygon's bounding box; a chain state is (grid point, current
+    orientation, committed horizontal direction).  Turning costs one
+    segment, continuing straight nothing.
 
     A search result (a table) is private to the engine: only its methods
     read it.  Its distances live in one flat array indexed
@@ -978,48 +1003,23 @@ class FenceEngine:
     ends of a run, and a proof reads its chains back from them (_chain).
     """
 
-    def __init__(self, fences: LineFences, tau: int):
-        self.fences = fences
-        self.poly = poly = fences.poly
+    def __init__(self, poly: RectPolygon, tau: int, moves: bytes):
+        self.poly = poly
         self.tau = tau
+        self.moves = moves
         x0, y0, x1, y1 = poly.bbox()
         self.x0, self.y0 = x0, y0
         self.nx = x1 - x0 + 1
         self.ny = y1 - y0 + 1
-        self._moves: Optional[bytes] = None
         self._edge_tables: dict[int, _Table] = {}
         self._trans = _step_rules(self.ny)
-
-    def _steps(self) -> bytes:
-        """moves[ix*ny + iy]: the move bits of the unit steps from grid
-        point (x0+ix, y0+iy) that stay in the closed polygon and cross no
-        rect interior.
-
-        The steps come from the free pieces of the record's rows and
-        columns.  Each row's free steps fill one strided slice of a table
-        of free steps right, and each column's one slice of a table of free
-        steps up; as integers of little-endian bytes, a step right from
-        byte k is a step left from byte k + ny, and a step up one down from
-        byte k + 1, so shifts give the other two directions."""
-        if self._moves is None:
-            fences = self.fences
-            x0, y0, nx, ny = self.x0, self.y0, self.nx, self.ny
-            right = bytearray(nx * ny)
-            rows = map(fences.row, range(y0, y0 + ny))
-            for j, steps in enumerate(_free_steps(rows, x0, nx)):
-                right[j::ny] = steps
-            up = b"".join(_free_steps(map(fences.column, range(x0, x0 + nx)), y0, ny))
-            h, v = int.from_bytes(right, "little"), int.from_bytes(up, "little")
-            moves = h * _RIGHT | (h << 8 * ny) * _LEFT | v * _UP | (v << 8) * _DOWN
-            self._moves = moves.to_bytes(nx * ny, "little")
-        return self._moves
 
     def _bfs(
         self, seeds: list[tuple[int, int, int, int, int]], with_parent: bool
     ) -> _Table:
         """0/1-BFS over chain states from (dist, ix, iy, orient, hdir)
         seeds; hdir 0 uncommitted, 1 rightward, 2 leftward."""
-        moves, trans, tau = self._steps(), self._trans, self.tau
+        moves, trans, tau = self.moves, self._trans, self.tau
         size = self.nx * self.ny * 12
         dist = _filled(tau + 1, size)
         parent = array("q", [-1]) * size if with_parent else None
@@ -1083,13 +1083,27 @@ class FenceEngine:
     def covers(self, table: _Table, p: Point) -> bool:
         return self.best_dist(table, p) <= self.tau
 
+    def rightmost(self, table: _Table) -> Optional[Point]:
+        """The rightmost point the table covers, the lowest in its column,
+        or None when it covers none.  A column's states are one slice of
+        the table, and a column that covers nothing equals a slice of
+        unreached states, so each column from the right costs one compare."""
+        dist, tau, col = table.dist, self.tau, self.ny * 12
+        unreached = _filled(tau + 1, col)
+        for ix in reversed(range(self.nx)):
+            cells = dist[ix * col : (ix + 1) * col]
+            if cells != unreached:
+                s = next(s for s, d in enumerate(cells) if d <= tau)
+                return Point(ix + self.x0, s // 12 + self.y0)
+        return None
+
     def covers_interior(self, table: _Table, p: Point) -> bool:
         """Some chain passes strictly through p: it arrives at p and can be
         extended by one more unit step within budget."""
         base = self._cell(p)
         if base is None:
             return False
-        m = self._steps()[base // 12]
+        m = self.moves[base // 12]
         for oh in range(_START * 3):  # arrival as a bare source is an endpoint
             d = table.dist[base + oh]
             for bit, _offset, cost in self._trans[oh]:
@@ -1155,7 +1169,7 @@ class FenceEngine:
     def _walkable(self, y: int, x1: int, x2: int) -> bool:
         """The run [x1,x2]x{y} lies on the grid and each of its unit steps
         is free (a free step may be taken either way)."""
-        moves, ny = self._steps(), self.ny
+        moves, ny = self.moves, self.ny
         ix1, ix2, iy = x1 - self.x0, x2 - self.x0, y - self.y0
         return (
             0 <= iy < ny
@@ -1193,7 +1207,7 @@ class FenceEngine:
         on where it can; the seeds are the states at distance 0, and a step
         costs a segment exactly where the chain bends (every step out of
         _START does)."""
-        dist, moves, ny = self._edge_tables[idx].dist, self._steps(), self.ny
+        dist, moves, ny = self._edge_tables[idx].dist, self.moves, self.ny
         preds, size = _step_preds(self._trans), len(dist)
 
         def point(t: int) -> Point:

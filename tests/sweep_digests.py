@@ -44,16 +44,16 @@ hex digits of the sha256 of the node's facts that line and chain
 protection read from one LineFences record of the node, namely every
 rect's line fences (anchor, far end and side of each, in order; built
 by oracles.protecting_fences from the record's anchors of the rect),
-the move table of the fence engine of a second, fresh record (built as
-LineFences(poly, rects_in).engine(1), which older checkouts that build
-the engine from the polygon and the rects answer as well), the line
-cut's reads (furthest at every integral point of every vertical edge,
-and crossing_anchor on every row of the bbox at every vertex x and at
-the integral x midway between neighbouring vertex x's) and, under three
-and two_eps, every rect's tau_protected verdict at the run's tau.
-Against an older src without tau_protected, the verdicts come from
-is_tau_protected.  A run that raises shows the type and message of the
-error instead, once.
+the move table of a second, fresh record (LineFences(poly,
+rects_in).moves, or on an older src the table of its engine(1), which
+older checkouts that build the engine from the polygon and the rects
+answer as well), the line cut's reads (furthest at every integral
+point of every vertical edge, and crossing_anchor on every row of the
+bbox at every vertex x and at the integral x midway between
+neighbouring vertex x's) and, under three and two_eps, every rect's
+tau_protected verdict at the run's tau.  Against an older src without
+tau_protected, the verdicts come from is_tau_protected.  A run that
+raises shows the type and message of the error instead, once.
 
 The oracle section: the partition section's instances, then packed at
 n in {48, 60, 120} with seeds 0-2, windmill at n = 60 and nested_grid at
@@ -338,7 +338,8 @@ def _node_facts(run, node) -> str:
         for rid, r in rects_in
     ]
     # the move table does not depend on the budget
-    moves = LineFences(poly, rects_in).engine(1)._steps()
+    fresh = LineFences(poly, rects_in)
+    moves = fresh.moves if hasattr(LineFences, "moves") else fresh.engine(1)._steps()
     facts = [fences, bytes(moves).hex(), _line_cut_reads(record)]
     if run.regime != "six":
         facts.append(_tau_verdicts(record, rects_in, run.tau))

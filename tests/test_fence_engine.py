@@ -1,9 +1,9 @@
 """The fence engine against the nested-table reference engine in
 oracles.py: the move table byte for byte, protection verdicts, the
-edges anchoring each run, covered points, interior coverage and chain
-walks must agree exactly, on partition nodes (packed ones included), on
-the notched units of acceptance criterion 6 and at budgets beyond a
-byte.  A node's LineFences record decides tau-protection by its line
+edges anchoring each run, covered points, the rightmost one, interior
+coverage and chain walks must agree exactly, on partition nodes (packed
+ones included), on the notched units of acceptance criterion 6 and at
+budgets beyond a byte.  A node's LineFences record decides tau-protection by its line
 fences when one edge anchors fences holding both of a rect's edges, else
 by the record's engine: both paths must agree with the engine and the
 reference.  Line protection: the
@@ -46,14 +46,15 @@ def partition_cells(family, n, seed, tau, regime="three", eps=None):
             yield node.polygon, rin
 
 
-def assert_anchors_agree(eng, ref, runs, seen=None):
+def assert_anchors_agree(eng, ref, rin, runs, seen=None):
     """The edges anchoring each run (y, x1, x2) agree with the reference's
-    reversed searches; seen, if given, counts the runs by whether they are
-    walkable and whether some edge anchors them."""
+    reversed searches; rin, the rects inside the engine's polygon, names
+    the node on failure; seen, if given, counts the runs by whether they
+    are walkable and whether some edge anchors them."""
     for y, x1, x2 in runs:
         got = anchoring_edges(eng, y, x1, x2)
         assert got == _nested_edges_reaching_run(ref, y, x1, x2), (
-            eng.poly, eng.fences.rects_in, eng.tau, (y, x1, x2)
+            eng.poly, rin, eng.tau, (y, x1, x2)
         )
         if seen is not None:
             walkable = ref.reach_run(y, x1, x2, rightward=True) is not None
@@ -65,14 +66,16 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     """Every tau-protection verdict and the edges anchoring the top and
     bottom runs of every rect, and for the chains from the left and from
     the right vertical edges every grid point's distance, interior
-    coverage and chain walk, agree with the reference engine.  A rect the
+    coverage and chain walk, and the rightmost covered point (the lowest
+    of its column), agree with the reference engine.  A rect the
     line fences certify (one edge anchors fences holding both its edges)
     is protected by the engine and the reference alike.  verdicts, if
     given, counts the verdicts by (deciding path, verdict), the path
     "line" or "engine"."""
     ref = NestedFenceEngine(poly, rin, tau)
-    eng = LineFences(poly, rin).engine(tau)
-    assert eng._steps() == ref_moves(poly, [r for _rid, r in rin]), (poly, rin)
+    record = LineFences(poly, rin)
+    eng = record.engine(tau)
+    assert record.moves == ref_moves(poly, [r for _rid, r in rin]), (poly, rin)
     fences = LineFences(poly, rin)
     for _rid, r in rin:
         verdict = fences.tau_protected(r, tau)
@@ -83,7 +86,7 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
         if verdicts is not None:
             verdicts["line" if certified else "engine", verdict] += 1
     assert_anchors_agree(
-        eng, ref, [(y, r.xl, r.xr) for _rid, r in rin for y in (r.yt, r.yb)]
+        eng, ref, rin, [(y, r.xl, r.xr) for _rid, r in rin for y in (r.yt, r.yb)]
     )
     sides = poly.vertical_edge_sides()
     edges = poly.edges()
@@ -94,6 +97,7 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
         ]
         table, ref_table = eng.reach(sources), ref.reach(sources)
         x0, y0, x1, y1 = poly.bbox()
+        covered = []
         for x in range(x0 - 1, x1 + 2):
             for y in range(y0 - 1, y1 + 2):
                 p = Point(x, y)
@@ -101,7 +105,10 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
                 assert d == ref.best_dist(ref_table, p)
                 assert eng.covers_interior(table, p) == ref.covers_interior(ref_table, p)
                 if d <= tau:
+                    covered.append(p)
                     assert eng.chain_to(table, p) == ref.chain_to(ref_table, p)
+        rightmost = max(covered, key=lambda q: (q.x, -q.y), default=None)
+        assert eng.rightmost(table) == rightmost, (poly, rin, tau, side)
 
 
 def test_partition_nodes_match_reference():
@@ -158,7 +165,7 @@ def test_anchor_sets_of_short_runs_match_reference():
             for poly, rin in partition_cells(family, n, 0, tau):
                 eng = LineFences(poly, rin).engine(tau)
                 ref = NestedFenceEngine(poly, rin, tau)
-                assert_anchors_agree(eng, ref, grid_runs(poly), seen)
+                assert_anchors_agree(eng, ref, rin, grid_runs(poly), seen)
     assert all(seen[k] for k in ("walkable", "blocked", "anchored", "unanchored")), seen
 
 

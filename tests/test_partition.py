@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -553,6 +555,30 @@ def test_windmill_checked_builds_one_engine(regime, eps, monkeypatch):
     run = recursive_partition(m, regime, eps=eps, check=True)
     assert all(c["ok"] for c in validate_partition(run))
     assert built["FenceEngine"] == 1
+
+
+@pytest.mark.parametrize("family, n", [("windmill", 10), ("packed", 24), ("pinwheel", 16)])
+def test_engines_are_freed_with_their_nodes(family, n, monkeypatch):
+    """With the cyclic collector off, every engine a checked run at tau = 1
+    builds is freed once the run is done: an engine keeps nothing of the
+    node's record that holds it, so reference counting frees both."""
+    inst = generate(family, n, 0)
+    m = maximal_extension(exact_mis(inst, cap=n), inst)
+    refs = []
+
+    def engine(self, tau, _real=LineFences.engine):
+        eng = _real(self, tau)
+        refs.append(weakref.ref(eng))
+        return eng
+
+    monkeypatch.setattr(LineFences, "engine", engine)
+    gc.disable()
+    try:
+        recursive_partition(m, "three", tau=1, check=True)
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert refs and not alive, (len(refs), len(alive))
 
 
 def count_calls(monkeypatch, owner, *names) -> Counter:
