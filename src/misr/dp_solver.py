@@ -38,7 +38,7 @@ set lies inside that part.  Under the DP's order (larger size first,
 then the lexicographically smaller sorted tuple) no candidate beats the
 target, so once the best reaches it, enumerating every cut would end
 with the same value.  Every stored cell keeps the value it would have
-without the exit, and without the k = 4 bounding-box rule below, so a
+without the exit, and without the bounding-box rule below, so a
 memo hit returns that value too.  Where the inside rects are
 pairwise disjoint, the target is all of them, and the cell stops when
 its best reaches its rect count.
@@ -87,26 +87,94 @@ rule see the same cuts.  Every other cell, and a rectangle cell at a
 walk budget of two or more, goes through ``_CellGeometry``,
 ``_enumerate_walks``, ``splice_plan`` and ``surgery``.
 
-At k = 4 a cell's value depends only on the rects inside it, so a cell
-holding two or more rects whose corners are not their bounding box B
-stores B's value, read from the memo or solved first with the cell's
-inside rects as candidates, and tries no chord.  Both cells are stored,
-and the cell cap counts both.  Why that is exact: let S be the rects
-inside a rectangle cell R, and B their bounding box, whose corners are
-grid points.  A chord of R on a grid line outside B's open range leaves
-all of S on one side; its candidate is the value of a smaller rectangle
-that holds S, plus an empty part.  A chord inside B's open range is
-also a chord of B, and the parts on each side hold the same rects in R
-as in B.  Each such part holds a proper subset of S, since the rect
-whose edge lies on B's bottom (top, left, right) line stays on that
-side of the chord or is cut by it.  The first-rect baseline, the order
-of ``inside`` and the target depend on S alone.  The DP's order is
-total, so a cell's value is the best of its candidates, whatever order
-they come in and wherever the early exit stops.  By induction on |S|,
-and for one S on the area of R, value(R) = value(B), with the same
-chosen set: R's candidates are B's plus value(B) itself.  Above k = 4
-tree cuts give three parts and the parts need not be rectangles, which
-this argument does not cover, so the rule stays at k = 4.
+The bounding-box rule: at k = 4, and at k = 6 with a walk budget of one
+segment, or of two with path cuts among the shapes, a cell holding two
+or more rects whose bounding box B lies in the closed cell, and is not
+the cell, stores B's value, read from the memo or solved first with the
+cell's inside rects as candidates, and tries no cut.  At these k every
+cell is a rectangle or an L: B lies in a rectangle cell, and is not it
+when their corners differ; an L is never a box, and
+``loop_contains_rect_doubled`` tells whether B lies in it.  Both cells
+are stored, and the cell cap counts both.
+
+Why that is exact.  Let V be the DP's value without the rule.  A cell's
+value depends on the cell alone (its rects are all the pruned rects
+inside it, in index order), and it is the best of the cell's
+candidates, whatever order they come in and wherever the early exit
+stops, as the DP's order is total.  For a cell X let X_B be the closure
+of the common interior of X and B, with value (0, ()) where that is
+empty.  Write U + W for the union of two values whose chosen sets come
+from disjoint rect sets: a better U gives a better U + W, as sizes add
+up and, of two sets of one size, the smaller sorted tuple is the one
+holding the least element of their symmetric difference, which here
+splits between the two rect sets.  Three facts about P(6), whose cells
+are rectangles and L's (at k = 4 read "rectangle" for "cell"):
+
+(a) X_B is a cell or empty.  An L is two boxes sharing its convex
+    corner opposite the reflex vertex, and X_B is their two clips.  If
+    B's interior meets both boxes', it meets their common square's (take
+    the x of one meeting point and the y of the other), and the clips
+    share that corner again: a rectangle or an L.
+(b) A walk of j segments adds at most 2j + 2 vertices to its two parts
+    together (an end inside an edge is a vertex of both, a bend too),
+    and each part has four or more.  So a chord of a cell cuts two
+    cells, and a walk of two segments a part of at most 8 <= k + 2 * 2.
+(c) A walk of at most two segments is monotone in x and in y, so it
+    meets an open box in one piece: the path between two of its points
+    lies in the box they span.
+
+Lemma: if the rects inside a cell D all lie in B, then V(D) is no better
+than V(D_B).  By induction on D's area.  E = D_B holds the same rects,
+so with at most one rect the two values are equal, and otherwise D's
+first-rect baseline is E's too.  For each cut of D, the clips of its
+parts that are not empty are the parts of a cut of E that the DP tries,
+or of such a cut followed by a cut of one of its parts.  A cell's value
+is at least as good as the sum of its parts' values under each cut it
+tries (with at most one rect it tries none, and holds its parts'
+rects), so V(E) is at least as good as the sum of the clips' values,
+and that is at least as good as D's candidate, part by part by
+induction:
+- A path cut along a walk W into P1 and P2.  W's relative interior lies
+  inside D, so by (c) W meets E's interior in one piece or none.  With
+  none, E lies in one part, P1 say, and P2 holds no rect: the candidate
+  is V(P1), no better than V(P1_B) = V(E).  Otherwise the piece's
+  closure W' runs through E's interior from boundary to boundary,
+  bending where W does, on grid points: a walk of E that the DP
+  enumerates, of no more segments, cutting E into P1_B and P2_B, cells
+  by (a), and a path cut wherever W is one (path cuts, or one segment).
+- A tree cut: a seed W into Q and P, and a branch s from a point m
+  inside W into P, cutting it into P1 and P2, where Q, P1 and P2 are
+  cells and s meets W at m only.  Let W' and s' be the pieces of W and s
+  inside E, each one or none by (c).  If m lies in B's interior, W'
+  passes through m and is a seed of E, with the parts Q_B, a cell, and
+  P_B, of at most k + 2 * cut_budget vertices by (b); and s' is a branch
+  from m cutting P_B into P1_B and P2_B: a tree cut of E.  If m does
+  not, W' and s' are disjoint.  Should W' have two segments, it holds
+  W's bend c, and B's interior meets the line of m's segment in an
+  interval that holds c and not m, so s, perpendicular at m, misses it
+  and s' is none.  So E lies in one part, as for a path cut, or is cut
+  by W' alone (a path cut, where the budget is one segment or path cuts
+  are allowed), by s' alone (a chord), or by two chords: W' into Q_B
+  and P_B, then s' cutting P_B into P1_B and P2_B, all cells by (a) and
+  (b).
+
+The rule: let S be the rects inside a cell C, two or more, with B in C
+and not C.  V(C) is no better than V(C_B) = V(B) by the lemma.  And some
+side of B does not lie on C's boundary (else B's interior would be open
+and closed in C's connected interior, and B = C); the chord of C along
+that side's line through one of its points inside C is a one-segment
+walk the DP tries, whose parts are cells by (b).  One of them, C', holds
+B's interior and so S, the other no rect; by induction on area
+V(C') = V(B), so V(C) is at least as good as V(B).  So V(C) = V(B),
+with the same chosen set, and every value the DP with the rule stores
+is V's.
+
+The rule stays off where the argument does not reach.  A walk of three or more
+segments can turn back and meet B's interior in two pieces, so a part's
+clip can fall apart.  With tree cuts alone at a budget of two, a seed
+whose branch point lies outside B can leave in B a two-segment walk,
+which is then no candidate.  From k = 8 a cell can be U-shaped, and its
+clip can fall apart, which breaks (a).
 """
 
 from __future__ import annotations
@@ -174,13 +242,16 @@ class DpConfig:
 @dataclass
 class DpStats:
     """Counters of one ``dp_solve`` run.  ``cells`` is the number of cells
-    stored in the memo, the count the cell cap bounds; at k = 4 it counts
-    a cell that takes its rects' bounding box's value as well as the box.
-    ``cuts_tried`` counts the walks enumerated, usable or not, and the
-    branches of tree cuts; a cell that takes its box's value tries none."""
+    stored in the memo, the count the cell cap bounds; where the
+    bounding-box rule applies (module docstring) it counts a cell that
+    takes its rects' bounding box's value as well as the box, and
+    ``boxed`` counts the cells that take it.  ``cuts_tried`` counts the
+    walks enumerated, usable or not, and the branches of tree cuts; a cell
+    that takes its box's value tries none."""
 
     cells: int = 0
     cuts_tried: int = 0
+    boxed: int = 0
 
 
 def containment_prune(rects: Sequence[Rect]) -> list[int]:
@@ -460,11 +531,11 @@ def dp_solve(
     stats: Optional[DpStats] = None,
 ) -> Solution:
     """Top-down memoized recursion over polygon cells: terminal cells hold
-    at most one rect; at k = 4 a cell whose corners are not its rects'
-    bounding box takes the box's value; otherwise the best candidate over
-    all enumerated subdivisions, ties broken toward the lexicographically
-    smallest chosen index set, where a cell stops at its target (module
-    docstring)."""
+    at most one rect; where the bounding-box rule applies, a cell holding
+    its rects' bounding box without being it takes the box's value;
+    otherwise the best candidate over all enumerated subdivisions, ties
+    broken toward the lexicographically smallest chosen index set, where
+    a cell stops at its target (module docstring)."""
     cfg = DpConfig(k, cut_budget, tuple(shapes), cell_cap)
     pruned = containment_prune(inst.rects)
     kept = [inst.rects[i] for i in pruned]
@@ -488,6 +559,8 @@ def dp_solve(
     # a part a tree cut branches into may exceed k by two edges per segment
     tree_k = cfg.k + 2 * cfg.cut_budget
     budget = 1 if cfg.k == 4 else cfg.cut_budget
+    # where the bounding-box rule is exact (module docstring)
+    box_rule = cfg.k <= 6 and (budget == 1 or (budget == 2 and use_path))
 
     def usable(n1: int, n2: int) -> bool:
         """Can parts of n1 and n2 vertices be a path cut or a tree cut's seed?"""
@@ -524,17 +597,24 @@ def dp_solve(
             ]
         if len(inside) <= 1:
             return store(loop, (len(inside), tuple(c[0] for c in inside)))
-        if cfg.k == 4:
-            # a rectangle cell takes the value of its rects' bounding box
+        if box_rule:
+            # a cell takes the value of its rects' bounding box when the box
+            # lies in it and is not it; every cell is a rectangle or an L
             # (module docstring)
             BX0 = min(c[1] for c in inside)
             BY0 = min(c[2] for c in inside)
             BX1 = max(c[3] for c in inside)
             BY1 = max(c[4] for c in inside)
-            if (BX0, BY0, BX1, BY1) != (X0, Y0, X1, Y1):
+            if (
+                (BX0, BY0, BX1, BY1) != (X0, Y0, X1, Y1)
+                if rectangle
+                else loop_contains_rect_doubled(vtab, htab, BX0, BY0, BX1, BY1)
+            ):
                 x0, y0, x1, y1 = BX0 // 2, BY0 // 2, BX1 // 2, BY1 // 2
                 box = ((x0, y0), (x0, y1), (x1, y1), (x1, y0))
                 hit = memo.get(box) or solve((box, 2 * (x1 - x0) * (y1 - y0)), inside)
+                if stats is not None:
+                    stats.boxed += 1
                 return store(loop, hit)
         mask = meets = 0
         for c in inside:

@@ -18,7 +18,7 @@ and two_eps (eps 1/2), with check=True.  Each LAYER is a list of groups:
              maximal_extension, classify_nesting) on certify_small,
              certify_cap and the pinwheels 10 x 10 and 18 x 18 (n = 400
              and 1,296, no hubs): "suite";
-  dp         sweep_digests.py's 70 dp_runs, one dp_solve call each, as
+  dp         sweep_digests.py's 75 dp_runs, one dp_solve call each, as
              one group: per run its cells, cuts tried and microseconds per
              cell of the call's time, and the same for the whole suite:
              "total" and "runs";

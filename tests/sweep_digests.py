@@ -20,10 +20,14 @@ seeds 0-2; k = 6 with two-segment path and tree cuts on both families at
 n = 3 and on uniform_random at n = 4, with seeds 0-2 (nested_grid at
 n = 4 is left out: an older checkout, whose cells do not stop at their
 optimum, takes 7-19 s a run on it); windmill n = 5 at k = 4 with walk
-budgets 1 and 3; and WINDMILL_RUNS, on which the cut language falls
-short of the optimum in many cells, so that a cell's early exit at its
-optimum seldom fires.  A line holds the run and dp_solve's (size,
-chosen, cells, cuts tried).
+budgets 1 and 3; WINDMILL_RUNS, on which the cut language falls short
+of the optimum in many cells, so that a cell's early exit at its
+optimum seldom fires; and PINWHEEL_DP_RUNS, pinwheels 2 x 2 (n = 16,
+seeds 0 and 1, without and with hubs) at k = 4 and at k = 6 with
+two-segment path and tree cuts, and 3 x 3 (n = 36, seed 0) at k = 6,
+where the k = 4 DP loses one arm per windmill cell and k = 6 keeps the
+optimum.  A line holds the run and dp_solve's (size, chosen, cells,
+cuts tried).
 
 The units section: the single cuts of acceptance criteria 6 and 7, which
 reach construction cases the recursive runs never do (general-1b,
@@ -207,6 +211,10 @@ WINDMILL_RUNS = [
 ]
 
 
+# pinwheel DP runs: (n, seed, k, cut budget), with path and tree cuts
+PINWHEEL_DP_RUNS = ((16, 0, 4, 1), (16, 1, 4, 1), (16, 0, 6, 2), (16, 1, 6, 2), (36, 0, 6, 2))
+
+
 def dp_runs() -> list:
     """(name, instance, k, cut budget, shapes) of the DP section."""
     both = ("path", "tree")
@@ -220,6 +228,8 @@ def dp_runs() -> list:
         out.append(("windmill 5 0", generate("windmill", 5, 0), 4, b, both))
     for inst, k, b, shapes in WINDMILL_RUNS:
         out.append((f"windmill {inst.n} 0", inst, k, b, shapes))
+    for n, seed, k, b in PINWHEEL_DP_RUNS:
+        out.append((f"pinwheel {n} {seed}", generate("pinwheel", n, seed), k, b, both))
     return out
 
 

@@ -60,36 +60,36 @@ RUNS = KERNEL_RUNS
 # tries (205, 1358), (1006, 7758), (236, 1572), (111, 571), (418, 5004),
 # (1088, 9523), (7, 7) and (206, 12575): it stops a cell only at the
 # cell's rect count, dp_solve at the cell's optimum, and their
-# enumeration orders differ.  The last run keeps two rects after
-# containment pruning, and they meet, so its root stops at its first rect.
+# enumeration orders differ; and it has no bounding-box rule, which every
+# run here uses.  The last run keeps two rects after containment
+# pruning, and they meet, so its root takes the value of their bounding
+# box, which stops at its first rect.  dp_solve tries fewer cuts on every
+# run, the T shape too: its rects are pairwise disjoint, so its optimum
+# is its rect count, and its root, of side 5, takes the value of the
+# rects' bounding box, the square [0, 2] x [0, 2], which meets it with
+# its fifth walk, where the first-written DP cuts the root itself.
 RUN_COUNTS = [
     (14, 6),
     (64, 32),
     (78, 50),
     (10, 4),
-    (3, 1),
-    (85, 48),
-    (26, 18),
-    (1, 0),
+    (4, 1),
+    (54, 25),
+    (12, 5),
+    (2, 0),
 ]
-# The T shape's rects are pairwise disjoint, so its optimum is its rect
-# count.  The first-written order meets it with its second walk at the
-# root, the chord x = 1 entered along the bottom edge from the corner
-# (0, 0).  The library starts at (0, 1) and meets it only with its sixth
-# walk at the root, the chord y = 2, after the parts of the five walks
-# before it, so it tries more cuts.
-MORE_CUTS_THAN_FIRST_WRITTEN = {6}
 # Runs whose cells are checked one by one: RUNS stop most cells early, so
 # the windmill runs whose cells often fall short of their optimum (n = 12
 # at k = 4, n = 6 at k = 6) supply most cells, the non-rectangle ones too.
-# At k = 4 a cell whose corners are not its rects' bounding box takes the
+# A cell that holds its rects' bounding box without being it takes the
 # box's value and is cut no further, which leaves those runs fewer cells;
 # windmill n = 16 and nested_grid n = 10 (seeds 0 and 1) at k = 4 bring
-# the rectangle cells back up.
+# the rectangle cells back up, and windmill n = 8 at k = 6 with
+# two-segment paths the L-shaped ones.
 CELL_RUNS = RUNS + WINDMILL_RUNS[1:] + [
     (generate(family, n, seed), 4, 1, ("path", "tree"))
     for family, n, seed in (("windmill", 16, 0), ("nested_grid", 10, 0), ("nested_grid", 10, 1))
-]
+] + [(generate("windmill", 8, 0), 6, 2, ("path",))]
 
 
 def random_loop(rng: random.Random) -> list[tuple[int, int]]:
@@ -195,7 +195,7 @@ def dp_cells():
             ys = [y for y in gys if min(p[1] for p in loop) <= y <= max(p[1] for p in loop)]
             out[loop] = (area2, xs, ys, 1 if k == 4 else b)
     assert len(out) > 1000
-    assert len(out) == 2692 and sum(len(loop) == 4 for loop in out) == 2045
+    assert len(out) == 2806 and sum(len(loop) == 4 for loop in out) == 2029
     return out
 
 
@@ -323,7 +323,7 @@ def test_chords_are_the_kernel_cuts_at_budget_one(dp_cells):
         assert list(_chords(loop, area2, wide(xs), wide(ys))) == want, loop
         rectangles += 1
         chords += len(want)
-    assert rectangles == 2045 and chords > 5000
+    assert rectangles == 2029 and chords > 5000
 
 
 def test_touch_tables_match_touch_intervals(dp_cells):
@@ -340,7 +340,7 @@ def test_touch_tables_match_touch_intervals(dp_cells):
             super().__init__(loop, xs, ys, tables)
 
     with mock.patch.object(dp_solver, "_CellGeometry", Recorded):
-        for inst, k, b, shapes in RUNS + [(generate("windmill", 6, 0), 6, 2, ("path", "tree"))]:
+        for inst, k, b, shapes in RUNS + [(generate("windmill", 8, 0), 6, 2, ("path", "tree"))]:
             if "tree" in shapes and k > 4:
                 dp_solve(inst, k, b, shapes)
     branch = len(built)
@@ -437,40 +437,72 @@ def test_dp_solve_matches_first_written(run):
     size, chosen, _cells, ref_cuts = ref_dp_solve(inst, k, b, shapes)
     assert (sol.size, sol.chosen) == (size, chosen)
     assert (stats.cells, stats.cuts_tried) == RUN_COUNTS[run]
-    assert (stats.cuts_tried < ref_cuts) == (run not in MORE_CUTS_THAN_FIRST_WRITTEN)
+    assert stats.cuts_tried < ref_cuts
 
 
 def test_dp_solve_matches_first_written_on_a_battery():
-    """Cells that stop at their optimum, and at k = 4 cells that take the
-    value of their rects' bounding box, keep the first-written DP's value
-    and choice: every generator family but pinwheel at n = 3..10 at k = 4
-    with path and tree cuts, and at n = 3 at k = 6 with two-segment paths
-    (the first-written tree cuts take seconds a run there), one seeded
-    seed each."""
+    """Cells that stop at their optimum, and cells that take the value of
+    their rects' bounding box, keep the first-written DP's value and
+    choice: every generator family but pinwheel at n = 3..10 at k = 4 with
+    path and tree cuts, at n = 3 at k = 6 with two-segment paths (the
+    first-written tree cuts take seconds a run there), and at n = 3..5 at
+    k = 6 with one-segment path and tree cuts, one seeded seed each.  At
+    k = 6 the rule fires on rectangle cells and on L's.  An L asks
+    ``loop_contains_rect_doubled`` about each pruned rect and about its
+    rects' bounding box, which is no pruned rect's box: that rect would
+    hold the others."""
     rng = random.Random(8)
     families = ("uniform_random", "nested_grid", "windmill", "stacked_strips", "packed")
     runs = [(f, n, 4, 1, ("path", "tree")) for f in families for n in range(3, 9)]
     runs += [(f, 3, 6, 2, ("path",)) for f in families]
     runs += [(f, n, 4, 1, ("path", "tree")) for f in families for n in (9, 10)]
+    runs += [(f, n, 6, 1, ("path", "tree")) for f in families for n in range(3, 6)]
+    boxed = boxed_ls = 0
     for family, n, k, b, shapes in runs:
         inst = generate(family, n, rng.randrange(10))
-        sol = dp_solve(inst, k, b, shapes)
+        stats = DpStats()
+        with answered_boxes() as boxes:
+            sol = dp_solve(inst, k, b, shapes, stats=stats)
         size, chosen, _cells, _cuts = ref_dp_solve(inst, k, b, shapes)
         assert (sol.size, sol.chosen) == (size, chosen), (family, n, k)
+        if k == 6:
+            kept = [inst.rects[i] for i in containment_prune(inst.rects)]
+            rect_boxes = {(2 * r.xl, 2 * r.yb, 2 * r.xr, 2 * r.yt) for r in kept}
+            boxed += stats.boxed
+            boxed_ls += sum(box not in rect_boxes for box in boxes)
+    assert boxed > boxed_ls > 0
+
+
+@contextmanager
+def answered_boxes():
+    """The doubled corners of every box that ``loop_contains_rect_doubled``
+    finds inside a dp_solve cell: the rects inside an L, and the rects'
+    bounding boxes that an L takes the value of."""
+    boxes = []
+    real = dp_solver.loop_contains_rect_doubled
+
+    def contains(vtab, htab, *corners):
+        inside = real(vtab, htab, *corners)
+        if inside:
+            boxes.append(corners)
+        return inside
+
+    with mock.patch.object(dp_solver, "loop_contains_rect_doubled", contains):
+        yield boxes
 
 
 # k > 4 at walk budget 1, where rectangle cells are cut by their chords
 # and every other cell by the general kernel: (instance, dp_solve's
 # (cells, cuts tried) at k = 6 with path and tree cuts).  The windmills
 # keep tree cuts under the reference: cells stop at their optimum, so the
-# random runs stop after a few cells, and windmill 7 and 8 make 105 and
-# 161 ``_tree_cuts`` calls.
+# random runs stop after a few cells, and windmill 7 and 8 make 29 and 44
+# ``_tree_cuts`` calls.
 BUDGET_ONE_RUNS = [
-    (("uniform_random", 6, 0), (16, 8)),
-    (("nested_grid", 5, 1), (11, 5)),
-    (("windmill", 5, 0), (274, 477)),
-    (("windmill", 7, 0), (719, 1572)),
-    (("windmill", 8, 0), (1093, 2502)),
+    (("uniform_random", 6, 0), (14, 6)),
+    (("nested_grid", 5, 1), (12, 4)),
+    (("windmill", 5, 0), (116, 114)),
+    (("windmill", 7, 0), (287, 390)),
+    (("windmill", 8, 0), (427, 609)),
 ]
 
 

@@ -102,7 +102,7 @@ class TestDpSolve:
         "spec, k, b, shapes, cells",
         [
             (("windmill", 5, 0), 4, 3, ("path", "tree"), 78),
-            (("nested_grid", 3, 1), 6, 2, ("path",), 85),
+            (("nested_grid", 3, 1), 6, 2, ("path",), 54),
         ],
         ids=["k4-windmill", "k6-nested_grid"],
     )
@@ -150,6 +150,23 @@ class TestDpSolve:
         v_tree = dp_solve(inst, 6, 2, ("path", "tree")).size
         assert v_tree >= v_path
         assert v_tree == 3
+
+
+@pytest.mark.parametrize("seed, lost", [(0, [3, 7, 11, 15]), (1, [3, 8, 13])], ids=["arms", "hubs"])
+def test_pinwheel_2x2_needs_two_segment_cuts(seed, lost):
+    """Pinwheel 2 x 2 (n = 16): four windmill cells of four arms (seed 0),
+    or with hubs (seed 1) three cells of four arms and a hub and the
+    fourth cell's top arm.  Every chord of a windmill cell cuts an arm, so
+    the DP whose cuts are chords (k = 4) keeps the optimum less one arm
+    per full cell, the left one (id 4c + 3 of cell c, or 5c + 3 with
+    hubs).  k = 6 with two-segment path and tree cuts keeps all of the
+    optimum."""
+    inst = generate("pinwheel", 16, seed)
+    opt = exact_mis(inst, cap=inst.n)
+    four = dp_solve(inst, 4, 1)
+    assert four.size == opt.size - len(lost) == (12, 10)[seed]
+    assert sorted(set(opt.chosen) - set(four.chosen)) == lost
+    assert dp_solve(inst, 6, 2, ("path", "tree")) == opt
 
 
 def build_guillotine_tree(rng: random.Random, depth: int = 3):

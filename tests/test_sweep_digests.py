@@ -9,7 +9,7 @@ def test_dp_and_oracle_sections_print_their_listings(capsys):
     dp = capsys.readouterr().out.splitlines()
     sweep_digests.main(["oracle"])
     oracle = capsys.readouterr().out.splitlines()
-    assert len(dp) == 70 and all(line.startswith("dp ") for line in dp)
+    assert len(dp) == 75 and all(line.startswith("dp ") for line in dp)
     assert len(oracle) == 169 and all(line.startswith("oracle ") for line in oracle)
 
 
