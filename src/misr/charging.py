@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geom_core import Point, Rect, Segment, segment_intersects_rect
-from .instance import InstanceError
+from .instance import InstanceError, is_json_int
 from .structure import _mirror_x, _mirror_y, seen_corners_on_side, sees
 from .partition import PartitionRun, _check
 
@@ -522,8 +522,8 @@ def ledger_from_json(doc: dict) -> ChargeLedger:
     entries = []
     for e in doc["entries"]:
         fields = {"side": "", "seen": False, **e} if isinstance(e, dict) else {}
-        if not fields or any(
-            not isinstance(fields.get(k), t) or (t is int and isinstance(fields[k], bool))
+        if not fields or not all(
+            is_json_int(fields.get(k)) if t is int else isinstance(fields.get(k), t)
             for k, t in _ENTRY_TYPES.items()
         ):
             raise InstanceError(f"malformed ledger entry: {e!r}")

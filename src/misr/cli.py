@@ -38,6 +38,7 @@ from .instance import (
     generate,
     instance_from_json,
     instance_to_json,
+    is_json_int,
     read_json,
     solution_to_json,
     write_json,
@@ -351,9 +352,8 @@ def _pt(v) -> Point:
 
 
 def _json_int(v) -> int:
-    """An integer read as the JSON readers read one: an int that is not a
-    bool (``True == 1`` in Python)."""
-    if not isinstance(v, int) or isinstance(v, bool):
+    """An integer read as the JSON readers read one (is_json_int)."""
+    if not is_json_int(v):
         raise TypeError(f"non-integer value {v!r}")
     return v
 

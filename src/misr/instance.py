@@ -317,12 +317,18 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
+def is_json_int(v) -> bool:
+    """v is an integer as every JSON reader reads one: an int that is not
+    a bool (``True == 1`` in Python)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_count(doc: dict, key: str, count: int, what: str) -> None:
-    """A document's declared count, where it has one, must be an int (a
-    bool is none) equal to the count read: ``True == 1`` in Python."""
+    """A document's declared count, where it has one, must be an integer
+    (is_json_int) equal to the count read."""
     if key in doc:
         declared = doc[key]
-        if not isinstance(declared, int) or isinstance(declared, bool):
+        if not is_json_int(declared):
             raise InstanceError(f"non-integer {key!r}: {declared!r}")
         if declared != count:
             raise InstanceError(f"declared {key} does not match {what} count")
@@ -336,7 +342,7 @@ def instance_from_json(doc: dict) -> Instance:
         if not isinstance(entry, dict) or any(f not in entry for f in _RECT_FIELDS):
             raise InstanceError(f"malformed rect entry: {entry!r}")
         vals = [entry[f] for f in _RECT_FIELDS]
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in vals):
+        if not all(map(is_json_int, vals)):
             raise InstanceError(f"non-integer rect fields: {entry!r}")
         if any(abs(v) >= COORD_LIMIT for v in vals):
             raise InstanceError(f"coordinate overflow: {entry!r}")
@@ -362,9 +368,7 @@ def solution_from_json(doc: dict, inst: Optional[Instance] = None) -> Solution:
     if not isinstance(doc, dict) or "chosen" not in doc:
         raise InstanceError("solution document missing 'chosen'")
     chosen = doc["chosen"]
-    if not isinstance(chosen, list) or any(
-        not isinstance(i, int) or isinstance(i, bool) for i in chosen
-    ):
+    if not isinstance(chosen, list) or not all(map(is_json_int, chosen)):
         raise InstanceError("malformed 'chosen' list")
     _check_count(doc, "size", len(chosen), "chosen")
     sol = Solution(tuple(sorted(chosen)))

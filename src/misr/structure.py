@@ -950,16 +950,18 @@ def _step_rules(ny: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 
 def _step_preds(
     rules: Sequence[Sequence[tuple[int, int, int]]],
-) -> list[list[tuple[int, int, int]]]:
-    """preds[o*3 + h]: the (move bit, state offset, cost) of every step of
-    the rules (_step_rules) into a state of orientation o and horizontal
-    direction h, the one going straight on first; the step leaves the
-    state's index minus the offset."""
-    preds: list[list[tuple[int, int, int]]] = [[] for _ in range(12)]
+) -> list[list[tuple[int, int]]]:
+    """preds[o*3 + h]: the (state offset, cost) of every step of the rules
+    (_step_rules) into a state of orientation o and horizontal direction
+    h, the bends (cost 1) first, each group in the class order of the
+    state the step leaves, which is the state's index minus the offset.
+    Every step into one class goes one way (up, down, or along the class's
+    horizontal direction), so a state's predecessors share a grid point."""
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(12)]
     for prev, steps in enumerate(rules):
-        for step in steps:
-            preds[(prev + step[1]) % 12].append(step)
-    return [sorted(p, key=lambda step: step[2]) for p in preds]
+        for _bit, offset, cost in steps:
+            preds[(prev + offset) % 12].append((offset, cost))
+    return [sorted(p, key=lambda step: -step[1]) for p in preds]
 
 
 def _filled(value: int, size: int):
@@ -971,11 +973,6 @@ def _filled(value: int, size: int):
         except OverflowError:
             pass
     return [value] * size
-
-
-class _Table(NamedTuple):
-    dist: Sequence[int]
-    parent: Optional[array]
 
 
 class FenceEngine:
@@ -991,16 +988,30 @@ class FenceEngine:
     segment, continuing straight nothing.
 
     A search result (a table) is private to the engine: only its methods
-    read it.  Its distances live in one flat array indexed
+    read it.  It is one flat array of distances indexed
     ((ix*ny + iy)*4 + o)*3 + h for grid offset (ix, iy), orientation o and
     horizontal direction h; unreached states hold tau + 1, and the element
     type is the narrowest array type that holds tau + 1 (bytes up to
-    tau = 254).  There are two kinds of table: reach() tables, seeded at
-    given anchor points and returned to the caller, also keep each
-    state's predecessor state in a flat array (-1 for none), for chain_to;
-    protection tables, one per vertical polygon edge, seeded at every
-    point of it and kept in the engine, keep none: they are read at the
-    ends of a run, and a proof reads its chains back from them (_chain).
+    tau = 254).  Every table is made by reach(), one search (_bfs) seeded
+    at anchor points in state _START: for the caller at the points it
+    names, and for protection at every point of one vertical polygon edge,
+    one table per edge, kept in the engine (_anchors).
+
+    No table keeps predecessors.  Both chain readers, chain_to (every grid
+    point) and a proof's _chain (the bends), read a chain back from the
+    distances (_read_back): from a state that is not a seed, each step goes
+    to a predecessor whose distance plus the step's cost is the state's,
+    trying the predecessors one segment back (a bend) before the straight
+    one, in class order (_step_preds).  This is the predecessor the search
+    itself takes wherever that is unique.  The 0/1-BFS pops every state of
+    distance d - 1 before any of distance d, so a state gets its final
+    distance first from a predecessor one segment back whenever one
+    exists; a vertical state has at most one such predecessor, and every
+    state at most one straight one.  Only a horizontal state whose
+    predecessor point holds several states one segment back (vertical up,
+    vertical down, a seed) may differ: the search took the one it popped
+    first, the read-back takes the first in class order.  So a chain
+    depends on the distances alone, not on the order of the seeds.
     """
 
     def __init__(self, poly: RectPolygon, tau: int, moves: bytes):
@@ -1011,26 +1022,18 @@ class FenceEngine:
         self.x0, self.y0 = x0, y0
         self.nx = x1 - x0 + 1
         self.ny = y1 - y0 + 1
-        self._edge_tables: dict[int, _Table] = {}
+        self._edge_tables: dict[int, Sequence[int]] = {}
         self._trans = _step_rules(self.ny)
+        self._preds = _step_preds(self._trans)
 
-    def _bfs(
-        self, seeds: list[tuple[int, int, int, int, int]], with_parent: bool
-    ) -> _Table:
-        """0/1-BFS over chain states from (dist, ix, iy, orient, hdir)
-        seeds; hdir 0 uncommitted, 1 rightward, 2 leftward."""
+    def _bfs(self, seeds: Sequence[int]) -> Sequence[int]:
+        """0/1-BFS over chain states from the given seed states, each at
+        distance 0."""
         moves, trans, tau = self.moves, self._trans, self.tau
-        size = self.nx * self.ny * 12
-        dist = _filled(tau + 1, size)
-        parent = array("q", [-1]) * size if with_parent else None
-        dq: deque = deque()
-        for d, ix, iy, o, h in seeds:
-            if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-                continue
-            s = (ix * self.ny + iy) * 12 + o * 3 + h
-            if d <= tau and d < dist[s]:
-                dist[s] = d
-                dq.append((d, s))
+        dist = _filled(tau + 1, self.nx * self.ny * 12)
+        for s in seeds:
+            dist[s] = 0
+        dq: deque = deque((0, s) for s in seeds)
         while dq:
             d, s = dq.popleft()
             if d > dist[s]:
@@ -1044,22 +1047,17 @@ class FenceEngine:
                 if nd > tau or nd >= dist[ns]:
                     continue
                 dist[ns] = nd
-                if parent is not None:
-                    parent[ns] = s
                 if cost:
                     dq.append((nd, ns))
                 else:
                     dq.appendleft((nd, ns))
-        return _Table(dist, parent)
+        return dist
 
-    def reach(self, sources: Iterable[Point]) -> _Table:
-        """Chains emanating from any of the given anchor points, searched
-        anew on each call.  The seeds go in sorted order, which fixes the
-        parents chain_to follows."""
-        seeds = [
-            (0, p.x - self.x0, p.y - self.y0, _START, 0) for p in sorted(set(sources))
-        ]
-        return self._bfs(seeds, with_parent=True)
+    def reach(self, sources: Iterable[Point]) -> Sequence[int]:
+        """The table of chains emanating from any of the given anchor
+        points on the grid, searched anew on each call."""
+        cells = [self._cell(p) for p in sources]
+        return self._bfs([c + _START * 3 for c in cells if c is not None])
 
     # queries ----------------------------------------------------------------
 
@@ -1074,30 +1072,35 @@ class FenceEngine:
             return None
         return (ix * self.ny + iy) * 12
 
-    def best_dist(self, table: _Table, p: Point) -> int:
+    def _point(self, s: int) -> Point:
+        """The grid point of state s of a table."""
+        ix, iy = divmod(s // 12, self.ny)
+        return Point(ix + self.x0, iy + self.y0)
+
+    def best_dist(self, table: Sequence[int], p: Point) -> int:
         base = self._cell(p)
         if base is None:
             return self.tau + 1
-        return min(table.dist[base : base + 12])
+        return min(table[base : base + 12])
 
-    def covers(self, table: _Table, p: Point) -> bool:
+    def covers(self, table: Sequence[int], p: Point) -> bool:
         return self.best_dist(table, p) <= self.tau
 
-    def rightmost(self, table: _Table) -> Optional[Point]:
+    def rightmost(self, table: Sequence[int]) -> Optional[Point]:
         """The rightmost point the table covers, the lowest in its column,
         or None when it covers none.  A column's states are one slice of
         the table, and a column that covers nothing equals a slice of
         unreached states, so each column from the right costs one compare."""
-        dist, tau, col = table.dist, self.tau, self.ny * 12
+        tau, col = self.tau, self.ny * 12
         unreached = _filled(tau + 1, col)
         for ix in reversed(range(self.nx)):
-            cells = dist[ix * col : (ix + 1) * col]
+            cells = table[ix * col : (ix + 1) * col]
             if cells != unreached:
                 s = next(s for s, d in enumerate(cells) if d <= tau)
                 return Point(ix + self.x0, s // 12 + self.y0)
         return None
 
-    def covers_interior(self, table: _Table, p: Point) -> bool:
+    def covers_interior(self, table: Sequence[int], p: Point) -> bool:
         """Some chain passes strictly through p: it arrives at p and can be
         extended by one more unit step within budget."""
         base = self._cell(p)
@@ -1105,25 +1108,42 @@ class FenceEngine:
             return False
         m = self.moves[base // 12]
         for oh in range(_START * 3):  # arrival as a bare source is an endpoint
-            d = table.dist[base + oh]
+            d = table[base + oh]
             for bit, _offset, cost in self._trans[oh]:
                 if m & bit and d + cost <= self.tau:
                     return True
         return False
 
-    def chain_to(self, table: _Table, p: Point) -> list[Point]:
-        """One optimal chain from a seed to p, as a point walk."""
+    def chain_to(self, table: Sequence[int], p: Point) -> list[Point]:
+        """One optimal chain from a seed to p, as a point walk through
+        every grid point: the read-back (_read_back) from p's first state
+        in class order at the least distance."""
         base = self._cell(p)
         if base is None or self.best_dist(table, p) > self.tau:
             raise StructureError(f"no chain reaches {p}")
-        cell = table.dist[base : base + 12]
-        s = base + cell.index(min(cell))
-        walk = []
-        while s >= 0:
-            ix, iy = divmod(s // 12, self.ny)
-            walk.append(Point(ix + self.x0, iy + self.y0))
-            s = table.parent[s]
-        return list(reversed(walk))
+        cell = table[base : base + 12]
+        states = self._read_back(table, base + cell.index(min(cell)))
+        return [self._point(t) for t in reversed(states)]
+
+    def _read_back(self, dist: Sequence[int], s: int) -> list[int]:
+        """The states of one optimal chain of a table, from the reached
+        state s back to a seed, s first.  Each step goes to the first
+        predecessor (_step_preds: the bends, then the straight one) whose
+        distance plus the step's cost is the state's, which every reached
+        state but a seed has; the seeds are the states at distance 0.  A
+        reached state's predecessors share the grid point the search
+        reached it from, so the step back is free and stays on the grid."""
+        preds = self._preds
+        states = [s]
+        while dist[s]:
+            for offset, cost in preds[s % 12]:
+                if dist[s - offset] + cost == dist[s]:
+                    s -= offset
+                    break
+            else:
+                raise StructureError(f"no chain reaches state {s}")
+            states.append(s)
+        return states
 
     def proof(self, r: Rect) -> Optional[tuple[tuple[Point, ...], ...]]:
         """tau-protection: one vertical polygon edge anchors two chains of
@@ -1181,14 +1201,11 @@ class FenceEngine:
         """The lookup of proof() for vertical edge idx and a walkable
         run: the state at one end of the run from which a chain from the
         edge goes on along it, and the run's other end, or None."""
-        table = self._edge_tables.get(idx)
-        if table is None:
-            e = self.poly.edges()[idx]
-            ix = e.a.x - self.x0
-            y1, y2 = sorted((e.a.y - self.y0, e.b.y - self.y0))
-            seeds = [(0, ix, iy, _START, 0) for iy in range(y1, y2 + 1)]
-            table = self._edge_tables[idx] = self._bfs(seeds, with_parent=False)
-        dist, tau = table.dist, self.tau
+        dist = self._edge_tables.get(idx)
+        if dist is None:
+            edge = self.poly.edges()[idx]
+            dist = self._edge_tables[idx] = self.reach(self.edge_points(edge))
+        tau = self.tau
         for x, far, (straight, turns) in ((x1, x2, _ONTO_RIGHT), (x2, x1, _ONTO_LEFT)):
             base = ((x - self.x0) * self.ny + y - self.y0) * 12
             if dist[base + straight] <= tau:
@@ -1200,32 +1217,12 @@ class FenceEngine:
 
     def _chain(self, idx: int, s: int, end: Point) -> tuple[Point, ...]:
         """The chain from edge idx through state s of the edge's table, then
-        on to end, as its start, bends and end.  The table keeps no
-        parents, so the chain is read back from s: each step goes to a
-        predecessor state whose distance plus the step's cost is the
-        state's, which every reached state but a seed has, going straight
-        on where it can; the seeds are the states at distance 0, and a step
-        costs a segment exactly where the chain bends (every step out of
-        _START does)."""
-        dist, moves, ny = self._edge_tables[idx].dist, self.moves, self.ny
-        preds, size = _step_preds(self._trans), len(dist)
-
-        def point(t: int) -> Point:
-            return Point(t // 12 // ny + self.x0, t // 12 % ny + self.y0)
-
-        # a chain running right or left at s goes straight on to end
-        walk = [] if s % 12 // 3 == _H else [point(s)]
-        while dist[s]:
-            for bit, offset, cost in preds[s % 12]:
-                p = s - offset
-                if 0 <= p < size and moves[p // 12] & bit and dist[p] + cost == dist[s]:
-                    break
-            else:
-                raise StructureError(f"no chain of edge {idx} reaches state {s}")
-            if cost:
-                walk.append(point(p))
-            s = p
-        walk.reverse()
+        on to end along a horizontal run, as its start, bends and end: the
+        points of the read-back (_read_back) where the orientation changes,
+        which is where a step costs a segment (every step out of _START
+        does), the run's own orientation following s."""
+        states = self._read_back(self._edge_tables[idx], s)[::-1]
+        orients = [t % 12 // 3 for t in states] + [_H]
+        walk = [self._point(t) for t, o, nxt in zip(states, orients, orients[1:]) if o != nxt]
         walk.append(end)
         return tuple(walk)
-

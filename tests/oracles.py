@@ -768,13 +768,46 @@ def ref_dp_solve(
 # -- reference fence engine --------------------------------------------------------
 #
 # The fence engine and the protection checks as first written: BFS
-# distances and predecessors in dicts keyed by state tuple, over the free
-# unit steps of ref_moves's table.  The library's engine must agree with
-# these on every verdict, every covered point and every chain walk.
+# distances in dicts keyed by state tuple, over the free unit steps of
+# ref_moves's table, and chains read back from the distances.  The
+# library's engine must agree with these on every verdict, every covered
+# point and every chain walk.
 
 _H, _VU, _VD, _START = 0, 1, 2, 3
 # (dx, dy, orientation, the step's bit in ref_moves's table)
 _DIRS = ((1, 0, _H, 1), (-1, 0, _H, 2), (0, 1, _VU, 4), (0, -1, _VD, 8))
+
+
+def _ref_turn(o: int, h: int, dx: int, no: int) -> Optional[int]:
+    """The horizontal direction after the step of _DIRS with dx and
+    orientation no from orientation o and horizontal direction h, or None
+    when a chain may not take it: one horizontal direction per chain, no
+    doubling back."""
+    if no == _H:
+        nh = 1 if dx == 1 else 2
+        return nh if h in (0, nh) else None
+    if (o, no) in ((_VU, _VD), (_VD, _VU)):
+        return None
+    return h
+
+
+def _ref_preds(o: int, h: int) -> Optional[tuple[int, int, list]]:
+    """The one step of _DIRS into orientation o and horizontal direction h,
+    as (dx, dy), and the (cost, orientation, direction) of each state it
+    may leave, the bends (cost 1) first, each group in (o, h) order; or
+    None when no step enters such a state."""
+    for dx, dy, no, _bit in _DIRS:
+        prevs = [
+            (int(po != o), po, ph)
+            for po in range(4) for ph in range(3)
+            if no == o and _ref_turn(po, ph, dx, no) == h
+        ]
+        if prevs:
+            return dx, dy, sorted(prevs, key=lambda prev: -prev[0])
+    return None
+
+
+_REF_PREDS = {(o, h): _ref_preds(o, h) for o in range(4) for h in range(3)}
 
 
 def ref_moves(poly: RectPolygon, rects: Sequence[Rect]) -> bytes:
@@ -828,7 +861,6 @@ class NestedFenceEngine:
         self.ny = y1 - y0 + 1
         self._table: Optional[bytes] = None
         self._cache: dict = {}
-        self._points: Optional[list[Point]] = None
 
     def _moves(self) -> bytes:
         if self._table is None:
@@ -836,14 +868,13 @@ class NestedFenceEngine:
         return self._table
 
     def _bfs(self, seeds: list[tuple[int, int, int, int, int]]) -> dict:
-        """dist maps each reached state (ix, iy, o, h) to its distance, keyed
-        like parent; a state missing from it is at tau + 1.  best maps each
-        reached grid offset (ix, iy) to the least distance of its states."""
+        """dist maps each reached state (ix, iy, o, h) to its distance; a
+        state missing from it is at tau + 1.  best maps each reached grid
+        offset (ix, iy) to the least distance of its states."""
         moves, ny = self._moves(), self.ny
         INF = self.tau + 1
         dist: dict[tuple, int] = {}
         best: dict[tuple, int] = {}
-        parent: dict[tuple, tuple] = {}
         dq: deque = deque()
         for d, ix, iy, o, h in seeds:
             if not (0 <= ix < self.nx and 0 <= iy < self.ny):
@@ -860,14 +891,9 @@ class NestedFenceEngine:
                 if not moves[ix * ny + iy] & bit:
                     continue
                 nix, niy = ix + dx, iy + dy
-                if no == _H:
-                    nh = 1 if dx == 1 else 2
-                    if h != 0 and h != nh:
-                        continue
-                else:
-                    nh = h
-                    if (o == _VU and no == _VD) or (o == _VD and no == _VU):
-                        continue
+                nh = _ref_turn(o, h, dx, no)
+                if nh is None:
+                    continue
                 nd = d if no == o else d + 1
                 if nd > self.tau:
                     continue
@@ -875,12 +901,11 @@ class NestedFenceEngine:
                     dist[(nix, niy, no, nh)] = nd
                     if nd < best.get((nix, niy), INF):
                         best[(nix, niy)] = nd
-                    parent[(nix, niy, no, nh)] = (ix, iy, o, h)
                     if nd == d:
                         dq.appendleft((nd, nix, niy, no, nh))
                     else:
                         dq.append((nd, nix, niy, no, nh))
-        return {"dist": dist, "best": best, "parent": parent}
+        return {"dist": dist, "best": best}
 
     def reach(self, sources: Iterable[Point]) -> dict:
         key = ("pts", tuple(sorted(set(sources))))
@@ -935,38 +960,40 @@ class NestedFenceEngine:
                 if d > self.tau:
                     continue
                 for dx, _dy, no, bit in _DIRS:
-                    if not free & bit:
-                        continue
-                    if no == _H:
-                        nh = 1 if dx == 1 else 2
-                        if h != 0 and h != nh:
-                            continue
-                    if (o == _VU and no == _VD) or (o == _VD and no == _VU):
+                    if not free & bit or _ref_turn(o, h, dx, no) is None:
                         continue
                     if (d if no == o else d + 1) <= self.tau:
                         return True
         return False
 
     def chain_to(self, table: dict, p: Point) -> list[Point]:
+        """One optimal chain from a seed to p, every grid point, read back
+        from p's first state in (o, h) order at the least distance: each
+        step goes back to the first state the one step into it may leave
+        (_REF_PREDS) whose distance plus the step's cost is the state's.
+        The search reached the state by that step, so it is free."""
         ix, iy = p.x - self.x0, p.y - self.y0
-        dist, parent = table["dist"], table["parent"]
+        dist = table["dist"]
         d = self.best_dist(table, p)
         if d > self.tau:
             raise ValueError(f"no chain reaches {p}")
-        # the first of the point's states in (o, h) order at the least distance
         state = next(
             (ix, iy, o, h) for o in range(4) for h in range(3)
             if dist.get((ix, iy, o, h)) == d
         )
-        if self._points is None:  # the grid's points, at ix * ny + iy
-            self._points = [
-                Point(self.x0 + i, self.y0 + j)
-                for i in range(self.nx) for j in range(self.ny)
-            ]
-        walk = []
-        while state is not None:
-            walk.append(self._points[state[0] * self.ny + state[1]])
-            state = parent.get(state)
+        walk = [p]
+        while d:
+            ix, iy, o, h = state
+            dx, dy, prevs = _REF_PREDS[o, h]
+            ix, iy = ix - dx, iy - dy
+            for cost, po, ph in prevs:
+                state = (ix, iy, po, ph)
+                if dist.get(state, -1) == d - cost:
+                    break
+            else:
+                raise ValueError(f"no predecessor of {walk[-1]}")
+            d -= cost
+            walk.append(Point(self.x0 + ix, self.y0 + iy))
         return walk[::-1]
 
 

@@ -6,6 +6,7 @@ enumeration of oracles.py.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -247,7 +248,22 @@ def test_run_records_rects_and_labels(sweep):
     assert large > 2 * len(specs), large
 
 
+# the construction cases of criterion 6's 214 general units
+CRITERION_6_GENERAL_CASES = {
+    "general-0": 74,
+    "general-0+repair": 102,
+    "general-1b": 3,
+    "general-2a": 19,
+    "general-2a+repair": 13,
+    "general-2a+repair+mirrored": 3,
+}
+
+
 def test_criterion_6_partitioning_units():
+    """Every line and general unit is cut within its budgets, and only
+    unprotected rects are intersected.  The general units' cases are
+    pinned (CRITERION_6_GENERAL_CASES): no tier-1 input reaches
+    general-1a, 2a', 2bi, 2bi' or 2biiB, nor the LT side of 2bii."""
     line, general = criterion_6_units()
     checked_line = 0
     fails = []
@@ -266,9 +282,11 @@ def test_criterion_6_partitioning_units():
         checked_line += 1
 
     checked_general = 0
+    cases = Counter()
     for tau, k, poly, rects in general:
         try:
             res = general_partition_cut(poly, rects, tau)
+            cases[res.case] += 1
             assert len(res.cut.segments) <= 2 * tau + 1
             assert len(res.components) == 2
             for comp in res.components:
@@ -284,6 +302,7 @@ def test_criterion_6_partitioning_units():
         f"{checked_line} line cuts + {checked_general} general cuts, "
         f"fails={fails[:4]}",
     )
+    assert cases == CRITERION_6_GENERAL_CASES, dict(sorted(cases.items()))
 
 
 def test_criterion_7_spanning_chord():

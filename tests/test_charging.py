@@ -6,6 +6,7 @@ import pytest
 from misr.geom_core import Point, Rect, RectPolygon, Segment
 from misr.instance import exact_mis, generate
 from misr.charging import (
+    _MIRROR_Y_CORNER,
     ChargingError,
     build_see_forest,
     charge_six,
@@ -169,6 +170,26 @@ class TestChargeThree:
             (3, "BL", "indirect_b", False),
         ]
         report = verify_ratios(run, ledger, 7)
+        assert all(c["ok"] for c in report), report
+
+    @pytest.mark.parametrize("rects", [CASE2A, CASE2B], ids=["case2a", "case2b"])
+    def test_aligned_bottom_mirrors_aligned_top(self, rects):
+        # Reflected in y, rect 1's one seen corner on its right is rect 2's
+        # bottom-left (aligned bottoms): every token is the aligned-top
+        # token with its corner reflected (the two corners seen on the
+        # left swap their scan order, so the tokens are compared sorted).
+        top = charge_three(synthetic_run(rects, 13, (1,), Segment(Point(3, 4), Point(3, 8))))
+        flipped = [Rect(r.xl, 13 - r.yt, r.xr, 13 - r.yb) for r in rects]
+        run = synthetic_run(flipped, 13, (1,), Segment(Point(3, 5), Point(3, 9)))
+        bottom = charge_three(run)
+        assert sorted(
+            (e.side, e.payee, _MIRROR_Y_CORNER[e.corner], e.kind, e.seen)
+            for e in top.entries
+        ) == sorted((e.side, e.payee, e.corner, e.kind, e.seen) for e in bottom.entries)
+        if rects is CASE2B:
+            right = [(e.payee, e.corner, e.kind, e.seen) for e in bottom.entries if e.side == "right"]
+            assert right == [(2, "BL", "direct", True), (3, "TL", "indirect_b", False)]
+        report = verify_ratios(run, bottom, 7)
         assert all(c["ok"] for c in report), report
 
     def test_round_trip_json(self):

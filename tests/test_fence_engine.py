@@ -28,6 +28,8 @@ from oracles import (
 )
 
 TAUS = (1, 3, 7, 11)
+# the move bit of each unit step (dx, dy) in ref_moves's table
+STEP_BITS = {(1, 0): 1, (-1, 0): 2, (0, 1): 4, (0, -1): 8}
 
 
 def partition_cells(family, n, seed, tau, regime="three", eps=None):
@@ -62,12 +64,26 @@ def assert_anchors_agree(eng, ref, rin, runs, seen=None):
             seen["anchored" if got else "unanchored"] += 1
 
 
+def assert_chain(walk, sources, p, d, moves, poly):
+    """walk starts at one of the sources and ends at p, takes one free
+    unit step of the move table at a time, and runs straight d times:
+    its maximal straight runs are its segments."""
+    x0, y0, _x1, y1 = poly.bbox()
+    ny = y1 - y0 + 1
+    assert walk[0] in sources and walk[-1] == p, (walk, p)
+    steps = [(b.x - a.x, b.y - a.y) for a, b in zip(walk, walk[1:])]
+    for a, step in zip(walk, steps):
+        assert moves[(a.x - x0) * ny + a.y - y0] & STEP_BITS.get(step, 0), (walk, a, step)
+    assert sum(step != prev for step, prev in zip(steps, [None] + steps)) == d, (walk, d)
+
+
 def assert_engines_agree(poly, rin, tau, verdicts=None):
     """Every tau-protection verdict and the edges anchoring the top and
     bottom runs of every rect, and for the chains from the left and from
     the right vertical edges every grid point's distance, interior
     coverage and chain walk, and the rightmost covered point (the lowest
-    of its column), agree with the reference engine.  A rect the
+    of its column), agree with the reference engine; each walk is also a
+    chain of its point's distance in segments (assert_chain).  A rect the
     line fences certify (one edge anchors fences holding both its edges)
     is protected by the engine and the reference alike.  verdicts, if
     given, counts the verdicts by (deciding path, verdict), the path
@@ -75,7 +91,8 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     ref = NestedFenceEngine(poly, rin, tau)
     record = LineFences(poly, rin)
     eng = record.engine(tau)
-    assert record.moves == ref_moves(poly, [r for _rid, r in rin]), (poly, rin)
+    moves = ref_moves(poly, [r for _rid, r in rin])
+    assert record.moves == moves, (poly, rin)
     fences = LineFences(poly, rin)
     for _rid, r in rin:
         verdict = fences.tau_protected(r, tau)
@@ -96,6 +113,7 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
             for p in eng.edge_points(edges[idx])
         ]
         table, ref_table = eng.reach(sources), ref.reach(sources)
+        starts = set(sources)
         x0, y0, x1, y1 = poly.bbox()
         covered = []
         for x in range(x0 - 1, x1 + 2):
@@ -106,7 +124,9 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
                 assert eng.covers_interior(table, p) == ref.covers_interior(ref_table, p)
                 if d <= tau:
                     covered.append(p)
-                    assert eng.chain_to(table, p) == ref.chain_to(ref_table, p)
+                    walk = eng.chain_to(table, p)
+                    assert walk == ref.chain_to(ref_table, p)
+                    assert_chain(walk, starts, p, d, moves, poly)
         rightmost = max(covered, key=lambda q: (q.x, -q.y), default=None)
         assert eng.rightmost(table) == rightmost, (poly, rin, tau, side)
 

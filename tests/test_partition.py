@@ -388,6 +388,17 @@ class TestGeneralPartitionCut:
             check_general_postconditions(poly, rects, res, 3)
             done += 1
 
+    def test_join_at_intersection(self):
+        # a runs right along y = 1, b down along x = 2; they share (2, 1),
+        # where the walk leaves a for b and runs back to b's anchor
+        a = [Point(x, 1) for x in range(4)]
+        b = [Point(2, y) for y in (3, 2, 1, 0)]
+        walk = partition._join_at_intersection(a, b)
+        assert walk == [Point(0, 1), Point(1, 1), Point(2, 1), Point(2, 2), Point(2, 3)]
+        far = [Point(5, y) for y in (3, 2, 1, 0)]
+        with pytest.raises(ConstructionError, match="chains do not intersect"):
+            partition._join_at_intersection(a, far)
+
     def test_edge_budget_guard(self):
         rng = random.Random(6)
         poly = notched_polygon(rng, 52, width=26, height=20)
