@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .geom_core import Point, Rect, Segment, segment_intersects_rect
 from .instance import InstanceError, is_json_int
 from .structure import _mirror_x, _mirror_y, seen_corners_on_side, sees
-from .partition import PartitionRun, _check
+from .partition import PartitionRun, _check, regime_bound
 
 
 class ChargingError(RuntimeError):
@@ -364,13 +364,6 @@ def verify_ratios(
             len(lost_plain) <= 2 * len(saved),
             f"{len(lost_plain)} vs 2*{len(saved)}",
         )
-        bound = Fraction(opt_size, 6)
-        _check(
-            report,
-            "ratio_six",
-            Fraction(len(saved)) >= bound,
-            f"|R'|={len(saved)} |OPT|={opt_size}",
-        )
     elif ledger.regime == "three":
         per_corner: dict[tuple[int, str], list[ChargeEntry]] = {}
         for e in ledger.entries:
@@ -426,12 +419,6 @@ def verify_ratios(
         _check(report, "at_most_half_nested", eq1, f"|OPT'_h|={len(h)} n={n}")
         _check(report, "lost_covered_by_receipts", eq2, "")
         _check(report, "two_thirds_lost_bound", chain, f"lhs={lhs}")
-        _check(
-            report,
-            "ratio_three",
-            3 * len(saved) >= opt_size,
-            f"|R'|={len(saved)} |OPT|={opt_size}",
-        )
     elif ledger.regime == "two_eps":
         eps = run.eps
         blue = run.nice.horizontally_nice
@@ -464,14 +451,14 @@ def verify_ratios(
             )
         else:
             _check(report, "lost_blue_covered", ineq, f"b_l={b_l} b_c={b_c} r_c={r_c}")
-        _check(
-            report,
-            "ratio_two_eps",
-            (2 + eps) * len(saved) >= opt_size,
-            f"|R'|={len(saved)} |OPT|={opt_size} eps={eps}",
-        )
     else:
         raise ChargingError(f"unknown ledger regime {ledger.regime}")
+    # the final cardinality inequality: bound * |R'| >= |OPT|
+    detail = f"|R'|={len(saved)} |OPT|={opt_size}"
+    if ledger.regime == "two_eps":
+        detail += f" eps={run.eps}"
+    bound = regime_bound(ledger.regime, run.eps)
+    _check(report, f"ratio_{ledger.regime}", bound * len(saved) >= opt_size, detail)
     return report
 
 

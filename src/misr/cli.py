@@ -44,9 +44,11 @@ from .instance import (
     write_json,
 )
 from .partition import (
+    REGIMES,
     ConstructionError,
     _check,
     recursive_partition,
+    regime_bound,
     regime_tau,
     run_to_json,
     validate_partition,
@@ -176,7 +178,7 @@ def run_pipeline(
             _check(
                 checks, "dp_not_above_optimum", achieved <= opt, f"dp={achieved} opt={opt}"
             )
-    elif algo in ("six", "three", "two_eps"):
+    elif algo in REGIMES:
         regime_tau(algo, eps, tau)  # bad regime parameters are refused before the oracle
         opt_sol = exact_mis(inst)
         opt = opt_sol.size
@@ -211,12 +213,8 @@ def run_pipeline(
     if opt is not None and achieved > 0:
         fr = Fraction(opt, achieved)
         ratio = f"{fr.numerator}/{fr.denominator}"
-    if algo == "six":
-        bound = "6/1"
-    elif algo == "three":
-        bound = "3/1"
-    elif algo == "two_eps":
-        b = 2 + eps
+    if algo in REGIMES:
+        b = regime_bound(algo, eps)
         bound = f"{b.numerator}/{b.denominator}"
     report = RunReport(
         digest,
@@ -566,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("certify", help="certify a regime; exit 0 iff all checks pass")
     c.add_argument("input")
-    c.add_argument("--regime", choices=("six", "three", "two_eps"), required=True)
+    c.add_argument("--regime", choices=REGIMES, required=True)
     c.add_argument("--tau", type=int, default=None)
     c.add_argument("--eps", default=None)
     c.add_argument("--out")

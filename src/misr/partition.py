@@ -9,7 +9,9 @@ Three regimes share the driver:
 
 Every guaranteed postcondition is asserted at run time; a violation
 raises ConstructionError, which always indicates a bug rather than an
-input condition.  Each fact of a cut is decided in one place:
+input condition.  A cut takes its node's protection record (LineFences),
+which holds the node's polygon and rects and its regime's tau, and reads
+them off it.  Each fact of a cut is decided in one place:
   regime_budgets  the segment and edge budgets of each regime;
   _split_walks    a construction's point walks as merged segments, and
                   the one split of the polygon along them (none for a cut
@@ -25,7 +27,8 @@ band of rows (LineFences.band_rows): p' from the middle-third left edges
 (_line_anchor, which reads fence ends but no row record) and each ray's
 fence stop (_ray_crossing); it asks about protection only of the rects
 its rays pierce.
-The driver asserts, after every cut, that no rect protected at the node
+The driver builds every node's record under the run's tau and asserts,
+after every cut, that no rect the record protects (LineFences.protects)
 was intersected, and under check=True that protection persists into the
 child; validate_partition checks the finished tree against the same
 budgets.
@@ -55,7 +58,6 @@ from .geom_core import (
     split_components,
 )
 from .structure import (
-    FenceEngine,
     LineFences,
     _mirror_x_point,
     _mirror_x_tagged,
@@ -67,8 +69,6 @@ from .structure import (
     classify_nice,
     sees,
 )
-
-RectsIn = Sequence[tuple[int, Rect]]
 
 
 class ConstructionError(RuntimeError):
@@ -132,16 +132,16 @@ def _split_walks(poly: RectPolygon, *walks: Sequence[Point]) -> Split:
     return merged, split_components(poly, Cut(tuple(merged)))
 
 
-def _finalize(
-    poly: RectPolygon, split: Split, rects: RectsIn, tau: Optional[int], case: str
-) -> CutResult:
-    """Turn a construction's split (see _split_walks) into a checked cut
-    of its regime, tau None for the line regime.  A split into the wrong
+def _finalize(fences: LineFences, split: Split, case: str) -> CutResult:
+    """Turn a construction's split (see _split_walks) of the record's
+    node into a checked cut of its regime, the record's tau (None for the
+    line regime).  A split into the wrong
     number of parts, or with a part that is not simple or breaks the edge
     budget, is repaired first.  Then the regime's budgets are asserted,
     with 2-3 horizontally convex parts for the line regime and exactly 2
     for a tau regime, and at most one segment, a vertical one, meeting
     rects; each rect it does not meet goes to the one part holding it."""
+    poly, rects, tau = fences.poly, fences.rects_in, fences.tau
     merged, polys = split
     max_segments, max_edges = regime_budgets(tau)
     hi = 3 if tau is None else 2
@@ -398,14 +398,12 @@ def _ray_crossing(fences: LineFences, x: int, y0: int, y1: int) -> Optional[tupl
     return None
 
 
-def line_partition_cut(
-    poly: RectPolygon, rects: RectsIn, fences: Optional[LineFences] = None
-) -> CutResult:
-    """Cut a horizontally convex polygon (at most 26 edges, at least two
-    rects) with at most 8 segments so that 2-3 horizontally convex
-    components remain, only one vertical segment meets any rectangle, and
-    no line-fence-protected rectangle is met.  fences is the node's
-    protection record, built here when none is given.
+def line_partition_cut(fences: LineFences) -> CutResult:
+    """Cut the node of a line-regime record (tau None), a horizontally
+    convex polygon (at most 26 edges, at least two rects), with at most 8
+    segments so that 2-3 horizontally convex components remain, only one
+    vertical segment meets any rectangle, and no line-fence-protected
+    rectangle is met.  A mirrored cut builds the mirrored node's record.
 
     The rows the cut reads, for p' (_line_anchor) and for the two rays'
     fence stops (_ray_crossing), are read once per band of rows; p' reads
@@ -416,6 +414,9 @@ def line_partition_cut(
     goes to _degenerate_line_cut without a split (_split_walks gives the
     polygon back whole).
     """
+    poly, rects = fences.poly, fences.rects_in
+    if fences.tau is not None:
+        raise ConstructionError("line_partition_cut needs a line-regime record")
     if len(rects) < 2:
         raise ConstructionError("line_partition_cut needs at least two rects")
     if not is_horizontally_convex(poly):
@@ -424,7 +425,7 @@ def line_partition_cut(
     left_idx = [i for i, s in sides.items() if s == "left"]
     right_idx = [i for i, s in sides.items() if s == "right"]
     if len(left_idx) < len(right_idx):
-        mres = line_partition_cut(poly.mirror_x(), _mirror_x_tagged(rects))
+        mres = line_partition_cut(LineFences(poly.mirror_x(), _mirror_x_tagged(rects)))
         return _mirror_cutresult(mres)
 
     edges = poly.edges()
@@ -432,10 +433,9 @@ def line_partition_cut(
     s = len(lefts)
     em = lefts[s // 3 : (2 * s + 2) // 3]  # middle third, 1-based floor/ceil
 
-    fences = fences or LineFences(poly, rects)
     chosen = _line_anchor(fences, [edges[i] for i in em])
     if chosen is None:
-        return _guillotine_cut(poly, rects)
+        return _guillotine_cut(fences)
     p_prime, p_anchor = chosen
 
     def ray_stop(start: Point, down: bool) -> tuple[Point, list[Point]]:
@@ -477,11 +477,9 @@ def line_partition_cut(
                 (r.yb, a.bottom_rights, r.xr),
             ) if t[1]
         )
-        anchor = Point(xs[0], covered_y)
-        if covered_y == (r.yt if down else r.yb):
-            # that fence runs along the very edge the ray hit
-            return qp, [anchor]
-        return qp, [Point(side_x, y), Point(side_x, covered_y), anchor]
+        # it holds the other edge: a fence holding the edge the ray hit
+        # strictly crosses the ray on that row, where _ray_crossing stops
+        return qp, [Point(side_x, y), Point(side_x, covered_y), Point(xs[0], covered_y)]
 
     qb, tail_b = ray_stop(p_prime, down=True)
     qt, tail_t = ray_stop(p_prime, down=False)
@@ -490,13 +488,14 @@ def line_partition_cut(
         poly, [p_anchor, p_prime, qb] + tail_b, [p_anchor, p_prime, qt] + tail_t
     )
     if len(split[1]) < 2:
-        return _degenerate_line_cut(poly, rects, p_anchor, p_prime)
-    return _finalize(poly, split, rects, None, "line")
+        return _degenerate_line_cut(fences, p_anchor, p_prime)
+    return _finalize(fences, split, "line")
 
 
-def _guillotine_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
-    """A single straight chord splitting the polygon without meeting any
-    rectangle; used when no middle-third fence exists."""
+def _guillotine_cut(fences: LineFences) -> CutResult:
+    """A single straight chord splitting the node's polygon without
+    meeting any rectangle; used when no middle-third fence exists."""
+    poly, rects = fences.poly, fences.rects_in
     x0, y0, x1, y1 = poly.bbox()
     rows = (
         (Point(lo, y), Point(hi, y))
@@ -512,26 +511,25 @@ def _guillotine_cut(poly: RectPolygon, rects: RectsIn) -> CutResult:
         if any(segment_intersects_rect(Segment(a, b), r) for _rid, r in rects):
             continue
         try:
-            return _finalize(poly, _split_walks(poly, [a, b]), rects, None, "guillotine")
+            return _finalize(fences, _split_walks(poly, [a, b]), "guillotine")
         except (ConstructionError, CutError):
             continue
     raise ConstructionError("no fence anchored on the middle third and no guillotine")
 
 
-def _degenerate_line_cut(
-    poly: RectPolygon, rects: RectsIn, p_anchor: Point, p_prime: Point
-) -> CutResult:
+def _degenerate_line_cut(fences: LineFences, p_anchor: Point, p_prime: Point) -> CutResult:
     """The alternate cut around the corner rectangle when the main line cut
     lies entirely on the boundary; only possible for polygons with at most
     8 edges.
     """
+    poly = fences.poly
     if poly.num_edges > 8:
         raise ConstructionError(
             "degenerate line cut on a polygon with more than 8 edges"
         )
     y = p_anchor.y
     top_rect = None
-    for rid, r in rects:
+    for rid, r in fences.rects_in:
         if r.xr == p_prime.x:
             if r.yt == p_prime.y:
                 top_rect = ("top", r)
@@ -544,25 +542,24 @@ def _degenerate_line_cut(
         walk = [p_anchor, Point(r.xl, y), Point(r.xl, r.yb), Point(r.xr, r.yb)]
     else:
         walk = [p_anchor, Point(r.xl, y), Point(r.xl, r.yt), Point(r.xr, r.yt)]
-    return _finalize(poly, _split_walks(poly, walk), rects, None, "line-degenerate")
+    return _finalize(fences, _split_walks(poly, walk), "line-degenerate")
 
 
 # -- the general partitioning cut (tau-fence regimes) --------------------------
 
 
 def general_partition_cut(
-    poly: RectPolygon,
-    rects: RectsIn,
-    tau: int,
-    ell0: Optional[Chord] = None,
-    _depth: int = 0,
-    fences: Optional[LineFences] = None,
+    fences: LineFences, ell0: Optional[Chord] = None, _depth: int = 0
 ) -> CutResult:
-    """Cut a simple polygon with at most 30 tau + 18 edges into exactly two
-    simple components with at most 2 tau + 1 segments, such that only one
-    vertical segment meets rectangles and no tau-protected rectangle is
-    met.  fences is the node's protection record, whose fence engine the
-    cut reads, built here when none is given."""
+    """Cut the node of a tau-regime record, a simple polygon with at most
+    30 tau + 18 edges, into exactly two simple components with at most
+    2 tau + 1 segments, such that only one vertical segment meets
+    rectangles and no tau-protected rectangle is met.  The cut reads the
+    record's fence engine; a mirrored cut builds the mirrored node's
+    record."""
+    poly, rects, tau = fences.poly, fences.rects_in, fences.tau
+    if tau is None:
+        raise ConstructionError("general_partition_cut needs a tau-regime record")
     if len(rects) < 2:
         raise ConstructionError("general_partition_cut needs at least two rects")
     if not poly.is_simple:
@@ -573,9 +570,9 @@ def general_partition_cut(
         raise ConstructionError(f"polygon exceeds {cap} edges")
 
     if k <= 15 * budget - 1:
-        return _case0_cut(poly, rects, tau)
+        return _case0_cut(fences)
 
-    eng = (fences or LineFences(poly, rects)).engine(tau)
+    eng = fences.engine
     if ell0 is None:
         _seg, chord = vertical_spanning_segment(poly)
     else:
@@ -626,23 +623,22 @@ def general_partition_cut(
     rm_hit = any(covered("RM", p) for p in plist)
 
     if not lm_hit and not rm_hit:
-        return _general_case1(poly, rects, tau, eng, tables, covered, plist)
+        return _general_case1(fences, tables, covered, plist)
     if not lm_hit:
         if _depth >= 2:
             raise ConstructionError("mirror recursion diverged")
-        mpoly = poly.mirror_x()
-        mrects = _mirror_x_tagged(rects)
-        mchord = _make_chord(mpoly, -chord.x, chord.ylo, chord.yhi)
-        mres = general_partition_cut(mpoly, mrects, tau, mchord, _depth + 1)
-        return _mirror_cutresult(mres)
-    return _general_case2(poly, rects, tau, eng, tables, group_edges)
+        mirrored = LineFences(poly.mirror_x(), _mirror_x_tagged(rects), tau)
+        mchord = _make_chord(mirrored.poly, -chord.x, chord.ylo, chord.yhi)
+        return _mirror_cutresult(general_partition_cut(mirrored, mchord, _depth + 1))
+    return _general_case2(fences, tables, group_edges)
 
 
-def _case0_cut(poly: RectPolygon, rects: RectsIn, tau: int) -> CutResult:
+def _case0_cut(fences: LineFences) -> CutResult:
     """Wrap the rectangle with the leftmost left side with two leftward
     rays and its right edge; intersects nothing and adds at most four
     edges per component."""
-    rid, r = min(rects, key=lambda t: (t[1].xl, t[1].yb, t[0]))
+    poly = fences.poly
+    rid, r = min(fences.rects_in, key=lambda t: (t[1].xl, t[1].yb, t[0]))
     top_lo, _ = poly.horizontal_reach(Point(r.xr, r.yt))
     bot_lo, _ = poly.horizontal_reach(Point(r.xr, r.yb))
     walk = [
@@ -651,15 +647,15 @@ def _case0_cut(poly: RectPolygon, rects: RectsIn, tau: int) -> CutResult:
         Point(r.xr, r.yb),
         Point(bot_lo, r.yb),
     ]
-    res = _finalize(poly, _split_walks(poly, walk), rects, tau, "general-0")
+    res = _finalize(fences, _split_walks(poly, walk), "general-0")
     if res.intersected:
         raise ConstructionError("case 0 cut intersects a rectangle")
     return res
 
 
-def _general_case1(
-    poly, rects, tau, eng: FenceEngine, tables, covered, plist
-) -> CutResult:
+def _general_case1(fences: LineFences, tables, covered, plist) -> CutResult:
+    poly, eng = fences.poly, fences.engine
+
     def b_cover(p):
         return covered("LB", p) or covered("RB", p)
 
@@ -675,7 +671,7 @@ def _general_case1(
             walk = chain_from(("LB", "RB"), p) + list(
                 reversed(chain_from(("LT", "RT"), p))
             )[1:]
-            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-1a")
+            return _finalize(fences, _split_walks(poly, walk), "general-1a")
     for a, b in zip(plist, plist[1:]):
         if b_cover(a) and t_cover(b):
             walk = (
@@ -683,11 +679,12 @@ def _general_case1(
                 + [b]
                 + list(reversed(chain_from(("LT", "RT"), b)))[1:]
             )
-            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-1b")
+            return _finalize(fences, _split_walks(poly, walk), "general-1b")
     raise ConstructionError("case 1: no bottom-to-top transition on the chord")
 
 
-def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> CutResult:
+def _general_case2(fences: LineFences, tables, group_edges) -> CutResult:
+    poly, eng = fences.poly, fences.engine
     # f: the LM-anchored chain with the rightmost endpoint.
     p = eng.rightmost(tables["LM"])
     if p is None:
@@ -695,7 +692,7 @@ def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> C
     f_chain = eng.chain_to(tables["LM"], p)
 
     def scan(start: Point, up: bool):
-        for z, grps in _ray_stops(poly, eng, tables, start, up):
+        for z, grps in _ray_stops(fences, tables, start, up):
             return z, grps, False
         ylo, yhi = poly.vertical_reach(start)
         z = Point(start.x, yhi if up else ylo)
@@ -718,11 +715,11 @@ def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> C
     for name in right:
         if q is not None and name in q_groups:
             walk = f_chain + [q] + list(reversed(chain_or_point(name, q, q_vertex)))[1:]
-            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2a")
+            return _finalize(fences, _split_walks(poly, walk), "general-2a")
     for name in right:
         if qh is not None and name in qh_groups:
             walk = f_chain + [qh] + list(reversed(chain_or_point(name, qh, qh_vertex)))[1:]
-            return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2a'")
+            return _finalize(fences, _split_walks(poly, walk), "general-2a'")
 
     if q is None or qh is None:
         raise ConstructionError("case 2b: missing ray stop")
@@ -735,12 +732,12 @@ def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> C
             + [qh]
             + list(reversed(chain_or_point("LB", qh, qh_vertex)))[1:]
         )
-        return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2bi")
+        return _finalize(fences, _split_walks(poly, walk), "general-2bi")
     if "LB" in q_groups and "LT" in qh_groups:
         g_chain = chain_or_point("LB", q, q_vertex)
         gh_chain = chain_or_point("LT", qh, qh_vertex)
         walk = _join_at_intersection(g_chain, gh_chain)
-        return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2bi'")
+        return _finalize(fences, _split_walks(poly, walk), "general-2bi'")
 
     if "LT" in q_groups and "LT" in qh_groups:
         side = "LT"
@@ -750,16 +747,15 @@ def _general_case2(poly, rects, tau, eng: FenceEngine, tables, group_edges) -> C
         down = False
     else:
         raise ConstructionError(f"case 2b: unclassifiable stops {q_groups}/{qh_groups}")
-    return _general_case2bii(
-        poly, rects, tau, eng, tables, group_edges, p, f_chain, side, down
-    )
+    return _general_case2bii(fences, tables, group_edges, p, f_chain, side, down)
 
 
-def _ray_stops(poly, eng, tables, start: Point, up: bool):
+def _ray_stops(fences: LineFences, tables, start: Point, up: bool):
     """The points of the vertical ray from start, up or down to the
     polygon's boundary, through which some group's chains pass strictly,
     in order along the ray, each with those groups."""
-    ylo, yhi = poly.vertical_reach(start)
+    eng = fences.engine
+    ylo, yhi = fences.poly.vertical_reach(start)
     ys = range(start.y, yhi + 1) if up else range(start.y, ylo - 1, -1)
     for y in ys:
         z = Point(start.x, y)
@@ -786,13 +782,14 @@ def _join_at_intersection(chain_a: list[Point], chain_b: list[Point]) -> list[Po
 
 
 def _general_case2bii(
-    poly, rects, tau, eng, tables, group_edges, p, f_chain, side, down
+    fences: LineFences, tables, group_edges, p, f_chain, side, down
 ) -> CutResult:
     """Both ray stops anchor on the same outer-left group: walk the ray to
     the boundary, find the lowest/highest stop anchored outside the group,
     and cut between the group fence and that outside fence."""
+    poly, eng = fences.poly, fences.engine
     complement = [g for g in tables if g not in (side, "LM")]
-    stops = list(_ray_stops(poly, eng, tables, p, up=not down))
+    stops = list(_ray_stops(fences, tables, p, up=not down))
     if not stops:
         raise ConstructionError("case 2bii: no interior-covered stop on the ray")
     idx_star = None
@@ -829,9 +826,9 @@ def _general_case2bii(
         z2, gname = gpp_at
         gpp_chain = eng.chain_to(tables[gname], z2)
         walk = g_chain + ([z2] if z2 != z_star else []) + list(reversed(gpp_chain))[1:]
-        return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2biiA")
+        return _finalize(fences, _split_walks(poly, walk), "general-2biiA")
     walk = _join_at_intersection(f_chain, g_chain)
-    return _finalize(poly, _split_walks(poly, walk), rects, tau, "general-2biiB")
+    return _finalize(fences, _split_walks(poly, walk), "general-2biiB")
 
 
 # -- recursive partitioning driver ---------------------------------------------
@@ -917,6 +914,13 @@ def regime_tau(regime: str, eps: Optional[Fraction], tau: Optional[int]) -> Opti
     raise ConstructionError(f"unknown regime {regime!r}")
 
 
+def regime_bound(regime: str, eps: Optional[Fraction]) -> Fraction:
+    """The approximation ratio a regime guarantees: 6, 3, or 2 + eps."""
+    if regime == "two_eps":
+        return 2 + Fraction(eps)
+    return Fraction({"six": 6, "three": 3}[regime])
+
+
 def recursive_partition(
     m: MaximalSet,
     regime: str,
@@ -969,27 +973,19 @@ def recursive_partition(
         raise ConstructionError("normalization failed: too many nested")
 
     the_tau = regime_tau(regime, eps, tau)
-    # Each node's protection record (see LineFences) is made when its
-    # parent is cut, from the witnesses the parent's record holds for the
-    # node's rects, and handed down the stack; its facts are built at the
-    # first question that reads them, and it answers alike before and
-    # after the cut, so every question is asked after it.  A record is
-    # dropped when its node is done, and a one-rect child, which only the
-    # persistence check asks, is done with that check.
-    if regime == "six":
-        cutter = line_partition_cut
-        prot = lambda fences, r: fences.protected(r)
-    else:
-        cutter = lambda poly, rin, fences: general_partition_cut(
-            poly, rin, the_tau, fences=fences
-        )
-        prot = lambda fences, r: fences.tau_protected(r, the_tau)
-
+    # Each node's protection record (see LineFences), under the run's
+    # tau, is made when its parent is cut, from the witnesses the parent's
+    # record holds for the node's rects, and handed down the stack; its
+    # facts are built at the first question that reads them, and it
+    # answers alike before and after the cut, so every question is asked
+    # after it.  A record is dropped when its node is done, and a one-rect
+    # child, which only the persistence check asks, is done with that
+    # check.
     root_poly = RectPolygon.from_rect(Rect(0, 0, side, side))
     nodes = [PartitionNode(0, root_poly, None, tuple(range(n)))]
     trace: list[int] = []
     tracked: set[int] = set()
-    stack = [(0, LineFences(root_poly, list(enumerate(work))))]
+    stack = [(0, LineFences(root_poly, list(enumerate(work)), the_tau))]
     while stack:
         v, fences = stack.pop()
         poly, ids = nodes[v].polygon, nodes[v].rects
@@ -1001,9 +997,9 @@ def recursive_partition(
             continue
         if check:
             _check_visibility_guarantee(work, fences, nesting.horizontally_nested)
-        res = cutter(poly, fences.rects_in, fences)
+        res = line_partition_cut(fences) if the_tau is None else general_partition_cut(fences)
         for i in res.intersected:
-            if prot(fences, work[i]):
+            if fences.protects(work[i]):
                 raise ConstructionError(
                     f"{res.case}: protected rectangle {i} intersected"
                 )
@@ -1024,13 +1020,16 @@ def recursive_partition(
                 stack.append((child.id, None))
                 continue
             # the parent answers first, so that its witnesses go down
-            held = [i for i in child_ids if prot(fences, work[i])] if check else []
+            held = [i for i in child_ids if fences.protects(work[i])] if check else []
             child_rects = [work[j] for j in child_ids]
             child_fences = LineFences(
-                child.polygon, list(zip(child_ids, child_rects)), fences.witnesses(child_rects)
+                child.polygon,
+                list(zip(child_ids, child_rects)),
+                the_tau,
+                fences.witnesses(child_rects),
             )
             for i in held:
-                if not prot(child_fences, work[i]):
+                if not child_fences.protects(work[i]):
                     raise ConstructionError(f"protection of rect {i} not persistent in child")
             stack.append((child.id, child_fences if len(child_ids) > 1 else None))
     leftover = set(range(n)) - tracked

@@ -14,7 +14,10 @@ integral coordinates, so chains can always be deformed onto the integer
 grid without increasing their segment count.
 
 Protection belongs to a node of a partition, a polygon and the rects
-inside it, and lives in one LineFences record per node, the one place
+inside it, and lives in one LineFences record per node, which carries
+the node's regime, tau (None for the line regime): the cuts and the
+driver read the node's polygon, rects and tau off it and ask it one
+regime question (protects).  It is the one place
 that computes a line's free pieces (its section minus the rects crossing
 it), for rows and columns alike, one record per band of lines (see
 LineFences).  Building a record reads nothing; each fact is built on
@@ -31,9 +34,10 @@ first use and kept in the record:
             bottom edges, which answer line protection (protected), give
             the line cut the fence of a rect its ray hits and certify
             tau-protection;
-  moves     the engines' move table, for every tau, from rows and columns;
-  engine    per tau, one FenceEngine, holding its search tables only, built
-            only when a tau query is left open by the line fences.
+  moves     the engine's move table, from rows and columns;
+  engine    one FenceEngine at the record's tau, holding its search tables
+            only, built only when a tau query is left open by the line
+            fences.
 A line fence is a tau-fence of one segment, so for tau >= 1 a rect whose
 top and bottom edges are held by line fences from one vertical edge is
 tau-protected; tau_protected asks the engine only about the others.
@@ -52,7 +56,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geom_core import (
     Point,
@@ -492,9 +496,9 @@ class _Witness(NamedTuple):
 
 
 # What a witness proves, with its rect the key of a record's witnesses:
-# protected, one_edge_anchors_both, or tau_protected at the given tau.
-_LINE, _PAIR = "line", "pair"
-Proves = Union[str, int]
+# protected, one_edge_anchors_both, or tau_protected at the record's tau
+# (one tau for every record of a run).
+_LINE, _PAIR, _CHAIN = "line", "pair", "chain"
 
 
 def _fence(r: Rect, y: int, x: int, left: bool) -> tuple[Point, Point]:
@@ -504,9 +508,12 @@ def _fence(r: Rect, y: int, x: int, left: bool) -> tuple[Point, Point]:
 
 class LineFences:
     """The protection record of one node, a polygon and the rects inside
-    it: the free pieces of its lines, one record per band of rows or of
-    columns, its line fences, its fence engines' move table and its fence
-    engines, all built on first use.
+    it, under its regime's tau (None for the line regime): the free pieces
+    of its lines, one record per band of rows or of columns, its line
+    fences, its fence engine's move table and its fence engine, all built
+    on first use.  The cuts take the record and read the node off it; the
+    regime's question is protects: line protection when tau is None,
+    tau-protection otherwise.
 
     A line fence from a left polygon edge runs rightward from an integral
     anchor point of the edge, within the polygon's section, to a rect
@@ -565,16 +572,17 @@ class LineFences:
         self,
         poly: RectPolygon,
         rects_in: Sequence[tuple[int, Rect]],
-        inherited: Optional[dict[tuple[Rect, Proves], _Witness]] = None,
+        tau: Optional[int] = None,
+        inherited: Optional[dict[tuple[Rect, str], _Witness]] = None,
     ):
         self.poly = poly
         self.rects_in = rects_in
+        self.tau = tau
         self._rows: dict[int, _Row] = {}
         self._columns: dict[int, _Pieces] = {}
         self._anchors: dict[Rect, _Anchors] = {}
-        self._engines: dict[int, FenceEngine] = {}
         self._inherited = inherited or {}
-        self._proofs: dict[tuple[Rect, Proves], _Witness] = {}
+        self._proofs: dict[tuple[Rect, str], _Witness] = {}
 
     def _lines(self, horizontal: bool) -> _Lines:
         """The rows (horizontal) or the columns of the node: the event
@@ -740,7 +748,7 @@ class LineFences:
             rights[bisect_left(rights, r.xr) : bisect_right(rights, hi)],
         )
 
-    def witnesses(self, rects: Iterable[Rect]) -> dict[tuple[Rect, Proves], _Witness]:
+    def witnesses(self, rects: Iterable[Rect]) -> dict[tuple[Rect, str], _Witness]:
         """The witnesses the record holds for the given rects, proved here
         or inherited and not yet asked, as a plain dict: the inheritance
         of a child's record."""
@@ -752,7 +760,7 @@ class LineFences:
             if key[0] in keep
         }
 
-    def _proved(self, r: Rect, proves: Proves) -> bool:
+    def _proved(self, r: Rect, proves: str) -> bool:
         """The record holds a witness of the verdict: proved here, or
         inherited and holding here (_holds), when it is kept as proved.  An
         inherited witness is checked once."""
@@ -835,7 +843,7 @@ class LineFences:
 
     @cached_property
     def moves(self) -> bytes:
-        """The fence engines' move table, one for every budget:
+        """The fence engine's move table, the same for every budget:
         moves[ix*ny + iy] holds the move bits of the unit steps from grid
         point (x0+ix, y0+iy) of the polygon's nx by ny bounding box that
         stay in the closed polygon and cross no rect interior.
@@ -857,33 +865,36 @@ class LineFences:
         moves = h * _RIGHT | (h << 8 * ny) * _LEFT | v * _UP | (v << 8) * _DOWN
         return moves.to_bytes(nx * ny, "little")
 
-    def engine(self, tau: int) -> FenceEngine:
-        """The node's fence engine at budget tau, built on first use."""
-        eng = self._engines.get(tau)
-        if eng is None:
-            eng = self._engines[tau] = FenceEngine(self.poly, tau, self.moves)
-        return eng
+    @cached_property
+    def engine(self) -> FenceEngine:
+        """The node's fence engine at the record's tau, built on first use."""
+        return FenceEngine(self.poly, self.tau, self.moves)
 
-    def tau_protected(self, r: Rect, tau: int) -> bool:
-        """tau-protection: one vertical polygon edge anchors two chains of
-        at most tau segments containing r's top and bottom edges
-        respectively.
+    def tau_protected(self, r: Rect) -> bool:
+        """tau-protection at the record's tau: one vertical polygon edge
+        anchors two chains of at most tau segments containing r's top and
+        bottom edges respectively.
 
         A line fence is such a chain of one segment, so when tau >= 1 and
         one edge anchors line fences holding both edges, r is
         tau-protected; the node's engine decides every other rect, and is
         built only for them.  Inherited witnesses of either kind are
         re-checked before anything is built."""
-        line = tau >= 1
-        if line and self._proved(r, _PAIR) or self._proved(r, tau):
+        line = self.tau >= 1
+        if line and self._proved(r, _PAIR) or self._proved(r, _CHAIN):
             return True
         if line and self.one_edge_anchors_both(r):
             return True
-        walks = self.engine(tau).proof(r)
+        walks = self.engine.proof(r)
         if walks is None:
             return False
-        self._proofs[r, tau] = _Witness(walks, None)
+        self._proofs[r, _CHAIN] = _Witness(walks, None)
         return True
+
+    def protects(self, r: Rect) -> bool:
+        """The regime's protection: no cut of the node may meet r.  Line
+        protection (protected) when tau is None, else tau_protected."""
+        return self.protected(r) if self.tau is None else self.tau_protected(r)
 
 
 # -- tau-fences: budgeted x-monotone chain search -----------------------------
@@ -979,7 +990,7 @@ class FenceEngine:
     """Reachability of x-monotone chains of at most tau axis-parallel
     segments inside a node's polygon, avoiding its rects' interiors.
 
-    The node's protection record builds one engine per budget
+    The node's protection record builds one engine at its tau
     (LineFences.engine) and hands it the polygon and the record's move
     table (LineFences.moves); the engine keeps nothing of the record, only
     its search tables.  The search graph is the integer grid of the

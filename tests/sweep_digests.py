@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python tests/sweep_digests.py [partition|dp|units|protection|oracle|see|pinwheel] > digests.txt
 
-A refactor that must not change any output runs this on both checkouts
-and diffs the two files.  Without an argument all seven sections run,
+A refactor that must not change any output runs each checkout's copy
+of this script on that checkout's src and diffs the two files.  Without an argument all seven sections run,
 in that order.
 
 The partition section: uniform_random and nested_grid at n = 3..16 with
@@ -38,26 +38,22 @@ sha256 of the cut, ell, intersected rects, parts and assignment; and
 each criterion-7 polygon with its spanning chord and the chord's
 endpoint-edge distance d, so a diff shows whether d grew.  A unit that
 raises shows the type and message of the error instead.  This section
-builds its units with tests/oracles.py; run against an older checkout's
-src, it still takes oracles.py from the script's own directory, and so
-does the protection section.
+builds its units with tests/oracles.py, taken from the script's own
+directory, and so does the protection section.
 
 The protection section: the partition section's runs again, with one
 line per node that holds a rect: the run, the node id and the first 16
 hex digits of the sha256 of the node's facts that line and chain
-protection read from one LineFences record of the node, namely every
-rect's line fences (anchor, far end and side of each, in order; built
-by oracles.protecting_fences from the record's anchors of the rect),
-the move table of a second, fresh record (LineFences(poly,
-rects_in).moves, or on an older src the table of its engine(1), which
-older checkouts that build the engine from the polygon and the rects
-answer as well), the line cut's reads (furthest at every integral
+protection read from one LineFences record of the node under the run's
+tau, namely every rect's line fences (anchor, far end and side of each,
+in order; built by oracles.protecting_fences from the record's anchors
+of the rect), the move table of a second, fresh record (LineFences(poly,
+rects_in).moves), the line cut's reads (furthest at every integral
 point of every vertical edge, and crossing_anchor on every row of the
 bbox at every vertex x and at the integral x midway between
 neighbouring vertex x's) and, under three and two_eps, every rect's
-tau_protected verdict at the run's tau.  Against an older src without
-tau_protected, the verdicts come from is_tau_protected.  A run that
-raises shows the type and message of the error instead, once.
+tau_protected verdict.  A run that raises shows the type and message of
+the error instead, once.
 
 The oracle section: the partition section's instances, then packed at
 n in {48, 60, 120} with seeds 0-2, windmill at n = 60 and nested_grid at
@@ -278,10 +274,10 @@ def units_section() -> None:
     from oracles import blob_polygon, criterion_6_units
 
     def line(poly, rects):
-        return _cut_digest(line_partition_cut(poly, rects))
+        return _cut_digest(line_partition_cut(LineFences(poly, rects)))
 
     def general(poly, rects, tau):
-        return _cut_digest(general_partition_cut(poly, rects, tau))
+        return _cut_digest(general_partition_cut(LineFences(poly, rects, tau)))
 
     def chord(poly):
         c = vertical_spanning_segment(poly)[1]
@@ -301,18 +297,6 @@ def units_section() -> None:
         if 4 <= poly.num_edges <= 24:
             print(f"chord {i} k={poly.num_edges} {_outcome(chord, poly)}")
             i += 1
-
-
-def _tau_verdicts(record, rects_in, tau) -> list[bool]:
-    """Every rect's tau-protection verdict, read from the node's record
-    where the src has tau_protected, else from is_tau_protected, the
-    function an older src asks."""
-    if hasattr(record, "tau_protected"):
-        return [record.tau_protected(r, tau) for _rid, r in rects_in]
-    from misr.structure import is_tau_protected
-
-    memo: dict = {}
-    return [is_tau_protected(r, record.poly, rects_in, tau, memo) for _rid, r in rects_in]
 
 
 def _line_cut_reads(record) -> list:
@@ -341,18 +325,17 @@ def _node_facts(run, node) -> str:
 
     rects_in = [(i, run.work_rects[i]) for i in node.rects]
     poly = node.polygon
-    record = LineFences(poly, rects_in)
+    record = LineFences(poly, rects_in, run.tau)
     fences = [
         [rid, [[f.anchor.x, f.anchor.y, f.endpoint.x, f.endpoint.y, f.side]
                for f in protecting_fences(record, r)]]
         for rid, r in rects_in
     ]
     # the move table does not depend on the budget
-    fresh = LineFences(poly, rects_in)
-    moves = fresh.moves if hasattr(LineFences, "moves") else fresh.engine(1)._steps()
-    facts = [fences, bytes(moves).hex(), _line_cut_reads(record)]
+    moves = LineFences(poly, rects_in).moves
+    facts = [fences, moves.hex(), _line_cut_reads(record)]
     if run.regime != "six":
-        facts.append(_tau_verdicts(record, rects_in, run.tau))
+        facts.append([record.tau_protected(r) for _rid, r in rects_in])
     blob = json.dumps(facts).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

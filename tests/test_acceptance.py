@@ -269,7 +269,7 @@ def test_criterion_6_partitioning_units():
     fails = []
     for k, poly, rects in line:
         try:
-            res = line_partition_cut(poly, rects)
+            res = line_partition_cut(LineFences(poly, rects))
             assert len(res.cut.segments) <= 8
             assert 2 <= len(res.components) <= 3
             for comp in res.components:
@@ -285,14 +285,14 @@ def test_criterion_6_partitioning_units():
     cases = Counter()
     for tau, k, poly, rects in general:
         try:
-            res = general_partition_cut(poly, rects, tau)
+            res = general_partition_cut(LineFences(poly, rects, tau))
             cases[res.case] += 1
             assert len(res.cut.segments) <= 2 * tau + 1
             assert len(res.components) == 2
             for comp in res.components:
                 assert comp.is_simple and comp.num_edges <= 30 * tau + 18
             for rid in res.intersected:
-                assert not LineFences(poly, rects).tau_protected(dict(rects)[rid], tau)
+                assert not LineFences(poly, rects, tau).tau_protected(dict(rects)[rid])
         except Exception as exc:
             fails.append((tau, k, str(exc)[:60]))
         checked_general += 1

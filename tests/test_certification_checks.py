@@ -38,8 +38,8 @@ def sweep():
     real_init = LineFences.__init__
     made = []
 
-    def init(self, poly, rects_in, inherited=None):
-        real_init(self, poly, rects_in, inherited)
+    def init(self, poly, rects_in, tau=None, inherited=None):
+        real_init(self, poly, rects_in, tau, inherited)
         made.append((self, list((inherited or {}).values())))
 
     sets, runs, records = [], [], []

@@ -131,6 +131,16 @@ class TestSolveAndCertify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["bound"] == "3/1"
 
+    @pytest.mark.parametrize(
+        "args, bound",
+        [(["six"], "6/1"), (["three"], "3/1"), (["two_eps", "--eps", "1/2"], "5/2")],
+        ids=["six", "three", "two_eps"],
+    )
+    def test_certify_bound_per_regime(self, windmill_file, args, bound, capsys):
+        """The report's bound is partition.regime_bound's, as a fraction."""
+        assert run_cli(["certify", windmill_file, "--regime", *args]) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] == bound
+
     def test_malformed_instance(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -89,13 +89,13 @@ def assert_engines_agree(poly, rin, tau, verdicts=None):
     given, counts the verdicts by (deciding path, verdict), the path
     "line" or "engine"."""
     ref = NestedFenceEngine(poly, rin, tau)
-    record = LineFences(poly, rin)
-    eng = record.engine(tau)
+    record = LineFences(poly, rin, tau)
+    eng = record.engine
     moves = ref_moves(poly, [r for _rid, r in rin])
     assert record.moves == moves, (poly, rin)
-    fences = LineFences(poly, rin)
+    fences = LineFences(poly, rin, tau)
     for _rid, r in rin:
-        verdict = fences.tau_protected(r, tau)
+        verdict = fences.tau_protected(r)
         expected = nested_is_tau_protected(r, poly, rin, tau, ref)
         assert verdict == expected == (eng.proof(r) is not None), (poly, rin, tau, r)
         certified = tau >= 1 and fences.one_edge_anchors_both(r)
@@ -183,7 +183,7 @@ def test_anchor_sets_of_short_runs_match_reference():
     for tau in TAUS:
         for family, n in (("windmill", 4), ("uniform_random", 5), ("nested_grid", 5)):
             for poly, rin in partition_cells(family, n, 0, tau):
-                eng = LineFences(poly, rin).engine(tau)
+                eng = LineFences(poly, rin, tau).engine
                 ref = NestedFenceEngine(poly, rin, tau)
                 assert_anchors_agree(eng, ref, rin, grid_runs(poly), seen)
     assert all(seen[k] for k in ("walkable", "blocked", "anchored", "unanchored")), seen
@@ -237,10 +237,10 @@ def test_tau_beyond_a_byte_on_walls():
     mid = Rect(8, 8, 12, 11)
     rects = [(0, mid), (1, Rect(2, 6, 5, 13)), (2, Rect(15, 6, 18, 13))]
     for _rid, r in rects:
-        assert LineFences(poly, rects).tau_protected(r, 300) == nested_is_tau_protected(
+        assert LineFences(poly, rects, 300).tau_protected(r) == nested_is_tau_protected(
             r, poly, rects, 300
         )
-    assert LineFences(poly, rects).tau_protected(mid, 300)
+    assert LineFences(poly, rects, 300).tau_protected(mid)
     assert_engines_agree(poly, rects, 300)
 
 
@@ -268,8 +268,8 @@ def test_fences_from_two_edges_leave_the_rect_to_the_engine():
     assert fences.anchors(mid) == ((2,), (), (0,), ())
     assert fences.protected(mid) and not fences.one_edge_anchors_both(mid)
     for tau, want in ((1, False), (2, True), (3, True)):
-        assert fences.tau_protected(mid, tau) is want
-        assert (LineFences(poly, rects).engine(tau).proof(mid) is not None) is want
+        assert LineFences(poly, rects, tau).tau_protected(mid) is want
+        assert (LineFences(poly, rects, tau).engine.proof(mid) is not None) is want
         assert nested_is_tau_protected(mid, poly, rects, tau) is want
 
 
@@ -279,9 +279,9 @@ def test_no_certificate_at_tau_zero():
     poly = RectPolygon.from_rect(Rect(0, 0, 9, 9))
     r = Rect(3, 3, 6, 6)
     rects = [(0, r)]
-    fences = LineFences(poly, rects)
+    fences = LineFences(poly, rects, 0)
     assert fences.one_edge_anchors_both(r)
-    assert LineFences(poly, rects).engine(0).proof(r) is None
-    assert LineFences(poly, rects).tau_protected(r, 0) is False
-    assert fences.tau_protected(r, 0) is False
-    assert fences.tau_protected(r, 1) is True
+    assert LineFences(poly, rects, 0).engine.proof(r) is None
+    assert LineFences(poly, rects, 0).tau_protected(r) is False
+    assert fences.tau_protected(r) is False
+    assert LineFences(poly, rects, 1).tau_protected(r) is True

@@ -96,7 +96,7 @@ class TestLinePartitionCut:
         side = 9
         poly = RectPolygon.from_rect(Rect(0, 0, side, side))
         rects = [(0, Rect(0, 0, side, 4)), (1, Rect(0, 4, side, side))]
-        res = line_partition_cut(poly, rects)
+        res = line_partition_cut(LineFences(poly, rects))
         assert res.intersected == ()
         assert len(res.components) >= 2
         check_line_cut_postconditions(poly, rects, res)
@@ -117,7 +117,7 @@ class TestLinePartitionCut:
             rects = list(enumerate(fill_with_maximal_rects(rng, poly, rng.randrange(2, 6))))
             if len(rects) < 2:
                 continue
-            res = line_partition_cut(poly, rects)
+            res = line_partition_cut(LineFences(poly, rects))
             check_line_cut_postconditions(poly, rects, res)
             cases.add(res.case.split("+")[0])
             done += 1
@@ -138,7 +138,7 @@ class TestLinePartitionCut:
         with mock.patch.object(partition, "split_components", counted):
             for _k, poly, rects in line_units:
                 calls.clear()
-                res = line_partition_cut(poly, rects)
+                res = line_partition_cut(LineFences(poly, rects))
                 if res.case in ("line", "line+mirrored"):
                     assert len(calls) == 1, (poly, rects, res.case, calls)
                     checked += 1
@@ -158,18 +158,18 @@ class TestLinePartitionCut:
             calls.append(cut)
             return real_split(poly, cut)
 
-        def cut(poly, rects, fences=None):
+        def cut(fences):
             if depth[0] == 0:
                 calls.clear()
             depth[0] += 1
             try:
-                res = real_cut(poly, rects, fences)
+                res = real_cut(fences)
             finally:
                 depth[0] -= 1
             if depth[0] == 0:
                 cases[res.case] += 1
                 if res.case.startswith("line-degenerate"):
-                    assert len(calls) == 1, (poly, rects, res.case, calls)
+                    assert len(calls) == 1, (fences.poly, fences.rects_in, res.case, calls)
             return res
 
         monkeypatch.setattr(partition, "split_components", counted)
@@ -209,16 +209,49 @@ class TestLinePartitionCut:
         monkeypatch.setattr(partition, "split_components", counted)
         for poly, rects in units:
             calls.clear()
-            res = line_partition_cut(poly, rects)
+            res = line_partition_cut(LineFences(poly, rects))
             assert res.case == "line-degenerate", (poly, rects, res.case)
             assert len(calls) == 1, (poly, rects, calls)
             assert res.components == ref_split_components(poly, res.cut), (poly, rects)
         assert len(units) > 100, len(units)
 
+    # line units (oracles.line_units(Random(0), 300), units 19 and 39) on
+    # which no middle-third left edge anchors a fence, so the cut falls
+    # back to one guillotine chord; the second is cut mirrored
+    GUILLOTINE_UNITS = {
+        "guillotine": (
+            [(0, 0), (0, 2), (1, 2), (1, 3), (0, 3), (0, 6), (1, 6), (1, 7), (0, 7),
+             (0, 10), (1, 10), (1, 11), (0, 11), (0, 14), (12, 14), (12, 7), (11, 7),
+             (11, 6), (12, 6), (12, 4), (11, 4), (11, 3), (12, 3), (12, 0)],
+            [(0, 0, 12, 2), (0, 11, 12, 14)],
+            ((0, 2), (12, 2)),
+        ),
+        "guillotine+mirrored": (
+            [(0, 1), (0, 4), (1, 4), (1, 5), (0, 5), (0, 8), (1, 8), (1, 9), (0, 9),
+             (0, 12), (14, 12), (14, 9), (13, 9), (13, 8), (14, 8), (14, 6), (13, 6),
+             (13, 5), (14, 5), (14, 3), (13, 3), (13, 2), (14, 2), (14, 0), (1, 0),
+             (1, 1)],
+            [(0, 9, 14, 12), (0, 1, 14, 2)],
+            ((0, 1), (14, 1)),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GUILLOTINE_UNITS))
+    def test_guillotine_fallback(self, case):
+        corners, boxes, (a, b) = self.GUILLOTINE_UNITS[case]
+        poly = RectPolygon([Point(x, y) for x, y in corners])
+        rects = [(i, Rect(*box)) for i, box in enumerate(boxes)]
+        res = line_partition_cut(LineFences(poly, rects))
+        assert res.case == case
+        assert res.cut.segments == (Segment(Point(*a), Point(*b)),)
+        assert res.ell is None and res.intersected == ()
+        assert len(res.components) == 2
+        check_line_cut_postconditions(poly, rects, res)
+
     def test_needs_two_rects(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 4, 4))
         with pytest.raises(ConstructionError):
-            line_partition_cut(poly, [(0, Rect(0, 0, 4, 2))])
+            line_partition_cut(LineFences(poly, [(0, Rect(0, 0, 4, 2))]))
 
     def test_rejects_nonconvex(self):
         poly = RectPolygon(
@@ -227,7 +260,7 @@ class TestLinePartitionCut:
         )
         with pytest.raises(ConstructionError):
             line_partition_cut(
-                poly, [(0, Rect(0, 2, 1, 4)), (1, Rect(5, 2, 6, 4))]
+                LineFences(poly, [(0, Rect(0, 2, 1, 4)), (1, Rect(5, 2, 6, 4))])
             )
 
 
@@ -242,7 +275,7 @@ def check_general_postconditions(poly, rects, res, tau):
         for s in nonell:
             assert not segment_intersects_rect(s, r)
     for rid in res.intersected:
-        assert not LineFences(poly, rects).tau_protected(dict(rects)[rid], tau)
+        assert not LineFences(poly, rects, tau).tau_protected(dict(rects)[rid])
     assert sum(c.area2() for c in res.components) == poly.area2()
 
 
@@ -302,7 +335,7 @@ class TestGeneralPartitionCut:
                 )
                 if len(rects) < 2:
                     continue
-                res = general_partition_cut(poly, rects, tau)
+                res = general_partition_cut(LineFences(poly, rects, tau))
                 assert res.case.startswith("general-0")
                 assert res.intersected == ()
                 check_general_postconditions(poly, rects, res, tau)
@@ -323,7 +356,7 @@ class TestGeneralPartitionCut:
             )
             if len(rects) < 2:
                 continue
-            res = general_partition_cut(poly, rects, tau=1)
+            res = general_partition_cut(LineFences(poly, rects, 1))
             check_general_postconditions(poly, rects, res, 1)
             cases.add(res.case.split("+")[0])
             done += 1
@@ -334,8 +367,8 @@ class TestGeneralPartitionCut:
     def test_case1b_pierces_unprotected_middle(self):
         poly, rects, chord = case1_fixture()
         rin = list(enumerate(rects))
-        assert not LineFences(poly, rin).tau_protected(rects[2], 1)
-        res = general_partition_cut(poly, rin, tau=1, ell0=chord)
+        assert not LineFences(poly, rin, 1).tau_protected(rects[2])
+        res = general_partition_cut(LineFences(poly, rin, 1), ell0=chord)
         assert res.case.startswith("general-1b")
         assert res.intersected == (2,)
         assert res.ell is not None and res.ell.vertical
@@ -347,8 +380,8 @@ class TestGeneralPartitionCut:
         poly, rects, chord = case1_fixture()
         rects = [Rect(13, 8, 20, 32), Rect(9, 18, 13, 22)]
         rin = list(enumerate(rects))
-        assert LineFences(poly, rin).tau_protected(rects[1], 1)
-        res = general_partition_cut(poly, rin, tau=1, ell0=chord)
+        assert LineFences(poly, rin, 1).tau_protected(rects[1])
+        res = general_partition_cut(LineFences(poly, rin, 1), ell0=chord)
         assert 1 not in res.intersected
         check_general_postconditions(poly, rin, res, 1)
 
@@ -358,7 +391,7 @@ class TestGeneralPartitionCut:
     )
     def test_case2b_reproducer(self):
         poly, rin = case_2b_unit()
-        res = general_partition_cut(poly, rin, 1, ell0=_make_chord(poly, 1, 0, 20))
+        res = general_partition_cut(LineFences(poly, rin, 1), ell0=_make_chord(poly, 1, 0, 20))
         check_general_postconditions(poly, rin, res, 1)
 
     def test_case2b_unit_under_best_chord(self):
@@ -367,7 +400,7 @@ class TestGeneralPartitionCut:
         assert (chord.x, chord.ylo, chord.yhi) == (7, 1, 20)
         assert chord_distance(poly, chord) == 22
         assert chord_distance(poly, _make_chord(poly, 1, 0, 20)) == 16
-        res = general_partition_cut(poly, rin, 1)
+        res = general_partition_cut(LineFences(poly, rin, 1))
         assert res.case == "general-2a+repair+mirrored"
         check_general_postconditions(poly, rin, res, 1)
 
@@ -384,7 +417,7 @@ class TestGeneralPartitionCut:
             )
             if len(rects) < 2:
                 continue
-            res = general_partition_cut(poly, rects, tau=3)
+            res = general_partition_cut(LineFences(poly, rects, 3))
             check_general_postconditions(poly, rects, res, 3)
             done += 1
 
@@ -399,12 +432,22 @@ class TestGeneralPartitionCut:
         with pytest.raises(ConstructionError, match="chains do not intersect"):
             partition._join_at_intersection(a, far)
 
+    def test_cuts_need_their_regimes_record(self):
+        """The line cut takes a record without tau, the general cut one
+        with it."""
+        poly = RectPolygon.from_rect(Rect(0, 0, 4, 4))
+        rects = [(0, Rect(0, 0, 4, 2)), (1, Rect(0, 2, 4, 4))]
+        with pytest.raises(ConstructionError, match="line-regime record"):
+            line_partition_cut(LineFences(poly, rects, 1))
+        with pytest.raises(ConstructionError, match="tau-regime record"):
+            general_partition_cut(LineFences(poly, rects))
+
     def test_edge_budget_guard(self):
         rng = random.Random(6)
         poly = notched_polygon(rng, 52, width=26, height=20)
         rects = list(enumerate(fill_with_maximal_rects(rng, poly, 3)))
         with pytest.raises(ConstructionError):
-            general_partition_cut(poly, rects, tau=1)  # 52 > 30*1+18
+            general_partition_cut(LineFences(poly, rects, 1))  # 52 > 30*1+18
 
 
 class TestRecursivePartition:
@@ -420,19 +463,14 @@ class TestRecursivePartition:
     @pytest.mark.parametrize("regime", ["six", "three"])
     def test_driver_rejects_intersected_protected_rect(self, regime, check):
         # a cut that reports a rect protected at its node as intersected
-        if regime == "six":
-            cutter = "line_partition_cut"
-            protected = lambda fences, r: fences.protected(r)
-        else:
-            cutter = "general_partition_cut"
-            protected = lambda fences, r: fences.tau_protected(r, 7)
+        cutter = "line_partition_cut" if regime == "six" else "general_partition_cut"
         real = getattr(partition, cutter)
 
-        def faulty(poly, rects, *args, **kwargs):
-            res = real(poly, rects, *args, **kwargs)
-            fences = LineFences(poly, rects)
-            for rid, r in rects:
-                if rid not in res.intersected and protected(fences, r):
+        def faulty(fences, *args, **kwargs):
+            res = real(fences, *args, **kwargs)
+            fresh = LineFences(fences.poly, fences.rects_in, fences.tau)
+            for rid, r in fences.rects_in:
+                if rid not in res.intersected and fresh.protects(r):
                     extra = tuple(sorted(res.intersected + (rid,)))
                     return dataclasses.replace(res, intersected=extra)
             return res
@@ -577,12 +615,11 @@ def test_engines_are_freed_with_their_nodes(family, n, monkeypatch):
     m = maximal_extension(exact_mis(inst, cap=n), inst)
     refs = []
 
-    def engine(self, tau, _real=LineFences.engine):
-        eng = _real(self, tau)
-        refs.append(weakref.ref(eng))
-        return eng
+    def init(self, *args, _real=FenceEngine.__init__):
+        _real(self, *args)
+        refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(LineFences, "engine", engine)
+    monkeypatch.setattr(FenceEngine, "__init__", init)
     gc.disable()
     try:
         recursive_partition(m, "three", tau=1, check=True)
@@ -617,8 +654,8 @@ def checked_runs(specs, regimes):
     """The check=True run of each regime (regime, eps) on each instance
     spec (family, n, seed), as (spec, opt, eps, run), and every verdict that a
     record answered from an inherited witness during them, as (polygon,
-    rects inside, rect, what the witness proves: "line", "pair" or a
-    tau)."""
+    rects inside, the record's tau, rect, what the witness proves: "line",
+    "pair" or "chain")."""
     runs, inherited = [], []
     real = LineFences._proved
 
@@ -626,7 +663,7 @@ def checked_runs(specs, regimes):
         was_inherited = (r, proves) in self._inherited
         ok = real(self, r, proves)
         if was_inherited and ok:
-            inherited.append((self.poly, tuple(self.rects_in), r, proves))
+            inherited.append((self.poly, tuple(self.rects_in), self.tau, r, proves))
         return ok
 
     with pytest.MonkeyPatch.context() as patch:
@@ -674,7 +711,7 @@ def test_line_cut_band_reads_match_row_reads(monkeypatch):
     monkeypatch.setattr(partition, "_line_anchor", anchor)
     monkeypatch.setattr(partition, "_ray_crossing", crossing)
     for _k, poly, rects in criterion_6_units()[0]:
-        line_partition_cut(poly, rects)
+        line_partition_cut(LineFences(poly, rects))
     for family, n, seed in CHECKED_SWEEP:
         inst = generate(family, n, seed)
         m = maximal_extension(exact_mis(inst, cap=n), inst)
@@ -702,7 +739,7 @@ def test_checked_sweep_passes_every_check(checked_sweep):
 
 def assert_inherited_verdicts_hold(inherited, reference_every) -> Counter:
     """Every inherited verdict (see checked_runs) is a fresh record's of
-    its node, LineFences(polygon, rects inside), and the reference's:
+    its node, LineFences(polygon, rects inside, tau), and the reference's:
     ref_protecting_fences for a line fence, ref_one_edge_anchors_both for the
     fences from one edge, nested_is_tau_protected for chains.  The nested
     reference searches a node's grid anew, so it judges every
@@ -710,24 +747,24 @@ def assert_inherited_verdicts_hold(inherited, reference_every) -> Counter:
     fresh: dict = {}
     engines: dict = {}
     kinds: Counter = Counter()
-    for poly, rin, r, proves in inherited:
-        if (poly, rin) not in fresh:
-            fresh[poly, rin] = LineFences(poly, list(rin))
-        record = fresh[poly, rin]
-        where = (poly, rin, r, proves)
+    for poly, rin, tau, r, proves in inherited:
+        key = (poly, rin, tau)
+        if key not in fresh:
+            fresh[key] = LineFences(poly, list(rin), tau)
+        record = fresh[key]
+        where = (poly, rin, tau, r, proves)
         if proves == "line":
             assert record.protected(r) and ref_protecting_fences(poly, rin, r), where
         elif proves == "pair":
             assert record.one_edge_anchors_both(r), where
             assert ref_one_edge_anchors_both(r, poly, rin), where
         else:
-            assert record.tau_protected(r, proves) and record.engine(proves).proof(r) is not None, where
+            assert record.tau_protected(r) and record.engine.proof(r) is not None, where
             if kinds["chain"] % reference_every == 0:
-                key = (poly, rin, proves)
                 if key not in engines:
-                    engines[key] = NestedFenceEngine(poly, rin, proves)
-                assert nested_is_tau_protected(r, poly, rin, proves, engines[key]), where
-        kinds["chain" if isinstance(proves, int) else proves] += 1
+                    engines[key] = NestedFenceEngine(poly, rin, tau)
+                assert nested_is_tau_protected(r, poly, rin, tau, engines[key]), where
+        kinds[proves] += 1
     return kinds
 
 
@@ -786,10 +823,10 @@ def test_unchecked_six_asks_protection_only_of_pierced_rects(monkeypatch):
     real_crossing = partition._ray_crossing
     real_cut = partition.line_partition_cut
 
-    def cut(poly, rects, fences=None):
-        depth.append(poly)
+    def cut(fences):
+        depth.append(fences)
         try:
-            return real_cut(poly, rects, fences)
+            return real_cut(fences)
         finally:
             depth.pop()
 

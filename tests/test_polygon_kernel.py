@@ -406,9 +406,9 @@ def test_inside_pieces_agree_with_reference(monkeypatch):
     monkeypatch.setattr(partition, "inside_pieces", lambda p, s: checked(p, s, "repair"))
     line_units, general_units = criterion_6_units()
     for _k, poly, rects in line_units:
-        line_partition_cut(poly, rects)
+        line_partition_cut(LineFences(poly, rects))
     for tau, _k, poly, rects in general_units:
-        general_partition_cut(poly, rects, tau)
+        general_partition_cut(LineFences(poly, rects, tau))
     rng = random.Random(7)  # criterion 7's polygons, as its test draws them
     chords = 0
     while chords < 200:

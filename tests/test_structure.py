@@ -487,7 +487,7 @@ class TestProtection:
             rin = list(enumerate(rects))
             for r in rects:
                 flags = [
-                    LineFences(poly, rin).tau_protected(r, tau) for tau in (1, 2, 3, 5)
+                    LineFences(poly, rin, tau).tau_protected(r) for tau in (1, 2, 3, 5)
                 ]
                 for a, b in zip(flags, flags[1:]):
                     assert not a or b, "tau-protection must be monotone in tau"
@@ -500,7 +500,7 @@ class TestProtection:
         walls = Rect(2, 7, 3, 12)
         rects = [(0, mid), (1, walls)]
         assert LineFences(poly, rects).protected(mid)
-        assert LineFences(poly, rects).tau_protected(mid, 3)
+        assert LineFences(poly, rects, 3).tau_protected(mid)
 
     def test_unprotected_between_walls_for_small_tau(self):
         poly = RectPolygon.from_rect(Rect(0, 0, 20, 20))
@@ -510,6 +510,6 @@ class TestProtection:
             (1, Rect(2, 6, 5, 13)),
             (2, Rect(15, 6, 18, 13)),
         ]
-        assert not LineFences(poly, rects).tau_protected(mid, 1)
+        assert not LineFences(poly, rects, 1).tau_protected(mid)
         # with a big enough budget the chain can wind over the walls
-        assert LineFences(poly, rects).tau_protected(mid, 5)
+        assert LineFences(poly, rects, 5).tau_protected(mid)
